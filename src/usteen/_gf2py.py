@@ -1,81 +1,66 @@
-"""NumPy fallback for the hot GF(2) kernels.
+"""The GF(2) elimination and product kernels on Python-int rows.
 
-Same contracts as the compiled ``usteen._gf2c`` module.  A matrix is a
-``uint64`` array of shape ``(nrows, nwords)``; rows are packed little-endian,
-so column ``j`` lives in word ``j >> 6``, bit ``j & 63``.
+A matrix is a list of non-negative ints, one per row, with column ``j`` at
+bit ``j``; a row operation is one big-int XOR.
 """
 
 from __future__ import annotations
 
-import numpy as np
 
-_ONE = np.uint64(1)
-
-
-def unpack_bits(words: np.ndarray, ncols: int) -> np.ndarray:
-    """Expand packed rows into a (nrows, ncols) uint8 matrix of 0/1."""
-    nrows = words.shape[0]
-    if ncols == 0 or nrows == 0:
-        return np.zeros((nrows, ncols), dtype=np.uint8)
-    as_bytes = np.ascontiguousarray(words).view(np.uint8).reshape(nrows, -1)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :ncols]
-
-
-def pack_bits(bits: np.ndarray, ncols: int) -> np.ndarray:
-    """Pack a (nrows, ncols) 0/1 matrix into little-endian uint64 words."""
-    nrows = bits.shape[0]
-    nwords = (ncols + 63) >> 6
-    if nrows == 0 or nwords == 0:
-        return np.zeros((nrows, nwords), dtype=np.uint64)
-    pad = nwords * 64 - ncols
-    if pad:
-        bits = np.concatenate(
-            [bits, np.zeros((nrows, pad), dtype=bits.dtype)], axis=1
-        )
-    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-    return np.ascontiguousarray(packed).view(np.uint64)
-
-
-def rref_inplace(work: np.ndarray, nrows: int, ncols: int, npivot_cols: int) -> list:
-    """Reduce ``work`` to reduced row-echelon form in place.
+def rref_inplace(work: list, nrows: int, ncols: int, npivot_cols: int, /) -> list:
+    """Reduce the ``nrows`` rows of ``work`` to reduced row-echelon form in place.
 
     Pivots are searched in the first ``npivot_cols`` columns only; row
-    operations still apply to the full packed width (augmented solves rely
-    on this).  Returns the list of pivot columns.
+    operations still apply to all ``ncols`` columns (augmented solves rely
+    on this).  On return ``work`` holds the pivot rows in pivot-column order,
+    followed by the rows that are zero in the pivot search columns.  Returns
+    the list of pivot columns.  ``nrows`` and ``ncols`` state the shape of
+    ``work``; the ints carry it, so they are not read.
     """
-    pivots: list = []
-    pr = 0
-    for col in range(npivot_cols):
-        if pr == nrows:
-            break
-        w = col >> 6
-        b = np.uint64(col & 63)
-        colbits = (work[pr:nrows, w] >> b) & _ONE
-        nz = np.nonzero(colbits)[0]
-        if nz.size == 0:
-            continue
-        p = pr + int(nz[0])
-        if p != pr:
-            work[[pr, p]] = work[[p, pr]]
-        sel = ((work[:nrows, w] >> b) & _ONE).astype(bool)
-        sel[pr] = False
-        if sel.any():
-            work[sel] ^= work[pr]
-        pivots.append(col)
-        pr += 1
-    return pivots
+    search = (1 << npivot_cols) - 1
+    piv = {}  # pivot bit -> the row whose lowest search bit it is
+    rest = []
+    for r in work:
+        while True:
+            low = r & search
+            if not low:
+                rest.append(r)
+                break
+            b = low & -low
+            p = piv.get(b)
+            if p is None:
+                piv[b] = r
+                break
+            r ^= p
+    order = sorted(piv)
+    # back-substitute from the last pivot down, so that every row XORed in
+    # is already zero in the other pivot columns
+    pmask = sum(order)
+    for b in reversed(order):
+        r = piv[b]
+        hits = (r & pmask) ^ b
+        while hits:
+            h = hits & -hits
+            r ^= piv[h]
+            hits ^= h
+        piv[b] = r
+    work[:] = [piv[b] for b in order] + rest
+    return [b.bit_length() - 1 for b in order]
 
 
-def mat_mult(a: np.ndarray, a_rows: int, a_cols: int, b: np.ndarray, b_cols: int, out: np.ndarray) -> None:
-    """GF(2) matrix product: ``out = a @ b``.  ``out`` must be zeroed.
+def mat_mult(a: list, b: list, /) -> list:
+    """GF(2) product rows: row ``i`` is the XOR of ``b[j]`` over bits ``j`` of ``a[i]``.
 
-    Goes through a float product (exact: entries are bounded by the inner
-    dimension, far below 2**53) so the BLAS path applies, then reduces mod 2.
+    Every row of ``a`` must be below ``2 ** len(b)``.  The cost is one XOR
+    per set bit of ``a``: the catalog's left factors are at most a few
+    percent dense, where this beats 8-row XOR tables (M4RM) by over 10x.
     """
-    if a_rows == 0 or a_cols == 0 or b_cols == 0:
-        return
-    lhs = unpack_bits(a[:a_rows], a_cols).astype(np.float64)
-    rhs = unpack_bits(b[:a_cols], b_cols).astype(np.float64)
-    prod = np.rint(lhs @ rhs).astype(np.int64) & 1
-    out[:, :] = pack_bits(prod.astype(np.uint8), b_cols)
+    out = []
+    for r in a:
+        acc = 0
+        while r:
+            low = r & -r
+            acc ^= b[low.bit_length() - 1]
+            r ^= low
+        out.append(acc)
+    return out

@@ -21,6 +21,7 @@ from .singer import r1
 from .steenrod import admissible_basis
 from .unstable import (
     TruncatedModule,
+    TruncationError,
     free_unstable,
     phi,
     polynomial_module,
@@ -34,6 +35,15 @@ _REALM_PATTERN = re.compile(r"^(?:S(?P<s>\d+))?HV(?P<r>\d+)$")
 
 
 def _named_module(name: str, D: int) -> TruncatedModule:
+    """The module ``name`` through degree ``D``; a module that cannot be built
+    or a fixture that cannot be loaded is an input error."""
+    try:
+        return _build_module(name, D)
+    except (ValueError, TruncationError) as exc:  # JSONDecodeError is a ValueError
+        raise SystemExit2(f"cannot build module {name!r} through degree {D}: {exc}") from exc
+
+
+def _build_module(name: str, D: int) -> TruncatedModule:
     if name in ("F", "F0", "HV0"):
         return unit_module(D)
     if name in ("F1", "F2", "F3"):
@@ -51,7 +61,10 @@ def _named_module(name: str, D: int) -> TruncatedModule:
         return tensor(f1, f1)
     path = Path(name)
     if path.suffix == ".json" and path.exists():
-        loaded = fixtures.load(path)
+        try:
+            loaded = fixtures.load(path)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"fixture has a missing or mistyped field: {exc}") from exc
         mod = loaded.underlying if isinstance(loaded, FuluModule) else loaded
         return truncate(mod, min(mod.D, D))
     raise SystemExit2(
@@ -200,6 +213,19 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="usteen",
@@ -210,16 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compute", help="print dimension tables and bases")
     comp.add_argument("what", choices=["basis", "module", "r1", "rtilde", "invariants", "fix"])
     comp.add_argument("--module", default="HZ2", help="module name or fixture file")
-    comp.add_argument("--max-degree", type=int, default=10)
-    comp.add_argument("--rank", type=int, default=None)
+    comp.add_argument("--max-degree", type=_int_at_least(0), default=10)
+    comp.add_argument("--rank", type=_int_at_least(0), default=None)
     comp.add_argument("--format", choices=["text", "json"], default="text")
     comp.set_defaults(fn=_cmd_compute)
 
     ver = sub.add_parser("verify", help="run verification checks")
     ver.add_argument("--check", default=None, help="a single check id, e.g. T3")
     ver.add_argument("--all", action="store_true", help="run the whole catalog")
-    ver.add_argument("--max-degree", type=int, default=10)
-    ver.add_argument("--max-rank", type=int, default=2)
+    ver.add_argument("--max-degree", type=_int_at_least(0), default=10)
+    ver.add_argument("--max-rank", type=_int_at_least(1), default=2)
     ver.add_argument("--seed", type=int, default=2)
     ver.add_argument("--format", choices=["text", "json"], default="text")
     ver.add_argument("--timings", action="store_true",

@@ -1,97 +1,84 @@
 """Exact linear algebra over the two-element field.
 
-Matrices are dense and bit-packed, 64 columns per word, so every row
-operation is a word-parallel XOR.  Values are immutable after construction
+A matrix row is one Python int with column ``j`` at bit ``j``, so every row
+operation is a single big-int XOR.  Values are immutable after construction
 and all operations are pure functions, safe to share across threads.
 
-The elimination and product inner loops come from the compiled extension
-``usteen._gf2c`` when it was built; otherwise the NumPy fallback
-``usteen._gf2py`` is selected at import.  Set ``USTEEN_PURE_GF2=1`` to force
-the fallback.
+Every elimination and product goes through the kernel module
+``usteen._gf2py`` (``rref_inplace`` and ``mat_mult``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
+from . import _gf2py as _kernel
 
-from ._gf2py import pack_bits, unpack_bits
-
-if os.environ.get("USTEEN_PURE_GF2", "0") not in ("", "0"):
-    from . import _gf2py as _kernel
-
-    KERNEL_NAME = "python"
-else:
-    try:
-        from . import _gf2c as _kernel  # type: ignore[no-redef]
-
-        KERNEL_NAME = "compiled"
-    except ImportError:
-        from . import _gf2py as _kernel  # type: ignore[no-redef]
-
-        KERNEL_NAME = "python"
+KERNEL_NAME = "python-int"
 
 
-def _nwords(ncols: int) -> int:
-    return (ncols + 63) >> 6
+def _bits(r: int, n: int) -> str:
+    """The ``n`` low bits of ``r`` as a 0/1 string, column 0 first."""
+    return bin(r | (1 << n))[:2:-1]
 
 
 class BitMatrix:
-    """An immutable GF(2) matrix with bit-packed rows."""
+    """An immutable GF(2) matrix: a tuple of row ints, column ``j`` at bit ``j``.
 
-    __slots__ = ("nrows", "ncols", "_w")
+    The constructor trusts its rows to be ints below ``2 ** ncols``; outside
+    data goes through ``from_rows`` or ``from_row_ints``, which check it.
+    """
 
-    def __init__(self, nrows: int, ncols: int, words: np.ndarray):
+    __slots__ = ("nrows", "ncols", "_rows")
+
+    def __init__(self, nrows: int, ncols: int, rows: tuple):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if words.shape != (nrows, _nwords(ncols)):
-            raise ValueError("word array shape mismatch")
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        words.setflags(write=False)
+        if len(rows) != nrows:
+            raise ValueError("row count mismatch")
         self.nrows = nrows
         self.ncols = ncols
-        self._w = words
+        self._rows = rows
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls(nrows, ncols, np.zeros((nrows, _nwords(ncols)), dtype=np.uint64))
+        return cls(nrows, ncols, (0,) * nrows)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls.from_row_ints((1 << j for j in range(n)), n, nrows=n)
+        return cls(n, n, tuple(1 << j for j in range(n)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "BitMatrix":
         rows = [list(r) for r in rows]
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        bits = np.array(rows, dtype=np.uint8).reshape(len(rows), ncols)
-        if np.any(bits > 1):
-            raise ValueError("entries must be 0 or 1")
-        return cls(len(rows), ncols, pack_bits(bits, ncols))
+        ints = []
+        for row in rows:
+            if len(row) != ncols:
+                raise ValueError("ragged rows")
+            v = 0
+            for j, b in enumerate(row):
+                if b:
+                    if b != 1:
+                        raise ValueError("entries must be 0 or 1")
+                    v |= 1 << j
+            ints.append(v)
+        return cls(len(ints), ncols, tuple(ints))
 
     @classmethod
     def from_row_ints(cls, rows: Iterable[int], ncols: int, nrows: Optional[int] = None) -> "BitMatrix":
-        rows = list(rows)
+        rows = tuple(rows)
         if nrows is not None and len(rows) != nrows:
             raise ValueError("row count mismatch")
-        nw = _nwords(ncols)
-        words = np.zeros((len(rows), nw), dtype=np.uint64)
         limit = 1 << ncols
         for i, r in enumerate(rows):
             if r < 0 or r >= limit:
                 raise ValueError(f"row {i} out of range for {ncols} columns")
-            if r:
-                buf = r.to_bytes(nw * 8, "little")
-                words[i] = np.frombuffer(buf, dtype=np.uint64)
-        return cls(len(rows), ncols, words)
+        return cls(len(rows), ncols, rows)
 
     # -- access ------------------------------------------------------------
 
@@ -99,80 +86,106 @@ class BitMatrix:
         """Entry (i, j); out-of-range access is an error, never a silent 0."""
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError(f"entry ({i}, {j}) outside {self.nrows}x{self.ncols}")
-        return int((self._w[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
+        return (self._rows[i] >> j) & 1
 
     def row_int(self, i: int) -> int:
         if not 0 <= i < self.nrows:
             raise IndexError("row index out of range")
-        return int.from_bytes(self._w[i].tobytes(), "little")
+        return self._rows[i]
 
     def row_ints(self) -> list:
-        return [self.row_int(i) for i in range(self.nrows)]
+        return list(self._rows)
 
     def to_lists(self) -> list:
-        return unpack_bits(self._w, self.ncols).tolist()
+        n = self.ncols
+        return [[int(c) for c in _bits(r, n)] for r in self._rows]
 
-    def words(self) -> np.ndarray:
-        """Read-only view of the packed words (kernel interop)."""
-        return self._w
+    def words(self):
+        """Read-only NumPy ``uint64`` array of shape (nrows, ceil(ncols / 64)).
+
+        Rows are packed little-endian: column ``j`` is bit ``j & 63`` of word
+        ``j >> 6``.  For interop only; nothing in the package reads it.
+        """
+        import numpy as np
+
+        nbytes = 8 * ((self.ncols + 63) >> 6)
+        buf = b"".join(r.to_bytes(nbytes, "little") for r in self._rows)
+        words = np.frombuffer(buf, dtype="<u8").reshape(self.nrows, nbytes // 8)
+        words.setflags(write=False)
+        return words
 
     def is_zero(self) -> bool:
-        return not self._w.any()
+        return not any(self._rows)
 
     # -- structure ---------------------------------------------------------
 
     def transpose(self) -> "BitMatrix":
-        bits = unpack_bits(self._w, self.ncols).T
-        return BitMatrix(self.ncols, self.nrows, pack_bits(np.ascontiguousarray(bits), self.nrows))
+        out = [0] * self.ncols
+        for i, r in enumerate(self._rows):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                out[low.bit_length() - 1] |= bit
+                r ^= low
+        return BitMatrix(self.ncols, self.nrows, tuple(out))
 
     def take_rows(self, indices: Sequence[int]) -> "BitMatrix":
-        idx = list(indices)
-        return BitMatrix(len(idx), self.ncols, self._w[idx].copy() if idx else
-                         np.zeros((0, _nwords(self.ncols)), dtype=np.uint64))
+        rows = tuple(self._rows[i] for i in indices)
+        return BitMatrix(len(rows), self.ncols, rows)
 
     def take_cols(self, indices: Sequence[int]) -> "BitMatrix":
         idx = list(indices)
-        bits = unpack_bits(self._w, self.ncols)[:, idx]
-        return BitMatrix(self.nrows, len(idx), pack_bits(np.ascontiguousarray(bits), len(idx)))
+        if any(not 0 <= j < self.ncols for j in idx):
+            raise IndexError("column index out of range")
+        pos = {}  # column -> the bits it lands on
+        for k, j in enumerate(idx):
+            pos[j] = pos.get(j, 0) | 1 << k
+        rows = []
+        for r in self._rows:
+            v = 0
+            while r:
+                low = r & -r
+                v |= pos.get(low.bit_length() - 1, 0)
+                r ^= low
+            rows.append(v)
+        return BitMatrix(self.nrows, len(idx), tuple(rows))
 
     def concat_cols(self, other: "BitMatrix") -> "BitMatrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        bits = np.concatenate(
-            [unpack_bits(self._w, self.ncols), unpack_bits(other._w, other.ncols)], axis=1
-        )
-        return BitMatrix(self.nrows, self.ncols + other.ncols, pack_bits(bits, self.ncols + other.ncols))
+        n = self.ncols
+        return BitMatrix(self.nrows, n + other.ncols,
+                         tuple(a | (b << n) for a, b in zip(self._rows, other._rows)))
 
     def stack(self, other: "BitMatrix") -> "BitMatrix":
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch")
-        return BitMatrix(self.nrows + other.nrows, self.ncols, np.vstack([self._w, other._w]))
+        return BitMatrix(self.nrows + other.nrows, self.ncols, self._rows + other._rows)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "BitMatrix") -> "BitMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return BitMatrix(self.nrows, self.ncols, self._w ^ other._w)
+        return BitMatrix(self.nrows, self.ncols,
+                         tuple(a ^ b for a, b in zip(self._rows, other._rows)))
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        out = np.zeros((self.nrows, _nwords(other.ncols)), dtype=np.uint64)
-        _kernel.mat_mult(self._w, self.nrows, self.ncols, other._w, other.ncols, out)
-        return BitMatrix(self.nrows, other.ncols, out)
+        return BitMatrix(self.nrows, other.ncols, tuple(_kernel.mat_mult(self._rows, other._rows)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
-        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and np.array_equal(self._w, other._w)
+        return (self.nrows, self.ncols, self._rows) == (other.nrows, other.ncols, other._rows)
 
     def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self._w.tobytes()))
+        return hash((self.nrows, self.ncols, self._rows))
 
     def __repr__(self) -> str:
         if self.nrows * self.ncols <= 256:
-            body = ";".join("".join(str(b) for b in row) for row in self.to_lists())
+            body = ";".join(_bits(r, self.ncols) for r in self._rows)
             return f"BitMatrix({self.nrows}x{self.ncols}:[{body}])"
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
@@ -186,32 +199,43 @@ class RrefResult:
 
 def rref(m: BitMatrix) -> RrefResult:
     """Canonical reduced row-echelon form (row-equivalent to ``m``)."""
-    work = m._w.copy()
+    work = list(m._rows)
     pivots = _kernel.rref_inplace(work, m.nrows, m.ncols, m.ncols)
-    return RrefResult(BitMatrix(m.nrows, m.ncols, work), len(pivots), tuple(pivots))
+    return RrefResult(BitMatrix(m.nrows, m.ncols, tuple(work)), len(pivots), tuple(pivots))
 
 
 def rank(m: BitMatrix) -> int:
-    work = m._w.copy()
-    return len(_kernel.rref_inplace(work, m.nrows, m.ncols, m.ncols))
+    """Rank by forward elimination only, each row reduced by its highest bit.
+
+    Keying on ``bit_length`` avoids the big-int negation of a lowest-bit
+    search; the rank is the same either way.
+    """
+    lead = [0] * (m.ncols + 1)
+    n = 0
+    for r in m._rows:
+        while r:
+            h = r.bit_length()
+            p = lead[h]
+            if not p:
+                lead[h] = r
+                n += 1
+                break
+            r ^= p
+    return n
 
 
 def kernel_basis(m: BitMatrix) -> "Subspace":
     """The subspace {v : m @ v = 0}, of dimension cols - rank."""
     res = rref(m)
-    piv = list(res.pivots)
-    pivset = set(piv)
-    red = res.matrix
-    rows = []
-    for f in range(m.ncols):
-        if f in pivset:
-            continue
-        v = 1 << f
-        for idx, p in enumerate(piv):
-            if red.get(idx, f):
-                v |= 1 << p
-        rows.append(v)
-    return Subspace.from_rows(BitMatrix.from_row_ints(rows, m.ncols))
+    pivots = set(res.pivots)
+    free = {f: 1 << f for f in range(m.ncols) if f not in pivots}
+    for r, p in zip(res.matrix._rows, res.pivots):
+        r &= ~(1 << p)
+        while r:
+            low = r & -r
+            free[low.bit_length() - 1] |= 1 << p
+            r ^= low
+    return Subspace.from_rows(BitMatrix(len(free), m.ncols, tuple(free.values())))
 
 
 def left_kernel(m: BitMatrix) -> "Subspace":
@@ -232,7 +256,7 @@ def solve(m: BitMatrix, target: Sequence[int]) -> Optional[tuple]:
     sols = solve_many(m, col)
     if sols is None:
         return None
-    return tuple(sols.get(i, 0) for i in range(m.ncols))
+    return tuple(sols._rows)
 
 
 def solve_many(m: BitMatrix, targets: BitMatrix) -> Optional[BitMatrix]:
@@ -242,22 +266,16 @@ def solve_many(m: BitMatrix, targets: BitMatrix) -> Optional[BitMatrix]:
     """
     if targets.nrows != m.nrows:
         raise ValueError("target row count mismatch")
-    aug = m.concat_cols(targets)
-    work = aug._w.copy()
-    pivots = _kernel.rref_inplace(work, aug.nrows, aug.ncols, m.ncols)
-    red = BitMatrix(aug.nrows, aug.ncols, work)
-    nzrows = len(pivots)
-    # any nonzero row beyond the pivot rows witnesses inconsistency
-    for i in range(nzrows, aug.nrows):
-        for w in red._w[i]:
-            if w:
-                return None
-    out = np.zeros((m.ncols, _nwords(targets.ncols)), dtype=np.uint64)
-    for idx, p in enumerate(pivots):
-        for j in range(targets.ncols):
-            if red.get(idx, m.ncols + j):
-                out[p, j >> 6] |= np.uint64(1) << np.uint64(j & 63)
-    return BitMatrix(m.ncols, targets.ncols, out)
+    n = m.ncols
+    work = [a | (b << n) for a, b in zip(m._rows, targets._rows)]
+    pivots = _kernel.rref_inplace(work, m.nrows, n + targets.ncols, n)
+    # any row left over after the pivot rows witnesses inconsistency
+    if any(work[len(pivots):]):
+        return None
+    out = [0] * n
+    for r, p in zip(work, pivots):
+        out[p] = r >> n
+    return BitMatrix(n, targets.ncols, tuple(out))
 
 
 def express_in_rowspace(basis: BitMatrix, vecs: BitMatrix) -> Optional[BitMatrix]:
@@ -283,8 +301,7 @@ class Subspace:
         if basis.ncols != ambient_dim:
             raise ValueError("basis width must match ambient dimension")
         pivots = []
-        for i in range(basis.nrows):
-            r = basis.row_int(i)
+        for r in basis._rows:
             if r == 0:
                 raise ValueError("canonical basis may not contain zero rows")
             pivots.append((r & -r).bit_length() - 1)
@@ -296,7 +313,7 @@ class Subspace:
     @classmethod
     def from_rows(cls, rows: BitMatrix) -> "Subspace":
         res = rref(rows)
-        return cls(rows.ncols, res.matrix.take_rows(range(res.rank)))
+        return cls(rows.ncols, BitMatrix(res.rank, rows.ncols, res.matrix._rows[:res.rank]))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -312,16 +329,14 @@ class Subspace:
 
     def contains_vector(self, v: int) -> bool:
         """Membership of an int-packed vector, by elimination against the basis."""
-        for i in range(self.basis.nrows):
-            r = self.basis.row_int(i)
-            p = (r & -r).bit_length() - 1
-            if (v >> p) & 1:
+        for r in self.basis._rows:
+            if v & r & -r:
                 v ^= r
         return v == 0
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(other.basis.row_int(i)) for i in range(other.dim))
+        return all(self.contains_vector(v) for v in other.basis._rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

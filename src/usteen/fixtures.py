@@ -45,6 +45,8 @@ def module_to_dict(M: TruncatedModule) -> dict:
 def module_from_dict(doc: dict) -> TruncatedModule:
     D = int(doc["D"])
     dims = [int(d) for d in doc["dims"]]
+    if len(dims) != D + 1:
+        raise ValueError(f"dims must list degrees 0..{D}, got {len(dims)} entries")
     action = {}
     for entry in doc.get("action", []):
         i, n = int(entry["i"]), int(entry["n"])

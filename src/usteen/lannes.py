@@ -33,6 +33,7 @@ from .fulu import (
     fulu_subquotient,
     restrict_fulu,
 )
+from .singer import decode_extended
 from .unstable import (
     FourTermOmega,
     GradedLinearMap,
@@ -41,6 +42,7 @@ from .unstable import (
     TheoryViolation,
     TruncatedModule,
     Verdict,
+    _compositions_submask,
     _monomials,
     _mono_label,
     _submasks,
@@ -135,7 +137,7 @@ class RealmObject:
                 rows = []
                 for j, a in self.entries(n):
                     row = 0
-                    for c in _compositions_submask_cached(a, k):
+                    for c in _compositions_submask(a, k):
                         tgt = tuple(x + y for x, y in zip(a, c))
                         row |= 1 << self.index(n + k, j, tgt)
                     rows.append(row)
@@ -144,18 +146,6 @@ class RealmObject:
 
     def __repr__(self):
         return f"RealmObject({self.name}, D={self.D})"
-
-
-def _compositions_submask_cached(a: Tuple[int, ...], k: int):
-    if not a:
-        return [()] if k == 0 else []
-    out = []
-    for c0 in _submasks(a[0]):
-        if c0 > k:
-            continue
-        for rest in _compositions_submask_cached(a[1:], k - c0):
-            out.append((c0,) + rest)
-    return out
 
 
 def hv(r: int, D: int) -> RealmObject:
@@ -297,7 +287,7 @@ class RealmCalculus:
         for n in range(self.D + 1):
             rows = []
             for flat in range(self.E.dim(n)):
-                a, base_flat = _decode(self.E, n, flat)
+                a, base_flat = decode_extended(self.E, n, flat)
                 j, mono = self.X.entries(n - a)[base_flat]
                 acc = 0
                 for v in range(1 << self.X.summands[j].r):
@@ -314,7 +304,7 @@ class RealmCalculus:
         for n in range(self.D + 1):
             rows = []
             for flat in range(self.E.dim(n)):
-                a, base_flat = _decode(self.E, n, flat)
+                a, base_flat = decode_extended(self.E, n, flat)
                 j, mono = self.X.entries(n - a)[base_flat]
                 acc = 0
                 for v in range(1 << self.X.summands[j].r):
@@ -335,7 +325,7 @@ class RealmCalculus:
         for n in range(self.D + 1):
             rows = []
             for flat in range(self.E.dim(n)):
-                a, base_flat = _decode(self.E, n, flat)
+                a, base_flat = decode_extended(self.E, n, flat)
                 j, mono = self.X.entries(n - a)[base_flat]
                 acc = 0
                 for v in range(1, 1 << self.X.summands[j].r):
@@ -357,7 +347,7 @@ class RealmCalculus:
         for n in range(self.D + 1):
             rows = []
             for flat in range(self.ETX.dim(n)):
-                a, base_flat = _decode(self.ETX, n, flat)
+                a, base_flat = decode_extended(self.ETX, n, flat)
                 c, mono = self.TX.realm.entries(n - a)[base_flat]
                 j, phi = self.TX.components[c]
                 if phi == (0,):
@@ -490,14 +480,6 @@ class RealmCalculus:
         return Verdict(True, D)
 
 
-def _decode(E: ExtendedModule, n: int, flat: int) -> Tuple[int, int]:
-    for a, off, _ in E.layout.blocks(n):
-        width = E.base.dims[n - a]
-        if off <= flat < off + width:
-            return a, flat - off
-    raise IndexError(f"flat index {flat} not in degree {n}")
-
-
 def positive_u_part(E: ExtendedModule) -> Tuple[FuluModule, FuluMap]:
     """The coordinate sub-u-module spanned by positive u-powers."""
     cut = {n: (E.block(n, 0)[1]) for n in range(E.D + 1)}
@@ -606,7 +588,7 @@ def gv_invariants(r: int, D: int) -> InvariantsResult:
             v = 1 << gen
             rows = []
             for flat in range(E.dim(n)):
-                a, base_flat = _decode(E, n, flat)
+                a, base_flat = decode_extended(E, n, flat)
                 _, mono = X.entries(n - a)[base_flat]
                 acc = 0
                 for (extra, m2) in _twist_terms(mono, v):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from usteen import _gf2py
 from usteen.f2core import (
     BitMatrix,
     Subspace,
@@ -35,6 +36,114 @@ def naive_rank(rows):
                 work[i] = [(x + y) % 2 for x, y in zip(work[i], work[r])]
         r += 1
     return r
+
+
+def naive_rref(rows, ncols, npivot_cols=None):
+    """Gauss-Jordan on 0/1 lists; pivots searched in the first ``npivot_cols`` columns."""
+    work = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols if npivot_cols is None else npivot_cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                work[i] = [(x + y) % 2 for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    return work, pivots
+
+
+def naive_kernel(rows, ncols):
+    """Canonical basis (nonzero rref rows) of {v : rows . v = 0}, from the free columns."""
+    red, pivots = naive_rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for i, p in enumerate(pivots):
+            v[p] = red[i][f]
+        basis.append(v)
+    red, pivots = naive_rref(basis, ncols)
+    return red[:len(pivots)]
+
+
+def naive_transpose(rows, ncols):
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
+def as_lists(ints, ncols):
+    return [[(v >> j) & 1 for j in range(ncols)] for v in ints]
+
+
+# word boundaries at 64 and 128, plus the empty and one-column cases
+DIFF_WIDTHS = [0, 1, 2, 5, 63, 64, 65, 129]
+
+
+@st.composite
+def bit_rows(draw, ncols=None):
+    if ncols is None:
+        ncols = draw(st.sampled_from(DIFF_WIDTHS))
+    ints = draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=0, max_size=7))
+    return as_lists(ints, ncols), ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(bit_rows())
+def test_differential_rref_kernels_transpose_words(case):
+    rows, ncols = case
+    m = BitMatrix.from_rows(rows, ncols)
+    red, pivots = naive_rref(rows, ncols)
+    res = rref(m)
+    assert res.matrix.to_lists() == red
+    assert list(res.pivots) == pivots and res.rank == len(pivots)
+    assert rank(m) == len(pivots)
+    assert m.transpose().to_lists() == naive_transpose(rows, ncols)
+    assert m.transpose().transpose() == m
+    cols = list(range(ncols))[::-2] + [0] * (ncols > 0)
+    assert m.take_cols(cols).to_lists() == [[row[j] for j in cols] for row in rows]
+    assert kernel_basis(m).basis.to_lists() == naive_kernel(rows, ncols)
+    assert left_kernel(m).basis.to_lists() == naive_kernel(naive_transpose(rows, ncols), len(rows))
+    words = m.words()
+    assert words.shape == (len(rows), (ncols + 63) // 64)
+    ints = [int.from_bytes(words[i].tobytes(), "little") for i in range(len(rows))]
+    assert BitMatrix.from_row_ints(ints, ncols) == m
+
+
+@settings(max_examples=150, deadline=None)
+@given(bit_rows(), st.data())
+def test_differential_augmented_rref_inplace(case, data):
+    rows, ncols = case
+    npivot = data.draw(st.integers(0, ncols))
+    red, pivots = naive_rref(rows, ncols, npivot)
+    work = BitMatrix.from_rows(rows, ncols).row_ints()
+    assert _gf2py.rref_inplace(work, len(rows), ncols, npivot) == pivots
+    got = as_lists(work, ncols)
+    k = len(pivots)
+    # the pivot rows agree on the search columns; the rows after them are zero
+    # there and span the same space, so consistency is decided alike
+    assert [r[:npivot] for r in got[:k]] == [r[:npivot] for r in red[:k]]
+    assert all(not any(r[:npivot]) for r in got[k:])
+    rest, rest_piv = naive_rref(got[k:], ncols)
+    want, want_piv = naive_rref(red[k:], ncols)
+    assert rest[:len(rest_piv)] == want[:len(want_piv)]
+    if not any(map(any, red[k:])):
+        assert got == red
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DIFF_WIDTHS), st.data())
+def test_differential_product(inner, data):
+    a, _ = data.draw(bit_rows(ncols=inner))
+    b_ncols = data.draw(st.sampled_from(DIFF_WIDTHS))
+    b = data.draw(st.lists(st.integers(0, (1 << b_ncols) - 1), min_size=inner, max_size=inner))
+    b = as_lists(b, b_ncols)
+    prod = BitMatrix.from_rows(a, inner) @ BitMatrix.from_rows(b, b_ncols)
+    want = [[sum(x * y for x, y in zip(row, col)) % 2 for col in naive_transpose(b, b_ncols)]
+            for row in a]
+    assert prod.to_lists() == want
+    assert (prod.nrows, prod.ncols) == (len(a), b_ncols)
 
 
 def test_rref_zero_matrix():
@@ -169,6 +278,17 @@ def test_express_in_rowspace():
     assert coeffs is not None
     assert coeffs @ basis == vecs
     assert express_in_rowspace(basis, BitMatrix.from_rows([[1, 0, 0]])) is None
+
+
+def test_tie_break_uses_first_independent_rows():
+    # free variables are 0: coefficients land on the first independent rows
+    basis = BitMatrix.from_rows([[1, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]])
+    vecs = BitMatrix.from_rows([[1, 1, 0], [1, 1, 1], [0, 0, 0]])
+    coeffs = express_in_rowspace(basis, vecs)
+    assert coeffs.to_lists() == [[1, 0, 1, 0, 0], [1, 0, 1, 0, 1], [0, 0, 0, 0, 0]]
+    m = BitMatrix.from_rows([[1, 1, 0, 1], [0, 0, 1, 1]])
+    sols = solve_many(m, BitMatrix.from_rows([[1, 0, 1], [1, 1, 0]]))
+    assert sols.to_lists() == [[1, 0, 1], [0, 0, 0], [1, 1, 0], [0, 0, 0]]
 
 
 def test_left_kernel():

@@ -169,6 +169,50 @@ def test_cli_compute_invariants_needs_rank(capsys):
     assert cli_main(["compute", "invariants", "--max-degree", "4"]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["compute", "r1", "--max-degree", "-1"], "--max-degree"),
+    (["verify", "--all", "--max-degree", "-3"], "--max-degree"),
+    (["compute", "invariants", "--rank", "-1"], "--rank"),
+    (["verify", "--check", "T1", "--max-rank", "0"], "--max-rank"),
+])
+def test_cli_rejects_out_of_range_degree_and_rank(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+def test_cli_module_construction_error_exits_2(capsys):
+    code = cli_main(["compute", "module", "--module", "SigmaF", "--max-degree", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot build module 'SigmaF'") and err.count("\n") == 1
+
+
+def test_cli_malformed_fixture_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": "x", "D": ')
+    assert cli_main(["compute", "module", "--module", str(path)]) == 2
+    assert "cannot build module" in capsys.readouterr().err
+
+
+def test_cli_fixture_missing_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "nodims.json"
+    path.write_text('{"name": "x", "D": 2}')
+    assert cli_main(["compute", "module", "--module", str(path)]) == 2
+    assert "missing or mistyped field" in capsys.readouterr().err
+
+
+def test_cli_fixture_with_wrong_dims_length_exits_2(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    fixtures.save(free_unstable(1, 4), path)
+    doc = json.loads(path.read_text())
+    doc["dims"] = doc["dims"][:-1]
+    path.write_text(json.dumps(doc))
+    assert cli_main(["compute", "r1", "--module", str(path)]) == 2
+    assert "dims must list degrees" in capsys.readouterr().err
+
+
 def test_cli_deterministic_output(capsys):
     argv = ["verify", "--check", "T14", "--max-degree", "6", "--seed", "5"]
     assert cli_main(argv) == 0
