@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import fixtures
 from .fulu import FuluModule
-from .harness import make_spec, poincare_coeffs, report, run_all, run_check
+from .harness import CATALOG, make_spec, poincare_coeffs, report, run_check
 from .lannes import RealmCalculus, fix_presented, gv_invariants, hv, realm_suspend, rtilde
 from .singer import r1
 from .steenrod import admissible_basis
@@ -131,6 +131,11 @@ def _cmd_compute(args) -> int:
         return 0
     if what == "r1":
         M = _named_module(args.module, D)
+        if Path(args.module).suffix == ".json":  # the named modules are valid by construction
+            rep = M.validate()
+            if not rep.ok:
+                raise SystemExit2(f"fixture {args.module!r} is not an unstable module: "
+                                  f"{rep.violations[0]}")
         S = r1(M)
         dims = [S.fulu.dim(n) for n in range(S.D + 1)]
         doc = {
@@ -199,16 +204,15 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     if not args.all and not args.check:
         raise SystemExit2("verify needs --check <ID> or --all")
-    if args.check:
-        try:
-            spec = make_spec(
-                args.check, D=args.max_degree, max_rank=args.max_rank, seed=args.seed
-            )
-        except KeyError as exc:
-            raise SystemExit2(str(exc)) from exc
-        results = [run_check(spec)]
-    else:
-        results = run_all(D=args.max_degree, max_rank=args.max_rank, seed=args.seed)
+    ids = [args.check] if args.check else [cid for cid, *_ in CATALOG]
+    try:
+        specs = [
+            make_spec(cid, D=args.max_degree, max_rank=args.max_rank, seed=args.seed)
+            for cid in ids
+        ]
+    except (KeyError, ValueError) as exc:  # an unknown check or a degree below its minimum
+        raise SystemExit2(str(exc)) from exc
+    results = [run_check(spec) for spec in specs]
     sys.stdout.write(report(results, args.format, include_timings=args.timings))
     return 0 if all(r.passed for r in results) else 1
 

@@ -160,7 +160,7 @@ class ExtendedModule(FuluModule):
     """Scalar extension of an unstable module, with index bookkeeping.
 
     Basis vectors are pairs (u-power a, basis element of the base in degree
-    n - a), blocks ordered by increasing a.
+    n - a), blocks keyed by a and ordered by increasing a.
     """
 
     __slots__ = ("base", "layout")
@@ -173,14 +173,15 @@ class ExtendedModule(FuluModule):
 
     def index(self, n: int, a: int, j: int) -> int:
         """Flat index of u^a times the j-th base vector of degree n - a."""
-        return self.layout.index(n, a, 0, j)
+        return self.layout.table.offset(n, a) + j
 
     def block(self, n: int, a: int) -> Tuple[int, int]:
-        """(offset, width) of the u^a block in degree n; width 0 if empty."""
-        for p, off, _ in self.layout.blocks(n):
-            if p == a:
-                return off, self.base.dims[n - a]
-        return 0, 0
+        """(offset, width) of the u^a block in degree n; (0, 0) if empty."""
+        return self.layout.table.block(n, a)
+
+    def decode(self, n: int, flat: int) -> Tuple[int, int]:
+        """Inverse of ``index``: flat position -> (u-power, base index)."""
+        return self.layout.table.decode(n, flat)
 
     def eps_mat(self, n: int) -> BitMatrix:
         """Augmentation: kill positive u-powers, keep the u^0 coefficients."""
@@ -204,8 +205,7 @@ def extend_scalars(M: TruncatedModule, name: Optional[str] = None) -> ExtendedMo
     u_mats: Dict[int, BitMatrix] = {}
     for n in range(M.D):
         rows = [0] * underlying.dims[n]
-        for a, off, _ in layout.blocks(n):
-            width = M.dims[n - a]
+        for a, off, width in layout.blocks(n):
             toff = layout.offset(n + 1, a + 1)
             for j in range(width):
                 rows[off + j] = 1 << (toff + j)
@@ -219,12 +219,10 @@ def extend_scalars_map(f: ModuleMap, src: ExtendedModule, tgt: ExtendedModule,
     D = min(src.D, tgt.D, f.D)
     mats = {}
     for n in range(D + 1):
-        rows = [0] * src.dim(n)
-        for a, off, _ in src.layout.blocks(n):
-            toff, _width = tgt.block(n, a)
-            fm = f.mat(n - a)
-            for j in range(src.base.dims[n - a]):
-                rows[off + j] = fm.row_int(j) << toff
+        rows = []
+        for a, _, _ in src.layout.blocks(n):
+            toff = tgt.block(n, a)[0]
+            rows.extend(r << toff for r in f.mat(n - a).row_ints())
         mats[n] = BitMatrix.from_row_ints(rows, tgt.dim(n))
     return FuluMap(src, tgt, mats, D=D, name=name)
 
@@ -247,14 +245,11 @@ def q_data(N: FuluModule, name: Optional[str] = None) -> QData:
     labels = []
     proj_mats: Dict[int, BitMatrix] = {}
     rep_mats: Dict[int, BitMatrix] = {}
-    rep_cols_by_degree = []
     for n in range(D + 1):
-        image = rref(N.u_mat(n - 1)).matrix if n >= 1 else BitMatrix.zeros(0, N.dim(0))
-        image = image.take_rows([r for r in range(image.nrows) if image.row_int(r)])
+        image = Subspace.from_rows(N.u_mat(n - 1)).basis if n >= 1 else BitMatrix.zeros(0, N.dim(0))
         proj, reps, rep_cols = _coker_data(image, N.dim(n))
         proj_mats[n] = proj
         rep_mats[n] = reps
-        rep_cols_by_degree.append(rep_cols)
         dims.append(len(rep_cols))
         labels.append(tuple(N.labels[n][c] for c in rep_cols))
     action = {}
@@ -316,12 +311,8 @@ def freeness_report(N) -> FreenessReport:
         return FreenessReport(torsion_free, None)
     basis: List[List[str]] = []
     for n in range(D + 1):
-        image = rref(N.u_mat(n - 1)).matrix if n >= 1 else BitMatrix.zeros(0, N.dim(0))
-        pivots = {
-            (image.row_int(r) & -image.row_int(r)).bit_length() - 1
-            for r in range(image.nrows)
-            if image.row_int(r)
-        }
+        image = Subspace.from_rows(N.u_mat(n - 1)).basis if n >= 1 else BitMatrix.zeros(0, N.dim(0))
+        pivots = {(r & -r).bit_length() - 1 for r in image.row_ints()}
         basis.append([N.labels[n][c] for c in range(N.dim(n)) if c not in pivots])
     return FreenessReport(torsion_free, basis)
 
@@ -572,32 +563,16 @@ def _one_sided_u(N1: FuluModule, N2: FuluModule, T: TruncatedModule,
     """Matrices of u (x) 1 (left) or 1 (x) u (right) on the tensor product."""
     mats = {}
     for n in range(T.D):
-        rows = [0] * T.dims[n]
-        for p, off, _ in layout.blocks(n):
+        rows = []
+        for p, _, _ in layout.blocks(n):
             q = n - p
             for i in range(N1.dim(p)):
                 for j in range(N2.dim(q)):
-                    src = off + i * N2.dim(q) + j
                     if left:
-                        urow = N1.u_mat(p).row_int(i)
-                        acc = 0
-                        ii = urow
-                        while ii:
-                            low = ii & -ii
-                            ip = low.bit_length() - 1
-                            acc |= 1 << layout.index(n + 1, p + 1, ip, j)
-                            ii ^= low
-                        rows[src] = acc
+                        row = layout.tensor_row(n + 1, p + 1, N1.u_mat(p).row_int(i), 1 << j)
                     else:
-                        urow = N2.u_mat(q).row_int(j)
-                        acc = 0
-                        jj = urow
-                        while jj:
-                            low = jj & -jj
-                            jp = low.bit_length() - 1
-                            acc |= 1 << layout.index(n + 1, p, i, jp)
-                            jj ^= low
-                        rows[src] = acc
+                        row = layout.tensor_row(n + 1, p, 1 << i, N2.u_mat(q).row_int(j))
+                    rows.append(row)
         mats[n] = BitMatrix.from_row_ints(rows, T.dims[n + 1])
     return mats
 

@@ -33,8 +33,8 @@ from .fulu import (
     fulu_subquotient,
     restrict_fulu,
 )
-from .singer import decode_extended
 from .unstable import (
+    BlockLayout,
     FourTermOmega,
     GradedLinearMap,
     ModuleMap,
@@ -45,6 +45,7 @@ from .unstable import (
     _compositions_submask,
     _monomials,
     _mono_label,
+    _monomial_pos,
     _submasks,
     omega as omega_of,
     subquotient,
@@ -60,7 +61,11 @@ class Summand:
 
 
 class RealmObject:
-    """A finite sum of suspended polynomial algebras with monomial indexing."""
+    """A finite sum of suspended polynomial algebras with monomial indexing.
+
+    In degree n the basis is one block per summand j, holding the monomials
+    of degree n - s_j in lex order; ``table`` is their layout.
+    """
 
     def __init__(self, summands: Sequence[Summand], D: int, name: Optional[str] = None,
                  comp_tags: Optional[Sequence[str]] = None):
@@ -68,8 +73,10 @@ class RealmObject:
         self.D = D
         self.name = name or self._default_name()
         self._tags = tuple(comp_tags) if comp_tags is not None else None
-        self._mono: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
-        self._mono_pos: Dict[Tuple[int, int], Dict[Tuple[int, ...], int]] = {}
+        self.table = BlockLayout(
+            [(j, len(_monomials(sm.r, n - sm.s))) for j, sm in enumerate(self.summands)]
+            for n in range(D + 1)
+        )
         self.module = self._realize()
 
     def _default_name(self) -> str:
@@ -79,44 +86,28 @@ class RealmObject:
             parts.append(core if sm.s == 0 else f"S^{sm.s}{core}")
         return "(+)".join(parts) if parts else "0"
 
-    def monomials(self, j: int, d: int) -> List[Tuple[int, ...]]:
-        key = (j, d)
-        if key not in self._mono:
-            ms = _monomials(self.summands[j].r, d) if d >= 0 else []
-            self._mono[key] = ms
-            self._mono_pos[key] = {m: i for i, m in enumerate(ms)}
-        return self._mono[key]
-
-    def mono_pos(self, j: int, d: int, mono: Tuple[int, ...]) -> int:
-        self.monomials(j, d)
-        return self._mono_pos[(j, d)][mono]
+    def monomials(self, j: int, d: int) -> Tuple[Tuple[int, ...], ...]:
+        return _monomials(self.summands[j].r, d)
 
     def block(self, n: int, j: int) -> Tuple[int, int]:
-        """(offset, width) of summand j in degree n."""
-        off = 0
-        for k in range(j):
-            off += len(self.monomials(k, n - self.summands[k].s))
-        return off, len(self.monomials(j, n - self.summands[j].s))
+        """(offset, width) of summand j in degree n; (0, 0) if it is empty."""
+        return self.table.block(n, j)
 
     def index(self, n: int, j: int, mono: Tuple[int, ...]) -> int:
-        off, _ = self.block(n, j)
-        return off + self.mono_pos(j, n - self.summands[j].s, mono)
+        sm = self.summands[j]
+        return self.table.offset(n, j) + _monomial_pos(sm.r, n - sm.s)[mono]
 
     def entries(self, n: int) -> List[Tuple[int, Tuple[int, ...]]]:
         """The degree-n basis as (summand, monomial) pairs, in flat order."""
-        if not hasattr(self, "_entries_cache"):
-            self._entries_cache: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
-        if n not in self._entries_cache:
-            out = []
-            for j in range(len(self.summands)):
-                for m in self.monomials(j, n - self.summands[j].s):
-                    out.append((j, m))
-            self._entries_cache[n] = out
-        return self._entries_cache[n]
+        return [
+            (j, m)
+            for j, _, _ in self.table.blocks(n)
+            for m in self.monomials(j, n - self.summands[j].s)
+        ]
 
     def _realize(self) -> TruncatedModule:
         D = self.D
-        dims = [len(self.entries(n)) for n in range(D + 1)]
+        dims = self.table.dims
         labels = []
         for n in range(D + 1):
             ls = []
@@ -133,9 +124,10 @@ class RealmObject:
         for n in range(D + 1):
             if dims[n] == 0:
                 continue
+            entries = self.entries(n)
             for k in range(1, D - n + 1):
                 rows = []
-                for j, a in self.entries(n):
+                for j, a in entries:
                     row = 0
                     for c in _compositions_submask(a, k):
                         tgt = tuple(x + y for x, y in zip(a, c))
@@ -164,27 +156,22 @@ def realm_sum(X: RealmObject, Y: RealmObject) -> RealmObject:
 
 
 class TExpansion:
-    """The T-functor of a realm object: one component per group-element tuple.
+    """A T-functor expansion of a realm object: one copy of a summand per component.
 
-    ``components`` lists (summand index, encoded vectors); the expansion is
-    itself a realm object, allowing iterated application.
+    ``components`` lists (summand index, encoded vectors) in order and
+    ``comp_pos`` inverts it; the expansion is itself a realm object,
+    allowing iterated application.
     """
 
-    def __init__(self, base: RealmObject, w_rank: int):
+    def __init__(self, base: RealmObject, w_rank: int,
+                 components: Sequence[Tuple[int, Tuple[int, ...]]], name: str):
         self.base = base
         self.w_rank = w_rank
-        comps: List[Tuple[int, Tuple[int, ...]]] = []
-        for j, sm in enumerate(base.summands):
-            for phi in _vector_tuples(sm.r, w_rank):
-                comps.append((j, phi))
-        self.components = comps
-        self.comp_pos = {c: i for i, c in enumerate(comps)}
-        tags = [f"<{j}:{','.join(map(str, phi))}>" for j, phi in comps]
+        self.components = list(components)
+        self.comp_pos = {c: i for i, c in enumerate(self.components)}
+        tags = [f"<{j}:{','.join(map(str, phi))}>" for j, phi in self.components]
         self.realm = RealmObject(
-            [Summand(base.summands[j].s, base.summands[j].r) for j, _ in comps],
-            base.D,
-            name=f"T[{w_rank}]({base.name})",
-            comp_tags=tags,
+            [base.summands[j] for j, _ in self.components], base.D, name=name, comp_tags=tags,
         )
 
     @property
@@ -192,7 +179,7 @@ class TExpansion:
         return self.realm.module
 
     def count_for_summand(self, j: int) -> int:
-        return (1 << self.base.summands[j].r) ** self.w_rank
+        return sum(1 for jj, _ in self.components if jj == j)
 
 
 def _vector_tuples(r: int, w: int) -> List[Tuple[int, ...]]:
@@ -209,7 +196,10 @@ def t_apply(w_rank: int, X: RealmObject) -> TExpansion:
     """Apply the T-functor for a rank-w test group to a realm object."""
     if w_rank < 0:
         raise ValueError("test-group rank must be non-negative")
-    return TExpansion(X, w_rank)
+    comps = [
+        (j, phi) for j, sm in enumerate(X.summands) for phi in _vector_tuples(sm.r, w_rank)
+    ]
+    return TExpansion(X, w_rank, comps, f"T[{w_rank}]({X.name})")
 
 
 def _twist_terms(mono: Tuple[int, ...], v: int) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -251,21 +241,14 @@ class RealmCalculus:
         return extend_scalars(self.TX.module)
 
     @cached_property
-    def tbar_realm(self) -> RealmObject:
+    def tbar(self) -> TExpansion:
+        """The reduced expansion: the components of the expansion at nonzero elements."""
         comps = [(j, phi) for j, phi in self.TX.components if phi != (0,)]
-        tags = [f"<{j}:{phi[0]}>" for j, phi in comps]
-        realm = RealmObject(
-            [Summand(self.X.summands[j].s, self.X.summands[j].r) for j, _ in comps],
-            self.D,
-            name=f"Tbar({self.X.name})",
-            comp_tags=tags,
-        )
-        realm.meta_components = comps  # type: ignore[attr-defined]
-        return realm
+        return TExpansion(self.X, 1, comps, f"Tbar({self.X.name})")
 
     @cached_property
     def E_tbar(self) -> ExtendedModule:
-        return extend_scalars(self.tbar_realm.module)
+        return extend_scalars(self.tbar.module)
 
     @cached_property
     def bar(self) -> Tuple[FuluModule, FuluMap]:
@@ -277,18 +260,12 @@ class RealmCalculus:
     def _component_pos(self, j: int, v: int) -> int:
         return self.TX.comp_pos[(j, (v,))]
 
-    def _tbar_component_pos(self, j: int, v: int) -> int:
-        comps = self.tbar_realm.meta_components  # type: ignore[attr-defined]
-        return comps.index((j, (v,)))
-
     @cached_property
     def sigma(self) -> FuluMap:
         mats = {}
         for n in range(self.D + 1):
             rows = []
-            for flat in range(self.E.dim(n)):
-                a, base_flat = decode_extended(self.E, n, flat)
-                j, mono = self.X.entries(n - a)[base_flat]
+            for a, j, mono in _extended_entries(self.E, self.X, n):
                 acc = 0
                 for v in range(1 << self.X.summands[j].r):
                     c = self._component_pos(j, v)
@@ -303,9 +280,7 @@ class RealmCalculus:
         mats = {}
         for n in range(self.D + 1):
             rows = []
-            for flat in range(self.E.dim(n)):
-                a, base_flat = decode_extended(self.E, n, flat)
-                j, mono = self.X.entries(n - a)[base_flat]
+            for a, j, mono in _extended_entries(self.E, self.X, n):
                 acc = 0
                 for v in range(1 << self.X.summands[j].r):
                     c = self._component_pos(j, v)
@@ -320,20 +295,18 @@ class RealmCalculus:
     def taubar(self) -> FuluMap:
         """Project tau to the reduced components; lands in positive u-powers."""
         barmod, bar_incl = self.bar
-        cut = {n: self.tbar_realm.module.dims[n] for n in range(self.D + 1)}
+        cut = {n: self.E_tbar.block(n, 0)[1] for n in range(self.D + 1)}
         mats = {}
         for n in range(self.D + 1):
             rows = []
-            for flat in range(self.E.dim(n)):
-                a, base_flat = decode_extended(self.E, n, flat)
-                j, mono = self.X.entries(n - a)[base_flat]
+            for a, j, mono in _extended_entries(self.E, self.X, n):
                 acc = 0
                 for v in range(1, 1 << self.X.summands[j].r):
-                    c = self._tbar_component_pos(j, v)
+                    c = self.tbar.comp_pos[(j, (v,))]
                     for (extra, m2) in _twist_terms(mono, v):
                         if extra == 0:
                             continue  # cancelled by the identity summand
-                        tgt = self.tbar_realm.index(n - a - extra, c, m2)
+                        tgt = self.tbar.realm.index(n - a - extra, c, m2)
                         e_flat = self.E_tbar.index(n, a + extra, tgt)
                         acc ^= 1 << (e_flat - cut[n])
                 rows.append(acc)
@@ -346,9 +319,7 @@ class RealmCalculus:
         mats = {}
         for n in range(self.D + 1):
             rows = []
-            for flat in range(self.ETX.dim(n)):
-                a, base_flat = decode_extended(self.ETX, n, flat)
-                c, mono = self.TX.realm.entries(n - a)[base_flat]
+            for a, c, mono in _extended_entries(self.ETX, self.TX.realm, n):
                 j, phi = self.TX.components[c]
                 if phi == (0,):
                     rows.append(1 << self.E.index(n, a, self.X.index(n - a, j, mono)))
@@ -391,7 +362,7 @@ class RealmCalculus:
 
     @cached_property
     def TTbar(self) -> TExpansion:
-        return t_apply(1, self.tbar_realm)
+        return t_apply(1, self.tbar.realm)
 
     @cached_property
     def fix_taubar(self) -> ModuleMap:
@@ -399,7 +370,6 @@ class RealmCalculus:
         the reduced part, component (v, w) of a component a being [w=a+v]+[w=a]."""
         src = self.TX.module
         tgt = self.TTbar.module
-        comps = self.tbar_realm.meta_components  # type: ignore[attr-defined]
         mats = {}
         for n in range(self.D + 1):
             rows = []
@@ -407,7 +377,7 @@ class RealmCalculus:
                 j, (a,) = self.TX.components[c]
                 acc = 0
                 for v in range(1, 1 << self.X.summands[j].r):
-                    cbar = comps.index((j, (v,)))
+                    cbar = self.tbar.comp_pos[(j, (v,))]
                     for w in (a ^ v, a):
                         c2 = self.TTbar.comp_pos[(cbar, (w,))]
                         acc ^= 1 << self.TTbar.realm.index(n, c2, mono)
@@ -478,6 +448,13 @@ class RealmCalculus:
             if ker != im:
                 return Verdict(False, D, f"split equalizer fails in degree {n}")
         return Verdict(True, D)
+
+
+def _extended_entries(E: ExtendedModule, X: RealmObject, n: int
+                      ) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """The degree-n basis of E, the scalar extension of X's module, as
+    (u-power, summand, monomial) triples in flat order."""
+    return [(a, j, mono) for a, _, _ in E.layout.blocks(n) for j, mono in X.entries(n - a)]
 
 
 def positive_u_part(E: ExtendedModule) -> Tuple[FuluModule, FuluMap]:
@@ -587,9 +564,7 @@ def gv_invariants(r: int, D: int) -> InvariantsResult:
         for gen in range(r):
             v = 1 << gen
             rows = []
-            for flat in range(E.dim(n)):
-                a, base_flat = decode_extended(E, n, flat)
-                _, mono = X.entries(n - a)[base_flat]
+            for flat, (a, _, mono) in enumerate(_extended_entries(E, X, n)):
                 acc = 0
                 for (extra, m2) in _twist_terms(mono, v):
                     acc ^= 1 << E.index(n, a + extra, X.index(n - a - extra, 0, m2))
@@ -625,7 +600,6 @@ class AlphaResult:
 def alpha_from_structure(M: TruncatedModule, tbar: TruncatedModule,
                          st: GradedLinearMap) -> AlphaResult:
     ft = omega_of(M)
-    sub = subquotient(ft.sq0_map)
     D = min(st.D, M.D)
     ok = True
     witness = None
@@ -637,8 +611,7 @@ def alpha_from_structure(M: TruncatedModule, tbar: TruncatedModule,
         raise TheoryViolation(witness)
     alpha_mats = {}
     for m in range(min(ft.omega.D, tbar.D - 1, D - 1) + 1):
-        reps = sub.coker_reps[m + 1]
-        alpha_mats[m] = reps @ st.mat(m + 1)
+        alpha_mats[m] = ft.coker_reps[m + 1] @ st.mat(m + 1)
     alpha = ModuleMap(ft.omega, tbar, alpha_mats,
                       D=min(ft.omega.D, tbar.D - 1, D - 1), name="alpha")
     return AlphaResult(alpha, ft, st, Verdict(True, D))
@@ -648,22 +621,14 @@ def alpha_realm(X: RealmObject, calc: Optional[RealmCalculus] = None) -> AlphaRe
     """Extract the structure map from the unit block of the reduced comparison."""
     calc = calc or RealmCalculus(X)
     barmod, _ = calc.bar
-    tbar = calc.tbar_realm.module
-    cut = {n: tbar.dims[n] for n in range(calc.D + 1)}
+    tbar = calc.tbar.module
     st_mats = {}
     for n in range(calc.D + 1):
         unit = calc.E.unit_mat(n)  # base into the extension
         full = unit @ calc.taubar.mat(n)
-        # select the u^1 layer: bar coordinates at u-power exactly one
-        rows = []
-        for i in range(X.module.dims[n]):
-            row = full.row_int(i)
-            acc = 0
-            off1, w1 = calc.E_tbar.block(n, 1)
-            for jj in range(w1):
-                if (row >> (off1 + jj - cut[n])) & 1:
-                    acc |= 1 << jj
-            rows.append(acc)
+        # select the u^1 layer, with which the bar coordinates start
+        mask = (1 << calc.E_tbar.block(n, 1)[1]) - 1
+        rows = [row & mask for row in full.row_ints()]
         st_mats[n] = BitMatrix.from_row_ints(rows, tbar.dims[n - 1] if n >= 1 else 0)
     st = GradedLinearMap(X.module, tbar, st_mats, shift=-1, D=calc.D, name="unit-layer")
     return alpha_from_structure(X.module, tbar, st)

@@ -127,12 +127,8 @@ class SingerModule:
         """Multiply an ambient row of degree n by u^k (shift every block)."""
         amb = self.ambient
         out = 0
-        while row:
-            low = row & -row
-            flat = low.bit_length() - 1
-            a, j = decode_extended(amb, n, flat)
-            out |= 1 << amb.index(n + k, a + k, j)
-            row ^= low
+        for a, off, width in amb.layout.blocks(n):
+            out |= ((row >> off) & ((1 << width) - 1)) << amb.index(n + k, a + k, 0)
         return out
 
     def _freeness(self) -> Verdict:
@@ -167,15 +163,6 @@ class SingerModule:
 
     def span(self, n: int) -> Subspace:
         return Subspace.from_rows(self._G[n])
-
-
-def decode_extended(E: ExtendedModule, n: int, flat: int) -> Tuple[int, int]:
-    """Inverse of ``ExtendedModule.index``: flat position -> (u-power, base index)."""
-    for a, off, _ in E.layout.blocks(n):
-        width = E.base.dims[n - a]
-        if off <= flat < off + width:
-            return a, flat - off
-    raise IndexError(f"flat index {flat} not in degree {n}")
 
 
 def r1(M: TruncatedModule, ambient: Optional[ExtendedModule] = None) -> SingerModule:
@@ -232,9 +219,8 @@ def rho1(S: SingerModule) -> Rho1Certificate:
             break
     ses = Verdict(True, D)
     for n in range(D + 1):
-        u_img = rref(S.fulu.u_mat(n - 1)).matrix if n >= 1 else BitMatrix.zeros(0, S.fulu.dim(0))
-        u_img = u_img.take_rows([r for r in range(u_img.nrows) if u_img.row_int(r)])
-        if Subspace(S.fulu.dim(n), u_img) != left_kernel(rho.mat(n)):
+        u_img = Subspace.from_rows(S.fulu.u_mat(n - 1)) if n >= 1 else Subspace.zero(S.fulu.dim(0))
+        if u_img != left_kernel(rho.mat(n)):
             ses = Verdict(False, D, f"kernel differs from u-image in degree {n}")
             break
     sq = sq0(M)
@@ -314,20 +300,18 @@ def _multiply_ambient_rows(EM: ExtendedModule, EN: ExtendedModule,
                            row1: int, row2: int) -> int:
     """Multiply u^a (x) m by u^b (x) n into u^{a+b} (x) (m (x) n)."""
     out = 0
-    r1bits = []
+    r1terms = []
     rr = row1
     while rr:
         low = rr & -rr
-        r1bits.append(low.bit_length() - 1)
+        r1terms.append(EM.decode(p, low.bit_length() - 1))
         rr ^= low
     rr = row2
     while rr:
         low = rr & -rr
-        f2 = low.bit_length() - 1
-        b, jn = decode_extended(EN, q, f2)
+        b, jn = EN.decode(q, low.bit_length() - 1)
         qn = q - b
-        for f1 in r1bits:
-            a, jm = decode_extended(EM, p, f1)
+        for a, jm in r1terms:
             pm = p - a
             pair = mn_layout.index(pm + qn, pm, jm, jn)
             out ^= 1 << EMN.index(p + q, a + b, pair)

@@ -9,8 +9,10 @@ carry their own certified truncation degree.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from . import steenrod
 from .f2core import BitMatrix, Subspace, express_in_rowspace, left_kernel, rref
@@ -72,7 +74,11 @@ def _subspace_witness(a: "Subspace", b: "Subspace", labels: Sequence[str]) -> st
 
 
 def _sum_label(labels: Sequence[str], row: int, limit: int = 4) -> str:
-    terms = [labels[j] for j in range(len(labels)) if (row >> j) & 1]
+    terms = []
+    while row:
+        low = row & -row
+        terms.append(labels[low.bit_length() - 1])
+        row ^= low
     if not terms:
         return "0"
     if len(terms) > limit:
@@ -401,15 +407,25 @@ def free_unstable(n: int, D: int, name: Optional[str] = None) -> TruncatedModule
     )
 
 
-def _monomials(r: int, d: int) -> List[Tuple[int, ...]]:
-    """Exponent tuples of total degree d in r variables, lex ascending."""
+@lru_cache(maxsize=None)
+def _monomials(r: int, d: int) -> Tuple[Tuple[int, ...], ...]:
+    """Exponent tuples of total degree d in r variables, lex ascending.
+
+    Cached per (r, d) and shared by every caller.
+    """
     if r == 0:
-        return [()] if d == 0 else []
+        return ((),) if d == 0 else ()
     out = []
     for first in range(d + 1):
         for rest in _monomials(r - 1, d - first):
             out.append((first,) + rest)
-    return sorted(out)
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def _monomial_pos(r: int, d: int) -> Dict[Tuple[int, ...], int]:
+    """Position of each monomial in ``_monomials(r, d)``; shared, not to be mutated."""
+    return {m: i for i, m in enumerate(_monomials(r, d))}
 
 
 def _mono_label(exps: Tuple[int, ...], varnames: Sequence[str]) -> str:
@@ -448,7 +464,7 @@ def polynomial_module(r: int, D: int, varnames: Optional[Sequence[str]] = None,
         raise ValueError("need one variable name per generator")
     name = name or (f"H(V{r})" if r != 1 else "H(Z/2)")
     monos = {d: _monomials(r, d) for d in range(D + 1)}
-    index = {d: {m: j for j, m in enumerate(monos[d])} for d in range(D + 1)}
+    index = {d: _monomial_pos(r, d) for d in range(D + 1)}
     dims = [len(monos[d]) for d in range(D + 1)]
     labels = [[_mono_label(m, varnames) for m in monos[d]] for d in range(D + 1)]
     action: Dict[Tuple[int, int], BitMatrix] = {}
@@ -549,37 +565,99 @@ def sq0(M: TruncatedModule, phi_M: Optional[TruncatedModule] = None) -> ModuleMa
     return ModuleMap(phi_M, M, mats, D=M.D, name=f"Sq0_{M.name}")
 
 
-@dataclass(frozen=True)
+class BlockLayout:
+    """Where the blocks of a graded basis sit, computed once per object.
+
+    ``widths[n]`` lists ``(key, width)`` pairs in flat order.  In degree n
+    the nonempty blocks follow one another from offset 0, so the degree's
+    dimension is the sum of their widths.  Offsets are dict lookups and
+    ``decode`` is a bisection.
+    """
+
+    __slots__ = ("dims", "_blocks", "_where", "_starts")
+
+    def __init__(self, widths: Iterable[Iterable[Tuple[Hashable, int]]]):
+        dims, all_blocks, where, starts = [], [], [], []
+        for row in widths:
+            blocks = []
+            off = 0
+            for key, width in row:
+                if width:
+                    blocks.append((key, off, width))
+                    off += width
+            dims.append(off)
+            all_blocks.append(tuple(blocks))
+            where.append({key: (o, w) for key, o, w in blocks})
+            starts.append([o for _, o, _ in blocks])
+        self.dims = tuple(dims)
+        self._blocks = all_blocks
+        self._where = where
+        self._starts = starts
+
+    def blocks(self, n: int) -> Tuple[Tuple[Hashable, int, int], ...]:
+        """Triples (key, offset, width) for the nonempty blocks of degree n."""
+        return self._blocks[n]
+
+    def block(self, n: int, key: Hashable) -> Tuple[int, int]:
+        """(offset, width) of a block of degree n; (0, 0) if it is empty."""
+        return self._where[n].get(key, (0, 0))
+
+    def offset(self, n: int, key: Hashable) -> int:
+        """Offset of a nonempty block of degree n; KeyError if it is empty."""
+        return self._where[n][key][0]
+
+    def decode(self, n: int, flat: int) -> Tuple[Hashable, int]:
+        """Inverse of ``offset(n, key) + k``: flat position -> (key, k)."""
+        if not 0 <= flat < self.dims[n]:
+            raise IndexError(f"flat index {flat} not in degree {n}")
+        key, off, _ = self._blocks[n][bisect_right(self._starts[n], flat) - 1]
+        return key, flat - off
+
+
 class TensorLayout:
     """Index bookkeeping for a two-factor tensor product.
 
-    At degree n the basis is grouped in blocks (p, n-p) for increasing p;
-    within a block, pairs (i, j) are ordered with the right index fastest.
+    At degree n the basis is grouped in blocks keyed by the left degree p,
+    for increasing p; within a block, pairs (i, j) are ordered with the
+    right index fastest.
     """
 
-    left_dims: Tuple[int, ...]
-    right_dims: Tuple[int, ...]
-    D: int
+    __slots__ = ("left_dims", "right_dims", "D", "table")
 
-    def blocks(self, n: int) -> List[Tuple[int, int, int]]:
-        """Triples (p, offset, right_dim) for the nonempty blocks of degree n."""
-        out = []
-        off = 0
-        for p in range(max(0, n - (len(self.right_dims) - 1)), min(n, len(self.left_dims) - 1) + 1):
-            dl, dr = self.left_dims[p], self.right_dims[n - p]
-            if dl and dr:
-                out.append((p, off, dr))
-                off += dl * dr
-        return out
+    def __init__(self, left_dims: Sequence[int], right_dims: Sequence[int], D: int):
+        self.left_dims = tuple(left_dims)
+        self.right_dims = tuple(right_dims)
+        self.D = D
+        nl, nr = len(self.left_dims), len(self.right_dims)
+        self.table = BlockLayout(
+            [(p, self.left_dims[p] * self.right_dims[n - p])
+             for p in range(max(0, n - nr + 1), min(n, nl - 1) + 1)]
+            for n in range(D + 1)
+        )
+
+    def blocks(self, n: int) -> Tuple[Tuple[int, int, int], ...]:
+        """Triples (p, offset, width) for the nonempty blocks of degree n."""
+        return self.table.blocks(n)
 
     def offset(self, n: int, p: int) -> int:
-        for pp, off, _ in self.blocks(n):
-            if pp == p:
-                return off
-        raise KeyError(f"empty block ({p}, {n - p})")
+        return self.table.offset(n, p)
 
     def index(self, n: int, p: int, i: int, j: int) -> int:
-        return self.offset(n, p) + i * self.right_dims[n - p] + j
+        return self.table.offset(n, p) + i * self.right_dims[n - p] + j
+
+    def tensor_row(self, n: int, p: int, left_row: int, right_row: int) -> int:
+        """The flat row of degree n of left_row (x) right_row, for int-packed
+        vectors of the left basis in degree p and the right one in n - p."""
+        if not (left_row and right_row):
+            return 0
+        off = self.table.offset(n, p)
+        stride = self.right_dims[n - p]
+        out = 0
+        while left_row:
+            low = left_row & -left_row
+            out |= right_row << (off + (low.bit_length() - 1) * stride)
+            left_row ^= low
+        return out
 
 
 def tensor_with_layout(M: TruncatedModule, N: TruncatedModule,
@@ -588,19 +666,16 @@ def tensor_with_layout(M: TruncatedModule, N: TruncatedModule,
     D = min(M.D, N.D)
     name = name or f"{M.name}(x){N.name}"
     layout = TensorLayout(M.dims[: D + 1], N.dims[: D + 1], D)
-    dims = []
-    labels = []
-    for n in range(D + 1):
-        total = 0
-        ls: List[str] = []
-        for p, off, _ in layout.blocks(n):
-            q = n - p
-            total += M.dims[p] * N.dims[q]
-            for i in range(M.dims[p]):
-                for j in range(N.dims[q]):
-                    ls.append(f"[{M.labels[p][i]}|{N.labels[q][j]}]")
-        dims.append(total)
-        labels.append(tuple(ls))
+    dims = layout.table.dims
+    labels = [
+        tuple(
+            f"[{M.labels[p][i]}|{N.labels[n - p][j]}]"
+            for p, _, _ in layout.blocks(n)
+            for i in range(M.dims[p])
+            for j in range(N.dims[n - p])
+        )
+        for n in range(D + 1)
+    ]
     action: Dict[Tuple[int, int], BitMatrix] = {}
     for n in range(D + 1):
         if dims[n] == 0:
@@ -609,34 +684,19 @@ def tensor_with_layout(M: TruncatedModule, N: TruncatedModule,
             rows = [0] * dims[n]
             for p, off, _ in layout.blocks(n):
                 q = n - p
-                for a in range(k + 1):
-                    b = k - a
-                    if a > p or b > q:
-                        continue
-                    ma = M.sq(a, p)
-                    nb = N.sq(b, q)
+                # Cartan formula: Sq^k = sum of Sq^a (x) Sq^(k-a)
+                for a in range(max(0, k - q), min(k, p) + 1):
+                    ma, nb = M.sq(a, p), N.sq(k - a, q)
                     if ma.is_zero() or nb.is_zero():
                         continue
-                    try:
-                        toff = layout.offset(n + k, p + a)
-                    except KeyError:
-                        continue
-                    drt = N.dims[q + b]
                     for i in range(M.dims[p]):
                         ra = ma.row_int(i)
                         if not ra:
                             continue
                         for j in range(N.dims[q]):
-                            rb = nb.row_int(j)
-                            if not rb:
-                                continue
-                            src = off + i * N.dims[q] + j
-                            ii = ra
-                            while ii:
-                                low = ii & -ii
-                                ip = low.bit_length() - 1
-                                rows[src] ^= rb << (toff + ip * drt)
-                                ii ^= low
+                            rows[off + i * N.dims[q] + j] ^= layout.tensor_row(
+                                n + k, p + a, ra, nb.row_int(j)
+                            )
             action[(k, n)] = BitMatrix.from_row_ints(rows, dims[n + k])
     mod = TruncatedModule(name, D, dims, action, labels, meta={"layout": layout})
     return mod, layout
@@ -648,32 +708,32 @@ def tensor(M: TruncatedModule, N: TruncatedModule, name: Optional[str] = None) -
 
 def direct_sum(mods: Sequence[TruncatedModule], name: Optional[str] = None,
                tags: Optional[Sequence[str]] = None) -> Tuple[TruncatedModule, List[Dict[int, int]]]:
-    """Block direct sum; returns the module plus per-summand degree offsets."""
+    """Block direct sum; returns the module plus per-summand degree offsets.
+
+    An offset is that of the summand's block, 0 where the block is empty.
+    """
     if not mods:
         raise ValueError("need at least one summand")
     D = min(m.D for m in mods)
     if tags is None:
         tags = [""] * len(mods) if len(mods) == 1 else [f"[{k}]" for k in range(len(mods))]
     name = name or "(+)".join(m.name for m in mods)
-    dims = [sum(m.dims[n] for m in mods) for n in range(D + 1)]
-    offsets: List[Dict[int, int]] = [dict() for _ in mods]
-    labels: List[List[str]] = [[] for _ in range(D + 1)]
-    for n in range(D + 1):
-        off = 0
-        for k, m in enumerate(mods):
-            offsets[k][n] = off
-            labels[n].extend(tags[k] + x for x in m.labels[n])
-            off += m.dims[n]
+    table = BlockLayout([(k, m.dims[n]) for k, m in enumerate(mods)] for n in range(D + 1))
+    labels = [
+        [tags[k] + x for k, _, _ in table.blocks(n) for x in mods[k].labels[n]]
+        for n in range(D + 1)
+    ]
     action: Dict[Tuple[int, int], BitMatrix] = {}
     for n in range(D + 1):
         for i in range(1, D - n + 1):
             rows = []
             for k, m in enumerate(mods):
-                shift = offsets[k][n + i]
+                shift = table.block(n + i, k)[0]
                 sub = m.sq(i, n)
                 rows.extend((sub.row_int(r) << shift) for r in range(m.dims[n]))
-            action[(i, n)] = BitMatrix.from_row_ints(rows, dims[n + i])
-    return TruncatedModule(name, D, dims, action, labels), offsets
+            action[(i, n)] = BitMatrix.from_row_ints(rows, table.dims[n + i])
+    offsets = [{n: table.block(n, k)[0] for n in range(D + 1)} for k in range(len(mods))]
+    return TruncatedModule(name, D, table.dims, action, labels), offsets
 
 
 def map_from_free(free: TruncatedModule, target: TruncatedModule, element_row: int,
@@ -758,28 +818,29 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
 def _coker_data(image_rref: BitMatrix, dim: int) -> Tuple[BitMatrix, BitMatrix, List[int]]:
     """Projection and representative matrices for a quotient by a row space.
 
+    ``image_rref`` must be in reduced row-echelon form without zero rows.
     Returns (proj, reps, rep_cols): proj maps ambient coords to quotient
     coords, reps embeds quotient representatives (standard vectors at the
-    non-pivot columns) back into the ambient space.
+    non-pivot columns) back into the ambient space.  In closed form, a
+    non-pivot coordinate projects to itself and a pivot coordinate to its
+    rref row minus the pivot bit, which has only non-pivot bits.
     """
-    pivots = []
-    for r in range(image_rref.nrows):
-        row = image_rref.row_int(r)
-        pivots.append((row & -row).bit_length() - 1)
-    pivset = set(pivots)
-    rep_cols = [c for c in range(dim) if c not in pivset]
-    colmap = {c: k for k, c in enumerate(rep_cols)}
-    proj_rows = []
-    for t in range(dim):
-        v = 1 << t
-        for r, p in enumerate(pivots):
-            if (v >> p) & 1:
-                v ^= image_rref.row_int(r)
+    rows = image_rref.row_ints()
+    pivot_bits = 0
+    for row in rows:
+        pivot_bits |= row & -row
+    rep_cols = [c for c in range(dim) if not (pivot_bits >> c) & 1]
+    colbit = {c: 1 << k for k, c in enumerate(rep_cols)}
+    proj_rows = [colbit.get(t, 0) for t in range(dim)]
+    for row in rows:
+        low = row & -row
+        rest = row ^ low
         out = 0
-        for c in rep_cols:
-            if (v >> c) & 1:
-                out |= 1 << colmap[c]
-        proj_rows.append(out)
+        while rest:
+            b = rest & -rest
+            out |= colbit[b.bit_length() - 1]
+            rest ^= b
+        proj_rows[low.bit_length() - 1] = out
     proj = BitMatrix.from_row_ints(proj_rows, len(rep_cols))
     reps = BitMatrix.from_row_ints([1 << c for c in rep_cols], dim)
     return proj, reps, rep_cols
@@ -805,8 +866,7 @@ def subquotient(f: ModuleMap, validate: bool = False) -> Subquotient:
     for n in range(D + 1):
         m = f.mat(n)
         ker_bases[n] = left_kernel(m).basis
-        red = rref(m)
-        im_bases[n] = red.matrix.take_rows(range(red.rank))
+        im_bases[n] = Subspace.from_rows(m).basis
         proj, reps, rep_cols = _coker_data(im_bases[n], tgt.dims[n])
         proj_mats[n] = proj
         rep_mats[n] = reps
@@ -844,8 +904,9 @@ class FourTermOmega:
     """The loop module, its first derived partner and the connecting maps.
 
     ``ker_incl`` embeds the suspension of omega1 into the doubled module and
-    ``coker_proj`` projects onto the suspension of omega; the four-term
-    sequence they form with the Sq0 map is exact in the certified range.
+    ``coker_proj`` projects onto the suspension of omega, with
+    ``coker_reps`` its representatives; the four-term sequence they form
+    with the Sq0 map is exact in the certified range.
     """
 
     omega: TruncatedModule
@@ -853,6 +914,7 @@ class FourTermOmega:
     ker_incl: ModuleMap
     coker_proj: ModuleMap
     sq0_map: ModuleMap
+    coker_reps: Dict[int, BitMatrix]
 
     def verify(self) -> Verdict:
         D = self.sq0_map.D
@@ -901,7 +963,7 @@ def omega(M: TruncatedModule) -> FourTermOmega:
         raise TheoryViolation(
             f"kernel of Sq0 on {M.name} is not a suspension: {exc}"
         ) from exc
-    return FourTermOmega(om, om1, sub.kernel_incl, sub.coker_proj, f)
+    return FourTermOmega(om, om1, sub.kernel_incl, sub.coker_proj, f, sub.coker_reps)
 
 
 def is_reduced(M: TruncatedModule, up_to: Optional[int] = None) -> Verdict:

@@ -24,10 +24,10 @@ def test_poincare_coeffs():
 
 
 def test_catalog_ids_unique_and_complete():
-    ids = [cid for cid, _, _, _ in CATALOG]
+    ids = [cid for cid, *_ in CATALOG]
     assert ids == [f"T{k}" for k in range(1, 18)]
     assert len(set(ids)) == 17
-    anchors = [anchor for _, anchor, _, _ in CATALOG]
+    anchors = [anchor for _, anchor, *_ in CATALOG]
     assert len(set(anchors)) == 17
 
 
@@ -42,6 +42,16 @@ def test_run_all_small_degree_passes():
 def test_unknown_check_id():
     with pytest.raises(KeyError):
         make_spec("T99")
+
+
+def test_every_check_passes_at_its_minimum_degree_and_refuses_below():
+    for cid, _, _, min_d, _ in CATALOG:
+        res = run_check(make_spec(cid, D=min_d, max_rank=1))
+        assert res.passed, (cid, min_d, res.witness)
+        if min_d:
+            message = f"{cid} needs a truncation degree of at least {min_d}"
+            with pytest.raises(ValueError, match=message):
+                make_spec(cid, D=min_d - 1)
 
 
 def test_reports_are_deterministic():
@@ -234,3 +244,34 @@ def test_cli_failing_check_exit_code(tmp_path, capsys):
     res = run_check(make_spec("T9", D=5, fixture_file=str(path)))
     text = report([res], "text")
     assert "FAIL" in text and "witness:" in text
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--all", "--max-degree", "1"], 2),
+    (["verify", "--check", "T7", "--max-degree", "1"], 2),
+    (["verify", "--check", "T1", "--max-degree", "1"], 0),
+])
+def test_cli_degree_below_a_checks_minimum_exits_2(argv, code, capsys):
+    assert cli_main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err == "error: T7 needs a truncation degree of at least 2, got 1\n"
+    else:
+        assert "1/1 checks passed" in captured.out
+
+
+def test_cli_r1_refuses_an_unstable_fixture(tmp_path, capsys):
+    path = tmp_path / "unstable.json"
+    fixtures.save(polynomial_module(1, 5), path)
+    doc = json.loads(path.read_text())
+    doc["action"].append({"i": 2, "n": 1, "rows": ["1"]})  # Sq^2 on a degree-one class
+    path.write_text(json.dumps(doc))
+    argv = ["--module", str(path), "--max-degree", "5"]
+    assert cli_main(["compute", "r1"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "instability violated at (i=2, n=1)" in captured.err
+    # compute module still reports the violation as data
+    assert cli_main(["compute", "module"] + argv) == 0
+    assert "instability violated at (i=2, n=1)" in capsys.readouterr().out

@@ -23,6 +23,8 @@ from usteen.unstable import (
     free_unstable,
     is_reduced,
     phi,
+    polynomial_module,
+    tensor_with_layout,
     unit_module,
 )
 
@@ -314,7 +316,7 @@ def test_q_sequence_terms_rank1():
         assert q_r.dim(n) == (1 if n % 2 == 0 else 0)  # the doubled base
         assert q_e.dim(n) == 1                          # the base
     for n in range(10):
-        assert q_bar.dim(n + 1) == calc.tbar_realm.module.dim(n)  # suspended reduced part
+        assert q_bar.dim(n + 1) == calc.tbar.module.dim(n)  # suspended reduced part
 
 
 def test_c_functors_of_unit_realm_vanish():
@@ -347,3 +349,53 @@ def test_comparison_maps_validate_at_rank2():
     assert calc.tau.validate().ok
     assert calc.taubar.validate().ok
     assert calc.fix_taubar.validate_linear().ok
+
+
+def _assert_tiles(table, dims):
+    """The nonempty blocks of each degree follow one another from 0 to dim(n)."""
+    for n, dim in enumerate(dims):
+        end = 0
+        for _, off, width in table.blocks(n):
+            assert off == end and width > 0
+            end += width
+        assert end == dim == table.dims[n]
+
+
+def test_block_layouts_round_trip():
+    D = 6
+    F1, H2 = free_unstable(1, D), polynomial_module(2, D)
+    T, layout = tensor_with_layout(F1, H2)
+    _assert_tiles(layout.table, T.dims)
+    for n in range(D + 1):
+        flats = []
+        for p, _, _ in layout.blocks(n):
+            right = H2.dims[n - p]
+            for i in range(F1.dims[p]):
+                for j in range(right):
+                    flat = layout.index(n, p, i, j)
+                    assert layout.table.decode(n, flat) == (p, i * right + j)
+                    flats.append(flat)
+        assert flats == list(range(T.dims[n]))
+
+    E = extend_scalars(H2)
+    _assert_tiles(E.layout.table, E.dims)
+    for n in range(D + 1):
+        flats = [E.index(n, a, j) for a, _, w in E.layout.blocks(n) for j in range(w)]
+        assert flats == list(range(E.dim(n)))
+        assert [E.decode(n, f) for f in flats] == [
+            (a, j) for a, _, w in E.layout.blocks(n) for j in range(w)
+        ]
+        assert E.block(n, n + 1) == (0, 0)
+
+    X = realm_sum(hv(1, D), realm_suspend(hv(2, D), 1))
+    calc = RealmCalculus(X)
+    for realm in (X, calc.TX.realm, calc.tbar.realm):
+        _assert_tiles(realm.table, realm.module.dims)
+        for n in range(D + 1):
+            for flat, (j, mono) in enumerate(realm.entries(n)):
+                assert realm.index(n, j, mono) == flat
+                j2, k = realm.table.decode(n, flat)
+                assert j2 == j and realm.monomials(j, n - realm.summands[j].s)[k] == mono
+    for exp in (calc.TX, calc.tbar):
+        assert all(exp.components[exp.comp_pos[c]] == c for c in exp.components)
+    assert calc.tbar.components == [c for c in calc.TX.components if c[1] != (0,)]

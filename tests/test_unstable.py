@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usteen.f2core import BitMatrix, Subspace, left_kernel, rref
 from usteen import steenrod
 from usteen.unstable import (
     DesuspensionError,
     ModuleMap,
+    _coker_data,
     a_span,
     desuspend,
     direct_sum,
@@ -438,3 +441,40 @@ def test_omega1_matches_projective_resolution_oracle():
         # degree m of the suspended loop data corresponds to m-1 downstairs
         assert homology_dim == got.omega1.dim(m - 1), m
     assert [got.omega1.dim(n) for n in range(4)] == [0, 1, 0, 0]
+
+
+def _coker_data_by_reduction(image_rref, dim):
+    """Reference for ``_coker_data``: reduce every coordinate vector by the rows."""
+    pivots = []
+    for r in range(image_rref.nrows):
+        row = image_rref.row_int(r)
+        pivots.append((row & -row).bit_length() - 1)
+    pivset = set(pivots)
+    rep_cols = [c for c in range(dim) if c not in pivset]
+    colmap = {c: k for k, c in enumerate(rep_cols)}
+    proj_rows = []
+    for t in range(dim):
+        v = 1 << t
+        for r, p in enumerate(pivots):
+            if (v >> p) & 1:
+                v ^= image_rref.row_int(r)
+        out = 0
+        for c in rep_cols:
+            if (v >> c) & 1:
+                out |= 1 << colmap[c]
+        proj_rows.append(out)
+    proj = BitMatrix.from_row_ints(proj_rows, len(rep_cols))
+    reps = BitMatrix.from_row_ints([1 << c for c in rep_cols], dim)
+    return proj, reps, rep_cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 1, 2, 5, 63, 64, 65, 130]), st.data())
+def test_coker_data_closed_form_matches_reduction(ncols, data):
+    rows = data.draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=9))
+    basis = Subspace.from_rows(BitMatrix.from_row_ints(rows, ncols)).basis
+    proj, reps, cols = _coker_data(basis, ncols)
+    assert (proj, reps, cols) == _coker_data_by_reduction(basis, ncols)
+    # the projection kills the row space and splits the representatives
+    assert (basis @ proj).is_zero()
+    assert reps @ proj == BitMatrix.identity(len(cols))
