@@ -100,20 +100,6 @@ class BitMatrix:
         n = self.ncols
         return [[int(c) for c in _bits(r, n)] for r in self._rows]
 
-    def words(self):
-        """Read-only NumPy ``uint64`` array of shape (nrows, ceil(ncols / 64)).
-
-        Rows are packed little-endian: column ``j`` is bit ``j & 63`` of word
-        ``j >> 6``.  For interop only; nothing in the package reads it.
-        """
-        import numpy as np
-
-        nbytes = 8 * ((self.ncols + 63) >> 6)
-        buf = b"".join(r.to_bytes(nbytes, "little") for r in self._rows)
-        words = np.frombuffer(buf, dtype="<u8").reshape(self.nrows, nbytes // 8)
-        words.setflags(write=False)
-        return words
-
     def is_zero(self) -> bool:
         return not any(self._rows)
 
@@ -278,14 +264,55 @@ def solve_many(m: BitMatrix, targets: BitMatrix) -> Optional[BitMatrix]:
     return BitMatrix(n, targets.ncols, tuple(out))
 
 
+class RowReducer:
+    """A basis eliminated once, to express vectors in its row space.
+
+    The basis rows are reduced with an identity block that tracks which
+    basis rows each reduced row combines.  After full elimination every
+    pivot row holds exactly one pivot bit, so a vector costs one XOR per
+    pivot bit it has set.  A dependent basis needs no second path: the
+    forward pass sets aside exactly the rows that depend on earlier rows,
+    so the coefficients use only the first independent rows and are the
+    unique such combination.
+    """
+
+    __slots__ = ("nrows", "ncols", "_pmask", "_piv")
+
+    def __init__(self, basis: BitMatrix):
+        n = basis.ncols
+        work = [r | (1 << (n + i)) for i, r in enumerate(basis._rows)]
+        pivots = _kernel.rref_inplace(work, basis.nrows, n + basis.nrows, n)
+        mask = (1 << n) - 1
+        self.nrows = basis.nrows
+        self.ncols = n
+        self._pmask = sum(1 << p for p in pivots)
+        # pivot bit -> (the reduced row, the basis rows it combines)
+        self._piv = {1 << p: (r & mask, r >> n) for p, r in zip(pivots, work)}
+
+    def express(self, vecs: BitMatrix) -> Optional[BitMatrix]:
+        """Coefficients C with C @ basis = vecs, or None if some row escapes."""
+        if vecs.ncols != self.ncols:
+            raise ValueError("ambient width mismatch")
+        piv, pmask = self._piv, self._pmask
+        out = []
+        for v in vecs._rows:
+            hits = v & pmask
+            acc = coeff = 0
+            while hits:
+                low = hits & -hits
+                r, c = piv[low]
+                acc ^= r
+                coeff ^= c
+                hits ^= low
+            if acc != v:
+                return None
+            out.append(coeff)
+        return BitMatrix(vecs.nrows, self.nrows, tuple(out))
+
+
 def express_in_rowspace(basis: BitMatrix, vecs: BitMatrix) -> Optional[BitMatrix]:
     """Coefficients C with C @ basis = vecs, or None if some row escapes."""
-    if basis.ncols != vecs.ncols:
-        raise ValueError("ambient width mismatch")
-    sols = solve_many(basis.transpose(), vecs.transpose())
-    if sols is None:
-        return None
-    return sols.transpose()
+    return RowReducer(basis).express(vecs)
 
 
 class Subspace:

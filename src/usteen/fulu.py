@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .f2core import BitMatrix, Subspace, express_in_rowspace, left_kernel, rref
 from .unstable import (
     ModuleMap,
+    Quotient,
     TensorLayout,
     TheoryViolation,
     TruncatedModule,
@@ -27,6 +28,7 @@ from .unstable import (
     _coker_data,
     _sum_label,
     polynomial_module,
+    quotient,
     submodule,
     subquotient,
     tensor_with_layout,
@@ -76,12 +78,6 @@ class FuluModule:
         if got is not None:
             return got
         return BitMatrix.zeros(self.dims[n], self.dims[n + 1])
-
-    def u_power_mat(self, n: int, k: int) -> BitMatrix:
-        out = BitMatrix.identity(self.dim(n))
-        for step in range(k):
-            out = out @ self.u_mat(n + step)
-        return out
 
     def validate(self) -> ValidationReport:
         """Underlying axioms plus the Cartan-twisted u-compatibility."""
@@ -230,36 +226,12 @@ def extend_scalars_map(f: ModuleMap, src: ExtendedModule, tgt: ExtendedModule,
 # -- indecomposables -----------------------------------------------------------
 
 
-@dataclass
-class QData:
-    """Cokernel of the u-action with projection and representative data."""
-
-    module: TruncatedModule
-    proj_mats: Dict[int, BitMatrix]
-    rep_mats: Dict[int, BitMatrix]
-
-
-def q_data(N: FuluModule, name: Optional[str] = None) -> QData:
-    D = N.D
-    dims = []
-    labels = []
-    proj_mats: Dict[int, BitMatrix] = {}
-    rep_mats: Dict[int, BitMatrix] = {}
-    for n in range(D + 1):
-        image = Subspace.from_rows(N.u_mat(n - 1)).basis if n >= 1 else BitMatrix.zeros(0, N.dim(0))
-        proj, reps, rep_cols = _coker_data(image, N.dim(n))
-        proj_mats[n] = proj
-        rep_mats[n] = reps
-        dims.append(len(rep_cols))
-        labels.append(tuple(N.labels[n][c] for c in rep_cols))
-    action = {}
-    for n in range(D + 1):
-        if dims[n] == 0:
-            continue
-        for i in range(1, D - n + 1):
-            action[(i, n)] = rep_mats[n] @ N.underlying.sq(i, n) @ proj_mats[n + i]
-    module = TruncatedModule(name or f"Q({N.name})", D, dims, action, labels)
-    return QData(module, proj_mats, rep_mats)
+def q_data(N: FuluModule, name: Optional[str] = None) -> Quotient:
+    """The quotient by the image of u, with projection and representative data."""
+    images = [BitMatrix.zeros(0, N.dim(0))] + [
+        Subspace.from_rows(N.u_mat(n - 1)).basis for n in range(1, N.D + 1)
+    ]
+    return quotient(N.underlying, images, name or f"Q({N.name})")
 
 
 def indecomposables(N: FuluModule) -> TruncatedModule:
@@ -267,7 +239,7 @@ def indecomposables(N: FuluModule) -> TruncatedModule:
     return q_data(N).module
 
 
-def q_of_map(f: FuluMap, qsrc: QData, qtgt: QData) -> ModuleMap:
+def q_of_map(f: FuluMap, qsrc: Quotient, qtgt: Quotient) -> ModuleMap:
     """The map induced on indecomposables."""
     D = min(f.D, qsrc.module.D, qtgt.module.D)
     mats = {
@@ -457,17 +429,12 @@ class UQuotient:
 def quotient_u_module(X: GradedSubspace, name: Optional[str] = None) -> UQuotient:
     """The ambient modulo X, as a graded u-module."""
     amb = X.ambient
-    proj: Dict[int, BitMatrix] = {}
-    reps: Dict[int, BitMatrix] = {}
-    dims = []
-    labels = []
-    for n in range(amb.D + 1):
-        p, r, cols = _coker_data(X.bases[n], amb.dim(n))
-        proj[n], reps[n] = p, r
-        dims.append(len(cols))
-        labels.append(tuple(amb.labels[n][c] for c in cols))
-    u_mats = {n: reps[n] @ amb.u_mat(n) @ proj[n + 1] for n in range(amb.D)}
-    return UQuotient(amb.D, dims, labels, u_mats, name or f"({amb.name})/X")
+    name = name or f"({amb.name})/X"
+    # X need not be stable under the squares, so none are carried over
+    space = TruncatedModule(amb.name, amb.D, amb.dims, {}, amb.labels)
+    q = quotient(space, [X.bases[n] for n in range(amb.D + 1)], name)
+    u_mats = {n: q.rep_mats[n] @ amb.u_mat(n) @ q.proj_mats[n + 1] for n in range(amb.D)}
+    return UQuotient(amb.D, q.module.dims, q.module.labels, u_mats, name)
 
 
 def restrict_fulu(ambient: FuluModule, bases: Dict[int, BitMatrix], name: str
@@ -591,21 +558,7 @@ def tensor_over_fulu(N1: FuluModule, N2: FuluModule, name: Optional[str] = None)
     rel: Dict[int, BitMatrix] = {0: BitMatrix.zeros(0, T.dims[0])}
     for n in range(T.D):
         rel[n + 1] = Subspace.from_rows(u_left[n] + u_right[n]).basis
-    proj_mats: Dict[int, BitMatrix] = {}
-    rep_mats: Dict[int, BitMatrix] = {}
-    dims = []
-    labels = []
-    for n in range(T.D + 1):
-        p, r, cols = _coker_data(rel[n], T.dims[n])
-        proj_mats[n], rep_mats[n] = p, r
-        dims.append(len(cols))
-        labels.append(tuple(T.labels[n][c] for c in cols))
-    action = {}
-    for n in range(T.D + 1):
-        if dims[n] == 0:
-            continue
-        for i in range(1, T.D - n + 1):
-            action[(i, n)] = rep_mats[n] @ T.sq(i, n) @ proj_mats[n + i]
-    module = TruncatedModule(name, T.D, dims, action, labels)
-    u_mats = {n: rep_mats[n] @ u_left[n] @ proj_mats[n + 1] for n in range(T.D)}
-    return OverFulu(FuluModule(module, u_mats, name=name), T, layout, proj_mats, rep_mats, rel)
+    q = quotient(T, [rel[n] for n in range(T.D + 1)], name)
+    u_mats = {n: q.rep_mats[n] @ u_left[n] @ q.proj_mats[n + 1] for n in range(T.D)}
+    return OverFulu(FuluModule(q.module, u_mats, name=name), T, layout, q.proj_mats,
+                    q.rep_mats, rel)

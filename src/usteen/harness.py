@@ -12,6 +12,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .f2core import BitMatrix, Subspace, left_kernel, rref
@@ -149,11 +150,21 @@ def _singer_fixtures(D: int) -> List[TruncatedModule]:
 # -- runners -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _hv_calculus(r: int, D: int) -> RealmCalculus:
+    """The calculus of ``hv(r, D)``, built once per process and shared by the checks.
+
+    Its data are computed on demand and never change, so a check reads the
+    same values whether or not an earlier check filled them in.
+    """
+    return RealmCalculus(hv(r, D))
+
+
 def _check_t1(params) -> Tuple[int, Dict[str, List[int]]]:
     D = params["D"]
     tables = {}
     for r in range(1, params["max_rank"] + 1):
-        calc = RealmCalculus(hv(r, D))
+        calc = _hv_calculus(r, D)
         P = rtilde(calc.X, calc)
         inv = gv_invariants(r, D)
         expected = poincare_coeffs(r, D)
@@ -176,8 +187,8 @@ def _check_t2(params):
     D = params["D"]
     tables = {}
     for r in range(1, params["max_rank"] + 1):
-        X = hv(r, D)
-        calc = RealmCalculus(X)
+        calc = _hv_calculus(r, D)
+        X = calc.X
         rtilde(X, calc)
         S = r1(X.module, calc.E)
         for n in range(min(D, S.D) + 1):
@@ -193,8 +204,8 @@ def _check_t2(params):
 def _check_t3(params):
     D = params["D"]
     for r in range(1, params["max_rank"] + 1):
-        X = hv(r, D)
-        calc = RealmCalculus(X)
+        calc = _hv_calculus(r, D)
+        X = calc.X
         P = rtilde(X, calc)
         F = fix_presented(P)
         _need_true(
@@ -280,8 +291,8 @@ def _exact_four_term(maps, names, dims_expected=None):
 
 def _check_t7(params):
     D = params["D"]
-    X = hv(1, D)
-    calc = RealmCalculus(X)
+    calc = _hv_calculus(1, D)
+    X = calc.X
     sub = calc.taubar_sub
     # the u-module sequence: kernel -> extension -> image
     for n in range(D + 1):
@@ -348,8 +359,8 @@ def _check_t8(params):
     D = params["D"]
     tables = {}
     for r in range(1, params["max_rank"] + 1):
-        X = hv(r, D)
-        calc = RealmCalculus(X)
+        calc = _hv_calculus(r, D)
+        X = calc.X
         sub = calc.taubar_sub
         barmod, _ = calc.bar
         # four-term u-module sequence
@@ -604,8 +615,8 @@ def _check_t15(params):
 
 def _check_t16(params):
     D = params["D"]
-    X = hv(1, D)
-    calc = RealmCalculus(X)
+    calc = _hv_calculus(1, D)
+    X = calc.X
     SX = realm_suspend(X)
     calc_s = RealmCalculus(SX)
     rtilde(SX, calc_s)

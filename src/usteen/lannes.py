@@ -20,7 +20,7 @@ Conventions pinned here (guarded by degree-one unit tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .f2core import BitMatrix, Subspace, left_kernel, rref
@@ -42,12 +42,11 @@ from .unstable import (
     TheoryViolation,
     TruncatedModule,
     Verdict,
-    _compositions_submask,
     _monomials,
-    _mono_label,
     _monomial_pos,
     _submasks,
     omega as omega_of,
+    polynomial_module,
     subquotient,
 )
 
@@ -106,38 +105,42 @@ class RealmObject:
         ]
 
     def _realize(self) -> TruncatedModule:
+        """Place shifted copies of one polynomial module per rank, block by block."""
         D = self.D
         dims = self.table.dims
+        polys = [_polynomial_module(sm.r, D) for sm in self.summands]
         labels = []
         for n in range(D + 1):
             ls = []
-            for j, m in self.entries(n):
-                sm = self.summands[j]
-                varnames = ("t",) if sm.r == 1 else tuple(f"t{i+1}" for i in range(sm.r))
-                core = _mono_label(m, varnames)
-                if sm.s:
-                    core = f"s^{sm.s}({core})"
+            for j, _, _ in self.table.blocks(n):
+                s = self.summands[j].s
                 tag = self._tags[j] if self._tags else (f"[{j}]" if len(self.summands) > 1 else "")
-                ls.append(tag + core)
+                ls.extend(tag + (f"s^{s}({core})" if s else core)
+                          for core in polys[j].labels[n - s])
             labels.append(tuple(ls))
         action: Dict[Tuple[int, int], BitMatrix] = {}
         for n in range(D + 1):
-            if dims[n] == 0:
+            blocks = self.table.blocks(n)
+            if not blocks:
                 continue
-            entries = self.entries(n)
             for k in range(1, D - n + 1):
                 rows = []
-                for j, a in entries:
-                    row = 0
-                    for c in _compositions_submask(a, k):
-                        tgt = tuple(x + y for x, y in zip(a, c))
-                        row |= 1 << self.index(n + k, j, tgt)
-                    rows.append(row)
-                action[(k, n)] = BitMatrix.from_row_ints(rows, dims[n + k])
+                for j, _, _ in blocks:
+                    shift = self.table.block(n + k, j)[0]
+                    sq = polys[j].sq(k, n - self.summands[j].s)
+                    rows.extend(r << shift for r in sq.row_ints())
+                action[(k, n)] = BitMatrix(dims[n], dims[n + k], tuple(rows))
         return TruncatedModule(self.name, D, dims, action, labels)
 
     def __repr__(self):
         return f"RealmObject({self.name}, D={self.D})"
+
+
+@lru_cache(maxsize=None)
+def _polynomial_module(r: int, D: int) -> TruncatedModule:
+    """``polynomial_module(r, D)``, built once per (r, D): every summand of a
+    realm object is a shifted copy of it."""
+    return polynomial_module(r, D)
 
 
 def hv(r: int, D: int) -> RealmObject:
@@ -458,25 +461,31 @@ def _extended_entries(E: ExtendedModule, X: RealmObject, n: int
 
 
 def positive_u_part(E: ExtendedModule) -> Tuple[FuluModule, FuluMap]:
-    """The coordinate sub-u-module spanned by positive u-powers."""
-    cut = {n: (E.block(n, 0)[1]) for n in range(E.D + 1)}
-    dims = [E.dim(n) - cut[n] for n in range(E.D + 1)]
-    idx = {n: list(range(cut[n], E.dim(n))) for n in range(E.D + 1)}
-    labels = [tuple(E.labels[n][c] for c in idx[n]) for n in range(E.D + 1)]
-    action = {}
-    for n in range(E.D + 1):
-        if dims[n] == 0:
-            continue
-        for i in range(1, E.D - n + 1):
-            action[(i, n)] = E.underlying.sq(i, n).take_rows(idx[n]).take_cols(idx[n + i])
-    mod = TruncatedModule(f"bar({E.name})", E.D, dims, action, labels)
-    u_mats = {
-        n: E.u_mat(n).take_rows(idx[n]).take_cols(idx[n + 1]) for n in range(E.D)
+    """The coordinate sub-u-module spanned by positive u-powers.
+
+    The u^0 block comes first in every degree, so the positive part is the
+    tail ``[cut, dim)``: a matrix restricts to it by dropping the first
+    ``cut`` rows and shifting the rest right by the target degree's cut.
+    """
+    D = E.D
+    cut = [E.block(n, 0)[1] for n in range(D + 1)]
+
+    def tail(m: BitMatrix, n: int, n2: int) -> BitMatrix:
+        rows = tuple(r >> cut[n2] for r in m.row_ints()[cut[n]:])
+        return BitMatrix(len(rows), E.dim(n2) - cut[n2], rows)
+
+    dims = [E.dim(n) - cut[n] for n in range(D + 1)]
+    labels = [E.labels[n][cut[n]:] for n in range(D + 1)]
+    action = {
+        (i, n): tail(E.underlying.sq(i, n), n, n + i)
+        for n in range(D + 1) if dims[n]
+        for i in range(1, D - n + 1)
     }
-    bar = FuluModule(mod, u_mats, name=mod.name)
+    mod = TruncatedModule(f"bar({E.name})", D, dims, action, labels)
+    bar = FuluModule(mod, {n: tail(E.u_mat(n), n, n + 1) for n in range(D)}, name=mod.name)
     incl_mats = {
-        n: BitMatrix.from_row_ints([1 << c for c in idx[n]], E.dim(n))
-        for n in range(E.D + 1)
+        n: BitMatrix.from_row_ints([1 << c for c in range(cut[n], E.dim(n))], E.dim(n))
+        for n in range(D + 1)
     }
     incl = FuluMap(bar, E, incl_mats)
     return bar, incl

@@ -107,10 +107,6 @@ def adem_normal_form(word: SqWord) -> FrozenSet[SqWord]:
     return frozenset({word})
 
 
-def normal_form_monomials(word: SqWord) -> List[AdmissibleMonomial]:
-    return sorted(AdmissibleMonomial(w) for w in adem_normal_form(word))
-
-
 @lru_cache(maxsize=None)
 def _admissible_words(n: int) -> Tuple[SqWord, ...]:
     if n == 0:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from . import steenrod
-from .f2core import BitMatrix, Subspace, express_in_rowspace, left_kernel, rref
+from .f2core import BitMatrix, RowReducer, Subspace, express_in_rowspace, left_kernel, rref
 
 
 class TruncationError(Exception):
@@ -167,9 +167,6 @@ class TruncatedModule:
             out = m if out is None else out @ m
             deg += i
         return out if out is not None else BitMatrix.identity(self.dim(n))
-
-    def poincare(self) -> Tuple[int, ...]:
-        return self.dims
 
     def renamed(self, name: str) -> "TruncatedModule":
         return TruncatedModule(name, self.D, self.dims, dict(self._act), self.labels, self.meta)
@@ -354,10 +351,6 @@ class GradedLinearMap:
 
 def module_from_action(name, D, dims, action, labels=None, meta=None) -> TruncatedModule:
     return TruncatedModule(name, D, dims, action, labels, meta)
-
-
-def zero_module(D: int) -> TruncatedModule:
-    return TruncatedModule("0", D, [0] * (D + 1), {})
 
 
 def unit_module(D: int) -> TruncatedModule:
@@ -778,15 +771,21 @@ class Subquotient:
 
 def _restricted_action(bases: Dict[int, BitMatrix], ambient: TruncatedModule,
                        D: int, what: str) -> Dict[Tuple[int, int], BitMatrix]:
-    """Action induced on a graded collection of row-subspaces of ``ambient``."""
+    """Action induced on a graded collection of row-subspaces of ``ambient``.
+
+    Each target degree's basis is eliminated once, on first use.
+    """
     action: Dict[Tuple[int, int], BitMatrix] = {}
+    reducers: Dict[int, RowReducer] = {}
     for n in range(D + 1):
         bn = bases[n]
         if bn.nrows == 0:
             continue
         for i in range(1, D - n + 1):
-            img = bn @ ambient.sq(i, n)
-            coeffs = express_in_rowspace(bases[n + i], img)
+            red = reducers.get(n + i)
+            if red is None:
+                red = reducers[n + i] = RowReducer(bases[n + i])
+            coeffs = red.express(bn @ ambient.sq(i, n))
             if coeffs is None:
                 raise TheoryViolation(
                     f"{what}: Sq^{i} escapes the subspace at degree {n}"
@@ -846,6 +845,41 @@ def _coker_data(image_rref: BitMatrix, dim: int) -> Tuple[BitMatrix, BitMatrix, 
     return proj, reps, rep_cols
 
 
+@dataclass
+class Quotient:
+    """A quotient module with its projection and the representatives of its basis."""
+
+    module: TruncatedModule
+    proj_mats: Dict[int, BitMatrix]
+    rep_mats: Dict[int, BitMatrix]
+
+
+def quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> Quotient:
+    """The quotient of M by a graded row space, with the induced action.
+
+    ``bases[n]`` is an rref basis without zero rows of the subspace in
+    degree n, for n = 0 .. D with D = len(bases) - 1 <= M.D.  The action
+    Sq^i is ``reps @ sq @ proj``, which is well defined when the subspace is
+    stable under the action.
+    """
+    D = len(bases) - 1
+    proj_mats: Dict[int, BitMatrix] = {}
+    rep_mats: Dict[int, BitMatrix] = {}
+    dims = []
+    labels = []
+    for n, basis in enumerate(bases):
+        proj_mats[n], rep_mats[n], rep_cols = _coker_data(basis, M.dims[n])
+        dims.append(len(rep_cols))
+        labels.append(tuple(M.labels[n][c] for c in rep_cols))
+    action = {
+        (i, n): rep_mats[n] @ m @ proj_mats[n + i]
+        for (i, n), m in M.action_items()
+        if n + i <= D and dims[n]
+    }
+    module = TruncatedModule(name, D, dims, action, labels)
+    return Quotient(module, proj_mats, rep_mats)
+
+
 def subquotient(f: ModuleMap, validate: bool = False) -> Subquotient:
     """Degreewise kernel, image and cokernel with induced actions.
 
@@ -859,19 +893,10 @@ def subquotient(f: ModuleMap, validate: bool = False) -> Subquotient:
     src, tgt, D = f.source, f.target, f.D
     ker_bases: Dict[int, BitMatrix] = {}
     im_bases: Dict[int, BitMatrix] = {}
-    proj_mats: Dict[int, BitMatrix] = {}
-    rep_mats: Dict[int, BitMatrix] = {}
-    coker_dims = []
-    coker_labels = []
     for n in range(D + 1):
         m = f.mat(n)
         ker_bases[n] = left_kernel(m).basis
         im_bases[n] = Subspace.from_rows(m).basis
-        proj, reps, rep_cols = _coker_data(im_bases[n], tgt.dims[n])
-        proj_mats[n] = proj
-        rep_mats[n] = reps
-        coker_dims.append(len(rep_cols))
-        coker_labels.append(tuple(tgt.labels[n][c] for c in rep_cols))
     kernel, kernel_incl = submodule(src, ker_bases, f"ker({f.name or 'f'})", D)
     image, image_incl = submodule(tgt, im_bases, f"im({f.name or 'f'})", D)
     factor_mats = {}
@@ -881,18 +906,11 @@ def subquotient(f: ModuleMap, validate: bool = False) -> Subquotient:
             raise TheoryViolation("image basis does not span the image")
         factor_mats[n] = coeffs
     factor = ModuleMap(src, image, factor_mats, D=D)
-    coker_action: Dict[Tuple[int, int], BitMatrix] = {}
-    for n in range(D + 1):
-        if coker_dims[n] == 0:
-            continue
-        for i in range(1, D - n + 1):
-            coker_action[(i, n)] = rep_mats[n] @ tgt.sq(i, n) @ proj_mats[n + i]
-    cokernel = TruncatedModule(
-        f"coker({f.name or 'f'})", D, coker_dims, coker_action, coker_labels
-    )
-    coker_proj = ModuleMap(tgt, cokernel, proj_mats, D=D)
+    coker = quotient(tgt, [im_bases[n] for n in range(D + 1)], f"coker({f.name or 'f'})")
+    coker_proj = ModuleMap(tgt, coker.module, coker.proj_mats, D=D)
     return Subquotient(
-        kernel, kernel_incl, image, image_incl, factor, cokernel, coker_proj, rep_mats
+        kernel, kernel_incl, image, image_incl, factor, coker.module, coker_proj,
+        coker.rep_mats,
     )
 
 

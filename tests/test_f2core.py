@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from usteen import _gf2py
 from usteen.f2core import (
     BitMatrix,
+    RowReducer,
     Subspace,
     express_in_rowspace,
     kernel_basis,
@@ -91,7 +92,7 @@ def bit_rows(draw, ncols=None):
 
 @settings(max_examples=150, deadline=None)
 @given(bit_rows())
-def test_differential_rref_kernels_transpose_words(case):
+def test_differential_rref_kernels_transpose(case):
     rows, ncols = case
     m = BitMatrix.from_rows(rows, ncols)
     red, pivots = naive_rref(rows, ncols)
@@ -105,10 +106,6 @@ def test_differential_rref_kernels_transpose_words(case):
     assert m.take_cols(cols).to_lists() == [[row[j] for j in cols] for row in rows]
     assert kernel_basis(m).basis.to_lists() == naive_kernel(rows, ncols)
     assert left_kernel(m).basis.to_lists() == naive_kernel(naive_transpose(rows, ncols), len(rows))
-    words = m.words()
-    assert words.shape == (len(rows), (ncols + 63) // 64)
-    ints = [int.from_bytes(words[i].tobytes(), "little") for i in range(len(rows))]
-    assert BitMatrix.from_row_ints(ints, ncols) == m
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,6 +288,44 @@ def test_tie_break_uses_first_independent_rows():
     assert sols.to_lists() == [[1, 0, 1], [0, 0, 0], [1, 1, 0], [0, 0, 0]]
 
 
+def express_by_transposed_solve(basis, vecs):
+    """Reference for ``RowReducer``: solve the transposed system column-wise."""
+    sols = solve_many(basis.transpose(), vecs.transpose())
+    return None if sols is None else sols.transpose()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0, 1, 63, 64, 65]), st.data())
+def test_row_reducer_matches_transposed_solve(ncols, data):
+    ints = st.integers(0, (1 << ncols) - 1)
+    rows = data.draw(st.lists(ints, min_size=0, max_size=6))
+    if rows and data.draw(st.booleans()):
+        # make the basis dependent: repeat a row, add a sum of two, add zero
+        rows.insert(data.draw(st.integers(0, len(rows))), rows[0])
+        rows.append(rows[0] ^ rows[-1])
+        rows.append(0)
+    basis = BitMatrix.from_row_ints(rows, ncols)
+    # combinations of the basis, which lie in the row space
+    picks = data.draw(st.lists(st.integers(0, (1 << len(rows)) - 1), max_size=4))
+    inside = BitMatrix.from_row_ints(picks, len(rows)) @ basis
+    reducer = RowReducer(basis)
+    got = reducer.express(inside)
+    assert got == express_by_transposed_solve(basis, inside)
+    assert got @ basis == inside
+    # arbitrary vectors, which may escape the row space
+    vecs = BitMatrix.from_row_ints(data.draw(st.lists(ints, max_size=4)), ncols)
+    want = express_by_transposed_solve(basis, vecs)
+    assert reducer.express(vecs) == want
+    assert express_in_rowspace(basis, vecs) == want
+    escapes = [v for v in vecs.row_ints() if not Subspace.from_rows(basis).contains_vector(v)]
+    assert (want is None) == bool(escapes)
+
+
+def test_row_reducer_rejects_a_width_mismatch():
+    with pytest.raises(ValueError):
+        RowReducer(BitMatrix.identity(3)).express(BitMatrix.zeros(1, 4))
+
+
 def test_left_kernel():
     m = BitMatrix.from_rows([[1, 1], [1, 1], [0, 1]])
     lk = left_kernel(m)
@@ -348,12 +383,6 @@ def test_matmul_against_naive():
         for i in range(prod.nrows):
             for j in range(prod.ncols):
                 assert prod.get(i, j) == sum(la[i][k] * lb[k][j] for k in range(a.ncols)) % 2
-
-
-def test_immutability():
-    m = BitMatrix.identity(3)
-    with pytest.raises(ValueError):
-        m.words()[0, 0] = np.uint64(0)
 
 
 def test_bitpacked_matches_naive_around_word_boundary():

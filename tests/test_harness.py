@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from usteen import fixtures
+from usteen import fixtures, harness
 from usteen.cli import main as cli_main
 from usteen.fulu import extend_scalars, fulu_algebra
 from usteen.harness import (
@@ -13,6 +13,7 @@ from usteen.harness import (
     run_all,
     run_check,
 )
+from usteen.lannes import RealmCalculus
 from usteen.unstable import free_unstable, polynomial_module
 
 
@@ -37,6 +38,38 @@ def test_run_all_small_degree_passes():
         (r.id, r.witness) for r in results if not r.passed
     ]
     assert all(r.certified_degree >= 1 for r in results)
+
+
+SHARED_CALCULUS = ["T1", "T2", "T3", "T8"]
+
+
+def test_shared_calculus_reports_match_a_fresh_one():
+    alone = {}
+    for cid in SHARED_CALCULUS:
+        harness._hv_calculus.cache_clear()
+        alone[cid] = run_check(make_spec(cid, D=6, max_rank=2)).to_dict()
+    harness._hv_calculus.cache_clear()
+    run_all(D=6, max_rank=2, only=SHARED_CALCULUS)
+    # every check again, now after all the others have filled the calculi
+    after = run_all(D=6, max_rank=2, only=SHARED_CALCULUS)
+    assert {r.id: r.to_dict() for r in after} == alone
+    assert all(doc["pass"] for doc in alone.values())
+
+
+def test_one_calculus_per_rank_and_degree(monkeypatch):
+    built = []
+    init = RealmCalculus.__init__
+
+    def counting_init(self, X):
+        built.append((X.summands, X.D))
+        init(self, X)
+
+    monkeypatch.setattr(RealmCalculus, "__init__", counting_init)
+    harness._hv_calculus.cache_clear()
+    results = run_all(D=6, max_rank=3, only=SHARED_CALCULUS)
+    assert all(r.passed for r in results)
+    assert len(built) == len(set(built)) == 3
+    assert harness._hv_calculus.cache_info().misses == 3
 
 
 def test_unknown_check_id():

@@ -1,5 +1,5 @@
 
-from usteen.f2core import Subspace, left_kernel, rref
+from usteen.f2core import BitMatrix, Subspace, left_kernel, rref
 from usteen.fulu import extend_scalars, freeness_report, indecomposables, GradedSubspace, saturation_check
 from usteen.lannes import (
     RealmCalculus,
@@ -20,6 +20,9 @@ from usteen.lannes import (
 from usteen.singer import r1
 from usteen.unstable import (
     GradedLinearMap,
+    TruncatedModule,
+    _compositions_submask,
+    _mono_label,
     free_unstable,
     is_reduced,
     phi,
@@ -42,6 +45,55 @@ def test_realm_realization_matches_polynomial_module():
 
     assert X.module == polynomial_module(2, 8)
     assert X.module.validate().ok
+
+
+def realize_by_compositions(X):
+    """Reference for ``RealmObject._realize``: Sq^k on every monomial of every
+    summand, summed over the compositions of k under it (Lucas)."""
+    D, dims = X.D, X.table.dims
+    labels = []
+    for n in range(D + 1):
+        ls = []
+        for j, m in X.entries(n):
+            sm = X.summands[j]
+            varnames = ("t",) if sm.r == 1 else tuple(f"t{i+1}" for i in range(sm.r))
+            core = _mono_label(m, varnames)
+            if sm.s:
+                core = f"s^{sm.s}({core})"
+            tag = X._tags[j] if X._tags else (f"[{j}]" if len(X.summands) > 1 else "")
+            ls.append(tag + core)
+        labels.append(tuple(ls))
+    action = {}
+    for n in range(D + 1):
+        if dims[n] == 0:
+            continue
+        entries = X.entries(n)
+        for k in range(1, D - n + 1):
+            rows = []
+            for j, a in entries:
+                row = 0
+                for c in _compositions_submask(a, k):
+                    row |= 1 << X.index(n + k, j, tuple(x + y for x, y in zip(a, c)))
+                rows.append(row)
+            action[(k, n)] = BitMatrix.from_row_ints(rows, dims[n + k])
+    return TruncatedModule(X.name, D, dims, action, labels)
+
+
+def test_realize_matches_the_composition_loop():
+    sum_x = realm_sum(hv(1, 9), realm_suspend(hv(2, 9), 1))
+    cases = [hv(r, 9) for r in range(4)] + [
+        realm_suspend(hv(2, 9), 2),
+        sum_x,
+        t_apply(1, hv(2, 9)).realm,
+        t_apply(1, sum_x).realm,
+        t_apply(2, hv(1, 8)).realm,
+        RealmCalculus(hv(3, 7)).tbar.realm,
+        RealmCalculus(sum_x).tbar.realm,
+    ]
+    for X in cases:
+        want = realize_by_compositions(X)
+        assert X.module == want, X.name
+        assert X.module.labels == want.labels, X.name
 
 
 def test_realm_suspension_dims():
