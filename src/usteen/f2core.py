@@ -225,8 +225,17 @@ def kernel_basis(m: BitMatrix) -> "Subspace":
 
 
 def left_kernel(m: BitMatrix) -> "Subspace":
-    """The subspace {x : x @ m = 0} (row relations of ``m``)."""
-    return kernel_basis(m.transpose())
+    """The subspace {x : x @ m = 0} (row relations of ``m``).
+
+    ``[m | I]`` is eliminated with pivots in the ``m`` columns only; the
+    rows left over after the pivot rows are zero there, and their identity
+    part spans the relations.
+    """
+    n = m.ncols
+    work = [r | (1 << (n + i)) for i, r in enumerate(m._rows)]
+    pivots = _kernel.rref_inplace(work, m.nrows, n + m.nrows, n)
+    rest = tuple(r >> n for r in work[len(pivots):])
+    return Subspace.from_rows(BitMatrix(len(rest), m.nrows, rest))
 
 
 def solve(m: BitMatrix, target: Sequence[int]) -> Optional[tuple]:

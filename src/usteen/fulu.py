@@ -437,6 +437,19 @@ def quotient_u_module(X: GradedSubspace, name: Optional[str] = None) -> UQuotien
     return UQuotient(amb.D, q.module.dims, q.module.labels, u_mats, name)
 
 
+def _attach_u(module: TruncatedModule, incl: Dict[int, BitMatrix], ambient: FuluModule,
+              what: str) -> FuluModule:
+    """``module``, a graded row span of ``ambient``, with u acting on it:
+    ``incl[n] @ u`` expressed in the rows of ``incl[n + 1]``."""
+    u_mats = {}
+    for n in range(module.D):
+        coeffs = express_in_rowspace(incl[n + 1], incl[n] @ ambient.u_mat(n))
+        if coeffs is None:
+            raise TheoryViolation(f"{what}: u escapes the subspace at degree {n}")
+        u_mats[n] = coeffs
+    return FuluModule(module, u_mats, name=module.name)
+
+
 def restrict_fulu(ambient: FuluModule, bases: Dict[int, BitMatrix], name: str
                   ) -> Tuple[FuluModule, FuluMap]:
     """Realize a graded row-span as a u-module with its inclusion.
@@ -446,14 +459,7 @@ def restrict_fulu(ambient: FuluModule, bases: Dict[int, BitMatrix], name: str
     """
     mod, incl = submodule(ambient.underlying, bases, name)
     full = {n: incl.mat(n) for n in range(mod.D + 1)}
-    u_mats = {}
-    for n in range(mod.D):
-        img = full[n] @ ambient.u_mat(n)
-        coeffs = express_in_rowspace(full[n + 1], img)
-        if coeffs is None:
-            raise TheoryViolation(f"{name}: u escapes the subspace at degree {n}")
-        u_mats[n] = coeffs
-    sub = FuluModule(mod, u_mats, name=name)
+    sub = _attach_u(mod, full, ambient, name)
     fincl = FuluMap(sub, ambient, {n: full[n] for n in range(mod.D + 1)}, name=f"{name} incl")
     return sub, fincl
 
@@ -475,22 +481,11 @@ def fulu_subquotient(f: FuluMap) -> FuluSubquotient:
     base = subquotient(f.mmap)
     D = f.D
     src, tgt = f.source, f.target
-
-    def attach_u(module: TruncatedModule, incl_mats, amb: FuluModule, what: str):
-        u_mats = {}
-        for n in range(module.D):
-            img = incl_mats[n] @ amb.u_mat(n)
-            coeffs = express_in_rowspace(incl_mats[n + 1], img)
-            if coeffs is None:
-                raise TheoryViolation(f"{what}: u escapes at degree {n}")
-            u_mats[n] = coeffs
-        return FuluModule(module, u_mats, name=module.name)
-
     ker_mats = {n: base.kernel_incl.mat(n) for n in range(D + 1)}
-    kernel = attach_u(base.kernel, ker_mats, src, "kernel")
+    kernel = _attach_u(base.kernel, ker_mats, src, "kernel")
     kernel_incl = FuluMap(kernel, src, ker_mats, D=D)
     im_mats = {n: base.image_incl.mat(n) for n in range(D + 1)}
-    image = attach_u(base.image, im_mats, tgt, "image")
+    image = _attach_u(base.image, im_mats, tgt, "image")
     image_incl = FuluMap(image, tgt, im_mats, D=D)
     factor = FuluMap(src, image, {n: base.factor.mat(n) for n in range(D + 1)}, D=D)
     coker_u = {

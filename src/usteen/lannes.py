@@ -30,6 +30,7 @@ from .fulu import (
     FuluModule,
     FuluSubquotient,
     extend_scalars,
+    extend_scalars_map,
     fulu_subquotient,
     restrict_fulu,
 )
@@ -76,7 +77,12 @@ class RealmObject:
             [(j, len(_monomials(sm.r, n - sm.s))) for j, sm in enumerate(self.summands)]
             for n in range(D + 1)
         )
-        self.module = self._realize()
+
+    @cached_property
+    def module(self) -> TruncatedModule:
+        """The Sq action, realized on first use: an expansion whose maps are
+        built from their component matrices needs only its ``table``."""
+        return self._realize()
 
     def _default_name(self) -> str:
         parts = []
@@ -181,9 +187,6 @@ class TExpansion:
     def module(self) -> TruncatedModule:
         return self.realm.module
 
-    def count_for_summand(self, j: int) -> int:
-        return sum(1 for jj, _ in self.components if jj == j)
-
 
 def _vector_tuples(r: int, w: int) -> List[Tuple[int, ...]]:
     if w == 0:
@@ -265,18 +268,8 @@ class RealmCalculus:
 
     @cached_property
     def sigma(self) -> FuluMap:
-        mats = {}
-        for n in range(self.D + 1):
-            rows = []
-            for a, j, mono in _extended_entries(self.E, self.X, n):
-                acc = 0
-                for v in range(1 << self.X.summands[j].r):
-                    c = self._component_pos(j, v)
-                    tgt = self.TX.realm.index(n - a, c, mono)
-                    acc |= 1 << self.ETX.index(n, a, tgt)
-                rows.append(acc)
-            mats[n] = BitMatrix.from_row_ints(rows, self.ETX.dim(n))
-        return FuluMap(self.E, self.ETX, mats, name="sigma")
+        """The identity into every component: the scalar extension of ``diag``."""
+        return extend_scalars_map(self.diag, self.E, self.ETX, name="sigma")
 
     @cached_property
     def tau(self) -> FuluMap:
@@ -319,17 +312,7 @@ class RealmCalculus:
     @cached_property
     def retract(self) -> FuluMap:
         """Induced by the projection of the expansion onto its base component."""
-        mats = {}
-        for n in range(self.D + 1):
-            rows = []
-            for a, c, mono in _extended_entries(self.ETX, self.TX.realm, n):
-                j, phi = self.TX.components[c]
-                if phi == (0,):
-                    rows.append(1 << self.E.index(n, a, self.X.index(n - a, j, mono)))
-                else:
-                    rows.append(0)
-            mats[n] = BitMatrix.from_row_ints(rows, self.E.dim(n))
-        return FuluMap(self.ETX, self.E, mats, name="retract")
+        return extend_scalars_map(self.proj0, self.ETX, self.E, name="retract")
 
     # -- the equalizer kernel and its companions -----------------------------------
 
@@ -371,22 +354,17 @@ class RealmCalculus:
     def fix_taubar(self) -> ModuleMap:
         """The fixed-point image of taubar: expansion of the base to that of
         the reduced part, component (v, w) of a component a being [w=a+v]+[w=a]."""
-        src = self.TX.module
-        tgt = self.TTbar.module
-        mats = {}
-        for n in range(self.D + 1):
-            rows = []
-            for c, mono in self.TX.realm.entries(n):
-                j, (a,) = self.TX.components[c]
-                acc = 0
-                for v in range(1, 1 << self.X.summands[j].r):
-                    cbar = self.tbar.comp_pos[(j, (v,))]
-                    for w in (a ^ v, a):
-                        c2 = self.TTbar.comp_pos[(cbar, (w,))]
-                        acc ^= 1 << self.TTbar.realm.index(n, c2, mono)
-                rows.append(acc)
-            mats[n] = BitMatrix.from_row_ints(rows, tgt.dims[n])
-        return ModuleMap(src, tgt, mats, name="Fix(taubar)")
+        rows = []
+        for j, (a,) in self.TX.components:
+            acc = 0
+            for v in range(1, 1 << self.X.summands[j].r):
+                cbar = self.tbar.comp_pos[(j, (v,))]
+                for w in (a ^ v, a):
+                    acc ^= 1 << self.TTbar.comp_pos[(cbar, (w,))]
+            rows.append(acc)
+        P = BitMatrix(len(rows), len(self.TTbar.components), tuple(rows))
+        mats = _component_map(self.TX.realm, self.TTbar.realm, P)
+        return ModuleMap(self.TX.module, self.TTbar.module, mats, name="Fix(taubar)")
 
     @cached_property
     def fix_sub(self) -> Subquotient:
@@ -395,62 +373,75 @@ class RealmCalculus:
     @cached_property
     def diag(self) -> ModuleMap:
         """The splitting embedding of the base into its expansion."""
-        mats = {}
-        for n in range(self.D + 1):
-            rows = []
-            for j, mono in self.X.entries(n):
-                acc = 0
-                for v in range(1 << self.X.summands[j].r):
-                    c = self._component_pos(j, v)
-                    acc |= 1 << self.TX.realm.index(n, c, mono)
-                rows.append(acc)
-            mats[n] = BitMatrix.from_row_ints(rows, self.TX.module.dims[n])
+        rows = [0] * len(self.X.summands)
+        for c, (j, _) in enumerate(self.TX.components):
+            rows[j] |= 1 << c
+        P = BitMatrix(len(rows), len(self.TX.components), tuple(rows))
+        mats = _component_map(self.X, self.TX.realm, P)
         return ModuleMap(self.X.module, self.TX.module, mats, name="diag")
 
     @cached_property
     def proj0(self) -> ModuleMap:
-        mats = {}
-        for n in range(self.D + 1):
-            rows = []
-            for c, mono in self.TX.realm.entries(n):
-                j, phi = self.TX.components[c]
-                rows.append(
-                    (1 << self.X.index(n, j, mono)) if phi == (0,) else 0
-                )
-            mats[n] = BitMatrix.from_row_ints(rows, self.X.module.dims[n])
+        rows = tuple((1 << j) if phi == (0,) else 0 for j, phi in self.TX.components)
+        P = BitMatrix(len(rows), len(self.X.summands), rows)
+        mats = _component_map(self.TX.realm, self.X, P)
         return ModuleMap(self.TX.module, self.X.module, mats, name="proj0")
 
     def split_equalizer_verdict(self) -> Verdict:
-        """Kernel of the two expanded structure maps equals the diagonal base."""
+        """Kernel of the two expanded structure maps equals the diagonal base.
+
+        The maps are T(i_1) and T(delta) from the expansion to its own
+        expansion; both only move components, so their sum is one component
+        matrix, and the expansion of the expansion is never realized.
+        """
         TTX = t_apply(1, self.TX.realm)
-        D = self.D
-        ti1_mats = {}
-        tdelta_mats = {}
-        for n in range(D + 1):
-            r1_rows = []
-            rd_rows = []
-            for c, mono in self.TX.realm.entries(n):
-                j, (a,) = self.TX.components[c]
-                acc1 = 0
-                accd = 0
-                for w in range(1 << self.X.summands[j].r):
-                    c_aw = TTX.comp_pos[(self._component_pos(j, a), (w,))]
-                    acc1 ^= 1 << TTX.realm.index(n, c_aw, mono)
-                    # diagonal: the (v, w) component receives x_{v+w}
-                    c_vw = TTX.comp_pos[(self._component_pos(j, a ^ w), (w,))]
-                    accd ^= 1 << TTX.realm.index(n, c_vw, mono)
-                r1_rows.append(acc1)
-                rd_rows.append(accd)
-            ti1_mats[n] = BitMatrix.from_row_ints(r1_rows, TTX.module.dims[n])
-            tdelta_mats[n] = BitMatrix.from_row_ints(rd_rows, TTX.module.dims[n])
-        ti1 = ModuleMap(self.TX.module, TTX.module, ti1_mats)
-        tdelta = ModuleMap(self.TX.module, TTX.module, tdelta_mats)
-        for n in range(D + 1):
-            ker = left_kernel((ti1 + tdelta).mat(n))
-            im = Subspace.from_rows(self.diag.mat(n))
-            if ker != im:
-                return Verdict(False, D, f"split equalizer fails in degree {n}")
-        return Verdict(True, D)
+        rows = []
+        for j, (a,) in self.TX.components:
+            acc = 0
+            for w in range(1 << self.X.summands[j].r):
+                acc ^= 1 << TTX.comp_pos[(self._component_pos(j, a), (w,))]
+                # diagonal: the (v, w) component receives x_{v+w}
+                acc ^= 1 << TTX.comp_pos[(self._component_pos(j, a ^ w), (w,))]
+            rows.append(acc)
+        P = BitMatrix(len(rows), len(TTX.components), tuple(rows))
+        mats = _component_map(self.TX.realm, TTX.realm, P)
+        for n in range(self.D + 1):
+            if left_kernel(mats[n]) != Subspace.from_rows(self.diag.mat(n)):
+                return Verdict(False, self.D, f"split equalizer fails in degree {n}")
+        return Verdict(True, self.D)
+
+
+def _component_map(src: RealmObject, tgt: RealmObject, P: BitMatrix) -> Dict[int, BitMatrix]:
+    """The degreewise matrices of a map that only moves components: P (x) I.
+
+    Bit ``c2`` of row ``c`` of ``P`` sends each monomial of component ``c``
+    of ``src`` to the same monomial of component ``c2`` of ``tgt``.  Both
+    components must be copies of one summand, so their blocks list the
+    same monomials in the same order; a source block then maps by one
+    pattern of target offsets, shifted by the position inside the block.
+    """
+    targets = []
+    for c, row in enumerate(P.row_ints()):
+        cols = []
+        while row:
+            low = row & -row
+            c2 = low.bit_length() - 1
+            if src.summands[c] != tgt.summands[c2]:
+                raise ValueError(f"component {c} ({src.summands[c]}) cannot map to "
+                                 f"component {c2} ({tgt.summands[c2]})")
+            cols.append(c2)
+            row ^= low
+        targets.append(cols)
+    mats = {}
+    for n in range(src.D + 1):
+        rows = []
+        for c, _, width in src.table.blocks(n):
+            pattern = 0
+            for c2 in targets[c]:
+                pattern ^= 1 << tgt.table.offset(n, c2)
+            rows.extend(pattern << k for k in range(width))
+        mats[n] = BitMatrix(len(rows), tgt.table.dims[n], tuple(rows))
+    return mats
 
 
 def _extended_entries(E: ExtendedModule, X: RealmObject, n: int
@@ -498,9 +489,9 @@ def positive_u_part(E: ExtendedModule) -> Tuple[FuluModule, FuluMap]:
 class PresentedFuluObject:
     """A u-module presented as part of the reduced comparison map.
 
-    ``kind`` selects the whole scalar extension or the kernel, image or
-    cokernel of the comparison map; the fixed-point functor is computed
-    through the presentation by exactness.
+    ``kind`` selects the kernel, image or cokernel of the comparison map;
+    the fixed-point functor is computed through the presentation by
+    exactness.
     """
 
     kind: str
@@ -509,12 +500,6 @@ class PresentedFuluObject:
 
     def fix(self) -> TruncatedModule:
         return fix_presented(self)
-
-
-def tau_sigma(X: RealmObject) -> Tuple[FuluMap, FuluMap, FuluMap]:
-    """The two comparison maps and the reduced comparison map."""
-    calc = RealmCalculus(X)
-    return calc.sigma, calc.tau, calc.taubar
 
 
 def rtilde(X: RealmObject, calc: Optional[RealmCalculus] = None) -> PresentedFuluObject:
@@ -535,16 +520,9 @@ def c_functors(X: RealmObject, calc: Optional[RealmCalculus] = None
     return c1, c2
 
 
-def whole_extension(X: RealmObject, calc: Optional[RealmCalculus] = None) -> PresentedFuluObject:
-    calc = calc or RealmCalculus(X)
-    return PresentedFuluObject("whole", calc, calc.E)
-
-
 def fix_presented(P: PresentedFuluObject) -> TruncatedModule:
     """Apply the fixed-point functor through the presentation (it is exact)."""
     calc = P.calculus
-    if P.kind == "whole":
-        return calc.TX.module
     if P.kind == "kernel":
         return calc.fix_sub.kernel
     if P.kind == "image":

@@ -74,15 +74,17 @@ def _subspace_witness(a: "Subspace", b: "Subspace", labels: Sequence[str]) -> st
 
 
 def _sum_label(labels: Sequence[str], row: int, limit: int = 4) -> str:
+    """The labels of the set bits of ``row``, lowest first, cut after ``limit``."""
+    count = row.bit_count()
+    if not count:
+        return "0"
     terms = []
-    while row:
+    for _ in range(min(count, limit)):
         low = row & -row
         terms.append(labels[low.bit_length() - 1])
         row ^= low
-    if not terms:
-        return "0"
-    if len(terms) > limit:
-        return "+".join(terms[:limit]) + f"+...({len(terms)} terms)"
+    if count > limit:
+        return "+".join(terms) + f"+...({count} terms)"
     return "+".join(terms)
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +165,21 @@ def test_cli_verify_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["checks"][0]["check_id"] == "T9"
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_verify_all_report_matches_the_committed_oracle(capsys):
+    """The regression oracle: a change to the catalog's output must update
+    ``tests/data/verify_all.json`` and say why."""
+    assert cli_main(["verify", "--all", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_all.json").read_text()
+
+
+def test_rank3_catalog_report_matches_the_committed_oracle():
+    results = run_all(D=8, max_rank=3, only=["T1", "T2", "T3", "T8", "T11"])
+    assert report(results, "json") == (DATA / "catalog_d8_r3.json").read_text()
 
 
 def test_cli_unknown_check(capsys):

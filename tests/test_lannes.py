@@ -1,8 +1,14 @@
 
+import pytest
+
+from usteen import lannes
 from usteen.f2core import BitMatrix, Subspace, left_kernel, rref
 from usteen.fulu import extend_scalars, freeness_report, indecomposables, GradedSubspace, saturation_check
 from usteen.lannes import (
     RealmCalculus,
+    RealmObject,
+    _component_map,
+    _extended_entries,
     alpha_from_structure,
     alpha_realm,
     c_functors,
@@ -14,8 +20,6 @@ from usteen.lannes import (
     realm_suspend,
     rtilde,
     t_apply,
-    tau_sigma,
-    whole_extension,
 )
 from usteen.singer import r1
 from usteen.unstable import (
@@ -106,7 +110,7 @@ def test_t_apply_component_counts():
     for w in (0, 1, 2):
         exp = t_apply(w, X)
         assert len(exp.components) == 4 ** w
-        assert exp.count_for_summand(0) == 4 ** w
+        assert sum(1 for j, _ in exp.components if j == 0) == 4 ** w
     Y = realm_sum(hv(1, 6), realm_suspend(hv(2, 6), 1))
     exp = t_apply(1, Y)
     assert len(exp.components) == 2 + 4
@@ -236,11 +240,9 @@ def test_triple_agreement_rank1():
 
 
 def test_fix_of_whole_extension():
-    X = hv(1, 8)
-    calc = RealmCalculus(X)
-    W = whole_extension(X, calc)
-    F = fix_presented(W)
-    assert [F.dim(n) for n in range(9)] == [2] * 9
+    # Fix(F[u] (x) M) is the expansion TM
+    calc = RealmCalculus(hv(1, 8))
+    assert [calc.TX.module.dim(n) for n in range(9)] == [2] * 9
 
 
 def test_fix_of_rtilde_recovers_base():
@@ -388,19 +390,13 @@ def test_saturation_of_rtilde_all_realm_fixtures():
         assert saturation_check(sub).ok, X.name
 
 
-def test_tau_sigma_returns_validated_maps():
-    sigma, tau, taubar = tau_sigma(hv(1, 6))
-    assert sigma.validate().ok
-    assert tau.validate().ok
-    assert taubar.validate().ok
-
-
 def test_comparison_maps_validate_at_rank2():
-    calc = RealmCalculus(hv(2, 5))
-    assert calc.sigma.validate().ok
-    assert calc.tau.validate().ok
-    assert calc.taubar.validate().ok
-    assert calc.fix_taubar.validate_linear().ok
+    for X in (hv(2, 5), hv(1, 6)):
+        calc = RealmCalculus(X)
+        assert calc.sigma.validate().ok
+        assert calc.tau.validate().ok
+        assert calc.taubar.validate().ok
+        assert calc.fix_taubar.validate_linear().ok
 
 
 def _assert_tiles(table, dims):
@@ -451,3 +447,151 @@ def test_block_layouts_round_trip():
     for exp in (calc.TX, calc.tbar):
         assert all(exp.components[exp.comp_pos[c]] == c for c in exp.components)
     assert calc.tbar.components == [c for c in calc.TX.components if c[1] != (0,)]
+
+
+# -- per-monomial references for the maps built from component matrices ------
+
+
+def diag_by_monomials(calc):
+    mats = {}
+    for n in range(calc.D + 1):
+        rows = []
+        for j, mono in calc.X.entries(n):
+            acc = 0
+            for v in range(1 << calc.X.summands[j].r):
+                acc |= 1 << calc.TX.realm.index(n, calc._component_pos(j, v), mono)
+            rows.append(acc)
+        mats[n] = BitMatrix.from_row_ints(rows, calc.TX.realm.table.dims[n])
+    return mats
+
+
+def proj0_by_monomials(calc):
+    mats = {}
+    for n in range(calc.D + 1):
+        rows = []
+        for c, mono in calc.TX.realm.entries(n):
+            j, phi = calc.TX.components[c]
+            rows.append((1 << calc.X.index(n, j, mono)) if phi == (0,) else 0)
+        mats[n] = BitMatrix.from_row_ints(rows, calc.X.table.dims[n])
+    return mats
+
+
+def fix_taubar_by_monomials(calc):
+    mats = {}
+    for n in range(calc.D + 1):
+        rows = []
+        for c, mono in calc.TX.realm.entries(n):
+            j, (a,) = calc.TX.components[c]
+            acc = 0
+            for v in range(1, 1 << calc.X.summands[j].r):
+                cbar = calc.tbar.comp_pos[(j, (v,))]
+                for w in (a ^ v, a):
+                    c2 = calc.TTbar.comp_pos[(cbar, (w,))]
+                    acc ^= 1 << calc.TTbar.realm.index(n, c2, mono)
+            rows.append(acc)
+        mats[n] = BitMatrix.from_row_ints(rows, calc.TTbar.realm.table.dims[n])
+    return mats
+
+
+def sigma_by_monomials(calc):
+    mats = {}
+    for n in range(calc.D + 1):
+        rows = []
+        for a, j, mono in _extended_entries(calc.E, calc.X, n):
+            acc = 0
+            for v in range(1 << calc.X.summands[j].r):
+                tgt = calc.TX.realm.index(n - a, calc._component_pos(j, v), mono)
+                acc |= 1 << calc.ETX.index(n, a, tgt)
+            rows.append(acc)
+        mats[n] = BitMatrix.from_row_ints(rows, calc.ETX.dim(n))
+    return mats
+
+
+def retract_by_monomials(calc):
+    mats = {}
+    for n in range(calc.D + 1):
+        rows = []
+        for a, c, mono in _extended_entries(calc.ETX, calc.TX.realm, n):
+            j, phi = calc.TX.components[c]
+            if phi == (0,):
+                rows.append(1 << calc.E.index(n, a, calc.X.index(n - a, j, mono)))
+            else:
+                rows.append(0)
+        mats[n] = BitMatrix.from_row_ints(rows, calc.E.dim(n))
+    return mats
+
+
+def split_equalizer_by_monomials(calc):
+    """T(i_1) + T(delta), from the expansion into its own expansion."""
+    TTX = t_apply(1, calc.TX.realm)
+    mats = {}
+    for n in range(calc.D + 1):
+        rows = []
+        for c, mono in calc.TX.realm.entries(n):
+            j, (a,) = calc.TX.components[c]
+            acc = 0
+            for w in range(1 << calc.X.summands[j].r):
+                c_aw = TTX.comp_pos[(calc._component_pos(j, a), (w,))]
+                c_vw = TTX.comp_pos[(calc._component_pos(j, a ^ w), (w,))]
+                acc ^= 1 << TTX.realm.index(n, c_aw, mono)
+                acc ^= 1 << TTX.realm.index(n, c_vw, mono)
+            rows.append(acc)
+        mats[n] = BitMatrix.from_row_ints(rows, TTX.realm.table.dims[n])
+    return mats
+
+
+COMPONENT_MAP_CASES = [
+    *(hv(r, 7) for r in range(4)),
+    realm_suspend(hv(2, 7), 2),
+    realm_sum(hv(1, 7), realm_suspend(hv(2, 7), 1)),
+]
+
+
+@pytest.mark.parametrize("X", COMPONENT_MAP_CASES, ids=lambda X: X.name)
+def test_component_maps_match_the_monomial_loops(X, monkeypatch):
+    calc = RealmCalculus(X)
+    degrees = range(calc.D + 1)
+    for got, want in (
+        (calc.diag, diag_by_monomials(calc)),
+        (calc.proj0, proj0_by_monomials(calc)),
+        (calc.fix_taubar, fix_taubar_by_monomials(calc)),
+        (calc.sigma, sigma_by_monomials(calc)),
+        (calc.retract, retract_by_monomials(calc)),
+    ):
+        assert [got.mat(n) for n in degrees] == [want[n] for n in degrees], got.name
+    # the split equalizer hands its one matrix per degree to left_kernel
+    seen = []
+
+    def recording(m):
+        seen.append(m)
+        return left_kernel(m)
+
+    monkeypatch.setattr(lannes, "left_kernel", recording)
+    assert calc.split_equalizer_verdict().ok
+    want = split_equalizer_by_monomials(calc)
+    assert seen == [want[n] for n in degrees]
+
+
+def test_component_map_refuses_to_pair_different_summands():
+    for Y in (hv(2, 4), realm_suspend(hv(1, 4))):
+        X = realm_sum(hv(1, 4), Y)
+        # summand 0 to itself is fine; summand 0 to summand 1 is not
+        assert _component_map(X, X, BitMatrix(2, 2, (0b01, 0b10)))[4] == BitMatrix.identity(
+            X.table.dims[4])
+        with pytest.raises(ValueError, match="cannot map"):
+            _component_map(X, X, BitMatrix(2, 2, (0b11, 0b10)))
+
+
+def test_split_equalizer_realizes_no_further_module(monkeypatch):
+    calc = RealmCalculus(hv(2, 6))
+    calc.diag  # realizes the base and its expansion
+    realized = []
+    realize = RealmObject._realize
+
+    def counting(self):
+        realized.append(self.name)
+        return realize(self)
+
+    monkeypatch.setattr(RealmObject, "_realize", counting)
+    assert calc.split_equalizer_verdict().ok
+    assert realized == []

@@ -9,6 +9,7 @@ from usteen.unstable import (
     DesuspensionError,
     ModuleMap,
     _coker_data,
+    _sum_label,
     a_span,
     desuspend,
     direct_sum,
@@ -478,3 +479,20 @@ def test_coker_data_closed_form_matches_reduction(ncols, data):
     # the projection kills the row space and splits the representatives
     assert (basis @ proj).is_zero()
     assert reps @ proj == BitMatrix.identity(len(cols))
+
+
+def sum_label_by_every_bit(labels, row, limit=4):
+    """Reference for ``_sum_label``: decode every set bit, then cut."""
+    terms = [labels[j] for j in range(row.bit_length()) if row >> j & 1]
+    if not terms:
+        return "0"
+    if len(terms) > limit:
+        return "+".join(terms[:limit]) + f"+...({len(terms)} terms)"
+    return "+".join(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, (1 << 12) - 1), st.integers(1, 6))
+def test_sum_label_matches_the_every_bit_reference(row, limit):
+    labels = [f"x{j}" for j in range(12)]
+    assert _sum_label(labels, row, limit) == sum_label_by_every_bit(labels, row, limit)
