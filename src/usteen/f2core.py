@@ -4,8 +4,9 @@ A matrix row is one Python int with column ``j`` at bit ``j``, so every row
 operation is a single big-int XOR.  Values are immutable after construction
 and all operations are pure functions, safe to share across threads.
 
-Every elimination and product goes through the kernel module
-``usteen._gf2py`` (``rref_inplace`` and ``mat_mult``).
+Products and full eliminations go through the kernel module
+``usteen._gf2py`` (``mat_mult`` and ``rref_inplace``); ``rank`` and
+``left_kernel`` need only the forward pass, which runs here.
 """
 
 from __future__ import annotations
@@ -190,24 +191,28 @@ def rref(m: BitMatrix) -> RrefResult:
     return RrefResult(BitMatrix(m.nrows, m.ncols, tuple(work)), len(pivots), tuple(pivots))
 
 
-def rank(m: BitMatrix) -> int:
-    """Rank by forward elimination only, each row reduced by its highest bit.
+def _echelon(rows: Iterable[int], width: int) -> list:
+    """Forward elimination only, each row reduced by its highest bit.
 
-    Keying on ``bit_length`` avoids the big-int negation of a lowest-bit
-    search; the rank is the same either way.
+    Returns ``lead`` with ``lead[h]`` the reduced row of bit length ``h``,
+    or 0; the nonzero entries are independent and span the rows.  Keying
+    on ``bit_length`` avoids the big-int negation of a lowest-bit search.
     """
-    lead = [0] * (m.ncols + 1)
-    n = 0
-    for r in m._rows:
+    lead = [0] * (width + 1)
+    for r in rows:
         while r:
             h = r.bit_length()
             p = lead[h]
             if not p:
                 lead[h] = r
-                n += 1
                 break
             r ^= p
-    return n
+    return lead
+
+
+def rank(m: BitMatrix) -> int:
+    """Rank by forward elimination only."""
+    return m.ncols + 1 - _echelon(m._rows, m.ncols).count(0)
 
 
 def kernel_basis(m: BitMatrix) -> "Subspace":
@@ -227,15 +232,23 @@ def kernel_basis(m: BitMatrix) -> "Subspace":
 def left_kernel(m: BitMatrix) -> "Subspace":
     """The subspace {x : x @ m = 0} (row relations of ``m``).
 
-    ``[m | I]`` is eliminated with pivots in the ``m`` columns only; the
-    rows left over after the pivot rows are zero there, and their identity
-    part spans the relations.
+    Row ``i`` of ``m`` is extended by the unit vector ``e_i`` below it, so
+    the forward pass clears the ``m`` part first; the reduced rows that
+    lead in the unit part are zero in ``m`` and span the relations.
     """
-    n = m.ncols
-    work = [r | (1 << (n + i)) for i, r in enumerate(m._rows)]
-    pivots = _kernel.rref_inplace(work, m.nrows, n + m.nrows, n)
-    rest = tuple(r >> n for r in work[len(pivots):])
-    return Subspace.from_rows(BitMatrix(len(rest), m.nrows, rest))
+    k = m.nrows
+    lead = _echelon(((r << k) | (1 << i) for i, r in enumerate(m._rows)), m.ncols + k)
+    rest = tuple(r for r in lead[1:k + 1] if r)
+    return Subspace.from_rows(BitMatrix(len(rest), k, rest))
+
+
+def image_is_kernel(f: BitMatrix, g: BitMatrix) -> bool:
+    """Whether the row space of ``f`` is the left kernel of ``g``.
+
+    ``f @ g == 0`` puts the row space inside the kernel, which has
+    dimension ``f.ncols - rank(g)``; equal dimensions make them equal.
+    """
+    return (f @ g).is_zero() and rank(f) + rank(g) == f.ncols
 
 
 def solve(m: BitMatrix, target: Sequence[int]) -> Optional[tuple]:

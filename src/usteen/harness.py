@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .f2core import BitMatrix, Subspace, left_kernel, rref
+from .f2core import BitMatrix, Subspace, image_is_kernel, rank
 from .fixtures import load as load_fixture
 from .fulu import (
     FuluModule,
@@ -47,6 +47,7 @@ from .unstable import (
     TheoryViolation,
     TruncatedModule,
     Verdict,
+    exact_sequence,
     free_unstable,
     is_reduced,
     omega,
@@ -213,10 +214,8 @@ def _check_t3(params):
             f"rank {r}: fixed points of the kernel have wrong dims",
         )
         for n in range(D + 1):
-            diag_im = Subspace.from_rows(calc.diag.mat(n))
-            ker = Subspace.from_rows(calc.fix_sub.kernel_incl.mat(n))
             _need_true(
-                diag_im == ker,
+                image_is_kernel(calc.diag.mat(n), calc.fix_taubar.mat(n)),
                 f"rank {r}: diagonal embedding misses the kernel in degree {n}",
             )
         _need(calc.split_equalizer_verdict(), f"rank {r} split equalizer")
@@ -265,46 +264,15 @@ def _check_t6(params):
     return cert.D, {"product": dims}
 
 
-def _exact_four_term(maps, names, dims_expected=None):
-    """Exactness of A -> B -> C -> D with injective head and surjective tail."""
-    f, g, h = maps
-    D = min(f.D, g.D, h.D)
-    for n in range(D + 1):
-        _need_true(
-            left_kernel(f.mat(n)).dim == 0,
-            f"{names[0]} not injective in degree {n}",
-        )
-        _need_true(
-            Subspace.from_rows(f.mat(n)) == left_kernel(g.mat(n)),
-            f"exactness fails at {names[1]} in degree {n}",
-        )
-        _need_true(
-            Subspace.from_rows(g.mat(n)) == left_kernel(h.mat(n)),
-            f"exactness fails at {names[2]} in degree {n}",
-        )
-        _need_true(
-            rref(h.mat(n)).rank == h.target.dims[n],
-            f"{names[3]} not surjective in degree {n}",
-        )
-    return D
-
-
 def _check_t7(params):
     D = params["D"]
     calc = _hv_calculus(1, D)
     X = calc.X
     sub = calc.taubar_sub
-    # the u-module sequence: kernel -> extension -> image
-    for n in range(D + 1):
-        _need_true(
-            Subspace.from_rows(sub.kernel_incl.mat(n))
-            == left_kernel(sub.factor.mat(n)),
-            f"kernel mismatch in degree {n}",
-        )
-        _need_true(
-            rref(sub.factor.mat(n)).rank == sub.image.dim(n),
-            f"image projection not surjective in degree {n}",
-        )
+    _need(
+        exact_sequence((sub.kernel_incl.mmap, sub.factor.mmap), ("kernel", "extension", "image")),
+        "u-module sequence",
+    )
     c1 = sub.image
     _need(freeness_report(c1).torsion_free, "image torsion")
     _need(is_reduced(c1.underlying), "image reducedness")
@@ -326,19 +294,10 @@ def _check_t7(params):
         [q_c1.module.dim(n) for n in range(D + 1)] == som_dims,
         "indecomposables of the image are not the suspended loop module",
     )
-    for n in range(D + 1):
-        _need_true(
-            left_kernel(qi.mat(n)).dim == 0,
-            f"induced kernel map not injective in degree {n}",
-        )
-        _need_true(
-            Subspace.from_rows(qi.mat(n)) == left_kernel(qp.mat(n)),
-            f"induced sequence not exact in degree {n}",
-        )
-        _need_true(
-            rref(qp.mat(n)).rank == q_c1.module.dim(n),
-            f"induced projection not surjective in degree {n}",
-        )
+    _need(
+        exact_sequence((qi, qp), ("doubled base", "base", "suspended loop module")),
+        "induced sequence",
+    )
     # fixed points: 0 -> base -> expansion -> reduced expansion -> 0
     fix_c1 = fix_presented(c_functors(X, calc)[0])
     tbar_dims = [calc.tbar.module.dim(n) for n in range(D + 1)]
@@ -348,8 +307,7 @@ def _check_t7(params):
     )
     for n in range(D + 1):
         _need_true(
-            Subspace.from_rows(calc.diag.mat(n))
-            == left_kernel(calc.fix_sub.factor.mat(n)),
+            image_is_kernel(calc.diag.mat(n), calc.fix_taubar.mat(n)),
             f"fixed-point sequence not exact in degree {n}",
         )
     return D, {"image": [c1.dim(n) for n in range(D + 1)]}
@@ -363,10 +321,12 @@ def _check_t8(params):
         X = calc.X
         sub = calc.taubar_sub
         barmod, _ = calc.bar
-        # four-term u-module sequence
-        _exact_four_term(
-            (sub.kernel_incl.mmap, calc.taubar.mmap, sub.coker_proj.mmap),
-            ("kernel", "extension", "reduced part", "cokernel"),
+        _need(
+            exact_sequence(
+                (sub.kernel_incl.mmap, calc.taubar.mmap, sub.coker_proj.mmap),
+                ("kernel", "extension", "reduced part", "cokernel"),
+            ),
+            f"rank {r}: u-module sequence",
         )
         # indecomposables sequence
         q_ker = q_data(sub.kernel)
@@ -378,7 +338,10 @@ def _check_t8(params):
             q_of_map(calc.taubar, q_e, q_bar),
             q_of_map(sub.coker_proj, q_bar, q_c2),
         )
-        _exact_four_term(qm, ("doubled base", "base", "suspended reduced part", "division term"))
+        _need(
+            exact_sequence(qm, ("doubled base", "base", "suspended reduced part", "division term")),
+            f"rank {r}: induced sequence",
+        )
         ar = alpha_realm(X, calc)
         dv = division_u2(ar)
         div_dims = [dv.div.dim(n) for n in range(dv.div.D + 1)]
@@ -402,8 +365,7 @@ def _check_t8(params):
                 f"rank {r}: twice-reduced expansion dims wrong in degree {n}",
             )
             _need_true(
-                Subspace.from_rows(calc.diag.mat(n))
-                == left_kernel(calc.fix_taubar.mat(n)),
+                image_is_kernel(calc.diag.mat(n), calc.fix_taubar.mat(n)),
                 f"rank {r}: fixed-point sequence not exact at the expansion, degree {n}",
             )
         # free cokernel on the suspended division term
@@ -494,18 +456,15 @@ def _check_t13(params):
     _need_true(rep.ok, f"comparison from the free module: {rep.violations[:1]}")
     for n in range(D + 1):
         _need_true(
-            rref(sl.from_free.mat(n)).rank == sl.invariants.dim(n)
+            rank(sl.from_free.mat(n)) == sl.invariants.dim(n)
             and sl.invariants.dim(n) == sl.free_rank2.dim(n),
             f"invariants are not the rank-two free module in degree {n}",
         )
-        _need_true(
-            rref(sl.diag.mat(n)).rank == sl.phi_f1.dim(n),
-            f"diagonal extraction not surjective in degree {n}",
-        )
-        _need_true(
-            Subspace.from_rows(sl.lambda2_incl.mat(n)) == left_kernel(sl.diag.mat(n)),
-            f"exterior square is not the kernel in degree {n}",
-        )
+    _need(
+        exact_sequence((sl.lambda2_incl, sl.diag),
+                       ("exterior square", "invariants", "doubled free module")),
+        "exterior square sequence",
+    )
     rep2 = sl.diag.validate_linear()
     _need_true(rep2.ok, f"diagonal extraction linearity: {rep2.violations[:1]}")
     # the division functor does not keep this sequence exact: the first

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2core import BitMatrix, Subspace, left_kernel, rref
+from .f2core import BitMatrix, image_is_kernel, left_kernel
 from .fulu import (
     ExtendedModule,
     FuluMap,
@@ -320,20 +320,12 @@ class RealmCalculus:
     def taubar_sub(self) -> FuluSubquotient:
         return fulu_subquotient(self.taubar)
 
-    @cached_property
-    def equalizer_bases(self) -> Dict[int, BitMatrix]:
-        """Kernel of sigma + tau, computed independently of taubar."""
-        out = {}
+    def equalizer_matches_taubar_kernel(self) -> Verdict:
+        """The kernel of taubar is the equalizer of sigma and tau, the kernel
+        of sigma + tau, which is computed independently of taubar."""
         for n in range(self.D + 1):
             diff = self.sigma.mat(n) + self.tau.mat(n)
-            out[n] = left_kernel(diff).basis
-        return out
-
-    def equalizer_matches_taubar_kernel(self) -> Verdict:
-        for n in range(self.D + 1):
-            lhs = Subspace(self.E.dim(n), self.equalizer_bases[n])
-            rhs = Subspace.from_rows(self.taubar_sub.kernel_incl.mat(n))
-            if lhs != rhs:
+            if not image_is_kernel(self.taubar_sub.kernel_incl.mat(n), diff):
                 return Verdict(False, self.D, f"equalizer differs from the kernel in degree {n}")
         return Verdict(True, self.D)
 
@@ -406,7 +398,7 @@ class RealmCalculus:
         P = BitMatrix(len(rows), len(TTX.components), tuple(rows))
         mats = _component_map(self.TX.realm, TTX.realm, P)
         for n in range(self.D + 1):
-            if left_kernel(mats[n]) != Subspace.from_rows(self.diag.mat(n)):
+            if not image_is_kernel(self.diag.mat(n), mats[n]):
                 return Verdict(False, self.D, f"split equalizer fails in degree {n}")
         return Verdict(True, self.D)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .f2core import BitMatrix, Subspace, left_kernel, rref
+from .f2core import BitMatrix, Subspace, image_is_kernel, rank
 from .fulu import (
     ExtendedModule,
     FuluMap,
@@ -134,7 +134,7 @@ class SingerModule:
     def _freeness(self) -> Verdict:
         for n in range(self.D + 1):
             g = self._G[n]
-            if rref(g).rank != g.nrows:
+            if rank(g) != g.nrows:
                 return Verdict(False, self.D, f"distinguished generators dependent in degree {n}")
         return Verdict(True, self.D)
 
@@ -214,13 +214,13 @@ def rho1(S: SingerModule) -> Rho1Certificate:
     alinear = Verdict(lin.ok, D, None if lin.ok else lin.violations[0])
     surj = Verdict(True, D)
     for n in range(D + 1):
-        if rref(mats[n]).rank != phi_m.dims[n]:
+        if rank(mats[n]) != phi_m.dims[n]:
             surj = Verdict(False, D, f"not surjective in degree {n}")
             break
     ses = Verdict(True, D)
     for n in range(D + 1):
-        u_img = Subspace.from_rows(S.fulu.u_mat(n - 1)) if n >= 1 else Subspace.zero(S.fulu.dim(0))
-        if u_img != left_kernel(rho.mat(n)):
+        u_img = S.fulu.u_mat(n - 1) if n >= 1 else BitMatrix.zeros(0, S.fulu.dim(0))
+        if not image_is_kernel(u_img, rho.mat(n)):
             ses = Verdict(False, D, f"kernel differs from u-image in degree {n}")
             break
     sq = sq0(M)
@@ -353,7 +353,7 @@ def product_mu(M: TruncatedModule, N: TruncatedModule) -> ProductCertificate:
     mu_mats = {n: prod.rep_mats[n] @ mult[n] for n in range(D + 1)}
     injective = Verdict(True, D)
     for n in range(D + 1):
-        if rref(mu_mats[n]).rank != prod.module.dim(n):
+        if rank(mu_mats[n]) != prod.module.dim(n):
             injective = Verdict(False, D, f"comparison map drops rank in degree {n}")
             break
     image_matches = Verdict(True, D)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from . import steenrod
-from .f2core import BitMatrix, RowReducer, Subspace, express_in_rowspace, left_kernel, rref
+from .f2core import BitMatrix, RowReducer, Subspace, express_in_rowspace, left_kernel, rank
 
 
 class TruncationError(Exception):
@@ -916,6 +916,42 @@ def subquotient(f: ModuleMap, validate: bool = False) -> Subquotient:
     )
 
 
+# -- exact sequences ---------------------------------------------------------
+
+
+def exact_sequence(maps: Sequence[ModuleMap], names: Sequence[str]) -> Verdict:
+    """Exactness of 0 -> A0 -> A1 -> ... -> Ak -> 0 in every certified degree.
+
+    ``maps[i]`` goes from the object named ``names[i]`` to ``names[i + 1]``.
+    Each map's rank is computed once per degree: the head must be
+    injective, each consecutive pair must pass ``f2core.image_is_kernel``
+    and the tail must be surjective.  A labelled witness is built only for
+    a failing check.
+    """
+    if len(names) != len(maps) + 1:
+        raise ValueError("one name per object of the sequence")
+    D = min(f.D for f in maps)
+    for n in range(D + 1):
+        mats = [f.mat(n) for f in maps]
+        ranks = [rank(m) for m in mats]
+        head, tail = mats[0], mats[-1]
+        if ranks[0] != head.nrows:
+            bad = _subspace_witness(left_kernel(head), Subspace.zero(head.nrows),
+                                    maps[0].source.labels[n])
+            return Verdict(False, D, f"not injective on {names[0]} in degree {n}: {bad}")
+        for i, (f, g) in enumerate(zip(mats, mats[1:])):
+            # the test of image_is_kernel, on the ranks already known
+            if not ((f @ g).is_zero() and ranks[i] + ranks[i + 1] == f.ncols):
+                bad = _subspace_witness(Subspace.from_rows(f), left_kernel(g),
+                                        maps[i].target.labels[n])
+                return Verdict(False, D, f"exactness fails at {names[i + 1]} in degree {n}: {bad}")
+        if ranks[-1] != tail.ncols:
+            bad = _subspace_witness(Subspace.from_rows(tail), Subspace.full(tail.ncols),
+                                    maps[-1].target.labels[n])
+            return Verdict(False, D, f"not surjective onto {names[-1]} in degree {n}: {bad}")
+    return Verdict(True, D)
+
+
 # -- loop functors -----------------------------------------------------------
 
 
@@ -937,32 +973,11 @@ class FourTermOmega:
     coker_reps: Dict[int, BitMatrix]
 
     def verify(self) -> Verdict:
-        D = self.sq0_map.D
-        phi_m = self.sq0_map.source
-        target = self.sq0_map.target
-        for n in range(D + 1):
-            incl = self.ker_incl.mat(n)
-            if left_kernel(incl).dim != 0:
-                return Verdict(False, D, f"kernel term not injective at degree {n}")
-            span_in = Subspace.from_rows(incl)
-            ker0 = left_kernel(self.sq0_map.mat(n))
-            if span_in != ker0:
-                bad = _subspace_witness(span_in, ker0, phi_m.labels[n])
-                return Verdict(
-                    False, D,
-                    f"exactness fails at the doubled module, degree {n}: {bad}",
-                )
-            im = Subspace.from_rows(self.sq0_map.mat(n))
-            kerp = left_kernel(self.coker_proj.mat(n))
-            if im != kerp:
-                bad = _subspace_witness(im, kerp, target.labels[n])
-                return Verdict(
-                    False, D, f"exactness fails at the module, degree {n}: {bad}"
-                )
-            pr = rref(self.coker_proj.mat(n))
-            if pr.rank != self.coker_proj.target.dims[n]:
-                return Verdict(False, D, f"projection not surjective at degree {n}")
-        return Verdict(True, D)
+        return exact_sequence(
+            (self.ker_incl, self.sq0_map, self.coker_proj),
+            ("the suspended derived loop module", "the doubled module", "the module",
+             "the suspended loop module"),
+        )
 
 
 def omega(M: TruncatedModule) -> FourTermOmega:

@@ -9,6 +9,7 @@ from usteen.f2core import (
     RowReducer,
     Subspace,
     express_in_rowspace,
+    image_is_kernel,
     kernel_basis,
     left_kernel,
     rank,
@@ -331,6 +332,60 @@ def test_left_kernel():
     lk = left_kernel(m)
     assert lk.dim == 1
     assert lk.basis.to_lists() == [[1, 1, 0]]
+
+
+def image_is_kernel_by_subspaces(f, g):
+    """Reference for ``image_is_kernel``: compare the two canonical subspaces."""
+    return Subspace.from_rows(f) == left_kernel(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 1, 63, 64, 65]),
+       st.sampled_from(["exact", "rank gap", "nonzero composite", "arbitrary"]), st.data())
+def test_image_is_kernel_matches_the_subspace_comparison(width, case, data):
+    # g = a @ b has rank at most k, so its left kernel is large
+    k = data.draw(st.integers(0, 3))
+    ncols = data.draw(st.sampled_from([0, 1, 5, 64, 65]))
+
+    def rows(n, bits):
+        return data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=n, max_size=n))
+
+    g = BitMatrix.from_row_ints(rows(width, k), k) @ BitMatrix.from_row_ints(rows(k, ncols), ncols)
+    ker = left_kernel(g).basis
+
+    def with_combinations(m):
+        picks = data.draw(st.lists(st.integers(0, (1 << m.nrows) - 1), max_size=3))
+        return m.stack(BitMatrix.from_row_ints(picks, m.nrows) @ m)
+
+    if case == "exact":
+        f, expect = with_combinations(ker), True
+    elif case == "rank gap":
+        # a spanning set of the kernel less one basis vector
+        f = with_combinations(ker.take_rows(range(max(ker.nrows - 1, 0))))
+        assert (f @ g).is_zero()
+        expect = ker.nrows == 0
+    elif case == "nonzero composite":
+        hit = [i for i, r in enumerate(g.row_ints()) if r]
+        extra = [1 << data.draw(st.sampled_from(hit))] if hit else []
+        f = with_combinations(ker).stack(BitMatrix.from_row_ints(extra, width))
+        assert (f @ g).is_zero() == (not hit)
+        expect = not hit
+    else:
+        f = BitMatrix.from_row_ints(rows(data.draw(st.integers(0, 4)), width), width)
+        expect = image_is_kernel_by_subspaces(f, g)
+    assert image_is_kernel(f, g) == image_is_kernel_by_subspaces(f, g) == expect
+
+
+def test_image_is_kernel_examples():
+    g = BitMatrix.from_rows([[1, 1], [1, 1], [0, 1]])
+    assert image_is_kernel(BitMatrix.from_rows([[1, 1, 0]]), g)
+    assert image_is_kernel(BitMatrix.from_rows([[1, 1, 0], [0, 0, 0], [1, 1, 0]]), g)
+    assert not image_is_kernel(BitMatrix.zeros(0, 3), g)  # rank gap
+    assert not image_is_kernel(BitMatrix.from_rows([[1, 0, 0]]), g)  # nonzero composite
+    assert image_is_kernel(BitMatrix.zeros(0, 2), BitMatrix.identity(2))
+    assert image_is_kernel(BitMatrix.identity(2), BitMatrix.zeros(2, 0))
+    with pytest.raises(ValueError):
+        image_is_kernel(BitMatrix.identity(2), BitMatrix.identity(3))
 
 
 def test_subspace_idempotence_and_axes():

@@ -4,15 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usteen.f2core import BitMatrix, Subspace, left_kernel, rref
-from usteen import steenrod
+from usteen import steenrod, unstable
 from usteen.unstable import (
     DesuspensionError,
     ModuleMap,
+    TruncatedModule,
     _coker_data,
     _sum_label,
     a_span,
     desuspend,
     direct_sum,
+    exact_sequence,
     free_unstable,
     is_reduced,
     map_from_free,
@@ -311,6 +313,79 @@ def test_omega_four_term_on_fixtures():
         tensor(free_unstable(1, 8), free_unstable(1, 8)),
     ):
         assert omega(M).verify().ok, M.name
+
+
+def test_omega_verify_takes_no_left_kernel(monkeypatch):
+    # a passing certificate is products and ranks only; kernels are for witnesses
+    fts = [omega(M) for M in (free_unstable(2, 10), polynomial_module(2, 8))]
+
+    def refuse(m):
+        raise AssertionError("left_kernel called")
+
+    monkeypatch.setattr(unstable, "left_kernel", refuse)
+    for ft in fts:
+        assert ft.verify().ok
+
+
+# -- exact sequences ---------------------------------------------------------------
+
+
+def _bare(name, dims):
+    """A module with the given dims and no squares: every degreewise map is A-linear."""
+    return TruncatedModule(name, len(dims) - 1, dims, {})
+
+
+def _seq(dims, mats):
+    """ModuleMaps between bare modules; ``mats[i][n]`` is the degree-n matrix of map i."""
+    mods = [_bare(f"A{i}", d) for i, d in enumerate(dims)]
+    return [
+        ModuleMap(mods[i], mods[i + 1],
+                  {n: BitMatrix.from_rows(m, mods[i + 1].dims[n]) for n, m in per.items()})
+        for i, per in enumerate(mats)
+    ]
+
+
+NAMES = ("A", "B", "C")
+# 0 -> A -> B -> C -> 0, exact in degrees 0 and 2; degree 1 is varied
+DIMS = ([1, 1, 0], [1, 3, 1], [0, 2, 1])
+F_OK = {0: [[1]], 1: [[1, 0, 0]]}
+G_OK = {1: [[0, 0], [1, 0], [0, 1]], 2: [[1]]}
+
+
+def test_exact_sequence_passes_on_an_exact_sequence():
+    v = exact_sequence(_seq(DIMS, [F_OK, G_OK]), NAMES)
+    assert v.ok and v.certified_degree == 2 and v.witness is None
+    # one map: an isomorphism
+    iso = _seq(([1, 2], [1, 2]), [{0: [[1]], 1: [[1, 1], [0, 1]]}])
+    assert exact_sequence(iso, ("A", "B")).ok
+    with pytest.raises(ValueError):
+        exact_sequence(iso, NAMES)
+
+
+@pytest.mark.parametrize("f1, g1, start, witness", [
+    # head not injective
+    ([[0, 0, 0]], G_OK[1], "not injective on A in degree 1", "e1.0 (in the first side only)"),
+    # nonzero composite
+    ([[1, 0, 0]], [[1, 0], [1, 0], [0, 1]], "exactness fails at B in degree 1",
+     "e1.0 (in the first side only)"),
+    # composite zero, ranks one short
+    ([[1, 0, 0]], [[0, 0], [0, 0], [0, 1]], "exactness fails at B in degree 1",
+     "e1.1 (in the second side only)"),
+])
+def test_exact_sequence_names_the_failing_degree(f1, g1, start, witness):
+    v = exact_sequence(_seq(DIMS, [{**F_OK, 1: f1}, {**G_OK, 1: g1}]), NAMES)
+    assert not v.ok and v.certified_degree == 2
+    assert v.witness == f"{start}: {witness}"
+
+
+def test_exact_sequence_tail_not_surjective():
+    # exact at B in every degree, but C has one class too many in degree 2
+    dims = ([1, 1, 0], [1, 2, 1], [0, 1, 2])
+    f = {0: [[1]], 1: [[1, 0]]}
+    g = {1: [[0], [1]], 2: [[1, 0]]}
+    v = exact_sequence(_seq(dims, [f, g]), NAMES)
+    assert not v.ok
+    assert v.witness == "not surjective onto C in degree 2: e2.1 (in the second side only)"
 
 
 def test_omega1_of_suspension():
