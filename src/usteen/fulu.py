@@ -26,6 +26,7 @@ from .unstable import (
     ValidationReport,
     Verdict,
     _coker_data,
+    _mono_label,
     _sum_label,
     polynomial_module,
     quotient,
@@ -195,9 +196,50 @@ class ExtendedModule(FuluModule):
 
 
 def extend_scalars(M: TruncatedModule, name: Optional[str] = None) -> ExtendedModule:
-    """Tensor with the rank-one polynomial algebra; u acts by the shift."""
-    fu = fulu_algebra(M.D)
-    underlying, layout = tensor_with_layout(fu.underlying, M, name=name or f"Fu(x){M.name}")
+    """Tensor with the rank-one polynomial algebra; u acts by the shift.
+
+    The action is the Cartan formula in closed form:
+    Sq^k(u^a (x) x) = sum_b C(a, b) u^{a+b} (x) Sq^{k-b} x, where C(a, b) is
+    odd exactly when b is a bitwise submask of a (Lucas), and b runs over the
+    range of ``tensor_with_layout``.  So each row of the u^a block is an XOR
+    of rows of ``M``, each shifted to the offset of one u^{a+b} block.
+    """
+    D = M.D
+    name = name or f"Fu(x){M.name}"
+    layout = TensorLayout((1,) * (D + 1), M.dims, D)
+    dims = layout.table.dims
+    u_labels = [_mono_label((a,), ("u",)) for a in range(D + 1)]
+    labels = [
+        tuple(f"[{u_labels[a]}|{x}]" for a, _, _ in layout.blocks(n) for x in M.labels[n - a])
+        for n in range(D + 1)
+    ]
+    # the nonzero Sq^s on M^q, as rows; the Cartan range never needs s > q
+    sq_rows = {}
+    for q in range(D + 1):
+        for s in range(min(q, D - q) + 1):
+            m = M.sq(s, q)
+            if not m.is_zero():
+                sq_rows[(s, q)] = m.row_ints()
+    action: Dict[Tuple[int, int], BitMatrix] = {}
+    for n in range(D + 1):
+        for k in range(1, D - n + 1):
+            rows = []
+            for a, _, width in layout.blocks(n):
+                q = n - a
+                block = None
+                for b in range(max(0, k - q), min(k, a) + 1):
+                    sq = sq_rows.get((k - b, q))
+                    if sq is None or b & a != b:
+                        continue
+                    # the u^p block of degree N starts at dims[N] - dims[N - p]
+                    shift = dims[n + k] - dims[q + k - b]
+                    if block is None:
+                        block = [r << shift for r in sq]
+                    else:
+                        block = [x ^ (r << shift) for x, r in zip(block, sq)]
+                rows.extend(block or [0] * width)
+            action[(k, n)] = BitMatrix(dims[n], dims[n + k], tuple(rows))
+    underlying = TruncatedModule(name, D, dims, action, labels, meta={"layout": layout})
     u_mats: Dict[int, BitMatrix] = {}
     for n in range(M.D):
         rows = [0] * underlying.dims[n]
@@ -206,7 +248,7 @@ def extend_scalars(M: TruncatedModule, name: Optional[str] = None) -> ExtendedMo
             for j in range(width):
                 rows[off + j] = 1 << (toff + j)
         u_mats[n] = BitMatrix.from_row_ints(rows, underlying.dims[n + 1])
-    return ExtendedModule(M, underlying, layout, u_mats, name or f"Fu(x){M.name}")
+    return ExtendedModule(M, underlying, layout, u_mats, name)
 
 
 def extend_scalars_map(f: ModuleMap, src: ExtendedModule, tgt: ExtendedModule,

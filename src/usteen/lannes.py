@@ -20,7 +20,7 @@ Conventions pinned here (guarded by degree-one unit tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .f2core import BitMatrix, image_is_kernel, left_kernel
@@ -273,41 +273,42 @@ class RealmCalculus:
 
     @cached_property
     def tau(self) -> FuluMap:
-        mats = {}
-        for n in range(self.D + 1):
+        """u-linear, so built from its u^0 layer: component v of a monomial
+        is its twist by v."""
+        layer = {}
+        for d in range(self.D + 1):
             rows = []
-            for a, j, mono in _extended_entries(self.E, self.X, n):
+            for j, mono in self.X.entries(d):
                 acc = 0
                 for v in range(1 << self.X.summands[j].r):
                     c = self._component_pos(j, v)
                     for (extra, m2) in _twist_terms(mono, v):
-                        tgt = self.TX.realm.index(n - a - extra, c, m2)
-                        acc ^= 1 << self.ETX.index(n, a + extra, tgt)
+                        tgt = self.TX.realm.index(d - extra, c, m2)
+                        acc ^= 1 << self.ETX.index(d, extra, tgt)
                 rows.append(acc)
-            mats[n] = BitMatrix.from_row_ints(rows, self.ETX.dim(n))
-        return FuluMap(self.E, self.ETX, mats, name="tau")
+            layer[d] = rows
+        return FuluMap(self.E, self.ETX, _u_linear_mats(self.E, self.ETX.dims, layer), name="tau")
 
     @cached_property
     def taubar(self) -> FuluMap:
         """Project tau to the reduced components; lands in positive u-powers."""
-        barmod, bar_incl = self.bar
-        cut = {n: self.E_tbar.block(n, 0)[1] for n in range(self.D + 1)}
-        mats = {}
-        for n in range(self.D + 1):
+        barmod = self.bar[0]
+        layer = {}
+        for d in range(self.D + 1):
+            cut = self.E_tbar.block(d, 0)[1]
             rows = []
-            for a, j, mono in _extended_entries(self.E, self.X, n):
+            for j, mono in self.X.entries(d):
                 acc = 0
                 for v in range(1, 1 << self.X.summands[j].r):
                     c = self.tbar.comp_pos[(j, (v,))]
                     for (extra, m2) in _twist_terms(mono, v):
                         if extra == 0:
                             continue  # cancelled by the identity summand
-                        tgt = self.tbar.realm.index(n - a - extra, c, m2)
-                        e_flat = self.E_tbar.index(n, a + extra, tgt)
-                        acc ^= 1 << (e_flat - cut[n])
+                        tgt = self.tbar.realm.index(d - extra, c, m2)
+                        acc ^= 1 << (self.E_tbar.index(d, extra, tgt) - cut)
                 rows.append(acc)
-            mats[n] = BitMatrix.from_row_ints(rows, barmod.dim(n))
-        return FuluMap(self.E, barmod, mats, name="taubar")
+            layer[d] = rows
+        return FuluMap(self.E, barmod, _u_linear_mats(self.E, barmod.dims, layer), name="taubar")
 
     @cached_property
     def retract(self) -> FuluMap:
@@ -436,11 +437,25 @@ def _component_map(src: RealmObject, tgt: RealmObject, P: BitMatrix) -> Dict[int
     return mats
 
 
-def _extended_entries(E: ExtendedModule, X: RealmObject, n: int
-                      ) -> List[Tuple[int, int, Tuple[int, ...]]]:
-    """The degree-n basis of E, the scalar extension of X's module, as
-    (u-power, summand, monomial) triples in flat order."""
-    return [(a, j, mono) for a, _, _ in E.layout.blocks(n) for j, mono in X.entries(n - a)]
+def _u_linear_mats(E: ExtendedModule, tgt_dims: Sequence[int],
+                   layer: Dict[int, List[int]]) -> Dict[int, BitMatrix]:
+    """The degreewise matrices of a u-linear map out of E = F[u] (x) X,
+    built from its u^0 layer.
+
+    ``layer[d]`` lists the images of X's degree-d basis, as rows of the
+    target in degree d.  The target is a scalar extension or its
+    positive-u part: u^a carries its degree-(n - a) basis, in order, onto
+    the last ``tgt_dims[n - a]`` vectors of degree n.  So the u^a block of E
+    in degree n maps by ``layer[n - a]`` shifted by one offset.
+    """
+    mats = {}
+    for n in range(E.D + 1):
+        rows = []
+        for a, _, _ in E.layout.blocks(n):
+            shift = tgt_dims[n] - tgt_dims[n - a]
+            rows.extend(r << shift for r in layer[n - a])
+        mats[n] = BitMatrix(len(rows), tgt_dims[n], tuple(rows))
+    return mats
 
 
 def positive_u_part(E: ExtendedModule) -> Tuple[FuluModule, FuluMap]:
@@ -537,23 +552,25 @@ def gv_invariants(r: int, D: int) -> InvariantsResult:
     """Invariants of the maps u -> u, t_i -> t_i + t_i(v) u over generators v."""
     X = hv(r, D)
     E = extend_scalars(X.module)
+    g_plus_id = []
+    for gen in range(r):
+        v = 1 << gen
+        layer = {}
+        for d in range(D + 1):
+            rows = []
+            for pos, mono in enumerate(X.monomials(0, d)):
+                acc = 1 << pos  # g_v^* + identity: mono's own u^0 copy sits at pos
+                for (extra, m2) in _twist_terms(mono, v):
+                    acc ^= 1 << E.index(d, extra, X.index(d - extra, 0, m2))
+                rows.append(acc)
+            layer[d] = rows
+        g_plus_id.append(_u_linear_mats(E, E.dims, layer))
     bases: Dict[int, BitMatrix] = {}
     for n in range(D + 1):
-        stacked = None
-        for gen in range(r):
-            v = 1 << gen
-            rows = []
-            for flat, (a, _, mono) in enumerate(_extended_entries(E, X, n)):
-                acc = 0
-                for (extra, m2) in _twist_terms(mono, v):
-                    acc ^= 1 << E.index(n, a + extra, X.index(n - a - extra, 0, m2))
-                rows.append(acc ^ (1 << flat))  # g_v^* + identity
-            g_plus_id = BitMatrix.from_row_ints(rows, E.dim(n))
-            stacked = g_plus_id if stacked is None else stacked.concat_cols(g_plus_id)
-        if stacked is None:
-            bases[n] = BitMatrix.identity(E.dim(n))
+        if g_plus_id:
+            bases[n] = left_kernel(reduce(BitMatrix.concat_cols, [m[n] for m in g_plus_id])).basis
         else:
-            bases[n] = left_kernel(stacked).basis
+            bases[n] = BitMatrix.identity(E.dim(n))
     mod, incl = restrict_fulu(E, bases, f"Inv(G,{X.name})")
     return InvariantsResult(bases, mod, incl)
 
@@ -599,7 +616,6 @@ def alpha_from_structure(M: TruncatedModule, tbar: TruncatedModule,
 def alpha_realm(X: RealmObject, calc: Optional[RealmCalculus] = None) -> AlphaResult:
     """Extract the structure map from the unit block of the reduced comparison."""
     calc = calc or RealmCalculus(X)
-    barmod, _ = calc.bar
     tbar = calc.tbar.module
     st_mats = {}
     for n in range(calc.D + 1):

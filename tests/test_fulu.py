@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from usteen import fixtures
 from usteen.f2core import BitMatrix, Subspace, rref
 from usteen.fulu import (
     FuluModule,
@@ -18,6 +20,7 @@ from usteen.fulu import (
     saturation_check,
     tensor_over_fulu,
 )
+from usteen.lannes import RealmCalculus, hv, realm_sum, realm_suspend, t_apply
 from usteen.unstable import (
     free_unstable,
     map_from_free,
@@ -26,6 +29,7 @@ from usteen.unstable import (
     suspend,
     sym_lambda,
     tensor,
+    tensor_with_layout,
     unit_module,
 )
 
@@ -52,6 +56,42 @@ def test_extend_scalars_of_suspension():
     # Sq^1(u (x) s) = u^2 (x) s
     assert E.sq(1, 2).get(0, 0) == 1
     assert E.validate().ok
+
+
+def _extension_cases(D, tmp_path):
+    mods = [polynomial_module(r, D) for r in range(4)]
+    mods += [free_unstable(k, D) for k in (1, 2, 3)]
+    if D >= 1:
+        mods += [suspend(polynomial_module(1, D - 1)), suspend(free_unstable(2, D - 1))]
+    mods.append(tensor(free_unstable(1, D), free_unstable(1, D)))
+    mods.append(t_apply(1, hv(2, D)).module)
+    mods.append(RealmCalculus(realm_sum(hv(1, D), realm_suspend(hv(2, D), 1))).tbar.module)
+    path = tmp_path / f"fixture_{D}.json"
+    fixtures.save(tensor(free_unstable(1, D), polynomial_module(1, D)), path)
+    mods.append(fixtures.load(path))
+    return mods
+
+
+@pytest.mark.parametrize("D", range(13))
+def test_extend_scalars_matches_the_generic_tensor_product(D, tmp_path):
+    """The closed-form extension against the Cartan loop of ``tensor_with_layout``
+    on F[u] (x) M, with u acting on the left factor."""
+    fu = fulu_algebra(D)
+    for M in _extension_cases(D, tmp_path):
+        E = extend_scalars(M)
+        name = f"Fu(x){M.name}"
+        ref, layout = tensor_with_layout(fu.underlying, M, name=name)
+        assert E.underlying == ref, M.name
+        assert E.labels == ref.labels and E.name == E.underlying.name == name
+        assert E.base is M
+        for lay in (E.layout, E.underlying.meta["layout"]):
+            assert [lay.blocks(n) for n in range(D + 1)] == [layout.blocks(n) for n in range(D + 1)]
+        for n in range(D):
+            want = [
+                layout.tensor_row(n + 1, a + 1, fu.u_mat(a).row_int(0), 1 << j)
+                for a, _, width in layout.blocks(n) for j in range(width)
+            ]
+            assert E.u_mat(n) == BitMatrix.from_row_ints(want, ref.dims[n + 1]), (M.name, n)
 
 
 def test_extend_scalars_dims_convolution():

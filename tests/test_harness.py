@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from usteen import fixtures, harness
+from usteen import cli, fixtures, harness
 from usteen.cli import main as cli_main
 from usteen.fulu import extend_scalars, fulu_algebra
 from usteen.harness import (
@@ -239,6 +239,48 @@ def test_cli_rejects_out_of_range_degree_and_rank(argv, flag, capsys):
         cli_main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+def _cli_outcome(argv, capsys):
+    """Exit code (or the code argparse exits with), stdout and stderr of one call."""
+    try:
+        code = cli_main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+PARSER_REUSE_CALLS = [
+    ["compute", "invariants", "--rank", "2"],
+    ["compute", "invariants"],  # no --rank may leak from the call before
+    ["verify", "--check", "T3", "--max-degree", "6"],
+    ["verify", "--check", "T3", "--max-degree", "-1"],
+]
+
+
+def test_cli_builds_its_parser_once_and_reuses_it(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    shared = [_cli_outcome(argv, capsys) for argv in PARSER_REUSE_CALLS]
+    assert len(built) == 1
+    fresh = []
+    for argv in PARSER_REUSE_CALLS:
+        cli._parser.cache_clear()
+        fresh.append(_cli_outcome(argv, capsys))
+    cli._parser.cache_clear()
+    assert len(built) == 1 + len(PARSER_REUSE_CALLS)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, ("SystemExit", 2)]
+    assert "requires --rank" in shared[1][2]
+    assert "argument --max-degree: must be at least 0" in shared[3][2]
 
 
 def test_cli_module_construction_error_exits_2(capsys):

@@ -8,7 +8,7 @@ from usteen.lannes import (
     RealmCalculus,
     RealmObject,
     _component_map,
-    _extended_entries,
+    _twist_terms,
     alpha_from_structure,
     alpha_realm,
     c_functors,
@@ -458,6 +458,12 @@ def test_block_layouts_round_trip():
 # -- per-monomial references for the maps built from component matrices ------
 
 
+def _extended_entries(E, X, n):
+    """The degree-n basis of E, the scalar extension of X's module, as
+    (u-power, summand, monomial) triples in flat order."""
+    return [(a, j, mono) for a, _, _ in E.layout.blocks(n) for j, mono in X.entries(n - a)]
+
+
 def diag_by_monomials(calc):
     mats = {}
     for n in range(calc.D + 1):
@@ -601,3 +607,117 @@ def test_split_equalizer_realizes_no_further_module(monkeypatch):
     monkeypatch.setattr(RealmObject, "_realize", counting)
     assert calc.split_equalizer_verdict().ok
     assert realized == []
+
+
+# -- per-(n, a, monomial) references for the maps built from their u^0 layer ----
+
+
+def tau_by_monomials(calc):
+    mats = {}
+    for n in range(calc.D + 1):
+        rows = []
+        for a, j, mono in _extended_entries(calc.E, calc.X, n):
+            acc = 0
+            for v in range(1 << calc.X.summands[j].r):
+                c = calc._component_pos(j, v)
+                for (extra, m2) in _twist_terms(mono, v):
+                    tgt = calc.TX.realm.index(n - a - extra, c, m2)
+                    acc ^= 1 << calc.ETX.index(n, a + extra, tgt)
+            rows.append(acc)
+        mats[n] = BitMatrix.from_row_ints(rows, calc.ETX.dim(n))
+    return mats
+
+
+def taubar_by_monomials(calc):
+    barmod = calc.bar[0]
+    cut = {n: calc.E_tbar.block(n, 0)[1] for n in range(calc.D + 1)}
+    mats = {}
+    for n in range(calc.D + 1):
+        rows = []
+        for a, j, mono in _extended_entries(calc.E, calc.X, n):
+            acc = 0
+            for v in range(1, 1 << calc.X.summands[j].r):
+                c = calc.tbar.comp_pos[(j, (v,))]
+                for (extra, m2) in _twist_terms(mono, v):
+                    if extra == 0:
+                        continue
+                    tgt = calc.tbar.realm.index(n - a - extra, c, m2)
+                    acc ^= 1 << (calc.E_tbar.index(n, a + extra, tgt) - cut[n])
+            rows.append(acc)
+        mats[n] = BitMatrix.from_row_ints(rows, barmod.dim(n))
+    return mats
+
+
+def gv_stacked_by_monomials(r, D):
+    """The g_v^* + id matrices over the generators v, side by side, per degree."""
+    X = hv(r, D)
+    E = extend_scalars(X.module)
+    out = {}
+    for n in range(D + 1):
+        stacked = None
+        for gen in range(r):
+            rows = []
+            for flat, (a, _, mono) in enumerate(_extended_entries(E, X, n)):
+                acc = 0
+                for (extra, m2) in _twist_terms(mono, 1 << gen):
+                    acc ^= 1 << E.index(n, a + extra, X.index(n - a - extra, 0, m2))
+                rows.append(acc ^ (1 << flat))
+            m = BitMatrix.from_row_ints(rows, E.dim(n))
+            stacked = m if stacked is None else stacked.concat_cols(m)
+        out[n] = stacked
+    return out
+
+
+U_LINEAR_CASES = [
+    *(hv(r, 7) for r in range(4)),
+    *(realm_suspend(hv(1, 7), k) for k in (1, 3)),
+    # no reduced component in degrees 0 and 1: E_tbar has empty u-blocks there
+    realm_sum(hv(0, 7), realm_suspend(hv(1, 7), 2)),
+]
+
+
+@pytest.mark.parametrize("X", U_LINEAR_CASES, ids=lambda X: X.name)
+def test_u_linear_maps_match_the_monomial_loops(X):
+    calc = RealmCalculus(X)
+    degrees = range(calc.D + 1)
+    for got, want in ((calc.tau, tau_by_monomials(calc)), (calc.taubar, taubar_by_monomials(calc))):
+        assert [got.mat(n) for n in degrees] == [want[n] for n in degrees], got.name
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_gv_invariant_rows_match_the_monomial_loop(r, monkeypatch):
+    D = 7
+    seen = []
+
+    def recording(m):
+        seen.append(m)
+        return left_kernel(m)
+
+    monkeypatch.setattr(lannes, "left_kernel", recording)
+    inv = gv_invariants(r, D)
+    want = gv_stacked_by_monomials(r, D)
+    if r == 0:
+        assert seen == []  # no generator: every vector is invariant
+        assert [inv.bases[n] for n in range(D + 1)] == [
+            BitMatrix.identity(inv.module.dim(n)) for n in range(D + 1)]
+    else:
+        assert seen == [want[n] for n in range(D + 1)]
+
+
+def test_tau_and_taubar_expand_each_monomial_once_per_group_element(monkeypatch):
+    calc = RealmCalculus(hv(2, 10))
+    calls = []
+
+    def counting(mono, v):
+        calls.append((mono, v))
+        return _twist_terms(mono, v)
+
+    monkeypatch.setattr(lannes, "_twist_terms", counting)
+    monomials = sum(len(calc.X.entries(d)) for d in range(calc.D + 1))
+    calc.tau
+    assert len(calls) == 4 * monomials
+    assert sorted(calls) == sorted(
+        (mono, v) for d in range(calc.D + 1) for _, mono in calc.X.entries(d) for v in range(4))
+    del calls[:]
+    calc.taubar
+    assert len(calls) == 3 * monomials
