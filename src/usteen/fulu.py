@@ -511,11 +511,9 @@ class FuluSubquotient:
     kernel: FuluModule
     kernel_incl: FuluMap
     image: FuluModule
-    image_incl: FuluMap
     factor: FuluMap
     cokernel: FuluModule
     coker_proj: FuluMap
-    coker_reps: Dict[int, BitMatrix]
 
 
 def fulu_subquotient(f: FuluMap) -> FuluSubquotient:
@@ -528,7 +526,6 @@ def fulu_subquotient(f: FuluMap) -> FuluSubquotient:
     kernel_incl = FuluMap(kernel, src, ker_mats, D=D)
     im_mats = {n: base.image_incl.mat(n) for n in range(D + 1)}
     image = _attach_u(base.image, im_mats, tgt, "image")
-    image_incl = FuluMap(image, tgt, im_mats, D=D)
     factor = FuluMap(src, image, {n: base.factor.mat(n) for n in range(D + 1)}, D=D)
     coker_u = {
         n: base.coker_reps[n] @ tgt.u_mat(n) @ base.coker_proj.mat(n + 1)
@@ -536,10 +533,7 @@ def fulu_subquotient(f: FuluMap) -> FuluSubquotient:
     }
     cokernel = FuluModule(base.cokernel, coker_u, name=base.cokernel.name)
     coker_proj = FuluMap(tgt, cokernel, {n: base.coker_proj.mat(n) for n in range(D + 1)}, D=D)
-    return FuluSubquotient(
-        kernel, kernel_incl, image, image_incl, factor, cokernel, coker_proj,
-        base.coker_reps,
-    )
+    return FuluSubquotient(kernel, kernel_incl, image, factor, cokernel, coker_proj)
 
 
 # -- relative tensor product -----------------------------------------------------

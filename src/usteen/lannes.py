@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2core import BitMatrix, image_is_kernel, left_kernel
+from .f2core import BitMatrix, image_is_kernel, left_kernel, rref
 from .fulu import (
     ExtendedModule,
     FuluMap,
@@ -39,7 +39,6 @@ from .unstable import (
     FourTermOmega,
     GradedLinearMap,
     ModuleMap,
-    Subquotient,
     TheoryViolation,
     TruncatedModule,
     Verdict,
@@ -344,9 +343,9 @@ class RealmCalculus:
         return t_apply(1, self.tbar.realm)
 
     @cached_property
-    def fix_taubar(self) -> ModuleMap:
-        """The fixed-point image of taubar: expansion of the base to that of
-        the reduced part, component (v, w) of a component a being [w=a+v]+[w=a]."""
+    def fix_components(self) -> BitMatrix:
+        """The component matrix P of Fix(taubar): component (v, w) of the
+        reduced part's expansion receives component a if [w=a+v]+[w=a]."""
         rows = []
         for j, (a,) in self.TX.components:
             acc = 0
@@ -355,13 +354,40 @@ class RealmCalculus:
                 for w in (a ^ v, a):
                     acc ^= 1 << self.TTbar.comp_pos[(cbar, (w,))]
             rows.append(acc)
-        P = BitMatrix(len(rows), len(self.TTbar.components), tuple(rows))
-        mats = _component_map(self.TX.realm, self.TTbar.realm, P)
+        return BitMatrix(len(rows), len(self.TTbar.components), tuple(rows))
+
+    @cached_property
+    def fix_taubar(self) -> ModuleMap:
+        """The fixed-point image of taubar, P (x) I."""
+        mats = _component_map(self.TX.realm, self.TTbar.realm, self.fix_components)
         return ModuleMap(self.TX.module, self.TTbar.module, mats, name="Fix(taubar)")
 
     @cached_property
-    def fix_sub(self) -> Subquotient:
-        return subquotient(self.fix_taubar)
+    def fix_parts(self) -> Dict[str, RealmObject]:
+        """Kernel, image and cokernel of Fix(taubar) = P (x) I, read on P.
+
+        P pairs only copies of one summand (``_component_map`` refuses any
+        other), so the rref bases of ker P and im P split by summand: each
+        basis vector carries one copy of the summand at its pivot component.
+        """
+        P = self.fix_components
+        src, tgt = self.TX.realm.summands, self.TTbar.realm.summands
+        im = rref(P).pivots
+        return {
+            "kernel": RealmObject([src[c] for c in rref(left_kernel(P).basis).pivots], self.D,
+                                  name="ker(Fix(taubar))"),
+            "image": RealmObject([tgt[c] for c in im], self.D, name="im(Fix(taubar))"),
+            "cokernel": RealmObject([sm for c, sm in enumerate(tgt) if c not in im], self.D,
+                                    name="coker(Fix(taubar))"),
+        }
+
+    def fixed_point_verdict(self) -> Verdict:
+        """The diagonal embedding is the kernel of Fix(taubar) in every degree."""
+        for n in range(self.D + 1):
+            if not image_is_kernel(self.diag.mat(n), self.fix_taubar.mat(n)):
+                return Verdict(False, self.D,
+                               f"diagonal embedding is not the kernel of Fix(taubar) in degree {n}")
+        return Verdict(True, self.D)
 
     @cached_property
     def diag(self) -> ModuleMap:
@@ -505,9 +531,6 @@ class PresentedFuluObject:
     calculus: RealmCalculus
     realization: FuluModule
 
-    def fix(self) -> TruncatedModule:
-        return fix_presented(self)
-
 
 def rtilde(X: RealmObject, calc: Optional[RealmCalculus] = None) -> PresentedFuluObject:
     """The kernel of the reduced comparison map, checked against the equalizer."""
@@ -529,14 +552,10 @@ def c_functors(X: RealmObject, calc: Optional[RealmCalculus] = None
 
 def fix_presented(P: PresentedFuluObject) -> TruncatedModule:
     """Apply the fixed-point functor through the presentation (it is exact)."""
-    calc = P.calculus
-    if P.kind == "kernel":
-        return calc.fix_sub.kernel
-    if P.kind == "image":
-        return calc.fix_sub.image
-    if P.kind == "cokernel":
-        return calc.fix_sub.cokernel
-    raise ValueError(f"unsupported presentation kind: {P.kind}")
+    part = P.calculus.fix_parts.get(P.kind)
+    if part is None:
+        raise ValueError(f"unsupported presentation kind: {P.kind}")
+    return part.module
 
 
 @dataclass
@@ -590,27 +609,21 @@ class AlphaResult:
     alpha: ModuleMap
     omega_data: FourTermOmega
     structure: GradedLinearMap
-    kills_doubled_image: Verdict
 
 
 def alpha_from_structure(M: TruncatedModule, tbar: TruncatedModule,
                          st: GradedLinearMap) -> AlphaResult:
     ft = omega_of(M)
     D = min(st.D, M.D)
-    ok = True
-    witness = None
     for n in range(D + 1):
         if not (ft.sq0_map.mat(n) @ st.mat(n)).is_zero():
-            ok, witness = False, f"structure map does not kill the doubled image at degree {n}"
-            break
-    if not ok:
-        raise TheoryViolation(witness)
+            raise TheoryViolation(f"structure map does not kill the doubled image at degree {n}")
     alpha_mats = {}
     for m in range(min(ft.omega.D, tbar.D - 1, D - 1) + 1):
         alpha_mats[m] = ft.coker_reps[m + 1] @ st.mat(m + 1)
     alpha = ModuleMap(ft.omega, tbar, alpha_mats,
                       D=min(ft.omega.D, tbar.D - 1, D - 1), name="alpha")
-    return AlphaResult(alpha, ft, st, Verdict(True, D))
+    return AlphaResult(alpha, ft, st)
 
 
 def alpha_realm(X: RealmObject, calc: Optional[RealmCalculus] = None) -> AlphaResult:
@@ -637,9 +650,8 @@ class DivisionResult:
     derived1: TruncatedModule  # kernel of alpha
     derived2: TruncatedModule  # the first derived loop module
     alpha: AlphaResult
-    sub: Subquotient
 
 
 def division_u2(ar: AlphaResult) -> DivisionResult:
     sub = subquotient(ar.alpha)
-    return DivisionResult(sub.cokernel, sub.kernel, ar.omega_data.omega1, ar, sub)
+    return DivisionResult(sub.cokernel, sub.kernel, ar.omega_data.omega1, ar)

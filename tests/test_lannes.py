@@ -1,7 +1,9 @@
 
+import dataclasses
+
 import pytest
 
-from usteen import lannes
+from usteen import lannes, unstable
 from usteen.f2core import BitMatrix, Subspace, image_is_kernel, left_kernel, rref
 from usteen.fulu import extend_scalars, freeness_report, indecomposables, GradedSubspace, saturation_check
 from usteen.lannes import (
@@ -24,13 +26,16 @@ from usteen.lannes import (
 from usteen.singer import r1
 from usteen.unstable import (
     GradedLinearMap,
+    ModuleMap,
     TruncatedModule,
+    Verdict,
     _compositions_submask,
     _mono_label,
     free_unstable,
     is_reduced,
     phi,
     polynomial_module,
+    subquotient,
     tensor_with_layout,
     unit_module,
 )
@@ -254,8 +259,7 @@ def test_fix_of_rtilde_recovers_base():
         # the diagonal embedding realizes the isomorphism onto the kernel
         for n in range(X.D + 1):
             diag_im = Subspace.from_rows(calc.diag.mat(n))
-            ker = Subspace.from_rows(calc.fix_sub.kernel_incl.mat(n))
-            assert diag_im == ker
+            assert diag_im == left_kernel(calc.fix_taubar.mat(n))
 
 
 def test_fix_split_equalizer():
@@ -721,3 +725,70 @@ def test_tau_and_taubar_expand_each_monomial_once_per_group_element(monkeypatch)
     del calls[:]
     calc.taubar
     assert len(calls) == 3 * monomials
+
+
+# -- fixed points read on the component matrix; the full-matrix subquotient is the oracle --
+
+FIX_CASES = [
+    *(hv(r, 8 - r) for r in range(4)),
+    realm_suspend(hv(1, 7), 2),
+    realm_sum(hv(1, 7), realm_suspend(hv(0, 7), 2)),  # the rank-0 row of P is zero
+    realm_sum(realm_suspend(hv(0, 7), 2), hv(1, 7)),  # source and target summands differ
+]
+
+
+@pytest.mark.parametrize("X", FIX_CASES, ids=lambda X: X.name)
+def test_fix_parts_match_the_full_matrix_subquotient(X):
+    calc = RealmCalculus(X)
+    sub = subquotient(calc.fix_taubar)
+    c1, c2 = c_functors(X, calc)
+    for P, want in ((rtilde(X, calc), sub.kernel), (c1, sub.image), (c2, sub.cokernel)):
+        got = fix_presented(P)
+        assert got.D == want.D == X.D, P.kind
+        assert [got.dim(n) for n in range(X.D + 1)] == [want.dim(n) for n in range(X.D + 1)], P.kind
+
+
+@pytest.mark.parametrize("X", FIX_CASES, ids=lambda X: X.name)
+def test_fix_of_rtilde_is_the_module(X):
+    calc = RealmCalculus(X)
+    P = rtilde(X, calc)
+    assert fix_presented(P) == X.module  # dims and the whole Sq action
+    for c in c_functors(X, calc):
+        assert fix_presented(c).validate().ok, c.kind
+    with pytest.raises(ValueError, match="unsupported presentation kind"):
+        fix_presented(dataclasses.replace(P, kind="whole"))
+
+
+def test_fix_parts_are_realized_once_without_a_subquotient(monkeypatch):
+    X = hv(3, 6)
+    calc = RealmCalculus(X)
+    calc.taubar_sub
+    presented = (rtilde(X, calc), *c_functors(X, calc))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full-matrix subquotient ran")
+
+    monkeypatch.setattr(lannes, "subquotient", refuse)
+    monkeypatch.setattr(unstable, "quotient", refuse)
+    realized = []
+    realize = RealmObject._realize
+
+    def counting(self):
+        realized.append(self.name)
+        return realize(self)
+
+    monkeypatch.setattr(RealmObject, "_realize", counting)
+    for P in presented * 2:
+        fix_presented(P)
+    assert sorted(realized) == ["coker(Fix(taubar))", "im(Fix(taubar))", "ker(Fix(taubar))"]
+
+
+def test_fixed_point_verdict_names_the_failing_degree():
+    calc = RealmCalculus(hv(1, 4))
+    assert calc.fixed_point_verdict() == Verdict(True, 4)
+    good = calc.fix_taubar
+    mats = {n: good.mat(n) for n in range(5)}
+    mats[3] = BitMatrix.zeros(mats[3].nrows, mats[3].ncols)
+    calc.fix_taubar = ModuleMap(good.source, good.target, mats, name=good.name)
+    assert calc.fixed_point_verdict() == Verdict(
+        False, 4, "diagonal embedding is not the kernel of Fix(taubar) in degree 3")
