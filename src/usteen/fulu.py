@@ -13,12 +13,14 @@ that are not stable under the squaring operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .f2core import BitMatrix, Subspace, express_in_rowspace, left_kernel, rank
 from .unstable import (
     ModuleMap,
     Quotient,
+    Subquotient,
     TensorLayout,
     TheoryViolation,
     TruncatedModule,
@@ -213,32 +215,36 @@ def extend_scalars(M: TruncatedModule, name: Optional[str] = None) -> ExtendedMo
         tuple(f"[{u_labels[a]}|{x}]" for a, _, _ in layout.blocks(n) for x in M.labels[n - a])
         for n in range(D + 1)
     ]
-    # the nonzero Sq^s on M^q, as rows; the Cartan range never needs s > q
-    sq_rows = {}
-    for q in range(D + 1):
-        for s in range(min(q, D - q) + 1):
-            m = M.sq(s, q)
-            if not m.is_zero():
-                sq_rows[(s, q)] = m.row_ints()
-    action: Dict[Tuple[int, int], BitMatrix] = {}
-    for n in range(D + 1):
-        for k in range(1, D - n + 1):
-            rows = []
-            for a, _, width in layout.blocks(n):
-                q = n - a
-                block = None
-                for b in range(max(0, k - q), min(k, a) + 1):
-                    sq = sq_rows.get((k - b, q))
-                    if sq is None or b & a != b:
-                        continue
-                    # the u^p block of degree N starts at dims[N] - dims[N - p]
-                    shift = dims[n + k] - dims[q + k - b]
-                    if block is None:
-                        block = [r << shift for r in sq]
-                    else:
-                        block = [x ^ (r << shift) for x, r in zip(block, sq)]
-                rows.extend(block or [0] * width)
-            action[(k, n)] = BitMatrix(dims[n], dims[n + k], tuple(rows))
+
+    def action() -> Dict[Tuple[int, int], BitMatrix]:
+        # the nonzero Sq^s on M^q, as rows; the Cartan range never needs s > q
+        sq_rows = {}
+        for q in range(D + 1):
+            for s in range(min(q, D - q) + 1):
+                m = M.sq(s, q)
+                if not m.is_zero():
+                    sq_rows[(s, q)] = m.row_ints()
+        out = {}
+        for n in range(D + 1):
+            for k in range(1, D - n + 1):
+                rows = []
+                for a, _, width in layout.blocks(n):
+                    q = n - a
+                    block = None
+                    for b in range(max(0, k - q), min(k, a) + 1):
+                        sq = sq_rows.get((k - b, q))
+                        if sq is None or b & a != b:
+                            continue
+                        # the u^p block of degree N starts at dims[N] - dims[N - p]
+                        shift = dims[n + k] - dims[q + k - b]
+                        if block is None:
+                            block = [r << shift for r in sq]
+                        else:
+                            block = [x ^ (r << shift) for x, r in zip(block, sq)]
+                    rows.extend(block or [0] * width)
+                out[(k, n)] = BitMatrix(dims[n], dims[n + k], tuple(rows))
+        return out
+
     underlying = TruncatedModule(name, D, dims, action, labels, meta={"layout": layout})
     u_mats: Dict[int, BitMatrix] = {}
     for n in range(M.D):
@@ -506,34 +512,57 @@ def restrict_fulu(ambient: FuluModule, bases: Dict[int, BitMatrix], name: str
     return sub, fincl
 
 
-@dataclass
 class FuluSubquotient:
-    kernel: FuluModule
-    kernel_incl: FuluMap
-    image: FuluModule
-    factor: FuluMap
-    cokernel: FuluModule
-    coker_proj: FuluMap
+    """Kernel, image and cokernel in the category of u-modules.
+
+    As in :class:`Subquotient`, the kernel, with its u action, comes with
+    the object, and the other parts are built on first read, once each.
+    """
+
+    def __init__(self, f: FuluMap, base: Subquotient, kernel: FuluModule,
+                 kernel_incl: FuluMap):
+        self.f = f
+        self.base = base
+        self.kernel = kernel
+        self.kernel_incl = kernel_incl
+
+    @cached_property
+    def image(self) -> FuluModule:
+        im_mats = {n: self.base.image_incl.mat(n) for n in range(self.f.D + 1)}
+        return _attach_u(self.base.image, im_mats, self.f.target, "image")
+
+    @cached_property
+    def factor(self) -> FuluMap:
+        D = self.f.D
+        return FuluMap(self.f.source, self.image,
+                       {n: self.base.factor.mat(n) for n in range(D + 1)}, D=D)
+
+    @cached_property
+    def cokernel(self) -> FuluModule:
+        base, tgt = self.base, self.f.target
+        coker_u = {
+            n: base.coker_reps[n] @ tgt.u_mat(n) @ base.coker_proj.mat(n + 1)
+            for n in range(self.f.D)
+        }
+        return FuluModule(base.cokernel, coker_u, name=base.cokernel.name)
+
+    @cached_property
+    def coker_proj(self) -> FuluMap:
+        D = self.f.D
+        return FuluMap(self.f.target, self.cokernel,
+                       {n: self.base.coker_proj.mat(n) for n in range(D + 1)}, D=D)
 
 
 def fulu_subquotient(f: FuluMap) -> FuluSubquotient:
-    """Kernel, image and cokernel in the category of u-modules."""
+    """Kernel, image and cokernel in the category of u-modules.
+
+    Only the kernel, with its u action, is built here; see
+    :class:`FuluSubquotient`.
+    """
     base = subquotient(f.mmap)
-    D = f.D
-    src, tgt = f.source, f.target
-    ker_mats = {n: base.kernel_incl.mat(n) for n in range(D + 1)}
-    kernel = _attach_u(base.kernel, ker_mats, src, "kernel")
-    kernel_incl = FuluMap(kernel, src, ker_mats, D=D)
-    im_mats = {n: base.image_incl.mat(n) for n in range(D + 1)}
-    image = _attach_u(base.image, im_mats, tgt, "image")
-    factor = FuluMap(src, image, {n: base.factor.mat(n) for n in range(D + 1)}, D=D)
-    coker_u = {
-        n: base.coker_reps[n] @ tgt.u_mat(n) @ base.coker_proj.mat(n + 1)
-        for n in range(D)
-    }
-    cokernel = FuluModule(base.cokernel, coker_u, name=base.cokernel.name)
-    coker_proj = FuluMap(tgt, cokernel, {n: base.coker_proj.mat(n) for n in range(D + 1)}, D=D)
-    return FuluSubquotient(kernel, kernel_incl, image, factor, cokernel, coker_proj)
+    ker_mats = {n: base.kernel_incl.mat(n) for n in range(f.D + 1)}
+    kernel = _attach_u(base.kernel, ker_mats, f.source, "kernel")
+    return FuluSubquotient(f, base, kernel, FuluMap(kernel, f.source, ker_mats, D=f.D))
 
 
 # -- relative tensor product -----------------------------------------------------

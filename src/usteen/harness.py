@@ -295,9 +295,8 @@ def _check_t7(params):
     )
     # fixed points: 0 -> base -> expansion -> reduced expansion -> 0
     fix_c1 = fix_presented(c_functors(X, calc)[0])
-    tbar_dims = [calc.tbar.module.dim(n) for n in range(D + 1)]
     _need_true(
-        [fix_c1.dim(n) for n in range(D + 1)] == tbar_dims,
+        [fix_c1.dim(n) for n in range(D + 1)] == list(calc.tbar.realm.table.dims),
         "fixed points of the image are not the reduced expansion",
     )
     _need(calc.fixed_point_verdict(), "fixed-point sequence")
@@ -341,18 +340,19 @@ def _check_t8(params):
                 q_c2.module.dim(n) == (div_dims[n - 1] if n >= 1 else 0),
                 f"rank {r}: division term wrong in degree {n}",
             )
-        # fixed-point sequence and its dims
-        fix2 = fix_presented(c_functors(X, calc)[1])
-        M, TM, TT = X.module, calc.TX.module, calc.TTbar.module
+        # fixed-point sequence and its dims, read on the block layouts;
+        # c_functors builds the image, which checks its Sq-closure
+        c2 = c_functors(X, calc)[1]
+        M, TM, TT = X.table.dims, calc.TX.realm.table.dims, calc.TTbar.realm.table.dims
+        fix2 = calc.fix_parts[c2.kind].table.dims
         t2count = (2 ** r - 1) ** 2
         for n in range(D + 1):
-            quad = (M.dim(n), TM.dim(n), TT.dim(n), fix2.dim(n))
             _need_true(
-                quad[0] - quad[1] + quad[2] - quad[3] == 0,
+                M[n] - TM[n] + TT[n] - fix2[n] == 0,
                 f"rank {r}: fixed-point alternating sum nonzero in degree {n}",
             )
             _need_true(
-                fix2.dim(n) == t2count * M.dim(n),
+                fix2[n] == t2count * M[n],
                 f"rank {r}: twice-reduced expansion dims wrong in degree {n}",
             )
         _need(calc.fixed_point_verdict(), f"rank {r}: fixed-point sequence")

@@ -79,8 +79,9 @@ class RealmObject:
 
     @cached_property
     def module(self) -> TruncatedModule:
-        """The Sq action, realized on first use: an expansion whose maps are
-        built from their component matrices needs only its ``table``."""
+        """The module, realized on first use and its Sq action on first
+        read: an expansion whose maps are built from their component
+        matrices needs only its ``table``."""
         return self._realize()
 
     def _default_name(self) -> str:
@@ -123,18 +124,22 @@ class RealmObject:
                 ls.extend(tag + (f"s^{s}({core})" if s else core)
                           for core in polys[j].labels[n - s])
             labels.append(tuple(ls))
-        action: Dict[Tuple[int, int], BitMatrix] = {}
-        for n in range(D + 1):
-            blocks = self.table.blocks(n)
-            if not blocks:
-                continue
-            for k in range(1, D - n + 1):
-                rows = []
-                for j, _, _ in blocks:
-                    shift = self.table.block(n + k, j)[0]
-                    sq = polys[j].sq(k, n - self.summands[j].s)
-                    rows.extend(r << shift for r in sq.row_ints())
-                action[(k, n)] = BitMatrix(dims[n], dims[n + k], tuple(rows))
+
+        def action() -> Dict[Tuple[int, int], BitMatrix]:
+            out = {}
+            for n in range(D + 1):
+                blocks = self.table.blocks(n)
+                if not blocks:
+                    continue
+                for k in range(1, D - n + 1):
+                    rows = []
+                    for j, _, _ in blocks:
+                        shift = self.table.block(n + k, j)[0]
+                        sq = polys[j].sq(k, n - self.summands[j].s)
+                        rows.extend(r << shift for r in sq.row_ints())
+                    out[(k, n)] = BitMatrix(dims[n], dims[n + k], tuple(rows))
+            return out
+
         return TruncatedModule(self.name, D, dims, action, labels)
 
     def __repr__(self):
@@ -357,10 +362,15 @@ class RealmCalculus:
         return BitMatrix(len(rows), len(self.TTbar.components), tuple(rows))
 
     @cached_property
+    def fix_taubar_mats(self) -> Dict[int, BitMatrix]:
+        """The degreewise matrices of Fix(taubar), P (x) I, read on the layouts."""
+        return _component_map(self.TX.realm, self.TTbar.realm, self.fix_components)
+
+    @cached_property
     def fix_taubar(self) -> ModuleMap:
-        """The fixed-point image of taubar, P (x) I."""
-        mats = _component_map(self.TX.realm, self.TTbar.realm, self.fix_components)
-        return ModuleMap(self.TX.module, self.TTbar.module, mats, name="Fix(taubar)")
+        """The fixed-point image of taubar as a map of modules."""
+        return ModuleMap(self.TX.module, self.TTbar.module, self.fix_taubar_mats,
+                         name="Fix(taubar)")
 
     @cached_property
     def fix_parts(self) -> Dict[str, RealmObject]:
@@ -384,7 +394,7 @@ class RealmCalculus:
     def fixed_point_verdict(self) -> Verdict:
         """The diagonal embedding is the kernel of Fix(taubar) in every degree."""
         for n in range(self.D + 1):
-            if not image_is_kernel(self.diag.mat(n), self.fix_taubar.mat(n)):
+            if not image_is_kernel(self.diag.mat(n), self.fix_taubar_mats[n]):
                 return Verdict(False, self.D,
                                f"diagonal embedding is not the kernel of Fix(taubar) in degree {n}")
         return Verdict(True, self.D)
@@ -500,11 +510,14 @@ def positive_u_part(E: ExtendedModule) -> Tuple[FuluModule, FuluMap]:
 
     dims = [E.dim(n) - cut[n] for n in range(D + 1)]
     labels = [E.labels[n][cut[n]:] for n in range(D + 1)]
-    action = {
-        (i, n): tail(E.underlying.sq(i, n), n, n + i)
-        for n in range(D + 1) if dims[n]
-        for i in range(1, D - n + 1)
-    }
+
+    def action() -> Dict[Tuple[int, int], BitMatrix]:
+        return {
+            (i, n): tail(E.underlying.sq(i, n), n, n + i)
+            for n in range(D + 1) if dims[n]
+            for i in range(1, D - n + 1)
+        }
+
     mod = TruncatedModule(f"bar({E.name})", D, dims, action, labels)
     bar = FuluModule(mod, {n: tail(E.u_mat(n), n, n + 1) for n in range(D)}, name=mod.name)
     incl_mats = {

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import steenrod
 from .f2core import BitMatrix, RowReducer, Subspace, express_in_rowspace, left_kernel, rank
@@ -89,16 +89,24 @@ def _sum_label(labels: Sequence[str], row: int, limit: int = 4) -> str:
 
 
 class TruncatedModule:
-    """An unstable module known up to degree D with its full squaring action."""
+    """An unstable module known up to degree D with its squaring action.
 
-    __slots__ = ("name", "D", "dims", "labels", "_act", "meta")
+    ``action`` maps (i, n) to the matrix of Sq^i on degree n.  It is either
+    a dict, checked here, or a zero-argument function returning one.  A
+    function is called once, on the first read of the action (``sq``,
+    ``action_items``, ``validate``, ``==`` or ``renamed``), and its result
+    gets the same key and shape checks.  Dims and labels are always known.
+    """
+
+    __slots__ = ("name", "D", "dims", "labels", "_act", "_build", "meta")
 
     def __init__(
         self,
         name: str,
         D: int,
         dims: Sequence[int],
-        action: Dict[Tuple[int, int], BitMatrix],
+        action: Union[Dict[Tuple[int, int], BitMatrix],
+                      Callable[[], Dict[Tuple[int, int], BitMatrix]]],
         labels: Optional[Sequence[Sequence[str]]] = None,
         meta: Optional[dict] = None,
     ):
@@ -115,20 +123,36 @@ class TruncatedModule:
             labels = tuple(tuple(ls) for ls in labels)
             if tuple(len(ls) for ls in labels) != dims:
                 raise ValueError("labels must match dims")
-        act: Dict[Tuple[int, int], BitMatrix] = {}
-        for (i, n), m in action.items():
-            if i < 1 or n < 0 or n + i > D:
-                raise ValueError(f"action key ({i}, {n}) outside range")
-            if (m.nrows, m.ncols) != (dims[n], dims[n + i]):
-                raise ValueError(f"action ({i}, {n}) has wrong shape")
-            if not m.is_zero():
-                act[(i, n)] = m
         self.name = name
         self.D = D
         self.dims = dims
         self.labels = labels
-        self._act = act
         self.meta = dict(meta) if meta else {}
+        if callable(action):
+            self._act = None
+            self._build = action
+        else:
+            self._build = None
+            self._act = self._checked(action)
+
+    def _checked(self, action: Dict[Tuple[int, int], BitMatrix]) -> Dict[Tuple[int, int], BitMatrix]:
+        """The nonzero entries of ``action``, after the key and shape checks."""
+        act: Dict[Tuple[int, int], BitMatrix] = {}
+        for (i, n), m in action.items():
+            if i < 1 or n < 0 or n + i > self.D:
+                raise ValueError(f"action key ({i}, {n}) outside range")
+            if (m.nrows, m.ncols) != (self.dims[n], self.dims[n + i]):
+                raise ValueError(f"action ({i}, {n}) has wrong shape")
+            if not m.is_zero():
+                act[(i, n)] = m
+        return act
+
+    def _action(self) -> Dict[Tuple[int, int], BitMatrix]:
+        """The stored action, built by the pending function on first read."""
+        if self._act is None:
+            self._act = self._checked(self._build())
+            self._build = None
+        return self._act
 
     # -- access --------------------------------------------------------------
 
@@ -154,7 +178,10 @@ class TruncatedModule:
             )
         if i == 0:
             return BitMatrix.identity(self.dims[n])
-        got = self._act.get((i, n))
+        act = self._act
+        if act is None:
+            act = self._action()
+        got = act.get((i, n))
         if got is not None:
             return got
         return BitMatrix.zeros(self.dims[n], self.dims[n + i])
@@ -171,17 +198,17 @@ class TruncatedModule:
         return out if out is not None else BitMatrix.identity(self.dim(n))
 
     def renamed(self, name: str) -> "TruncatedModule":
-        return TruncatedModule(name, self.D, self.dims, dict(self._act), self.labels, self.meta)
+        return TruncatedModule(name, self.D, self.dims, dict(self._action()), self.labels, self.meta)
 
     def action_items(self):
-        return sorted(self._act.items())
+        return sorted(self._action().items())
 
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
         """Check instability and Adem coherence for every stored degree."""
         report = ValidationReport()
-        for (i, n), m in sorted(self._act.items()):
+        for (i, n), m in self.action_items():
             if i > n and not m.is_zero():
                 report.add(f"instability violated at (i={i}, n={n})")
         for b in range(1, self.D + 1):
@@ -209,7 +236,7 @@ class TruncatedModule:
         return (
             self.D == other.D
             and self.dims == other.dims
-            and self._act == other._act
+            and self._action() == other._action()
         )
 
     def __hash__(self) -> int:
@@ -757,18 +784,62 @@ def map_from_free(free: TruncatedModule, target: TruncatedModule, element_row: i
 # -- subquotients ---------------------------------------------------------------
 
 
-@dataclass
 class Subquotient:
-    """Kernel, image and cokernel of an A-linear map, with structure maps."""
+    """Kernel, image and cokernel of an A-linear map, with structure maps.
 
-    kernel: TruncatedModule
-    kernel_incl: ModuleMap
-    image: TruncatedModule
-    image_incl: ModuleMap
-    factor: ModuleMap
-    cokernel: TruncatedModule
-    coker_proj: ModuleMap
-    coker_reps: Dict[int, BitMatrix]
+    The kernel and its inclusion come with the object.  The image (with
+    ``image_incl`` and ``factor``) and the cokernel (with ``coker_proj`` and
+    ``coker_reps``) are built on first read, once each; the image checks
+    its Sq-closure when it is built.
+    """
+
+    def __init__(self, f: ModuleMap, kernel: TruncatedModule, kernel_incl: ModuleMap):
+        self.f = f
+        self.kernel = kernel
+        self.kernel_incl = kernel_incl
+
+    @cached_property
+    def _im_bases(self) -> List[BitMatrix]:
+        return [Subspace.from_rows(self.f.mat(n)).basis for n in range(self.f.D + 1)]
+
+    @cached_property
+    def _image(self) -> Tuple[TruncatedModule, ModuleMap]:
+        f = self.f
+        return submodule(f.target, dict(enumerate(self._im_bases)), f"im({f.name or 'f'})", f.D)
+
+    @property
+    def image(self) -> TruncatedModule:
+        return self._image[0]
+
+    @property
+    def image_incl(self) -> ModuleMap:
+        return self._image[1]
+
+    @cached_property
+    def factor(self) -> ModuleMap:
+        mats = {}
+        for n, basis in enumerate(self._im_bases):
+            coeffs = express_in_rowspace(basis, self.f.mat(n))
+            if coeffs is None:
+                raise TheoryViolation("image basis does not span the image")
+            mats[n] = coeffs
+        return ModuleMap(self.f.source, self.image, mats, D=self.f.D)
+
+    @cached_property
+    def _coker(self) -> Quotient:
+        return quotient(self.f.target, self._im_bases, f"coker({self.f.name or 'f'})")
+
+    @property
+    def cokernel(self) -> TruncatedModule:
+        return self._coker.module
+
+    @cached_property
+    def coker_proj(self) -> ModuleMap:
+        return ModuleMap(self.f.target, self.cokernel, self._coker.proj_mats, D=self.f.D)
+
+    @property
+    def coker_reps(self) -> Dict[int, BitMatrix]:
+        return self._coker.rep_mats
 
 
 def _restricted_action(bases: Dict[int, BitMatrix], ambient: TruncatedModule,
@@ -873,11 +944,14 @@ def quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> Quoti
         proj_mats[n], rep_mats[n], rep_cols = _coker_data(basis, M.dims[n])
         dims.append(len(rep_cols))
         labels.append(tuple(M.labels[n][c] for c in rep_cols))
-    action = {
-        (i, n): rep_mats[n] @ m @ proj_mats[n + i]
-        for (i, n), m in M.action_items()
-        if n + i <= D and dims[n]
-    }
+
+    def action() -> Dict[Tuple[int, int], BitMatrix]:
+        return {
+            (i, n): rep_mats[n] @ m @ proj_mats[n + i]
+            for (i, n), m in M.action_items()
+            if n + i <= D and dims[n]
+        }
+
     module = TruncatedModule(name, D, dims, action, labels)
     return Quotient(module, proj_mats, rep_mats)
 
@@ -887,33 +961,15 @@ def subquotient(f: ModuleMap, validate: bool = False) -> Subquotient:
 
     The input must be A-linear; pass ``validate=True`` to enforce the check
     here (constructions in this package validate at the fixture level).
+    Only the kernel is built here; see :class:`Subquotient`.
     """
     if validate:
         rep = f.validate_linear()
         if not rep.ok:
             raise ValueError(f"subquotient of a non-A-linear map: {rep.violations[:3]}")
-    src, tgt, D = f.source, f.target, f.D
-    ker_bases: Dict[int, BitMatrix] = {}
-    im_bases: Dict[int, BitMatrix] = {}
-    for n in range(D + 1):
-        m = f.mat(n)
-        ker_bases[n] = left_kernel(m).basis
-        im_bases[n] = Subspace.from_rows(m).basis
-    kernel, kernel_incl = submodule(src, ker_bases, f"ker({f.name or 'f'})", D)
-    image, image_incl = submodule(tgt, im_bases, f"im({f.name or 'f'})", D)
-    factor_mats = {}
-    for n in range(D + 1):
-        coeffs = express_in_rowspace(im_bases[n], f.mat(n))
-        if coeffs is None:
-            raise TheoryViolation("image basis does not span the image")
-        factor_mats[n] = coeffs
-    factor = ModuleMap(src, image, factor_mats, D=D)
-    coker = quotient(tgt, [im_bases[n] for n in range(D + 1)], f"coker({f.name or 'f'})")
-    coker_proj = ModuleMap(tgt, coker.module, coker.proj_mats, D=D)
-    return Subquotient(
-        kernel, kernel_incl, image, image_incl, factor, coker.module, coker_proj,
-        coker.rep_mats,
-    )
+    ker_bases = {n: left_kernel(f.mat(n)).basis for n in range(f.D + 1)}
+    kernel, kernel_incl = submodule(f.source, ker_bases, f"ker({f.name or 'f'})", f.D)
+    return Subquotient(f, kernel, kernel_incl)
 
 
 # -- exact sequences ---------------------------------------------------------

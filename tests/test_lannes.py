@@ -1,11 +1,19 @@
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from usteen import lannes, unstable
+from usteen import harness, lannes, unstable
 from usteen.f2core import BitMatrix, Subspace, image_is_kernel, left_kernel, rref
-from usteen.fulu import extend_scalars, freeness_report, indecomposables, GradedSubspace, saturation_check
+from usteen.fulu import (
+    GradedSubspace,
+    extend_scalars,
+    freeness_report,
+    fulu_subquotient,
+    indecomposables,
+    saturation_check,
+)
 from usteen.lannes import (
     RealmCalculus,
     RealmObject,
@@ -26,7 +34,6 @@ from usteen.lannes import (
 from usteen.singer import r1
 from usteen.unstable import (
     GradedLinearMap,
-    ModuleMap,
     TruncatedModule,
     Verdict,
     _compositions_submask,
@@ -786,9 +793,79 @@ def test_fix_parts_are_realized_once_without_a_subquotient(monkeypatch):
 def test_fixed_point_verdict_names_the_failing_degree():
     calc = RealmCalculus(hv(1, 4))
     assert calc.fixed_point_verdict() == Verdict(True, 4)
-    good = calc.fix_taubar
-    mats = {n: good.mat(n) for n in range(5)}
+    mats = dict(calc.fix_taubar_mats)
     mats[3] = BitMatrix.zeros(mats[3].nrows, mats[3].ncols)
-    calc.fix_taubar = ModuleMap(good.source, good.target, mats, name=good.name)
+    calc.fix_taubar_mats = mats
     assert calc.fixed_point_verdict() == Verdict(
         False, 4, "diagonal embedding is not the kernel of Fix(taubar) in degree 3")
+
+
+# -- work done on first read -------------------------------------------------------
+
+
+def count_builds(monkeypatch):
+    """Count, by module name, the modules constructed and the actions built
+    (a dict action when its module is constructed, a function on first read)."""
+    built, actions = Counter(), Counter()
+    init, checked = TruncatedModule.__init__, TruncatedModule._checked
+
+    def counting_init(self, name, *args, **kwargs):
+        built[name] += 1
+        init(self, name, *args, **kwargs)
+
+    def counting_checked(self, action):
+        actions[self.name] += 1
+        return checked(self, action)
+
+    monkeypatch.setattr(TruncatedModule, "__init__", counting_init)
+    monkeypatch.setattr(TruncatedModule, "_checked", counting_checked)
+    return built, actions
+
+
+UNREAD_BY_RTILDE = ("Fu(x)T[1](", "T[1](", "Tbar(", "Fu(x)Tbar(", "bar(", "im(taubar)",
+                    "coker(taubar)")
+
+
+def test_rtilde_and_fix_build_only_the_actions_they_read(monkeypatch):
+    X = hv(2, 8)
+    calc = RealmCalculus(X)
+    built, actions = count_builds(monkeypatch)
+    F = fix_presented(rtilde(X, calc))
+    assert F.dims == X.table.dims
+    assert [name for name in actions if name.startswith(UNREAD_BY_RTILDE)] == []
+    # taubar's source and its kernel, once each
+    assert (actions["Fu(x)H(V2)"], actions["ker(taubar)"]) == (1, 1)
+    assert "im(taubar)" not in built and "coker(taubar)" not in built
+
+
+def test_taubar_parts_are_built_once_on_first_read(monkeypatch):
+    sub = RealmCalculus(hv(2, 8)).taubar_sub
+    built, actions = count_builds(monkeypatch)
+    for _ in range(2):
+        assert sub.cokernel is sub.cokernel and sub.image is sub.image
+    assert built == {"coker(taubar)": 1, "im(taubar)": 1}
+    assert actions["im(taubar)"] == 1 and "coker(taubar)" not in actions
+
+
+def test_t8_reads_dims_from_the_layouts(monkeypatch):
+    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
+    built, _ = count_builds(monkeypatch)
+    harness._check_t8({"D": 6, "max_rank": 2})
+    assert [name for name in built
+            if name.startswith("T[1](Tbar(") or name.endswith("(Fix(taubar))")] == []
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("first", ["image", "cokernel"])
+def test_taubar_parts_agree_in_either_order(r, first):
+    taubar = RealmCalculus(hv(r, 6)).taubar
+    a, b = fulu_subquotient(taubar), fulu_subquotient(taubar)
+    names = ["image", "factor", "cokernel", "coker_proj"]
+    for name in names if first == "image" else names[::-1]:
+        getattr(a, name)
+    assert (a.image, a.cokernel) == (b.image, b.cokernel)
+    assert a.factor.mmap == b.factor.mmap and a.coker_proj.mmap == b.coker_proj.mmap
+    for part in (a.kernel, a.image, a.cokernel):
+        assert part.validate().ok, part.name
+    for g in (a.factor, a.coker_proj):
+        assert g.validate().ok

@@ -28,6 +28,7 @@ from usteen.unstable import (
     sym_lambda,
     tensor,
     tensor_with_layout,
+    truncate,
     unit_module,
 )
 
@@ -272,6 +273,119 @@ def test_functoriality_random_composites():
             ker_f = Subspace.from_rows(sub_f.kernel_incl.mat(n))
             ker_gf = Subspace.from_rows(sub_gf.kernel_incl.mat(n))
             assert ker_gf.contains(ker_f)
+
+
+def test_subquotient_builds_the_image_on_first_read():
+    # degree 1 of the source maps onto t, but nothing maps onto Sq^1 t = t^2
+    src = module_from_action("e1", 3, [0, 1, 0, 0], {})
+    tgt = polynomial_module(1, 3)
+    f = ModuleMap(src, tgt, {1: BitMatrix.from_rows([[1]])}, name="f")
+    sub = subquotient(f)
+    assert sum(sub.kernel.dims) == 0
+    with pytest.raises(unstable.TheoryViolation, match="im\\(f\\): Sq\\^1 escapes"):
+        sub.image
+    with pytest.raises(ValueError, match="non-A-linear"):
+        subquotient(f, validate=True)
+
+
+@pytest.mark.parametrize("first", ["image", "cokernel"])
+def test_subquotient_parts_agree_in_either_order(first):
+    f = sq0(free_unstable(2, 10))
+    a, b = subquotient(f), subquotient(f)
+    names = ["image", "image_incl", "factor", "cokernel", "coker_proj", "coker_reps"]
+    for name in names if first == "image" else names[::-1]:
+        getattr(a, name)
+    assert (a.image, a.cokernel, a.coker_reps) == (b.image, b.cokernel, b.coker_reps)
+    assert (a.image_incl, a.factor, a.coker_proj) == (b.image_incl, b.factor, b.coker_proj)
+    for part in (a.kernel, a.image, a.cokernel):
+        assert part.validate().ok, part.name
+    for g in (a.image_incl, a.factor, a.coker_proj):
+        assert g.validate_linear().ok
+
+
+# -- lazy actions ------------------------------------------------------------------
+
+
+READS = {
+    "sq": lambda M: M.sq(1, 1),
+    "action_items": lambda M: M.action_items(),
+    "validate": lambda M: M.validate(),
+    "==": lambda M: M == polynomial_module(1, 6),
+    "renamed": lambda M: M.renamed("again"),
+}
+
+
+@pytest.mark.parametrize("read", READS)
+def test_lazy_action_is_built_once_on_first_read(read):
+    eager = polynomial_module(1, 6)
+    calls = []
+
+    def build():
+        calls.append(read)
+        return dict(eager.action_items())
+
+    M = TruncatedModule("lazy", 6, eager.dims, build, eager.labels)
+    assert (M.dims, M.labels, M.dim(3), calls) == (eager.dims, eager.labels, 1, [])
+    READS[read](M)
+    assert calls == [read]
+    for other in READS.values():
+        other(M)
+    assert M == eager and M.validate().ok and M.renamed("again") == eager
+    assert calls == [read]
+
+
+def test_lazy_action_gets_the_dict_checks_on_first_read():
+    wrong = {(1, 0): BitMatrix.zeros(1, 2)}
+    with pytest.raises(ValueError, match=r"action \(1, 0\) has wrong shape"):
+        TruncatedModule("eager", 2, [1, 1, 1], wrong)
+    M = TruncatedModule("lazy", 2, [1, 1, 1], lambda: wrong)
+    assert M.dims == (1, 1, 1)
+    with pytest.raises(ValueError, match=r"action \(1, 0\) has wrong shape"):
+        M.sq(1, 0)
+    outside = TruncatedModule("lazy", 2, [1, 1, 1], lambda: {(2, 1): BitMatrix.zeros(1, 1)})
+    with pytest.raises(ValueError, match=r"action key \(2, 1\) outside range"):
+        outside.action_items()
+
+
+@st.composite
+def composed_modules(draw, depth=2):
+    """A random module built from free and polynomial modules by the
+    constructions of this package, every subquotient part it reads valid."""
+    D = 6
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.booleans()):
+            return free_unstable(draw(st.integers(0, 2)), D)
+        return polynomial_module(draw(st.integers(0, 2)), D)
+    op = draw(st.sampled_from(["tensor", "sum", "suspend", "phi", "truncate", "subquotient"]))
+    M = draw(composed_modules(depth - 1))
+    if op == "tensor":
+        return tensor(M, draw(composed_modules(depth - 1)))
+    if op == "sum":
+        return direct_sum([M, draw(composed_modules(depth - 1))])[0]
+    if op == "suspend":
+        return truncate(suspend(M), M.D)
+    if op == "phi":
+        return truncate(phi(M), M.D)
+    if op == "truncate":
+        return truncate(M, draw(st.integers(0, M.D)))
+    degrees = [n for n in range(M.D + 1) if M.dims[n]]
+    if not degrees:
+        return M
+    n = draw(st.sampled_from(degrees))
+    element = draw(st.integers(1, (1 << M.dims[n]) - 1))
+    sub = subquotient(map_from_free(free_unstable(n, M.D), M, element))
+    parts = draw(st.permutations(["kernel", "image", "cokernel"]))
+    for name in parts:
+        part = getattr(sub, name)
+        assert part.validate().ok, (name, part)
+    assert sub.factor.validate_linear().ok and sub.coker_proj.validate_linear().ok
+    return getattr(sub, parts[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(composed_modules())
+def test_random_compositions_are_unstable_modules(M):
+    assert M.validate().ok
 
 
 # -- loop functors ---------------------------------------------------------------
