@@ -1,8 +1,8 @@
 """Command-line interface: compute tables and run the verification catalog.
 
-Exit codes: 0 on success (all checks passed), 1 when a verification check
-fails, 2 for usage or input errors.  Reports go to stdout, diagnostics to
-stderr.  Output is deterministic unless timings are requested.
+Exit codes: 0 when all checks pass, 1 when a verification check fails, 2 for
+usage or input errors and when memory runs out.  Reports go to stdout,
+diagnostics to stderr.  Output is deterministic unless timings are requested.
 """
 
 from __future__ import annotations
@@ -272,7 +272,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except MemoryError:
+        print("error: out of memory; lower --max-degree or the rank", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -213,7 +213,7 @@ def _check_t3(params):
             f"rank {r}: fixed points of the kernel have wrong dims",
         )
         _need(calc.fixed_point_verdict(), f"rank {r}: fixed-point sequence")
-        _need(calc.split_equalizer_verdict(), f"rank {r} split equalizer")
+        _need(calc.split_equalizer_verdict(), f"rank {r}: split equalizer")
     return D, {}
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .f2core import BitMatrix, image_is_kernel, left_kernel, rref
@@ -51,7 +52,7 @@ from .unstable import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Summand:
     """One building block: the s-fold suspension of the rank-r polynomial algebra."""
 
@@ -176,10 +177,8 @@ class TExpansion:
     allowing iterated application.
     """
 
-    def __init__(self, base: RealmObject, w_rank: int,
-                 components: Sequence[Tuple[int, Tuple[int, ...]]], name: str):
-        self.base = base
-        self.w_rank = w_rank
+    def __init__(self, base: RealmObject, components: Sequence[Tuple[int, Tuple[int, ...]]],
+                 name: str):
         self.components = list(components)
         self.comp_pos = {c: i for i, c in enumerate(self.components)}
         tags = [f"<{j}:{','.join(map(str, phi))}>" for j, phi in self.components]
@@ -192,24 +191,13 @@ class TExpansion:
         return self.realm.module
 
 
-def _vector_tuples(r: int, w: int) -> List[Tuple[int, ...]]:
-    if w == 0:
-        return [()]
-    out = []
-    for rest in _vector_tuples(r, w - 1):
-        for v in range(1 << r):
-            out.append(rest + (v,))
-    return out
-
-
 def t_apply(w_rank: int, X: RealmObject) -> TExpansion:
     """Apply the T-functor for a rank-w test group to a realm object."""
     if w_rank < 0:
         raise ValueError("test-group rank must be non-negative")
-    comps = [
-        (j, phi) for j, sm in enumerate(X.summands) for phi in _vector_tuples(sm.r, w_rank)
-    ]
-    return TExpansion(X, w_rank, comps, f"T[{w_rank}]({X.name})")
+    comps = [(j, phi) for j, sm in enumerate(X.summands)
+             for phi in product(range(1 << sm.r), repeat=w_rank)]
+    return TExpansion(X, comps, f"T[{w_rank}]({X.name})")
 
 
 def _twist_terms(mono: Tuple[int, ...], v: int) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -254,7 +242,7 @@ class RealmCalculus:
     def tbar(self) -> TExpansion:
         """The reduced expansion: the components of the expansion at nonzero elements."""
         comps = [(j, phi) for j, phi in self.TX.components if phi != (0,)]
-        return TExpansion(self.X, 1, comps, f"Tbar({self.X.name})")
+        return TExpansion(self.X, comps, f"Tbar({self.X.name})")
 
     @cached_property
     def E_tbar(self) -> ExtendedModule:
@@ -266,9 +254,6 @@ class RealmCalculus:
         return positive_u_part(self.E_tbar)
 
     # -- comparison maps --------------------------------------------------------
-
-    def _component_pos(self, j: int, v: int) -> int:
-        return self.TX.comp_pos[(j, (v,))]
 
     @cached_property
     def sigma(self) -> FuluMap:
@@ -285,7 +270,7 @@ class RealmCalculus:
             for j, mono in self.X.entries(d):
                 acc = 0
                 for v in range(1 << self.X.summands[j].r):
-                    c = self._component_pos(j, v)
+                    c = self.TX.comp_pos[(j, (v,))]
                     for (extra, m2) in _twist_terms(mono, v):
                         tgt = self.TX.realm.index(d - extra, c, m2)
                         acc ^= 1 << self.ETX.index(d, extra, tgt)
@@ -362,26 +347,16 @@ class RealmCalculus:
         return BitMatrix(len(rows), len(self.TTbar.components), tuple(rows))
 
     @cached_property
-    def fix_taubar_mats(self) -> Dict[int, BitMatrix]:
-        """The degreewise matrices of Fix(taubar), P (x) I, read on the layouts."""
-        return _component_map(self.TX.realm, self.TTbar.realm, self.fix_components)
-
-    @cached_property
-    def fix_taubar(self) -> ModuleMap:
-        """The fixed-point image of taubar as a map of modules."""
-        return ModuleMap(self.TX.module, self.TTbar.module, self.fix_taubar_mats,
-                         name="Fix(taubar)")
-
-    @cached_property
     def fix_parts(self) -> Dict[str, RealmObject]:
         """Kernel, image and cokernel of Fix(taubar) = P (x) I, read on P.
 
-        P pairs only copies of one summand (``_component_map`` refuses any
+        P pairs only copies of one summand (``_component_targets`` refuses any
         other), so the rref bases of ker P and im P split by summand: each
         basis vector carries one copy of the summand at its pivot component.
         """
         P = self.fix_components
         src, tgt = self.TX.realm.summands, self.TTbar.realm.summands
+        _component_targets(src, tgt, P)
         im = rref(P).pivots
         return {
             "kernel": RealmObject([src[c] for c in rref(left_kernel(P).basis).pivots], self.D,
@@ -393,20 +368,21 @@ class RealmCalculus:
 
     def fixed_point_verdict(self) -> Verdict:
         """The diagonal embedding is the kernel of Fix(taubar) in every degree."""
-        for n in range(self.D + 1):
-            if not image_is_kernel(self.diag.mat(n), self.fix_taubar_mats[n]):
-                return Verdict(False, self.D,
-                               f"diagonal embedding is not the kernel of Fix(taubar) in degree {n}")
-        return Verdict(True, self.D)
+        return self._diagonal_is_kernel(self.fix_components, self.TTbar,
+                                        "diagonal embedding is not the kernel of Fix(taubar)")
+
+    @cached_property
+    def diag_components(self) -> BitMatrix:
+        """The component matrix Dg of ``diag``: each summand into all its copies."""
+        rows = [0] * len(self.X.summands)
+        for c, (j, _) in enumerate(self.TX.components):
+            rows[j] |= 1 << c
+        return BitMatrix(len(rows), len(self.TX.components), tuple(rows))
 
     @cached_property
     def diag(self) -> ModuleMap:
         """The splitting embedding of the base into its expansion."""
-        rows = [0] * len(self.X.summands)
-        for c, (j, _) in enumerate(self.TX.components):
-            rows[j] |= 1 << c
-        P = BitMatrix(len(rows), len(self.TX.components), tuple(rows))
-        mats = _component_map(self.X, self.TX.realm, P)
+        mats = _component_map(self.X, self.TX.realm, self.diag_components)
         return ModuleMap(self.X.module, self.TX.module, mats, name="diag")
 
     @cached_property
@@ -419,25 +395,57 @@ class RealmCalculus:
     def split_equalizer_verdict(self) -> Verdict:
         """Kernel of the two expanded structure maps equals the diagonal base.
 
-        The maps are T(i_1) and T(delta) from the expansion to its own
-        expansion; both only move components, so their sum is one component
-        matrix, and the expansion of the expansion is never realized.
+        T(i_1) and T(delta), from the expansion to its own expansion, only
+        move components, so their sum is one component matrix P.
         """
         TTX = t_apply(1, self.TX.realm)
         rows = []
-        for j, (a,) in self.TX.components:
+        for c, (j, (a,)) in enumerate(self.TX.components):
             acc = 0
             for w in range(1 << self.X.summands[j].r):
-                acc ^= 1 << TTX.comp_pos[(self._component_pos(j, a), (w,))]
+                acc ^= 1 << TTX.comp_pos[(c, (w,))]
                 # diagonal: the (v, w) component receives x_{v+w}
-                acc ^= 1 << TTX.comp_pos[(self._component_pos(j, a ^ w), (w,))]
+                acc ^= 1 << TTX.comp_pos[(self.TX.comp_pos[(j, (a ^ w,))], (w,))]
             rows.append(acc)
         P = BitMatrix(len(rows), len(TTX.components), tuple(rows))
-        mats = _component_map(self.TX.realm, TTX.realm, P)
-        for n in range(self.D + 1):
-            if not image_is_kernel(self.diag.mat(n), mats[n]):
-                return Verdict(False, self.D, f"split equalizer fails in degree {n}")
+        return self._diagonal_is_kernel(P, TTX, "split equalizer fails")
+
+    def _diagonal_is_kernel(self, P: BitMatrix, tgt: TExpansion, failure: str) -> Verdict:
+        """im(Dg (x) I) = ker(P (x) I) in every degree <= D, read on Dg and P.
+
+        Both pair only copies of one summand, so they split by summand type
+        Summand(s, r), first nonzero in degree s: a type with s > D is zero
+        through D, and the lowest failing degree is the smallest failing s.
+        """
+        base, mid, dst = self.X.summands, self.TX.realm.summands, tgt.realm.summands
+        Dg = self.diag_components
+        _component_targets(base, mid, Dg)
+        _component_targets(mid, dst, P)
+        for t in sorted(sm for sm in set(mid) if sm.s <= self.D):
+            cols = [c for c, sm in enumerate(mid) if sm == t]
+            f = Dg.take_rows([j for j, sm in enumerate(base) if sm == t]).take_cols(cols)
+            g = P.take_rows(cols).take_cols([c for c, sm in enumerate(dst) if sm == t])
+            if not image_is_kernel(f, g):
+                return Verdict(False, self.D, f"{failure} in degree {t.s}")
         return Verdict(True, self.D)
+
+
+def _component_targets(src: Sequence[Summand], tgt: Sequence[Summand],
+                       P: BitMatrix) -> List[List[int]]:
+    """The set bits of each row of P; ``ValueError`` if one pairs two different summands."""
+    targets = []
+    for c, row in enumerate(P.row_ints()):
+        cols = []
+        while row:
+            low = row & -row
+            c2 = low.bit_length() - 1
+            if src[c] != tgt[c2]:
+                raise ValueError(f"component {c} ({src[c]}) cannot map to "
+                                 f"component {c2} ({tgt[c2]})")
+            cols.append(c2)
+            row ^= low
+        targets.append(cols)
+    return targets
 
 
 def _component_map(src: RealmObject, tgt: RealmObject, P: BitMatrix) -> Dict[int, BitMatrix]:
@@ -449,18 +457,7 @@ def _component_map(src: RealmObject, tgt: RealmObject, P: BitMatrix) -> Dict[int
     same monomials in the same order; a source block then maps by one
     pattern of target offsets, shifted by the position inside the block.
     """
-    targets = []
-    for c, row in enumerate(P.row_ints()):
-        cols = []
-        while row:
-            low = row & -row
-            c2 = low.bit_length() - 1
-            if src.summands[c] != tgt.summands[c2]:
-                raise ValueError(f"component {c} ({src.summands[c]}) cannot map to "
-                                 f"component {c2} ({tgt.summands[c2]})")
-            cols.append(c2)
-            row ^= low
-        targets.append(cols)
+    targets = _component_targets(src.summands, tgt.summands, P)
     mats = {}
     for n in range(src.D + 1):
         rows = []

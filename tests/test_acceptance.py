@@ -19,7 +19,14 @@ from usteen.fulu import (
     saturation_check,
 )
 from usteen.harness import make_spec, run_all, run_check
-from usteen.lannes import RealmCalculus, fix_presented, gv_invariants, hv, rtilde
+from usteen.lannes import (
+    RealmCalculus,
+    _component_map,
+    fix_presented,
+    gv_invariants,
+    hv,
+    rtilde,
+)
 from usteen.singer import product_mu, r1, r1_dims_expected, rho1
 from usteen.steenrod import adem_normal_form, admissible_basis, is_admissible
 from usteen.unstable import (
@@ -162,8 +169,10 @@ def test_criterion_4_fixed_points():
         P = rtilde(X, calc)
         F = fix_presented(P)
         assert [F.dim(n) for n in range(D + 1)] == list(X.module.dims)
+        # Fix(taubar) in degree n: P (x) I on the component matrix P
+        fix_taubar = _component_map(calc.TX.realm, calc.TTbar.realm, calc.fix_components)
         for n in range(D + 1):
-            assert Subspace.from_rows(calc.diag.mat(n)) == left_kernel(calc.fix_taubar.mat(n))
+            assert Subspace.from_rows(calc.diag.mat(n)) == left_kernel(fix_taubar[n])
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     _announce(4, f"fixed points recover the module for ranks 1,2 at D=10 in {elapsed:.2f}s")

@@ -283,6 +283,24 @@ def test_cli_builds_its_parser_once_and_reuses_it(monkeypatch, capsys):
     assert "argument --max-degree: must be at least 0" in shared[3][2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "T3", "--max-rank", "5"],
+    ["verify", "--all", "--max-degree", "4"],
+    ["compute", "fix", "--module", "HV5"],
+])
+def test_cli_out_of_memory_exits_2(argv, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    anchor, statement, minimum, _ = harness._RUNNERS["T3"]
+    monkeypatch.setitem(harness._RUNNERS, "T3", (anchor, statement, minimum, exhausted))
+    monkeypatch.setattr(cli, "rtilde", exhausted)
+    code = cli_main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
 def test_cli_module_construction_error_exits_2(capsys):
     code = cli_main(["compute", "module", "--module", "SigmaF", "--max-degree", "0"])
     err = capsys.readouterr().err

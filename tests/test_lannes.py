@@ -1,5 +1,6 @@
 
 import dataclasses
+import random
 from collections import Counter
 
 import pytest
@@ -34,6 +35,7 @@ from usteen.lannes import (
 from usteen.singer import r1
 from usteen.unstable import (
     GradedLinearMap,
+    ModuleMap,
     TruncatedModule,
     Verdict,
     _compositions_submask,
@@ -146,8 +148,8 @@ def test_tau_degree_one_pins_the_convention():
     calc = RealmCalculus(X)
     sigma, tau = calc.sigma, calc.tau
     E, ETX, TX = calc.E, calc.ETX, calc.TX
-    c0 = calc._component_pos(0, 0)
-    c1 = calc._component_pos(0, 1)
+    c0 = calc.TX.comp_pos[(0, (0,))]
+    c1 = calc.TX.comp_pos[(0, (1,))]
     # degree-1 basis of E: u (x) 1, 1 (x) t  (u-power block a ascending)
     i_u = E.index(1, 1, 0)
     i_t = E.index(1, 0, 0)
@@ -266,7 +268,7 @@ def test_fix_of_rtilde_recovers_base():
         # the diagonal embedding realizes the isomorphism onto the kernel
         for n in range(X.D + 1):
             diag_im = Subspace.from_rows(calc.diag.mat(n))
-            assert diag_im == left_kernel(calc.fix_taubar.mat(n))
+            assert diag_im == left_kernel(fix_taubar_by_monomials(calc)[n])
 
 
 def test_fix_split_equalizer():
@@ -276,7 +278,7 @@ def test_fix_split_equalizer():
 
 def test_fix_taubar_is_a_linear():
     calc = RealmCalculus(hv(1, 8))
-    assert calc.fix_taubar.validate_linear().ok
+    assert fix_taubar_of(calc, fix_taubar_by_monomials(calc)).validate_linear().ok
 
 
 def test_c1_dims_rank1():
@@ -413,7 +415,7 @@ def test_comparison_maps_validate_at_rank2():
     assert calc.sigma.validate().ok
     assert calc.tau.validate().ok
     assert calc.taubar.validate().ok
-    assert calc.fix_taubar.validate_linear().ok
+    assert fix_taubar_of(calc, fix_taubar_by_monomials(calc)).validate_linear().ok
 
 
 def _assert_tiles(table, dims):
@@ -482,7 +484,7 @@ def diag_by_monomials(calc):
         for j, mono in calc.X.entries(n):
             acc = 0
             for v in range(1 << calc.X.summands[j].r):
-                acc |= 1 << calc.TX.realm.index(n, calc._component_pos(j, v), mono)
+                acc |= 1 << calc.TX.realm.index(n, calc.TX.comp_pos[(j, (v,))], mono)
             rows.append(acc)
         mats[n] = BitMatrix.from_row_ints(rows, calc.TX.realm.table.dims[n])
     return mats
@@ -497,6 +499,11 @@ def proj0_by_monomials(calc):
             rows.append((1 << calc.X.index(n, j, mono)) if phi == (0,) else 0)
         mats[n] = BitMatrix.from_row_ints(rows, calc.X.table.dims[n])
     return mats
+
+
+def fix_taubar_of(calc, mats):
+    """Fix(taubar) as a map of modules, from its degreewise matrices."""
+    return ModuleMap(calc.TX.module, calc.TTbar.module, mats, name="Fix(taubar)")
 
 
 def fix_taubar_by_monomials(calc):
@@ -523,7 +530,7 @@ def sigma_by_monomials(calc):
         for a, j, mono in _extended_entries(calc.E, calc.X, n):
             acc = 0
             for v in range(1 << calc.X.summands[j].r):
-                tgt = calc.TX.realm.index(n - a, calc._component_pos(j, v), mono)
+                tgt = calc.TX.realm.index(n - a, calc.TX.comp_pos[(j, (v,))], mono)
                 acc |= 1 << calc.ETX.index(n, a, tgt)
             rows.append(acc)
         mats[n] = BitMatrix.from_row_ints(rows, calc.ETX.dim(n))
@@ -554,8 +561,8 @@ def split_equalizer_by_monomials(calc):
             j, (a,) = calc.TX.components[c]
             acc = 0
             for w in range(1 << calc.X.summands[j].r):
-                c_aw = TTX.comp_pos[(calc._component_pos(j, a), (w,))]
-                c_vw = TTX.comp_pos[(calc._component_pos(j, a ^ w), (w,))]
+                c_aw = TTX.comp_pos[(calc.TX.comp_pos[(j, (a,))], (w,))]
+                c_vw = TTX.comp_pos[(calc.TX.comp_pos[(j, (a ^ w,))], (w,))]
                 acc ^= 1 << TTX.realm.index(n, c_aw, mono)
                 acc ^= 1 << TTX.realm.index(n, c_vw, mono)
             rows.append(acc)
@@ -577,25 +584,28 @@ def test_component_maps_match_the_monomial_loops(X, monkeypatch):
     for got, want in (
         (calc.diag, diag_by_monomials(calc)),
         (calc.proj0, proj0_by_monomials(calc)),
-        (calc.fix_taubar, fix_taubar_by_monomials(calc)),
+        (fix_taubar_of(calc, _component_map(calc.TX.realm, calc.TTbar.realm, calc.fix_components)),
+         fix_taubar_by_monomials(calc)),
         (calc.sigma, sigma_by_monomials(calc)),
         (calc.retract, retract_by_monomials(calc)),
     ):
         assert [got.mat(n) for n in degrees] == [want[n] for n in degrees], got.name
-    # the split equalizer hands its one matrix per degree to image_is_kernel
+    # the split equalizer hands its component matrix P to the P-level check
     seen = []
+    check = RealmCalculus._diagonal_is_kernel
 
-    def recording(f, g):
-        seen.append(g)
-        return image_is_kernel(f, g)
+    def recording(self, P, tgt, failure):
+        mats = _component_map(self.TX.realm, tgt.realm, P)
+        seen.extend(mats[n] for n in degrees)
+        return check(self, P, tgt, failure)
 
-    monkeypatch.setattr(lannes, "image_is_kernel", recording)
+    monkeypatch.setattr(RealmCalculus, "_diagonal_is_kernel", recording)
     assert calc.split_equalizer_verdict().ok
     want = split_equalizer_by_monomials(calc)
     assert seen == [want[n] for n in degrees]
 
 
-def test_component_map_refuses_to_pair_different_summands():
+def test_component_map_refuses_to_pair_different_summands(monkeypatch):
     for Y in (hv(2, 4), realm_suspend(hv(1, 4))):
         X = realm_sum(hv(1, 4), Y)
         # summand 0 to itself is fine; summand 0 to summand 1 is not
@@ -603,6 +613,31 @@ def test_component_map_refuses_to_pair_different_summands():
             X.table.dims[4])
         with pytest.raises(ValueError, match="cannot map"):
             _component_map(X, X, BitMatrix(2, 2, (0b11, 0b10)))
+        # the P-level checks refuse it too: a copy of summand 0 into one of summand 1
+        calc = RealmCalculus(X)
+        P = calc.fix_components
+        c2 = next(c for c, sm in enumerate(calc.TTbar.realm.summands) if sm == Y.summands[0])
+        calc.fix_components = flip(P, [(0, c2)])
+        with pytest.raises(ValueError, match="cannot map"):
+            calc.fixed_point_verdict()
+        with pytest.raises(ValueError, match="cannot map"):
+            calc.fix_parts
+        with monkeypatch.context() as m, pytest.raises(ValueError, match="cannot map"):
+            edit_p(m, lambda P, tgt: flip(P, [(0, P.ncols - 1)]))
+            calc.split_equalizer_verdict()
+
+
+def test_verdicts_build_no_degree_n_matrix_and_realize_nothing(monkeypatch):
+    calc = RealmCalculus(hv(3, 6))
+    calc.diag  # realizes the base and its expansion
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a degree-n matrix or a module was built")
+
+    monkeypatch.setattr(lannes, "_component_map", refuse)
+    monkeypatch.setattr(RealmObject, "_realize", refuse)
+    assert calc.fixed_point_verdict() == Verdict(True, 6)
+    assert calc.split_equalizer_verdict() == Verdict(True, 6)
 
 
 def test_split_equalizer_realizes_no_further_module(monkeypatch):
@@ -630,7 +665,7 @@ def tau_by_monomials(calc):
         for a, j, mono in _extended_entries(calc.E, calc.X, n):
             acc = 0
             for v in range(1 << calc.X.summands[j].r):
-                c = calc._component_pos(j, v)
+                c = calc.TX.comp_pos[(j, (v,))]
                 for (extra, m2) in _twist_terms(mono, v):
                     tgt = calc.TX.realm.index(n - a - extra, c, m2)
                     acc ^= 1 << calc.ETX.index(n, a + extra, tgt)
@@ -747,7 +782,7 @@ FIX_CASES = [
 @pytest.mark.parametrize("X", FIX_CASES, ids=lambda X: X.name)
 def test_fix_parts_match_the_full_matrix_subquotient(X):
     calc = RealmCalculus(X)
-    sub = subquotient(calc.fix_taubar)
+    sub = subquotient(fix_taubar_of(calc, fix_taubar_by_monomials(calc)))
     c1, c2 = c_functors(X, calc)
     for P, want in ((rtilde(X, calc), sub.kernel), (c1, sub.image), (c2, sub.cokernel)):
         got = fix_presented(P)
@@ -791,13 +826,95 @@ def test_fix_parts_are_realized_once_without_a_subquotient(monkeypatch):
 
 
 def test_fixed_point_verdict_names_the_failing_degree():
-    calc = RealmCalculus(hv(1, 4))
+    calc = RealmCalculus(realm_sum(hv(1, 4), realm_suspend(hv(1, 4), 3)))
     assert calc.fixed_point_verdict() == Verdict(True, 4)
-    mats = dict(calc.fix_taubar_mats)
-    mats[3] = BitMatrix.zeros(mats[3].nrows, mats[3].ncols)
-    calc.fix_taubar_mats = mats
+    # break the rows of the copies of S^3 H(V1), which is first nonzero in degree 3
+    P = calc.fix_components
+    calc.fix_components = BitMatrix(P.nrows, P.ncols, tuple(
+        0 if calc.TX.components[c][0] == 1 else row for c, row in enumerate(P.row_ints())))
     assert calc.fixed_point_verdict() == Verdict(
         False, 4, "diagonal embedding is not the kernel of Fix(taubar) in degree 3")
+
+
+def flip(P, spots):
+    """P with the bits at the (row, column) spots flipped."""
+    rows = list(P.row_ints())
+    for c, c2 in spots:
+        rows[c] ^= 1 << c2
+    return BitMatrix(P.nrows, P.ncols, tuple(rows))
+
+
+def edit_p(monkeypatch, edit):
+    """Make both verdicts check edit(P, target expansion) in place of their P."""
+    check = RealmCalculus._diagonal_is_kernel
+    monkeypatch.setattr(RealmCalculus, "_diagonal_is_kernel",
+                        lambda self, P, tgt, failure: check(self, edit(P, tgt), tgt, failure))
+
+
+def component_map_by_monomials(src, tgt, P):
+    """P (x) I, one monomial at a time: bit c2 of row c sends each monomial
+    of component c of ``src`` to the same monomial of component c2 of ``tgt``."""
+    mats = {}
+    for n in range(src.D + 1):
+        rows = []
+        for c, mono in src.entries(n):
+            acc = 0
+            for c2 in range(P.ncols):
+                if P.get(c, c2):
+                    acc ^= 1 << tgt.index(n, c2, mono)
+            rows.append(acc)
+        mats[n] = BitMatrix.from_row_ints(rows, tgt.table.dims[n])
+    return mats
+
+
+def verdict_by_degree(calc, P, tgt, failure):
+    """The degree-n oracle: im(Dg (x) I) = ker(P (x) I) in each degree n <= D."""
+    diag = diag_by_monomials(calc)
+    mats = component_map_by_monomials(calc.TX.realm, tgt.realm, P)
+    for n in range(calc.D + 1):
+        if not image_is_kernel(diag[n], mats[n]):
+            return Verdict(False, calc.D, f"{failure} in degree {n}")
+    return Verdict(True, calc.D)
+
+
+DIFFERENTIAL_CASES = [
+    *FIX_CASES,
+    realm_suspend(hv(0, 6), 3),  # one rank-0 summand
+    realm_sum(hv(1, 5), realm_suspend(hv(2, 5), 1)),
+    realm_sum(realm_suspend(hv(2, 5), 1), hv(1, 5)),
+    realm_sum(hv(1, 5), hv(1, 5)),  # two summands of one type
+    realm_sum(hv(1, 4), realm_suspend(hv(1, 4), 6)),  # a type that is zero through D
+]
+
+
+@pytest.mark.parametrize("X", DIFFERENTIAL_CASES, ids=lambda X: X.name)
+def test_p_level_verdicts_match_the_degree_n_oracle(X, monkeypatch):
+    """Flip random bits of P between copies of one summand: the verdicts read
+    on P and the degree-n loop on P (x) I agree, witnesses included."""
+    calc = RealmCalculus(X)
+    assert calc.fixed_point_verdict().ok and calc.split_equalizer_verdict().ok
+    rng = random.Random(X.name)
+    checked = []
+
+    def perturb(P, tgt):
+        mid, dst = calc.TX.realm.summands, tgt.realm.summands
+        spots = [(c, c2) for c in range(P.nrows) for c2 in range(P.ncols) if mid[c] == dst[c2]]
+        P = flip(P, rng.sample(spots, min(len(spots), rng.randint(1, 3))))
+        checked.append((P, tgt))
+        return P
+
+    edit_p(monkeypatch, perturb)
+    verdicts = [
+        (calc.fixed_point_verdict, "diagonal embedding is not the kernel of Fix(taubar)"),
+        (calc.split_equalizer_verdict, "split equalizer fails"),
+    ]
+    got, want = [], []
+    for _ in range(10):
+        for verdict, failure in verdicts:
+            got.append(verdict())
+            want.append(verdict_by_degree(calc, *checked[-1], failure))
+    assert got == want
+    assert any(not v.ok for v in got)
 
 
 # -- work done on first read -------------------------------------------------------
