@@ -117,7 +117,10 @@ class BitMatrix:
         return BitMatrix(self.ncols, self.nrows, tuple(out))
 
     def take_rows(self, indices: Sequence[int]) -> "BitMatrix":
-        rows = tuple(self._rows[i] for i in indices)
+        idx = list(indices)
+        if any(not 0 <= i < self.nrows for i in idx):
+            raise IndexError("row index out of range")
+        rows = tuple(self._rows[i] for i in idx)
         return BitMatrix(len(rows), self.ncols, rows)
 
     def take_cols(self, indices: Sequence[int]) -> "BitMatrix":

@@ -198,7 +198,21 @@ class ExtendedModule(FuluModule):
 
 
 def extend_scalars(M: TruncatedModule, name: Optional[str] = None) -> ExtendedModule:
-    """Tensor with the rank-one polynomial algebra; u acts by the shift.
+    """Tensor with the rank-one polynomial algebra; u acts by the shift."""
+    return _extend(M, name or f"Fu(x){M.name}", 0)
+
+
+def positive_u_part(M: TruncatedModule) -> ExtendedModule:
+    """The positive-u-power part bar(F[u] (x) M) of the scalar extension.
+
+    Sq and u never lower the u-power, so it is a sub-u-module and itself a
+    scalar extension with its u^0 block left out.
+    """
+    return _extend(M, f"bar(Fu(x){M.name})", 1)
+
+
+def _extend(M: TruncatedModule, name: str, start: int) -> ExtendedModule:
+    """The u-powers >= ``start`` (0 or 1) of F[u] (x) M.
 
     The action is the Cartan formula in closed form:
     Sq^k(u^a (x) x) = sum_b C(a, b) u^{a+b} (x) Sq^{k-b} x, where C(a, b) is
@@ -207,8 +221,7 @@ def extend_scalars(M: TruncatedModule, name: Optional[str] = None) -> ExtendedMo
     of rows of ``M``, each shifted to the offset of one u^{a+b} block.
     """
     D = M.D
-    name = name or f"Fu(x){M.name}"
-    layout = TensorLayout((1,) * (D + 1), M.dims, D)
+    layout = TensorLayout((1 - start,) + (1,) * D, M.dims, D)
     dims = layout.table.dims
     u_labels = [_mono_label((a,), ("u",)) for a in range(D + 1)]
     labels = [
@@ -235,8 +248,8 @@ def extend_scalars(M: TruncatedModule, name: Optional[str] = None) -> ExtendedMo
                         sq = sq_rows.get((k - b, q))
                         if sq is None or b & a != b:
                             continue
-                        # the u^p block of degree N starts at dims[N] - dims[N - p]
-                        shift = dims[n + k] - dims[q + k - b]
+                        # the u^p block of degree N starts at dims[N] - dims[N - p + start]
+                        shift = dims[n + k] - dims[q + k - b + start]
                         if block is None:
                             block = [r << shift for r in sq]
                         else:
@@ -257,18 +270,32 @@ def extend_scalars(M: TruncatedModule, name: Optional[str] = None) -> ExtendedMo
     return ExtendedModule(M, underlying, layout, u_mats, name)
 
 
-def extend_scalars_map(f: ModuleMap, src: ExtendedModule, tgt: ExtendedModule,
-                       name: str = "") -> FuluMap:
-    """The induced map on scalar extensions (block-diagonal over u-powers)."""
-    D = min(src.D, tgt.D, f.D)
+def u_linear_map(src: ExtendedModule, tgt: ExtendedModule, layer: Sequence[Sequence[int]],
+                 name: str = "") -> FuluMap:
+    """The u-linear map out of ``src`` = F[u] (x) M with u^0 layer ``layer``.
+
+    ``layer[d]`` lists the images of M's degree-d basis, as rows of ``tgt``
+    in degree d, for d = 0..D.  The target is a scalar extension or its
+    positive-u part: u^a carries its degree-(n - a) basis, in order, onto
+    the last ``tgt.dims[n - a]`` vectors of degree n.  So the u^a block of
+    ``src`` in degree n maps by ``layer[n - a]`` shifted by one offset.
+    """
+    D = len(layer) - 1
     mats = {}
     for n in range(D + 1):
         rows = []
         for a, _, _ in src.layout.blocks(n):
-            toff = tgt.block(n, a)[0]
-            rows.extend(r << toff for r in f.mat(n - a).row_ints())
+            shift = tgt.dims[n] - tgt.dims[n - a]
+            rows.extend(r << shift for r in layer[n - a])
         mats[n] = BitMatrix.from_row_ints(rows, tgt.dim(n))
     return FuluMap(src, tgt, mats, D=D, name=name)
+
+
+def extend_scalars_map(f: ModuleMap, src: ExtendedModule, tgt: ExtendedModule,
+                       name: str = "") -> FuluMap:
+    """The induced map on scalar extensions (block-diagonal over u-powers)."""
+    D = min(src.D, tgt.D, f.D)
+    return u_linear_map(src, tgt, [f.mat(d).row_ints() for d in range(D + 1)], name=name)
 
 
 # -- indecomposables -----------------------------------------------------------
@@ -451,30 +478,7 @@ def generator_space(X: GradedSubspace) -> GeneratorSpace:
     return GeneratorSpace(w_bases, Verdict(ok, amb.D, witness))
 
 
-class UQuotient:
-    """A graded u-module presented as a quotient (no squaring action kept)."""
-
-    __slots__ = ("D", "dims", "labels", "_u", "name")
-
-    def __init__(self, D, dims, labels, u_mats, name="quotient"):
-        self.D = D
-        self.dims = tuple(dims)
-        self.labels = labels
-        self._u = u_mats
-        self.name = name
-
-    def dim(self, n: int) -> int:
-        if n < 0:
-            return 0
-        if n > self.D:
-            raise TruncationError("degree beyond truncation")
-        return self.dims[n]
-
-    def u_mat(self, n: int) -> BitMatrix:
-        return self._u[n]
-
-
-def quotient_u_module(X: GradedSubspace, name: Optional[str] = None) -> UQuotient:
+def quotient_u_module(X: GradedSubspace, name: Optional[str] = None) -> FuluModule:
     """The ambient modulo X, as a graded u-module."""
     amb = X.ambient
     name = name or f"({amb.name})/X"
@@ -482,7 +486,7 @@ def quotient_u_module(X: GradedSubspace, name: Optional[str] = None) -> UQuotien
     space = TruncatedModule(amb.name, amb.D, amb.dims, {}, amb.labels)
     q = quotient(space, [X.bases[n] for n in range(amb.D + 1)], name)
     u_mats = {n: q.rep_mats[n] @ amb.u_mat(n) @ q.proj_mats[n + 1] for n in range(amb.D)}
-    return UQuotient(amb.D, q.module.dims, q.module.labels, u_mats, name)
+    return FuluModule(q.module, u_mats, name=name)
 
 
 def _attach_u(module: TruncatedModule, incl: Dict[int, BitMatrix], ambient: FuluModule,

@@ -310,7 +310,6 @@ def _check_t8(params):
         calc = _hv_calculus(r, D)
         X = calc.X
         sub = calc.taubar_sub
-        barmod, _ = calc.bar
         _need(
             exact_sequence(
                 (sub.kernel_incl.mmap, calc.taubar.mmap, sub.coker_proj.mmap),
@@ -321,7 +320,7 @@ def _check_t8(params):
         # indecomposables sequence
         q_ker = q_data(sub.kernel)
         q_e = q_data(calc.E)
-        q_bar = q_data(barmod)
+        q_bar = q_data(calc.bar)
         q_c2 = q_data(sub.cokernel)
         qm = (
             q_of_map(sub.kernel_incl, q_ker, q_e),
@@ -335,7 +334,7 @@ def _check_t8(params):
         ar = alpha_realm(X, calc)
         dv = division_u2(ar)
         div_dims = [dv.div.dim(n) for n in range(dv.div.D + 1)]
-        for n in range(min(D, dv.div.D + 1)):
+        for n in range(min(D, dv.div.D + 1) + 1):
             _need_true(
                 q_c2.module.dim(n) == (div_dims[n - 1] if n >= 1 else 0),
                 f"rank {r}: division term wrong in degree {n}",

@@ -33,7 +33,9 @@ from .fulu import (
     extend_scalars,
     extend_scalars_map,
     fulu_subquotient,
+    positive_u_part,
     restrict_fulu,
+    u_linear_map,
 )
 from .unstable import (
     BlockLayout,
@@ -245,13 +247,9 @@ class RealmCalculus:
         return TExpansion(self.X, comps, f"Tbar({self.X.name})")
 
     @cached_property
-    def E_tbar(self) -> ExtendedModule:
-        return extend_scalars(self.tbar.module)
-
-    @cached_property
-    def bar(self) -> Tuple[FuluModule, FuluMap]:
+    def bar(self) -> ExtendedModule:
         """The positive-u-power part of the extended reduced expansion."""
-        return positive_u_part(self.E_tbar)
+        return positive_u_part(self.tbar.module)
 
     # -- comparison maps --------------------------------------------------------
 
@@ -264,7 +262,7 @@ class RealmCalculus:
     def tau(self) -> FuluMap:
         """u-linear, so built from its u^0 layer: component v of a monomial
         is its twist by v."""
-        layer = {}
+        layer = []
         for d in range(self.D + 1):
             rows = []
             for j, mono in self.X.entries(d):
@@ -275,16 +273,14 @@ class RealmCalculus:
                         tgt = self.TX.realm.index(d - extra, c, m2)
                         acc ^= 1 << self.ETX.index(d, extra, tgt)
                 rows.append(acc)
-            layer[d] = rows
-        return FuluMap(self.E, self.ETX, _u_linear_mats(self.E, self.ETX.dims, layer), name="tau")
+            layer.append(rows)
+        return u_linear_map(self.E, self.ETX, layer, name="tau")
 
     @cached_property
     def taubar(self) -> FuluMap:
         """Project tau to the reduced components; lands in positive u-powers."""
-        barmod = self.bar[0]
-        layer = {}
+        layer = []
         for d in range(self.D + 1):
-            cut = self.E_tbar.block(d, 0)[1]
             rows = []
             for j, mono in self.X.entries(d):
                 acc = 0
@@ -294,10 +290,10 @@ class RealmCalculus:
                         if extra == 0:
                             continue  # cancelled by the identity summand
                         tgt = self.tbar.realm.index(d - extra, c, m2)
-                        acc ^= 1 << (self.E_tbar.index(d, extra, tgt) - cut)
+                        acc ^= 1 << self.bar.index(d, extra, tgt)
                 rows.append(acc)
-            layer[d] = rows
-        return FuluMap(self.E, barmod, _u_linear_mats(self.E, barmod.dims, layer), name="taubar")
+            layer.append(rows)
+        return u_linear_map(self.E, self.bar, layer, name="taubar")
 
     @cached_property
     def retract(self) -> FuluMap:
@@ -470,61 +466,6 @@ def _component_map(src: RealmObject, tgt: RealmObject, P: BitMatrix) -> Dict[int
     return mats
 
 
-def _u_linear_mats(E: ExtendedModule, tgt_dims: Sequence[int],
-                   layer: Dict[int, List[int]]) -> Dict[int, BitMatrix]:
-    """The degreewise matrices of a u-linear map out of E = F[u] (x) X,
-    built from its u^0 layer.
-
-    ``layer[d]`` lists the images of X's degree-d basis, as rows of the
-    target in degree d.  The target is a scalar extension or its
-    positive-u part: u^a carries its degree-(n - a) basis, in order, onto
-    the last ``tgt_dims[n - a]`` vectors of degree n.  So the u^a block of E
-    in degree n maps by ``layer[n - a]`` shifted by one offset.
-    """
-    mats = {}
-    for n in range(E.D + 1):
-        rows = []
-        for a, _, _ in E.layout.blocks(n):
-            shift = tgt_dims[n] - tgt_dims[n - a]
-            rows.extend(r << shift for r in layer[n - a])
-        mats[n] = BitMatrix(len(rows), tgt_dims[n], tuple(rows))
-    return mats
-
-
-def positive_u_part(E: ExtendedModule) -> Tuple[FuluModule, FuluMap]:
-    """The coordinate sub-u-module spanned by positive u-powers.
-
-    The u^0 block comes first in every degree, so the positive part is the
-    tail ``[cut, dim)``: a matrix restricts to it by dropping the first
-    ``cut`` rows and shifting the rest right by the target degree's cut.
-    """
-    D = E.D
-    cut = [E.block(n, 0)[1] for n in range(D + 1)]
-
-    def tail(m: BitMatrix, n: int, n2: int) -> BitMatrix:
-        rows = tuple(r >> cut[n2] for r in m.row_ints()[cut[n]:])
-        return BitMatrix(len(rows), E.dim(n2) - cut[n2], rows)
-
-    dims = [E.dim(n) - cut[n] for n in range(D + 1)]
-    labels = [E.labels[n][cut[n]:] for n in range(D + 1)]
-
-    def action() -> Dict[Tuple[int, int], BitMatrix]:
-        return {
-            (i, n): tail(E.underlying.sq(i, n), n, n + i)
-            for n in range(D + 1) if dims[n]
-            for i in range(1, D - n + 1)
-        }
-
-    mod = TruncatedModule(f"bar({E.name})", D, dims, action, labels)
-    bar = FuluModule(mod, {n: tail(E.u_mat(n), n, n + 1) for n in range(D)}, name=mod.name)
-    incl_mats = {
-        n: BitMatrix.from_row_ints([1 << c for c in range(cut[n], E.dim(n))], E.dim(n))
-        for n in range(D + 1)
-    }
-    incl = FuluMap(bar, E, incl_mats)
-    return bar, incl
-
-
 # -- public operations ------------------------------------------------------------
 
 
@@ -584,7 +525,7 @@ def gv_invariants(r: int, D: int) -> InvariantsResult:
     g_plus_id = []
     for gen in range(r):
         v = 1 << gen
-        layer = {}
+        layer = []
         for d in range(D + 1):
             rows = []
             for pos, mono in enumerate(X.monomials(0, d)):
@@ -592,12 +533,12 @@ def gv_invariants(r: int, D: int) -> InvariantsResult:
                 for (extra, m2) in _twist_terms(mono, v):
                     acc ^= 1 << E.index(d, extra, X.index(d - extra, 0, m2))
                 rows.append(acc)
-            layer[d] = rows
-        g_plus_id.append(_u_linear_mats(E, E.dims, layer))
+            layer.append(rows)
+        g_plus_id.append(u_linear_map(E, E, layer))
     bases: Dict[int, BitMatrix] = {}
     for n in range(D + 1):
         if g_plus_id:
-            bases[n] = left_kernel(reduce(BitMatrix.concat_cols, [m[n] for m in g_plus_id])).basis
+            bases[n] = left_kernel(reduce(BitMatrix.concat_cols, [m.mat(n) for m in g_plus_id])).basis
         else:
             bases[n] = BitMatrix.identity(E.dim(n))
     mod, incl = restrict_fulu(E, bases, f"Inv(G,{X.name})")
@@ -645,7 +586,7 @@ def alpha_realm(X: RealmObject, calc: Optional[RealmCalculus] = None) -> AlphaRe
         unit = calc.E.unit_mat(n)  # base into the extension
         full = unit @ calc.taubar.mat(n)
         # select the u^1 layer, with which the bar coordinates start
-        mask = (1 << calc.E_tbar.block(n, 1)[1]) - 1
+        mask = (1 << calc.bar.block(n, 1)[1]) - 1
         rows = [row & mask for row in full.row_ints()]
         st_mats[n] = BitMatrix.from_row_ints(rows, tbar.dims[n - 1] if n >= 1 else 0)
     st = GradedLinearMap(X.module, tbar, st_mats, shift=-1, D=calc.D, name="unit-layer")

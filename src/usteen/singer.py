@@ -34,9 +34,9 @@ from .unstable import (
     TheoryViolation,
     TruncatedModule,
     Verdict,
+    _restricted_action,
     phi,
     sq0,
-    submodule,
     tensor_with_layout,
 )
 
@@ -143,13 +143,13 @@ class SingerModule:
             raise TheoryViolation(self.free_gens.witness or "generators not free")
         name = f"R1({self.base.name})"
         bases = {n: self._G[n] for n in range(self.D + 1)}
-        mod, _incl = submodule(self.ambient.underlying, bases, name, D=self.D)
-        # keep the distinguished labels rather than the ambient sums
+        # the distinguished labels, not the ambient sums
         mod = TruncatedModule(
-            name, self.D, mod.dims, {k: v for k, v in mod.action_items()},
+            name, self.D, [bases[n].nrows for n in range(self.D + 1)],
+            _restricted_action(bases, self.ambient.underlying, self.D, name),
             [tuple(labels[n]) for n in range(self.D + 1)],
         )
-        return mod, {n: bases[n] for n in range(self.D + 1)}
+        return mod, bases
 
     def _check_u_consistency(self):
         for n in range(self.D):

@@ -188,6 +188,18 @@ def test_entry_access_bounds():
         m.get(-1, 0)
 
 
+def test_take_rows_and_cols_refuse_out_of_range_indices():
+    # a negative index must not wrap around to the last row or column
+    m = BitMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
+    assert m.take_rows([1, 0, 1]).to_lists() == [[0, 1, 0], [1, 0, 0], [0, 1, 0]]
+    for bad in (-1, 2):
+        with pytest.raises(IndexError):
+            m.take_rows([0, bad])
+    for bad in (-1, 3):
+        with pytest.raises(IndexError):
+            m.take_cols([0, bad])
+
+
 def test_kernel_identity_and_zero():
     assert kernel_basis(BitMatrix.identity(5)).dim == 0
     assert kernel_basis(BitMatrix.zeros(4, 6)) == Subspace.full(6)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from usteen.harness import (
     run_check,
 )
 from usteen.lannes import RealmCalculus
-from usteen.unstable import free_unstable, polynomial_module
+from usteen.unstable import TruncatedModule, free_unstable, polynomial_module
 
 
 def test_poincare_coeffs():
@@ -71,6 +72,24 @@ def test_one_calculus_per_rank_and_degree(monkeypatch):
     assert all(r.passed for r in results)
     assert len(built) == len(set(built)) == 3
     assert harness._hv_calculus.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("D", [6, 7])
+def test_t8_compares_the_division_term_through_degree_D(D, monkeypatch):
+    """A division term one dimension too large in its top degree makes the
+    cokernel's indecomposables disagree with it only in degree D."""
+    real = harness.division_u2
+
+    def grown(ar):
+        dv = real(ar)
+        dims = list(dv.div.dims)
+        dims[-1] += 1
+        return dataclasses.replace(dv, div=TruncatedModule(dv.div.name, dv.div.D, dims, {}))
+
+    monkeypatch.setattr(harness, "division_u2", grown)
+    result = run_check(make_spec("T8", D=D, max_rank=1))
+    assert not result.passed
+    assert result.witness == f"rank 1: division term wrong in degree {D}"
 
 
 def test_unknown_check_id():

@@ -5,14 +5,16 @@ from collections import Counter
 
 import pytest
 
-from usteen import harness, lannes, unstable
+from usteen import fixtures, harness, lannes, unstable
 from usteen.f2core import BitMatrix, Subspace, image_is_kernel, left_kernel, rref
 from usteen.fulu import (
+    FuluModule,
     GradedSubspace,
     extend_scalars,
     freeness_report,
     fulu_subquotient,
     indecomposables,
+    positive_u_part,
     saturation_check,
 )
 from usteen.lannes import (
@@ -45,6 +47,7 @@ from usteen.unstable import (
     phi,
     polynomial_module,
     subquotient,
+    tensor,
     tensor_with_layout,
     unit_module,
 )
@@ -377,7 +380,7 @@ def test_q_sequence_terms_rank1():
     sub = calc.taubar_sub
     q_r = indecomposables(sub.kernel)
     q_e = indecomposables(calc.E)
-    q_bar = indecomposables(calc.bar[0])
+    q_bar = indecomposables(positive_u_tail(extend_scalars(calc.tbar.module)))
     q_c2 = indecomposables(sub.cokernel)
     for n in range(11):
         assert q_r.dim(n) == (1 if n % 2 == 0 else 0)  # the doubled base
@@ -675,8 +678,8 @@ def tau_by_monomials(calc):
 
 
 def taubar_by_monomials(calc):
-    barmod = calc.bar[0]
-    cut = {n: calc.E_tbar.block(n, 0)[1] for n in range(calc.D + 1)}
+    E_tbar = extend_scalars(calc.tbar.module)
+    cut = {n: E_tbar.block(n, 0)[1] for n in range(calc.D + 1)}
     mats = {}
     for n in range(calc.D + 1):
         rows = []
@@ -688,10 +691,43 @@ def taubar_by_monomials(calc):
                     if extra == 0:
                         continue
                     tgt = calc.tbar.realm.index(n - a - extra, c, m2)
-                    acc ^= 1 << (calc.E_tbar.index(n, a + extra, tgt) - cut[n])
+                    acc ^= 1 << (E_tbar.index(n, a + extra, tgt) - cut[n])
             rows.append(acc)
-        mats[n] = BitMatrix.from_row_ints(rows, barmod.dim(n))
+        mats[n] = BitMatrix.from_row_ints(rows, E_tbar.dim(n) - cut[n])
     return mats
+
+
+def positive_u_tail(E):
+    """The positive-u part of a scalar extension E as the tail of its rows.
+
+    The u^0 block comes first in every degree, so the positive part is the
+    tail ``[cut, dim)``: a matrix restricts to it by dropping the first
+    ``cut`` rows and shifting the rest right by the target degree's cut.
+    """
+    D = E.D
+    cut = [E.block(n, 0)[1] for n in range(D + 1)]
+
+    def tail(m, n, n2):
+        rows = tuple(r >> cut[n2] for r in m.row_ints()[cut[n]:])
+        return BitMatrix(len(rows), E.dim(n2) - cut[n2], rows)
+
+    dims = [E.dim(n) - cut[n] for n in range(D + 1)]
+    labels = [E.labels[n][cut[n]:] for n in range(D + 1)]
+    action = {
+        (i, n): tail(E.underlying.sq(i, n), n, n + i)
+        for n in range(D + 1) if dims[n]
+        for i in range(1, D - n + 1)
+    }
+    mod = TruncatedModule(f"bar({E.name})", D, dims, action, labels)
+    return FuluModule(mod, {n: tail(E.u_mat(n), n, n + 1) for n in range(D)}, name=mod.name)
+
+
+def assert_same_u_module(got, want):
+    assert got.name == want.name
+    assert got.labels == want.labels
+    assert got.dims == want.dims
+    assert dict(got.underlying.action_items()) == dict(want.underlying.action_items())
+    assert [got.u_mat(n) for n in range(got.D)] == [want.u_mat(n) for n in range(want.D)]
 
 
 def gv_stacked_by_monomials(r, D):
@@ -728,6 +764,36 @@ def test_u_linear_maps_match_the_monomial_loops(X):
     degrees = range(calc.D + 1)
     for got, want in ((calc.tau, tau_by_monomials(calc)), (calc.taubar, taubar_by_monomials(calc))):
         assert [got.mat(n) for n in degrees] == [want[n] for n in degrees], got.name
+
+
+@pytest.mark.parametrize("X", U_LINEAR_CASES, ids=lambda X: X.name)
+def test_positive_u_part_matches_the_tail_of_the_extension(X):
+    assert_same_u_module(positive_u_part(X.module), positive_u_tail(extend_scalars(X.module)))
+
+
+def test_positive_u_part_of_a_loaded_fixture_matches_the_tail(tmp_path):
+    path = tmp_path / "fixture.json"
+    fixtures.save(tensor(free_unstable(1, 7), polynomial_module(1, 7)), path)
+    M = fixtures.load(path)
+    assert_same_u_module(positive_u_part(M), positive_u_tail(extend_scalars(M)))
+
+
+def test_rtilde_and_t8_build_no_extension_of_the_reduced_expansion(monkeypatch):
+    """bar(F[u] (x) Tbar X) is built directly, not cut out of F[u] (x) Tbar X."""
+    names = []
+    init = TruncatedModule.__init__
+
+    def recording(self, name, *args, **kwargs):
+        names.append(name)
+        init(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(TruncatedModule, "__init__", recording)
+    harness._hv_calculus.cache_clear()
+    calc = harness._hv_calculus(2, 8)
+    rtilde(calc.X, calc)
+    assert harness.run_check(harness.make_spec("T8", D=8, max_rank=2)).passed
+    assert "bar(Fu(x)Tbar(H(V2)))" in names
+    assert not [n for n in names if n.startswith("Fu(x)Tbar(")]
 
 
 @pytest.mark.parametrize("r", range(4))
