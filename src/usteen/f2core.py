@@ -202,15 +202,39 @@ def _echelon(rows: Iterable[int], width: int) -> list:
     on ``bit_length`` avoids the big-int negation of a lowest-bit search.
     """
     lead = [0] * (width + 1)
-    for r in rows:
+    _file_rows(lead, rows)
+    return lead
+
+
+def _file_rows(lead: list, rows: Iterable[int], picked: Optional[list] = None) -> None:
+    """Reduce each row against ``lead`` in turn and file it there if it
+    survives; a surviving row, as given, is also appended to ``picked``."""
+    for v in rows:
+        r = v
         while r:
             h = r.bit_length()
             p = lead[h]
             if not p:
                 lead[h] = r
+                if picked is not None:
+                    picked.append(v)
                 break
             r ^= p
-    return lead
+
+
+def complement_rows(seed: BitMatrix, rows: BitMatrix) -> BitMatrix:
+    """The rows of ``rows``, in order, that lie outside the span of ``seed``
+    and of the rows picked before them.
+
+    One forward pass: ``seed`` fills the lead table of ``_echelon``, then
+    each row is reduced against the table and filed there if it survives.
+    With ``seed`` the picked rows span the rows of both.
+    """
+    if seed.ncols != rows.ncols:
+        raise ValueError("column count mismatch")
+    picked: list = []
+    _file_rows(_echelon(seed._rows, seed.ncols), rows._rows, picked)
+    return BitMatrix(len(picked), rows.ncols, tuple(picked))
 
 
 def rank(m: BitMatrix) -> int:

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2core import BitMatrix, Subspace, express_in_rowspace, left_kernel, rank
+from .f2core import (
+    BitMatrix,
+    Subspace,
+    complement_rows,
+    express_in_rowspace,
+    left_kernel,
+    rank,
+)
 from .unstable import (
     ModuleMap,
     Quotient,
@@ -368,12 +375,15 @@ def freeness_report(N) -> FreenessReport:
 
 
 class GradedSubspace:
-    """A graded subspace of a u-module, closed under multiplication by u."""
+    """A graded subspace of a u-module, closed under multiplication by u.
+
+    ``bases[n]`` is the canonical rref basis of degree n, for n = 0..D.
+    """
 
     __slots__ = ("ambient", "bases")
 
-    def __init__(self, ambient: FuluModule, bases: Dict[int, BitMatrix],
-                 check_u_closed: bool = True):
+    def __init__(self, ambient: FuluModule, bases: Dict[int, BitMatrix]):
+        _check_degrees(ambient, bases, "basis")
         full = {}
         for n in range(ambient.D + 1):
             b = bases.get(n)
@@ -383,27 +393,30 @@ class GradedSubspace:
                 if b.ncols != ambient.dim(n):
                     raise ValueError(f"basis width mismatch at degree {n}")
                 full[n] = Subspace.from_rows(b).basis
-        if check_u_closed:
-            for n in range(ambient.D):
-                img = full[n] @ ambient.u_mat(n)
-                if express_in_rowspace(full[n + 1], img) is None:
-                    raise ValueError(f"not closed under u at degree {n}")
+        for n in range(ambient.D):
+            target = Subspace(ambient.dim(n + 1), full[n + 1])
+            if not all(map(target.contains_vector, (full[n] @ ambient.u_mat(n)).row_ints())):
+                raise ValueError(f"not closed under u at degree {n}")
         self.ambient = ambient
         self.bases = full
 
     @classmethod
     def from_vectors(cls, ambient: FuluModule, seeds: Dict[int, Sequence[int]]) -> "GradedSubspace":
-        """The u-submodule generated by int-packed seed vectors."""
-        rows: Dict[int, List[int]] = {n: [] for n in range(ambient.D + 1)}
-        for n, vecs in seeds.items():
-            rows[n].extend(vecs)
+        """The u-submodule generated by int-packed seed vectors.
+
+        Degree by degree the seeds and u times the previous degree are
+        eliminated once; the results are canonical and closed under u.
+        """
+        _check_degrees(ambient, seeds, "seed")
         bases: Dict[int, BitMatrix] = {}
         for n in range(ambient.D + 1):
-            mat = BitMatrix.from_row_ints(rows[n], ambient.dim(n))
+            mat = BitMatrix.from_row_ints(seeds.get(n, ()), ambient.dim(n))
             if n > 0:
                 mat = mat.stack(bases[n - 1] @ ambient.u_mat(n - 1))
             bases[n] = Subspace.from_rows(mat).basis
-        return cls(ambient, bases, check_u_closed=False)
+        X = cls.__new__(cls)
+        X.ambient, X.bases = ambient, bases
+        return X
 
     def dim(self, n: int) -> int:
         return self.bases[n].nrows
@@ -420,22 +433,32 @@ class GradedSubspace:
         return hash(tuple(sorted(self.bases.items())))
 
 
+def _check_degrees(ambient: FuluModule, keyed: Dict[int, object], what: str) -> None:
+    for n in keyed:
+        if not 0 <= n <= ambient.D:
+            raise ValueError(f"{what} degree {n} outside 0..{ambient.D}")
+
+
 def saturation_check(X: GradedSubspace) -> Verdict:
     """u-divisibility closure: u y in X and y ambient imply y in X.
 
     This is the truncation-sized form of the cartesian-square condition;
     the equivalence with the generator-space condition is property-tested.
+    X^n lies in u^-1 X^{n+1} because X is closed under u, so degree n is
+    saturated exactly when the two have the same dimension.  The witness of
+    a failing degree is the first vector of the canonical basis of
+    u^-1 X^{n+1} that lies outside X^n.
     """
     amb = X.ambient
     for n in range(amb.D):
         proj, _, _ = _coker_data(X.bases[n + 1], amb.dim(n + 1))
-        pre = left_kernel(amb.u_mat(n) @ proj)
+        u_mod = amb.u_mat(n) @ proj
+        if amb.dim(n) - rank(u_mod) == X.dim(n):
+            continue
         target = X.subspace(n)
-        for r in range(pre.dim):
-            v = pre.basis.row_int(r)
-            if not target.contains_vector(v):
-                witness = _sum_label(amb.labels[n], v)
-                return Verdict(False, amb.D, f"degree {n}: u*({witness}) lies in X but {witness} does not")
+        v = next(v for v in left_kernel(u_mod).basis.row_ints() if not target.contains_vector(v))
+        witness = _sum_label(amb.labels[n], v)
+        return Verdict(False, amb.D, f"degree {n}: u*({witness}) lies in X but {witness} does not")
     return Verdict(True, amb.D)
 
 
@@ -451,31 +474,22 @@ class GeneratorSpace:
 def generator_space(X: GradedSubspace) -> GeneratorSpace:
     """A deterministic graded generator space (a lift of the u-indecomposables).
 
-    The injectivity verdict tests the composite with the augmentation; the
+    In each degree, the rows of X^n are walked in order and a row is picked
+    when it lies outside u X^{n-1} plus the rows picked before it.  The
+    injectivity verdict tests the composite with the augmentation; the
     ambient must be a scalar extension so the augmentation is available.
     """
     amb = X.ambient
     if not isinstance(amb, ExtendedModule):
         raise ValueError("generator spaces need a scalar-extension ambient")
     w_bases: Dict[int, BitMatrix] = {}
-    ok = True
     witness = None
     for n in range(amb.D + 1):
         u_image = (X.bases[n - 1] @ amb.u_mat(n - 1)) if n >= 1 else BitMatrix.zeros(0, amb.dim(n))
-        elim = Subspace.from_rows(u_image)
-        picked = []
-        for r in range(X.bases[n].nrows):
-            v = X.bases[n].row_int(r)
-            if not elim.contains_vector(v):
-                picked.append(v)
-                elim = elim.sum(Subspace.from_rows(BitMatrix.from_row_ints([v], amb.dim(n))))
-        w_bases[n] = BitMatrix.from_row_ints(picked, amb.dim(n))
-        if ok:
-            image = w_bases[n] @ amb.eps_mat(n)
-            if rank(image) != len(picked):
-                ok = False
-                witness = f"augmentation image drops rank in degree {n}"
-    return GeneratorSpace(w_bases, Verdict(ok, amb.D, witness))
+        w_bases[n] = complement_rows(u_image, X.bases[n])
+        if witness is None and rank(w_bases[n] @ amb.eps_mat(n)) != w_bases[n].nrows:
+            witness = f"augmentation image drops rank in degree {n}"
+    return GeneratorSpace(w_bases, Verdict(witness is None, amb.D, witness))
 
 
 def quotient_u_module(X: GradedSubspace, name: Optional[str] = None) -> FuluModule:

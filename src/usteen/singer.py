@@ -321,7 +321,8 @@ def _multiply_ambient_rows(EM: ExtendedModule, EN: ExtendedModule,
 
 def product_mu(M: TruncatedModule, N: TruncatedModule) -> ProductCertificate:
     """Check that the relative tensor product of spans is the span of the tensor."""
-    SM, SN = r1(M), r1(N)
+    SM = r1(M)
+    SN = SM if N is M else r1(N)
     MN, mn_layout = tensor_with_layout(M, N)
     EMN = extend_scalars(MN)
     SMN = r1(MN, EMN)

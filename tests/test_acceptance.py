@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from usteen.f2core import BitMatrix, Subspace, left_kernel, rank, rref
+from usteen.f2core import BitMatrix, Subspace, left_kernel, rank
 from usteen.fulu import (
     extend_scalars,
     freeness_report,

@@ -8,6 +8,7 @@ from usteen.f2core import (
     BitMatrix,
     RowReducer,
     Subspace,
+    complement_rows,
     express_in_rowspace,
     image_is_kernel,
     kernel_basis,
@@ -142,6 +143,23 @@ def test_differential_product(inner, data):
             for row in a]
     assert prod.to_lists() == want
     assert (prod.nrows, prod.ncols) == (len(a), b_ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DIFF_WIDTHS), st.data())
+def test_differential_complement_rows(ncols, data):
+    """Against a pick loop that takes the naive rank of the span once per row."""
+    seed, _ = data.draw(bit_rows(ncols=ncols))
+    rows, _ = data.draw(bit_rows(ncols=ncols))
+    want, span = [], list(seed)
+    for row in rows:
+        if naive_rank(span + [row]) > naive_rank(span):
+            want.append(row)
+            span.append(row)
+    got = complement_rows(BitMatrix.from_rows(seed, ncols), BitMatrix.from_rows(rows, ncols))
+    assert got.to_lists() == want and got.ncols == ncols
+    with pytest.raises(ValueError, match="column count"):
+        complement_rows(BitMatrix.zeros(0, ncols + 1), BitMatrix.from_rows(rows, ncols))
 
 
 def test_rref_zero_matrix():

@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
-from usteen import fixtures
-from usteen.f2core import BitMatrix, Subspace, rref
+from usteen import fixtures, harness
+from usteen.f2core import BitMatrix, Subspace, left_kernel, rank, rref
 from usteen.fulu import (
     FuluModule,
     GradedSubspace,
@@ -22,6 +24,9 @@ from usteen.fulu import (
 )
 from usteen.lannes import RealmCalculus, hv, realm_sum, realm_suspend, t_apply
 from usteen.unstable import (
+    Verdict,
+    _coker_data,
+    _sum_label,
     free_unstable,
     map_from_free,
     module_from_action,
@@ -215,6 +220,81 @@ def test_equiv_cond_randomized_small():
         if sat.ok:
             assert freeness_report(quotient_u_module(X)).torsion_free.ok
     assert agree == 25
+
+
+def saturation_check_by_preimage(X):
+    """Oracle for ``saturation_check``: take u^-1 X^{n+1} in every degree and
+    look for its first canonical basis vector outside X^n."""
+    amb = X.ambient
+    for n in range(amb.D):
+        proj, _, _ = _coker_data(X.bases[n + 1], amb.dim(n + 1))
+        pre = left_kernel(amb.u_mat(n) @ proj)
+        target = X.subspace(n)
+        for r in range(pre.dim):
+            v = pre.basis.row_int(r)
+            if not target.contains_vector(v):
+                witness = _sum_label(amb.labels[n], v)
+                return Verdict(False, amb.D, f"degree {n}: u*({witness}) lies in X but {witness} does not")
+    return Verdict(True, amb.D)
+
+
+def generator_space_by_resum(X):
+    """Oracle for ``generator_space``: re-eliminate the whole span once per
+    picked row; returns (w_bases, verdict)."""
+    amb = X.ambient
+    w_bases = {}
+    ok, witness = True, None
+    for n in range(amb.D + 1):
+        u_image = (X.bases[n - 1] @ amb.u_mat(n - 1)) if n >= 1 else BitMatrix.zeros(0, amb.dim(n))
+        elim = Subspace.from_rows(u_image)
+        picked = []
+        for r in range(X.bases[n].nrows):
+            v = X.bases[n].row_int(r)
+            if not elim.contains_vector(v):
+                picked.append(v)
+                elim = elim.sum(Subspace.from_rows(BitMatrix.from_row_ints([v], amb.dim(n))))
+        w_bases[n] = BitMatrix.from_row_ints(picked, amb.dim(n))
+        if ok and rank(w_bases[n] @ amb.eps_mat(n)) != len(picked):
+            ok, witness = False, f"augmentation image drops rank in degree {n}"
+    return w_bases, Verdict(ok, amb.D, witness)
+
+
+@pytest.mark.parametrize("D", [3, 6, 10])
+def test_saturation_and_generators_match_their_oracles(D):
+    """On seeded random u-submodules of both T14 ambients, saturated and
+    not: the same verdicts, witness texts and generator bases."""
+    rng = random.Random(D)
+    ambients = [extend_scalars(polynomial_module(1, D)), extend_scalars(free_unstable(2, D))]
+    seen = {True: 0, False: 0}
+    for t in range(60):
+        E = ambients[t % 2]
+        X = harness._random_subspace(rng, E, t % 3)
+        assert GradedSubspace(E, X.bases).bases == X.bases
+        sat = saturation_check(X)
+        assert sat == saturation_check_by_preimage(X)
+        gs = generator_space(X)
+        w_bases, verdict = generator_space_by_resum(X)
+        assert gs.w_bases == w_bases
+        assert gs.eps_image_injective == verdict
+        seen[sat.ok] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_graded_subspace_refuses_degrees_outside_the_truncation():
+    E = extend_scalars(unit_module(4))
+    for n in (-1, 5):
+        with pytest.raises(ValueError, match=f"basis degree {n} outside 0..4"):
+            GradedSubspace(E, {n: BitMatrix.identity(1)})
+        with pytest.raises(ValueError, match=f"seed degree {n} outside 0..4"):
+            GradedSubspace.from_vectors(E, {n: [1]})
+    # the keys inside 0..D still build
+    assert GradedSubspace.from_vectors(E, {4: [1]}).dim(4) == 1
+
+
+def test_graded_subspace_checks_u_closure():
+    E = extend_scalars(unit_module(4))
+    with pytest.raises(ValueError, match="not closed under u at degree 1"):
+        GradedSubspace(E, {1: BitMatrix.identity(1)})
 
 
 def test_restrict_fulu_roundtrip():

@@ -6,7 +6,7 @@ import pytest
 
 from usteen import cli, fixtures, harness
 from usteen.cli import main as cli_main
-from usteen.fulu import extend_scalars, fulu_algebra
+from usteen.fulu import extend_scalars
 from usteen.harness import (
     CATALOG,
     make_spec,

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from usteen import fixtures, harness, lannes, unstable
-from usteen.f2core import BitMatrix, Subspace, image_is_kernel, left_kernel, rref
+from usteen.f2core import BitMatrix, Subspace, image_is_kernel, left_kernel
 from usteen.fulu import (
     FuluModule,
     GradedSubspace,

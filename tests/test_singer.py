@@ -1,5 +1,6 @@
 import numpy as np
 
+from usteen import singer
 from usteen.f2core import BitMatrix, Subspace, rref
 from usteen.fulu import extend_scalars, freeness_report, indecomposables, saturation_check, GradedSubspace, generator_space
 from usteen.singer import (
@@ -245,6 +246,24 @@ def test_product_mu_polynomials():
 def test_product_mu_free_modules():
     cert = product_mu(free_unstable(1, 8), free_unstable(1, 8))
     assert cert.ok
+
+
+def test_product_mu_of_a_module_with_itself_builds_r1_once(monkeypatch):
+    built = []
+    real_r1 = singer.r1
+
+    def counting_r1(M, ambient=None):
+        built.append(M.name)
+        return real_r1(M, ambient)
+
+    monkeypatch.setattr(singer, "r1", counting_r1)
+    H = free_unstable(1, 8)
+    assert product_mu(H, H).ok
+    # R1(H) once, then R1 of the tensor square
+    assert len(built) == 2 and built[0] == H.name
+    built.clear()
+    assert product_mu(H, free_unstable(1, 8)).ok
+    assert len(built) == 3
 
 
 def test_eps_of_st1_is_sq0():
