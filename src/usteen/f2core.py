@@ -388,8 +388,13 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, rows: BitMatrix) -> "Subspace":
+        """The row space of ``rows``; its rref is canonical, so ``__init__``'s
+        check of a basis from outside is not run again."""
         res = rref(rows)
-        return cls(rows.ncols, BitMatrix(res.rank, rows.ncols, res.matrix._rows[:res.rank]))
+        sp = cls.__new__(cls)
+        sp.ambient_dim = rows.ncols
+        sp.basis = BitMatrix(res.rank, rows.ncols, res.matrix._rows[:res.rank])
+        return sp
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

@@ -75,9 +75,14 @@ class RealmObject:
         self.D = D
         self.name = name or self._default_name()
         self._tags = tuple(comp_tags) if comp_tags is not None else None
-        self.table = BlockLayout(
+
+    @cached_property
+    def table(self) -> BlockLayout:
+        """The block layout, built on first read: a verdict read on component
+        matrices needs only the summands."""
+        return BlockLayout(
             [(j, len(_monomials(sm.r, n - sm.s))) for j, sm in enumerate(self.summands)]
-            for n in range(D + 1)
+            for n in range(self.D + 1)
         )
 
     @cached_property
@@ -117,7 +122,7 @@ class RealmObject:
         """Place shifted copies of one polynomial module per rank, block by block."""
         D = self.D
         dims = self.table.dims
-        polys = [_polynomial_module(sm.r, D) for sm in self.summands]
+        polys = [hv_module(sm.r, D) for sm in self.summands]
         labels = []
         for n in range(D + 1):
             ls = []
@@ -150,9 +155,10 @@ class RealmObject:
 
 
 @lru_cache(maxsize=None)
-def _polynomial_module(r: int, D: int) -> TruncatedModule:
-    """``polynomial_module(r, D)``, built once per (r, D): every summand of a
-    realm object is a shifted copy of it."""
+def hv_module(r: int, D: int) -> TruncatedModule:
+    """``polynomial_module(r, D)``, built once per (r, D) and shared: every
+    summand of a realm object is a shifted copy of it, and the catalog's
+    fixtures read it."""
     return polynomial_module(r, D)
 
 
@@ -305,6 +311,11 @@ class RealmCalculus:
     @cached_property
     def taubar_sub(self) -> FuluSubquotient:
         return fulu_subquotient(self.taubar)
+
+    @cached_property
+    def equalizer_verdict(self) -> Verdict:
+        """``equalizer_matches_taubar_kernel()``, certified once per calculus."""
+        return self.equalizer_matches_taubar_kernel()
 
     def equalizer_matches_taubar_kernel(self) -> Verdict:
         """The kernel of taubar is the equalizer of sigma and tau, the kernel
@@ -484,9 +495,13 @@ class PresentedFuluObject:
 
 
 def rtilde(X: RealmObject, calc: Optional[RealmCalculus] = None) -> PresentedFuluObject:
-    """The kernel of the reduced comparison map, checked against the equalizer."""
+    """The kernel of the reduced comparison map, checked against the equalizer.
+
+    A calculus certifies the equalizer once; a failing verdict raises
+    ``TheoryViolation`` on every call.
+    """
     calc = calc or RealmCalculus(X)
-    v = calc.equalizer_matches_taubar_kernel()
+    v = calc.equalizer_verdict
     if not v.ok:
         raise TheoryViolation(v.witness or "equalizer mismatch")
     return PresentedFuluObject("kernel", calc, calc.taubar_sub.kernel)
@@ -518,10 +533,19 @@ class InvariantsResult:
     incl: FuluMap
 
 
-def gv_invariants(r: int, D: int) -> InvariantsResult:
-    """Invariants of the maps u -> u, t_i -> t_i + t_i(v) u over generators v."""
-    X = hv(r, D)
-    E = extend_scalars(X.module)
+def gv_invariants(r: int, D: int, calc: Optional[RealmCalculus] = None) -> InvariantsResult:
+    """Invariants of the maps u -> u, t_i -> t_i + t_i(v) u over generators v.
+
+    ``calc``, the calculus of ``hv(r, D)``, lends its base and its scalar
+    extension, so the invariant ring and the kernel of taubar share one
+    extension and one Sq action.
+    """
+    if calc is None:
+        calc = RealmCalculus(hv(r, D))
+    elif calc.X.summands != (Summand(0, r),) or calc.D != D:
+        raise ValueError(f"the calculus of {calc.X.name} at D={calc.D} is not that of "
+                         f"H(V{r}) at D={D}")
+    X, E = calc.X, calc.E
     g_plus_id = []
     for gen in range(r):
         v = 1 << gen

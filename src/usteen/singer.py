@@ -59,11 +59,12 @@ def st1(M: TruncatedModule, ambient: Optional[ExtendedModule] = None) -> St1Map:
     half = M.D // 2
     mats: Dict[int, BitMatrix] = {}
     for d in range(half + 1):
+        sq_rows = [M.sq(i, d).row_ints() for i in range(d + 1)]
         rows = []
         for j in range(M.dims[d]):
             acc = 0
-            for i in range(d + 1):
-                sqrow = M.sq(i, d).row_int(j)
+            for i, sq in enumerate(sq_rows):
+                sqrow = sq[j]
                 a = d - i
                 while sqrow:
                     low = sqrow & -sqrow
@@ -124,12 +125,13 @@ class SingerModule:
         self._check_u_consistency()
 
     def _shift_row(self, row: int, n: int, k: int) -> int:
-        """Multiply an ambient row of degree n by u^k (shift every block)."""
-        amb = self.ambient
-        out = 0
-        for a, off, width in amb.layout.blocks(n):
-            out |= ((row >> off) & ((1 << width) - 1)) << amb.index(n + k, a + k, 0)
-        return out
+        """Multiply an ambient row of degree n by u^k.
+
+        The u^a block of degree n starts at dim(n) - dim(n - a), so every
+        block moves to the u^(a+k) block of degree n + k by one shift, the
+        identity ``fulu.u_linear_map`` relies on.
+        """
+        return row << (self.ambient.dim(n + k) - self.ambient.dim(n))
 
     def _freeness(self) -> Verdict:
         for n in range(self.D + 1):

@@ -787,16 +787,19 @@ def map_from_free(free: TruncatedModule, target: TruncatedModule, element_row: i
 class Subquotient:
     """Kernel, image and cokernel of an A-linear map, with structure maps.
 
-    The kernel and its inclusion come with the object.  The image (with
+    The kernel, its inclusion and its canonical subspace in each degree
+    (``kernel_spaces``) come with the object.  The image (with
     ``image_incl`` and ``factor``) and the cokernel (with ``coker_proj`` and
     ``coker_reps``) are built on first read, once each; the image checks
     its Sq-closure when it is built.
     """
 
-    def __init__(self, f: ModuleMap, kernel: TruncatedModule, kernel_incl: ModuleMap):
+    def __init__(self, f: ModuleMap, kernel: TruncatedModule, kernel_incl: ModuleMap,
+                 kernel_spaces: List[Subspace]):
         self.f = f
         self.kernel = kernel
         self.kernel_incl = kernel_incl
+        self.kernel_spaces = kernel_spaces
 
     @cached_property
     def _im_bases(self) -> List[BitMatrix]:
@@ -846,24 +849,25 @@ def _restricted_action(bases: Dict[int, BitMatrix], ambient: TruncatedModule,
                        D: int, what: str) -> Dict[Tuple[int, int], BitMatrix]:
     """Action induced on a graded collection of row-subspaces of ``ambient``.
 
-    Each target degree's basis is eliminated once, on first use.
+    Only the ambient's stored, nonzero Sq matrices are read: the rows of a
+    zero matrix lie in every subspace and induce the zero matrix, which is
+    not stored.  They are read by degree, so an escape names the lowest
+    degree.  Each target degree's basis is eliminated once, on first use.
     """
     action: Dict[Tuple[int, int], BitMatrix] = {}
     reducers: Dict[int, RowReducer] = {}
-    for n in range(D + 1):
-        bn = bases[n]
-        if bn.nrows == 0:
+    for (i, n), sq in sorted(ambient.action_items(), key=lambda item: item[0][1]):
+        if n + i > D or bases[n].nrows == 0:
             continue
-        for i in range(1, D - n + 1):
-            red = reducers.get(n + i)
-            if red is None:
-                red = reducers[n + i] = RowReducer(bases[n + i])
-            coeffs = red.express(bn @ ambient.sq(i, n))
-            if coeffs is None:
-                raise TheoryViolation(
-                    f"{what}: Sq^{i} escapes the subspace at degree {n}"
-                )
-            action[(i, n)] = coeffs
+        red = reducers.get(n + i)
+        if red is None:
+            red = reducers[n + i] = RowReducer(bases[n + i])
+        coeffs = red.express(bases[n] @ sq)
+        if coeffs is None:
+            raise TheoryViolation(
+                f"{what}: Sq^{i} escapes the subspace at degree {n}"
+            )
+        action[(i, n)] = coeffs
     return action
 
 
@@ -967,9 +971,10 @@ def subquotient(f: ModuleMap, validate: bool = False) -> Subquotient:
         rep = f.validate_linear()
         if not rep.ok:
             raise ValueError(f"subquotient of a non-A-linear map: {rep.violations[:3]}")
-    ker_bases = {n: left_kernel(f.mat(n)).basis for n in range(f.D + 1)}
-    kernel, kernel_incl = submodule(f.source, ker_bases, f"ker({f.name or 'f'})", f.D)
-    return Subquotient(f, kernel, kernel_incl)
+    spaces = [left_kernel(f.mat(n)) for n in range(f.D + 1)]
+    kernel, kernel_incl = submodule(f.source, {n: sp.basis for n, sp in enumerate(spaces)},
+                                    f"ker({f.name or 'f'})", f.D)
+    return Subquotient(f, kernel, kernel_incl, spaces)
 
 
 # -- exact sequences ---------------------------------------------------------

@@ -451,6 +451,29 @@ def test_subspace_dimension_formula(ambient, seed):
     assert a.sum(b).dim + a.intersect(b).dim == a.dim + b.dim
 
 
+@given(bit_rows())
+def test_from_rows_builds_the_canonical_basis_the_constructor_accepts(case):
+    rows, ncols = case
+    sp = Subspace.from_rows(BitMatrix.from_rows(rows, ncols))
+    work, pivots = naive_rref(rows, ncols)
+    assert sp.basis.to_lists() == work[:len(pivots)]
+    assert Subspace(ncols, sp.basis) == sp
+
+
+def test_from_rows_trusts_its_own_rref_and_the_constructor_checks_the_rest(monkeypatch):
+    def refuse(self, ambient_dim, basis):
+        raise AssertionError("from_rows re-checked its rref")
+
+    with monkeypatch.context() as m:
+        m.setattr(Subspace, "__init__", refuse)
+        sp = Subspace.from_rows(BitMatrix.from_rows([[0, 1, 1], [0, 1, 1], [1, 1, 0]]))
+    assert sp.basis.to_lists() == [[1, 0, 1], [0, 1, 1]]
+    with pytest.raises(ValueError, match="zero rows"):
+        Subspace(2, BitMatrix.from_rows([[1, 0], [0, 0]]))
+    with pytest.raises(ValueError, match="strictly increase"):
+        Subspace(2, BitMatrix.from_rows([[0, 1], [1, 0]]))
+
+
 def test_subspace_ambient_mismatch():
     a = Subspace.full(2)
     b = Subspace.full(3)

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from usteen import cli, fixtures, harness
+from usteen import cli, fixtures, fulu, harness, lannes, unstable
 from usteen.cli import main as cli_main
 from usteen.fulu import extend_scalars
 from usteen.harness import (
@@ -16,7 +18,7 @@ from usteen.harness import (
     run_check,
 )
 from usteen.lannes import RealmCalculus
-from usteen.unstable import TruncatedModule, free_unstable, polynomial_module
+from usteen.unstable import TruncatedModule, Verdict, free_unstable, polynomial_module
 
 
 def test_poincare_coeffs():
@@ -196,9 +198,107 @@ def test_verify_all_report_matches_the_committed_oracle(capsys):
     assert capsys.readouterr().out == (DATA / "verify_all.json").read_text()
 
 
+RANK3_CHECKS = ["T1", "T2", "T3", "T8", "T11"]
+
+
 def test_rank3_catalog_report_matches_the_committed_oracle():
-    results = run_all(D=8, max_rank=3, only=["T1", "T2", "T3", "T8", "T11"])
+    results = run_all(D=8, max_rank=3, only=RANK3_CHECKS)
     assert report(results, "json") == (DATA / "catalog_d8_r3.json").read_text()
+
+
+def clear_caches():
+    """Forget the shared calculi and the shared H(V_r) modules."""
+    harness._hv_calculus.cache_clear()
+    lannes.hv_module.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    """Nothing cached before the test, and nothing it cached left after it."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def check_docs(results):
+    return {doc["check_id"]: doc for doc in json.loads(report(results, "json"))["checks"]}
+
+
+@pytest.fixture(scope="module")
+def catalogs():
+    """(params, the committed report, run_all's report) for both oracle files."""
+    clear_caches()
+    out = []
+    for D, max_rank, only, name in [(10, 2, None, "verify_all.json"),
+                                    (8, 3, RANK3_CHECKS, "catalog_d8_r3.json")]:
+        committed = {doc["check_id"]: doc
+                     for doc in json.loads((DATA / name).read_text())["checks"]}
+        out.append(((D, max_rank), committed, check_docs(run_all(D, max_rank, only=only))))
+    return out
+
+
+@pytest.mark.parametrize("cid", [cid for cid, *_ in CATALOG])
+def test_each_check_alone_matches_its_entry_in_run_all_and_the_oracle(cid, catalogs):
+    """A check run alone, with nothing cached, reports what it reports after
+    the checks before it have filled the shared calculi and modules."""
+    for (D, max_rank), committed, together in catalogs:
+        if cid not in committed:
+            continue
+        clear_caches()
+        alone = check_docs([run_check(make_spec(cid, D=D, max_rank=max_rank))])[cid]
+        assert alone == together[cid] == committed[cid]
+
+
+def record_calls(monkeypatch, fn, key):
+    """Count the calls of ``fn`` by ``key(*args)``, wherever usteen bound it."""
+    calls = Counter()
+
+    def recording(*args, **kwargs):
+        calls[key(*args, **kwargs)] += 1
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "usteen" and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, recording)
+    return calls
+
+
+def test_rank3_catalog_does_each_piece_of_realm_work_once(monkeypatch, fresh_caches):
+    equalizers = Counter()
+    check = RealmCalculus.equalizer_matches_taubar_kernel
+
+    def counting(self):
+        equalizers[self.X.name] += 1
+        return check(self)
+
+    monkeypatch.setattr(RealmCalculus, "equalizer_matches_taubar_kernel", counting)
+    polys = record_calls(monkeypatch, unstable.polynomial_module, lambda r, D, *a, **k: (r, D))
+    extended = record_calls(monkeypatch, fulu.extend_scalars, lambda M, name=None: M.name)
+    assert all(r.passed for r in run_all(D=8, max_rank=3, only=RANK3_CHECKS))
+    ranks = range(1, 4)
+    assert equalizers == {f"H(V{r})": 1 for r in ranks}
+    assert polys == {(r, 8): 1 for r in ranks}
+    # each H(V_r) once, shared by taubar, the invariants and the squaring
+    # span; each expansion once, for sigma and tau
+    assert extended == {name: 1 for r in ranks for name in (f"H(V{r})", f"T[1](H(V{r}))")}
+
+
+@pytest.mark.parametrize("order", [["T1", "T2", "T3"], ["T3", "T2", "T1"]])
+def test_a_failing_equalizer_verdict_fails_every_check_that_reads_it(order, monkeypatch,
+                                                                     fresh_caches):
+    """The verdict is certified once per shared calculus; a failing one is
+    read, not recomputed, by the later checks, and fails each of them."""
+    calls = []
+
+    def failing(self):
+        calls.append(self.X.name)
+        return Verdict(False, self.D, "forced mismatch")
+
+    monkeypatch.setattr(RealmCalculus, "equalizer_matches_taubar_kernel", failing)
+    results = [run_check(make_spec(cid, D=6, max_rank=1)) for cid in order]
+    assert [(r.id, r.passed, r.witness) for r in results] == [
+        (cid, False, "structural violation: forced mismatch") for cid in order]
+    assert calls == ["H(V1)"]
 
 
 def test_cli_unknown_check(capsys):

@@ -816,6 +816,36 @@ def test_gv_invariant_rows_match_the_monomial_loop(r, monkeypatch):
         assert seen == [want[n] for n in range(D + 1)]
 
 
+@pytest.mark.parametrize("r", range(4))
+def test_gv_invariants_share_the_extension_of_the_calculus(r):
+    D = 7
+    calc = RealmCalculus(hv(r, D))
+    shared, alone = gv_invariants(r, D, calc), gv_invariants(r, D)
+    assert shared.incl.target is calc.E and alone.incl.target is not calc.E
+    assert shared.bases == alone.bases and shared.module == alone.module
+    for rank, degree in ((r + 1, D), (r, D - 1)):
+        with pytest.raises(ValueError, match="is not that of"):
+            gv_invariants(rank, degree, calc)
+
+
+def test_t3_reads_no_layout_of_an_expansion_of_an_expansion(monkeypatch):
+    """The fixed-point and split-equalizer verdicts read component matrices
+    and summands, so the layouts of T(Tbar X) and T(T X) are never built."""
+    expansions = []
+    real = lannes.t_apply
+
+    def recording(w_rank, X):
+        expansions.append(real(w_rank, X))
+        return expansions[-1]
+
+    monkeypatch.setattr(lannes, "t_apply", recording)
+    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
+    assert harness.run_check(harness.make_spec("T3", D=6, max_rank=2)).passed
+    twice = [T.realm for T in expansions if T.realm.name.startswith("T[1](T")]
+    assert len(twice) == 4  # T(Tbar X) and T(T X), per rank
+    assert [realm.name for realm in twice if "table" in vars(realm)] == []
+
+
 def test_tau_and_taubar_expand_each_monomial_once_per_group_element(monkeypatch):
     calc = RealmCalculus(hv(2, 10))
     calls = []

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import numpy as np
 
 from usteen import singer
@@ -12,6 +15,7 @@ from usteen.singer import (
     st1,
 )
 from usteen.unstable import (
+    TruncatedModule,
     free_unstable,
     is_reduced,
     map_from_free,
@@ -65,6 +69,37 @@ def test_st1_polynomial_binomial_expansion():
             if comb(d, i) % 2:
                 expect |= 1 << E.index(2 * d, d - i, 0)
         assert smap.mat(d).row_int(0) == expect
+
+
+def test_st1_reads_each_square_once(monkeypatch):
+    M = tensor(free_unstable(1, 8), polynomial_module(1, 8))
+    E = extend_scalars(M)
+    reads = Counter()
+    sq = TruncatedModule.sq
+
+    def counting(self, i, n):
+        if self is M:
+            reads[(i, n)] += 1
+        return sq(self, i, n)
+
+    monkeypatch.setattr(TruncatedModule, "sq", counting)
+    st1(M, E)
+    assert reads == {(i, d): 1 for d in range(M.D // 2 + 1) for i in range(d + 1)}
+
+
+def test_shift_row_is_multiplication_by_a_power_of_u():
+    rng = random.Random(3)
+    for M in (polynomial_module(2, 8), tensor(free_unstable(1, 8), free_unstable(1, 8))):
+        S = r1(M)
+        E = S.ambient
+        for n in range(E.D + 1):
+            rows = [1 << j for j in range(E.dim(n))] + [rng.getrandbits(E.dim(n)) for _ in range(4)]
+            u_power = BitMatrix.identity(E.dim(n))
+            for k in range(E.D - n + 1):
+                want = BitMatrix.from_row_ints(rows, E.dim(n)) @ u_power
+                assert [S._shift_row(row, n, k) for row in rows] == want.row_ints(), (n, k)
+                if n + k < E.D:
+                    u_power = u_power @ E.u_mat(n + k)
 
 
 def test_r1_of_unit_is_polynomial_algebra():

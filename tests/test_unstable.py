@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usteen.f2core import BitMatrix, Subspace, left_kernel, rref
+from usteen.f2core import BitMatrix, Subspace, express_in_rowspace, left_kernel, rref
 from usteen import steenrod, unstable
 from usteen.unstable import (
     DesuspensionError,
     ModuleMap,
+    TheoryViolation,
     TruncatedModule,
     _coker_data,
+    _restricted_action,
     _sum_label,
     a_span,
     desuspend,
@@ -386,6 +388,52 @@ def composed_modules(draw, depth=2):
 @given(composed_modules())
 def test_random_compositions_are_unstable_modules(M):
     assert M.validate().ok
+
+
+def restricted_action_by_degrees(bases, ambient, D, what):
+    """Reference for ``_restricted_action``: every (i, n), zero matrices too."""
+    action = {}
+    for n in range(D + 1):
+        if bases[n].nrows == 0:
+            continue
+        for i in range(1, D - n + 1):
+            coeffs = express_in_rowspace(bases[n + i], bases[n] @ ambient.sq(i, n))
+            if coeffs is None:
+                raise TheoryViolation(f"{what}: Sq^{i} escapes the subspace at degree {n}")
+            action[(i, n)] = coeffs
+    return action
+
+
+@settings(max_examples=60, deadline=None)
+@given(composed_modules(), st.data())
+def test_restricted_action_matches_the_every_degree_reference(M, data):
+    """On the A-span of random seeds, which is closed, and on the seeds
+    alone, which mostly are not: the same action or the same escape."""
+    D = data.draw(st.integers(0, M.D))
+    seeds = {n: data.draw(st.lists(st.integers(1, (1 << M.dims[n]) - 1), max_size=2))
+             for n in range(D + 1) if M.dims[n]}
+    if data.draw(st.booleans()):
+        bases = a_span(M, seeds)
+    else:
+        bases = {n: Subspace.from_rows(BitMatrix.from_row_ints(seeds.get(n, ()), M.dims[n])).basis
+                 for n in range(D + 1)}
+    dims = [bases[n].nrows for n in range(D + 1)]
+    outcomes = []
+    for restrict in (_restricted_action, restricted_action_by_degrees):
+        try:
+            outcomes.append(TruncatedModule("sub", D, dims, restrict(bases, M, D, "sub")))
+        except TheoryViolation as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_restricted_action_names_the_lowest_escaping_degree():
+    # span{t^2, t^3}: Sq^2 t^2 = t^4 escapes in degree 2, Sq^1 t^3 = t^4 in degree 3
+    H = polynomial_module(1, 6)
+    bases = {n: BitMatrix.from_row_ints([1] if n in (2, 3) else [], 1) for n in range(7)}
+    for restrict in (_restricted_action, restricted_action_by_degrees):
+        with pytest.raises(TheoryViolation, match=r"^sub: Sq\^2 escapes the subspace at degree 2$"):
+            restrict(bases, H, 6, "sub")
 
 
 # -- loop functors ---------------------------------------------------------------
