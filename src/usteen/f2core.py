@@ -106,16 +106,6 @@ class BitMatrix:
 
     # -- structure ---------------------------------------------------------
 
-    def transpose(self) -> "BitMatrix":
-        out = [0] * self.ncols
-        for i, r in enumerate(self._rows):
-            bit = 1 << i
-            while r:
-                low = r & -r
-                out[low.bit_length() - 1] |= bit
-                r ^= low
-        return BitMatrix(self.ncols, self.nrows, tuple(out))
-
     def take_rows(self, indices: Sequence[int]) -> "BitMatrix":
         idx = list(indices)
         if any(not 0 <= i < self.nrows for i in idx):
@@ -242,20 +232,6 @@ def rank(m: BitMatrix) -> int:
     return m.ncols + 1 - _echelon(m._rows, m.ncols).count(0)
 
 
-def kernel_basis(m: BitMatrix) -> "Subspace":
-    """The subspace {v : m @ v = 0}, of dimension cols - rank."""
-    res = rref(m)
-    pivots = set(res.pivots)
-    free = {f: 1 << f for f in range(m.ncols) if f not in pivots}
-    for r, p in zip(res.matrix._rows, res.pivots):
-        r &= ~(1 << p)
-        while r:
-            low = r & -r
-            free[low.bit_length() - 1] |= 1 << p
-            r ^= low
-    return Subspace.from_rows(BitMatrix(len(free), m.ncols, tuple(free.values())))
-
-
 def left_kernel(m: BitMatrix) -> "Subspace":
     """The subspace {x : x @ m = 0} (row relations of ``m``).
 
@@ -276,41 +252,6 @@ def image_is_kernel(f: BitMatrix, g: BitMatrix) -> bool:
     dimension ``f.ncols - rank(g)``; equal dimensions make them equal.
     """
     return (f @ g).is_zero() and rank(f) + rank(g) == f.ncols
-
-
-def solve(m: BitMatrix, target: Sequence[int]) -> Optional[tuple]:
-    """One solution of ``m @ x = target``, or None when inconsistent.
-
-    Deterministic tie-break: free variables are set to 0.  An empty solution
-    (zero unknowns) is the empty tuple, distinct from None.
-    """
-    tgt = list(target)
-    if len(tgt) != m.nrows:
-        raise ValueError("target length must equal row count")
-    col = BitMatrix.from_rows([[b] for b in tgt], 1)
-    sols = solve_many(m, col)
-    if sols is None:
-        return None
-    return tuple(sols._rows)
-
-
-def solve_many(m: BitMatrix, targets: BitMatrix) -> Optional[BitMatrix]:
-    """Solve ``m @ X = targets`` column-wise; None if any column fails.
-
-    ``targets`` has one column per system.  Free variables are 0.
-    """
-    if targets.nrows != m.nrows:
-        raise ValueError("target row count mismatch")
-    n = m.ncols
-    work = [a | (b << n) for a, b in zip(m._rows, targets._rows)]
-    pivots = _kernel.rref_inplace(work, m.nrows, n + targets.ncols, n)
-    # any row left over after the pivot rows witnesses inconsistency
-    if any(work[len(pivots):]):
-        return None
-    out = [0] * n
-    for r, p in zip(work, pivots):
-        out[p] = r >> n
-    return BitMatrix(n, targets.ncols, tuple(out))
 
 
 class RowReducer:
@@ -414,25 +355,6 @@ class Subspace:
             if v & r & -r:
                 v ^= r
         return v == 0
-
-    def contains(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains_vector(v) for v in other.basis._rows)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace.from_rows(self.basis.stack(other.basis))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked annihilator system."""
-        self._check_ambient(other)
-        ann_self = kernel_basis(self.basis).basis
-        ann_other = kernel_basis(other.basis).basis
-        return kernel_basis(ann_self.stack(ann_other))
-
-    def _check_ambient(self, other: "Subspace") -> None:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):

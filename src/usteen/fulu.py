@@ -37,7 +37,6 @@ from .unstable import (
     _coker_data,
     _mono_label,
     _sum_label,
-    polynomial_module,
     quotient,
     submodule,
     subquotient,
@@ -153,13 +152,6 @@ class FuluMap:
 
     def __repr__(self):
         return f"FuluMap({self.source.name} -> {self.target.name}, D={self.D})"
-
-
-def fulu_algebra(D: int) -> FuluModule:
-    """The rank-one polynomial algebra itself, with u acting by the shift."""
-    mod = polynomial_module(1, D, varnames=("u",), name="F[u]")
-    u_mats = {n: BitMatrix.identity(1) for n in range(D)}
-    return FuluModule(mod, u_mats, name="F[u]")
 
 
 class ExtendedModule(FuluModule):
@@ -337,12 +329,6 @@ def q_of_map(f: FuluMap, qsrc: Quotient, qtgt: Quotient) -> ModuleMap:
 class FreenessReport:
     torsion_free: Verdict
     free_basis: Optional[List[List[str]]]
-
-    @property
-    def basis_dims(self) -> Optional[List[int]]:
-        if self.free_basis is None:
-            return None
-        return [len(b) for b in self.free_basis]
 
 
 def freeness_report(N) -> FreenessReport:

@@ -75,9 +75,6 @@ class CheckSpec:
     statement: str
     params: Dict
 
-    def describe(self) -> str:
-        return f"{self.id} ({self.anchor}): {self.statement}"
-
 
 @dataclass
 class CheckResult:

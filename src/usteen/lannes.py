@@ -284,27 +284,22 @@ class RealmCalculus:
 
     @cached_property
     def taubar(self) -> FuluMap:
-        """Project tau to the reduced components; lands in positive u-powers."""
+        """pi o tau, with pi the projection of F[u] (x) TX onto the positive
+        u-powers of the reduced components.  sigma lands in u^0, so this is
+        pi o (sigma + tau); u-linear, so read on the u^0 rows of tau."""
+        reduced = [self.TX.comp_pos[comp] for comp in self.tbar.components]
+        table = self.TX.realm.table
         layer = []
         for d in range(self.D + 1):
-            rows = []
-            for j, mono in self.X.entries(d):
-                acc = 0
-                for v in range(1, 1 << self.X.summands[j].r):
-                    c = self.tbar.comp_pos[(j, (v,))]
-                    for (extra, m2) in _twist_terms(mono, v):
-                        if extra == 0:
-                            continue  # cancelled by the identity summand
-                        tgt = self.tbar.realm.index(d - extra, c, m2)
-                        acc ^= 1 << self.bar.index(d, extra, tgt)
-                rows.append(acc)
-            layer.append(rows)
+            cols = []  # bar's order: u-power, then reduced component, then monomial
+            for a in range(1, d + 1):
+                start = self.ETX.block(d, a)[0]
+                for c in reduced:
+                    off, width = table.block(d - a, c)
+                    cols.extend(range(start + off, start + off + width))
+            u0 = self.tau.mat(d).take_rows(range(self.X.table.dims[d]))
+            layer.append(u0.take_cols(cols).row_ints())
         return u_linear_map(self.E, self.bar, layer, name="taubar")
-
-    @cached_property
-    def retract(self) -> FuluMap:
-        """Induced by the projection of the expansion onto its base component."""
-        return extend_scalars_map(self.proj0, self.ETX, self.E, name="retract")
 
     # -- the equalizer kernel and its companions -----------------------------------
 
@@ -324,13 +319,6 @@ class RealmCalculus:
             diff = self.sigma.mat(n) + self.tau.mat(n)
             if not image_is_kernel(self.taubar_sub.kernel_incl.mat(n), diff):
                 return Verdict(False, self.D, f"equalizer differs from the kernel in degree {n}")
-        return Verdict(True, self.D)
-
-    def reflexive_retract_verdict(self) -> Verdict:
-        ident = ModuleMap.identity(self.E.underlying)
-        for composite in (self.sigma.then(self.retract), self.tau.then(self.retract)):
-            if composite.mmap != ident:
-                return Verdict(False, self.D, "retract fails to split the comparison maps")
         return Verdict(True, self.D)
 
     # -- fixed points ------------------------------------------------------------
@@ -391,13 +379,6 @@ class RealmCalculus:
         """The splitting embedding of the base into its expansion."""
         mats = _component_map(self.X, self.TX.realm, self.diag_components)
         return ModuleMap(self.X.module, self.TX.module, mats, name="diag")
-
-    @cached_property
-    def proj0(self) -> ModuleMap:
-        rows = tuple((1 << j) if phi == (0,) else 0 for j, phi in self.TX.components)
-        P = BitMatrix(len(rows), len(self.X.summands), rows)
-        mats = _component_map(self.TX.realm, self.X, P)
-        return ModuleMap(self.TX.module, self.X.module, mats, name="proj0")
 
     def split_equalizer_verdict(self) -> Verdict:
         """Kernel of the two expanded structure maps equals the diagonal base.

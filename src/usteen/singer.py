@@ -145,10 +145,11 @@ class SingerModule:
             raise TheoryViolation(self.free_gens.witness or "generators not free")
         name = f"R1({self.base.name})"
         bases = {n: self._G[n] for n in range(self.D + 1)}
-        # the distinguished labels, not the ambient sums
+        # the distinguished labels, not the ambient sums; the Sq action is
+        # induced on first read, as T2 and ``compute r1`` read only dims and spans
         mod = TruncatedModule(
             name, self.D, [bases[n].nrows for n in range(self.D + 1)],
-            _restricted_action(bases, self.ambient.underlying, self.D, name),
+            lambda: _restricted_action(bases, self.ambient.underlying, self.D, name),
             [tuple(labels[n]) for n in range(self.D + 1)],
         )
         return mod, bases

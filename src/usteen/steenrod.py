@@ -65,10 +65,6 @@ class AdmissibleMonomial:
         return "".join(f"Sq{i}" for i in self.factors)
 
 
-def excess(m: AdmissibleMonomial) -> int:
-    return m.excess
-
-
 def binom_mod2(n: int, k: int) -> int:
     """binom(n, k) mod 2 by Lucas: odd iff k is a bitwise submask of n."""
     if k < 0 or n < 0 or k > n:

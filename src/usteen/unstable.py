@@ -1150,32 +1150,3 @@ def sym_lambda(D: int) -> SymLambda:
         invariants, invariants_incl, from_free, diag, lambda2,
         lam_sub.kernel_incl, f2, phi_f1,
     )
-
-
-def a_span(M: TruncatedModule, seeds: Dict[int, Iterable[int]]) -> Dict[int, BitMatrix]:
-    """Row bases (rref) of the submodule generated by int-packed seed vectors."""
-    spans: Dict[int, List[int]] = {n: [] for n in range(M.D + 1)}
-
-    def insert(n: int, v: int) -> bool:
-        sp = Subspace.from_rows(BitMatrix.from_row_ints(spans[n], M.dims[n]))
-        if sp.contains_vector(v):
-            return False
-        spans[n].append(v)
-        return True
-
-    work = []
-    for n, vecs in seeds.items():
-        for v in vecs:
-            if insert(n, v):
-                work.append((n, v))
-    while work:
-        n, v = work.pop()
-        row = BitMatrix.from_row_ints([v], M.dims[n])
-        for i in range(1, M.D - n + 1):
-            w = (row @ M.sq(i, n)).row_int(0)
-            if w and insert(n + i, w):
-                work.append((n + i, w))
-    return {
-        n: Subspace.from_rows(BitMatrix.from_row_ints(spans[n], M.dims[n])).basis
-        for n in range(M.D + 1)
-    }

@@ -2,6 +2,7 @@
 import dataclasses
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -16,6 +17,7 @@ from usteen.fulu import (
     indecomposables,
     positive_u_part,
     saturation_check,
+    u_linear_map,
 )
 from usteen.lannes import (
     RealmCalculus,
@@ -172,11 +174,36 @@ def test_tau_degree_one_pins_the_convention():
 
 def test_sigma_tau_agree_on_zero_component():
     calc = RealmCalculus(hv(1, 6))
-    retract = calc.retract
-    assert calc.sigma.then(retract).mmap == __import__(
-        "usteen.unstable", fromlist=["ModuleMap"]
-    ).ModuleMap.identity(calc.E.underlying)
-    assert calc.reflexive_retract_verdict().ok
+    retract = retract_by_monomials(calc)
+    for n in range(calc.D + 1):
+        ident = BitMatrix.identity(calc.E.dim(n))
+        assert calc.sigma.mat(n) @ retract[n] == ident
+        assert calc.tau.mat(n) @ retract[n] == ident
+
+
+def mutant_tau(calc, drop):
+    """tau with the u^0 copy of the unit in the components ``drop`` removed
+    from its degree-0 row, extended u-linearly."""
+    layer = [calc.tau.mat(d).take_rows(range(calc.X.table.dims[d])).row_ints()
+             for d in range(calc.D + 1)]
+    unit = (0,) * calc.X.summands[0].r
+    for c in drop:
+        layer[0][0] ^= 1 << calc.ETX.index(0, 0, calc.TX.realm.index(0, c, unit))
+    return u_linear_map(calc.E, calc.ETX, layer, name="tau")
+
+
+@pytest.mark.parametrize("X", [hv(1, 6), hv(2, 5)], ids=lambda X: X.name)
+@pytest.mark.parametrize("component", ["zero", "nonzero"])
+def test_equalizer_verdict_fails_on_a_tau_that_drops_a_copy_of_the_unit(X, component):
+    """sigma and tau agree on component 0 and modulo u, which taubar = pi o tau
+    relies on; a tau that breaks either fails the verdict in degree 0."""
+    calc = RealmCalculus(X)
+    assert mutant_tau(calc, []).mmap == calc.tau.mmap
+    c = calc.TX.comp_pos[(0, (0 if component == "zero" else 1,))]
+    calc.tau = mutant_tau(calc, [c])
+    assert "taubar" not in vars(calc)
+    assert calc.equalizer_verdict == Verdict(
+        False, X.D, "equalizer differs from the kernel in degree 0")
 
 
 def test_comparison_maps_are_fulu_maps():
@@ -493,17 +520,6 @@ def diag_by_monomials(calc):
     return mats
 
 
-def proj0_by_monomials(calc):
-    mats = {}
-    for n in range(calc.D + 1):
-        rows = []
-        for c, mono in calc.TX.realm.entries(n):
-            j, phi = calc.TX.components[c]
-            rows.append((1 << calc.X.index(n, j, mono)) if phi == (0,) else 0)
-        mats[n] = BitMatrix.from_row_ints(rows, calc.X.table.dims[n])
-    return mats
-
-
 def fix_taubar_of(calc, mats):
     """Fix(taubar) as a map of modules, from its degreewise matrices."""
     return ModuleMap(calc.TX.module, calc.TTbar.module, mats, name="Fix(taubar)")
@@ -586,11 +602,9 @@ def test_component_maps_match_the_monomial_loops(X, monkeypatch):
     degrees = range(calc.D + 1)
     for got, want in (
         (calc.diag, diag_by_monomials(calc)),
-        (calc.proj0, proj0_by_monomials(calc)),
         (fix_taubar_of(calc, _component_map(calc.TX.realm, calc.TTbar.realm, calc.fix_components)),
          fix_taubar_by_monomials(calc)),
         (calc.sigma, sigma_by_monomials(calc)),
-        (calc.retract, retract_by_monomials(calc)),
     ):
         assert [got.mat(n) for n in degrees] == [want[n] for n in degrees], got.name
     # the split equalizer hands its component matrix P to the P-level check
@@ -816,6 +830,35 @@ def test_gv_invariant_rows_match_the_monomial_loop(r, monkeypatch):
         assert seen == [want[n] for n in range(D + 1)]
 
 
+def dickson_basis(calc, n):
+    """The degree-n basis u^a prod q_i^{b_i} of F[u, t]^G = F[u, q_1, ..., q_r],
+    q_i = t_i^2 + u t_i, expanded on monomials: q^b = sum u^k t^{2b-k} over
+    the k with C(b, k) odd, the submasks of b (Lucas)."""
+    r = calc.X.summands[0].r
+    rows = []
+    for b in product(range(n // 2 + 1), repeat=r):
+        a = n - 2 * sum(b)
+        if a < 0:
+            continue
+        acc = 0
+        for ks in product(*([k for k in range(bi + 1) if k & bi == k] for bi in b)):
+            e = a + sum(ks)
+            mono = tuple(2 * bi - k for bi, k in zip(b, ks))
+            acc ^= 1 << calc.E.index(n, e, calc.X.index(n - e, 0, mono))
+        rows.append(acc)
+    return BitMatrix.from_row_ints(rows, calc.E.dim(n))
+
+
+@pytest.mark.parametrize("r, D", [(0, 6), (1, 9), (2, 8), (3, 7), (4, 6)])
+def test_taubar_kernel_is_the_dickson_invariant_ring(r, D):
+    """Each Z/2 acts on its own coordinate by t_i -> t_i + u, so the kernel of
+    taubar is the rank-one Dickson invariant ring, expanded here without the
+    twist expansion that tau and the invariant ring share."""
+    calc = RealmCalculus(hv(r, D))
+    for n in range(D + 1):
+        assert image_is_kernel(dickson_basis(calc, n), calc.taubar.mat(n)), n
+
+
 @pytest.mark.parametrize("r", range(4))
 def test_gv_invariants_share_the_extension_of_the_calculus(r):
     D = 7
@@ -861,8 +904,8 @@ def test_tau_and_taubar_expand_each_monomial_once_per_group_element(monkeypatch)
     assert sorted(calls) == sorted(
         (mono, v) for d in range(calc.D + 1) for _, mono in calc.X.entries(d) for v in range(4))
     del calls[:]
-    calc.taubar
-    assert len(calls) == 3 * monomials
+    calc.taubar  # read off tau
+    assert calls == []
 
 
 # -- fixed points read on the component matrix; the full-matrix subquotient is the oracle --

@@ -24,6 +24,8 @@ from usteen.unstable import (
     unit_module,
 )
 
+from reference import intersect
+
 
 def series_coeffs(r, D):
     """Coefficients of 1/((1-s)(1-s^2)^r) up to degree D."""
@@ -301,6 +303,24 @@ def test_product_mu_of_a_module_with_itself_builds_r1_once(monkeypatch):
     assert len(built) == 3
 
 
+def test_r1_action_is_induced_on_first_read_by_t5_and_not_by_t2(monkeypatch):
+    """T2 reads only the dims and spans of R1; T5 checks its Sq action."""
+    from usteen import harness
+
+    induced = []
+    real = singer._restricted_action
+
+    def counting(bases, ambient, D, name):
+        induced.append(name)
+        return real(bases, ambient, D, name)
+
+    monkeypatch.setattr(singer, "_restricted_action", counting)
+    assert harness.run_check(harness.make_spec("T2", D=8, max_rank=2)).passed
+    assert induced == []
+    assert harness.run_check(harness.make_spec("T5", D=8, max_rank=2)).passed
+    assert induced and all(name.startswith("R1(") for name in induced)
+
+
 def test_eps_of_st1_is_sq0():
     # the augmentation applied to st1(x) gives the top square of x
     from usteen.unstable import sq0
@@ -327,7 +347,7 @@ def test_r1_submodule_compatibility():
     for n in range(D + 1):
         big = SM.span(n)
         inside = Subspace.from_rows(ext_incl.mat(n))
-        lhs = big.intersect(inside)
+        lhs = intersect(big, inside)
         rhs = Subspace.from_rows(SN.gen_matrix(n) @ ext_incl.mat(n))
         assert lhs == rhs, n
 

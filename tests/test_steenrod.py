@@ -8,7 +8,6 @@ from usteen.steenrod import (
     admissible_basis,
     binom_mod2,
     degree_of,
-    excess,
     is_admissible,
     multiply,
 )
@@ -167,9 +166,9 @@ def test_multiplication_confluence_probe(word, extra):
 
 
 def test_excess_values():
-    assert excess(AdmissibleMonomial(())) == 0
-    assert excess(AdmissibleMonomial((4, 2, 1))) == 1
-    assert excess(AdmissibleMonomial((7,))) == 7
+    assert AdmissibleMonomial(()).excess == 0
+    assert AdmissibleMonomial((4, 2, 1)).excess == 1
+    assert AdmissibleMonomial((7,)).excess == 7
 
 
 def test_excess_nonnegative_for_admissible():

@@ -13,7 +13,6 @@ from usteen.unstable import (
     _coker_data,
     _restricted_action,
     _sum_label,
-    a_span,
     desuspend,
     direct_sum,
     exact_sequence,
@@ -33,6 +32,8 @@ from usteen.unstable import (
     truncate,
     unit_module,
 )
+
+from reference import a_span, contains
 
 
 def dims_of(M):
@@ -271,10 +272,10 @@ def test_functoriality_random_composites():
         for n in range(11):
             im_gf = Subspace.from_rows(sub_gf.image_incl.mat(n))
             im_g = Subspace.from_rows(sub_g.image_incl.mat(n))
-            assert im_g.contains(im_gf)
+            assert contains(im_g, im_gf)
             ker_f = Subspace.from_rows(sub_f.kernel_incl.mat(n))
             ker_gf = Subspace.from_rows(sub_gf.kernel_incl.mat(n))
-            assert ker_gf.contains(ker_f)
+            assert contains(ker_gf, ker_f)
 
 
 def test_subquotient_builds_the_image_on_first_read():
@@ -674,7 +675,7 @@ def test_omega1_matches_projective_resolution_oracle():
     for m in range(1, D):
         ker = left_kernel(om_d1[m])
         im = Subspace.from_rows(om_d2[m])
-        assert ker.contains(im)  # a complex after applying the loop functor
+        assert contains(ker, im)  # a complex after applying the loop functor
         homology_dim = ker.dim - im.dim
         # degree m of the suspended loop data corresponds to m-1 downstairs
         assert homology_dim == got.omega1.dim(m - 1), m
