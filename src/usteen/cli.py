@@ -15,7 +15,6 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import fixtures
-from .fulu import FuluModule
 from .harness import CATALOG, make_spec, poincare_coeffs, report, run_check
 from .lannes import RealmCalculus, fix_presented, gv_invariants, hv, realm_suspend, rtilde
 from .singer import r1
@@ -66,8 +65,7 @@ def _build_module(name: str, D: int) -> TruncatedModule:
             loaded = fixtures.load(path)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"fixture has a missing or mistyped field: {exc}") from exc
-        mod = loaded.underlying if isinstance(loaded, FuluModule) else loaded
-        return truncate(mod, min(mod.D, D))
+        return truncate(loaded, min(loaded.D, D))
     raise SystemExit2(
         f"unknown module {name!r}; use F0..F3, HZ2, HV<r>, PhiF1, SigmaF, F1xF1 "
         "or a fixture file path"

@@ -83,12 +83,6 @@ class BitMatrix:
 
     # -- access ------------------------------------------------------------
 
-    def get(self, i: int, j: int) -> int:
-        """Entry (i, j); out-of-range access is an error, never a silent 0."""
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"entry ({i}, {j}) outside {self.nrows}x{self.ncols}")
-        return (self._rows[i] >> j) & 1
-
     def row_int(self, i: int) -> int:
         if not 0 <= i < self.nrows:
             raise IndexError("row index out of range")

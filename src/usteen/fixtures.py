@@ -1,19 +1,17 @@
 """Fixture files: a JSON document describing a truncated module bit-exactly.
 
 Fields: name, D, dims, action (a list of {i, n, rows} with rows written as
-0/1 strings, row-major), optional labels, and an optional u_action block for
-u-modules.  Round-trips are bit-exact.
+0/1 strings, row-major), optional labels, and a u_action block (a list of
+{n, rows}) for u-modules.  Round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
 
 from .f2core import BitMatrix
-from .fulu import FuluModule
-from .unstable import TruncatedModule
+from .unstable import FuluModule, TruncatedModule
 
 
 def _rows_to_strings(m: BitMatrix) -> list:
@@ -30,7 +28,7 @@ def _rows_from_strings(rows: list, ncols: int) -> BitMatrix:
 
 
 def module_to_dict(M: TruncatedModule) -> dict:
-    return {
+    doc = {
         "name": M.name,
         "D": M.D,
         "dims": list(M.dims),
@@ -40,9 +38,13 @@ def module_to_dict(M: TruncatedModule) -> dict:
             for (i, n), mat in M.action_items()
         ],
     }
+    if isinstance(M, FuluModule):
+        doc["u_action"] = [{"n": n, "rows": _rows_to_strings(m)} for n, m in M.u_items()]
+    return doc
 
 
 def module_from_dict(doc: dict) -> TruncatedModule:
+    """The module a document describes: a u-module when it has a u_action."""
     D = int(doc["D"])
     dims = [int(d) for d in doc["dims"]]
     if len(dims) != D + 1:
@@ -53,37 +55,19 @@ def module_from_dict(doc: dict) -> TruncatedModule:
         action[(i, n)] = _rows_from_strings(entry["rows"], dims[n + i])
         if action[(i, n)].nrows != dims[n]:
             raise ValueError(f"action ({i}, {n}) has {action[(i, n)].nrows} rows, expected {dims[n]}")
-    labels = doc.get("labels")
-    return TruncatedModule(doc.get("name", "fixture"), D, dims, action, labels)
-
-
-def fulu_to_dict(N: FuluModule) -> dict:
-    doc = module_to_dict(N.underlying)
-    doc["name"] = N.name
-    doc["u_action"] = [
-        {"n": n, "rows": _rows_to_strings(N.u_mat(n))}
-        for n in range(N.D)
-        if not N.u_mat(n).is_zero()
-    ]
-    return doc
-
-
-def fulu_from_dict(doc: dict) -> FuluModule:
-    mod = module_from_dict(doc)
-    u_mats = {}
-    for entry in doc.get("u_action", []):
+    name, labels = doc.get("name", "fixture"), doc.get("labels")
+    if "u_action" not in doc:
+        return TruncatedModule(name, D, dims, action, labels)
+    u = {}
+    for entry in doc["u_action"]:
         n = int(entry["n"])
-        u_mats[n] = _rows_from_strings(entry["rows"], mod.dims[n + 1])
-    return FuluModule(mod, u_mats, name=doc.get("name"))
+        u[n] = _rows_from_strings(entry["rows"], dims[n + 1])
+    return FuluModule(name, D, dims, action, labels, u=u)
 
 
-def save(module: Union[TruncatedModule, FuluModule], path) -> None:
-    doc = fulu_to_dict(module) if isinstance(module, FuluModule) else module_to_dict(module)
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+def save(module: TruncatedModule, path) -> None:
+    Path(path).write_text(json.dumps(module_to_dict(module), indent=1, sort_keys=True) + "\n")
 
 
-def load(path) -> Union[TruncatedModule, FuluModule]:
-    doc = json.loads(Path(path).read_text())
-    if "u_action" in doc:
-        return fulu_from_dict(doc)
-    return module_from_dict(doc)
+def load(path) -> TruncatedModule:
+    return module_from_dict(json.loads(Path(path).read_text()))

@@ -1,11 +1,14 @@
 """Polynomial-generator modules inside unstable modules.
 
-A ``FuluModule`` is a truncated unstable module together with a degree-one
-multiplication ``u``.  Compatibility with the squaring operations is the
-Cartan-twisted rule Sq^i(u x) = u Sq^i(x) + u^2 Sq^{i-1}(x), which is exactly
-the statement that multiplication is a module-structure morphism.
+A u-module is an ``unstable.FuluModule``: a truncated unstable module with a
+degree-one multiplication ``u``, compatible with the squaring operations by
+the Cartan-twisted rule Sq^i(u x) = u Sq^i(x) + u^2 Sq^{i-1}(x).  Its
+submodules, quotients and subquotients, and the maps between u-modules, are
+those of ``unstable``, which carry u along with Sq.  This module holds what
+is particular to F[u]: scalar extension, the indecomposables Q(N),
+torsion, graded u-subspaces and the tensor product over F[u].
 
-The polynomial-ring lemmas here (saturation, generator spaces, freeness) are
+The polynomial-ring lemmas here (saturation, generator spaces, torsion) are
 pure graded u-module statements, so the checks also accept graded subspaces
 that are not stable under the squaring operations.
 """
@@ -13,145 +16,22 @@ that are not stable under the squaring operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2core import (
-    BitMatrix,
-    Subspace,
-    complement_rows,
-    express_in_rowspace,
-    left_kernel,
-    rank,
-)
+from .f2core import BitMatrix, Subspace, complement_rows, left_kernel, rank
 from .unstable import (
+    FuluModule,
     ModuleMap,
     Quotient,
-    Subquotient,
     TensorLayout,
-    TheoryViolation,
     TruncatedModule,
-    TruncationError,
-    ValidationReport,
     Verdict,
     _coker_data,
     _mono_label,
     _sum_label,
     quotient,
-    submodule,
-    subquotient,
     tensor_with_layout,
 )
-
-
-class FuluModule:
-    """A truncated unstable module with a degree-one u-multiplication."""
-
-    __slots__ = ("underlying", "_u", "name")
-
-    def __init__(self, underlying: TruncatedModule, u_mats: Dict[int, BitMatrix],
-                 name: Optional[str] = None):
-        for n, m in u_mats.items():
-            if n < 0 or n + 1 > underlying.D:
-                raise ValueError(f"u-action key {n} outside range")
-            if (m.nrows, m.ncols) != (underlying.dims[n], underlying.dims[n + 1]):
-                raise ValueError(f"u-action at degree {n} has wrong shape")
-        self.underlying = underlying
-        self._u = {n: m for n, m in u_mats.items() if not m.is_zero()}
-        self.name = name or underlying.name
-
-    @property
-    def D(self) -> int:
-        return self.underlying.D
-
-    @property
-    def dims(self) -> Tuple[int, ...]:
-        return self.underlying.dims
-
-    @property
-    def labels(self):
-        return self.underlying.labels
-
-    def dim(self, n: int) -> int:
-        return self.underlying.dim(n)
-
-    def sq(self, i: int, n: int) -> BitMatrix:
-        return self.underlying.sq(i, n)
-
-    def u_mat(self, n: int) -> BitMatrix:
-        if n < 0:
-            return BitMatrix.zeros(0, self.dim(n + 1))
-        if n + 1 > self.D:
-            raise TruncationError(f"{self.name}: u on degree {n} beyond truncation")
-        got = self._u.get(n)
-        if got is not None:
-            return got
-        return BitMatrix.zeros(self.dims[n], self.dims[n + 1])
-
-    def validate(self) -> ValidationReport:
-        """Underlying axioms plus the Cartan-twisted u-compatibility."""
-        report = self.underlying.validate()
-        for i in range(1, self.D):
-            for n in range(0, self.D - i):
-                lhs = self.u_mat(n) @ self.sq(i, n + 1)
-                rhs = self.sq(i, n) @ self.u_mat(n + i)
-                if i >= 2:
-                    rhs = rhs + self.sq(i - 1, n) @ self.u_mat(n + i - 1) @ self.u_mat(n + i)
-                else:
-                    rhs = rhs + self.u_mat(n) @ self.u_mat(n + 1)
-                if lhs != rhs:
-                    report.add(f"u-multiplication not Cartan-compatible at (i={i}, n={n})")
-        return report
-
-    def __eq__(self, other):
-        if not isinstance(other, FuluModule):
-            return NotImplemented
-        return self.underlying == other.underlying and all(
-            self.u_mat(n) == other.u_mat(n) for n in range(self.D)
-        )
-
-    def __hash__(self):
-        return hash(self.underlying)
-
-    def __repr__(self):
-        return f"FuluModule({self.name}, D={self.D}, dims={list(self.dims)})"
-
-
-class FuluMap:
-    """A map of u-modules: an A-linear map commuting with u degreewise."""
-
-    __slots__ = ("source", "target", "mmap", "name")
-
-    def __init__(self, source: FuluModule, target: FuluModule,
-                 mats: Dict[int, BitMatrix], D: Optional[int] = None, name: str = ""):
-        self.source = source
-        self.target = target
-        self.mmap = ModuleMap(source.underlying, target.underlying, mats, D=D, name=name)
-        self.name = name
-
-    @property
-    def D(self) -> int:
-        return self.mmap.D
-
-    def mat(self, n: int) -> BitMatrix:
-        return self.mmap.mat(n)
-
-    def validate(self) -> ValidationReport:
-        report = self.mmap.validate_linear()
-        for n in range(self.D):
-            lhs = self.source.u_mat(n) @ self.mat(n + 1)
-            rhs = self.mat(n) @ self.target.u_mat(n)
-            if lhs != rhs:
-                report.add(f"not u-equivariant at degree {n}")
-        return report
-
-    def then(self, other: "FuluMap") -> "FuluMap":
-        comp = self.mmap.then(other.mmap)
-        return FuluMap(self.source, other.target,
-                       {n: comp.mat(n) for n in range(comp.D + 1)}, D=comp.D)
-
-    def __repr__(self):
-        return f"FuluMap({self.source.name} -> {self.target.name}, D={self.D})"
 
 
 class ExtendedModule(FuluModule):
@@ -163,9 +43,10 @@ class ExtendedModule(FuluModule):
 
     __slots__ = ("base", "layout")
 
-    def __init__(self, base: TruncatedModule, underlying: TruncatedModule,
-                 layout: TensorLayout, u_mats: Dict[int, BitMatrix], name: str):
-        super().__init__(underlying, u_mats, name=name)
+    def __init__(self, base: TruncatedModule, layout: TensorLayout, name: str, action,
+                 labels, u_mats: Dict[int, BitMatrix]):
+        super().__init__(name, base.D, layout.table.dims, action, labels,
+                         meta={"layout": layout}, u=u_mats)
         self.base = base
         self.layout = layout
 
@@ -257,20 +138,19 @@ def _extend(M: TruncatedModule, name: str, start: int) -> ExtendedModule:
                 out[(k, n)] = BitMatrix(dims[n], dims[n + k], tuple(rows))
         return out
 
-    underlying = TruncatedModule(name, D, dims, action, labels, meta={"layout": layout})
     u_mats: Dict[int, BitMatrix] = {}
     for n in range(M.D):
-        rows = [0] * underlying.dims[n]
+        rows = [0] * dims[n]
         for a, off, width in layout.blocks(n):
             toff = layout.offset(n + 1, a + 1)
             for j in range(width):
                 rows[off + j] = 1 << (toff + j)
-        u_mats[n] = BitMatrix.from_row_ints(rows, underlying.dims[n + 1])
-    return ExtendedModule(M, underlying, layout, u_mats, name)
+        u_mats[n] = BitMatrix.from_row_ints(rows, dims[n + 1])
+    return ExtendedModule(M, layout, name, action, labels, u_mats)
 
 
 def u_linear_map(src: ExtendedModule, tgt: ExtendedModule, layer: Sequence[Sequence[int]],
-                 name: str = "") -> FuluMap:
+                 name: str = "") -> ModuleMap:
     """The u-linear map out of ``src`` = F[u] (x) M with u^0 layer ``layer``.
 
     ``layer[d]`` lists the images of M's degree-d basis, as rows of ``tgt``
@@ -287,11 +167,11 @@ def u_linear_map(src: ExtendedModule, tgt: ExtendedModule, layer: Sequence[Seque
             shift = tgt.dims[n] - tgt.dims[n - a]
             rows.extend(r << shift for r in layer[n - a])
         mats[n] = BitMatrix.from_row_ints(rows, tgt.dim(n))
-    return FuluMap(src, tgt, mats, D=D, name=name)
+    return ModuleMap(src, tgt, mats, D=D, name=name)
 
 
 def extend_scalars_map(f: ModuleMap, src: ExtendedModule, tgt: ExtendedModule,
-                       name: str = "") -> FuluMap:
+                       name: str = "") -> ModuleMap:
     """The induced map on scalar extensions (block-diagonal over u-powers)."""
     D = min(src.D, tgt.D, f.D)
     return u_linear_map(src, tgt, [f.mat(d).row_ints() for d in range(D + 1)], name=name)
@@ -301,19 +181,24 @@ def extend_scalars_map(f: ModuleMap, src: ExtendedModule, tgt: ExtendedModule,
 
 
 def q_data(N: FuluModule, name: Optional[str] = None) -> Quotient:
-    """The quotient by the image of u, with projection and representative data."""
+    """The quotient by the image of u, with projection and representative data.
+
+    Its u, zero on N/uN, is left unbuilt unless something reads it."""
     images = [BitMatrix.zeros(0, N.dim(0))] + [
         Subspace.from_rows(N.u_mat(n - 1)).basis for n in range(1, N.D + 1)
     ]
-    return quotient(N.underlying, images, name or f"Q({N.name})")
+    return quotient(N, images, name or f"Q({N.name})")
 
 
-def indecomposables(N: FuluModule) -> TruncatedModule:
-    """The quotient by the image of u, with its induced action."""
+def indecomposables(N: FuluModule) -> FuluModule:
+    """The quotient by the image of u, with its induced action.
+
+    Its labels are those of N off the pivots of the image of u, so for a
+    free N they name a free basis."""
     return q_data(N).module
 
 
-def q_of_map(f: FuluMap, qsrc: Quotient, qtgt: Quotient) -> ModuleMap:
+def q_of_map(f: ModuleMap, qsrc: Quotient, qtgt: Quotient) -> ModuleMap:
     """The map induced on indecomposables."""
     D = min(f.D, qsrc.module.D, qtgt.module.D)
     mats = {
@@ -322,39 +207,21 @@ def q_of_map(f: FuluMap, qsrc: Quotient, qtgt: Quotient) -> ModuleMap:
     return ModuleMap(qsrc.module, qtgt.module, mats, D=D)
 
 
-# -- freeness -------------------------------------------------------------------
+# -- torsion -----------------------------------------------------------------------
 
 
-@dataclass
-class FreenessReport:
-    torsion_free: Verdict
-    free_basis: Optional[List[List[str]]]
+def torsion_free(N: FuluModule) -> Verdict:
+    """Injectivity of u in every certified degree.
 
-
-def freeness_report(N) -> FreenessReport:
-    """Torsion verdict, plus an extracted basis in the connected case.
-
-    ``N`` needs ``dim``, ``u_mat``, ``labels`` and ``D``; torsion-freeness is
-    injectivity of u in every certified degree.  For connected modules
-    (degree-0 dimension at most one) torsion-free is equivalent to free and
-    a graded basis is produced by lifting the u-indecomposables.
+    For connected modules (degree-0 dimension at most one) torsion-free is
+    equivalent to free, on a lift of the indecomposables.
     """
-    D = N.D
-    witness = None
-    for n in range(D):
+    for n in range(N.D):
         ker = left_kernel(N.u_mat(n))
         if ker.dim:
-            witness = f"u kills {_sum_label(N.labels[n], ker.basis.row_int(0))} in degree {n}"
-            break
-    torsion_free = Verdict(witness is None, D, witness)
-    if not torsion_free.ok or N.dim(0) > 1:
-        return FreenessReport(torsion_free, None)
-    basis: List[List[str]] = []
-    for n in range(D + 1):
-        image = Subspace.from_rows(N.u_mat(n - 1)).basis if n >= 1 else BitMatrix.zeros(0, N.dim(0))
-        pivots = {(r & -r).bit_length() - 1 for r in image.row_ints()}
-        basis.append([N.labels[n][c] for c in range(N.dim(n)) if c not in pivots])
-    return FreenessReport(torsion_free, basis)
+            return Verdict(False, N.D,
+                           f"u kills {_sum_label(N.labels[n], ker.basis.row_int(0))} in degree {n}")
+    return Verdict(True, N.D)
 
 
 # -- graded u-submodules of an ambient module -----------------------------------
@@ -481,92 +348,10 @@ def generator_space(X: GradedSubspace) -> GeneratorSpace:
 def quotient_u_module(X: GradedSubspace, name: Optional[str] = None) -> FuluModule:
     """The ambient modulo X, as a graded u-module."""
     amb = X.ambient
-    name = name or f"({amb.name})/X"
     # X need not be stable under the squares, so none are carried over
-    space = TruncatedModule(amb.name, amb.D, amb.dims, {}, amb.labels)
-    q = quotient(space, [X.bases[n] for n in range(amb.D + 1)], name)
-    u_mats = {n: q.rep_mats[n] @ amb.u_mat(n) @ q.proj_mats[n + 1] for n in range(amb.D)}
-    return FuluModule(q.module, u_mats, name=name)
-
-
-def _attach_u(module: TruncatedModule, incl: Dict[int, BitMatrix], ambient: FuluModule,
-              what: str) -> FuluModule:
-    """``module``, a graded row span of ``ambient``, with u acting on it:
-    ``incl[n] @ u`` expressed in the rows of ``incl[n + 1]``."""
-    u_mats = {}
-    for n in range(module.D):
-        coeffs = express_in_rowspace(incl[n + 1], incl[n] @ ambient.u_mat(n))
-        if coeffs is None:
-            raise TheoryViolation(f"{what}: u escapes the subspace at degree {n}")
-        u_mats[n] = coeffs
-    return FuluModule(module, u_mats, name=module.name)
-
-
-def restrict_fulu(ambient: FuluModule, bases: Dict[int, BitMatrix], name: str
-                  ) -> Tuple[FuluModule, FuluMap]:
-    """Realize a graded row-span as a u-module with its inclusion.
-
-    The span must be stable under both the squaring action and u; violations
-    raise :class:`TheoryViolation` since they contradict upstream structure.
-    """
-    mod, incl = submodule(ambient.underlying, bases, name)
-    full = {n: incl.mat(n) for n in range(mod.D + 1)}
-    sub = _attach_u(mod, full, ambient, name)
-    fincl = FuluMap(sub, ambient, {n: full[n] for n in range(mod.D + 1)}, name=f"{name} incl")
-    return sub, fincl
-
-
-class FuluSubquotient:
-    """Kernel, image and cokernel in the category of u-modules.
-
-    As in :class:`Subquotient`, the kernel, with its u action, comes with
-    the object, and the other parts are built on first read, once each.
-    """
-
-    def __init__(self, f: FuluMap, base: Subquotient, kernel: FuluModule,
-                 kernel_incl: FuluMap):
-        self.f = f
-        self.base = base
-        self.kernel = kernel
-        self.kernel_incl = kernel_incl
-
-    @cached_property
-    def image(self) -> FuluModule:
-        im_mats = {n: self.base.image_incl.mat(n) for n in range(self.f.D + 1)}
-        return _attach_u(self.base.image, im_mats, self.f.target, "image")
-
-    @cached_property
-    def factor(self) -> FuluMap:
-        D = self.f.D
-        return FuluMap(self.f.source, self.image,
-                       {n: self.base.factor.mat(n) for n in range(D + 1)}, D=D)
-
-    @cached_property
-    def cokernel(self) -> FuluModule:
-        base, tgt = self.base, self.f.target
-        coker_u = {
-            n: base.coker_reps[n] @ tgt.u_mat(n) @ base.coker_proj.mat(n + 1)
-            for n in range(self.f.D)
-        }
-        return FuluModule(base.cokernel, coker_u, name=base.cokernel.name)
-
-    @cached_property
-    def coker_proj(self) -> FuluMap:
-        D = self.f.D
-        return FuluMap(self.f.target, self.cokernel,
-                       {n: self.base.coker_proj.mat(n) for n in range(D + 1)}, D=D)
-
-
-def fulu_subquotient(f: FuluMap) -> FuluSubquotient:
-    """Kernel, image and cokernel in the category of u-modules.
-
-    Only the kernel, with its u action, is built here; see
-    :class:`FuluSubquotient`.
-    """
-    base = subquotient(f.mmap)
-    ker_mats = {n: base.kernel_incl.mat(n) for n in range(f.D + 1)}
-    kernel = _attach_u(base.kernel, ker_mats, f.source, "kernel")
-    return FuluSubquotient(f, base, kernel, FuluMap(kernel, f.source, ker_mats, D=f.D))
+    space = FuluModule(amb.name, amb.D, amb.dims, {}, amb.labels, u=dict(amb.u_items()))
+    return quotient(space, [X.bases[n] for n in range(amb.D + 1)],
+                    name or f"({amb.name})/X").module
 
 
 # -- relative tensor product -----------------------------------------------------
@@ -576,13 +361,13 @@ def fulu_subquotient(f: FuluMap) -> FuluSubquotient:
 class OverFulu:
     """Tensor product over the polynomial algebra, with presentation data.
 
-    ``module`` is the quotient of the plain tensor product by the
-    two-sided-u relations; ``proj_mats``/``rep_mats`` present it and
-    ``tensor_module``/``layout`` describe the ambient tensor product.
+    ``module`` is the quotient of the tensor product, with u (x) 1 as its
+    u, by the two-sided-u relations; ``proj_mats``/``rep_mats`` present it
+    and ``tensor_module``/``layout`` describe the ambient tensor product.
     """
 
     module: FuluModule
-    tensor_module: TruncatedModule
+    tensor_module: FuluModule
     layout: TensorLayout
     proj_mats: Dict[int, BitMatrix]
     rep_mats: Dict[int, BitMatrix]
@@ -612,17 +397,16 @@ def tensor_over_fulu(N1: FuluModule, N2: FuluModule, name: Optional[str] = None)
     """Coequalize the two u-actions on the tensor product.
 
     The relation subspace is spanned degreewise by u x (x) y + x (x) u y;
-    it is stable under the squaring action, and the induced u on the
-    quotient is the (one-sided, hence diagonal) multiplication.
+    it is stable under the squaring action and under u (x) 1, which the
+    quotient inherits as its (one-sided, hence diagonal) multiplication.
     """
-    T, layout = tensor_with_layout(N1.underlying, N2.underlying)
-    name = name or f"{N1.name}(xFu){N2.name}"
-    u_left = _one_sided_u(N1, N2, T, layout, left=True)
-    u_right = _one_sided_u(N1, N2, T, layout, left=False)
+    plain, layout = tensor_with_layout(N1, N2)
+    u_left = _one_sided_u(N1, N2, plain, layout, left=True)
+    u_right = _one_sided_u(N1, N2, plain, layout, left=False)
+    T = FuluModule(plain.name, plain.D, plain.dims, dict(plain.action_items()), plain.labels,
+                   plain.meta, u=u_left)
     rel: Dict[int, BitMatrix] = {0: BitMatrix.zeros(0, T.dims[0])}
     for n in range(T.D):
         rel[n + 1] = Subspace.from_rows(u_left[n] + u_right[n]).basis
-    q = quotient(T, [rel[n] for n in range(T.D + 1)], name)
-    u_mats = {n: q.rep_mats[n] @ u_left[n] @ q.proj_mats[n + 1] for n in range(T.D)}
-    return OverFulu(FuluModule(q.module, u_mats, name=name), T, layout, q.proj_mats,
-                    q.rep_mats, rel)
+    q = quotient(T, [rel[n] for n in range(T.D + 1)], name or f"{N1.name}(xFu){N2.name}")
+    return OverFulu(q.module, T, layout, q.proj_mats, q.rep_mats, rel)

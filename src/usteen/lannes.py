@@ -27,21 +27,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .f2core import BitMatrix, image_is_kernel, left_kernel, rref
 from .fulu import (
     ExtendedModule,
-    FuluMap,
-    FuluModule,
-    FuluSubquotient,
     extend_scalars,
     extend_scalars_map,
-    fulu_subquotient,
     positive_u_part,
-    restrict_fulu,
     u_linear_map,
 )
 from .unstable import (
     BlockLayout,
     FourTermOmega,
+    FuluModule,
     GradedLinearMap,
     ModuleMap,
+    Subquotient,
     TheoryViolation,
     TruncatedModule,
     Verdict,
@@ -50,6 +47,7 @@ from .unstable import (
     _submasks,
     omega as omega_of,
     polynomial_module,
+    submodule,
     subquotient,
 )
 
@@ -260,12 +258,12 @@ class RealmCalculus:
     # -- comparison maps --------------------------------------------------------
 
     @cached_property
-    def sigma(self) -> FuluMap:
+    def sigma(self) -> ModuleMap:
         """The identity into every component: the scalar extension of ``diag``."""
         return extend_scalars_map(self.diag, self.E, self.ETX, name="sigma")
 
     @cached_property
-    def tau(self) -> FuluMap:
+    def tau(self) -> ModuleMap:
         """u-linear, so built from its u^0 layer: component v of a monomial
         is its twist by v."""
         layer = []
@@ -283,7 +281,7 @@ class RealmCalculus:
         return u_linear_map(self.E, self.ETX, layer, name="tau")
 
     @cached_property
-    def taubar(self) -> FuluMap:
+    def taubar(self) -> ModuleMap:
         """pi o tau, with pi the projection of F[u] (x) TX onto the positive
         u-powers of the reduced components.  sigma lands in u^0, so this is
         pi o (sigma + tau); u-linear, so read on the u^0 rows of tau."""
@@ -304,8 +302,8 @@ class RealmCalculus:
     # -- the equalizer kernel and its companions -----------------------------------
 
     @cached_property
-    def taubar_sub(self) -> FuluSubquotient:
-        return fulu_subquotient(self.taubar)
+    def taubar_sub(self) -> Subquotient:
+        return subquotient(self.taubar)
 
     @cached_property
     def equalizer_verdict(self) -> Verdict:
@@ -511,7 +509,7 @@ class InvariantsResult:
 
     bases: Dict[int, BitMatrix]
     module: FuluModule
-    incl: FuluMap
+    incl: ModuleMap
 
 
 def gv_invariants(r: int, D: int, calc: Optional[RealmCalculus] = None) -> InvariantsResult:
@@ -546,7 +544,7 @@ def gv_invariants(r: int, D: int, calc: Optional[RealmCalculus] = None) -> Invar
             bases[n] = left_kernel(reduce(BitMatrix.concat_cols, [m.mat(n) for m in g_plus_id])).basis
         else:
             bases[n] = BitMatrix.identity(E.dim(n))
-    mod, incl = restrict_fulu(E, bases, f"Inv(G,{X.name})")
+    mod, incl = submodule(E, bases, f"Inv(G,{X.name})")
     return InvariantsResult(bases, mod, incl)
 
 

@@ -22,14 +22,13 @@ from typing import Dict, List, Optional, Tuple
 from .f2core import BitMatrix, Subspace, image_is_kernel, rank
 from .fulu import (
     ExtendedModule,
-    FuluMap,
-    FuluModule,
     OverFulu,
     extend_scalars,
     extend_scalars_map,
     tensor_over_fulu,
 )
 from .unstable import (
+    FuluModule,
     ModuleMap,
     TheoryViolation,
     TruncatedModule,
@@ -113,15 +112,8 @@ class SingerModule:
             for n in range(self.D + 1)
         }
         self.free_gens = self._freeness()
-        mod, incl_mats = self._realize(labels)
-        u_mats = {}
-        for n in range(self.D):
-            rows = []
-            for (k, d, j) in gens[n]:
-                rows.append(1 << self._gen_pos[n + 1][(k + 1, d, j)])
-            u_mats[n] = BitMatrix.from_row_ints(rows, mod.dims[n + 1])
-        self.fulu = FuluModule(mod, u_mats, name=mod.name)
-        self.incl = FuluMap(self.fulu, ambient, incl_mats, D=self.D)
+        self.fulu = self._realize(labels)
+        self.incl = ModuleMap(self.fulu, ambient, self._G, D=self.D)
         self._check_u_consistency()
 
     def _shift_row(self, row: int, n: int, k: int) -> int:
@@ -140,19 +132,25 @@ class SingerModule:
                 return Verdict(False, self.D, f"distinguished generators dependent in degree {n}")
         return Verdict(True, self.D)
 
-    def _realize(self, labels):
+    def _realize(self, labels) -> FuluModule:
         if not self.free_gens.ok:
             raise TheoryViolation(self.free_gens.witness or "generators not free")
         name = f"R1({self.base.name})"
-        bases = {n: self._G[n] for n in range(self.D + 1)}
+        bases, gens, pos = self._G, self.gens, self._gen_pos
+        # u shifts u^k st1(b) to u^(k+1) st1(b), checked against the ambient u
+        u_mats = {
+            n: BitMatrix.from_row_ints([1 << pos[n + 1][(k + 1, d, j)] for (k, d, j) in gens[n]],
+                                       len(gens[n + 1]))
+            for n in range(self.D)
+        }
         # the distinguished labels, not the ambient sums; the Sq action is
         # induced on first read, as T2 and ``compute r1`` read only dims and spans
-        mod = TruncatedModule(
+        return FuluModule(
             name, self.D, [bases[n].nrows for n in range(self.D + 1)],
-            lambda: _restricted_action(bases, self.ambient.underlying, self.D, name),
+            lambda: _restricted_action(bases, self.ambient, self.D, name),
             [tuple(labels[n]) for n in range(self.D + 1)],
+            u=u_mats,
         )
-        return mod, bases
 
     def _check_u_consistency(self):
         for n in range(self.D):
@@ -212,7 +210,7 @@ def rho1(S: SingerModule) -> Rho1Certificate:
         for (k, d, j) in S.gens[n]:
             rows.append((1 << j) if k == 0 and n == 2 * d else 0)
         mats[n] = BitMatrix.from_row_ints(rows, phi_m.dims[n])
-    rho = ModuleMap(S.fulu.underlying, phi_m, mats, D=D, name="rho1")
+    rho = ModuleMap(S.fulu, phi_m, mats, D=D, name="rho1")
     lin = rho.validate_linear()
     alinear = Verdict(lin.ok, D, None if lin.ok else lin.violations[0])
     surj = Verdict(True, D)
@@ -238,7 +236,7 @@ def rho1(S: SingerModule) -> Rho1Certificate:
 
 
 def r1_on_map(f: ModuleMap, S_src: SingerModule, S_tgt: SingerModule
-              ) -> Tuple[FuluMap, Verdict]:
+              ) -> Tuple[ModuleMap, Verdict]:
     """Functoriality: restrict the extended map to the Singer-type submodules.
 
     Returns the induced map on distinguished bases and a verdict that it
@@ -259,7 +257,7 @@ def r1_on_map(f: ModuleMap, S_src: SingerModule, S_tgt: SingerModule
                 frow ^= low
             rows.append(acc)
         mats[n] = BitMatrix.from_row_ints(rows, S_tgt.fulu.dim(n))
-    induced = FuluMap(S_src.fulu, S_tgt.fulu, mats, D=D, name=f"R1({f.name})")
+    induced = ModuleMap(S_src.fulu, S_tgt.fulu, mats, D=D, name=f"R1({f.name})")
     ext = extend_scalars_map(f, S_src.ambient, S_tgt.ambient)
     ok = True
     witness = None

@@ -246,8 +246,104 @@ class TruncatedModule:
         return f"TruncatedModule({self.name}, D={self.D}, dims={list(self.dims)})"
 
 
+class FuluModule(TruncatedModule):
+    """A truncated unstable module with a degree-one multiplication ``u``.
+
+    ``u`` maps n to the matrix of u on degree n, for n < D.  Like the
+    action it is a dict, checked here, or a zero-argument function called
+    once, on the first read of u (``u_mat``, ``u_items``, ``validate`` or
+    ``==``).  Compatibility with the squaring operations is the
+    Cartan-twisted rule Sq^i(u x) = u Sq^i(x) + u^2 Sq^{i-1}(x), which
+    ``validate`` checks.  A u-module never equals a plain module, even one
+    with the same action: equal modules carry the same structure.
+    """
+
+    __slots__ = ("_u", "_ubuild")
+
+    def __init__(
+        self,
+        name: str,
+        D: int,
+        dims: Sequence[int],
+        action: Union[Dict[Tuple[int, int], BitMatrix],
+                      Callable[[], Dict[Tuple[int, int], BitMatrix]]],
+        labels: Optional[Sequence[Sequence[str]]] = None,
+        meta: Optional[dict] = None,
+        *,
+        u: Union[Dict[int, BitMatrix], Callable[[], Dict[int, BitMatrix]]],
+    ):
+        super().__init__(name, D, dims, action, labels, meta)
+        if callable(u):
+            self._u = None
+            self._ubuild = u
+        else:
+            self._ubuild = None
+            self._u = self._checked_u(u)
+
+    def _checked_u(self, u: Dict[int, BitMatrix]) -> Dict[int, BitMatrix]:
+        """The nonzero entries of ``u``, after the key and shape checks."""
+        out: Dict[int, BitMatrix] = {}
+        for n, m in u.items():
+            if n < 0 or n + 1 > self.D:
+                raise ValueError(f"u-action key {n} outside range")
+            if (m.nrows, m.ncols) != (self.dims[n], self.dims[n + 1]):
+                raise ValueError(f"u-action at degree {n} has wrong shape")
+            if not m.is_zero():
+                out[n] = m
+        return out
+
+    def _u_action(self) -> Dict[int, BitMatrix]:
+        """The stored u, built by the pending function on first read."""
+        if self._u is None:
+            self._u = self._checked_u(self._ubuild())
+            self._ubuild = None
+        return self._u
+
+    def u_mat(self, n: int) -> BitMatrix:
+        if n < 0:
+            return BitMatrix.zeros(0, self.dim(n + 1))
+        if n + 1 > self.D:
+            raise TruncationError(f"{self.name}: u on degree {n} beyond truncation")
+        got = self._u_action().get(n)
+        if got is not None:
+            return got
+        return BitMatrix.zeros(self.dims[n], self.dims[n + 1])
+
+    def u_items(self):
+        """The nonzero matrices of u, by degree."""
+        return sorted(self._u_action().items())
+
+    def validate(self) -> ValidationReport:
+        """The unstable-module axioms plus the Cartan-twisted u-compatibility."""
+        report = super().validate()
+        for i in range(1, self.D):
+            for n in range(0, self.D - i):
+                lhs = self.u_mat(n) @ self.sq(i, n + 1)
+                rhs = self.sq(i, n) @ self.u_mat(n + i)
+                if i >= 2:
+                    rhs = rhs + self.sq(i - 1, n) @ self.u_mat(n + i - 1) @ self.u_mat(n + i)
+                else:
+                    rhs = rhs + self.u_mat(n) @ self.u_mat(n + 1)
+                if lhs != rhs:
+                    report.add(f"u-multiplication not Cartan-compatible at (i={i}, n={n})")
+        return report
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruncatedModule):
+            return NotImplemented
+        if not isinstance(other, FuluModule):
+            return False
+        return super().__eq__(other) and self._u_action() == other._u_action()
+
+    __hash__ = TruncatedModule.__hash__
+
+    def __repr__(self) -> str:
+        return f"FuluModule({self.name}, D={self.D}, dims={list(self.dims)})"
+
+
 class ModuleMap:
-    """A degreewise linear map between truncated modules, meant to be A-linear."""
+    """A degreewise linear map between truncated modules, meant to be A-linear,
+    and to commute with u when both ends carry it."""
 
     __slots__ = ("source", "target", "D", "_mats", "name")
 
@@ -316,7 +412,8 @@ class ModuleMap:
         )
 
     def validate_linear(self) -> ValidationReport:
-        """A-linearity: f(Sq^i x) = Sq^i f(x) for every stored (i, n)."""
+        """A-linearity: f(Sq^i x) = Sq^i f(x) for every stored (i, n); between
+        two u-modules also u-equivariance, f(u x) = u f(x) in every degree."""
         report = ValidationReport()
         for i in range(1, self.D + 1):
             for n in range(0, self.D - i + 1):
@@ -324,6 +421,10 @@ class ModuleMap:
                 rhs = self.mat(n) @ self.target.sq(i, n)
                 if lhs != rhs:
                     report.add(f"not A-linear at (i={i}, n={n})")
+        if isinstance(self.source, FuluModule) and isinstance(self.target, FuluModule):
+            for n in range(self.D):
+                if self.source.u_mat(n) @ self.mat(n + 1) != self.mat(n) @ self.target.u_mat(n):
+                    report.add(f"not u-equivariant at degree {n}")
         return report
 
     def __eq__(self, other: object) -> bool:
@@ -376,10 +477,6 @@ class GradedLinearMap:
 
 
 # -- constructors -------------------------------------------------------------
-
-
-def module_from_action(name, D, dims, action, labels=None, meta=None) -> TruncatedModule:
-    return TruncatedModule(name, D, dims, action, labels, meta)
 
 
 def unit_module(D: int) -> TruncatedModule:
@@ -791,7 +888,8 @@ class Subquotient:
     (``kernel_spaces``) come with the object.  The image (with
     ``image_incl`` and ``factor``) and the cokernel (with ``coker_proj`` and
     ``coker_reps``) are built on first read, once each; the image checks
-    its Sq-closure when it is built.
+    its Sq-closure when it is built.  Each part carries u when the module
+    it is cut from does (see ``submodule`` and ``quotient``).
     """
 
     def __init__(self, f: ModuleMap, kernel: TruncatedModule, kernel_incl: ModuleMap,
@@ -845,29 +943,38 @@ class Subquotient:
         return self._coker.rep_mats
 
 
+def _express(bases: Dict[int, BitMatrix], reducers: Dict[int, RowReducer], n: int,
+             vecs: BitMatrix, escape: str) -> BitMatrix:
+    """The coefficients of ``vecs`` in the rows of ``bases[n]``, by the one
+    reducer of degree n, built on first use; ``escape`` names a row outside."""
+    red = reducers.get(n)
+    if red is None:
+        red = reducers[n] = RowReducer(bases[n])
+    coeffs = red.express(vecs)
+    if coeffs is None:
+        raise TheoryViolation(escape)
+    return coeffs
+
+
 def _restricted_action(bases: Dict[int, BitMatrix], ambient: TruncatedModule,
-                       D: int, what: str) -> Dict[Tuple[int, int], BitMatrix]:
+                       D: int, what: str,
+                       reducers: Optional[Dict[int, RowReducer]] = None
+                       ) -> Dict[Tuple[int, int], BitMatrix]:
     """Action induced on a graded collection of row-subspaces of ``ambient``.
 
     Only the ambient's stored, nonzero Sq matrices are read: the rows of a
     zero matrix lie in every subspace and induce the zero matrix, which is
     not stored.  They are read by degree, so an escape names the lowest
-    degree.  Each target degree's basis is eliminated once, on first use.
+    degree.  Each target degree's basis is eliminated once, on first use,
+    into ``reducers``, which a caller may share.
     """
+    reducers = {} if reducers is None else reducers
     action: Dict[Tuple[int, int], BitMatrix] = {}
-    reducers: Dict[int, RowReducer] = {}
     for (i, n), sq in sorted(ambient.action_items(), key=lambda item: item[0][1]):
         if n + i > D or bases[n].nrows == 0:
             continue
-        red = reducers.get(n + i)
-        if red is None:
-            red = reducers[n + i] = RowReducer(bases[n + i])
-        coeffs = red.express(bases[n] @ sq)
-        if coeffs is None:
-            raise TheoryViolation(
-                f"{what}: Sq^{i} escapes the subspace at degree {n}"
-            )
-        action[(i, n)] = coeffs
+        action[(i, n)] = _express(bases, reducers, n + i, bases[n] @ sq,
+                                  f"{what}: Sq^{i} escapes the subspace at degree {n}")
     return action
 
 
@@ -875,8 +982,11 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
               D: Optional[int] = None) -> Tuple[TruncatedModule, ModuleMap]:
     """Realize a graded row-span as a module with its inclusion.
 
-    Raises :class:`TheoryViolation` when the span is not stable under the
-    action, which always indicates an internal inconsistency upstream.
+    The module carries u when the ambient does.  Sq and u are induced
+    through one reducer per target degree, so each degree's basis is
+    eliminated at most once.  Raises :class:`TheoryViolation` when the span
+    is not stable under the action or u, which always indicates an
+    internal inconsistency upstream.
     """
     D = ambient.D if D is None else D
     full = {n: bases.get(n, BitMatrix.zeros(0, ambient.dims[n])) for n in range(D + 1)}
@@ -885,8 +995,18 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
         tuple(_sum_label(ambient.labels[n], full[n].row_int(r)) for r in range(dims[n]))
         for n in range(D + 1)
     ]
-    action = _restricted_action(full, ambient, D, name)
-    mod = TruncatedModule(name, D, dims, action, labels)
+    reducers: Dict[int, RowReducer] = {}
+    action = _restricted_action(full, ambient, D, name, reducers)
+    if isinstance(ambient, FuluModule):
+        u = {
+            n: _express(full, reducers, n + 1, full[n] @ m,
+                        f"{name}: u escapes the subspace at degree {n}")
+            for n, m in ambient.u_items()
+            if n < D and dims[n]
+        }
+        mod: TruncatedModule = FuluModule(name, D, dims, action, labels, u=u)
+    else:
+        mod = TruncatedModule(name, D, dims, action, labels)
     incl = ModuleMap(mod, ambient, {n: full[n] for n in range(D + 1)}, D=D)
     return mod, incl
 
@@ -937,7 +1057,9 @@ def quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> Quoti
     ``bases[n]`` is an rref basis without zero rows of the subspace in
     degree n, for n = 0 .. D with D = len(bases) - 1 <= M.D.  The action
     Sq^i is ``reps @ sq @ proj``, which is well defined when the subspace is
-    stable under the action.
+    stable under the action.  When M carries u, so does the quotient, with
+    u = ``reps @ u @ proj``, well defined when the subspace is stable under
+    u.  Both are built on first read.
     """
     D = len(bases) - 1
     proj_mats: Dict[int, BitMatrix] = {}
@@ -956,16 +1078,24 @@ def quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> Quoti
             if n + i <= D and dims[n]
         }
 
-    module = TruncatedModule(name, D, dims, action, labels)
+    if isinstance(M, FuluModule):
+        def u() -> Dict[int, BitMatrix]:
+            return {n: rep_mats[n] @ m @ proj_mats[n + 1]
+                    for n, m in M.u_items() if n < D and dims[n]}
+
+        module: TruncatedModule = FuluModule(name, D, dims, action, labels, u=u)
+    else:
+        module = TruncatedModule(name, D, dims, action, labels)
     return Quotient(module, proj_mats, rep_mats)
 
 
 def subquotient(f: ModuleMap, validate: bool = False) -> Subquotient:
     """Degreewise kernel, image and cokernel with induced actions.
 
-    The input must be A-linear; pass ``validate=True`` to enforce the check
-    here (constructions in this package validate at the fixture level).
-    Only the kernel is built here; see :class:`Subquotient`.
+    The input must be A-linear, and commute with u where its ends carry
+    it; pass ``validate=True`` to enforce the check here (constructions in
+    this package validate at the fixture level).  Only the kernel is built
+    here; see :class:`Subquotient`.
     """
     if validate:
         rep = f.validate_linear()

@@ -9,8 +9,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from usteen import _gf2py
 from usteen.f2core import BitMatrix, Subspace, rref
-from usteen.fulu import FuluModule
-from usteen.unstable import TruncatedModule, polynomial_module
+from usteen.fulu import u_linear_map
+from usteen.unstable import FuluModule, ModuleMap, TruncatedModule, polynomial_module
 
 # -- GF(2) linear algebra ------------------------------------------------------
 
@@ -96,10 +96,32 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 # -- modules ---------------------------------------------------------------------
 
 
+def u_on_span_by_solving(incl: Dict[int, BitMatrix], ambient: FuluModule,
+                         D: int) -> Dict[int, BitMatrix]:
+    """u on the span of the rows ``incl[n]`` of a u-module: the C_n with
+    C_n @ incl[n + 1] = incl[n] @ u, one plain solve per degree."""
+    return {
+        n: transpose(solve_many(transpose(incl[n + 1]), transpose(incl[n] @ ambient.u_mat(n))))
+        for n in range(D)
+    }
+
+
+def u_on_quotient_by_solving(proj: Dict[int, BitMatrix], ambient: FuluModule,
+                             D: int) -> Dict[int, BitMatrix]:
+    """u on a quotient of a u-module with surjections ``proj[n]``: the X_n
+    with proj[n] @ X_n = u @ proj[n + 1], one plain solve per degree."""
+    return {n: solve_many(proj[n], ambient.u_mat(n) @ proj[n + 1]) for n in range(D)}
+
+
+def with_u(M: TruncatedModule, u: Dict[int, BitMatrix]) -> FuluModule:
+    """M, with its name, labels and Sq action, and the multiplication ``u``."""
+    return FuluModule(M.name, M.D, M.dims, dict(M.action_items()), M.labels, M.meta, u=u)
+
+
 def fulu_algebra(D: int) -> FuluModule:
     """The rank-one polynomial algebra itself, with u acting by the shift."""
-    mod = polynomial_module(1, D, varnames=("u",), name="F[u]")
-    return FuluModule(mod, {n: BitMatrix.identity(1) for n in range(D)}, name="F[u]")
+    return with_u(polynomial_module(1, D, varnames=("u",), name="F[u]"),
+                  {n: BitMatrix.identity(1) for n in range(D)})
 
 
 def a_span(M: TruncatedModule, seeds: Dict[int, Iterable[int]]) -> Dict[int, BitMatrix]:
@@ -129,3 +151,20 @@ def a_span(M: TruncatedModule, seeds: Dict[int, Iterable[int]]) -> Dict[int, Bit
         n: Subspace.from_rows(BitMatrix.from_row_ints(spans[n], M.dims[n])).basis
         for n in range(M.D + 1)
     }
+
+
+# -- mutants -----------------------------------------------------------------------
+
+
+def mutant_tau(calc, drop) -> ModuleMap:
+    """The tau of a realm calculus with the u^0 copy of the unit in the
+    components ``drop`` removed from its degree-0 row, extended u-linearly.
+
+    Dropping the copy in component 0 leaves taubar = pi o tau unchanged,
+    so only the equalizer verdict can see it."""
+    layer = [calc.tau.mat(d).take_rows(range(calc.X.table.dims[d])).row_ints()
+             for d in range(calc.D + 1)]
+    unit = (0,) * calc.X.summands[0].r
+    for c in drop:
+        layer[0][0] ^= 1 << calc.ETX.index(0, 0, calc.TX.realm.index(0, c, unit))
+    return u_linear_map(calc.E, calc.ETX, layer, name="tau")

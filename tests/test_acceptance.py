@@ -13,10 +13,10 @@ import numpy as np
 from usteen.f2core import BitMatrix, Subspace, left_kernel, rank
 from usteen.fulu import (
     extend_scalars,
-    freeness_report,
     generator_space,
     quotient_u_module,
     saturation_check,
+    torsion_free,
 )
 from usteen.harness import make_spec, run_all, run_check
 from usteen.lannes import (
@@ -129,7 +129,7 @@ def test_criterion_2_free_module_dims_and_validation():
         phi(free_unstable(1, 6)),
         suspend(unit_module(9)),
         tensor(free_unstable(1, 10), free_unstable(1, 10)),
-        extend_scalars(polynomial_module(1, 10)).underlying,
+        extend_scalars(polynomial_module(1, 10)),
     ]
     for M in fixtures:
         rep = M.validate()
@@ -186,8 +186,7 @@ def test_criterion_5_singer_structure():
     for M in fixtures:
         S = r1(M)
         assert S.free_gens.ok, M.name
-        rep = freeness_report(S.fulu)
-        assert rep.torsion_free.ok, M.name
+        assert torsion_free(S.fulu).ok, M.name
         assert [S.fulu.dim(n) for n in range(S.D + 1)] == r1_dims_expected(M, S.D)
         cert = rho1(S)
         assert cert.ok, (M.name, cert)
@@ -276,7 +275,7 @@ def test_criterion_9_randomized_polynomial_lemmas():
             discrepancies += 1
         if sat.ok:
             saturated += 1
-            if not freeness_report(quotient_u_module(X)).torsion_free.ok:
+            if not torsion_free(quotient_u_module(X)).ok:
                 discrepancies += 1
     assert discrepancies == 0
     assert saturated >= 10

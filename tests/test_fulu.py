@@ -6,38 +6,46 @@ import pytest
 from usteen import fixtures, harness
 from usteen.f2core import BitMatrix, Subspace, left_kernel, rank, rref
 from usteen.fulu import (
-    FuluModule,
     GradedSubspace,
     extend_scalars,
     extend_scalars_map,
-    freeness_report,
-    fulu_subquotient,
     generator_space,
     indecomposables,
     q_data,
     q_of_map,
     quotient_u_module,
-    restrict_fulu,
     saturation_check,
     tensor_over_fulu,
+    torsion_free,
 )
-from usteen.lannes import RealmCalculus, hv, realm_sum, realm_suspend, t_apply
+from usteen.lannes import RealmCalculus, gv_invariants, hv, realm_sum, realm_suspend, t_apply
+from usteen.singer import r1
 from usteen.unstable import (
+    FuluModule,
+    ModuleMap,
+    TheoryViolation,
     Verdict,
     _coker_data,
     _sum_label,
     free_unstable,
     map_from_free,
-    module_from_action,
     polynomial_module,
     suspend,
+    submodule,
+    subquotient,
     sym_lambda,
     tensor,
     tensor_with_layout,
     unit_module,
 )
 
-from reference import fulu_algebra, span_sum
+from reference import (
+    fulu_algebra,
+    span_sum,
+    u_on_quotient_by_solving,
+    u_on_span_by_solving,
+    with_u,
+)
 
 
 def test_fulu_algebra_is_valid():
@@ -60,7 +68,7 @@ def test_extend_scalars_of_suspension():
     E = extend_scalars(suspend(unit_module(7)))
     assert list(E.dims) == [0] + [1] * 8
     # Sq^1(u (x) s) = u^2 (x) s
-    assert E.sq(1, 2).get(0, 0) == 1
+    assert E.sq(1, 2).row_int(0) & 1 == 1
     assert E.validate().ok
 
 
@@ -86,11 +94,11 @@ def test_extend_scalars_matches_the_generic_tensor_product(D, tmp_path):
     for M in _extension_cases(D, tmp_path):
         E = extend_scalars(M)
         name = f"Fu(x){M.name}"
-        ref, layout = tensor_with_layout(fu.underlying, M, name=name)
-        assert E.underlying == ref, M.name
-        assert E.labels == ref.labels and E.name == E.underlying.name == name
+        ref, layout = tensor_with_layout(fu, M, name=name)
+        assert (E.D, E.dims, E.action_items()) == (ref.D, ref.dims, ref.action_items()), M.name
+        assert E.labels == ref.labels and E.name == name
         assert E.base is M
-        for lay in (E.layout, E.underlying.meta["layout"]):
+        for lay in (E.layout, E.meta["layout"]):
             assert [lay.blocks(n) for n in range(D + 1)] == [layout.blocks(n) for n in range(D + 1)]
         for n in range(D):
             want = [
@@ -117,7 +125,7 @@ def test_indecomposables_section():
     F2 = free_unstable(2, 10)
     E = extend_scalars(F2)
     Q = indecomposables(E)
-    assert Q == F2
+    assert (Q.D, Q.dims, Q.action_items()) == (F2.D, F2.dims, F2.action_items())
 
 
 def test_q_naturality_on_random_maps():
@@ -130,7 +138,7 @@ def test_q_naturality_on_random_maps():
         v = int(rng.integers(0, 1 << H.dim(2)))
         f = map_from_free(F2, H, v)
         ef = extend_scalars_map(f, EF, EH)
-        assert ef.validate().ok
+        assert ef.validate_linear().ok
         qmap = q_of_map(ef, qf, qh)
         # Q(extension of f) agrees with f under the canonical identifications
         for n in range(10):
@@ -138,21 +146,22 @@ def test_q_naturality_on_random_maps():
 
 
 def test_freeness_of_extension():
-    rep = freeness_report(extend_scalars(free_unstable(2, 9)))
-    assert rep.torsion_free.ok
-    assert rep.free_basis is not None
     F2 = free_unstable(2, 9)
-    assert [len(b) for b in rep.free_basis] == [F2.dim(n) for n in range(10)]
+    E = extend_scalars(F2)
+    assert torsion_free(E).ok
+    # the free basis is the u^0 block: the labels of the indecomposables
+    basis = indecomposables(E).labels
+    assert [len(b) for b in basis] == [F2.dim(n) for n in range(10)]
+    assert basis == tuple(E.labels[n][:F2.dim(n)] for n in range(10))
 
 
 def test_torsion_fixture():
     # the truncated polynomial algebra on u with u^2 = 0
-    mod = module_from_action("F[u]/(u^2)", 3, [1, 1, 0, 0], {(1, 0): BitMatrix.from_rows([[1]])})
-    N = FuluModule(mod, {0: BitMatrix.from_rows([[1]])})
-    rep = freeness_report(N)
-    assert not rep.torsion_free.ok
-    assert "degree 1" in rep.torsion_free.witness
-    assert rep.free_basis is None
+    one = BitMatrix.from_rows([[1]])
+    N = FuluModule("F[u]/(u^2)", 3, [1, 1, 0, 0], {(1, 0): one}, u={0: one})
+    v = torsion_free(N)
+    assert not v.ok
+    assert "degree 1" in v.witness
 
 
 def test_saturation_of_extension_of_submodule():
@@ -197,7 +206,7 @@ def test_saturated_implies_quotient_torsion_free():
     X = GradedSubspace.from_vectors(E, rows)
     assert saturation_check(X).ok
     q = quotient_u_module(X)
-    assert freeness_report(q).torsion_free.ok
+    assert torsion_free(q).ok
 
 
 def test_equiv_cond_randomized_small():
@@ -219,7 +228,7 @@ def test_equiv_cond_randomized_small():
         assert sat.ok == gs.eps_image_injective.ok
         agree += 1
         if sat.ok:
-            assert freeness_report(quotient_u_module(X)).torsion_free.ok
+            assert torsion_free(quotient_u_module(X)).ok
     assert agree == 25
 
 
@@ -298,12 +307,13 @@ def test_graded_subspace_checks_u_closure():
         GradedSubspace(E, {1: BitMatrix.identity(1)})
 
 
-def test_restrict_fulu_roundtrip():
+def test_submodule_of_a_whole_u_module_is_the_module():
     E = extend_scalars(free_unstable(1, 8))
     bases = {n: BitMatrix.identity(E.dim(n)) for n in range(9)}
-    sub, incl = restrict_fulu(E, bases, "whole")
-    assert sub.underlying.dims == E.dims
-    assert incl.validate().ok
+    sub, incl = submodule(E, bases, "whole")
+    assert isinstance(sub, FuluModule) and sub.dims == E.dims
+    assert [sub.u_mat(n) for n in range(8)] == [E.u_mat(n) for n in range(8)]
+    assert incl.validate_linear().ok
 
 
 def test_fulu_subquotient_of_unit_embedding():
@@ -313,8 +323,8 @@ def test_fulu_subquotient_of_unit_embedding():
     # the inclusion of the sub u*E realized by restriction
     bases = {n: (E.u_mat(n - 1) if n >= 1 else BitMatrix.zeros(0, E.dim(0))) for n in range(9)}
     bases = {n: Subspace.from_rows(b).basis for n, b in bases.items()}
-    sub, incl = restrict_fulu(E, bases, "uE")
-    q = fulu_subquotient(incl)
+    sub, incl = submodule(E, bases, "uE")
+    q = subquotient(incl)
     # cokernel is the indecomposables: isomorphic to M degreewise
     for n in range(9):
         assert q.cokernel.dim(n) == M.dim(n)
@@ -341,9 +351,8 @@ def test_tensor_over_fulu_free_basis():
     A = extend_scalars(unit_module(8))
     B = extend_scalars(suspend(unit_module(7)))
     prod = tensor_over_fulu(A, B)
-    rep = freeness_report(prod.module)
-    assert rep.torsion_free.ok
-    assert rep.free_basis is not None and sum(map(len, rep.free_basis)) == 1
+    assert torsion_free(prod.module).ok
+    assert sum(map(len, indecomposables(prod.module).labels)) == 1
 
 
 def test_extension_functor_is_exact():
@@ -372,10 +381,96 @@ def test_fulu_validation_catches_broken_u():
     # u acting as zero violates nothing Cartan-wise only if Sq^1 u x = ...;
     # an identity u on a module where Sq1 does not match breaks the twist
     zero_u = {n: BitMatrix.zeros(1, 1) for n in range(4)}
-    assert FuluModule(M, zero_u).validate().ok  # zero u is always compatible
+    assert with_u(M, zero_u).validate().ok  # zero u is always compatible
     tmul_u = {n: BitMatrix.identity(1) for n in range(4)}
-    assert FuluModule(M, tmul_u).validate().ok  # u acting as t is a valid structure
+    assert with_u(M, tmul_u).validate().ok  # u acting as t is a valid structure
     # u*1 = t but u*t = 0 breaks Sq^1(u*1) = u*Sq^1(1) + u^2*1
     broken = {0: BitMatrix.identity(1)}
-    rep = FuluModule(M, broken).validate()
+    rep = with_u(M, broken).validate()
     assert not rep.ok and any("Cartan" in v for v in rep.violations)
+
+
+# -- u on submodules, quotients and subquotients ------------------------------------
+
+
+def test_a_u_module_never_equals_a_plain_module():
+    """Equality compares the whole structure: D, dims, Sq and, on u-modules, u."""
+    H = polynomial_module(1, 4)
+    shift = {n: BitMatrix.identity(1) for n in range(4)}
+    N = with_u(H, shift)
+    assert N != H and H != N and hash(N) == hash(H)
+    assert N == with_u(H, dict(shift)) and N != with_u(H, {})
+    # a scalar extension and the same u-module built by hand agree
+    E = extend_scalars(unit_module(4))
+    assert E == fulu_algebra(4) and E != polynomial_module(1, 4, varnames=("u",))
+
+
+def test_maps_between_u_modules_are_checked_for_u_equivariance():
+    """eps then unit, on a scalar extension, is A-linear but kills u."""
+    E = extend_scalars(polynomial_module(1, 4))
+    mats = {n: E.eps_mat(n) @ E.unit_mat(n) for n in range(5)}
+    assert ModuleMap(E, E, mats).validate_linear().violations == [
+        f"not u-equivariant at degree {n}" for n in range(4)]
+    assert ModuleMap.identity(E).validate_linear().ok
+    # the same matrices on the plain tensor product, which has E's action, are A-linear
+    plain = tensor(fulu_algebra(4), polynomial_module(1, 4))
+    assert ModuleMap(plain, plain, mats).validate_linear().ok
+
+
+@pytest.mark.parametrize("top, degree", [(0, 0), (2, 2)])
+def test_a_span_not_closed_under_u_raises(top, degree):
+    """The degrees 0..top of F[u] through degree 3 are closed under Sq
+    (Sq^1 u^2 = 0, and Sq^2 u^2 lands in degree 4), not under u."""
+    E = extend_scalars(unit_module(3))
+    bases = {n: BitMatrix.identity(1) for n in range(top + 1)}
+    with pytest.raises(TheoryViolation, match=rf"^sub: u escapes the subspace at degree {degree}$"):
+        submodule(E, bases, "sub")
+    # the same span of the plain module is a submodule
+    plain = polynomial_module(1, 3, varnames=("u",))
+    assert submodule(plain, bases, "sub")[0].dims == tuple(int(n <= top) for n in range(4))
+
+
+def taubar_parts(r, D):
+    calc = RealmCalculus(hv(r, D))
+    sub = calc.taubar_sub
+    return [(f"ker taubar r={r}", sub.kernel, "span", sub.kernel_incl),
+            (f"im taubar r={r}", sub.image, "span", sub.image_incl),
+            (f"coker taubar r={r}", sub.cokernel, "quotient", sub.coker_proj)]
+
+
+def induced_u_cases():
+    """(name, u-module, "span" or "quotient", inclusion or projection) quadruples."""
+    cases = []
+    for r, D in ((0, 6), (1, 7), (2, 6), (3, 5)):
+        cases += taubar_parts(r, D)
+        inv = gv_invariants(r, D)
+        cases.append((f"invariants r={r}", inv.module, "span", inv.incl))
+    for M in harness._singer_fixtures(8):
+        S = r1(M)
+        cases.append((f"R1({M.name})", S.fulu, "span", S.incl))
+    rng = random.Random(4)
+    E = extend_scalars(polynomial_module(1, 7))
+    for t in range(6):
+        X = harness._random_subspace(rng, E, t % 3)
+        Q = quotient_u_module(X)
+        mats = {n: _coker_data(X.bases[n], E.dim(n))[0] for n in range(E.D + 1)}
+        cases.append((f"E/X trial {t}", Q, "quotient", (E, mats)))
+    for A, B in ((extend_scalars(unit_module(6)), extend_scalars(suspend(unit_module(5)))),
+                 (extend_scalars(free_unstable(1, 6)), extend_scalars(polynomial_module(1, 6)))):
+        prod = tensor_over_fulu(A, B)
+        cases.append((prod.module.name, prod.module, "quotient", (prod.tensor_module, prod.proj_mats)))
+    return cases
+
+
+def test_induced_u_matches_a_plain_solve():
+    """u on every u-submodule, quotient and subquotient the package builds, against
+    C @ incl[n+1] = incl[n] @ u (a span) or proj[n] @ X = u @ proj[n+1] (a quotient)."""
+    for name, M, kind, data in induced_u_cases():
+        if isinstance(data, ModuleMap):
+            ambient = data.target if kind == "span" else data.source
+            mats = {n: data.mat(n) for n in range(M.D + 1)}
+        else:
+            ambient, mats = data
+        solve = u_on_span_by_solving if kind == "span" else u_on_quotient_by_solving
+        want = solve(mats, ambient, M.D)
+        assert [M.u_mat(n) for n in range(M.D)] == [want[n] for n in range(M.D)], name

@@ -20,6 +20,8 @@ from usteen.harness import (
 from usteen.lannes import RealmCalculus
 from usteen.unstable import TruncatedModule, Verdict, free_unstable, polynomial_module
 
+from reference import mutant_tau
+
 
 def test_poincare_coeffs():
     assert poincare_coeffs(0, 5) == [1, 1, 1, 1, 1, 1]
@@ -152,9 +154,21 @@ def test_fulu_fixture_round_trip(tmp_path):
     path = tmp_path / "ext.json"
     fixtures.save(N, path)
     back = fixtures.load(path)
-    assert back.underlying == N.underlying
-    for n in range(8):
-        assert back.u_mat(n) == N.u_mat(n)
+    assert back == N  # dims, Sq and u
+    assert back.labels == N.labels and back.name == N.name
+
+
+def test_a_u_fixture_with_a_broken_u_fails_t9(tmp_path):
+    """T9 validates a loaded u-module with its u."""
+    path = tmp_path / "ext.json"
+    fixtures.save(extend_scalars(polynomial_module(1, 6)), path)
+    assert run_check(make_spec("T9", D=6, fixture_file=str(path))).passed
+    doc = json.loads(path.read_text())
+    doc["u_action"] = [entry for entry in doc["u_action"] if entry["n"] != 1]  # u = 0 on degree 1
+    path.write_text(json.dumps(doc))
+    res = run_check(make_spec("T9", D=6, fixture_file=str(path)))
+    assert not res.passed
+    assert res.witness.endswith("u-multiplication not Cartan-compatible at (i=1, n=0)")
 
 
 def test_corrupted_fixture_fails_t9(tmp_path):
@@ -206,6 +220,11 @@ def test_rank3_catalog_report_matches_the_committed_oracle():
     assert report(results, "json") == (DATA / "catalog_d8_r3.json").read_text()
 
 
+def test_d14_catalog_report_matches_the_committed_oracle():
+    """The catalog at D=14, rank 2: the grid of the benchmark's catalog-r2 workload."""
+    assert report(run_all(D=14, max_rank=2), "json") == (DATA / "catalog_d14_r2.json").read_text()
+
+
 def clear_caches():
     """Forget the shared calculi and the shared H(V_r) modules."""
     harness._hv_calculus.cache_clear()
@@ -226,11 +245,12 @@ def check_docs(results):
 
 @pytest.fixture(scope="module")
 def catalogs():
-    """(params, the committed report, run_all's report) for both oracle files."""
+    """(params, the committed report, run_all's report) for each oracle file."""
     clear_caches()
     out = []
     for D, max_rank, only, name in [(10, 2, None, "verify_all.json"),
-                                    (8, 3, RANK3_CHECKS, "catalog_d8_r3.json")]:
+                                    (8, 3, RANK3_CHECKS, "catalog_d8_r3.json"),
+                                    (14, 2, None, "catalog_d14_r2.json")]:
         committed = {doc["check_id"]: doc
                      for doc in json.loads((DATA / name).read_text())["checks"]}
         out.append(((D, max_rank), committed, check_docs(run_all(D, max_rank, only=only))))
@@ -299,6 +319,24 @@ def test_a_failing_equalizer_verdict_fails_every_check_that_reads_it(order, monk
     assert [(r.id, r.passed, r.witness) for r in results] == [
         (cid, False, "structural violation: forced mismatch") for cid in order]
     assert calls == ["H(V1)"]
+
+
+def test_t16_certifies_the_equalizer_of_the_sum_it_reads(monkeypatch):
+    """A tau that drops the u^0 copy of the unit in component 0 leaves taubar,
+    and so the kernel dims T16 compares, unchanged; only the equalizer
+    verdict of the sum's calculus sees it."""
+    real = harness.RealmCalculus
+
+    def broken_on_sums(X):
+        calc = real(X)
+        if len(X.summands) > 1:
+            calc.tau = mutant_tau(calc, [calc.TX.comp_pos[(0, (0,))]])
+        return calc
+
+    monkeypatch.setattr(harness, "RealmCalculus", broken_on_sums)
+    res = run_check(make_spec("T16", D=6, max_rank=1))
+    assert (res.passed, res.witness) == (
+        False, "structural violation: equalizer differs from the kernel in degree 0")
 
 
 def test_cli_unknown_check(capsys):

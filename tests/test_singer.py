@@ -5,7 +5,7 @@ import numpy as np
 
 from usteen import singer
 from usteen.f2core import BitMatrix, Subspace, rref
-from usteen.fulu import extend_scalars, freeness_report, indecomposables, saturation_check, GradedSubspace, generator_space
+from usteen.fulu import extend_scalars, indecomposables, saturation_check, GradedSubspace, generator_space, torsion_free
 from usteen.singer import (
     product_mu,
     r1,
@@ -125,8 +125,7 @@ def test_r1_rank2_dims():
 def test_r1_freeness_and_dims_forecast():
     for M in (free_unstable(1, 12), free_unstable(2, 12), polynomial_module(1, 12)):
         S = r1(M)
-        rep = freeness_report(S.fulu)
-        assert rep.torsion_free.ok
+        assert torsion_free(S.fulu).ok
         assert [S.fulu.dim(n) for n in range(S.D + 1)] == r1_dims_expected(M, S.D)
         assert S.free_gens.ok
 
@@ -134,7 +133,7 @@ def test_r1_freeness_and_dims_forecast():
 def test_r1_validates_as_fulu_module():
     S = r1(free_unstable(2, 10))
     assert S.fulu.validate().ok
-    assert S.incl.validate().ok
+    assert S.incl.validate_linear().ok
 
 
 def test_r1_indecomposables_are_doubled_module():
@@ -146,9 +145,9 @@ def test_r1_indecomposables_are_doubled_module():
 
 def test_r1_reduced_preserved():
     S = r1(polynomial_module(1, 12))
-    assert is_reduced(S.fulu.underlying).ok
+    assert is_reduced(S.fulu).ok
     S2 = r1(free_unstable(2, 10))
-    assert is_reduced(S2.fulu.underlying).ok
+    assert is_reduced(S2.fulu).ok
 
 
 def test_r1_saturated_in_ambient():
@@ -210,7 +209,7 @@ def test_r1_on_map_generator_image():
     SF, SH = r1(F1), r1(H)
     ind, nat = r1_on_map(f, SF, SH)
     assert nat.ok
-    assert ind.validate().ok
+    assert ind.validate_linear().ok
     # st1(i1) lands on st1(t) = u t + t^2
     row = (SF.gen_matrix(2).take_rows([SF._gen_pos[2][(0, 1, 0)]]) @
            __import__("usteen.fulu", fromlist=["extend_scalars_map"]).extend_scalars_map(f, SF.ambient, SH.ambient).mat(2))
