@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import fixtures
 from .harness import CATALOG, make_spec, poincare_coeffs, report, run_check
-from .lannes import RealmCalculus, fix_presented, gv_invariants, hv, realm_suspend, rtilde
+from .lannes import RealmCalculus, hv, realm_suspend
 from .singer import r1
 from .steenrod import admissible_basis
 from .unstable import (
@@ -152,8 +152,8 @@ def _cmd_compute(args) -> int:
         return 0
     if what == "rtilde":
         X = _named_realm(args.module, D)
-        P = rtilde(X)
-        dims = [P.realization.dim(n) for n in range(D + 1)]
+        K = RealmCalculus(X).rtilde
+        dims = [K.dim(n) for n in range(D + 1)]
         doc = {"name": f"Rtilde({X.name})", "certified_degree": D, "dims": dims}
         lines = [f"Rtilde({X.name}) through degree {D}", "dims: " + _dims_csv(dims)]
         _emit(doc, lines, args.format)
@@ -161,8 +161,8 @@ def _cmd_compute(args) -> int:
     if what == "invariants":
         if args.rank is None:
             raise SystemExit2("compute invariants requires --rank")
-        inv = gv_invariants(args.rank, D)
-        dims = [inv.module.dim(n) for n in range(D + 1)]
+        inv, _ = RealmCalculus(hv(args.rank, D)).invariants()
+        dims = [inv.dim(n) for n in range(D + 1)]
         series = poincare_coeffs(args.rank, D)
         doc = {
             "name": f"invariants(rank {args.rank})",
@@ -180,10 +180,9 @@ def _cmd_compute(args) -> int:
     if what == "fix":
         X = _named_realm(args.module, D)
         calc = RealmCalculus(X)
-        P = rtilde(X, calc)
-        F = fix_presented(P)
-        dims = [F.dim(n) for n in range(D + 1)]
-        base = list(X.module.dims)
+        calc.rtilde  # certifies the equalizer
+        dims = list(calc.fix_parts["kernel"].table.dims)
+        base = list(X.table.dims)
         doc = {
             "name": f"Fix(Rtilde({X.name}))",
             "certified_degree": D,

@@ -52,6 +52,8 @@ def module_from_dict(doc: dict) -> TruncatedModule:
     action = {}
     for entry in doc.get("action", []):
         i, n = int(entry["i"]), int(entry["n"])
+        if i < 1 or n < 0 or n + i > D:
+            raise ValueError(f"action key ({i}, {n}) outside range")
         action[(i, n)] = _rows_from_strings(entry["rows"], dims[n + i])
         if action[(i, n)].nrows != dims[n]:
             raise ValueError(f"action ({i}, {n}) has {action[(i, n)].nrows} rows, expected {dims[n]}")
@@ -61,6 +63,8 @@ def module_from_dict(doc: dict) -> TruncatedModule:
     u = {}
     for entry in doc["u_action"]:
         n = int(entry["n"])
+        if n < 0 or n + 1 > D:
+            raise ValueError(f"u-action key {n} outside range")
         u[n] = _rows_from_strings(entry["rows"], dims[n + 1])
     return FuluModule(name, D, dims, action, labels, u=u)
 

@@ -67,12 +67,10 @@ class RealmObject:
     of degree n - s_j in lex order; ``table`` is their layout.
     """
 
-    def __init__(self, summands: Sequence[Summand], D: int, name: Optional[str] = None,
-                 comp_tags: Optional[Sequence[str]] = None):
+    def __init__(self, summands: Sequence[Summand], D: int, name: Optional[str] = None):
         self.summands = tuple(summands)
         self.D = D
         self.name = name or self._default_name()
-        self._tags = tuple(comp_tags) if comp_tags is not None else None
 
     @cached_property
     def table(self) -> BlockLayout:
@@ -96,6 +94,10 @@ class RealmObject:
             core = f"H(V{sm.r})"
             parts.append(core if sm.s == 0 else f"S^{sm.s}{core}")
         return "(+)".join(parts) if parts else "0"
+
+    def _tag(self, j: int) -> str:
+        """The prefix of the labels of summand j."""
+        return f"[{j}]" if len(self.summands) > 1 else ""
 
     def monomials(self, j: int, d: int) -> Tuple[Tuple[int, ...], ...]:
         return _monomials(self.summands[j].r, d)
@@ -125,8 +127,7 @@ class RealmObject:
         for n in range(D + 1):
             ls = []
             for j, _, _ in self.table.blocks(n):
-                s = self.summands[j].s
-                tag = self._tags[j] if self._tags else (f"[{j}]" if len(self.summands) > 1 else "")
+                s, tag = self.summands[j].s, self._tag(j)
                 ls.extend(tag + (f"s^{s}({core})" if s else core)
                           for core in polys[j].labels[n - s])
             labels.append(tuple(ls))
@@ -175,26 +176,24 @@ def realm_sum(X: RealmObject, Y: RealmObject) -> RealmObject:
                        name=f"{X.name}(+){Y.name}")
 
 
-class TExpansion:
+class TExpansion(RealmObject):
     """A T-functor expansion of a realm object: one copy of a summand per component.
 
     ``components`` lists (summand index, encoded vectors) in order and
-    ``comp_pos`` inverts it; the expansion is itself a realm object,
-    allowing iterated application.
+    ``comp_pos`` inverts it; summand c of the expansion is the copy of
+    component c.  The expansion is itself a realm object, allowing iterated
+    application.
     """
 
     def __init__(self, base: RealmObject, components: Sequence[Tuple[int, Tuple[int, ...]]],
                  name: str):
         self.components = list(components)
         self.comp_pos = {c: i for i, c in enumerate(self.components)}
-        tags = [f"<{j}:{','.join(map(str, phi))}>" for j, phi in self.components]
-        self.realm = RealmObject(
-            [base.summands[j] for j, _ in self.components], base.D, name=name, comp_tags=tags,
-        )
+        super().__init__([base.summands[j] for j, _ in self.components], base.D, name)
 
-    @property
-    def module(self) -> TruncatedModule:
-        return self.realm.module
+    def _tag(self, j: int) -> str:
+        c, phi = self.components[j]
+        return f"<{c}:{','.join(map(str, phi))}>"
 
 
 def t_apply(w_rank: int, X: RealmObject) -> TExpansion:
@@ -224,7 +223,11 @@ def _twist_terms(mono: Tuple[int, ...], v: int) -> List[Tuple[int, Tuple[int, ..
 
 
 class RealmCalculus:
-    """All comparison-map data for one realm object, computed on demand."""
+    """All comparison-map data for one realm object, computed on demand.
+
+    It is the one entry point to what is read off the comparison map of X:
+    ``rtilde``, ``invariants()``, ``alpha()`` and ``fix_parts``.
+    """
 
     def __init__(self, X: RealmObject):
         self.X = X
@@ -274,7 +277,7 @@ class RealmCalculus:
                 for v in range(1 << self.X.summands[j].r):
                     c = self.TX.comp_pos[(j, (v,))]
                     for (extra, m2) in _twist_terms(mono, v):
-                        tgt = self.TX.realm.index(d - extra, c, m2)
+                        tgt = self.TX.index(d - extra, c, m2)
                         acc ^= 1 << self.ETX.index(d, extra, tgt)
                 rows.append(acc)
             layer.append(rows)
@@ -286,7 +289,7 @@ class RealmCalculus:
         u-powers of the reduced components.  sigma lands in u^0, so this is
         pi o (sigma + tau); u-linear, so read on the u^0 rows of tau."""
         reduced = [self.TX.comp_pos[comp] for comp in self.tbar.components]
-        table = self.TX.realm.table
+        table = self.TX.table
         layer = []
         for d in range(self.D + 1):
             cols = []  # bar's order: u-power, then reduced component, then monomial
@@ -319,11 +322,68 @@ class RealmCalculus:
                 return Verdict(False, self.D, f"equalizer differs from the kernel in degree {n}")
         return Verdict(True, self.D)
 
+    @property
+    def rtilde(self) -> FuluModule:
+        """The kernel of taubar, the functor's value on X.  The equalizer is
+        certified once per calculus; a failing verdict raises
+        ``TheoryViolation`` on every read."""
+        v = self.equalizer_verdict
+        if not v.ok:
+            raise TheoryViolation(v.witness or "equalizer mismatch")
+        return self.taubar_sub.kernel
+
+    def invariants(self) -> Tuple[FuluModule, ModuleMap]:
+        """The invariants of the maps u -> u, t_i -> t_i + t_i(v) u over the
+        generators v, as a submodule of ``E`` with its inclusion.
+
+        Defined when X is one unsuspended H(V_r); the invariant ring and the
+        kernel of taubar then share one extension and one Sq action.
+        """
+        X, E, D = self.X, self.E, self.D
+        if len(X.summands) != 1 or X.summands[0].s:
+            raise ValueError(f"invariants need one unsuspended H(V_r), not {X.name}")
+        r = X.summands[0].r
+        g_plus_id = []
+        for gen in range(r):
+            v = 1 << gen
+            layer = []
+            for d in range(D + 1):
+                rows = []
+                for pos, mono in enumerate(X.monomials(0, d)):
+                    acc = 1 << pos  # g_v^* + identity: mono's own u^0 copy sits at pos
+                    for (extra, m2) in _twist_terms(mono, v):
+                        acc ^= 1 << E.index(d, extra, X.index(d - extra, 0, m2))
+                    rows.append(acc)
+                layer.append(rows)
+            g_plus_id.append(u_linear_map(E, E, layer))
+        bases: Dict[int, BitMatrix] = {}
+        for n in range(D + 1):
+            if g_plus_id:
+                bases[n] = left_kernel(reduce(BitMatrix.concat_cols, [m.mat(n) for m in g_plus_id])).basis
+            else:
+                bases[n] = BitMatrix.identity(E.dim(n))
+        return submodule(E, bases, f"Inv(G,{X.name})")
+
+    def alpha(self) -> AlphaResult:
+        """The loop-to-reduced-expansion map, from the structure map read on
+        the unit block of taubar."""
+        tbar = self.tbar.module
+        st_mats = {}
+        for n in range(self.D + 1):
+            unit = self.E.unit_mat(n)  # base into the extension
+            full = unit @ self.taubar.mat(n)
+            # select the u^1 layer, with which the bar coordinates start
+            mask = (1 << self.bar.block(n, 1)[1]) - 1
+            rows = [row & mask for row in full.row_ints()]
+            st_mats[n] = BitMatrix.from_row_ints(rows, tbar.dims[n - 1] if n >= 1 else 0)
+        st = GradedLinearMap(self.X.module, tbar, st_mats, shift=-1, D=self.D, name="unit-layer")
+        return alpha_from_structure(self.X.module, tbar, st)
+
     # -- fixed points ------------------------------------------------------------
 
     @cached_property
     def TTbar(self) -> TExpansion:
-        return t_apply(1, self.tbar.realm)
+        return t_apply(1, self.tbar)
 
     @cached_property
     def fix_components(self) -> BitMatrix:
@@ -348,7 +408,7 @@ class RealmCalculus:
         basis vector carries one copy of the summand at its pivot component.
         """
         P = self.fix_components
-        src, tgt = self.TX.realm.summands, self.TTbar.realm.summands
+        src, tgt = self.TX.summands, self.TTbar.summands
         _component_targets(src, tgt, P)
         im = rref(P).pivots
         return {
@@ -375,7 +435,7 @@ class RealmCalculus:
     @cached_property
     def diag(self) -> ModuleMap:
         """The splitting embedding of the base into its expansion."""
-        mats = _component_map(self.X, self.TX.realm, self.diag_components)
+        mats = _component_map(self.X, self.TX, self.diag_components)
         return ModuleMap(self.X.module, self.TX.module, mats, name="diag")
 
     def split_equalizer_verdict(self) -> Verdict:
@@ -384,7 +444,7 @@ class RealmCalculus:
         T(i_1) and T(delta), from the expansion to its own expansion, only
         move components, so their sum is one component matrix P.
         """
-        TTX = t_apply(1, self.TX.realm)
+        TTX = t_apply(1, self.TX)
         rows = []
         for c, (j, (a,)) in enumerate(self.TX.components):
             acc = 0
@@ -403,7 +463,7 @@ class RealmCalculus:
         Summand(s, r), first nonzero in degree s: a type with s > D is zero
         through D, and the lowest failing degree is the smallest failing s.
         """
-        base, mid, dst = self.X.summands, self.TX.realm.summands, tgt.realm.summands
+        base, mid, dst = self.X.summands, self.TX.summands, tgt.summands
         Dg = self.diag_components
         _component_targets(base, mid, Dg)
         _component_targets(mid, dst, P)
@@ -456,98 +516,6 @@ def _component_map(src: RealmObject, tgt: RealmObject, P: BitMatrix) -> Dict[int
     return mats
 
 
-# -- public operations ------------------------------------------------------------
-
-
-@dataclass
-class PresentedFuluObject:
-    """A u-module presented as part of the reduced comparison map.
-
-    ``kind`` selects the kernel, image or cokernel of the comparison map;
-    the fixed-point functor is computed through the presentation by
-    exactness.
-    """
-
-    kind: str
-    calculus: RealmCalculus
-    realization: FuluModule
-
-
-def rtilde(X: RealmObject, calc: Optional[RealmCalculus] = None) -> PresentedFuluObject:
-    """The kernel of the reduced comparison map, checked against the equalizer.
-
-    A calculus certifies the equalizer once; a failing verdict raises
-    ``TheoryViolation`` on every call.
-    """
-    calc = calc or RealmCalculus(X)
-    v = calc.equalizer_verdict
-    if not v.ok:
-        raise TheoryViolation(v.witness or "equalizer mismatch")
-    return PresentedFuluObject("kernel", calc, calc.taubar_sub.kernel)
-
-
-def c_functors(X: RealmObject, calc: Optional[RealmCalculus] = None
-               ) -> Tuple[PresentedFuluObject, PresentedFuluObject]:
-    """The image and cokernel of the reduced comparison map."""
-    calc = calc or RealmCalculus(X)
-    c1 = PresentedFuluObject("image", calc, calc.taubar_sub.image)
-    c2 = PresentedFuluObject("cokernel", calc, calc.taubar_sub.cokernel)
-    return c1, c2
-
-
-def fix_presented(P: PresentedFuluObject) -> TruncatedModule:
-    """Apply the fixed-point functor through the presentation (it is exact)."""
-    part = P.calculus.fix_parts.get(P.kind)
-    if part is None:
-        raise ValueError(f"unsupported presentation kind: {P.kind}")
-    return part.module
-
-
-@dataclass
-class InvariantsResult:
-    """Simultaneous invariants of the pointwise stabilizer on the extension."""
-
-    bases: Dict[int, BitMatrix]
-    module: FuluModule
-    incl: ModuleMap
-
-
-def gv_invariants(r: int, D: int, calc: Optional[RealmCalculus] = None) -> InvariantsResult:
-    """Invariants of the maps u -> u, t_i -> t_i + t_i(v) u over generators v.
-
-    ``calc``, the calculus of ``hv(r, D)``, lends its base and its scalar
-    extension, so the invariant ring and the kernel of taubar share one
-    extension and one Sq action.
-    """
-    if calc is None:
-        calc = RealmCalculus(hv(r, D))
-    elif calc.X.summands != (Summand(0, r),) or calc.D != D:
-        raise ValueError(f"the calculus of {calc.X.name} at D={calc.D} is not that of "
-                         f"H(V{r}) at D={D}")
-    X, E = calc.X, calc.E
-    g_plus_id = []
-    for gen in range(r):
-        v = 1 << gen
-        layer = []
-        for d in range(D + 1):
-            rows = []
-            for pos, mono in enumerate(X.monomials(0, d)):
-                acc = 1 << pos  # g_v^* + identity: mono's own u^0 copy sits at pos
-                for (extra, m2) in _twist_terms(mono, v):
-                    acc ^= 1 << E.index(d, extra, X.index(d - extra, 0, m2))
-                rows.append(acc)
-            layer.append(rows)
-        g_plus_id.append(u_linear_map(E, E, layer))
-    bases: Dict[int, BitMatrix] = {}
-    for n in range(D + 1):
-        if g_plus_id:
-            bases[n] = left_kernel(reduce(BitMatrix.concat_cols, [m.mat(n) for m in g_plus_id])).basis
-        else:
-            bases[n] = BitMatrix.identity(E.dim(n))
-    mod, incl = submodule(E, bases, f"Inv(G,{X.name})")
-    return InvariantsResult(bases, mod, incl)
-
-
 # -- the loop-to-reduced-expansion comparison ------------------------------------
 
 
@@ -578,22 +546,6 @@ def alpha_from_structure(M: TruncatedModule, tbar: TruncatedModule,
     alpha = ModuleMap(ft.omega, tbar, alpha_mats,
                       D=min(ft.omega.D, tbar.D - 1, D - 1), name="alpha")
     return AlphaResult(alpha, ft, st)
-
-
-def alpha_realm(X: RealmObject, calc: Optional[RealmCalculus] = None) -> AlphaResult:
-    """Extract the structure map from the unit block of the reduced comparison."""
-    calc = calc or RealmCalculus(X)
-    tbar = calc.tbar.module
-    st_mats = {}
-    for n in range(calc.D + 1):
-        unit = calc.E.unit_mat(n)  # base into the extension
-        full = unit @ calc.taubar.mat(n)
-        # select the u^1 layer, with which the bar coordinates start
-        mask = (1 << calc.bar.block(n, 1)[1]) - 1
-        rows = [row & mask for row in full.row_ints()]
-        st_mats[n] = BitMatrix.from_row_ints(rows, tbar.dims[n - 1] if n >= 1 else 0)
-    st = GradedLinearMap(X.module, tbar, st_mats, shift=-1, D=calc.D, name="unit-layer")
-    return alpha_from_structure(X.module, tbar, st)
 
 
 @dataclass

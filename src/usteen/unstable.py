@@ -94,7 +94,7 @@ class TruncatedModule:
     ``action`` maps (i, n) to the matrix of Sq^i on degree n.  It is either
     a dict, checked here, or a zero-argument function returning one.  A
     function is called once, on the first read of the action (``sq``,
-    ``action_items``, ``validate``, ``==`` or ``renamed``), and its result
+    ``action_items``, ``validate`` or ``==``), and its result
     gets the same key and shape checks.  Dims and labels are always known.
     """
 
@@ -196,9 +196,6 @@ class TruncatedModule:
             out = m if out is None else out @ m
             deg += i
         return out if out is not None else BitMatrix.identity(self.dim(n))
-
-    def renamed(self, name: str) -> "TruncatedModule":
-        return TruncatedModule(name, self.D, self.dims, dict(self._action()), self.labels, self.meta)
 
     def action_items(self):
         return sorted(self._action().items())
@@ -1089,18 +1086,14 @@ def quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> Quoti
     return Quotient(module, proj_mats, rep_mats)
 
 
-def subquotient(f: ModuleMap, validate: bool = False) -> Subquotient:
+def subquotient(f: ModuleMap) -> Subquotient:
     """Degreewise kernel, image and cokernel with induced actions.
 
     The input must be A-linear, and commute with u where its ends carry
-    it; pass ``validate=True`` to enforce the check here (constructions in
-    this package validate at the fixture level).  Only the kernel is built
-    here; see :class:`Subquotient`.
+    it; ``f.validate_linear()`` checks that (constructions in this package
+    validate at the fixture level).  Only the kernel is built here; see
+    :class:`Subquotient`.
     """
-    if validate:
-        rep = f.validate_linear()
-        if not rep.ok:
-            raise ValueError(f"subquotient of a non-A-linear map: {rep.violations[:3]}")
     spaces = [left_kernel(f.mat(n)) for n in range(f.D + 1)]
     kernel, kernel_incl = submodule(f.source, {n: sp.basis for n, sp in enumerate(spaces)},
                                     f"ker({f.name or 'f'})", f.D)
@@ -1192,23 +1185,19 @@ def omega(M: TruncatedModule) -> FourTermOmega:
     return FourTermOmega(om, om1, sub.kernel_incl, sub.coker_proj, f, sub.coker_reps)
 
 
-def is_reduced(M: TruncatedModule, up_to: Optional[int] = None) -> Verdict:
+def is_reduced(M: TruncatedModule) -> Verdict:
     """Injectivity of the Sq0 map in all certified degrees.
 
     The top square on degree n lands in degree 2n, so the certificate is
     capped at half the truncation degree.
     """
     cap = M.D // 2
-    if up_to is None:
-        up_to = cap
-    if up_to > cap:
-        raise TruncationError(f"cannot certify reducedness beyond degree {cap}")
-    for n in range(up_to + 1):
+    for n in range(cap + 1):
         ker = left_kernel(M.sq(n, n))
         if ker.dim:
             witness = _sum_label(M.labels[n], ker.basis.row_int(0))
-            return Verdict(False, up_to, f"Sq0 kills {witness} in degree {n}")
-    return Verdict(True, up_to)
+            return Verdict(False, cap, f"Sq0 kills {witness} in degree {n}")
+    return Verdict(True, cap)
 
 
 # -- symmetric invariants of the rank-one free square ------------------------
@@ -1249,7 +1238,6 @@ def sym_lambda(D: int) -> SymLambda:
     swap = ModuleMap(t2, t2, swap_mats, name="swap")
     sub = subquotient(swap + ModuleMap.identity(t2))
     invariants, invariants_incl = sub.kernel, sub.kernel_incl
-    invariants = invariants.renamed("Sym2-inv")
 
     phi_f1 = phi(f1)
     diag_mats = {}
@@ -1275,8 +1263,7 @@ def sym_lambda(D: int) -> SymLambda:
     from_free = map_from_free(f2, invariants, coeff.row_int(0), name="free->inv")
 
     lam_sub = subquotient(diag)
-    lambda2 = lam_sub.kernel.renamed("Lambda2(F(1))")
     return SymLambda(
-        invariants, invariants_incl, from_free, diag, lambda2,
+        invariants, invariants_incl, from_free, diag, lam_sub.kernel,
         lam_sub.kernel_incl, f2, phi_f1,
     )

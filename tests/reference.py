@@ -166,5 +166,5 @@ def mutant_tau(calc, drop) -> ModuleMap:
              for d in range(calc.D + 1)]
     unit = (0,) * calc.X.summands[0].r
     for c in drop:
-        layer[0][0] ^= 1 << calc.ETX.index(0, 0, calc.TX.realm.index(0, c, unit))
+        layer[0][0] ^= 1 << calc.ETX.index(0, 0, calc.TX.index(0, c, unit))
     return u_linear_map(calc.E, calc.ETX, layer, name="tau")

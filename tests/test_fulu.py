@@ -18,7 +18,7 @@ from usteen.fulu import (
     tensor_over_fulu,
     torsion_free,
 )
-from usteen.lannes import RealmCalculus, gv_invariants, hv, realm_sum, realm_suspend, t_apply
+from usteen.lannes import RealmCalculus, hv, realm_sum, realm_suspend, t_apply
 from usteen.singer import r1
 from usteen.unstable import (
     FuluModule,
@@ -443,8 +443,8 @@ def induced_u_cases():
     cases = []
     for r, D in ((0, 6), (1, 7), (2, 6), (3, 5)):
         cases += taubar_parts(r, D)
-        inv = gv_invariants(r, D)
-        cases.append((f"invariants r={r}", inv.module, "span", inv.incl))
+        inv, incl = RealmCalculus(hv(r, D)).invariants()
+        cases.append((f"invariants r={r}", inv, "span", incl))
     for M in harness._singer_fixtures(8):
         S = r1(M)
         cases.append((f"R1({M.name})", S.fulu, "span", S.incl))

@@ -17,7 +17,7 @@ from usteen.harness import (
     run_all,
     run_check,
 )
-from usteen.lannes import RealmCalculus
+from usteen.lannes import RealmCalculus, hv
 from usteen.unstable import TruncatedModule, Verdict, free_unstable, polynomial_module
 
 from reference import mutant_tau
@@ -225,6 +225,30 @@ def test_d14_catalog_report_matches_the_committed_oracle():
     assert report(run_all(D=14, max_rank=2), "json") == (DATA / "catalog_d14_r2.json").read_text()
 
 
+REALM_REQUESTS = [
+    *(["compute", what, "--module", realm, "--max-degree", str(D)]
+      for what in ("rtilde", "fix") for D in (6, 10)
+      for realm in ("HV0", "HV1", "HV2", "S1HV1", "S2HV1")),
+    *(["compute", "invariants", "--rank", str(r), "--max-degree", "10"] for r in range(4)),
+]
+
+
+def compute_realm_outputs(capsys):
+    """The JSON output of every realm request, keyed by its command line."""
+    out = {}
+    for argv in REALM_REQUESTS:
+        assert cli_main(argv + ["--format", "json"]) == 0
+        out[" ".join(argv)] = capsys.readouterr().out
+    return out
+
+
+def test_realm_compute_outputs_match_the_committed_oracle(capsys):
+    """``compute rtilde``, ``fix`` and ``invariants`` print what
+    ``tests/data/compute_realm.json`` holds, byte for byte."""
+    committed = json.loads((DATA / "compute_realm.json").read_text())
+    assert compute_realm_outputs(capsys) == committed
+
+
 def clear_caches():
     """Forget the shared calculi and the shared H(V_r) modules."""
     harness._hv_calculus.cache_clear()
@@ -339,6 +363,29 @@ def test_t16_certifies_the_equalizer_of_the_sum_it_reads(monkeypatch):
         False, "structural violation: equalizer differs from the kernel in degree 0")
 
 
+@pytest.mark.parametrize("run", ["T3", "T7", "compute fix"])
+def test_fix_part_dims_are_read_on_their_layouts(run, monkeypatch, capsys):
+    """T3, T7 and ``compute fix`` read the dims of the parts of Fix(taubar)
+    off their block layouts, so none of them builds a part's module."""
+    calcs = []
+
+    class Recording(RealmCalculus):
+        def __init__(self, X):
+            super().__init__(X)
+            calcs.append(self)
+
+    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: Recording(hv(r, D)))
+    monkeypatch.setattr(cli, "RealmCalculus", Recording)
+    if run == "compute fix":
+        assert cli_main(["compute", "fix", "--module", "S1HV2", "--max-degree", "6"]) == 0
+        assert "matches the module: True" in capsys.readouterr().out
+    else:
+        assert run_check(make_spec(run, D=6, max_rank=2)).passed
+    assert calcs and all("fix_parts" in vars(calc) for calc in calcs)
+    assert [part.name for calc in calcs for part in calc.fix_parts.values()
+            if "module" in vars(part)] == []
+
+
 def test_cli_unknown_check(capsys):
     code = cli_main(["verify", "--check", "T99"])
     err = capsys.readouterr().err
@@ -451,7 +498,7 @@ def test_cli_out_of_memory_exits_2(argv, monkeypatch, capsys):
 
     anchor, statement, minimum, _ = harness._RUNNERS["T3"]
     monkeypatch.setitem(harness._RUNNERS, "T3", (anchor, statement, minimum, exhausted))
-    monkeypatch.setattr(cli, "rtilde", exhausted)
+    monkeypatch.setattr(RealmCalculus, "rtilde", property(exhausted))
     code = cli_main(argv)
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
@@ -487,6 +534,23 @@ def test_cli_fixture_with_wrong_dims_length_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli_main(["compute", "r1", "--module", str(path)]) == 2
     assert "dims must list degrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module, field, entry, message", [
+    (free_unstable(1, 4), "action", {"i": 3, "n": 4, "rows": []}, "action key (3, 4) outside range"),
+    (extend_scalars(free_unstable(1, 4)), "u_action", {"n": 4, "rows": []},
+     "u-action key 4 outside range"),
+])
+def test_cli_fixture_key_beyond_its_degree_exits_2(module, field, entry, message, tmp_path, capsys):
+    path = tmp_path / "beyond.json"
+    fixtures.save(module, path)
+    doc = json.loads(path.read_text())
+    doc[field].append(entry)
+    path.write_text(json.dumps(doc))
+    assert cli_main(["compute", "module", "--module", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_cli_deterministic_output(capsys):

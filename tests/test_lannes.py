@@ -1,5 +1,3 @@
-
-import dataclasses
 import random
 from collections import Counter
 from itertools import product
@@ -22,15 +20,10 @@ from usteen.lannes import (
     _component_map,
     _twist_terms,
     alpha_from_structure,
-    alpha_realm,
-    c_functors,
     division_u2,
-    fix_presented,
-    gv_invariants,
     hv,
     realm_sum,
     realm_suspend,
-    rtilde,
     t_apply,
 )
 from usteen.singer import r1
@@ -83,7 +76,7 @@ def realize_by_compositions(X):
             core = _mono_label(m, varnames)
             if sm.s:
                 core = f"s^{sm.s}({core})"
-            tag = X._tags[j] if X._tags else (f"[{j}]" if len(X.summands) > 1 else "")
+            tag = X._tag(j)
             ls.append(tag + core)
         labels.append(tuple(ls))
     action = {}
@@ -107,11 +100,11 @@ def test_realize_matches_the_composition_loop():
     cases = [hv(r, 9) for r in range(4)] + [
         realm_suspend(hv(2, 9), 2),
         sum_x,
-        t_apply(1, hv(2, 9)).realm,
-        t_apply(1, sum_x).realm,
-        t_apply(2, hv(1, 8)).realm,
-        RealmCalculus(hv(3, 7)).tbar.realm,
-        RealmCalculus(sum_x).tbar.realm,
+        t_apply(1, hv(2, 9)),
+        t_apply(1, sum_x),
+        t_apply(2, hv(1, 8)),
+        RealmCalculus(hv(3, 7)).tbar,
+        RealmCalculus(sum_x).tbar,
     ]
     for X in cases:
         want = realize_by_compositions(X)
@@ -159,14 +152,14 @@ def test_tau_degree_one_pins_the_convention():
     i_u = E.index(1, 1, 0)
     i_t = E.index(1, 0, 0)
     # tau(u) = u in both components
-    expect_u = (1 << ETX.index(1, 1, TX.realm.index(0, c0, (0,)))) | (
-        1 << ETX.index(1, 1, TX.realm.index(0, c1, (0,)))
+    expect_u = (1 << ETX.index(1, 1, TX.index(0, c0, (0,)))) | (
+        1 << ETX.index(1, 1, TX.index(0, c1, (0,)))
     )
     assert tau.mat(1).row_int(i_u) == expect_u
     # tau(t): component 0 gives t, component 1 gives t + u
-    t_c0 = 1 << ETX.index(1, 0, TX.realm.index(1, c0, (1,)))
-    t_c1 = 1 << ETX.index(1, 0, TX.realm.index(1, c1, (1,)))
-    u_c1 = 1 << ETX.index(1, 1, TX.realm.index(0, c1, (0,)))
+    t_c0 = 1 << ETX.index(1, 0, TX.index(1, c0, (1,)))
+    t_c1 = 1 << ETX.index(1, 0, TX.index(1, c1, (1,)))
+    u_c1 = 1 << ETX.index(1, 1, TX.index(0, c1, (0,)))
     assert tau.mat(1).row_int(i_t) == t_c0 | t_c1 | u_c1
     # sigma is the identity into every component
     assert sigma.mat(1).row_int(i_t) == t_c0 | t_c1
@@ -195,6 +188,15 @@ def test_equalizer_verdict_fails_on_a_tau_that_drops_a_copy_of_the_unit(X, compo
         False, X.D, "equalizer differs from the kernel in degree 0")
 
 
+def test_rtilde_raises_on_every_read_when_the_equalizer_fails():
+    calc = RealmCalculus(hv(1, 6))
+    calc.tau = mutant_tau(calc, [calc.TX.comp_pos[(0, (0,))]])
+    for _ in range(2):
+        with pytest.raises(unstable.TheoryViolation,
+                           match="equalizer differs from the kernel in degree 0"):
+            calc.rtilde
+
+
 def test_comparison_maps_are_fulu_maps():
     calc = RealmCalculus(hv(1, 6))
     assert calc.sigma.validate_linear().ok
@@ -209,13 +211,13 @@ def test_equalizer_equals_taubar_kernel():
 
 
 def test_rtilde_of_unit():
-    P = rtilde(hv(0, 8))
-    assert [P.realization.dim(n) for n in range(9)] == [1] * 9
+    K = RealmCalculus(hv(0, 8)).rtilde
+    assert [K.dim(n) for n in range(9)] == [1] * 9
 
 
 def test_rtilde_rank1_dims():
-    P = rtilde(hv(1, 10))
-    assert [P.realization.dim(n) for n in range(11)] == [n // 2 + 1 for n in range(11)]
+    K = RealmCalculus(hv(1, 10)).rtilde
+    assert [K.dim(n) for n in range(11)] == [n // 2 + 1 for n in range(11)]
 
 
 def test_rtilde_commutes_with_suspension():
@@ -240,34 +242,34 @@ def test_rtilde_of_sum_is_sum():
 
 
 def test_gv_invariants_rank0():
-    inv = gv_invariants(0, 6)
-    assert [inv.module.dim(n) for n in range(7)] == [1] * 7
+    inv, _ = RealmCalculus(hv(0, 6)).invariants()
+    assert [inv.dim(n) for n in range(7)] == [1] * 7
 
 
 def test_gv_invariants_rank1():
-    inv = gv_invariants(1, 10)
-    assert [inv.module.dim(n) for n in range(11)] == [n // 2 + 1 for n in range(11)]
+    inv, incl = RealmCalculus(hv(1, 10)).invariants()
+    assert [inv.dim(n) for n in range(11)] == [n // 2 + 1 for n in range(11)]
     # u and t^2 + t u are invariant under t -> t + u
     E = extend_scalars(hv(1, 10).module)
     u_vec = 1 << E.index(1, 1, 0)
-    assert inv.bases[1].nrows == 1 and inv.bases[1].row_int(0) == u_vec
+    assert incl.mat(1).nrows == 1 and incl.mat(1).row_int(0) == u_vec
     dickson = (1 << E.index(2, 0, 0)) | (1 << E.index(2, 1, 0))
-    assert Subspace(E.dim(2), inv.bases[2]).contains_vector(dickson)
+    assert Subspace(E.dim(2), incl.mat(2)).contains_vector(dickson)
 
 
 def test_gv_invariants_rank2_series():
-    inv = gv_invariants(2, 10)
-    assert [inv.module.dim(n) for n in range(11)] == series_coeffs(2, 10)
+    inv, _ = RealmCalculus(hv(2, 10)).invariants()
+    assert [inv.dim(n) for n in range(11)] == series_coeffs(2, 10)
 
 
 def test_triple_agreement_rank1():
     X = hv(1, 10)
     calc = RealmCalculus(X)
-    inv = gv_invariants(1, 10)
+    _, incl = calc.invariants()
     S = r1(X.module, calc.E)
     for n in range(11):
         a = Subspace.from_rows(calc.taubar_sub.kernel_incl.mat(n))
-        b = Subspace(calc.E.dim(n), inv.bases[n])
+        b = Subspace(calc.E.dim(n), incl.mat(n))
         c = S.span(n)
         assert a == b == c
 
@@ -281,8 +283,8 @@ def test_fix_of_whole_extension():
 def test_fix_of_rtilde_recovers_base():
     for X in (hv(1, 8), hv(2, 6)):
         calc = RealmCalculus(X)
-        P = rtilde(X, calc)
-        F = fix_presented(P)
+        calc.rtilde  # certifies the equalizer
+        F = calc.fix_parts["kernel"].module
         assert [F.dim(n) for n in range(X.D + 1)] == list(X.module.dims)
         # the diagonal embedding realizes the isomorphism onto the kernel
         for n in range(X.D + 1):
@@ -301,22 +303,17 @@ def test_fix_taubar_is_a_linear():
 
 
 def test_c1_dims_rank1():
-    X = hv(1, 10)
-    c1, c2 = c_functors(X)
-    assert [c1.realization.dim(n) for n in range(11)] == [(n + 1) // 2 for n in range(11)]
+    c1 = RealmCalculus(hv(1, 10)).taubar_sub.image
+    assert [c1.dim(n) for n in range(11)] == [(n + 1) // 2 for n in range(11)]
 
 
 def test_c2_torsion_free_and_fix():
-    X = hv(1, 10)
-    calc = RealmCalculus(X)
-    c1, c2 = c_functors(X, calc)
-    assert torsion_free(c2.realization).ok
-    assert torsion_free(c1.realization).ok
+    calc = RealmCalculus(hv(1, 10))
+    assert torsion_free(calc.taubar_sub.cokernel).ok
+    assert torsion_free(calc.taubar_sub.image).ok
     # fixed points: image is the reduced expansion, cokernel its square
-    fix_c1 = fix_presented(c1)
-    assert [fix_c1.dim(n) for n in range(11)] == [1] * 11
-    fix_c2 = fix_presented(c2)
-    assert [fix_c2.dim(n) for n in range(11)] == [1] * 11
+    for kind in ("image", "cokernel"):
+        assert calc.fix_parts[kind].table.dims == (1,) * 11, kind
 
 
 def test_fix_sequence_dims_rank1():
@@ -326,21 +323,19 @@ def test_fix_sequence_dims_rank1():
     TM = calc.TX.module
     TTbar = calc.TTbar.module
     for n in range(11):
-        dims = (M.dim(n), TM.dim(n), TTbar.dim(n), fix_presented(c_functors(X, calc)[1]).dim(n))
+        dims = (M.dim(n), TM.dim(n), TTbar.dim(n), calc.fix_parts["cokernel"].module.dim(n))
         assert dims == (1, 2, 2, 1)
         assert dims[0] - dims[1] + dims[2] - dims[3] == 0
 
 
 def test_c1_reduced_rank1():
-    X = hv(1, 10)
-    c1, _ = c_functors(X)
-    assert is_reduced(c1.realization).ok
+    assert is_reduced(RealmCalculus(hv(1, 10)).taubar_sub.image).ok
 
 
 def test_saturation_of_rtilde():
     X = hv(1, 8)
     calc = RealmCalculus(X)
-    P = rtilde(X, calc)
+    calc.rtilde  # certifies the equalizer
     sub = GradedSubspace(
         calc.E, {n: calc.taubar_sub.kernel_incl.mat(n) for n in range(9)}
     )
@@ -348,7 +343,7 @@ def test_saturation_of_rtilde():
 
 
 def test_alpha_rank1_injective():
-    ar = alpha_realm(hv(1, 10))
+    ar = RealmCalculus(hv(1, 10)).alpha()
     assert ar.alpha.validate_linear().ok
     for n in range(ar.alpha.D + 1):
         assert left_kernel(ar.alpha.mat(n)).dim == 0
@@ -360,7 +355,7 @@ def test_alpha_rank1_injective():
 
 
 def test_alpha_rank2_injective():
-    ar = alpha_realm(hv(2, 8))
+    ar = RealmCalculus(hv(2, 8)).alpha()
     for n in range(ar.alpha.D + 1):
         assert left_kernel(ar.alpha.mat(n)).dim == 0
     dv = division_u2(ar)
@@ -383,7 +378,7 @@ def test_alpha_on_doubled_free_module_vanishes():
 
 
 def test_alpha_unit_is_zero():
-    ar = alpha_realm(hv(0, 8))
+    ar = RealmCalculus(hv(0, 8)).alpha()
     assert sum(ar.omega_data.omega.dims) == 0
     for n in range(ar.alpha.D + 1):
         assert ar.alpha.mat(n).is_zero()
@@ -406,15 +401,15 @@ def test_q_sequence_terms_rank1():
 
 
 def test_c_functors_of_unit_realm_vanish():
-    c1, c2 = c_functors(hv(0, 8))
-    assert sum(c1.realization.dims) == 0
-    assert sum(c2.realization.dims) == 0
+    sub = RealmCalculus(hv(0, 8)).taubar_sub
+    assert sum(sub.image.dims) == 0
+    assert sum(sub.cokernel.dims) == 0
 
 
 def test_saturation_of_rtilde_all_realm_fixtures():
     for X in (hv(0, 6), hv(1, 6), hv(2, 6), realm_suspend(hv(1, 6), 1)):
         calc = RealmCalculus(X)
-        rtilde(X, calc)
+        calc.rtilde  # certifies the equalizer
         sub = GradedSubspace(
             calc.E,
             {n: calc.taubar_sub.kernel_incl.mat(n) for n in range(X.D + 1)},
@@ -475,7 +470,7 @@ def test_block_layouts_round_trip():
 
     X = realm_sum(hv(1, D), realm_suspend(hv(2, D), 1))
     calc = RealmCalculus(X)
-    for realm in (X, calc.TX.realm, calc.tbar.realm):
+    for realm in (X, calc.TX, calc.tbar):
         _assert_tiles(realm.table, realm.module.dims)
         for n in range(D + 1):
             for flat, (j, mono) in enumerate(realm.entries(n)):
@@ -503,9 +498,9 @@ def diag_by_monomials(calc):
         for j, mono in calc.X.entries(n):
             acc = 0
             for v in range(1 << calc.X.summands[j].r):
-                acc |= 1 << calc.TX.realm.index(n, calc.TX.comp_pos[(j, (v,))], mono)
+                acc |= 1 << calc.TX.index(n, calc.TX.comp_pos[(j, (v,))], mono)
             rows.append(acc)
-        mats[n] = BitMatrix.from_row_ints(rows, calc.TX.realm.table.dims[n])
+        mats[n] = BitMatrix.from_row_ints(rows, calc.TX.table.dims[n])
     return mats
 
 
@@ -518,16 +513,16 @@ def fix_taubar_by_monomials(calc):
     mats = {}
     for n in range(calc.D + 1):
         rows = []
-        for c, mono in calc.TX.realm.entries(n):
+        for c, mono in calc.TX.entries(n):
             j, (a,) = calc.TX.components[c]
             acc = 0
             for v in range(1, 1 << calc.X.summands[j].r):
                 cbar = calc.tbar.comp_pos[(j, (v,))]
                 for w in (a ^ v, a):
                     c2 = calc.TTbar.comp_pos[(cbar, (w,))]
-                    acc ^= 1 << calc.TTbar.realm.index(n, c2, mono)
+                    acc ^= 1 << calc.TTbar.index(n, c2, mono)
             rows.append(acc)
-        mats[n] = BitMatrix.from_row_ints(rows, calc.TTbar.realm.table.dims[n])
+        mats[n] = BitMatrix.from_row_ints(rows, calc.TTbar.table.dims[n])
     return mats
 
 
@@ -538,7 +533,7 @@ def sigma_by_monomials(calc):
         for a, j, mono in _extended_entries(calc.E, calc.X, n):
             acc = 0
             for v in range(1 << calc.X.summands[j].r):
-                tgt = calc.TX.realm.index(n - a, calc.TX.comp_pos[(j, (v,))], mono)
+                tgt = calc.TX.index(n - a, calc.TX.comp_pos[(j, (v,))], mono)
                 acc |= 1 << calc.ETX.index(n, a, tgt)
             rows.append(acc)
         mats[n] = BitMatrix.from_row_ints(rows, calc.ETX.dim(n))
@@ -549,7 +544,7 @@ def retract_by_monomials(calc):
     mats = {}
     for n in range(calc.D + 1):
         rows = []
-        for a, c, mono in _extended_entries(calc.ETX, calc.TX.realm, n):
+        for a, c, mono in _extended_entries(calc.ETX, calc.TX, n):
             j, phi = calc.TX.components[c]
             if phi == (0,):
                 rows.append(1 << calc.E.index(n, a, calc.X.index(n - a, j, mono)))
@@ -561,20 +556,20 @@ def retract_by_monomials(calc):
 
 def split_equalizer_by_monomials(calc):
     """T(i_1) + T(delta), from the expansion into its own expansion."""
-    TTX = t_apply(1, calc.TX.realm)
+    TTX = t_apply(1, calc.TX)
     mats = {}
     for n in range(calc.D + 1):
         rows = []
-        for c, mono in calc.TX.realm.entries(n):
+        for c, mono in calc.TX.entries(n):
             j, (a,) = calc.TX.components[c]
             acc = 0
             for w in range(1 << calc.X.summands[j].r):
                 c_aw = TTX.comp_pos[(calc.TX.comp_pos[(j, (a,))], (w,))]
                 c_vw = TTX.comp_pos[(calc.TX.comp_pos[(j, (a ^ w,))], (w,))]
-                acc ^= 1 << TTX.realm.index(n, c_aw, mono)
-                acc ^= 1 << TTX.realm.index(n, c_vw, mono)
+                acc ^= 1 << TTX.index(n, c_aw, mono)
+                acc ^= 1 << TTX.index(n, c_vw, mono)
             rows.append(acc)
-        mats[n] = BitMatrix.from_row_ints(rows, TTX.realm.table.dims[n])
+        mats[n] = BitMatrix.from_row_ints(rows, TTX.table.dims[n])
     return mats
 
 
@@ -591,7 +586,7 @@ def test_component_maps_match_the_monomial_loops(X, monkeypatch):
     degrees = range(calc.D + 1)
     for got, want in (
         (calc.diag, diag_by_monomials(calc)),
-        (fix_taubar_of(calc, _component_map(calc.TX.realm, calc.TTbar.realm, calc.fix_components)),
+        (fix_taubar_of(calc, _component_map(calc.TX, calc.TTbar, calc.fix_components)),
          fix_taubar_by_monomials(calc)),
         (calc.sigma, sigma_by_monomials(calc)),
     ):
@@ -601,7 +596,7 @@ def test_component_maps_match_the_monomial_loops(X, monkeypatch):
     check = RealmCalculus._diagonal_is_kernel
 
     def recording(self, P, tgt, failure):
-        mats = _component_map(self.TX.realm, tgt.realm, P)
+        mats = _component_map(self.TX, tgt, P)
         seen.extend(mats[n] for n in degrees)
         return check(self, P, tgt, failure)
 
@@ -622,7 +617,7 @@ def test_component_map_refuses_to_pair_different_summands(monkeypatch):
         # the P-level checks refuse it too: a copy of summand 0 into one of summand 1
         calc = RealmCalculus(X)
         P = calc.fix_components
-        c2 = next(c for c, sm in enumerate(calc.TTbar.realm.summands) if sm == Y.summands[0])
+        c2 = next(c for c, sm in enumerate(calc.TTbar.summands) if sm == Y.summands[0])
         calc.fix_components = flip(P, [(0, c2)])
         with pytest.raises(ValueError, match="cannot map"):
             calc.fixed_point_verdict()
@@ -673,7 +668,7 @@ def tau_by_monomials(calc):
             for v in range(1 << calc.X.summands[j].r):
                 c = calc.TX.comp_pos[(j, (v,))]
                 for (extra, m2) in _twist_terms(mono, v):
-                    tgt = calc.TX.realm.index(n - a - extra, c, m2)
+                    tgt = calc.TX.index(n - a - extra, c, m2)
                     acc ^= 1 << calc.ETX.index(n, a + extra, tgt)
             rows.append(acc)
         mats[n] = BitMatrix.from_row_ints(rows, calc.ETX.dim(n))
@@ -693,7 +688,7 @@ def taubar_by_monomials(calc):
                 for (extra, m2) in _twist_terms(mono, v):
                     if extra == 0:
                         continue
-                    tgt = calc.tbar.realm.index(n - a - extra, c, m2)
+                    tgt = calc.tbar.index(n - a - extra, c, m2)
                     acc ^= 1 << (E_tbar.index(n, a + extra, tgt) - cut[n])
             rows.append(acc)
         mats[n] = BitMatrix.from_row_ints(rows, E_tbar.dim(n) - cut[n])
@@ -791,7 +786,7 @@ def test_rtilde_and_t8_build_no_extension_of_the_reduced_expansion(monkeypatch):
     monkeypatch.setattr(TruncatedModule, "__init__", recording)
     harness._hv_calculus.cache_clear()
     calc = harness._hv_calculus(2, 8)
-    rtilde(calc.X, calc)
+    calc.rtilde
     assert harness.run_check(harness.make_spec("T8", D=8, max_rank=2)).passed
     assert "bar(Fu(x)Tbar(H(V2)))" in names
     assert not [n for n in names if n.startswith("Fu(x)Tbar(")]
@@ -807,12 +802,12 @@ def test_gv_invariant_rows_match_the_monomial_loop(r, monkeypatch):
         return left_kernel(m)
 
     monkeypatch.setattr(lannes, "left_kernel", recording)
-    inv = gv_invariants(r, D)
+    inv, incl = RealmCalculus(hv(r, D)).invariants()
     want = gv_stacked_by_monomials(r, D)
     if r == 0:
         assert seen == []  # no generator: every vector is invariant
-        assert [inv.bases[n] for n in range(D + 1)] == [
-            BitMatrix.identity(inv.module.dim(n)) for n in range(D + 1)]
+        assert [incl.mat(n) for n in range(D + 1)] == [
+            BitMatrix.identity(inv.dim(n)) for n in range(D + 1)]
     else:
         assert seen == [want[n] for n in range(D + 1)]
 
@@ -849,13 +844,20 @@ def test_taubar_kernel_is_the_dickson_invariant_ring(r, D):
 @pytest.mark.parametrize("r", range(4))
 def test_gv_invariants_share_the_extension_of_the_calculus(r):
     D = 7
-    calc = RealmCalculus(hv(r, D))
-    shared, alone = gv_invariants(r, D, calc), gv_invariants(r, D)
-    assert shared.incl.target is calc.E and alone.incl.target is not calc.E
-    assert shared.bases == alone.bases and shared.module == alone.module
-    for rank, degree in ((r + 1, D), (r, D - 1)):
-        with pytest.raises(ValueError, match="is not that of"):
-            gv_invariants(rank, degree, calc)
+    calc, other = RealmCalculus(hv(r, D)), RealmCalculus(hv(r, D))
+    (shared, incl), (alone, other_incl) = calc.invariants(), other.invariants()
+    assert incl.target is calc.E and other_incl.target is other.E is not calc.E
+    assert shared == alone and incl == other_incl
+    # not cached: each call builds a new submodule of the same extension
+    again, again_incl = calc.invariants()
+    assert again is not shared and again == shared and again_incl.target is calc.E
+
+
+@pytest.mark.parametrize("X", [realm_suspend(hv(1, 6)), realm_sum(hv(1, 6), hv(0, 6)),
+                               realm_sum(hv(0, 6), hv(0, 6))], ids=lambda X: X.name)
+def test_invariants_refuse_anything_but_one_unsuspended_hv(X):
+    with pytest.raises(ValueError, match="one unsuspended H\\(V_r\\)"):
+        RealmCalculus(X).invariants()
 
 
 def test_t3_reads_no_layout_of_an_expansion_of_an_expansion(monkeypatch):
@@ -871,7 +873,7 @@ def test_t3_reads_no_layout_of_an_expansion_of_an_expansion(monkeypatch):
     monkeypatch.setattr(lannes, "t_apply", recording)
     monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
     assert harness.run_check(harness.make_spec("T3", D=6, max_rank=2)).passed
-    twice = [T.realm for T in expansions if T.realm.name.startswith("T[1](T")]
+    twice = [T for T in expansions if T.name.startswith("T[1](T")]
     assert len(twice) == 4  # T(Tbar X) and T(T X), per rank
     assert [realm.name for realm in twice if "table" in vars(realm)] == []
 
@@ -909,29 +911,24 @@ FIX_CASES = [
 def test_fix_parts_match_the_full_matrix_subquotient(X):
     calc = RealmCalculus(X)
     sub = subquotient(fix_taubar_of(calc, fix_taubar_by_monomials(calc)))
-    c1, c2 = c_functors(X, calc)
-    for P, want in ((rtilde(X, calc), sub.kernel), (c1, sub.image), (c2, sub.cokernel)):
-        got = fix_presented(P)
-        assert got.D == want.D == X.D, P.kind
-        assert [got.dim(n) for n in range(X.D + 1)] == [want.dim(n) for n in range(X.D + 1)], P.kind
+    for kind, want in (("kernel", sub.kernel), ("image", sub.image), ("cokernel", sub.cokernel)):
+        got = calc.fix_parts[kind].module
+        assert got.D == want.D == X.D, kind
+        assert [got.dim(n) for n in range(X.D + 1)] == [want.dim(n) for n in range(X.D + 1)], kind
 
 
 @pytest.mark.parametrize("X", FIX_CASES, ids=lambda X: X.name)
 def test_fix_of_rtilde_is_the_module(X):
     calc = RealmCalculus(X)
-    P = rtilde(X, calc)
-    assert fix_presented(P) == X.module  # dims and the whole Sq action
-    for c in c_functors(X, calc):
-        assert fix_presented(c).validate().ok, c.kind
-    with pytest.raises(ValueError, match="unsupported presentation kind"):
-        fix_presented(dataclasses.replace(P, kind="whole"))
+    assert calc.fix_parts["kernel"].module == X.module  # dims and the whole Sq action
+    for kind in ("image", "cokernel"):
+        assert calc.fix_parts[kind].module.validate().ok, kind
 
 
 def test_fix_parts_are_realized_once_without_a_subquotient(monkeypatch):
     X = hv(3, 6)
     calc = RealmCalculus(X)
-    calc.taubar_sub
-    presented = (rtilde(X, calc), *c_functors(X, calc))
+    calc.rtilde
 
     def refuse(*args, **kwargs):
         raise AssertionError("a full-matrix subquotient ran")
@@ -946,8 +943,9 @@ def test_fix_parts_are_realized_once_without_a_subquotient(monkeypatch):
         return realize(self)
 
     monkeypatch.setattr(RealmObject, "_realize", counting)
-    for P in presented * 2:
-        fix_presented(P)
+    for _ in range(2):
+        for part in calc.fix_parts.values():
+            part.module
     assert sorted(realized) == ["coker(Fix(taubar))", "im(Fix(taubar))", "ker(Fix(taubar))"]
 
 
@@ -996,7 +994,7 @@ def component_map_by_monomials(src, tgt, P):
 def verdict_by_degree(calc, P, tgt, failure):
     """The degree-n oracle: im(Dg (x) I) = ker(P (x) I) in each degree n <= D."""
     diag = diag_by_monomials(calc)
-    mats = component_map_by_monomials(calc.TX.realm, tgt.realm, P)
+    mats = component_map_by_monomials(calc.TX, tgt, P)
     for n in range(calc.D + 1):
         if not image_is_kernel(diag[n], mats[n]):
             return Verdict(False, calc.D, f"{failure} in degree {n}")
@@ -1023,7 +1021,7 @@ def test_p_level_verdicts_match_the_degree_n_oracle(X, monkeypatch):
     checked = []
 
     def perturb(P, tgt):
-        mid, dst = calc.TX.realm.summands, tgt.realm.summands
+        mid, dst = calc.TX.summands, tgt.summands
         spots = [(c, c2) for c in range(P.nrows) for c2 in range(P.ncols) if mid[c] == dst[c2]]
         P = flip(P, rng.sample(spots, min(len(spots), rng.randint(1, 3))))
         checked.append((P, tgt))
@@ -1073,7 +1071,8 @@ def test_rtilde_and_fix_build_only_the_actions_they_read(monkeypatch):
     X = hv(2, 8)
     calc = RealmCalculus(X)
     built, actions = count_builds(monkeypatch)
-    F = fix_presented(rtilde(X, calc))
+    calc.rtilde
+    F = calc.fix_parts["kernel"].module
     assert F.dims == X.table.dims
     assert [name for name in actions if name.startswith(UNREAD_BY_RTILDE)] == []
     # taubar's source and its kernel, once each
@@ -1129,7 +1128,7 @@ def test_taubar_kernel_and_invariants_eliminate_each_degree_once(r, monkeypatch)
         init(self, basis)
 
     monkeypatch.setattr(RowReducer, "__init__", recording)
-    for build in (lambda: calc.taubar_sub.kernel, lambda: gv_invariants(r, D, calc)):
+    for build in (lambda: calc.taubar_sub.kernel, calc.invariants):
         eliminated.clear()
         build()
         assert 0 < len({id(b) for b in eliminated}) == len(eliminated) <= D + 1

@@ -240,7 +240,6 @@ def test_r1_exactness_on_invariants_sequence():
     sl = sym_lambda(10)
     S_lam = r1(sl.lambda2)
     S_inv = r1(sl.invariants)
-    S_phi = r1(sl.phi_f1.renamed("PhF1"))
     # truncate the doubled module so the ambient stays desk-sized
     import usteen.unstable as U
 
