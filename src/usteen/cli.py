@@ -1,8 +1,9 @@
 """Command-line interface: compute tables and run the verification catalog.
 
-Exit codes: 0 when all checks pass, 1 when a verification check fails, 2 for
-usage or input errors and when memory runs out.  Reports go to stdout,
-diagnostics to stderr.  Output is deterministic unless timings are requested.
+Exit codes: 0 when all checks pass, 1 when a verification check or a
+certification inside ``compute`` fails, 2 for usage or input errors and
+when memory runs out.  Reports go to stdout, diagnostics to stderr.
+Output is deterministic unless timings are requested.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .lannes import RealmCalculus, hv, realm_suspend
 from .singer import r1
 from .steenrod import admissible_basis
 from .unstable import (
+    TheoryViolation,
     TruncatedModule,
     TruncationError,
     free_unstable,
@@ -271,6 +273,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError:
         print("error: out of memory; lower --max-degree or the rank", file=sys.stderr)
+    except TheoryViolation as exc:  # a certification inside compute failed
+        print(f"check failed: structural violation: {exc}", file=sys.stderr)
+        return 1
     return 2
 
 

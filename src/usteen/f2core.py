@@ -108,19 +108,29 @@ class BitMatrix:
         return BitMatrix(len(rows), self.ncols, rows)
 
     def take_cols(self, indices: Sequence[int]) -> "BitMatrix":
+        """Columns ``indices[k]`` as columns k, in order, repeats allowed.
+
+        Consecutive indices form one run (start, mask, destination), which
+        a row moves with one shift and mask: a selection of whole blocks
+        costs one step per block, not one per set bit.
+        """
         idx = list(indices)
         if any(not 0 <= j < self.ncols for j in idx):
             raise IndexError("column index out of range")
-        pos = {}  # column -> the bits it lands on
-        for k, j in enumerate(idx):
-            pos[j] = pos.get(j, 0) | 1 << k
+        runs = []
+        k = 0
+        while k < len(idx):
+            end = k + 1
+            while end < len(idx) and idx[end] == idx[end - 1] + 1:
+                end += 1
+            runs.append((idx[k], (1 << (end - k)) - 1, k))
+            k = end
         rows = []
         for r in self._rows:
             v = 0
-            while r:
-                low = r & -r
-                v |= pos.get(low.bit_length() - 1, 0)
-                r ^= low
+            if r:
+                for start, mask, dest in runs:
+                    v |= ((r >> start) & mask) << dest
             rows.append(v)
         return BitMatrix(self.nrows, len(idx), tuple(rows))
 

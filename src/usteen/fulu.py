@@ -38,17 +38,19 @@ class ExtendedModule(FuluModule):
     """Scalar extension of an unstable module, with index bookkeeping.
 
     Basis vectors are pairs (u-power a, basis element of the base in degree
-    n - a), blocks keyed by a and ordered by increasing a.
+    n - a), blocks keyed by a and ordered by increasing a.  The u-powers
+    start at ``start``: 0 for F[u] (x) M, 1 for its positive-u part.
     """
 
-    __slots__ = ("base", "layout")
+    __slots__ = ("base", "layout", "start")
 
-    def __init__(self, base: TruncatedModule, layout: TensorLayout, name: str, action,
-                 labels, u_mats: Dict[int, BitMatrix]):
+    def __init__(self, base: TruncatedModule, layout: TensorLayout, start: int, name: str,
+                 action, labels, u_mats: Dict[int, BitMatrix]):
         super().__init__(name, base.D, layout.table.dims, action, labels,
                          meta={"layout": layout}, u=u_mats)
         self.base = base
         self.layout = layout
+        self.start = start
 
     def index(self, n: int, a: int, j: int) -> int:
         """Flat index of u^a times the j-th base vector of degree n - a."""
@@ -99,15 +101,18 @@ def _extend(M: TruncatedModule, name: str, start: int) -> ExtendedModule:
     odd exactly when b is a bitwise submask of a (Lucas), and b runs over the
     range of ``tensor_with_layout``.  So each row of the u^a block is an XOR
     of rows of ``M``, each shifted to the offset of one u^{a+b} block.
+    The action and the labels are built on first read.
     """
     D = M.D
     layout = TensorLayout((1 - start,) + (1,) * D, M.dims, D)
     dims = layout.table.dims
-    u_labels = [_mono_label((a,), ("u",)) for a in range(D + 1)]
-    labels = [
-        tuple(f"[{u_labels[a]}|{x}]" for a, _, _ in layout.blocks(n) for x in M.labels[n - a])
-        for n in range(D + 1)
-    ]
+
+    def labels() -> List[Tuple[str, ...]]:
+        u_labels = [_mono_label((a,), ("u",)) for a in range(D + 1)]
+        return [
+            tuple(f"[{u_labels[a]}|{x}]" for a, _, _ in layout.blocks(n) for x in M.labels[n - a])
+            for n in range(D + 1)
+        ]
 
     def action() -> Dict[Tuple[int, int], BitMatrix]:
         # the nonzero Sq^s on M^q, as rows; the Cartan range never needs s > q
@@ -146,7 +151,7 @@ def _extend(M: TruncatedModule, name: str, start: int) -> ExtendedModule:
             for j in range(width):
                 rows[off + j] = 1 << (toff + j)
         u_mats[n] = BitMatrix.from_row_ints(rows, dims[n + 1])
-    return ExtendedModule(M, layout, name, action, labels, u_mats)
+    return ExtendedModule(M, layout, start, name, action, labels, u_mats)
 
 
 def u_linear_map(src: ExtendedModule, tgt: ExtendedModule, layer: Sequence[Sequence[int]],
@@ -170,6 +175,35 @@ def u_linear_map(src: ExtendedModule, tgt: ExtendedModule, layer: Sequence[Seque
     return ModuleMap(src, tgt, mats, D=D, name=name)
 
 
+def u_linear_verdict(f: ModuleMap) -> Verdict:
+    """A- and u-linearity of a map from F[u] (x) M to a scalar extension,
+    certified on the u^0 layer of its source.
+
+    Both ends satisfy Sq^k(u^a y) = sum_b C(a, b) u^{a+b} Sq^{k-b} y for
+    every y.  So once f commutes with u in every degree, f(Sq^k(u^a x)) and
+    Sq^k f(u^a x) expand to the same sum over b as soon as f commutes with
+    every Sq^j on the u^0 layer, a copy of M.  That layer is an A-submodule
+    of the source and the Sq^{2^i} generate A, so k = 2^i suffice there:
+    ``M.sq(k, d) @ layer[d + k] == layer[d] @ tgt.sq(k, d)``.  A-linearity
+    implies that the image of f is closed under Sq and u.
+    """
+    src, tgt, D = f.source, f.target, f.D
+    if not (isinstance(src, ExtendedModule) and src.start == 0 and isinstance(tgt, ExtendedModule)):
+        raise ValueError("u_linear_verdict needs a map from F[u] (x) M to a scalar extension")
+    for n in range(D):
+        if src.u_mat(n) @ f.mat(n + 1) != f.mat(n) @ tgt.u_mat(n):
+            return Verdict(False, D, f"not u-equivariant at degree {n}")
+    M = src.base
+    layer = [f.mat(d).take_rows(range(M.dims[d])) for d in range(D + 1)]
+    for d in range(D + 1):
+        k = 1
+        while d + k <= D:
+            if M.sq(k, d) @ layer[d + k] != layer[d] @ tgt.sq(k, d):
+                return Verdict(False, D, f"not A-linear at (i={k}, n={d}) on the u^0 layer")
+            k *= 2
+    return Verdict(True, D)
+
+
 def extend_scalars_map(f: ModuleMap, src: ExtendedModule, tgt: ExtendedModule,
                        name: str = "") -> ModuleMap:
     """The induced map on scalar extensions (block-diagonal over u-powers)."""
@@ -183,11 +217,44 @@ def extend_scalars_map(f: ModuleMap, src: ExtendedModule, tgt: ExtendedModule,
 def q_data(N: FuluModule, name: Optional[str] = None) -> Quotient:
     """The quotient by the image of u, with projection and representative data.
 
-    Its u, zero on N/uN, is left unbuilt unless something reads it."""
+    Its u, zero on N/uN, is left unbuilt unless something reads it.  A
+    scalar extension takes the closed form of ``_extension_q_data``; any
+    other N is eliminated."""
+    name = name or f"Q({N.name})"
+    if isinstance(N, ExtendedModule):
+        return _extension_q_data(N, name)
     images = [BitMatrix.zeros(0, N.dim(0))] + [
         Subspace.from_rows(N.u_mat(n - 1)).basis for n in range(1, N.D + 1)
     ]
-    return quotient(N, images, name or f"Q({N.name})")
+    return quotient(N, images, name)
+
+
+def _extension_q_data(N: ExtendedModule, name: str) -> Quotient:
+    """Q(N) of a scalar extension, with no elimination.
+
+    u maps each u^a block onto the u^{a+1} block, so uN is every block
+    above the lowest one, u^s with s = ``N.start``, which comes first in
+    every degree.  The quotient is that block: the projection keeps its
+    coordinates and the representatives are its unit vectors, as the
+    elimination gives them.  Sq^k(u^s (x) x) = u^s (x) Sq^k x modulo higher
+    u-powers, so the action is M's, shifted by s, with the Sq^k on degree
+    q < k that the extension drops left out too.
+    """
+    M, s, D = N.base, N.start, N.D
+    widths = [N.block(n, s)[1] for n in range(D + 1)]
+    proj_mats = {n: BitMatrix.from_row_ints([1 << j for j in range(w)] + [0] * (N.dims[n] - w), w)
+                 for n, w in enumerate(widths)}
+    rep_mats = {n: BitMatrix.from_row_ints([1 << j for j in range(w)], N.dims[n])
+                for n, w in enumerate(widths)}
+
+    def action() -> Dict[Tuple[int, int], BitMatrix]:
+        return {(k, q + s): m for (k, q), m in M.action_items() if k <= q and q + s + k <= D}
+
+    def labels() -> List[Tuple[str, ...]]:
+        return [N.labels[n][:w] for n, w in enumerate(widths)]
+
+    module = FuluModule(name, D, widths, action, labels, u=lambda: {})
+    return Quotient(module, proj_mats, rep_mats)
 
 
 def indecomposables(N: FuluModule) -> FuluModule:

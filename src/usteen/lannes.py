@@ -123,14 +123,17 @@ class RealmObject:
         D = self.D
         dims = self.table.dims
         polys = [hv_module(sm.r, D) for sm in self.summands]
-        labels = []
-        for n in range(D + 1):
-            ls = []
-            for j, _, _ in self.table.blocks(n):
-                s, tag = self.summands[j].s, self._tag(j)
-                ls.extend(tag + (f"s^{s}({core})" if s else core)
-                          for core in polys[j].labels[n - s])
-            labels.append(tuple(ls))
+
+        def labels() -> List[Tuple[str, ...]]:
+            out = []
+            for n in range(D + 1):
+                ls = []
+                for j, _, _ in self.table.blocks(n):
+                    s, tag = self.summands[j].s, self._tag(j)
+                    ls.extend(tag + (f"s^{s}({core})" if s else core)
+                              for core in polys[j].labels[n - s])
+                out.append(tuple(ls))
+            return out
 
         def action() -> Dict[Tuple[int, int], BitMatrix]:
             out = {}
@@ -222,6 +225,28 @@ def _twist_terms(mono: Tuple[int, ...], v: int) -> List[Tuple[int, Tuple[int, ..
     return terms
 
 
+def _lucas_terms(mono: Tuple[int, ...]) -> List[Tuple[int, Tuple[int, ...], int]]:
+    """Expansion of prod (t_i + u)^{b_i}: triples (u-power, leftover monomial,
+    support), the support having bit i when u takes a nonzero part of t_i^{b_i}.
+
+    By Lucas, (t + u)^b is the sum of t^{b - e} u^e over the submasks e of b.
+    """
+    terms = [(0, (), 0)]
+    for i, b in enumerate(mono):
+        terms = [(extra + e, m + (b - e,), support | (1 << i if e else 0))
+                 for e in _submasks(b) for extra, m, support in terms]
+    return terms
+
+
+def _support_pattern(r: int, support: int, width: int) -> int:
+    """The bits v * width over the v < 2^r that contain ``support``."""
+    out = 0
+    for v in range(1 << r):
+        if v & support == support:
+            out |= 1 << (v * width)
+    return out
+
+
 class RealmCalculus:
     """All comparison-map data for one realm object, computed on demand.
 
@@ -268,17 +293,34 @@ class RealmCalculus:
     @cached_property
     def tau(self) -> ModuleMap:
         """u-linear, so built from its u^0 layer: component v of a monomial
-        is its twist by v."""
+        is its twist by v.
+
+        Each monomial is expanded once, over all variables
+        (``_lucas_terms``).  A term whose u-exponents are nonzero on the
+        variables S is a term of the twist by v exactly when v contains S.
+        The copies of summand j sit side by side in TX, one block of width
+        N per v, so the term lands at one position plus v * N for every
+        v containing S: one pattern per (S, N), shifted to that position.
+        """
+        X, TX, ETX = self.X, self.TX, self.ETX
+        first = [TX.comp_pos[(j, (0,))] for j in range(len(X.summands))]
+        patterns: Dict[Tuple[int, int, int], int] = {}
         layer = []
         for d in range(self.D + 1):
             rows = []
-            for j, mono in self.X.entries(d):
+            for j, mono in X.entries(d):
+                sm = X.summands[j]
                 acc = 0
-                for v in range(1 << self.X.summands[j].r):
-                    c = self.TX.comp_pos[(j, (v,))]
-                    for (extra, m2) in _twist_terms(mono, v):
-                        tgt = self.TX.index(d - extra, c, m2)
-                        acc ^= 1 << self.ETX.index(d, extra, tgt)
+                for extra, m2, support in _lucas_terms(mono):
+                    q = d - extra  # the degree of the term in TX
+                    off, width = TX.table.block(q, first[j])
+                    key = (sm.r, support, width)
+                    pattern = patterns.get(key)
+                    if pattern is None:
+                        pattern = patterns[key] = _support_pattern(*key)
+                    # the u^extra block of ETX in degree d starts at dims[d] - dims[q]
+                    shift = ETX.dims[d] - ETX.dims[q] + off + _monomial_pos(sm.r, q - sm.s)[m2]
+                    acc ^= pattern << shift
                 rows.append(acc)
             layer.append(rows)
         return u_linear_map(self.E, self.ETX, layer, name="tau")

@@ -90,19 +90,15 @@ class SingerModule:
         self.st1_map = smap
         gens: Dict[int, List[Tuple[int, int, int]]] = {}
         gen_rows: Dict[int, List[int]] = {}
-        labels: Dict[int, List[str]] = {}
         for n in range(self.D + 1):
             gens[n] = []
             gen_rows[n] = []
-            labels[n] = []
             for d in range(min(n // 2, base.D // 2) + 1):
                 k = n - 2 * d
                 srow_mat = smap.mat(d)
                 for j in range(base.dims[d]):
                     gens[n].append((k, d, j))
                     gen_rows[n].append(self._shift_row(srow_mat.row_int(j), 2 * d, k))
-                    lbl = f"st1({base.labels[d][j]})"
-                    labels[n].append(lbl if k == 0 else f"u^{k}*{lbl}")
         self.gens = gens
         self._gen_pos = {
             n: {g: idx for idx, g in enumerate(gens[n])} for n in range(self.D + 1)
@@ -112,7 +108,7 @@ class SingerModule:
             for n in range(self.D + 1)
         }
         self.free_gens = self._freeness()
-        self.fulu = self._realize(labels)
+        self.fulu = self._realize()
         self.incl = ModuleMap(self.fulu, ambient, self._G, D=self.D)
         self._check_u_consistency()
 
@@ -132,7 +128,7 @@ class SingerModule:
                 return Verdict(False, self.D, f"distinguished generators dependent in degree {n}")
         return Verdict(True, self.D)
 
-    def _realize(self, labels) -> FuluModule:
+    def _realize(self) -> FuluModule:
         if not self.free_gens.ok:
             raise TheoryViolation(self.free_gens.witness or "generators not free")
         name = f"R1({self.base.name})"
@@ -143,12 +139,25 @@ class SingerModule:
                                        len(gens[n + 1]))
             for n in range(self.D)
         }
-        # the distinguished labels, not the ambient sums; the Sq action is
-        # induced on first read, as T2 and ``compute r1`` read only dims and spans
+
+        def labels() -> List[Tuple[str, ...]]:
+            names = self.base.labels
+            out = []
+            for n in range(self.D + 1):
+                ls = []
+                for k, d, j in gens[n]:
+                    lbl = f"st1({names[d][j]})"
+                    ls.append(lbl if k == 0 else f"u^{k}*{lbl}")
+                out.append(tuple(ls))
+            return out
+
+        # the distinguished labels, not the ambient sums; the Sq action and
+        # the labels are built on first read, as T2 and ``compute r1`` read
+        # only dims and spans
         return FuluModule(
             name, self.D, [bases[n].nrows for n in range(self.D + 1)],
             lambda: _restricted_action(bases, self.ambient, self.D, name),
-            [tuple(labels[n]) for n in range(self.D + 1)],
+            labels,
             u=u_mats,
         )
 

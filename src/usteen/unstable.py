@@ -95,10 +95,13 @@ class TruncatedModule:
     a dict, checked here, or a zero-argument function returning one.  A
     function is called once, on the first read of the action (``sq``,
     ``action_items``, ``validate`` or ``==``), and its result
-    gets the same key and shape checks.  Dims and labels are always known.
+    gets the same key and shape checks.  ``labels`` (one sequence of names
+    per degree) may likewise be a zero-argument function, called once on
+    the first read of ``labels`` and checked against the dims then.  Dims
+    are always known.
     """
 
-    __slots__ = ("name", "D", "dims", "labels", "_act", "_build", "meta")
+    __slots__ = ("name", "D", "dims", "_labels", "_lbuild", "_act", "_build", "meta")
 
     def __init__(
         self,
@@ -107,7 +110,8 @@ class TruncatedModule:
         dims: Sequence[int],
         action: Union[Dict[Tuple[int, int], BitMatrix],
                       Callable[[], Dict[Tuple[int, int], BitMatrix]]],
-        labels: Optional[Sequence[Sequence[str]]] = None,
+        labels: Union[None, Sequence[Sequence[str]],
+                      Callable[[], Sequence[Sequence[str]]]] = None,
         meta: Optional[dict] = None,
     ):
         if D < 0:
@@ -115,18 +119,19 @@ class TruncatedModule:
         dims = tuple(int(d) for d in dims)
         if len(dims) != D + 1 or any(d < 0 for d in dims):
             raise ValueError("dims must list degrees 0..D")
+        self.name = name
+        self.D = D
+        self.dims = dims
         if labels is None:
             labels = tuple(
                 tuple(f"e{n}.{j}" for j in range(dims[n])) for n in range(D + 1)
             )
+        if callable(labels):
+            self._labels = None
+            self._lbuild = labels
         else:
-            labels = tuple(tuple(ls) for ls in labels)
-            if tuple(len(ls) for ls in labels) != dims:
-                raise ValueError("labels must match dims")
-        self.name = name
-        self.D = D
-        self.dims = dims
-        self.labels = labels
+            self._lbuild = None
+            self._labels = self._checked_labels(labels)
         self.meta = dict(meta) if meta else {}
         if callable(action):
             self._act = None
@@ -146,6 +151,21 @@ class TruncatedModule:
             if not m.is_zero():
                 act[(i, n)] = m
         return act
+
+    def _checked_labels(self, labels: Sequence[Sequence[str]]) -> Tuple[Tuple[str, ...], ...]:
+        """``labels`` as tuples, after the check against the dims."""
+        labels = tuple(tuple(ls) for ls in labels)
+        if tuple(len(ls) for ls in labels) != self.dims:
+            raise ValueError("labels must match dims")
+        return labels
+
+    @property
+    def labels(self) -> Tuple[Tuple[str, ...], ...]:
+        """The basis names by degree, built by the pending function on first read."""
+        if self._labels is None:
+            self._labels = self._checked_labels(self._lbuild())
+            self._lbuild = None
+        return self._labels
 
     def _action(self) -> Dict[Tuple[int, int], BitMatrix]:
         """The stored action, built by the pending function on first read."""
@@ -783,12 +803,13 @@ def tensor_with_layout(M: TruncatedModule, N: TruncatedModule,
     name = name or f"{M.name}(x){N.name}"
     layout = TensorLayout(M.dims[: D + 1], N.dims[: D + 1], D)
     dims = layout.table.dims
+    ml, nl = M.labels, N.labels
     labels = [
         tuple(
-            f"[{M.labels[p][i]}|{N.labels[n - p][j]}]"
+            f"[{x}|{y}]"
             for p, _, _ in layout.blocks(n)
-            for i in range(M.dims[p])
-            for j in range(N.dims[n - p])
+            for x in ml[p]
+            for y in nl[n - p]
         )
         for n in range(D + 1)
     ]
@@ -983,15 +1004,16 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
     through one reducer per target degree, so each degree's basis is
     eliminated at most once.  Raises :class:`TheoryViolation` when the span
     is not stable under the action or u, which always indicates an
-    internal inconsistency upstream.
+    internal inconsistency upstream.  Labels are built on first read.
     """
     D = ambient.D if D is None else D
     full = {n: bases.get(n, BitMatrix.zeros(0, ambient.dims[n])) for n in range(D + 1)}
     dims = [full[n].nrows for n in range(D + 1)]
-    labels = [
-        tuple(_sum_label(ambient.labels[n], full[n].row_int(r)) for r in range(dims[n]))
-        for n in range(D + 1)
-    ]
+
+    def labels() -> List[Tuple[str, ...]]:
+        names = ambient.labels
+        return [tuple(_sum_label(names[n], r) for r in full[n].row_ints()) for n in range(D + 1)]
+
     reducers: Dict[int, RowReducer] = {}
     action = _restricted_action(full, ambient, D, name, reducers)
     if isinstance(ambient, FuluModule):
@@ -1056,17 +1078,21 @@ def quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> Quoti
     Sq^i is ``reps @ sq @ proj``, which is well defined when the subspace is
     stable under the action.  When M carries u, so does the quotient, with
     u = ``reps @ u @ proj``, well defined when the subspace is stable under
-    u.  Both are built on first read.
+    u.  Both, and the labels, are built on first read.
     """
     D = len(bases) - 1
     proj_mats: Dict[int, BitMatrix] = {}
     rep_mats: Dict[int, BitMatrix] = {}
     dims = []
-    labels = []
+    cols = []
     for n, basis in enumerate(bases):
         proj_mats[n], rep_mats[n], rep_cols = _coker_data(basis, M.dims[n])
         dims.append(len(rep_cols))
-        labels.append(tuple(M.labels[n][c] for c in rep_cols))
+        cols.append(rep_cols)
+
+    def labels() -> List[Tuple[str, ...]]:
+        names = M.labels
+        return [tuple(names[n][c] for c in rep_cols) for n, rep_cols in enumerate(cols)]
 
     def action() -> Dict[Tuple[int, int], BitMatrix]:
         return {

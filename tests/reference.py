@@ -10,7 +10,14 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from usteen import _gf2py
 from usteen.f2core import BitMatrix, Subspace, rref
 from usteen.fulu import u_linear_map
-from usteen.unstable import FuluModule, ModuleMap, TruncatedModule, polynomial_module
+from usteen.unstable import (
+    FuluModule,
+    ModuleMap,
+    Quotient,
+    TruncatedModule,
+    polynomial_module,
+    quotient,
+)
 
 # -- GF(2) linear algebra ------------------------------------------------------
 
@@ -122,6 +129,22 @@ def fulu_algebra(D: int) -> FuluModule:
     """The rank-one polynomial algebra itself, with u acting by the shift."""
     return with_u(polynomial_module(1, D, varnames=("u",), name="F[u]"),
                   {n: BitMatrix.identity(1) for n in range(D)})
+
+
+def q_data_by_elimination(N: FuluModule) -> Quotient:
+    """N/uN by eliminating the image of u in every degree, for any u-module;
+    the oracle of the closed form that ``fulu.q_data`` takes on a scalar
+    extension."""
+    images = [BitMatrix.zeros(0, N.dim(0))] + [
+        Subspace.from_rows(N.u_mat(n - 1)).basis for n in range(1, N.D + 1)
+    ]
+    return quotient(N, images, f"Q({N.name})")
+
+
+def take_cols_by_bits(m: BitMatrix, indices: Sequence[int]) -> BitMatrix:
+    """Column ``indices[k]`` of ``m`` as column k, one bit at a time."""
+    rows = tuple(sum(((r >> j) & 1) << k for k, j in enumerate(indices)) for r in m.row_ints())
+    return BitMatrix(m.nrows, len(indices), rows)
 
 
 def a_span(M: TruncatedModule, seeds: Dict[int, Iterable[int]]) -> Dict[int, BitMatrix]:

@@ -16,7 +16,15 @@ from usteen.f2core import (
     rref,
 )
 
-from reference import intersect, kernel_basis, solve, solve_many, span_sum, transpose
+from reference import (
+    intersect,
+    kernel_basis,
+    solve,
+    solve_many,
+    span_sum,
+    take_cols_by_bits,
+    transpose,
+)
 
 
 def random_matrix(rng, nrows, ncols):
@@ -107,6 +115,26 @@ def test_differential_rref_kernels_transpose(case):
     assert m.take_cols(cols).to_lists() == [[row[j] for j in cols] for row in rows]
     assert kernel_basis(m).basis.to_lists() == naive_kernel(rows, ncols)
     assert left_kernel(m).basis.to_lists() == naive_kernel(naive_transpose(rows, ncols), len(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_rows(), st.data())
+def test_take_cols_by_runs_matches_the_per_bit_oracle(case, data):
+    """Consecutive indices move as one run; unsorted, repeated, empty and
+    run-shaped index lists select exactly what a bit-by-bit copy does."""
+    rows, ncols = case
+    m = BitMatrix.from_rows(rows, ncols)
+    if ncols:
+        col = st.integers(0, ncols - 1)
+        scattered = st.lists(col, max_size=2 * ncols + 2)
+        runs = st.lists(st.tuples(col, st.integers(1, 70)), max_size=4).map(
+            lambda rs: [j for start, n in rs for j in range(start, min(start + n, ncols))])
+        idx = data.draw(st.one_of(scattered, runs))
+    else:
+        idx = []
+    got = m.take_cols(idx)
+    assert got.ncols == len(idx)
+    assert got == take_cols_by_bits(m, idx)
 
 
 @settings(max_examples=150, deadline=None)

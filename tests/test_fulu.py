@@ -1,9 +1,10 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
-from usteen import fixtures, harness
+from usteen import _gf2py, fixtures, harness, unstable
 from usteen.f2core import BitMatrix, Subspace, left_kernel, rank, rref
 from usteen.fulu import (
     GradedSubspace,
@@ -12,6 +13,7 @@ from usteen.fulu import (
     generator_space,
     indecomposables,
     q_data,
+    positive_u_part,
     q_of_map,
     quotient_u_module,
     saturation_check,
@@ -41,6 +43,7 @@ from usteen.unstable import (
 
 from reference import (
     fulu_algebra,
+    q_data_by_elimination,
     span_sum,
     u_on_quotient_by_solving,
     u_on_span_by_solving,
@@ -126,6 +129,42 @@ def test_indecomposables_section():
     E = extend_scalars(F2)
     Q = indecomposables(E)
     assert (Q.D, Q.dims, Q.action_items()) == (F2.D, F2.dims, F2.action_items())
+
+
+def _q_cases(tmp_path):
+    D = 7
+    path = tmp_path / "f1_hv1.json"
+    fixtures.save(tensor(free_unstable(1, D), polynomial_module(1, D)), path)
+    # Sq^2 on a degree-one class breaks instability; the extension drops it
+    broken = tmp_path / "unstable.json"
+    fixtures.save(polynomial_module(1, D), broken)
+    doc = json.loads(broken.read_text())
+    doc["action"].append({"i": 2, "n": 1, "rows": ["1"]})
+    broken.write_text(json.dumps(doc))
+    realms = [*(hv(r, D) for r in range(4)), realm_suspend(hv(1, D), 1),
+              realm_suspend(hv(1, D), 3), realm_sum(hv(1, D), realm_suspend(hv(2, D), 1))]
+    return [X.module for X in realms] + [fixtures.load(path), fixtures.load(broken)]
+
+
+def test_q_data_of_a_scalar_extension_matches_the_elimination(tmp_path, monkeypatch):
+    """Q of F[u] (x) M and of its positive-u part is the lowest u-block,
+    read off in closed form with no elimination; the elimination of the
+    image of u is the oracle."""
+    cases = [(N, q_data_by_elimination(N)) for M in _q_cases(tmp_path)
+             for N in (extend_scalars(M), positive_u_part(M))]
+
+    def refuse(*args):
+        raise AssertionError("q_data of a scalar extension eliminated")
+
+    monkeypatch.setattr(_gf2py, "rref_inplace", refuse)
+    monkeypatch.setattr(unstable, "_coker_data", refuse)
+    for N, want in cases:
+        got = q_data(N)
+        assert got.module.name == want.module.name, N.name
+        assert got.module.dims == want.module.dims, N.name
+        assert got.module.labels == want.module.labels, N.name
+        assert got.proj_mats == want.proj_mats and got.rep_mats == want.rep_mats, N.name
+        assert got.module == want.module, N.name  # the Sq action and the zero u
 
 
 def test_q_naturality_on_random_maps():

@@ -591,6 +591,38 @@ def test_cli_degree_below_a_checks_minimum_exits_2(argv, code, capsys):
         assert "1/1 checks passed" in captured.out
 
 
+def test_cli_t14_starts_at_degree_2(capsys):
+    """At D = 1 nearly every random u-submodule is saturated, too few of
+    them unsaturated for T14's agreement to show anything."""
+    assert cli_main(["verify", "--check", "T14", "--max-degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: T14 needs a truncation degree of at least 2, got 1\n"
+
+
+@pytest.mark.parametrize("what", ["rtilde", "fix"])
+def test_cli_failing_equalizer_exits_1_with_one_line(what, monkeypatch, capsys):
+    failed = Verdict(False, 4, "equalizer differs from the kernel in degree 0")
+    monkeypatch.setattr(RealmCalculus, "equalizer_verdict", property(lambda self: failed))
+    code = cli_main(["compute", what, "--module", "HV1", "--max-degree", "4"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"check failed: structural violation: {failed.witness}\n"
+
+
+def test_t14_fails_when_every_trial_is_saturated(monkeypatch):
+    """Agreement on one verdict only shows nothing: T14 needs both."""
+    def saturated(X):
+        return Verdict(True, X.ambient.D)
+
+    monkeypatch.setattr(harness, "saturation_check", saturated)
+    monkeypatch.setattr(harness, "generator_space",
+                        lambda X: fulu.GeneratorSpace({}, saturated(X)))
+    res = run_check(make_spec("T14", D=6))
+    assert not res.passed
+    assert res.witness == "only 100 of 100 trials saturated; need at least 5 of each"
+
+
 def test_cli_r1_refuses_an_unstable_fixture(tmp_path, capsys):
     path = tmp_path / "unstable.json"
     fixtures.save(polynomial_module(1, 5), path)

@@ -13,6 +13,8 @@ from usteen.fulu import (
     positive_u_part,
     saturation_check,
     torsion_free,
+    u_linear_map,
+    u_linear_verdict,
 )
 from usteen.lannes import (
     RealmCalculus,
@@ -31,10 +33,12 @@ from usteen.unstable import (
     FuluModule,
     GradedLinearMap,
     ModuleMap,
+    TheoryViolation,
     TruncatedModule,
     Verdict,
     _compositions_submask,
     _mono_label,
+    _sum_label,
     free_unstable,
     is_reduced,
     phi,
@@ -45,7 +49,7 @@ from usteen.unstable import (
     unit_module,
 )
 
-from reference import mutant_tau
+from reference import fulu_algebra, mutant_tau
 
 
 def series_coeffs(r, D):
@@ -748,9 +752,12 @@ def gv_stacked_by_monomials(r, D):
 
 U_LINEAR_CASES = [
     *(hv(r, 7) for r in range(4)),
+    hv(4, 6),
     *(realm_suspend(hv(1, 7), k) for k in (1, 3)),
     # no reduced component in degrees 0 and 1: E_tbar has empty u-blocks there
     realm_sum(hv(0, 7), realm_suspend(hv(1, 7), 2)),
+    # summands of different ranks side by side, each shifted
+    realm_suspend(realm_sum(hv(2, 7), hv(1, 7)), 1),
 ]
 
 
@@ -878,23 +885,27 @@ def test_t3_reads_no_layout_of_an_expansion_of_an_expansion(monkeypatch):
     assert [realm.name for realm in twice if "table" in vars(realm)] == []
 
 
-def test_tau_and_taubar_expand_each_monomial_once_per_group_element(monkeypatch):
-    calc = RealmCalculus(hv(2, 10))
-    calls = []
+@pytest.mark.parametrize("X", [hv(2, 10), realm_sum(hv(1, 8), realm_suspend(hv(2, 8), 1))],
+                         ids=lambda X: X.name)
+def test_tau_expands_each_monomial_once_and_taubar_none(X, monkeypatch):
+    """tau expands each monomial once over all variables, not once per
+    group element; taubar is read off tau and expands nothing."""
+    calc = RealmCalculus(X)
+    lucas, twists = [], []
+    lucas_terms = lannes._lucas_terms
 
-    def counting(mono, v):
-        calls.append((mono, v))
-        return _twist_terms(mono, v)
+    def counting(mono):
+        lucas.append(mono)
+        return lucas_terms(mono)
 
-    monkeypatch.setattr(lannes, "_twist_terms", counting)
-    monomials = sum(len(calc.X.entries(d)) for d in range(calc.D + 1))
+    monkeypatch.setattr(lannes, "_lucas_terms", counting)
+    monkeypatch.setattr(lannes, "_twist_terms", lambda mono, v: twists.append(mono))
     calc.tau
-    assert len(calls) == 4 * monomials
-    assert sorted(calls) == sorted(
-        (mono, v) for d in range(calc.D + 1) for _, mono in calc.X.entries(d) for v in range(4))
-    del calls[:]
-    calc.taubar  # read off tau
-    assert calls == []
+    assert sorted(lucas) == sorted(mono for d in range(calc.D + 1) for _, mono in X.entries(d))
+    assert twists == []
+    del lucas[:]
+    calc.taubar
+    assert lucas == twists == []
 
 
 # -- fixed points read on the component matrix; the full-matrix subquotient is the oracle --
@@ -1095,6 +1106,119 @@ def test_t8_reads_dims_from_the_layouts(monkeypatch):
     harness._check_t8({"D": 6, "max_rank": 2})
     assert [name for name in built
             if name.startswith("T[1](Tbar(") or name.endswith("(Fix(taubar))")] == []
+    assert "im(taubar)" not in built  # linearity is certified on the u^0 layer
+
+
+def test_labels_are_built_on_first_read_and_match_the_eager_oracles(monkeypatch):
+    D = 8
+    calc = RealmCalculus(hv(2, D))
+    built = Counter()
+    checked = TruncatedModule._checked_labels
+
+    def counting(self, labels):
+        built[self.name] += 1
+        return checked(self, labels)
+
+    monkeypatch.setattr(TruncatedModule, "_checked_labels", counting)
+    K = calc.rtilde
+    assert set(built) <= {"H(V2)"}  # only a polynomial module, built with its labels
+    built.clear()
+    # read later, each once, and equal to the eagerly built labels
+    parts = {"H(V2)": calc.X.module, "Fu(x)H(V2)": calc.E, "ker(taubar)": K,
+             "T[1](H(V2))": calc.TX.module, "Fu(x)T[1](H(V2))": calc.ETX,
+             "Tbar(H(V2))": calc.tbar.module, "bar(Fu(x)Tbar(H(V2)))": calc.bar}
+    got = {name: (M.labels, M.labels) for name, M in parts.items()}
+    assert built == {name: 1 for name in parts}
+    fu = fulu_algebra(D)
+    tbar = calc.tbar.module
+    cut = tensor_with_layout(fu, tbar)[0].labels
+    kernel = calc.taubar_sub.kernel_incl
+    want = {
+        "H(V2)": realize_by_compositions(calc.X).labels,
+        "Tbar(H(V2))": realize_by_compositions(calc.tbar).labels,
+        "Fu(x)H(V2)": tensor_with_layout(fu, calc.X.module)[0].labels,
+        "ker(taubar)": tuple(
+            tuple(_sum_label(calc.E.labels[n], row) for row in kernel.mat(n).row_ints())
+            for n in range(D + 1)),
+        "T[1](H(V2))": realize_by_compositions(calc.TX).labels,
+        "Fu(x)T[1](H(V2))": tensor_with_layout(fu, calc.TX.module)[0].labels,
+        "bar(Fu(x)Tbar(H(V2)))": tuple(cut[n][tbar.dims[n]:] for n in range(D + 1)),
+    }
+    for name, (first, again) in got.items():
+        assert first is again and first == want[name], name
+
+
+def taubar_layer(calc):
+    """The rows of taubar on the u^0 layer of its source, by degree."""
+    return [calc.taubar.mat(d).take_rows(range(calc.X.table.dims[d])).row_ints()
+            for d in range(calc.D + 1)]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_bit_flips_of_the_taubar_layer_fail_the_u0_verdict(r):
+    """Every one-bit flip of taubar's u^0 layer, extended u-linearly, below
+    the top degree fails ``u_linear_verdict``.  The image-closure check that
+    T8 ran before misses some of them, and catches none that the verdict
+    passes."""
+    D = 4
+    calc = RealmCalculus(hv(r, D))
+    assert u_linear_verdict(calc.taubar) == Verdict(True, D)
+    layer = taubar_layer(calc)
+    missed_by_closure = 0
+    for d in range(D + 1):
+        for i in range(len(layer[d])):
+            for c in range(calc.bar.dim(d)):
+                flipped = [list(rows) for rows in layer]
+                flipped[d][i] ^= 1 << c
+                f = u_linear_map(calc.E, calc.bar, flipped, name="taubar")
+                ok = u_linear_verdict(f).ok
+                try:
+                    subquotient(f).image
+                    closed = True
+                except TheoryViolation:
+                    closed = False
+                assert closed or not ok, (d, i, c)
+                if d < D:
+                    assert not ok, (d, i, c)
+                    missed_by_closure += closed
+    assert missed_by_closure > 0
+
+
+def _flip_u0_layer(calc):
+    """taubar with one bit of its degree-1 u^0 layer flipped, u-linear still."""
+    layer = taubar_layer(calc)
+    layer[1][0] ^= 1
+    return u_linear_map(calc.E, calc.bar, layer, name="taubar")
+
+
+def _flip_u1_block(calc):
+    """taubar with one bit flipped on u times the degree-1 generator only."""
+    mats = {n: calc.taubar.mat(n) for n in range(calc.D + 1)}
+    rows = mats[2].row_ints()
+    rows[calc.X.table.dims[2]] ^= 1  # the first row of the u^1 block
+    mats[2] = BitMatrix.from_row_ints(rows, mats[2].ncols)
+    return ModuleMap(calc.E, calc.bar, mats, name="taubar")
+
+
+@pytest.mark.parametrize("mutant, witness", [
+    (_flip_u0_layer, "not A-linear at (i=1, n=1) on the u^0 layer"),
+    (_flip_u1_block, "not u-equivariant at degree 1"),
+])
+def test_t8_fails_on_a_taubar_that_is_not_a_module_map(mutant, witness, monkeypatch):
+    calc = RealmCalculus(hv(1, 4))
+    calc.__dict__["taubar"] = mutant(calc)
+    assert u_linear_verdict(calc.taubar) == Verdict(False, 4, witness)
+    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: calc)
+    res = harness.run_check(harness.make_spec("T8", D=4, max_rank=1))
+    assert not res.passed
+    assert res.witness == f"rank 1: linearity of taubar: {witness}"
+
+
+def test_u_linear_verdict_needs_a_map_out_of_a_whole_extension():
+    calc = RealmCalculus(hv(1, 4))
+    for f in (calc.diag, ModuleMap.zero(calc.bar, calc.bar)):
+        with pytest.raises(ValueError):
+            u_linear_verdict(f)
 
 
 def test_t8_builds_u_only_where_it_reads_it(monkeypatch):

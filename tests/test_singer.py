@@ -89,6 +89,27 @@ def test_st1_reads_each_square_once(monkeypatch):
     assert reads == {(i, d): 1 for d in range(M.D // 2 + 1) for i in range(d + 1)}
 
 
+def test_r1_builds_its_labels_on_first_read(monkeypatch):
+    """T2 and ``compute r1`` read dims and spans only, so R1(M) names its
+    distinguished generators u^k st1(b) when something reads them."""
+    M = free_unstable(1, 8)
+    built = []
+    checked = TruncatedModule._checked_labels
+
+    def counting(self, labels):
+        built.append(self.name)
+        return checked(self, labels)
+
+    monkeypatch.setattr(TruncatedModule, "_checked_labels", counting)
+    S = r1(M)
+    assert built == []
+    want = [tuple(f"st1({b})" if n == 2 * d else f"u^{n - 2 * d}*st1({b})"
+                  for d in range(n // 2 + 1) for b in M.labels[d])
+            for n in range(S.D + 1)]
+    assert list(S.fulu.labels) == want
+    assert built == [S.fulu.name]
+
+
 def test_shift_row_is_multiplication_by_a_power_of_u():
     rng = random.Random(3)
     for M in (polynomial_module(2, 8), tensor(free_unstable(1, 8), free_unstable(1, 8))):
