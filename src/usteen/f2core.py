@@ -71,10 +71,8 @@ class BitMatrix:
         return cls(len(ints), ncols, tuple(ints))
 
     @classmethod
-    def from_row_ints(cls, rows: Iterable[int], ncols: int, nrows: Optional[int] = None) -> "BitMatrix":
+    def from_row_ints(cls, rows: Iterable[int], ncols: int) -> "BitMatrix":
         rows = tuple(rows)
-        if nrows is not None and len(rows) != nrows:
-            raise ValueError("row count mismatch")
         limit = 1 << ncols
         for i, r in enumerate(rows):
             if r < 0 or r >= limit:

@@ -16,7 +16,7 @@ that are not stable under the squaring operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .f2core import BitMatrix, Subspace, complement_rows, left_kernel, rank
 from .unstable import (
@@ -46,8 +46,7 @@ class ExtendedModule(FuluModule):
 
     def __init__(self, base: TruncatedModule, layout: TensorLayout, start: int, name: str,
                  action, labels, u_mats: Dict[int, BitMatrix]):
-        super().__init__(name, base.D, layout.table.dims, action, labels,
-                         meta={"layout": layout}, u=u_mats)
+        super().__init__(name, base.D, layout.table.dims, action, labels, u=u_mats)
         self.base = base
         self.layout = layout
         self.start = start
@@ -79,9 +78,9 @@ class ExtendedModule(FuluModule):
         return BitMatrix.from_row_ints(rows, self.dim(n))
 
 
-def extend_scalars(M: TruncatedModule, name: Optional[str] = None) -> ExtendedModule:
+def extend_scalars(M: TruncatedModule) -> ExtendedModule:
     """Tensor with the rank-one polynomial algebra; u acts by the shift."""
-    return _extend(M, name or f"Fu(x){M.name}", 0)
+    return _extend(M, f"Fu(x){M.name}", 0)
 
 
 def positive_u_part(M: TruncatedModule) -> ExtendedModule:
@@ -214,13 +213,13 @@ def extend_scalars_map(f: ModuleMap, src: ExtendedModule, tgt: ExtendedModule,
 # -- indecomposables -----------------------------------------------------------
 
 
-def q_data(N: FuluModule, name: Optional[str] = None) -> Quotient:
+def q_data(N: FuluModule) -> Quotient:
     """The quotient by the image of u, with projection and representative data.
 
     Its u, zero on N/uN, is left unbuilt unless something reads it.  A
     scalar extension takes the closed form of ``_extension_q_data``; any
     other N is eliminated."""
-    name = name or f"Q({N.name})"
+    name = f"Q({N.name})"
     if isinstance(N, ExtendedModule):
         return _extension_q_data(N, name)
     images = [BitMatrix.zeros(0, N.dim(0))] + [
@@ -387,9 +386,6 @@ class GeneratorSpace:
     w_bases: Dict[int, BitMatrix]
     eps_image_injective: Verdict
 
-    def dims(self) -> List[int]:
-        return [b.nrows for b in self.w_bases.values()]
-
 
 def generator_space(X: GradedSubspace) -> GeneratorSpace:
     """A deterministic graded generator space (a lift of the u-indecomposables).
@@ -412,13 +408,13 @@ def generator_space(X: GradedSubspace) -> GeneratorSpace:
     return GeneratorSpace(w_bases, Verdict(witness is None, amb.D, witness))
 
 
-def quotient_u_module(X: GradedSubspace, name: Optional[str] = None) -> FuluModule:
+def quotient_u_module(X: GradedSubspace) -> FuluModule:
     """The ambient modulo X, as a graded u-module."""
     amb = X.ambient
     # X need not be stable under the squares, so none are carried over
     space = FuluModule(amb.name, amb.D, amb.dims, {}, amb.labels, u=dict(amb.u_items()))
     return quotient(space, [X.bases[n] for n in range(amb.D + 1)],
-                    name or f"({amb.name})/X").module
+                    f"({amb.name})/X").module
 
 
 # -- relative tensor product -----------------------------------------------------
@@ -460,7 +456,7 @@ def _one_sided_u(N1: FuluModule, N2: FuluModule, T: TruncatedModule,
     return mats
 
 
-def tensor_over_fulu(N1: FuluModule, N2: FuluModule, name: Optional[str] = None) -> OverFulu:
+def tensor_over_fulu(N1: FuluModule, N2: FuluModule) -> OverFulu:
     """Coequalize the two u-actions on the tensor product.
 
     The relation subspace is spanned degreewise by u x (x) y + x (x) u y;
@@ -471,9 +467,9 @@ def tensor_over_fulu(N1: FuluModule, N2: FuluModule, name: Optional[str] = None)
     u_left = _one_sided_u(N1, N2, plain, layout, left=True)
     u_right = _one_sided_u(N1, N2, plain, layout, left=False)
     T = FuluModule(plain.name, plain.D, plain.dims, dict(plain.action_items()), plain.labels,
-                   plain.meta, u=u_left)
+                   u=u_left)
     rel: Dict[int, BitMatrix] = {0: BitMatrix.zeros(0, T.dims[0])}
     for n in range(T.D):
         rel[n + 1] = Subspace.from_rows(u_left[n] + u_right[n]).basis
-    q = quotient(T, [rel[n] for n in range(T.D + 1)], name or f"{N1.name}(xFu){N2.name}")
+    q = quotient(T, [rel[n] for n in range(T.D + 1)], f"{N1.name}(xFu){N2.name}")
     return OverFulu(q.module, T, layout, q.proj_mats, q.rep_mats, rel)

@@ -30,6 +30,7 @@ from .fulu import (
     u_linear_verdict,
 )
 from .lannes import (
+    DivisionResult,
     RealmCalculus,
     alpha_from_structure,
     division_u2,
@@ -41,9 +42,9 @@ from .lannes import (
 from .singer import product_mu, r1, r1_dims_expected, rho1
 from .unstable import (
     FuluModule,
-    GradedLinearMap,
     TheoryViolation,
     TruncatedModule,
+    ValidationReport,
     Verdict,
     exact_sequence,
     free_unstable,
@@ -119,6 +120,11 @@ def _need(v: Verdict, what: str) -> None:
 def _need_true(cond: bool, witness: str) -> None:
     if not cond:
         raise CheckFailure(witness)
+
+
+def _need_valid(rep: ValidationReport, what: str) -> None:
+    if not rep.ok:
+        raise CheckFailure(f"{what}: {rep.violations[0]}")
 
 
 # -- standard fixtures ----------------------------------------------------------
@@ -365,9 +371,7 @@ def _check_t9(params):
     fixtures = _standard_fixtures(D)
     if params.get("fixture_file"):
         mod = load_fixture(params["fixture_file"])
-        rep = mod.validate()
-        if not rep.ok:
-            raise CheckFailure(f"{mod.name}: {rep.violations[0]}")
+        _need_valid(mod.validate(), mod.name)
         fixtures = fixtures + [mod]
     for M in fixtures:
         v = omega(M).verify()
@@ -407,29 +411,31 @@ def _check_t11(params):
     return (D - 1) // 2, {}
 
 
-def _check_t12(params):
-    D = params["D"]
+def _doubled_free_division(D: int) -> DivisionResult:
+    """The division data of the doubled rank-one free module, whose reduced
+    expansion is the ground field and whose structure map is zero."""
     P = phi(free_unstable(1, max(4, D // 2)))
-    tbar = unit_module(P.D)
-    st = GradedLinearMap(P, tbar, {}, shift=-1)
-    ar = alpha_from_structure(P, tbar, st)
-    for n in range(ar.alpha.D + 1):
-        _need_true(ar.alpha.mat(n).is_zero(), f"alpha nonzero in degree {n}")
-    dv = division_u2(ar)
+    return division_u2(alpha_from_structure(P, unit_module(P.D), {}))
+
+
+def _check_t12(params):
+    dv = _doubled_free_division(params["D"])
+    alpha = dv.alpha.alpha
+    for n in range(alpha.D + 1):
+        _need_true(alpha.mat(n).is_zero(), f"alpha nonzero in degree {n}")
     der1 = [dv.derived1.dim(n) for n in range(min(dv.derived1.D, 6) + 1)]
     _need_true(
         der1 == [0, 1, 0, 0, 0, 0, 0][: len(der1)],
         f"first derived division term has dims {der1}, expected the suspended unit",
     )
     _need_true(sum(dv.derived2.dims) == 0, "second derived division term nonzero")
-    return ar.alpha.D, {}
+    return alpha.D, {}
 
 
 def _check_t13(params):
     D = params["D"]
     sl = sym_lambda(D)
-    rep = sl.from_free.validate_linear()
-    _need_true(rep.ok, f"comparison from the free module: {rep.violations[:1]}")
+    _need_valid(sl.from_free.validate_linear(), "comparison from the free module")
     for n in range(D + 1):
         _need_true(
             rank(sl.from_free.mat(n)) == sl.invariants.dim(n)
@@ -441,15 +447,11 @@ def _check_t13(params):
                        ("exterior square", "invariants", "doubled free module")),
         "exterior square sequence",
     )
-    rep2 = sl.diag.validate_linear()
-    _need_true(rep2.ok, f"diagonal extraction linearity: {rep2.violations[:1]}")
+    _need_valid(sl.diag.validate_linear(), "diagonal extraction linearity")
     # the division functor does not keep this sequence exact: the first
     # derived term of the quotient is the suspended unit (see T12)
-    P = phi(free_unstable(1, max(4, D // 2)))
-    ar = alpha_from_structure(P, unit_module(P.D), GradedLinearMap(P, unit_module(P.D), {}, shift=-1))
-    dv = division_u2(ar)
     _need_true(
-        dv.derived1.dim(1) == 1,
+        _doubled_free_division(D).derived1.dim(1) == 1,
         "the division-functor obstruction witness vanished",
     )
     return D, {}

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .f2core import BitMatrix, image_is_kernel, left_kernel, rref
@@ -36,7 +35,6 @@ from .unstable import (
     BlockLayout,
     FourTermOmega,
     FuluModule,
-    GradedLinearMap,
     ModuleMap,
     Subquotient,
     TheoryViolation,
@@ -101,10 +99,6 @@ class RealmObject:
 
     def monomials(self, j: int, d: int) -> Tuple[Tuple[int, ...], ...]:
         return _monomials(self.summands[j].r, d)
-
-    def block(self, n: int, j: int) -> Tuple[int, int]:
-        """(offset, width) of summand j in degree n; (0, 0) if it is empty."""
-        return self.table.block(n, j)
 
     def index(self, n: int, j: int, mono: Tuple[int, ...]) -> int:
         sm = self.summands[j]
@@ -182,30 +176,27 @@ def realm_sum(X: RealmObject, Y: RealmObject) -> RealmObject:
 class TExpansion(RealmObject):
     """A T-functor expansion of a realm object: one copy of a summand per component.
 
-    ``components`` lists (summand index, encoded vectors) in order and
-    ``comp_pos`` inverts it; summand c of the expansion is the copy of
-    component c.  The expansion is itself a realm object, allowing iterated
-    application.
+    ``components`` lists (summand index, group element v) in order, v an
+    encoded vector, and ``comp_pos`` inverts it; summand c of the expansion
+    is the copy of component c.  The expansion is itself a realm object,
+    allowing iterated application.
     """
 
-    def __init__(self, base: RealmObject, components: Sequence[Tuple[int, Tuple[int, ...]]],
-                 name: str):
+    def __init__(self, base: RealmObject, components: Sequence[Tuple[int, int]], name: str):
         self.components = list(components)
         self.comp_pos = {c: i for i, c in enumerate(self.components)}
         super().__init__([base.summands[j] for j, _ in self.components], base.D, name)
 
     def _tag(self, j: int) -> str:
-        c, phi = self.components[j]
-        return f"<{c}:{','.join(map(str, phi))}>"
+        c, v = self.components[j]
+        return f"<{c}:{v}>"
 
 
-def t_apply(w_rank: int, X: RealmObject) -> TExpansion:
-    """Apply the T-functor for a rank-w test group to a realm object."""
-    if w_rank < 0:
-        raise ValueError("test-group rank must be non-negative")
-    comps = [(j, phi) for j, sm in enumerate(X.summands)
-             for phi in product(range(1 << sm.r), repeat=w_rank)]
-    return TExpansion(X, comps, f"T[{w_rank}]({X.name})")
+def t_apply(X: RealmObject) -> TExpansion:
+    """Apply the T-functor of the rank-one group to a realm object: one copy
+    of the summand H(V_r) per element v of V_r, and iterated for T^2."""
+    comps = [(j, v) for j, sm in enumerate(X.summands) for v in range(1 << sm.r)]
+    return TExpansion(X, comps, f"T[1]({X.name})")
 
 
 def _twist_terms(mono: Tuple[int, ...], v: int) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -266,7 +257,7 @@ class RealmCalculus:
 
     @cached_property
     def TX(self) -> TExpansion:
-        return t_apply(1, self.X)
+        return t_apply(self.X)
 
     @cached_property
     def ETX(self) -> ExtendedModule:
@@ -275,7 +266,7 @@ class RealmCalculus:
     @cached_property
     def tbar(self) -> TExpansion:
         """The reduced expansion: the components of the expansion at nonzero elements."""
-        comps = [(j, phi) for j, phi in self.TX.components if phi != (0,)]
+        comps = [(j, v) for j, v in self.TX.components if v]
         return TExpansion(self.X, comps, f"Tbar({self.X.name})")
 
     @cached_property
@@ -303,7 +294,7 @@ class RealmCalculus:
         v containing S: one pattern per (S, N), shifted to that position.
         """
         X, TX, ETX = self.X, self.TX, self.ETX
-        first = [TX.comp_pos[(j, (0,))] for j in range(len(X.summands))]
+        first = [TX.comp_pos[(j, 0)] for j in range(len(X.summands))]
         patterns: Dict[Tuple[int, int, int], int] = {}
         layer = []
         for d in range(self.D + 1):
@@ -418,26 +409,25 @@ class RealmCalculus:
             mask = (1 << self.bar.block(n, 1)[1]) - 1
             rows = [row & mask for row in full.row_ints()]
             st_mats[n] = BitMatrix.from_row_ints(rows, tbar.dims[n - 1] if n >= 1 else 0)
-        st = GradedLinearMap(self.X.module, tbar, st_mats, shift=-1, D=self.D, name="unit-layer")
-        return alpha_from_structure(self.X.module, tbar, st)
+        return alpha_from_structure(self.X.module, tbar, st_mats)
 
     # -- fixed points ------------------------------------------------------------
 
     @cached_property
     def TTbar(self) -> TExpansion:
-        return t_apply(1, self.tbar)
+        return t_apply(self.tbar)
 
     @cached_property
     def fix_components(self) -> BitMatrix:
         """The component matrix P of Fix(taubar): component (v, w) of the
         reduced part's expansion receives component a if [w=a+v]+[w=a]."""
         rows = []
-        for j, (a,) in self.TX.components:
+        for j, a in self.TX.components:
             acc = 0
             for v in range(1, 1 << self.X.summands[j].r):
-                cbar = self.tbar.comp_pos[(j, (v,))]
+                cbar = self.tbar.comp_pos[(j, v)]
                 for w in (a ^ v, a):
-                    acc ^= 1 << self.TTbar.comp_pos[(cbar, (w,))]
+                    acc ^= 1 << self.TTbar.comp_pos[(cbar, w)]
             rows.append(acc)
         return BitMatrix(len(rows), len(self.TTbar.components), tuple(rows))
 
@@ -486,14 +476,14 @@ class RealmCalculus:
         T(i_1) and T(delta), from the expansion to its own expansion, only
         move components, so their sum is one component matrix P.
         """
-        TTX = t_apply(1, self.TX)
+        TTX = t_apply(self.TX)
         rows = []
-        for c, (j, (a,)) in enumerate(self.TX.components):
+        for c, (j, a) in enumerate(self.TX.components):
             acc = 0
             for w in range(1 << self.X.summands[j].r):
-                acc ^= 1 << TTX.comp_pos[(c, (w,))]
+                acc ^= 1 << TTX.comp_pos[(c, w)]
                 # diagonal: the (v, w) component receives x_{v+w}
-                acc ^= 1 << TTX.comp_pos[(self.TX.comp_pos[(j, (a ^ w,))], (w,))]
+                acc ^= 1 << TTX.comp_pos[(self.TX.comp_pos[(j, a ^ w)], w)]
             rows.append(acc)
         P = BitMatrix(len(rows), len(TTX.components), tuple(rows))
         return self._diagonal_is_kernel(P, TTX, "split equalizer fails")
@@ -572,22 +562,30 @@ class AlphaResult:
 
     alpha: ModuleMap
     omega_data: FourTermOmega
-    structure: GradedLinearMap
 
 
 def alpha_from_structure(M: TruncatedModule, tbar: TruncatedModule,
-                         st: GradedLinearMap) -> AlphaResult:
+                         st: Dict[int, BitMatrix]) -> AlphaResult:
+    """The map from the loop module of M to ``tbar`` induced by a structure
+    map that lowers degrees by one, given by its matrices: ``st[n]`` maps
+    degree n of M to degree n - 1 of ``tbar``, and a degree absent from
+    ``st`` maps by zero.  The structure map must kill the image of Sq0."""
     ft = omega_of(M)
-    D = min(st.D, M.D)
+    D = min(M.D, tbar.D + 1)
+    mats = {}
     for n in range(D + 1):
-        if not (ft.sq0_map.mat(n) @ st.mat(n)).is_zero():
+        shape = (M.dims[n], tbar.dims[n - 1] if n >= 1 else 0)
+        m = st.get(n)
+        if m is None:
+            m = BitMatrix.zeros(*shape)
+        elif (m.nrows, m.ncols) != shape:
+            raise ValueError(f"structure map matrix at degree {n} has wrong shape")
+        if not (ft.sq0_map.mat(n) @ m).is_zero():
             raise TheoryViolation(f"structure map does not kill the doubled image at degree {n}")
-    alpha_mats = {}
-    for m in range(min(ft.omega.D, tbar.D - 1, D - 1) + 1):
-        alpha_mats[m] = ft.coker_reps[m + 1] @ st.mat(m + 1)
-    alpha = ModuleMap(ft.omega, tbar, alpha_mats,
-                      D=min(ft.omega.D, tbar.D - 1, D - 1), name="alpha")
-    return AlphaResult(alpha, ft, st)
+        mats[n] = m
+    top = min(ft.omega.D, tbar.D - 1, D - 1)
+    alpha_mats = {k: ft.coker_reps[k + 1] @ mats[k + 1] for k in range(top + 1)}
+    return AlphaResult(ModuleMap(ft.omega, tbar, alpha_mats, D=top, name="alpha"), ft)
 
 
 @dataclass

@@ -193,7 +193,6 @@ class Rho1Certificate:
     """The projection to the doubled module with its exactness certificate."""
 
     rho: ModuleMap
-    phi_module: TruncatedModule
     alinear: Verdict
     surjective: Verdict
     ses_exact: Verdict  # kernel of rho equals the image of u, degreewise
@@ -241,7 +240,7 @@ def rho1(S: SingerModule) -> Rho1Certificate:
         if lhs != rhs:
             square = Verdict(False, D, f"augmentation square fails in degree {n}")
             break
-    return Rho1Certificate(rho, phi_m, alinear, surj, ses, square)
+    return Rho1Certificate(rho, alinear, surj, ses, square)
 
 
 def r1_on_map(f: ModuleMap, S_src: SingerModule, S_tgt: SingerModule

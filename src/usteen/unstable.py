@@ -101,7 +101,7 @@ class TruncatedModule:
     are always known.
     """
 
-    __slots__ = ("name", "D", "dims", "_labels", "_lbuild", "_act", "_build", "meta")
+    __slots__ = ("name", "D", "dims", "_labels", "_act")
 
     def __init__(
         self,
@@ -112,7 +112,6 @@ class TruncatedModule:
                       Callable[[], Dict[Tuple[int, int], BitMatrix]]],
         labels: Union[None, Sequence[Sequence[str]],
                       Callable[[], Sequence[Sequence[str]]]] = None,
-        meta: Optional[dict] = None,
     ):
         if D < 0:
             raise ValueError("truncation degree must be non-negative")
@@ -126,19 +125,9 @@ class TruncatedModule:
             labels = tuple(
                 tuple(f"e{n}.{j}" for j in range(dims[n])) for n in range(D + 1)
             )
-        if callable(labels):
-            self._labels = None
-            self._lbuild = labels
-        else:
-            self._lbuild = None
-            self._labels = self._checked_labels(labels)
-        self.meta = dict(meta) if meta else {}
-        if callable(action):
-            self._act = None
-            self._build = action
-        else:
-            self._build = None
-            self._act = self._checked(action)
+        # each slot holds the checked value, or the function still to call
+        self._labels = labels if callable(labels) else self._checked_labels(labels)
+        self._act = action if callable(action) else self._checked(action)
 
     def _checked(self, action: Dict[Tuple[int, int], BitMatrix]) -> Dict[Tuple[int, int], BitMatrix]:
         """The nonzero entries of ``action``, after the key and shape checks."""
@@ -162,17 +151,17 @@ class TruncatedModule:
     @property
     def labels(self) -> Tuple[Tuple[str, ...], ...]:
         """The basis names by degree, built by the pending function on first read."""
-        if self._labels is None:
-            self._labels = self._checked_labels(self._lbuild())
-            self._lbuild = None
-        return self._labels
+        labels = self._labels
+        if callable(labels):
+            labels = self._labels = self._checked_labels(labels())
+        return labels
 
     def _action(self) -> Dict[Tuple[int, int], BitMatrix]:
         """The stored action, built by the pending function on first read."""
-        if self._act is None:
-            self._act = self._checked(self._build())
-            self._build = None
-        return self._act
+        act = self._act
+        if callable(act):
+            act = self._act = self._checked(act())
+        return act
 
     # -- access --------------------------------------------------------------
 
@@ -182,9 +171,6 @@ class TruncatedModule:
         if n > self.D:
             raise TruncationError(f"{self.name}: degree {n} beyond truncation {self.D}")
         return self.dims[n]
-
-    def label(self, n: int, j: int) -> str:
-        return self.labels[n][j]
 
     def sq(self, i: int, n: int) -> BitMatrix:
         """Matrix of Sq^i on degree n (rows = images of basis vectors)."""
@@ -199,7 +185,7 @@ class TruncatedModule:
         if i == 0:
             return BitMatrix.identity(self.dims[n])
         act = self._act
-        if act is None:
+        if callable(act):
             act = self._action()
         got = act.get((i, n))
         if got is not None:
@@ -275,7 +261,7 @@ class FuluModule(TruncatedModule):
     with the same action: equal modules carry the same structure.
     """
 
-    __slots__ = ("_u", "_ubuild")
+    __slots__ = ("_u",)
 
     def __init__(
         self,
@@ -285,17 +271,11 @@ class FuluModule(TruncatedModule):
         action: Union[Dict[Tuple[int, int], BitMatrix],
                       Callable[[], Dict[Tuple[int, int], BitMatrix]]],
         labels: Optional[Sequence[Sequence[str]]] = None,
-        meta: Optional[dict] = None,
         *,
         u: Union[Dict[int, BitMatrix], Callable[[], Dict[int, BitMatrix]]],
     ):
-        super().__init__(name, D, dims, action, labels, meta)
-        if callable(u):
-            self._u = None
-            self._ubuild = u
-        else:
-            self._ubuild = None
-            self._u = self._checked_u(u)
+        super().__init__(name, D, dims, action, labels)
+        self._u = u if callable(u) else self._checked_u(u)
 
     def _checked_u(self, u: Dict[int, BitMatrix]) -> Dict[int, BitMatrix]:
         """The nonzero entries of ``u``, after the key and shape checks."""
@@ -311,10 +291,10 @@ class FuluModule(TruncatedModule):
 
     def _u_action(self) -> Dict[int, BitMatrix]:
         """The stored u, built by the pending function on first read."""
-        if self._u is None:
-            self._u = self._checked_u(self._ubuild())
-            self._ubuild = None
-        return self._u
+        u = self._u
+        if callable(u):
+            u = self._u = self._checked_u(u())
+        return u
 
     def u_mat(self, n: int) -> BitMatrix:
         if n < 0:
@@ -458,41 +438,6 @@ class ModuleMap:
         return f"ModuleMap({self.source.name} -> {self.target.name}, D={self.D})"
 
 
-class GradedLinearMap:
-    """A map of underlying graded vector spaces (a dashed arrow).
-
-    Not required to commute with the squaring operations; may shift degrees.
-    ``mat(n)`` maps source degree n to target degree n + shift.
-    """
-
-    __slots__ = ("source", "target", "shift", "D", "_mats", "name")
-
-    def __init__(self, source, target, mats: Dict[int, BitMatrix], shift: int = 0,
-                 D: Optional[int] = None, name: str = ""):
-        self.source = source
-        self.target = target
-        self.shift = shift
-        self.D = D if D is not None else min(source.D, target.D - shift)
-        for n, m in mats.items():
-            tdim = target.dims[n + shift] if n + shift >= 0 else 0
-            if (m.nrows, m.ncols) != (source.dims[n], tdim):
-                raise ValueError(f"graded map matrix at degree {n} has wrong shape")
-        self._mats = dict(mats)
-        self.name = name
-
-    def mat(self, n: int) -> BitMatrix:
-        if n < 0:
-            return BitMatrix.zeros(0, 0)
-        if n > self.D:
-            raise TruncationError(f"graded map degree {n} beyond {self.D}")
-        if n + self.shift < 0:
-            return BitMatrix.zeros(self.source.dims[n], 0)
-        got = self._mats.get(n)
-        if got is not None:
-            return got
-        return BitMatrix.zeros(self.source.dims[n], self.target.dims[n + self.shift])
-
-
 # -- constructors -------------------------------------------------------------
 
 
@@ -501,7 +446,22 @@ def unit_module(D: int) -> TruncatedModule:
     return TruncatedModule("F", D, [1] + [0] * D, {}, labels=[("1",)] + [()] * D)
 
 
-def free_unstable(n: int, D: int, name: Optional[str] = None) -> TruncatedModule:
+class FreeModule(TruncatedModule):
+    """The free unstable module ``F(n)`` on one class of degree n, as built by
+    :func:`free_unstable`: ``basis_words[m]`` lists the admissible words that
+    name its basis in degree m, in order."""
+
+    __slots__ = ("generator_degree", "basis_words")
+
+    def __init__(self, generator_degree: int, D: int, dims: Sequence[int],
+                 action: Dict[Tuple[int, int], BitMatrix], labels: Sequence[Sequence[str]],
+                 basis_words: Dict[int, List[steenrod.SqWord]]):
+        super().__init__(f"F({generator_degree})", D, dims, action, labels)
+        self.generator_degree = generator_degree
+        self.basis_words = basis_words
+
+
+def free_unstable(n: int, D: int) -> FreeModule:
     """The free unstable module on one class of degree n, truncated at D.
 
     Basis in degree n + d: admissible words of degree d with excess <= n.
@@ -509,7 +469,6 @@ def free_unstable(n: int, D: int, name: Optional[str] = None) -> TruncatedModule
     """
     if n < 0:
         raise ValueError("generator degree must be non-negative")
-    name = name or f"F({n})"
     words: Dict[int, List[steenrod.SqWord]] = {}
     index: Dict[int, Dict[steenrod.SqWord, int]] = {}
     dims = [0] * (D + 1)
@@ -537,10 +496,7 @@ def free_unstable(n: int, D: int, name: Optional[str] = None) -> TruncatedModule
                         row |= 1 << index[m + i][term]
                 rows.append(row)
             action[(i, m)] = BitMatrix.from_row_ints(rows, dims[m + i])
-    return TruncatedModule(
-        name, D, dims, action, labels,
-        meta={"generator_degree": n, "basis_words": words},
-    )
+    return FreeModule(n, D, dims, action, labels, words)
 
 
 @lru_cache(maxsize=None)
@@ -617,10 +573,7 @@ def polynomial_module(r: int, D: int, varnames: Optional[Sequence[str]] = None,
                     row |= 1 << index[d + k][tgt]
                 rows.append(row)
             action[(k, d)] = BitMatrix.from_row_ints(rows, dims[d + k])
-    return TruncatedModule(
-        name, D, dims, action, labels,
-        meta={"rank": r, "varnames": tuple(varnames), "monomials": monos},
-    )
+    return TruncatedModule(name, D, dims, action, labels)
 
 
 def _compositions_submask(a: Tuple[int, ...], k: int) -> List[Tuple[int, ...]]:
@@ -644,14 +597,13 @@ def truncate(M: TruncatedModule, D: int, name: Optional[str] = None) -> Truncate
     return TruncatedModule(name or M.name, D, M.dims[: D + 1], action, M.labels[: D + 1])
 
 
-def suspend(M: TruncatedModule, name: Optional[str] = None) -> TruncatedModule:
+def suspend(M: TruncatedModule) -> TruncatedModule:
     """Degree shift by +1; action matrices are re-indexed unchanged."""
-    name = name or f"S({M.name})"
     D = M.D + 1
     dims = (0,) + M.dims
     labels = [()] + [tuple(f"s({x})" for x in ls) for ls in M.labels]
     action = {(i, n + 1): m for (i, n), m in M.action_items()}
-    return TruncatedModule(name, D, dims, action, labels)
+    return TruncatedModule(f"S({M.name})", D, dims, action, labels)
 
 
 def desuspend(M: TruncatedModule, name: Optional[str] = None) -> TruncatedModule:
@@ -675,13 +627,12 @@ def desuspend(M: TruncatedModule, name: Optional[str] = None) -> TruncatedModule
     return TruncatedModule(name, D, dims, action, labels)
 
 
-def phi(M: TruncatedModule, name: Optional[str] = None) -> TruncatedModule:
+def phi(M: TruncatedModule) -> TruncatedModule:
     """The degree-doubling functor: even degrees carry M, odd degrees vanish.
 
     Even squares act through the original action, odd squares act as zero,
     so knowledge extends to degree 2D.
     """
-    name = name or f"Ph({M.name})"
     D = 2 * M.D
     dims = [0] * (D + 1)
     labels: List[Tuple[str, ...]] = [()] * (D + 1)
@@ -689,16 +640,15 @@ def phi(M: TruncatedModule, name: Optional[str] = None) -> TruncatedModule:
         dims[2 * n] = M.dims[n]
         labels[2 * n] = tuple(f"ph({x})" for x in M.labels[n])
     action = {(2 * i, 2 * n): m for (i, n), m in M.action_items()}
-    return TruncatedModule(name, D, dims, action, labels, meta={"base": M})
+    return TruncatedModule(f"Ph({M.name})", D, dims, action, labels)
 
 
-def sq0(M: TruncatedModule, phi_M: Optional[TruncatedModule] = None) -> ModuleMap:
+def sq0(M: TruncatedModule) -> ModuleMap:
     """The natural map from the doubled module, x -> Sq^{|x|} x."""
-    phi_M = phi_M if phi_M is not None else phi(M)
     mats = {}
     for n in range(M.D // 2 + 1):
         mats[2 * n] = M.sq(n, n)
-    return ModuleMap(phi_M, M, mats, D=M.D, name=f"Sq0_{M.name}")
+    return ModuleMap(phi(M), M, mats, D=M.D, name=f"Sq0_{M.name}")
 
 
 class BlockLayout:
@@ -796,11 +746,9 @@ class TensorLayout:
         return out
 
 
-def tensor_with_layout(M: TruncatedModule, N: TruncatedModule,
-                       name: Optional[str] = None) -> Tuple[TruncatedModule, TensorLayout]:
+def tensor_with_layout(M: TruncatedModule, N: TruncatedModule) -> Tuple[TruncatedModule, TensorLayout]:
     """Tensor product with the Cartan-formula action, plus its index layout."""
     D = min(M.D, N.D)
-    name = name or f"{M.name}(x){N.name}"
     layout = TensorLayout(M.dims[: D + 1], N.dims[: D + 1], D)
     dims = layout.table.dims
     ml, nl = M.labels, N.labels
@@ -835,12 +783,12 @@ def tensor_with_layout(M: TruncatedModule, N: TruncatedModule,
                                 n + k, p + a, ra, nb.row_int(j)
                             )
             action[(k, n)] = BitMatrix.from_row_ints(rows, dims[n + k])
-    mod = TruncatedModule(name, D, dims, action, labels, meta={"layout": layout})
+    mod = TruncatedModule(f"{M.name}(x){N.name}", D, dims, action, labels)
     return mod, layout
 
 
-def tensor(M: TruncatedModule, N: TruncatedModule, name: Optional[str] = None) -> TruncatedModule:
-    return tensor_with_layout(M, N, name)[0]
+def tensor(M: TruncatedModule, N: TruncatedModule) -> TruncatedModule:
+    return tensor_with_layout(M, N)[0]
 
 
 def direct_sum(mods: Sequence[TruncatedModule], name: Optional[str] = None,
@@ -873,17 +821,16 @@ def direct_sum(mods: Sequence[TruncatedModule], name: Optional[str] = None,
     return TruncatedModule(name, D, table.dims, action, labels), offsets
 
 
-def map_from_free(free: TruncatedModule, target: TruncatedModule, element_row: int,
+def map_from_free(free: FreeModule, target: TruncatedModule, element_row: int,
                   name: str = "") -> ModuleMap:
     """The unique A-map from a free module sending the generator to an element.
 
     ``free`` must come from :func:`free_unstable`; ``element_row`` is the
     int-packed vector in the target's basis at the generator degree.
     """
-    words = free.meta.get("basis_words")
-    gen_deg = free.meta.get("generator_degree")
-    if words is None or gen_deg is None:
+    if not isinstance(free, FreeModule):
         raise ValueError("source must be a free module built by free_unstable")
+    words, gen_deg = free.basis_words, free.generator_degree
     D = min(free.D, target.D)
     gen_row = BitMatrix.from_row_ints([element_row], target.dim(gen_deg))
     mats = {}

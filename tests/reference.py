@@ -122,7 +122,7 @@ def u_on_quotient_by_solving(proj: Dict[int, BitMatrix], ambient: FuluModule,
 
 def with_u(M: TruncatedModule, u: Dict[int, BitMatrix]) -> FuluModule:
     """M, with its name, labels and Sq action, and the multiplication ``u``."""
-    return FuluModule(M.name, M.D, M.dims, dict(M.action_items()), M.labels, M.meta, u=u)
+    return FuluModule(M.name, M.D, M.dims, dict(M.action_items()), M.labels, u=u)
 
 
 def fulu_algebra(D: int) -> FuluModule:

@@ -81,7 +81,7 @@ def _extension_cases(D, tmp_path):
     if D >= 1:
         mods += [suspend(polynomial_module(1, D - 1)), suspend(free_unstable(2, D - 1))]
     mods.append(tensor(free_unstable(1, D), free_unstable(1, D)))
-    mods.append(t_apply(1, hv(2, D)).module)
+    mods.append(t_apply(hv(2, D)).module)
     mods.append(RealmCalculus(realm_sum(hv(1, D), realm_suspend(hv(2, D), 1))).tbar.module)
     path = tmp_path / f"fixture_{D}.json"
     fixtures.save(tensor(free_unstable(1, D), polynomial_module(1, D)), path)
@@ -96,13 +96,11 @@ def test_extend_scalars_matches_the_generic_tensor_product(D, tmp_path):
     fu = fulu_algebra(D)
     for M in _extension_cases(D, tmp_path):
         E = extend_scalars(M)
-        name = f"Fu(x){M.name}"
-        ref, layout = tensor_with_layout(fu, M, name=name)
+        ref, layout = tensor_with_layout(fu, M)
         assert (E.D, E.dims, E.action_items()) == (ref.D, ref.dims, ref.action_items()), M.name
-        assert E.labels == ref.labels and E.name == name
+        assert E.labels == ref.labels and E.name == f"Fu(x){M.name}"
         assert E.base is M
-        for lay in (E.layout, E.meta["layout"]):
-            assert [lay.blocks(n) for n in range(D + 1)] == [layout.blocks(n) for n in range(D + 1)]
+        assert [E.layout.blocks(n) for n in range(D + 1)] == [layout.blocks(n) for n in range(D + 1)]
         for n in range(D):
             want = [
                 layout.tensor_row(n + 1, a + 1, fu.u_mat(a).row_int(0), 1 << j)

@@ -8,6 +8,7 @@ import pytest
 
 from usteen import cli, fixtures, fulu, harness, lannes, unstable
 from usteen.cli import main as cli_main
+from usteen.f2core import BitMatrix
 from usteen.fulu import extend_scalars
 from usteen.harness import (
     CATALOG,
@@ -317,7 +318,7 @@ def test_rank3_catalog_does_each_piece_of_realm_work_once(monkeypatch, fresh_cac
 
     monkeypatch.setattr(RealmCalculus, "equalizer_matches_taubar_kernel", counting)
     polys = record_calls(monkeypatch, unstable.polynomial_module, lambda r, D, *a, **k: (r, D))
-    extended = record_calls(monkeypatch, fulu.extend_scalars, lambda M, name=None: M.name)
+    extended = record_calls(monkeypatch, fulu.extend_scalars, lambda M: M.name)
     assert all(r.passed for r in run_all(D=8, max_rank=3, only=RANK3_CHECKS))
     ranks = range(1, 4)
     assert equalizers == {f"H(V{r})": 1 for r in ranks}
@@ -354,7 +355,7 @@ def test_t16_certifies_the_equalizer_of_the_sum_it_reads(monkeypatch):
     def broken_on_sums(X):
         calc = real(X)
         if len(X.summands) > 1:
-            calc.tau = mutant_tau(calc, [calc.TX.comp_pos[(0, (0,))]])
+            calc.tau = mutant_tau(calc, [calc.TX.comp_pos[(0, 0)]])
         return calc
 
     monkeypatch.setattr(harness, "RealmCalculus", broken_on_sums)
@@ -621,6 +622,24 @@ def test_t14_fails_when_every_trial_is_saturated(monkeypatch):
     res = run_check(make_spec("T14", D=6))
     assert not res.passed
     assert res.witness == "only 100 of 100 trials saturated; need at least 5 of each"
+
+
+def test_t13_witnesses_the_first_violation_of_a_map_that_is_not_a_module_map(monkeypatch):
+    """A comparison from the free module that kills its generator fails T13,
+    and the witness is the first violation, not a list of them."""
+    real = harness.sym_lambda
+
+    def broken(D):
+        sl = real(D)
+        f = sl.from_free
+        mats = {n: f.mat(n) for n in range(f.D + 1)}
+        mats[2] = BitMatrix.zeros(mats[2].nrows, mats[2].ncols)
+        return dataclasses.replace(sl, from_free=unstable.ModuleMap(f.source, f.target, mats, D=f.D))
+
+    monkeypatch.setattr(harness, "sym_lambda", broken)
+    res = run_check(make_spec("T13", D=6))
+    assert not res.passed
+    assert res.witness == "comparison from the free module: not A-linear at (i=1, n=2)"
 
 
 def test_cli_r1_refuses_an_unstable_fixture(tmp_path, capsys):

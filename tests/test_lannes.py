@@ -31,7 +31,6 @@ from usteen.lannes import (
 from usteen.singer import r1
 from usteen.unstable import (
     FuluModule,
-    GradedLinearMap,
     ModuleMap,
     TheoryViolation,
     TruncatedModule,
@@ -104,9 +103,9 @@ def test_realize_matches_the_composition_loop():
     cases = [hv(r, 9) for r in range(4)] + [
         realm_suspend(hv(2, 9), 2),
         sum_x,
-        t_apply(1, hv(2, 9)),
-        t_apply(1, sum_x),
-        t_apply(2, hv(1, 8)),
+        t_apply(hv(2, 9)),
+        t_apply(sum_x),
+        t_apply(t_apply(hv(1, 8))),
         RealmCalculus(hv(3, 7)).tbar,
         RealmCalculus(sum_x).tbar,
     ]
@@ -122,24 +121,22 @@ def test_realm_suspension_dims():
 
 
 def test_t_apply_component_counts():
-    X = hv(2, 6)
-    for w in (0, 1, 2):
-        exp = t_apply(w, X)
-        assert len(exp.components) == 4 ** w
-        assert sum(1 for j, _ in exp.components if j == 0) == 4 ** w
+    exp = t_apply(hv(2, 6))
+    assert exp.components == [(0, v) for v in range(4)]
+    assert len(t_apply(exp).components) == 4 * 4
     Y = realm_sum(hv(1, 6), realm_suspend(hv(2, 6), 1))
-    exp = t_apply(1, Y)
+    exp = t_apply(Y)
     assert len(exp.components) == 2 + 4
 
 
 def test_t_of_unit_is_unit():
     X = hv(0, 6)
-    exp = t_apply(1, X)
+    exp = t_apply(X)
     assert [exp.module.dim(n) for n in range(7)] == [1] + [0] * 6
 
 
 def test_t_of_rank1_dims():
-    exp = t_apply(1, hv(1, 8))
+    exp = t_apply(hv(1, 8))
     assert [exp.module.dim(n) for n in range(9)] == [2] * 9
 
 
@@ -150,8 +147,8 @@ def test_tau_degree_one_pins_the_convention():
     calc = RealmCalculus(X)
     sigma, tau = calc.sigma, calc.tau
     E, ETX, TX = calc.E, calc.ETX, calc.TX
-    c0 = calc.TX.comp_pos[(0, (0,))]
-    c1 = calc.TX.comp_pos[(0, (1,))]
+    c0 = calc.TX.comp_pos[(0, 0)]
+    c1 = calc.TX.comp_pos[(0, 1)]
     # degree-1 basis of E: u (x) 1, 1 (x) t  (u-power block a ascending)
     i_u = E.index(1, 1, 0)
     i_t = E.index(1, 0, 0)
@@ -185,7 +182,7 @@ def test_equalizer_verdict_fails_on_a_tau_that_drops_a_copy_of_the_unit(X, compo
     relies on; a tau that breaks either fails the verdict in degree 0."""
     calc = RealmCalculus(X)
     assert mutant_tau(calc, []) == calc.tau
-    c = calc.TX.comp_pos[(0, (0 if component == "zero" else 1,))]
+    c = calc.TX.comp_pos[(0, 0 if component == "zero" else 1)]
     calc.tau = mutant_tau(calc, [c])
     assert "taubar" not in vars(calc)
     assert calc.equalizer_verdict == Verdict(
@@ -194,7 +191,7 @@ def test_equalizer_verdict_fails_on_a_tau_that_drops_a_copy_of_the_unit(X, compo
 
 def test_rtilde_raises_on_every_read_when_the_equalizer_fails():
     calc = RealmCalculus(hv(1, 6))
-    calc.tau = mutant_tau(calc, [calc.TX.comp_pos[(0, (0,))]])
+    calc.tau = mutant_tau(calc, [calc.TX.comp_pos[(0, 0)]])
     for _ in range(2):
         with pytest.raises(unstable.TheoryViolation,
                            match="equalizer differs from the kernel in degree 0"):
@@ -371,14 +368,22 @@ def test_alpha_on_doubled_free_module_vanishes():
     # is the ground field, and the structure map is forced to vanish
     P = phi(free_unstable(1, 8))
     tbar = unit_module(P.D)
-    st = GradedLinearMap(P, tbar, {}, shift=-1, name="fixture")
-    ar = alpha_from_structure(P, tbar, st)
+    ar = alpha_from_structure(P, tbar, {})
     for n in range(ar.alpha.D + 1):
         assert ar.alpha.mat(n).is_zero()
     dv = division_u2(ar)
     # the kernel is the suspension of the ground field
     assert [dv.derived1.dim(n) for n in range(min(6, dv.derived1.D) + 1)] == [0, 1, 0, 0, 0, 0, 0]
     assert sum(dv.derived2.dims) == 0
+
+
+def test_alpha_from_structure_refuses_a_wrong_shape_and_a_map_that_keeps_sq0():
+    H = polynomial_module(1, 6)
+    with pytest.raises(ValueError, match="degree 2 has wrong shape"):
+        alpha_from_structure(H, H, {2: BitMatrix.zeros(1, 2)})
+    # t^2 -> t does not kill t^2 = Sq0(ph(t))
+    with pytest.raises(TheoryViolation, match="doubled image at degree 2"):
+        alpha_from_structure(H, H, {2: BitMatrix.identity(1)})
 
 
 def test_alpha_unit_is_zero():
@@ -483,7 +488,7 @@ def test_block_layouts_round_trip():
                 assert j2 == j and realm.monomials(j, n - realm.summands[j].s)[k] == mono
     for exp in (calc.TX, calc.tbar):
         assert all(exp.components[exp.comp_pos[c]] == c for c in exp.components)
-    assert calc.tbar.components == [c for c in calc.TX.components if c[1] != (0,)]
+    assert calc.tbar.components == [c for c in calc.TX.components if c[1] != 0]
 
 
 # -- per-monomial references for the maps built from component matrices ------
@@ -502,7 +507,7 @@ def diag_by_monomials(calc):
         for j, mono in calc.X.entries(n):
             acc = 0
             for v in range(1 << calc.X.summands[j].r):
-                acc |= 1 << calc.TX.index(n, calc.TX.comp_pos[(j, (v,))], mono)
+                acc |= 1 << calc.TX.index(n, calc.TX.comp_pos[(j, v)], mono)
             rows.append(acc)
         mats[n] = BitMatrix.from_row_ints(rows, calc.TX.table.dims[n])
     return mats
@@ -518,12 +523,12 @@ def fix_taubar_by_monomials(calc):
     for n in range(calc.D + 1):
         rows = []
         for c, mono in calc.TX.entries(n):
-            j, (a,) = calc.TX.components[c]
+            j, a = calc.TX.components[c]
             acc = 0
             for v in range(1, 1 << calc.X.summands[j].r):
-                cbar = calc.tbar.comp_pos[(j, (v,))]
+                cbar = calc.tbar.comp_pos[(j, v)]
                 for w in (a ^ v, a):
-                    c2 = calc.TTbar.comp_pos[(cbar, (w,))]
+                    c2 = calc.TTbar.comp_pos[(cbar, w)]
                     acc ^= 1 << calc.TTbar.index(n, c2, mono)
             rows.append(acc)
         mats[n] = BitMatrix.from_row_ints(rows, calc.TTbar.table.dims[n])
@@ -537,7 +542,7 @@ def sigma_by_monomials(calc):
         for a, j, mono in _extended_entries(calc.E, calc.X, n):
             acc = 0
             for v in range(1 << calc.X.summands[j].r):
-                tgt = calc.TX.index(n - a, calc.TX.comp_pos[(j, (v,))], mono)
+                tgt = calc.TX.index(n - a, calc.TX.comp_pos[(j, v)], mono)
                 acc |= 1 << calc.ETX.index(n, a, tgt)
             rows.append(acc)
         mats[n] = BitMatrix.from_row_ints(rows, calc.ETX.dim(n))
@@ -549,8 +554,8 @@ def retract_by_monomials(calc):
     for n in range(calc.D + 1):
         rows = []
         for a, c, mono in _extended_entries(calc.ETX, calc.TX, n):
-            j, phi = calc.TX.components[c]
-            if phi == (0,):
+            j, v = calc.TX.components[c]
+            if v == 0:
                 rows.append(1 << calc.E.index(n, a, calc.X.index(n - a, j, mono)))
             else:
                 rows.append(0)
@@ -560,16 +565,16 @@ def retract_by_monomials(calc):
 
 def split_equalizer_by_monomials(calc):
     """T(i_1) + T(delta), from the expansion into its own expansion."""
-    TTX = t_apply(1, calc.TX)
+    TTX = t_apply(calc.TX)
     mats = {}
     for n in range(calc.D + 1):
         rows = []
         for c, mono in calc.TX.entries(n):
-            j, (a,) = calc.TX.components[c]
+            j, a = calc.TX.components[c]
             acc = 0
             for w in range(1 << calc.X.summands[j].r):
-                c_aw = TTX.comp_pos[(calc.TX.comp_pos[(j, (a,))], (w,))]
-                c_vw = TTX.comp_pos[(calc.TX.comp_pos[(j, (a ^ w,))], (w,))]
+                c_aw = TTX.comp_pos[(calc.TX.comp_pos[(j, a)], w)]
+                c_vw = TTX.comp_pos[(calc.TX.comp_pos[(j, a ^ w)], w)]
                 acc ^= 1 << TTX.index(n, c_aw, mono)
                 acc ^= 1 << TTX.index(n, c_vw, mono)
             rows.append(acc)
@@ -670,7 +675,7 @@ def tau_by_monomials(calc):
         for a, j, mono in _extended_entries(calc.E, calc.X, n):
             acc = 0
             for v in range(1 << calc.X.summands[j].r):
-                c = calc.TX.comp_pos[(j, (v,))]
+                c = calc.TX.comp_pos[(j, v)]
                 for (extra, m2) in _twist_terms(mono, v):
                     tgt = calc.TX.index(n - a - extra, c, m2)
                     acc ^= 1 << calc.ETX.index(n, a + extra, tgt)
@@ -688,7 +693,7 @@ def taubar_by_monomials(calc):
         for a, j, mono in _extended_entries(calc.E, calc.X, n):
             acc = 0
             for v in range(1, 1 << calc.X.summands[j].r):
-                c = calc.tbar.comp_pos[(j, (v,))]
+                c = calc.tbar.comp_pos[(j, v)]
                 for (extra, m2) in _twist_terms(mono, v):
                     if extra == 0:
                         continue
@@ -873,8 +878,8 @@ def test_t3_reads_no_layout_of_an_expansion_of_an_expansion(monkeypatch):
     expansions = []
     real = lannes.t_apply
 
-    def recording(w_rank, X):
-        expansions.append(real(w_rank, X))
+    def recording(X):
+        expansions.append(real(X))
         return expansions[-1]
 
     monkeypatch.setattr(lannes, "t_apply", recording)

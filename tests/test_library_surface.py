@@ -1,10 +1,13 @@
 """Every public function, class and method in ``src/usteen/`` is read by
-other code in ``src/``, or ``README.md`` names it as library surface.
+other code in ``src/``, and every parameter with a default is passed by some
+call, or ``README.md`` names the definition as library surface.
 
 A definition counts as read when some ``src/`` code outside its own body
 reads its name: a top-level name as a name or an attribute, a method as an
 attribute.  The match is by name, so a method that shares its name with
-another attribute read counts as read.
+another attribute read counts as read.  A parameter counts as passed when a
+call in ``src/``, ``tests/`` or ``perfbench/`` passes it; calls match by
+name too.
 """
 
 import ast
@@ -14,6 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "usteen"
+CALLERS = (SRC, ROOT / "tests", ROOT / "perfbench")
 
 
 def read_status(sources: dict) -> dict:
@@ -47,6 +51,53 @@ def read_status(sources: dict) -> dict:
     }
 
 
+def unset_defaults(sources: dict, callers) -> list:
+    """The defaulted parameters of the public functions and methods in
+    ``sources`` (module name -> source text) that no call in ``callers``
+    (source texts) passes, as ``module.name(param)`` or
+    ``module.Class.method(param)``.
+
+    A call matches a function or method by name, and ``__init__`` by the
+    name of its class.  It passes a parameter by keyword, by position, or
+    by spreading ``*args`` or ``**kwargs``.
+    """
+    calls = defaultdict(list)  # callee name -> (positional count, keywords, spreads)
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                spreads = (any(isinstance(a, ast.Starred) for a in node.args)
+                           or any(k.arg is None for k in node.keywords))
+                calls[name].append((len(node.args), {k.arg for k in node.keywords}, spreads))
+    unset = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                members = [(node, None)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                members = [(fn, node) for fn in node.body if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            for fn, cls in members:
+                if fn.name.startswith("_") and fn.name != "__init__":
+                    continue
+                args = fn.args.posonlyargs + fn.args.args
+                # the position of a method's parameter in a call skips self or cls
+                bound = cls is not None and "staticmethod" not in [
+                    getattr(d, "id", None) for d in fn.decorator_list]
+                first = len(args) - len(fn.args.defaults)
+                params = [(a.arg, k - bound) for k, a in enumerate(args) if k >= first]
+                params += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                           if d is not None]
+                key = cls.name if fn.name == "__init__" else fn.name
+                qualname = f"{module}.{cls.name}.{fn.name}" if cls else f"{module}.{fn.name}"
+                for param, pos in params:
+                    if not any(spreads or param in keywords or (pos is not None and npos > pos)
+                               for npos, keywords, spreads in calls[key]):
+                        unset.append(f"{qualname}({param})")
+    return unset
+
+
 def library_surface() -> set:
     """The dotted names listed under README's "Library surface" heading."""
     text = (ROOT / "README.md").read_text()
@@ -70,3 +121,22 @@ def test_every_public_definition_is_read_or_named_in_the_readme():
     surface = library_surface()
     assert sorted(q for q, read in status.items() if not read and q not in surface) == []
     assert sorted(surface - set(status)) == [], "README names a definition that does not exist"
+
+
+def test_the_scan_sees_unset_defaults():
+    sources = {
+        "a": "def f(x, y=1, *, z=2):\n    pass\n\ndef g(w=0):\n    pass\n\n"
+             "def _h(v=0):\n    pass\n\n"
+             "class C:\n    def __init__(self, p=0):\n        pass\n\n"
+             "    def m(self, q=0, r=0):\n        pass\n",
+    }
+    callers = ["f(1, 2)\nC(5)\nobj.m(**options)\n"]
+    # y and p are passed by position, q and r by the spread; z and w by nothing
+    assert unset_defaults(sources, callers) == ["a.f(z)", "a.g(w)"]
+
+
+def test_every_defaulted_parameter_is_passed_or_named_in_the_readme():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    callers = [p.read_text() for d in CALLERS for p in sorted(d.glob("*.py"))]
+    surface = library_surface()
+    assert [q for q in unset_defaults(sources, callers) if q.split("(")[0] not in surface] == []

@@ -169,8 +169,8 @@ def test_phi_of_unit():
     P = phi(unit_module(4))
     assert P.dim(0) == 1
     assert sum(P.dims) == 1
-    m = sq0(unit_module(4), P)
-    assert m.mat(0) == BitMatrix.identity(1)
+    m = sq0(unit_module(4))
+    assert m.source == P and m.mat(0) == BitMatrix.identity(1)
 
 
 def test_phi_f1_dims():
@@ -251,6 +251,15 @@ def test_cokernel_of_sq0_on_f1():
         1 if n == 1 else 0 for n in range(13)
     ]
     assert desuspend(sub.cokernel) == unit_module(11)
+
+
+def test_map_from_free_refuses_a_source_that_free_unstable_did_not_build():
+    F2 = free_unstable(2, 6)
+    H = polynomial_module(1, 6)
+    assert (F2.generator_degree, F2.basis_words[4]) == (2, [(2,)])
+    for source in (truncate(F2, 5), suspend(free_unstable(1, 5))):
+        with pytest.raises(ValueError, match="built by free_unstable"):
+            map_from_free(source, H, 1)
 
 
 def test_functoriality_random_composites():
