@@ -7,6 +7,12 @@ and all operations are pure functions, safe to share across threads.
 Products and full eliminations go through the kernel module
 ``usteen._gf2py`` (``mat_mult`` and ``rref_inplace``); ``rank`` and
 ``left_kernel`` need only the forward pass, which runs here.
+
+A matrix's rank is eliminated at most once.  ``rank`` memoizes it on the
+matrix, and constructions that know it record it there: ``rref`` and
+``left_kernel`` on their input and on the basis they return, and
+``certify_rank`` on a matrix with an identity block in its rows, after
+checking that block.
 """
 
 from __future__ import annotations
@@ -29,9 +35,10 @@ class BitMatrix:
 
     The constructor trusts its rows to be ints below ``2 ** ncols``; outside
     data goes through ``from_rows`` or ``from_row_ints``, which check it.
+    ``_rank`` is the rank once something has computed or certified it.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows")
+    __slots__ = ("nrows", "ncols", "_rows", "_rank")
 
     def __init__(self, nrows: int, ncols: int, rows: tuple):
         if nrows < 0 or ncols < 0:
@@ -41,6 +48,7 @@ class BitMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self._rows = rows
+        self._rank = None
 
     # -- constructors -----------------------------------------------------
 
@@ -100,7 +108,7 @@ class BitMatrix:
 
     def take_rows(self, indices: Sequence[int]) -> "BitMatrix":
         idx = list(indices)
-        if any(not 0 <= i < self.nrows for i in idx):
+        if idx and not 0 <= min(idx) <= max(idx) < self.nrows:
             raise IndexError("row index out of range")
         rows = tuple(self._rows[i] for i in idx)
         return BitMatrix(len(rows), self.ncols, rows)
@@ -113,7 +121,7 @@ class BitMatrix:
         costs one step per block, not one per set bit.
         """
         idx = list(indices)
-        if any(not 0 <= j < self.ncols for j in idx):
+        if idx and not 0 <= min(idx) <= max(idx) < self.ncols:
             raise IndexError("column index out of range")
         runs = []
         k = 0
@@ -180,9 +188,11 @@ class RrefResult:
 
 
 def rref(m: BitMatrix) -> RrefResult:
-    """Canonical reduced row-echelon form (row-equivalent to ``m``)."""
+    """Canonical reduced row-echelon form (row-equivalent to ``m``), whose
+    pivot count is recorded as the rank of ``m``."""
     work = list(m._rows)
     pivots = _kernel.rref_inplace(work, m.nrows, m.ncols, m.ncols)
+    m._rank = len(pivots)
     return RrefResult(BitMatrix(m.nrows, m.ncols, tuple(work)), len(pivots), tuple(pivots))
 
 
@@ -230,8 +240,28 @@ def complement_rows(seed: BitMatrix, rows: BitMatrix) -> BitMatrix:
 
 
 def rank(m: BitMatrix) -> int:
-    """Rank by forward elimination only."""
-    return m.ncols + 1 - _echelon(m._rows, m.ncols).count(0)
+    """Rank by forward elimination only, once per matrix: the result is
+    memoized on ``m``, and a rank recorded there before is read instead."""
+    r = m._rank
+    if r is None:
+        r = m._rank = m.ncols + 1 - _echelon(m._rows, m.ncols).count(0)
+    return r
+
+
+def certify_rank(m: BitMatrix, units: Sequence[int]) -> BitMatrix:
+    """``m``, with its rank recorded as its width.
+
+    The certificate is an identity block: row ``units[k]`` of ``m`` must be
+    the unit vector e_k for every column k.  The check reads each such row's
+    bit length, which must be k + 1, and its set bits, one each.
+    """
+    rows = m._rows
+    block = [rows[c] for c in units]
+    if (list(map(int.bit_length, block)) != list(range(1, m.ncols + 1))
+            or sum(map(int.bit_count, block)) != m.ncols):
+        raise ValueError("the rows at units are not an identity block")
+    m._rank = m.ncols
+    return m
 
 
 def left_kernel(m: BitMatrix) -> "Subspace":
@@ -240,10 +270,13 @@ def left_kernel(m: BitMatrix) -> "Subspace":
     Row ``i`` of ``m`` is extended by the unit vector ``e_i`` below it, so
     the forward pass clears the ``m`` part first; the reduced rows that
     lead in the unit part are zero in ``m`` and span the relations.
+    The rows that lead in the ``m`` part are independent there, so the
+    rank of ``m`` is recorded on it as their count.
     """
     k = m.nrows
     lead = _echelon(((r << k) | (1 << i) for i, r in enumerate(m._rows)), m.ncols + k)
     rest = tuple(r for r in lead[1:k + 1] if r)
+    m._rank = k - len(rest)
     return Subspace.from_rows(BitMatrix(len(rest), k, rest))
 
 
@@ -257,29 +290,29 @@ def image_is_kernel(f: BitMatrix, g: BitMatrix) -> bool:
 
 
 class RowReducer:
-    """A basis eliminated once, to express vectors in its row space.
+    """A basis made ready, once, to express vectors in its row space.
 
-    The basis rows are reduced with an identity block that tracks which
-    basis rows each reduced row combines.  After full elimination every
-    pivot row holds exactly one pivot bit, so a vector costs one XOR per
-    pivot bit it has set.  A dependent basis needs no second path: the
-    forward pass sets aside exactly the rows that depend on earlier rows,
-    so the coefficients use only the first independent rows and are the
-    unique such combination.
+    Each pivot row holds exactly one pivot bit, so a vector costs one XOR
+    per pivot bit it has set.  A basis in reduced echelon form (each row's
+    lowest bit set in no other row, as in a ``Subspace`` basis) is its own
+    pivot table: a vector's coefficients are its bits at the pivot columns.
+    Any other basis is reduced with an identity block that tracks which
+    basis rows each reduced row combines.  A dependent basis needs no
+    second path: the forward pass sets aside exactly the rows that depend
+    on earlier rows, so the coefficients use only the first independent
+    rows and are the unique such combination.
     """
 
     __slots__ = ("nrows", "ncols", "_pmask", "_piv")
 
     def __init__(self, basis: BitMatrix):
-        n = basis.ncols
-        work = [r | (1 << (n + i)) for i, r in enumerate(basis._rows)]
-        pivots = _kernel.rref_inplace(work, basis.nrows, n + basis.nrows, n)
-        mask = (1 << n) - 1
         self.nrows = basis.nrows
-        self.ncols = n
-        self._pmask = sum(1 << p for p in pivots)
+        self.ncols = basis.ncols
         # pivot bit -> (the reduced row, the basis rows it combines)
-        self._piv = {1 << p: (r & mask, r >> n) for p, r in zip(pivots, work)}
+        self._piv = _reduced_pivots(basis._rows)
+        if self._piv is None:
+            self._piv = _eliminated_pivots(basis)
+        self._pmask = sum(self._piv)
 
     def express(self, vecs: BitMatrix) -> Optional[BitMatrix]:
         """Coefficients C with C @ basis = vecs, or None if some row escapes."""
@@ -300,6 +333,28 @@ class RowReducer:
                 return None
             out.append(coeff)
         return BitMatrix(vecs.nrows, self.nrows, tuple(out))
+
+
+def _reduced_pivots(rows: Sequence[int]) -> Optional[dict]:
+    """The pivot table of rows in reduced echelon form, or None for other rows.
+
+    Each row's lowest bit must be set in it alone, so each row is its own
+    reduced row and combines itself only."""
+    pmask = 0
+    for r in rows:
+        pmask |= r & -r
+    if pmask.bit_count() != len(rows) or any(r & pmask != r & -r for r in rows):
+        return None
+    return {r & -r: (r, 1 << i) for i, r in enumerate(rows)}
+
+
+def _eliminated_pivots(basis: BitMatrix) -> dict:
+    """The pivot table of any basis, by one elimination over [basis | I]."""
+    n = basis.ncols
+    work = [r | (1 << (n + i)) for i, r in enumerate(basis._rows)]
+    pivots = _kernel.rref_inplace(work, basis.nrows, n + basis.nrows, n)
+    mask = (1 << n) - 1
+    return {1 << p: (r & mask, r >> n) for p, r in zip(pivots, work)}
 
 
 def express_in_rowspace(basis: BitMatrix, vecs: BitMatrix) -> Optional[BitMatrix]:
@@ -337,6 +392,7 @@ class Subspace:
         sp = cls.__new__(cls)
         sp.ambient_dim = rows.ncols
         sp.basis = BitMatrix(res.rank, rows.ncols, res.matrix._rows[:res.rank])
+        sp.basis._rank = res.rank
         return sp
 
     @classmethod

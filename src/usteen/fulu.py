@@ -8,6 +8,12 @@ those of ``unstable``, which carry u along with Sq.  This module holds what
 is particular to F[u]: scalar extension, the indecomposables Q(N),
 torsion, graded u-subspaces and the tensor product over F[u].
 
+On a scalar extension u is a shift: it moves every row of degree n by
+dims[n + 1] - dims[n] bits, so products with u (``times_u``) build no
+matrix, and u as a matrix is built only when something reads ``u_mat``.
+Sq on rows of a scalar extension is the row Cartan sum ``sq_rows``, which
+reads only the base's matrices.
+
 The polynomial-ring lemmas here (saturation, generator spaces, torsion) are
 pure graded u-module statements, so the checks also accept graded subspaces
 that are not stable under the squaring operations.
@@ -25,6 +31,7 @@ from .unstable import (
     Quotient,
     TensorLayout,
     TruncatedModule,
+    TruncationError,
     Verdict,
     _coker_data,
     _mono_label,
@@ -39,17 +46,29 @@ class ExtendedModule(FuluModule):
 
     Basis vectors are pairs (u-power a, basis element of the base in degree
     n - a), blocks keyed by a and ordered by increasing a.  The u-powers
-    start at ``start``: 0 for F[u] (x) M, 1 for its positive-u part.
+    start at ``start``: 0 for F[u] (x) M, 1 for its positive-u part.  The
+    u^a block of degree n starts at dims[n] - dims[n - a + start], so u,
+    which carries each u^a block onto the u^{a+1} block, moves every row of
+    degree n by dims[n + 1] - dims[n].
+
+    The action is the Cartan formula in closed form:
+    Sq^k(u^a (x) x) = sum_b C(a, b) u^{a+b} (x) Sq^{k-b} x, where C(a, b) is
+    odd exactly when b is a bitwise submask of a (Lucas), and b runs over the
+    range of ``tensor_with_layout``, which never needs Sq^s on M^q with
+    s > q.  So each row of the u^a block is an XOR of rows of ``M``, each
+    shifted to the offset of one u^{a+b} block.  The action, u and the
+    labels are built on first read.
     """
 
     __slots__ = ("base", "layout", "start")
 
-    def __init__(self, base: TruncatedModule, layout: TensorLayout, start: int, name: str,
-                 action, labels, u_mats: Dict[int, BitMatrix]):
-        super().__init__(name, base.D, layout.table.dims, action, labels, u=u_mats)
+    def __init__(self, base: TruncatedModule, start: int, name: str):
+        D = base.D
         self.base = base
-        self.layout = layout
+        self.layout = TensorLayout((1 - start,) + (1,) * D, base.dims, D)
         self.start = start
+        super().__init__(name, D, self.layout.table.dims, self._cartan_action, self._labels_of,
+                         u=self._block_u)
 
     def index(self, n: int, a: int, j: int) -> int:
         """Flat index of u^a times the j-th base vector of degree n - a."""
@@ -77,10 +96,109 @@ class ExtendedModule(FuluModule):
         rows = [1 << (off + j) for j in range(width)]
         return BitMatrix.from_row_ints(rows, self.dim(n))
 
+    def times_u(self, n: int, rows: BitMatrix) -> BitMatrix:
+        """``rows @ u_mat(n)``, by the shift."""
+        shift = self._u_shift(n)
+        if rows.ncols != self.dims[n]:
+            raise ValueError("row width mismatch")
+        return BitMatrix(rows.nrows, self.dims[n + 1], tuple([r << shift for r in rows.row_ints()]))
+
+    def u_then(self, n: int, m: BitMatrix) -> BitMatrix:
+        """``u_mat(n) @ m``, by the shift: u carries basis vector j of degree
+        n to basis vector j + shift, so this is a row range of ``m``."""
+        shift = self._u_shift(n)
+        if m.nrows != self.dims[n + 1]:
+            raise ValueError("row count mismatch")
+        return m.take_rows(range(shift, self.dims[n + 1]))
+
+    def _u_shift(self, n: int) -> int:
+        """dims[n + 1] - dims[n], the bits u moves a row of degree n by."""
+        if not 0 <= n < self.D:
+            raise TruncationError(f"{self.name}: u on degree {n} outside 0..{self.D - 1}")
+        return self.dims[n + 1] - self.dims[n]
+
+    def sq_rows(self, k: int, n: int, rows: BitMatrix) -> BitMatrix:
+        """``rows @ sq(k, n)``, by the row Cartan sum, which reads only the
+        base's matrices: the u^a block of the rows, as rows of M^{n-a},
+        goes through Sq^{k-b} to the u^{a+b} block, for each b in
+        ``_cartan_terms``."""
+        if not 0 <= n <= n + k <= self.D:
+            raise TruncationError(f"{self.name}: Sq^{k} on degree {n} outside 0..{self.D}")
+        if rows.ncols != self.dims[n]:
+            raise ValueError("row width mismatch")
+        out = [0] * rows.nrows
+        for off, width, terms in self._cartan_terms(k, n):
+            mask = (1 << width) - 1
+            part = BitMatrix(rows.nrows, width, tuple((r >> off) & mask for r in rows.row_ints()))
+            if part.is_zero():
+                continue
+            for sq, shift in terms:
+                image = part if sq is None else part @ sq
+                out = [x ^ (r << shift) for x, r in zip(out, image.row_ints())]
+        return BitMatrix(rows.nrows, self.dims[n + k], tuple(out))
+
+    def _cartan_terms(self, k: int, n: int):
+        """For each u^a block of degree n: (offset, width, terms), with
+        terms the pairs (Sq^{k-b} on M^{n-a}, shift to the u^{a+b} block of
+        degree n + k) over the b with C(a, b) odd and Sq^{k-b} nonzero;
+        None stands for Sq^0, the identity."""
+        dims, start = self.dims, self.start
+        stored = self.base._action()
+        for a, off, width in self.layout.blocks(n):
+            q = n - a
+            terms = []
+            for b in range(max(0, k - q), min(k, a) + 1):
+                if b & a != b:
+                    continue
+                shift = dims[n + k] - dims[q + k - b + start]
+                if b == k:
+                    terms.append((None, shift))
+                elif (k - b, q) in stored:
+                    terms.append((stored[(k - b, q)], shift))
+            yield off, width, terms
+
+    def _cartan_action(self) -> Dict[Tuple[int, int], BitMatrix]:
+        D, dims = self.D, self.dims
+        out = {}
+        for n in range(D + 1):
+            for k in range(1, D - n + 1):
+                rows = []
+                for _, width, terms in self._cartan_terms(k, n):
+                    block = [0] * width
+                    for sq, shift in terms:
+                        src = [1 << j for j in range(width)] if sq is None else sq.row_ints()
+                        block = [x ^ (r << shift) for x, r in zip(block, src)]
+                    rows.extend(block)
+                out[(k, n)] = BitMatrix(dims[n], dims[n + k], tuple(rows))
+        return out
+
+    def _labels_of(self) -> List[Tuple[str, ...]]:
+        M, D = self.base, self.D
+        u_labels = [_mono_label((a,), ("u",)) for a in range(D + 1)]
+        return [
+            tuple(f"[{u_labels[a]}|{x}]"
+                  for a, _, _ in self.layout.blocks(n) for x in M.labels[n - a])
+            for n in range(D + 1)
+        ]
+
+    def _block_u(self) -> Dict[int, BitMatrix]:
+        """u as matrices, block by block: the u^a block of degree n onto the
+        u^{a+1} block of degree n + 1, which ``times_u`` does in one shift."""
+        layout, dims = self.layout, self.dims
+        u_mats = {}
+        for n in range(self.D):
+            rows = [0] * dims[n]
+            for a, off, width in layout.blocks(n):
+                toff = layout.offset(n + 1, a + 1)
+                for j in range(width):
+                    rows[off + j] = 1 << (toff + j)
+            u_mats[n] = BitMatrix.from_row_ints(rows, dims[n + 1])
+        return u_mats
+
 
 def extend_scalars(M: TruncatedModule) -> ExtendedModule:
     """Tensor with the rank-one polynomial algebra; u acts by the shift."""
-    return _extend(M, f"Fu(x){M.name}", 0)
+    return ExtendedModule(M, 0, f"Fu(x){M.name}")
 
 
 def positive_u_part(M: TruncatedModule) -> ExtendedModule:
@@ -89,68 +207,7 @@ def positive_u_part(M: TruncatedModule) -> ExtendedModule:
     Sq and u never lower the u-power, so it is a sub-u-module and itself a
     scalar extension with its u^0 block left out.
     """
-    return _extend(M, f"bar(Fu(x){M.name})", 1)
-
-
-def _extend(M: TruncatedModule, name: str, start: int) -> ExtendedModule:
-    """The u-powers >= ``start`` (0 or 1) of F[u] (x) M.
-
-    The action is the Cartan formula in closed form:
-    Sq^k(u^a (x) x) = sum_b C(a, b) u^{a+b} (x) Sq^{k-b} x, where C(a, b) is
-    odd exactly when b is a bitwise submask of a (Lucas), and b runs over the
-    range of ``tensor_with_layout``.  So each row of the u^a block is an XOR
-    of rows of ``M``, each shifted to the offset of one u^{a+b} block.
-    The action and the labels are built on first read.
-    """
-    D = M.D
-    layout = TensorLayout((1 - start,) + (1,) * D, M.dims, D)
-    dims = layout.table.dims
-
-    def labels() -> List[Tuple[str, ...]]:
-        u_labels = [_mono_label((a,), ("u",)) for a in range(D + 1)]
-        return [
-            tuple(f"[{u_labels[a]}|{x}]" for a, _, _ in layout.blocks(n) for x in M.labels[n - a])
-            for n in range(D + 1)
-        ]
-
-    def action() -> Dict[Tuple[int, int], BitMatrix]:
-        # the nonzero Sq^s on M^q, as rows; the Cartan range never needs s > q
-        sq_rows = {}
-        for q in range(D + 1):
-            for s in range(min(q, D - q) + 1):
-                m = M.sq(s, q)
-                if not m.is_zero():
-                    sq_rows[(s, q)] = m.row_ints()
-        out = {}
-        for n in range(D + 1):
-            for k in range(1, D - n + 1):
-                rows = []
-                for a, _, width in layout.blocks(n):
-                    q = n - a
-                    block = None
-                    for b in range(max(0, k - q), min(k, a) + 1):
-                        sq = sq_rows.get((k - b, q))
-                        if sq is None or b & a != b:
-                            continue
-                        # the u^p block of degree N starts at dims[N] - dims[N - p + start]
-                        shift = dims[n + k] - dims[q + k - b + start]
-                        if block is None:
-                            block = [r << shift for r in sq]
-                        else:
-                            block = [x ^ (r << shift) for x, r in zip(block, sq)]
-                    rows.extend(block or [0] * width)
-                out[(k, n)] = BitMatrix(dims[n], dims[n + k], tuple(rows))
-        return out
-
-    u_mats: Dict[int, BitMatrix] = {}
-    for n in range(M.D):
-        rows = [0] * dims[n]
-        for a, off, width in layout.blocks(n):
-            toff = layout.offset(n + 1, a + 1)
-            for j in range(width):
-                rows[off + j] = 1 << (toff + j)
-        u_mats[n] = BitMatrix.from_row_ints(rows, dims[n + 1])
-    return ExtendedModule(M, layout, start, name, action, labels, u_mats)
+    return ExtendedModule(M, 1, f"bar(Fu(x){M.name})")
 
 
 def u_linear_map(src: ExtendedModule, tgt: ExtendedModule, layer: Sequence[Sequence[int]],
@@ -183,21 +240,25 @@ def u_linear_verdict(f: ModuleMap) -> Verdict:
     Sq^k f(u^a x) expand to the same sum over b as soon as f commutes with
     every Sq^j on the u^0 layer, a copy of M.  That layer is an A-submodule
     of the source and the Sq^{2^i} generate A, so k = 2^i suffice there:
-    ``M.sq(k, d) @ layer[d + k] == layer[d] @ tgt.sq(k, d)``.  A-linearity
-    implies that the image of f is closed under Sq and u.
+    ``M.sq(k, d) @ layer[d + k] == tgt.sq_rows(k, d, layer[d])``.
+    A-linearity implies that the image of f is closed under Sq and u.
+
+    u on both ends is the shift (``u_then`` and ``times_u``), and Sq on the
+    target is the row Cartan sum, so neither u nor the target's action is
+    built.
     """
     src, tgt, D = f.source, f.target, f.D
     if not (isinstance(src, ExtendedModule) and src.start == 0 and isinstance(tgt, ExtendedModule)):
         raise ValueError("u_linear_verdict needs a map from F[u] (x) M to a scalar extension")
     for n in range(D):
-        if src.u_mat(n) @ f.mat(n + 1) != f.mat(n) @ tgt.u_mat(n):
+        if src.u_then(n, f.mat(n + 1)) != tgt.times_u(n, f.mat(n)):
             return Verdict(False, D, f"not u-equivariant at degree {n}")
     M = src.base
     layer = [f.mat(d).take_rows(range(M.dims[d])) for d in range(D + 1)]
     for d in range(D + 1):
         k = 1
         while d + k <= D:
-            if M.sq(k, d) @ layer[d + k] != layer[d] @ tgt.sq(k, d):
+            if M.sq(k, d) @ layer[d + k] != tgt.sq_rows(k, d, layer[d]):
                 return Verdict(False, D, f"not A-linear at (i={k}, n={d}) on the u^0 layer")
             k *= 2
     return Verdict(True, D)
@@ -234,17 +295,16 @@ def _extension_q_data(N: ExtendedModule, name: str) -> Quotient:
     u maps each u^a block onto the u^{a+1} block, so uN is every block
     above the lowest one, u^s with s = ``N.start``, which comes first in
     every degree.  The quotient is that block: the projection keeps its
-    coordinates and the representatives are its unit vectors, as the
-    elimination gives them.  Sq^k(u^s (x) x) = u^s (x) Sq^k x modulo higher
-    u-powers, so the action is M's, shifted by s, with the Sq^k on degree
-    q < k that the extension drops left out too.
+    coordinates, a mask (``_LowestBlock.project``), and the representatives
+    are its unit vectors, as the elimination gives them.
+    Sq^k(u^s (x) x) = u^s (x) Sq^k x modulo higher u-powers, so the action
+    is M's, shifted by s, with the Sq^k on degree q < k that the extension
+    drops left out too.
     """
     M, s, D = N.base, N.start, N.D
     widths = [N.block(n, s)[1] for n in range(D + 1)]
     proj_mats = {n: BitMatrix.from_row_ints([1 << j for j in range(w)] + [0] * (N.dims[n] - w), w)
                  for n, w in enumerate(widths)}
-    rep_mats = {n: BitMatrix.from_row_ints([1 << j for j in range(w)], N.dims[n])
-                for n, w in enumerate(widths)}
 
     def action() -> Dict[Tuple[int, int], BitMatrix]:
         return {(k, q + s): m for (k, q), m in M.action_items() if k <= q and q + s + k <= D}
@@ -253,7 +313,17 @@ def _extension_q_data(N: ExtendedModule, name: str) -> Quotient:
         return [N.labels[n][:w] for n, w in enumerate(widths)]
 
     module = FuluModule(name, D, widths, action, labels, u=lambda: {})
-    return Quotient(module, proj_mats, rep_mats)
+    return _LowestBlock(module, proj_mats, [range(w) for w in widths], N.dims)
+
+
+class _LowestBlock(Quotient):
+    """Q of a scalar extension: the projection keeps the lowest u-block,
+    which comes first in every degree, so it is a mask."""
+
+    def project(self, n: int, rows: BitMatrix) -> BitMatrix:
+        w = self.module.dims[n]
+        mask = (1 << w) - 1
+        return BitMatrix(rows.nrows, w, tuple(r & mask for r in rows.row_ints()))
 
 
 def indecomposables(N: FuluModule) -> FuluModule:
@@ -265,10 +335,11 @@ def indecomposables(N: FuluModule) -> FuluModule:
 
 
 def q_of_map(f: ModuleMap, qsrc: Quotient, qtgt: Quotient) -> ModuleMap:
-    """The map induced on indecomposables."""
+    """The map induced on indecomposables: f on the representatives of
+    ``qsrc``, a row selection, then the projection of ``qtgt``."""
     D = min(f.D, qsrc.module.D, qtgt.module.D)
     mats = {
-        n: qsrc.rep_mats[n] @ f.mat(n) @ qtgt.proj_mats[n] for n in range(D + 1)
+        n: qtgt.project(n, f.mat(n).take_rows(qsrc.rep_cols[n])) for n in range(D + 1)
     }
     return ModuleMap(qsrc.module, qtgt.module, mats, D=D)
 
@@ -280,11 +351,14 @@ def torsion_free(N: FuluModule) -> Verdict:
     """Injectivity of u in every certified degree.
 
     For connected modules (degree-0 dimension at most one) torsion-free is
-    equivalent to free, on a lift of the indecomposables.
+    equivalent to free, on a lift of the indecomposables.  u is injective
+    when its rank is its row count, a rank ``q_data`` has already recorded
+    on u when it took N/uN; the kernel is taken only to name a witness.
     """
     for n in range(N.D):
-        ker = left_kernel(N.u_mat(n))
-        if ker.dim:
+        u = N.u_mat(n)
+        if rank(u) != u.nrows:
+            ker = left_kernel(u)
             return Verdict(False, N.D,
                            f"u kills {_sum_label(N.labels[n], ker.basis.row_int(0))} in degree {n}")
     return Verdict(True, N.D)
@@ -314,7 +388,7 @@ class GradedSubspace:
                 full[n] = Subspace.from_rows(b).basis
         for n in range(ambient.D):
             target = Subspace(ambient.dim(n + 1), full[n + 1])
-            if not all(map(target.contains_vector, (full[n] @ ambient.u_mat(n)).row_ints())):
+            if not all(map(target.contains_vector, ambient.times_u(n, full[n]).row_ints())):
                 raise ValueError(f"not closed under u at degree {n}")
         self.ambient = ambient
         self.bases = full
@@ -331,7 +405,7 @@ class GradedSubspace:
         for n in range(ambient.D + 1):
             mat = BitMatrix.from_row_ints(seeds.get(n, ()), ambient.dim(n))
             if n > 0:
-                mat = mat.stack(bases[n - 1] @ ambient.u_mat(n - 1))
+                mat = mat.stack(ambient.times_u(n - 1, bases[n - 1]))
             bases[n] = Subspace.from_rows(mat).basis
         X = cls.__new__(cls)
         X.ambient, X.bases = ambient, bases
@@ -370,8 +444,8 @@ def saturation_check(X: GradedSubspace) -> Verdict:
     """
     amb = X.ambient
     for n in range(amb.D):
-        proj, _, _ = _coker_data(X.bases[n + 1], amb.dim(n + 1))
-        u_mod = amb.u_mat(n) @ proj
+        proj, _ = _coker_data(X.bases[n + 1], amb.dim(n + 1))
+        u_mod = amb.u_then(n, proj)
         if amb.dim(n) - rank(u_mod) == X.dim(n):
             continue
         target = X.subspace(n)
@@ -401,7 +475,7 @@ def generator_space(X: GradedSubspace) -> GeneratorSpace:
     w_bases: Dict[int, BitMatrix] = {}
     witness = None
     for n in range(amb.D + 1):
-        u_image = (X.bases[n - 1] @ amb.u_mat(n - 1)) if n >= 1 else BitMatrix.zeros(0, amb.dim(n))
+        u_image = amb.times_u(n - 1, X.bases[n - 1]) if n >= 1 else BitMatrix.zeros(0, amb.dim(n))
         w_bases[n] = complement_rows(u_image, X.bases[n])
         if witness is None and rank(w_bases[n] @ amb.eps_mat(n)) != w_bases[n].nrows:
             witness = f"augmentation image drops rank in degree {n}"

@@ -485,7 +485,7 @@ def _random_subspace(rng: random.Random, E, style: int) -> GradedSubspace:
     for n in range(D + 1 - k):
         mat = inner.bases[n]
         for step in range(k):
-            mat = mat @ E.u_mat(n + step)
+            mat = E.times_u(n + step, mat)
         shifted[n + k] = mat
     return GradedSubspace.from_vectors(E, {n: m.row_ints() for n, m in shifted.items()})
 

@@ -163,7 +163,7 @@ class SingerModule:
 
     def _check_u_consistency(self):
         for n in range(self.D):
-            shifted = self._G[n] @ self.ambient.u_mat(n)
+            shifted = self.ambient.times_u(n, self._G[n])
             expect = self.fulu.u_mat(n) @ self._G[n + 1]
             if shifted != expect:
                 raise TheoryViolation(f"u-shift disagrees with ambient u in degree {n}")

@@ -15,7 +15,15 @@ from functools import cached_property, lru_cache
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import steenrod
-from .f2core import BitMatrix, RowReducer, Subspace, express_in_rowspace, left_kernel, rank
+from .f2core import (
+    BitMatrix,
+    RowReducer,
+    Subspace,
+    certify_rank,
+    express_in_rowspace,
+    left_kernel,
+    rank,
+)
 
 
 class TruncationError(Exception):
@@ -259,6 +267,10 @@ class FuluModule(TruncatedModule):
     Cartan-twisted rule Sq^i(u x) = u Sq^i(x) + u^2 Sq^{i-1}(x), which
     ``validate`` checks.  A u-module never equals a plain module, even one
     with the same action: equal modules carry the same structure.
+
+    Products with u go through ``times_u`` (rows times u) and ``u_then``
+    (u, then a matrix), which a module whose u has a closed form overrides,
+    so that no product needs u as a matrix.
     """
 
     __slots__ = ("_u",)
@@ -309,6 +321,15 @@ class FuluModule(TruncatedModule):
     def u_items(self):
         """The nonzero matrices of u, by degree."""
         return sorted(self._u_action().items())
+
+    def times_u(self, n: int, rows: BitMatrix) -> BitMatrix:
+        """``rows @ u_mat(n)``: rows of degree n multiplied by u."""
+        return rows @ self.u_mat(n)
+
+    def u_then(self, n: int, m: BitMatrix) -> BitMatrix:
+        """``u_mat(n) @ m``: row j is the image under ``m`` of u times basis
+        vector j of degree n."""
+        return self.u_mat(n) @ m
 
     def validate(self) -> ValidationReport:
         """The unstable-module axioms plus the Cartan-twisted u-compatibility."""
@@ -964,12 +985,14 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
     reducers: Dict[int, RowReducer] = {}
     action = _restricted_action(full, ambient, D, name, reducers)
     if isinstance(ambient, FuluModule):
-        u = {
-            n: _express(full, reducers, n + 1, full[n] @ m,
-                        f"{name}: u escapes the subspace at degree {n}")
-            for n, m in ambient.u_items()
-            if n < D and dims[n]
-        }
+        u = {}
+        for n in range(D):
+            if dims[n]:
+                # zero rows lie in every subspace and induce the zero u, not stored
+                image = ambient.times_u(n, full[n])
+                if not image.is_zero():
+                    u[n] = _express(full, reducers, n + 1, image,
+                                    f"{name}: u escapes the subspace at degree {n}")
         mod: TruncatedModule = FuluModule(name, D, dims, action, labels, u=u)
     else:
         mod = TruncatedModule(name, D, dims, action, labels)
@@ -977,44 +1000,61 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
     return mod, incl
 
 
-def _coker_data(image_rref: BitMatrix, dim: int) -> Tuple[BitMatrix, BitMatrix, List[int]]:
-    """Projection and representative matrices for a quotient by a row space.
+def _coker_data(image_rref: BitMatrix, dim: int) -> Tuple[BitMatrix, List[int]]:
+    """Projection and representatives for a quotient by a row space.
 
     ``image_rref`` must be in reduced row-echelon form without zero rows.
-    Returns (proj, reps, rep_cols): proj maps ambient coords to quotient
-    coords, reps embeds quotient representatives (standard vectors at the
-    non-pivot columns) back into the ambient space.  In closed form, a
-    non-pivot coordinate projects to itself and a pivot coordinate to its
-    rref row minus the pivot bit, which has only non-pivot bits.
+    Returns (proj, rep_cols): proj maps ambient coords to quotient coords,
+    and the quotient representatives are the standard vectors at the
+    non-pivot columns ``rep_cols``.  In closed form, a non-pivot coordinate
+    projects to itself and a pivot coordinate to its rref row minus the
+    pivot bit, which has only non-pivot bits.  So proj has identity rows at
+    ``rep_cols``, a certificate of its rank (``f2core.certify_rank``).
     """
     rows = image_rref.row_ints()
     pivot_bits = 0
     for row in rows:
         pivot_bits |= row & -row
-    rep_cols = [c for c in range(dim) if not (pivot_bits >> c) & 1]
+    flags = bin(pivot_bits | (1 << dim))[:2:-1]  # column 0 first
+    rep_cols = [c for c, f in enumerate(flags) if f == "0"]
     colbit = {c: 1 << k for k, c in enumerate(rep_cols)}
     proj_rows = [colbit.get(t, 0) for t in range(dim)]
     for row in rows:
-        low = row & -row
-        rest = row ^ low
+        low = (row & -row).bit_length() - 1
+        bits = bin(row)[:1:-1]  # column 0 first
         out = 0
-        while rest:
-            b = rest & -rest
-            out |= colbit[b.bit_length() - 1]
-            rest ^= b
-        proj_rows[low.bit_length() - 1] = out
-    proj = BitMatrix.from_row_ints(proj_rows, len(rep_cols))
-    reps = BitMatrix.from_row_ints([1 << c for c in rep_cols], dim)
-    return proj, reps, rep_cols
+        j = bits.find("1", low + 1)
+        while j >= 0:
+            out |= colbit[j]
+            j = bits.find("1", j + 1)
+        proj_rows[low] = out
+    return BitMatrix(dim, len(rep_cols), tuple(proj_rows)), rep_cols
 
 
-@dataclass
 class Quotient:
-    """A quotient module with its projection and the representatives of its basis."""
+    """A quotient module with its projection and the representatives of its basis.
 
-    module: TruncatedModule
-    proj_mats: Dict[int, BitMatrix]
-    rep_mats: Dict[int, BitMatrix]
+    The representative of basis vector k in degree n is the ambient unit
+    vector at ``rep_cols[n][k]``, so ``rep_mats[n] @ m`` is the row
+    selection ``m.take_rows(rep_cols[n])``.  ``rep_mats`` holds the
+    representatives as matrices, built on first read.
+    """
+
+    def __init__(self, module: TruncatedModule, proj_mats: Dict[int, BitMatrix],
+                 rep_cols: Sequence[Sequence[int]], ambient_dims: Sequence[int]):
+        self.module = module
+        self.proj_mats = proj_mats
+        self.rep_cols = rep_cols
+        self._ambient_dims = ambient_dims
+
+    @cached_property
+    def rep_mats(self) -> Dict[int, BitMatrix]:
+        return {n: BitMatrix.from_row_ints([1 << c for c in cols], self._ambient_dims[n])
+                for n, cols in enumerate(self.rep_cols)}
+
+    def project(self, n: int, rows: BitMatrix) -> BitMatrix:
+        """``rows @ proj_mats[n]``: ambient rows of degree n, projected."""
+        return rows @ self.proj_mats[n]
 
 
 def quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> Quotient:
@@ -1025,15 +1065,17 @@ def quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> Quoti
     Sq^i is ``reps @ sq @ proj``, which is well defined when the subspace is
     stable under the action.  When M carries u, so does the quotient, with
     u = ``reps @ u @ proj``, well defined when the subspace is stable under
-    u.  Both, and the labels, are built on first read.
+    u.  Both, and the labels, are built on first read; ``reps @`` is a row
+    selection, and ``u @ proj`` is ``M.u_then``.  Each projection carries
+    its rank, certified by its identity rows.
     """
     D = len(bases) - 1
     proj_mats: Dict[int, BitMatrix] = {}
-    rep_mats: Dict[int, BitMatrix] = {}
     dims = []
     cols = []
     for n, basis in enumerate(bases):
-        proj_mats[n], rep_mats[n], rep_cols = _coker_data(basis, M.dims[n])
+        proj, rep_cols = _coker_data(basis, M.dims[n])
+        proj_mats[n] = certify_rank(proj, rep_cols)
         dims.append(len(rep_cols))
         cols.append(rep_cols)
 
@@ -1043,20 +1085,20 @@ def quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> Quoti
 
     def action() -> Dict[Tuple[int, int], BitMatrix]:
         return {
-            (i, n): rep_mats[n] @ m @ proj_mats[n + i]
+            (i, n): m.take_rows(cols[n]) @ proj_mats[n + i]
             for (i, n), m in M.action_items()
             if n + i <= D and dims[n]
         }
 
     if isinstance(M, FuluModule):
         def u() -> Dict[int, BitMatrix]:
-            return {n: rep_mats[n] @ m @ proj_mats[n + 1]
-                    for n, m in M.u_items() if n < D and dims[n]}
+            return {n: M.u_then(n, proj_mats[n + 1]).take_rows(cols[n])
+                    for n in range(D) if dims[n]}
 
         module: TruncatedModule = FuluModule(name, D, dims, action, labels, u=u)
     else:
         module = TruncatedModule(name, D, dims, action, labels)
-    return Quotient(module, proj_mats, rep_mats)
+    return Quotient(module, proj_mats, cols, M.dims)
 
 
 def subquotient(f: ModuleMap) -> Subquotient:

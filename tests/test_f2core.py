@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usteen import _gf2py
+from usteen import _gf2py, f2core
 from usteen.f2core import (
     BitMatrix,
     RowReducer,
     Subspace,
+    certify_rank,
     complement_rows,
     express_in_rowspace,
     image_is_kernel,
@@ -375,6 +376,67 @@ def test_row_reducer_matches_transposed_solve(ncols, data):
     assert express_in_rowspace(basis, vecs) == want
     escapes = [v for v in vecs.row_ints() if not Subspace.from_rows(basis).contains_vector(v)]
     assert (want is None) == bool(escapes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 63, 64, 65, 130]), st.data())
+def test_row_reducer_reads_an_rref_basis_as_the_elimination_would(ncols, data):
+    """On a basis in reduced echelon form, in any row order, the pivot table
+    read off the rows equals the one the elimination over [basis | I]
+    builds, and both express every vector alike; any other basis takes the
+    eliminating path."""
+    ints = st.integers(0, (1 << ncols) - 1)
+    rows = data.draw(st.lists(ints, min_size=1, max_size=8))
+    basis = Subspace.from_rows(BitMatrix.from_row_ints(rows, ncols)).basis
+    order = data.draw(st.permutations(range(basis.nrows)))
+    vecs = BitMatrix.from_row_ints(data.draw(st.lists(ints, max_size=5)), ncols)
+    for b in (basis, basis.take_rows(order)):
+        read = f2core._reduced_pivots(b.row_ints())
+        assert read is not None and read == f2core._eliminated_pivots(b)
+        fast = RowReducer(b)
+        assert fast._piv == read
+        assert fast.express(vecs) == express_by_transposed_solve(b, vecs)
+    if basis.nrows >= 2:
+        # one row added to another: the same span, no longer reduced
+        mixed = basis.row_ints()
+        mixed[1] ^= mixed[0]
+        assert f2core._reduced_pivots(mixed) is None
+        mixed = BitMatrix.from_row_ints(mixed, ncols)
+        assert RowReducer(mixed).express(vecs) == express_by_transposed_solve(mixed, vecs)
+    assert f2core._reduced_pivots(basis.row_ints() + [0]) is None
+
+
+def test_rank_is_eliminated_once_and_read_from_certificates(monkeypatch):
+    m = BitMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 1, 1]])
+    calls = []
+    echelon = f2core._echelon
+
+    def counting(rows, width):
+        calls.append(width)
+        return echelon(rows, width)
+
+    monkeypatch.setattr(f2core, "_echelon", counting)
+    assert rank(m) == rank(m) == 2 and len(calls) == 1
+    # rref and left_kernel record the rank of their input and their basis
+    fresh = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
+    basis = Subspace.from_rows(fresh).basis
+    assert (rank(fresh), rank(basis)) == (2, 2)
+    other = BitMatrix.from_rows([[1, 0], [1, 0], [0, 1]])
+    kernel = left_kernel(other)
+    calls.clear()
+    assert (rank(other), rank(kernel.basis)) == (2, 1) and calls == []
+    # an identity block certifies full column rank; a flipped bit is refused
+    proj = BitMatrix.from_rows([[0, 1], [1, 0], [1, 1]])
+    assert rank(certify_rank(proj, [1, 0])) == 2 and calls == []
+    with pytest.raises(ValueError, match="identity block"):
+        certify_rank(BitMatrix.from_rows([[0, 1], [1, 1], [1, 1]]), [1, 0])
+    with pytest.raises(ValueError, match="identity block"):
+        certify_rank(BitMatrix.from_rows([[1, 0], [0, 1]]), [0])
+    # a new matrix carries no rank, even with the rows of one that does
+    flipped = BitMatrix.from_row_ints([r ^ (i == 2) for i, r in enumerate(proj.row_ints())], 2)
+    assert rank(flipped) == 2 and len(calls) == 1
+    zeroed = BitMatrix.from_row_ints([0, 0, proj.row_int(2)], 2)
+    assert rank(zeroed) == 1
 
 
 def test_row_reducer_rejects_a_width_mismatch():

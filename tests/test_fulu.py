@@ -26,6 +26,7 @@ from usteen.unstable import (
     FuluModule,
     ModuleMap,
     TheoryViolation,
+    TruncationError,
     Verdict,
     _coker_data,
     _sum_label,
@@ -109,6 +110,53 @@ def test_extend_scalars_matches_the_generic_tensor_product(D, tmp_path):
             assert E.u_mat(n) == BitMatrix.from_row_ints(want, ref.dims[n + 1]), (M.name, n)
 
 
+def _calculus_extensions(r, D):
+    """E, ETX and bar of ``hv(r, D)``: scalar extensions with u-powers
+    from 0 and from 1."""
+    calc = RealmCalculus(hv(r, D))
+    return [calc.E, calc.ETX, calc.bar]
+
+
+def _random_rows(rng, count, width):
+    return BitMatrix.from_row_ints([rng.getrandbits(width) for _ in range(count)], width)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_row_cartan_sum_matches_the_action(r):
+    """``sq_rows``, which reads only the base's matrices, against ``sq(k, n)``
+    for every k, on the unit rows and on random rows."""
+    D = 8
+    rng = random.Random(r)
+    for N in _calculus_extensions(r, D):
+        assert N.start == (N.name.startswith("bar"))
+        for n in range(D + 1):
+            unit = BitMatrix.identity(N.dim(n))
+            rows = _random_rows(rng, 3, N.dim(n))
+            for k in range(D - n + 1):
+                assert N.sq_rows(k, n, unit) == N.sq(k, n), (N.name, k, n)
+                assert N.sq_rows(k, n, rows) == rows @ N.sq(k, n), (N.name, k, n)
+            with pytest.raises(TruncationError):
+                N.sq_rows(D - n + 1, n, unit)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_u_shift_matches_u_mat(r):
+    """``times_u`` (rows times u) and ``u_then`` (u, then a matrix), both one
+    shift, against u as the matrix built block by block."""
+    D = 8
+    rng = random.Random(r)
+    for N in _calculus_extensions(r, D):
+        for n in range(D):
+            u = N.u_mat(n)
+            rows = _random_rows(rng, 3, N.dim(n))
+            after = _random_rows(rng, N.dim(n + 1), 5)
+            assert N.times_u(n, BitMatrix.identity(N.dim(n))) == u, (N.name, n)
+            assert N.times_u(n, rows) == rows @ u, (N.name, n)
+            assert N.u_then(n, after) == u @ after, (N.name, n)
+        with pytest.raises(TruncationError):
+            N.times_u(D, BitMatrix.identity(N.dim(D)))
+
+
 def test_extend_scalars_dims_convolution():
     F1 = free_unstable(1, 12)
     E = extend_scalars(F1)
@@ -180,6 +228,20 @@ def test_q_naturality_on_random_maps():
         # Q(extension of f) agrees with f under the canonical identifications
         for n in range(10):
             assert qmap.mat(n) == f.mat(n)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_q_of_map_by_selections_matches_the_matrix_formula(r):
+    """q_of_map reads representatives as row selections and the projection
+    of Q of a scalar extension as a mask; the products reps @ f @ proj with
+    the matrices are the oracle, on the three maps of T8's sequence."""
+    calc = RealmCalculus(hv(r, 6))
+    sub = calc.taubar_sub
+    qs = [q_data(sub.kernel), q_data(calc.E), q_data(calc.bar), q_data(sub.cokernel)]
+    for f, qsrc, qtgt in zip((sub.kernel_incl, calc.taubar, sub.coker_proj), qs, qs[1:]):
+        got = q_of_map(f, qsrc, qtgt)
+        for n in range(got.D + 1):
+            assert got.mat(n) == qsrc.rep_mats[n] @ f.mat(n) @ qtgt.proj_mats[n], (f.name, n)
 
 
 def test_freeness_of_extension():
@@ -274,7 +336,7 @@ def saturation_check_by_preimage(X):
     look for its first canonical basis vector outside X^n."""
     amb = X.ambient
     for n in range(amb.D):
-        proj, _, _ = _coker_data(X.bases[n + 1], amb.dim(n + 1))
+        proj, _ = _coker_data(X.bases[n + 1], amb.dim(n + 1))
         pre = left_kernel(amb.u_mat(n) @ proj)
         target = X.subspace(n)
         for r in range(pre.dim):

@@ -38,6 +38,7 @@ from usteen.unstable import (
     _compositions_submask,
     _mono_label,
     _sum_label,
+    exact_sequence,
     free_unstable,
     is_reduced,
     phi,
@@ -1217,6 +1218,71 @@ def test_t8_fails_on_a_taubar_that_is_not_a_module_map(mutant, witness, monkeypa
     res = harness.run_check(harness.make_spec("T8", D=4, max_rank=1))
     assert not res.passed
     assert res.witness == f"rank 1: linearity of taubar: {witness}"
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_a_taubar_whose_u1_layer_is_not_the_shift_fails_the_u_check(r):
+    """One bit flipped in the u^1 block of degree n + 1, which u carries the
+    u^0 layer of degree n onto, is caught at degree n."""
+    D = 5
+    calc = RealmCalculus(hv(r, D))
+    for n in range(D):
+        mats = {d: calc.taubar.mat(d) for d in range(D + 1)}
+        rows = mats[n + 1].row_ints()
+        first = calc.E.block(n + 1, 1)[0]  # the u^1 block: u times degree n's u^0 layer
+        rows[first] ^= 1 << (calc.bar.dim(n + 1) - 1)
+        mats[n + 1] = BitMatrix.from_row_ints(rows, calc.bar.dim(n + 1))
+        f = ModuleMap(calc.E, calc.bar, mats, name="taubar")
+        assert u_linear_verdict(f) == Verdict(False, D, f"not u-equivariant at degree {n}")
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_a_flipped_bit_of_the_cokernel_projection_fails_exactness(r):
+    """The projection's rank is certified by its construction; a copy with
+    one bit flipped is a new matrix, whose rank is eliminated, and the
+    sequence 0 -> ker -> E -> bar -> coker -> 0 fails.  Each flip either
+    breaks taubar @ proj = 0 (a bit in a pivot row) or the rank sum (a bit
+    that empties an identity row whose column no other row has set)."""
+    D = 5
+    calc = RealmCalculus(hv(r, D))
+    sub = calc.taubar_sub
+    names = ("kernel", "extension", "reduced part", "cokernel")
+    assert exact_sequence((sub.kernel_incl, calc.taubar, sub.coker_proj), names).ok
+    failed = 0
+    for n in range(1, D + 1):
+        proj = sub.coker_proj.mat(n)
+        rows = proj.row_ints()
+        for i, row in enumerate(rows):
+            if not row:
+                continue
+            flipped = rows.copy()
+            flipped[i] ^= row & -row
+            mats = {d: sub.coker_proj.mat(d) for d in range(D + 1)}
+            mats[n] = BitMatrix.from_row_ints(flipped, proj.ncols)
+            g = ModuleMap(calc.bar, sub.cokernel, mats)
+            got = exact_sequence((sub.kernel_incl, calc.taubar, g), names)
+            assert not got.ok and got.witness.startswith(
+                f"exactness fails at reduced part in degree {n}: "), (n, i)
+            failed += 1
+    assert failed > 0
+
+
+def test_t8_leaves_u_and_the_action_of_bar_unbuilt(monkeypatch):
+    """After T8, u of E, ETX and bar and the Sq action of bar are still
+    pending: u is the shift and Sq on bar's rows the row Cartan sum."""
+    built = []
+
+    def calculus(r, D):
+        built.append(RealmCalculus(hv(r, D)))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "_hv_calculus", calculus)
+    assert harness.run_check(harness.make_spec("T8", D=8, max_rank=3)).passed
+    assert len(built) == 3
+    for calc in built:
+        assert callable(calc.bar._act)
+        for N in (calc.E, calc.ETX, calc.bar):
+            assert callable(N._u), N.name
 
 
 def test_u_linear_verdict_needs_a_map_out_of_a_whole_extension():

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usteen.f2core import BitMatrix, Subspace, express_in_rowspace, left_kernel, rref
+from usteen.f2core import (
+    BitMatrix,
+    Subspace,
+    certify_rank,
+    express_in_rowspace,
+    left_kernel,
+    rank,
+    rref,
+)
 from usteen import steenrod, unstable
 from usteen.unstable import (
     DesuspensionError,
@@ -721,11 +729,15 @@ def _coker_data_by_reduction(image_rref, dim):
 def test_coker_data_closed_form_matches_reduction(ncols, data):
     rows = data.draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=9))
     basis = Subspace.from_rows(BitMatrix.from_row_ints(rows, ncols)).basis
-    proj, reps, cols = _coker_data(basis, ncols)
+    proj, cols = _coker_data(basis, ncols)
+    reps = BitMatrix.from_row_ints([1 << c for c in cols], ncols)
     assert (proj, reps, cols) == _coker_data_by_reduction(basis, ncols)
     # the projection kills the row space and splits the representatives
     assert (basis @ proj).is_zero()
     assert reps @ proj == BitMatrix.identity(len(cols))
+    # so the identity rows certify its rank, the width an elimination finds
+    fresh = BitMatrix.from_row_ints(proj.row_ints(), len(cols))
+    assert rank(certify_rank(proj, cols)) == len(cols) == rank(fresh)
 
 
 def sum_label_by_every_bit(labels, row, limit=4):
