@@ -12,7 +12,10 @@ On a scalar extension u is a shift: it moves every row of degree n by
 dims[n + 1] - dims[n] bits, so products with u (``times_u``) build no
 matrix, and u as a matrix is built only when something reads ``u_mat``.
 Sq on rows of a scalar extension is the row Cartan sum ``sq_rows``, which
-reads only the base's matrices.
+reads only the base's matrices.  The shift also gives graded u-subspaces
+of a scalar extension their closed forms: an unseeded degree of
+``GradedSubspace.from_vectors`` and the preimage of ``saturation_check``
+are shifted rref bases, with no elimination.
 
 The polynomial-ring lemmas here (saturation, generator spaces, torsion) are
 pure graded u-module statements, so the checks also accept graded subspaces
@@ -22,7 +25,7 @@ that are not stable under the squaring operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .f2core import BitMatrix, Subspace, complement_rows, left_kernel, rank
 from .unstable import (
@@ -89,12 +92,6 @@ class ExtendedModule(FuluModule):
         for j in range(width):
             rows[off + j] = 1 << j
         return BitMatrix.from_row_ints(rows, self.base.dim(n))
-
-    def unit_mat(self, n: int) -> BitMatrix:
-        """Embedding of the base as the u^0 block."""
-        off, width = self.block(n, 0)
-        rows = [1 << (off + j) for j in range(width)]
-        return BitMatrix.from_row_ints(rows, self.dim(n))
 
     def times_u(self, n: int, rows: BitMatrix) -> BitMatrix:
         """``rows @ u_mat(n)``, by the shift."""
@@ -313,7 +310,7 @@ def _extension_q_data(N: ExtendedModule, name: str) -> Quotient:
         return [N.labels[n][:w] for n, w in enumerate(widths)]
 
     module = FuluModule(name, D, widths, action, labels, u=lambda: {})
-    return _LowestBlock(module, proj_mats, [range(w) for w in widths], N.dims)
+    return _LowestBlock(module, proj_mats, [range(w) for w in widths])
 
 
 class _LowestBlock(Quotient):
@@ -398,12 +395,20 @@ class GradedSubspace:
         """The u-submodule generated by int-packed seed vectors.
 
         Degree by degree the seeds and u times the previous degree are
-        eliminated once; the results are canonical and closed under u.
+        eliminated once; the results are canonical and closed under u.  On
+        a scalar extension u is an injective shift, which carries a
+        canonical basis to a canonical basis, so a degree without seeds
+        takes u times the previous basis as it is.
         """
         _check_degrees(ambient, seeds, "seed")
+        shifts = isinstance(ambient, ExtendedModule)
         bases: Dict[int, BitMatrix] = {}
         for n in range(ambient.D + 1):
-            mat = BitMatrix.from_row_ints(seeds.get(n, ()), ambient.dim(n))
+            seed = seeds.get(n)
+            if n > 0 and shifts and not seed:
+                bases[n] = ambient.times_u(n - 1, bases[n - 1])
+                continue
+            mat = BitMatrix.from_row_ints(seed or (), ambient.dim(n))
             if n > 0:
                 mat = mat.stack(ambient.times_u(n - 1, bases[n - 1]))
             bases[n] = Subspace.from_rows(mat).basis
@@ -444,15 +449,40 @@ def saturation_check(X: GradedSubspace) -> Verdict:
     """
     amb = X.ambient
     for n in range(amb.D):
-        proj, _ = _coker_data(X.bases[n + 1], amb.dim(n + 1))
-        u_mod = amb.u_then(n, proj)
-        if amb.dim(n) - rank(u_mod) == X.dim(n):
+        pre = _larger_preimage(X, n)
+        if pre is None:
             continue
         target = X.subspace(n)
-        v = next(v for v in left_kernel(u_mod).basis.row_ints() if not target.contains_vector(v))
+        v = next(v for v in pre.row_ints() if not target.contains_vector(v))
         witness = _sum_label(amb.labels[n], v)
         return Verdict(False, amb.D, f"degree {n}: u*({witness}) lies in X but {witness} does not")
     return Verdict(True, amb.D)
+
+
+def _larger_preimage(X: GradedSubspace, n: int) -> Optional[BitMatrix]:
+    """The canonical rref basis of u^-1 X^{n+1} in degree n, or None when
+    it is no larger than X^n.
+
+    On a scalar extension u shifts every row by s = dims[n + 1] - dims[n]
+    and is injective, so its image is the span of the bits >= s.  A vector
+    of X^{n+1} has its bit at each pivot as its coefficient on that pivot's
+    row, so those with no bit below s are the combinations of the rows
+    pivoting at s or above.  Shifted down by s, those rows keep their pivot
+    order and reduced form: they are the canonical basis, and their count
+    is its dimension.  On any other ambient the preimage is the kernel of
+    u followed by the projection onto the ambient modulo X^{n+1}; its
+    dimension comes from a rank, and the kernel is taken only when larger.
+    """
+    amb = X.ambient
+    if isinstance(amb, ExtendedModule):
+        s = amb.dims[n + 1] - amb.dims[n]
+        rows = tuple(r >> s for r in X.bases[n + 1].row_ints() if not r & ((1 << s) - 1))
+        return BitMatrix(len(rows), amb.dims[n], rows) if len(rows) != X.dim(n) else None
+    proj, _ = _coker_data(X.bases[n + 1], amb.dim(n + 1))
+    u_mod = amb.u_then(n, proj)
+    if amb.dim(n) - rank(u_mod) == X.dim(n):
+        return None
+    return left_kernel(u_mod).basis
 
 
 @dataclass
@@ -468,6 +498,8 @@ def generator_space(X: GradedSubspace) -> GeneratorSpace:
     when it lies outside u X^{n-1} plus the rows picked before it.  The
     injectivity verdict tests the composite with the augmentation; the
     ambient must be a scalar extension so the augmentation is available.
+    The augmentation keeps the u^0 block, which comes first, so it is a
+    selection of the first columns.
     """
     amb = X.ambient
     if not isinstance(amb, ExtendedModule):
@@ -477,8 +509,10 @@ def generator_space(X: GradedSubspace) -> GeneratorSpace:
     for n in range(amb.D + 1):
         u_image = amb.times_u(n - 1, X.bases[n - 1]) if n >= 1 else BitMatrix.zeros(0, amb.dim(n))
         w_bases[n] = complement_rows(u_image, X.bases[n])
-        if witness is None and rank(w_bases[n] @ amb.eps_mat(n)) != w_bases[n].nrows:
-            witness = f"augmentation image drops rank in degree {n}"
+        if witness is None:
+            augmented = w_bases[n].take_cols(range(amb.block(n, 0)[1]))
+            if rank(augmented) != augmented.nrows:
+                witness = f"augmentation image drops rank in degree {n}"
     return GeneratorSpace(w_bases, Verdict(witness is None, amb.D, witness))
 
 
@@ -499,34 +533,37 @@ class OverFulu:
     """Tensor product over the polynomial algebra, with presentation data.
 
     ``module`` is the quotient of the tensor product, with u (x) 1 as its
-    u, by the two-sided-u relations; ``proj_mats``/``rep_mats`` present it
-    and ``tensor_module``/``layout`` describe the ambient tensor product.
+    u, by the two-sided-u relations; ``proj_mats`` and ``rep_cols`` present
+    it (basis vector k of degree n is represented by the unit vector at
+    ``rep_cols[n][k]``), and ``tensor_module``/``layout`` describe the
+    ambient tensor product, whose action and labels are built on first read.
     """
 
     module: FuluModule
     tensor_module: FuluModule
     layout: TensorLayout
     proj_mats: Dict[int, BitMatrix]
-    rep_mats: Dict[int, BitMatrix]
+    rep_cols: Sequence[Sequence[int]]
     relation_bases: Dict[int, BitMatrix]
 
 
 def _one_sided_u(N1: FuluModule, N2: FuluModule, T: TruncatedModule,
                  layout: TensorLayout, left: bool) -> Dict[int, BitMatrix]:
-    """Matrices of u (x) 1 (left) or 1 (x) u (right) on the tensor product."""
+    """Matrices of u (x) 1 (left) or 1 (x) u (right) on the tensor product:
+    on the block of left degree p, the Kronecker rows of u on N1^p with the
+    unit vectors of N2^q, or of the unit vectors of N1^p with u on N2^q."""
     mats = {}
     for n in range(T.D):
-        rows = []
+        rows: List[int] = []
         for p, _, _ in layout.blocks(n):
             q = n - p
-            for i in range(N1.dim(p)):
-                for j in range(N2.dim(q)):
-                    if left:
-                        row = layout.tensor_row(n + 1, p + 1, N1.u_mat(p).row_int(i), 1 << j)
-                    else:
-                        row = layout.tensor_row(n + 1, p, 1 << i, N2.u_mat(q).row_int(j))
-                    rows.append(row)
-        mats[n] = BitMatrix.from_row_ints(rows, T.dims[n + 1])
+            if left:
+                units = [1 << j for j in range(N2.dims[q])]
+                rows.extend(layout.kron_rows(n + 1, p + 1, N1.u_mat(p).row_ints(), units))
+            else:
+                units = [1 << i for i in range(N1.dims[p])]
+                rows.extend(layout.kron_rows(n + 1, p, units, N2.u_mat(q).row_ints()))
+        mats[n] = BitMatrix(len(rows), T.dims[n + 1], tuple(rows))
     return mats
 
 
@@ -540,10 +577,10 @@ def tensor_over_fulu(N1: FuluModule, N2: FuluModule) -> OverFulu:
     plain, layout = tensor_with_layout(N1, N2)
     u_left = _one_sided_u(N1, N2, plain, layout, left=True)
     u_right = _one_sided_u(N1, N2, plain, layout, left=False)
-    T = FuluModule(plain.name, plain.D, plain.dims, dict(plain.action_items()), plain.labels,
-                   u=u_left)
+    T = FuluModule(plain.name, plain.D, plain.dims, lambda: dict(plain.action_items()),
+                   lambda: plain.labels, u=u_left)
     rel: Dict[int, BitMatrix] = {0: BitMatrix.zeros(0, T.dims[0])}
     for n in range(T.D):
         rel[n + 1] = Subspace.from_rows(u_left[n] + u_right[n]).basis
     q = quotient(T, [rel[n] for n in range(T.D + 1)], f"{N1.name}(xFu){N2.name}")
-    return OverFulu(q.module, T, layout, q.proj_mats, q.rep_mats, rel)
+    return OverFulu(q.module, T, layout, q.proj_mats, q.rep_cols, rel)

@@ -403,8 +403,9 @@ class RealmCalculus:
         tbar = self.tbar.module
         st_mats = {}
         for n in range(self.D + 1):
-            unit = self.E.unit_mat(n)  # base into the extension
-            full = unit @ self.taubar.mat(n)
+            # the base sits in the extension as the u^0 block: a row range
+            off, width = self.E.block(n, 0)
+            full = self.taubar.mat(n).take_rows(range(off, off + width))
             # select the u^1 layer, with which the bar coordinates start
             mask = (1 << self.bar.block(n, 1)[1]) - 1
             rows = [row & mask for row in full.row_ints()]
@@ -584,7 +585,7 @@ def alpha_from_structure(M: TruncatedModule, tbar: TruncatedModule,
             raise TheoryViolation(f"structure map does not kill the doubled image at degree {n}")
         mats[n] = m
     top = min(ft.omega.D, tbar.D - 1, D - 1)
-    alpha_mats = {k: ft.coker_reps[k + 1] @ mats[k + 1] for k in range(top + 1)}
+    alpha_mats = {k: mats[k + 1].take_rows(ft.coker_cols[k + 1]) for k in range(top + 1)}
     return AlphaResult(ModuleMap(ft.omega, tbar, alpha_mats, D=top, name="alpha"), ft)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import xor
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import steenrod
@@ -752,58 +753,86 @@ class TensorLayout:
     def index(self, n: int, p: int, i: int, j: int) -> int:
         return self.table.offset(n, p) + i * self.right_dims[n - p] + j
 
-    def tensor_row(self, n: int, p: int, left_row: int, right_row: int) -> int:
-        """The flat row of degree n of left_row (x) right_row, for int-packed
-        vectors of the left basis in degree p and the right one in n - p."""
-        if not (left_row and right_row):
-            return 0
-        off = self.table.offset(n, p)
+    def kron_rows(self, n: int, p: int, left_rows: Sequence[int],
+                  right_rows: Sequence[int]) -> List[int]:
+        """The flat rows of degree n of every left (x) right, left rows
+        outer, right rows inner, for vectors of the left basis in degree p
+        and the right one in n - p.
+
+        Each is one big-int product: with the right factor's width as
+        stride, left (x) right is right * spread(left) shifted to the
+        block, which has no carries because right < 2 ** stride.
+        """
+        off = self.table.block(n, p)[0]
         stride = self.right_dims[n - p]
-        out = 0
-        while left_row:
-            low = left_row & -left_row
-            out |= right_row << (off + (low.bit_length() - 1) * stride)
-            left_row ^= low
+        out: List[int] = []
+        for left in left_rows:
+            if left:
+                spread = _spread(left, stride) << off
+                out.extend([right * spread for right in right_rows])
+            else:
+                out.extend([0] * len(right_rows))
         return out
 
 
+def _spread(v: int, stride: int) -> int:
+    """``v`` with bit b moved to bit b * stride."""
+    out = 0
+    while v:
+        low = v & -v
+        out |= 1 << ((low.bit_length() - 1) * stride)
+        v ^= low
+    return out
+
+
+def _squares_by_degree(M: TruncatedModule, D: int) -> List[List[Tuple[int, List[int]]]]:
+    """For each degree p <= D, the pairs (a, rows of Sq^a on M^p) over the
+    nonzero Sq^a with a <= p and p + a <= D, Sq^0 first."""
+    out = [[(0, [1 << j for j in range(M.dims[p])])] for p in range(D + 1)]
+    for (a, p), m in M.action_items():
+        if a <= p and p + a <= D:
+            out[p].append((a, m.row_ints()))
+    return out
+
+
 def tensor_with_layout(M: TruncatedModule, N: TruncatedModule) -> Tuple[TruncatedModule, TensorLayout]:
-    """Tensor product with the Cartan-formula action, plus its index layout."""
+    """Tensor product with the Cartan-formula action, plus its index layout.
+
+    Sq^k(x (x) y) = sum over a + b = k of Sq^a x (x) Sq^b y, and Sq^a on
+    degree p vanishes for a > p (instability), so only the nonzero Sq^a of
+    M^p (Sq^0 included) are paired with the nonzero Sq^b of N^q, each pair
+    one block of Kronecker rows (``TensorLayout.kron_rows``).  The action
+    and the labels are built on first read.
+    """
     D = min(M.D, N.D)
     layout = TensorLayout(M.dims[: D + 1], N.dims[: D + 1], D)
     dims = layout.table.dims
-    ml, nl = M.labels, N.labels
-    labels = [
-        tuple(
-            f"[{x}|{y}]"
-            for p, _, _ in layout.blocks(n)
-            for x in ml[p]
-            for y in nl[n - p]
-        )
-        for n in range(D + 1)
-    ]
-    action: Dict[Tuple[int, int], BitMatrix] = {}
-    for n in range(D + 1):
-        if dims[n] == 0:
-            continue
-        for k in range(1, D - n + 1):
-            rows = [0] * dims[n]
-            for p, off, _ in layout.blocks(n):
-                q = n - p
-                # Cartan formula: Sq^k = sum of Sq^a (x) Sq^(k-a)
-                for a in range(max(0, k - q), min(k, p) + 1):
-                    ma, nb = M.sq(a, p), N.sq(k - a, q)
-                    if ma.is_zero() or nb.is_zero():
-                        continue
-                    for i in range(M.dims[p]):
-                        ra = ma.row_int(i)
-                        if not ra:
+
+    def labels() -> List[Tuple[str, ...]]:
+        ml, nl = M.labels, N.labels
+        return [
+            tuple(f"[{x}|{y}]" for p, _, _ in layout.blocks(n) for x in ml[p] for y in nl[n - p])
+            for n in range(D + 1)
+        ]
+
+    def action() -> Dict[Tuple[int, int], BitMatrix]:
+        left, right = _squares_by_degree(M, D), _squares_by_degree(N, D)
+        acc: Dict[Tuple[int, int], List[int]] = {}
+        for n in range(D + 1):
+            for p, off, width in layout.blocks(n):
+                for a, ma in left[p]:
+                    for b, nb in right[n - p]:
+                        k = a + b
+                        if k == 0 or n + k > D:
                             continue
-                        for j in range(N.dims[q]):
-                            rows[off + i * N.dims[q] + j] ^= layout.tensor_row(
-                                n + k, p + a, ra, nb.row_int(j)
-                            )
-            action[(k, n)] = BitMatrix.from_row_ints(rows, dims[n + k])
+                        rows = acc.get((k, n))
+                        if rows is None:
+                            rows = acc[(k, n)] = [0] * dims[n]
+                        block = layout.kron_rows(n + k, p + a, ma, nb)
+                        rows[off:off + width] = map(xor, rows[off:off + width], block)
+        return {(k, n): BitMatrix(dims[n], dims[n + k], tuple(rows))
+                for (k, n), rows in acc.items()}
+
     mod = TruncatedModule(f"{M.name}(x){N.name}", D, dims, action, labels)
     return mod, layout
 
@@ -873,7 +902,7 @@ class Subquotient:
     The kernel, its inclusion and its canonical subspace in each degree
     (``kernel_spaces``) come with the object.  The image (with
     ``image_incl`` and ``factor``) and the cokernel (with ``coker_proj`` and
-    ``coker_reps``) are built on first read, once each; the image checks
+    ``coker_cols``) are built on first read, once each; the image checks
     its Sq-closure when it is built.  Each part carries u when the module
     it is cut from does (see ``submodule`` and ``quotient``).
     """
@@ -925,8 +954,9 @@ class Subquotient:
         return ModuleMap(self.f.target, self.cokernel, self._coker.proj_mats, D=self.f.D)
 
     @property
-    def coker_reps(self) -> Dict[int, BitMatrix]:
-        return self._coker.rep_mats
+    def coker_cols(self) -> Sequence[Sequence[int]]:
+        """The columns whose unit vectors represent the cokernel's basis."""
+        return self._coker.rep_cols
 
 
 def _express(bases: Dict[int, BitMatrix], reducers: Dict[int, RowReducer], n: int,
@@ -1035,22 +1065,15 @@ class Quotient:
     """A quotient module with its projection and the representatives of its basis.
 
     The representative of basis vector k in degree n is the ambient unit
-    vector at ``rep_cols[n][k]``, so ``rep_mats[n] @ m`` is the row
-    selection ``m.take_rows(rep_cols[n])``.  ``rep_mats`` holds the
-    representatives as matrices, built on first read.
+    vector at ``rep_cols[n][k]``, so the product of the representatives
+    with a matrix m is the row selection ``m.take_rows(rep_cols[n])``.
     """
 
     def __init__(self, module: TruncatedModule, proj_mats: Dict[int, BitMatrix],
-                 rep_cols: Sequence[Sequence[int]], ambient_dims: Sequence[int]):
+                 rep_cols: Sequence[Sequence[int]]):
         self.module = module
         self.proj_mats = proj_mats
         self.rep_cols = rep_cols
-        self._ambient_dims = ambient_dims
-
-    @cached_property
-    def rep_mats(self) -> Dict[int, BitMatrix]:
-        return {n: BitMatrix.from_row_ints([1 << c for c in cols], self._ambient_dims[n])
-                for n, cols in enumerate(self.rep_cols)}
 
     def project(self, n: int, rows: BitMatrix) -> BitMatrix:
         """``rows @ proj_mats[n]``: ambient rows of degree n, projected."""
@@ -1098,7 +1121,7 @@ def quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> Quoti
         module: TruncatedModule = FuluModule(name, D, dims, action, labels, u=u)
     else:
         module = TruncatedModule(name, D, dims, action, labels)
-    return Quotient(module, proj_mats, cols, M.dims)
+    return Quotient(module, proj_mats, cols)
 
 
 def subquotient(f: ModuleMap) -> Subquotient:
@@ -1159,9 +1182,10 @@ class FourTermOmega:
     """The loop module, its first derived partner and the connecting maps.
 
     ``ker_incl`` embeds the suspension of omega1 into the doubled module and
-    ``coker_proj`` projects onto the suspension of omega, with
-    ``coker_reps`` its representatives; the four-term sequence they form
-    with the Sq0 map is exact in the certified range.
+    ``coker_proj`` projects onto the suspension of omega, whose basis
+    vector k of degree n is represented by the unit vector at
+    ``coker_cols[n][k]``; the four-term sequence they form with the Sq0 map
+    is exact in the certified range.
     """
 
     omega: TruncatedModule
@@ -1169,7 +1193,7 @@ class FourTermOmega:
     ker_incl: ModuleMap
     coker_proj: ModuleMap
     sq0_map: ModuleMap
-    coker_reps: Dict[int, BitMatrix]
+    coker_cols: Sequence[Sequence[int]]
 
     def verify(self) -> Verdict:
         return exact_sequence(
@@ -1197,7 +1221,7 @@ def omega(M: TruncatedModule) -> FourTermOmega:
         raise TheoryViolation(
             f"kernel of Sq0 on {M.name} is not a suspension: {exc}"
         ) from exc
-    return FourTermOmega(om, om1, sub.kernel_incl, sub.coker_proj, f, sub.coker_reps)
+    return FourTermOmega(om, om1, sub.kernel_incl, sub.coker_proj, f, sub.coker_cols)
 
 
 def is_reduced(M: TruncatedModule) -> Verdict:

@@ -14,6 +14,7 @@ from usteen.unstable import (
     FuluModule,
     ModuleMap,
     Quotient,
+    TensorLayout,
     TruncatedModule,
     polynomial_module,
     quotient,
@@ -141,6 +142,25 @@ def q_data_by_elimination(N: FuluModule) -> Quotient:
     return quotient(N, images, f"Q({N.name})")
 
 
+def graded_span_by_elimination(ambient: FuluModule,
+                               seeds: Dict[int, Sequence[int]]) -> Dict[int, BitMatrix]:
+    """Canonical bases of the u-submodule generated by seed vectors: in
+    every degree the seeds and u times the previous basis, eliminated."""
+    bases: Dict[int, BitMatrix] = {}
+    for n in range(ambient.D + 1):
+        mat = BitMatrix.from_row_ints(seeds.get(n, ()), ambient.dim(n))
+        if n > 0:
+            mat = mat.stack(bases[n - 1] @ ambient.u_mat(n - 1))
+        bases[n] = Subspace.from_rows(mat).basis
+    return bases
+
+
+def unit_rows(cols: Sequence[int], width: int) -> BitMatrix:
+    """The matrix whose row k is the unit vector at ``cols[k]``: a quotient's
+    representatives, or the embedding of a block."""
+    return BitMatrix.from_row_ints([1 << c for c in cols], width)
+
+
 def take_cols_by_bits(m: BitMatrix, indices: Sequence[int]) -> BitMatrix:
     """Column ``indices[k]`` of ``m`` as column k, one bit at a time."""
     rows = tuple(sum(((r >> j) & 1) << k for k, j in enumerate(indices)) for r in m.row_ints())
@@ -174,6 +194,70 @@ def a_span(M: TruncatedModule, seeds: Dict[int, Iterable[int]]) -> Dict[int, Bit
         n: Subspace.from_rows(BitMatrix.from_row_ints(spans[n], M.dims[n])).basis
         for n in range(M.D + 1)
     }
+
+
+def tensor_row(layout: TensorLayout, n: int, p: int, left_row: int, right_row: int) -> int:
+    """The flat row of degree n of left_row (x) right_row, for int-packed
+    vectors of the left basis in degree p and the right one in n - p: one
+    shifted copy of the right row per set bit of the left one."""
+    if not (left_row and right_row):
+        return 0
+    off = layout.offset(n, p)
+    stride = layout.right_dims[n - p]
+    out = 0
+    while left_row:
+        low = left_row & -left_row
+        out |= right_row << (off + (low.bit_length() - 1) * stride)
+        left_row ^= low
+    return out
+
+
+def tensor_by_pairs(M: TruncatedModule, N: TruncatedModule):
+    """The layout, action and labels of M (x) N, with the action by the
+    Cartan formula one basis pair at a time: for every (k, n), block p and
+    a, the rows of Sq^a on M^p and Sq^(k-a) on N^(n-p), pair by pair."""
+    D = min(M.D, N.D)
+    layout = TensorLayout(M.dims[: D + 1], N.dims[: D + 1], D)
+    dims = layout.table.dims
+    labels = tuple(
+        tuple(f"[{x}|{y}]" for p, _, _ in layout.blocks(n) for x in M.labels[p] for y in N.labels[n - p])
+        for n in range(D + 1)
+    )
+    action = {}
+    for n in range(D + 1):
+        if dims[n] == 0:
+            continue
+        for k in range(1, D - n + 1):
+            rows = [0] * dims[n]
+            for p, off, _ in layout.blocks(n):
+                q = n - p
+                for a in range(max(0, k - q), min(k, p) + 1):
+                    ma, nb = M.sq(a, p), N.sq(k - a, q)
+                    for i in range(M.dims[p]):
+                        for j in range(N.dims[q]):
+                            rows[off + i * N.dims[q] + j] ^= tensor_row(
+                                layout, n + k, p + a, ma.row_int(i), nb.row_int(j))
+            if any(rows):
+                action[(k, n)] = BitMatrix.from_row_ints(rows, dims[n + k])
+    return layout, action, labels
+
+
+def one_sided_u_by_pairs(N1: FuluModule, N2: FuluModule, layout: TensorLayout,
+                         left: bool) -> Dict[int, BitMatrix]:
+    """u (x) 1 (left) or 1 (x) u (right) on N1 (x) N2, one basis pair at a time."""
+    mats = {}
+    for n in range(layout.D):
+        rows = []
+        for p, _, _ in layout.blocks(n):
+            q = n - p
+            for i in range(N1.dim(p)):
+                for j in range(N2.dim(q)):
+                    if left:
+                        rows.append(tensor_row(layout, n + 1, p + 1, N1.u_mat(p).row_int(i), 1 << j))
+                    else:
+                        rows.append(tensor_row(layout, n + 1, p, 1 << i, N2.u_mat(q).row_int(j)))
+        mats[n] = BitMatrix.from_row_ints(rows, layout.table.dims[n + 1])
+    return mats
 
 
 # -- mutants -----------------------------------------------------------------------

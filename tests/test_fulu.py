@@ -8,6 +8,7 @@ from usteen import _gf2py, fixtures, harness, unstable
 from usteen.f2core import BitMatrix, Subspace, left_kernel, rank, rref
 from usteen.fulu import (
     GradedSubspace,
+    _one_sided_u,
     extend_scalars,
     extend_scalars_map,
     generator_space,
@@ -44,9 +45,14 @@ from usteen.unstable import (
 
 from reference import (
     fulu_algebra,
+    graded_span_by_elimination,
+    one_sided_u_by_pairs,
     q_data_by_elimination,
     span_sum,
+    tensor_by_pairs,
+    tensor_row,
     u_on_quotient_by_solving,
+    unit_rows,
     u_on_span_by_solving,
     with_u,
 )
@@ -104,7 +110,7 @@ def test_extend_scalars_matches_the_generic_tensor_product(D, tmp_path):
         assert [E.layout.blocks(n) for n in range(D + 1)] == [layout.blocks(n) for n in range(D + 1)]
         for n in range(D):
             want = [
-                layout.tensor_row(n + 1, a + 1, fu.u_mat(a).row_int(0), 1 << j)
+                tensor_row(layout, n + 1, a + 1, fu.u_mat(a).row_int(0), 1 << j)
                 for a, _, width in layout.blocks(n) for j in range(width)
             ]
             assert E.u_mat(n) == BitMatrix.from_row_ints(want, ref.dims[n + 1]), (M.name, n)
@@ -209,7 +215,8 @@ def test_q_data_of_a_scalar_extension_matches_the_elimination(tmp_path, monkeypa
         assert got.module.name == want.module.name, N.name
         assert got.module.dims == want.module.dims, N.name
         assert got.module.labels == want.module.labels, N.name
-        assert got.proj_mats == want.proj_mats and got.rep_mats == want.rep_mats, N.name
+        assert got.proj_mats == want.proj_mats, N.name
+        assert list(map(list, got.rep_cols)) == list(map(list, want.rep_cols)), N.name
         assert got.module == want.module, N.name  # the Sq action and the zero u
 
 
@@ -241,7 +248,8 @@ def test_q_of_map_by_selections_matches_the_matrix_formula(r):
     for f, qsrc, qtgt in zip((sub.kernel_incl, calc.taubar, sub.coker_proj), qs, qs[1:]):
         got = q_of_map(f, qsrc, qtgt)
         for n in range(got.D + 1):
-            assert got.mat(n) == qsrc.rep_mats[n] @ f.mat(n) @ qtgt.proj_mats[n], (f.name, n)
+            reps = unit_rows(qsrc.rep_cols[n], f.source.dims[n])
+            assert got.mat(n) == reps @ f.mat(n) @ qtgt.proj_mats[n], (f.name, n)
 
 
 def test_freeness_of_extension():
@@ -389,6 +397,54 @@ def test_saturation_and_generators_match_their_oracles(D):
     assert min(seen.values()) >= 5, seen
 
 
+def _saturation_ambients(D):
+    """Both T14 ambients and a positive-u part, which take the closed forms
+    of scalar extensions, and three u-modules that are not ``ExtendedModule``s
+    and take the projection path: a plain copy of the first ambient, R1(H),
+    and a quotient of the first ambient with u-torsion, whose u is no shift."""
+    E = extend_scalars(polynomial_module(1, D))
+    torsion = quotient_u_module(GradedSubspace.from_vectors(E, {2: [1 << E.index(2, 1, 0)]}))
+    assert not torsion_free(torsion).ok
+    return [E, extend_scalars(free_unstable(2, D)), positive_u_part(free_unstable(1, D)),
+            with_u(E, dict(E.u_items())), r1(polynomial_module(1, D)).fulu, torsion]
+
+
+def _random_seeds(rng, amb):
+    """One to three seeds; about half are u times a vector left unseeded,
+    which mostly makes the span unsaturated."""
+    seeds = {}
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randrange(0, amb.D)
+        if amb.dim(n) == 0:
+            continue
+        v = rng.randrange(1, 1 << amb.dim(n))
+        if rng.random() < 0.5:
+            n, v = n + 1, amb.times_u(n, BitMatrix.from_row_ints([v], amb.dim(n))).row_int(0)
+        if v:
+            seeds.setdefault(n, []).append(v)
+    return seeds
+
+
+@pytest.mark.parametrize("D", [4, 8])
+def test_closed_forms_on_extensions_match_the_elimination_oracles(D):
+    """``from_vectors``, which shifts the bases of unseeded degrees on a
+    scalar extension, against eliminating every degree; ``saturation_check``,
+    which counts shifted pivot rows on a scalar extension, against the
+    preimage oracle: the same verdict and the same witness text, failing
+    trials included, on every ambient of ``_saturation_ambients``."""
+    rng = random.Random(D)
+    for amb in _saturation_ambients(D):
+        seen = {True: 0, False: 0}
+        for _ in range(30):
+            seeds = _random_seeds(rng, amb)
+            X = GradedSubspace.from_vectors(amb, seeds)
+            assert X.bases == graded_span_by_elimination(amb, seeds), amb.name
+            sat = saturation_check(X)
+            assert sat == saturation_check_by_preimage(X), amb.name
+            seen[sat.ok] += 1
+        assert min(seen.values()) >= 2, (amb.name, seen)
+
+
 def test_graded_subspace_refuses_degrees_outside_the_truncation():
     E = extend_scalars(unit_module(4))
     for n in (-1, 5):
@@ -443,6 +499,34 @@ def test_tensor_over_fulu_of_extensions():
     rhs = extend_scalars(tensor(M, N))
     assert list(lhs.module.dims) == list(rhs.dims)
     assert lhs.module.validate().ok
+
+
+def _tensor_over_fulu_cases(D):
+    """Pairs of u-modules whose tensor products over F[u] the catalog or the
+    tests form: R1(H) with itself (T6), two different scalar extensions, and
+    R1(H) with the positive-u part of an extension."""
+    S = r1(polynomial_module(1, D))
+    E1, E2 = extend_scalars(free_unstable(1, D)), extend_scalars(polynomial_module(1, D))
+    return [(S.fulu, S.fulu), (E1, E2), (S.fulu, positive_u_part(free_unstable(2, D)))]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_tensor_over_fulu_matches_the_per_pair_formulas(case):
+    """The ambient tensor product and both one-sided u against the per-pair
+    formulas of ``reference``; the ambient's action and labels stay pending
+    until read."""
+    N1, N2 = _tensor_over_fulu_cases(10)[case]
+    prod = tensor_over_fulu(N1, N2)
+    T = prod.tensor_module
+    assert callable(T._act) and callable(T._labels)
+    layout, action, labels = tensor_by_pairs(N1, N2)
+    assert dict(T.action_items()) == action and T.labels == labels
+    want = {left: one_sided_u_by_pairs(N1, N2, layout, left) for left in (True, False)}
+    for left in (True, False):
+        assert _one_sided_u(N1, N2, T, prod.layout, left) == want[left], left
+    assert dict(T.u_items()) == {n: m for n, m in want[True].items() if not m.is_zero()}
+    for n in range(T.D):
+        assert prod.relation_bases[n + 1] == Subspace.from_rows(want[True][n] + want[False][n]).basis
 
 
 def test_tensor_over_fulu_free_basis():
@@ -507,7 +591,7 @@ def test_a_u_module_never_equals_a_plain_module():
 def test_maps_between_u_modules_are_checked_for_u_equivariance():
     """eps then unit, on a scalar extension, is A-linear but kills u."""
     E = extend_scalars(polynomial_module(1, 4))
-    mats = {n: E.eps_mat(n) @ E.unit_mat(n) for n in range(5)}
+    mats = {n: E.eps_mat(n) @ unit_rows(range(E.block(n, 0)[1]), E.dim(n)) for n in range(5)}
     assert ModuleMap(E, E, mats).validate_linear().violations == [
         f"not u-equivariant at degree {n}" for n in range(4)]
     assert ModuleMap.identity(E).validate_linear().ok

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from usteen import cli, fixtures, fulu, harness, lannes, unstable
+from usteen import cli, fixtures, fulu, harness, lannes, singer, unstable
 from usteen.cli import main as cli_main
 from usteen.f2core import BitMatrix
 from usteen.fulu import extend_scalars
@@ -622,6 +622,75 @@ def test_t14_fails_when_every_trial_is_saturated(monkeypatch):
     res = run_check(make_spec("T14", D=6))
     assert not res.passed
     assert res.witness == "only 100 of 100 trials saturated; need at least 5 of each"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_flipped_bit_in_sq1_of_hxh_fails_t6(n, monkeypatch):
+    """T6 compares the image of the product map with the span R1(H (x) H),
+    which reads Sq^1 of H (x) H on degree n for 2n <= D.  A copy with the
+    first bit of Sq^1 on degree n flipped gives another span there."""
+    real = singer.tensor_with_layout
+
+    def flipped(M, N):
+        T, layout = real(M, N)
+        act = dict(T.action_items())
+        rows = act[(1, n)].row_ints()
+        rows[0] ^= 1
+        act[(1, n)] = BitMatrix.from_row_ints(rows, T.dims[n + 1])
+        return TruncatedModule(T.name, T.D, T.dims, act, T.labels), layout
+
+    monkeypatch.setattr(singer, "tensor_with_layout", flipped)
+    res = run_check(make_spec("T6", D=8))
+    assert not res.passed
+    assert res.witness == f"image: image differs from the span in degree {2 * n}"
+
+
+def test_a_saturation_check_that_passes_an_unsaturated_trial_fails_t15(monkeypatch):
+    """An unsaturated X has some y outside X with u y in X, so u kills the
+    class of y in the quotient: T15 sees the torsion of the one trial that
+    the check reports saturated although it is not."""
+    real = harness.saturation_check
+    calls, lied = [], []
+
+    def lenient(X):
+        calls.append(X)
+        verdict = real(X)
+        if verdict.ok or lied:
+            return verdict
+        lied.append(len(calls) - 1)
+        return Verdict(True, verdict.certified_degree)
+
+    monkeypatch.setattr(harness, "saturation_check", lenient)
+    res = run_check(make_spec("T15", D=8))
+    assert not res.passed and lied
+    assert res.witness.startswith(
+        f"trial {lied[0]}: saturated subspace with torsion quotient: u kills ")
+
+
+def test_t14_and_t15_read_no_cokernel_projection_and_no_augmentation_matrix(monkeypatch):
+    """On scalar extensions saturation counts shifted pivot rows, the spans
+    shift their unseeded degrees and the augmentation is a column selection.
+    T14 takes no cokernel projection; in T15 only the quotients of the
+    saturated trials take one, one per degree."""
+    counts = Counter()
+    real = unstable._coker_data
+
+    def counting(*args):
+        counts["coker"] += 1
+        return real(*args)
+
+    def refuse(self, n):
+        raise AssertionError("eps_mat read")
+
+    for mod in (unstable, fulu):
+        monkeypatch.setattr(mod, "_coker_data", counting)
+    monkeypatch.setattr(fulu.ExtendedModule, "eps_mat", refuse)
+    D = 10
+    assert run_check(make_spec("T14", D=D)).passed
+    assert counts["coker"] == 0
+    res = run_check(make_spec("T15", D=D))
+    assert res.passed
+    assert counts["coker"] == (D + 1) * res.tables["saturated"][0]
 
 
 def test_t13_witnesses_the_first_violation_of_a_map_that_is_not_a_module_map(monkeypatch):

@@ -40,7 +40,7 @@ from usteen.unstable import (
     unit_module,
 )
 
-from reference import a_span, contains
+from reference import a_span, contains, tensor_by_pairs
 
 
 def dims_of(M):
@@ -237,6 +237,47 @@ def test_tensor_of_polynomials_is_polynomial():
     assert is_reduced(T).ok and is_reduced(H2).ok
 
 
+def assert_tensor_matches_the_per_pair_formula(M, N):
+    """``tensor_with_layout`` against the per-pair Cartan formula of
+    ``reference.tensor_by_pairs``: layout, every (k, n) matrix and the labels."""
+    T, layout = tensor_with_layout(M, N)
+    ref_layout, action, labels = tensor_by_pairs(M, N)
+    assert T.D == ref_layout.D and T.dims == ref_layout.table.dims
+    assert [layout.blocks(n) for n in range(T.D + 1)] == [
+        ref_layout.blocks(n) for n in range(T.D + 1)]
+    assert dict(T.action_items()) == action
+    assert T.labels == labels
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (free_unstable(1, 14), free_unstable(1, 14)),
+    lambda: (polynomial_module(1, 14), polynomial_module(1, 14)),
+    lambda: (free_unstable(2, 9), polynomial_module(2, 7)),
+    lambda: (_with_sq2_on_degree_1(polynomial_module(1, 6)), free_unstable(1, 6)),
+], ids=["F1xF1", "HxH", "F2xHV2", "unstable-violating"])
+def test_tensor_action_matches_the_per_pair_formula_on_catalog_inputs(make):
+    """In the last case, as in the formula, Sq^a on degree p with a > p is
+    not read: an unstable module has none, but this invalid one does."""
+    assert_tensor_matches_the_per_pair_formula(*make())
+
+
+def _with_sq2_on_degree_1(M):
+    action = dict(M.action_items())
+    action[(2, 1)] = BitMatrix.identity(1)
+    return TruncatedModule("bad", M.D, M.dims, action, M.labels)
+
+
+def test_tensor_builds_its_action_and_labels_on_first_read():
+    H = polynomial_module(1, 8)
+    T = tensor(H, H)
+    assert callable(T._act) and callable(T._labels)
+    assert T.dims == tuple(n + 1 for n in range(9))
+    T.sq(1, 1)
+    assert not callable(T._act) and callable(T._labels)
+    assert T.labels[1] == ("[1|t]", "[t|1]")
+    assert not callable(T._labels)
+
+
 # -- subquotients --------------------------------------------------------------
 
 
@@ -310,10 +351,10 @@ def test_subquotient_builds_the_image_on_first_read():
 def test_subquotient_parts_agree_in_either_order(first):
     f = sq0(free_unstable(2, 10))
     a, b = subquotient(f), subquotient(f)
-    names = ["image", "image_incl", "factor", "cokernel", "coker_proj", "coker_reps"]
+    names = ["image", "image_incl", "factor", "cokernel", "coker_proj", "coker_cols"]
     for name in names if first == "image" else names[::-1]:
         getattr(a, name)
-    assert (a.image, a.cokernel, a.coker_reps) == (b.image, b.cokernel, b.coker_reps)
+    assert (a.image, a.cokernel, a.coker_cols) == (b.image, b.cokernel, b.coker_cols)
     assert (a.image_incl, a.factor, a.coker_proj) == (b.image_incl, b.factor, b.coker_proj)
     for part in (a.kernel, a.image, a.cokernel):
         assert part.validate().ok, part.name
@@ -403,6 +444,12 @@ def composed_modules(draw, depth=2):
 @given(composed_modules())
 def test_random_compositions_are_unstable_modules(M):
     assert M.validate().ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(composed_modules(), composed_modules())
+def test_tensor_action_matches_the_per_pair_formula_on_random_modules(M, N):
+    assert_tensor_matches_the_per_pair_formula(M, N)
 
 
 def restricted_action_by_degrees(bases, ambient, D, what):
@@ -681,7 +728,7 @@ def test_omega1_matches_projective_resolution_oracle():
     def loop_of_map(f, sub_src, sub_tgt):
         mats = {}
         for m in range(f.D + 1):
-            mats[m] = sub_src.coker_reps[m] @ f.mat(m) @ sub_tgt.coker_proj.mat(m)
+            mats[m] = f.mat(m).take_rows(sub_src.coker_cols[m]) @ sub_tgt.coker_proj.mat(m)
         return mats
 
     sub1, sub2, sub3 = (subquotient(sq0(M)) for M in (F1, F2, F3))
