@@ -334,6 +334,24 @@ class RowReducer:
             out.append(coeff)
         return BitMatrix(vecs.nrows, self.nrows, tuple(out))
 
+    def remainders(self, vecs: BitMatrix) -> BitMatrix:
+        """Each row of ``vecs`` with the reduced row of each of its pivot
+        bits XORed in.  Each reduced row holds one pivot bit, so the
+        remainder has none set, and it is zero exactly for the rows in the
+        row space."""
+        if vecs.ncols != self.ncols:
+            raise ValueError("ambient width mismatch")
+        piv, pmask = self._piv, self._pmask
+        out = []
+        for v in vecs._rows:
+            hits = v & pmask
+            while hits:
+                low = hits & -hits
+                v ^= piv[low][0]
+                hits ^= low
+            out.append(v)
+        return BitMatrix(vecs.nrows, vecs.ncols, tuple(out))
+
 
 def _reduced_pivots(rows: Sequence[int]) -> Optional[dict]:
     """The pivot table of rows in reduced echelon form, or None for other rows.

@@ -12,10 +12,14 @@ On a scalar extension u is a shift: it moves every row of degree n by
 dims[n + 1] - dims[n] bits, so products with u (``times_u``) build no
 matrix, and u as a matrix is built only when something reads ``u_mat``.
 Sq on rows of a scalar extension is the row Cartan sum ``sq_rows``, which
-reads only the base's matrices.  The shift also gives graded u-subspaces
-of a scalar extension their closed forms: an unseeded degree of
-``GradedSubspace.from_vectors`` and the preimage of ``saturation_check``
-are shifted rref bases, with no elimination.
+reads only the base's rows under Sq.  The shift also gives graded
+u-subspaces of a scalar extension their closed forms: an unseeded degree
+of ``GradedSubspace.from_vectors`` and the preimage of ``saturation_check``
+are shifted rref bases, with no elimination.  The quotient by a graded
+u-subspace is read off its rref bases as well: the projection is an
+operator (``SubspaceProjection``), and Q of the quotient is Q of the
+ambient modulo the image's rows that pivot in the lowest u-block
+(``q_of_quotient``).
 
 The polynomial-ring lemmas here (saturation, generator spaces, torsion) are
 pure graded u-module statements, so the checks also accept graded subspaces
@@ -25,9 +29,10 @@ that are not stable under the squaring operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2core import BitMatrix, Subspace, complement_rows, left_kernel, rank
+from .f2core import BitMatrix, RowReducer, Subspace, complement_rows, left_kernel, rank
 from .unstable import (
     FuluModule,
     ModuleMap,
@@ -60,7 +65,8 @@ class ExtendedModule(FuluModule):
     range of ``tensor_with_layout``, which never needs Sq^s on M^q with
     s > q.  So each row of the u^a block is an XOR of rows of ``M``, each
     shifted to the offset of one u^{a+b} block.  The action, u and the
-    labels are built on first read.
+    labels are built on first read; ``sq_rows`` needs none of them, and
+    reads M only through M's own ``sq_rows``.
     """
 
     __slots__ = ("base", "layout", "start")
@@ -116,54 +122,52 @@ class ExtendedModule(FuluModule):
 
     def sq_rows(self, k: int, n: int, rows: BitMatrix) -> BitMatrix:
         """``rows @ sq(k, n)``, by the row Cartan sum, which reads only the
-        base's matrices: the u^a block of the rows, as rows of M^{n-a},
-        goes through Sq^{k-b} to the u^{a+b} block, for each b in
-        ``_cartan_terms``."""
+        base's rows: the u^a block of the rows, as rows of M^{n-a}, goes
+        through the base's ``sq_rows`` for Sq^{k-b} to the u^{a+b} block,
+        for each b in ``_cartan_terms``."""
         if not 0 <= n <= n + k <= self.D:
             raise TruncationError(f"{self.name}: Sq^{k} on degree {n} outside 0..{self.D}")
         if rows.ncols != self.dims[n]:
             raise ValueError("row width mismatch")
         out = [0] * rows.nrows
-        for off, width, terms in self._cartan_terms(k, n):
+        for q, off, width, terms in self._cartan_terms(k, n):
             mask = (1 << width) - 1
             part = BitMatrix(rows.nrows, width, tuple((r >> off) & mask for r in rows.row_ints()))
             if part.is_zero():
                 continue
-            for sq, shift in terms:
-                image = part if sq is None else part @ sq
+            for j, shift in terms:
+                image = part if j == 0 else self.base.sq_rows(j, q, part)
                 out = [x ^ (r << shift) for x, r in zip(out, image.row_ints())]
         return BitMatrix(rows.nrows, self.dims[n + k], tuple(out))
 
     def _cartan_terms(self, k: int, n: int):
-        """For each u^a block of degree n: (offset, width, terms), with
-        terms the pairs (Sq^{k-b} on M^{n-a}, shift to the u^{a+b} block of
-        degree n + k) over the b with C(a, b) odd and Sq^{k-b} nonzero;
-        None stands for Sq^0, the identity."""
+        """For each u^a block of degree n: (q, offset, width, terms), with
+        q = n - a its base degree and terms the pairs (j, shift to the
+        u^{a+b} block of degree n + k) over the b with C(a, b) odd, where
+        j = k - b <= q is the square on M^q; j = 0 is the identity."""
         dims, start = self.dims, self.start
-        stored = self.base._action()
         for a, off, width in self.layout.blocks(n):
             q = n - a
-            terms = []
-            for b in range(max(0, k - q), min(k, a) + 1):
-                if b & a != b:
-                    continue
-                shift = dims[n + k] - dims[q + k - b + start]
-                if b == k:
-                    terms.append((None, shift))
-                elif (k - b, q) in stored:
-                    terms.append((stored[(k - b, q)], shift))
-            yield off, width, terms
+            terms = [(k - b, dims[n + k] - dims[q + k - b + start])
+                     for b in range(max(0, k - q), min(k, a) + 1) if b & a == b]
+            yield q, off, width, terms
 
     def _cartan_action(self) -> Dict[Tuple[int, int], BitMatrix]:
         D, dims = self.D, self.dims
+        stored = self.base._action()
         out = {}
         for n in range(D + 1):
             for k in range(1, D - n + 1):
                 rows = []
-                for _, width, terms in self._cartan_terms(k, n):
+                for q, _, width, terms in self._cartan_terms(k, n):
                     block = [0] * width
-                    for sq, shift in terms:
-                        src = [1 << j for j in range(width)] if sq is None else sq.row_ints()
+                    for j, shift in terms:
+                        if j == 0:
+                            src = [1 << i for i in range(width)]
+                        elif (j, q) in stored:
+                            src = stored[(j, q)].row_ints()
+                        else:
+                            continue
                         block = [x ^ (r << shift) for x, r in zip(block, src)]
                     rows.extend(block)
                 out[(k, n)] = BitMatrix(dims[n], dims[n + k], tuple(rows))
@@ -300,8 +304,6 @@ def _extension_q_data(N: ExtendedModule, name: str) -> Quotient:
     """
     M, s, D = N.base, N.start, N.D
     widths = [N.block(n, s)[1] for n in range(D + 1)]
-    proj_mats = {n: BitMatrix.from_row_ints([1 << j for j in range(w)] + [0] * (N.dims[n] - w), w)
-                 for n, w in enumerate(widths)}
 
     def action() -> Dict[Tuple[int, int], BitMatrix]:
         return {(k, q + s): m for (k, q), m in M.action_items() if k <= q and q + s + k <= D}
@@ -310,12 +312,26 @@ def _extension_q_data(N: ExtendedModule, name: str) -> Quotient:
         return [N.labels[n][:w] for n, w in enumerate(widths)]
 
     module = FuluModule(name, D, widths, action, labels, u=lambda: {})
-    return _LowestBlock(module, proj_mats, [range(w) for w in widths])
+    return _LowestBlock(module, N.dims)
 
 
 class _LowestBlock(Quotient):
     """Q of a scalar extension: the projection keeps the lowest u-block,
-    which comes first in every degree, so it is a mask."""
+    which comes first in every degree, so it is a mask, and its matrices,
+    an identity block over zero rows, are built only when read."""
+
+    def __init__(self, module: FuluModule, ambient_dims: Sequence[int]):
+        # proj_mats is the cached property below, so Quotient's __init__,
+        # which stores it, is not run
+        self.module = module
+        self.rep_cols = [range(w) for w in module.dims]
+        self._ambient_dims = ambient_dims
+
+    @cached_property
+    def proj_mats(self) -> Dict[int, BitMatrix]:
+        dims = self._ambient_dims
+        return {n: BitMatrix.from_row_ints([1 << j for j in range(w)] + [0] * (dims[n] - w), w)
+                for n, w in enumerate(self.module.dims)}
 
     def project(self, n: int, rows: BitMatrix) -> BitMatrix:
         w = self.module.dims[n]
@@ -412,6 +428,12 @@ class GradedSubspace:
             if n > 0:
                 mat = mat.stack(ambient.times_u(n - 1, bases[n - 1]))
             bases[n] = Subspace.from_rows(mat).basis
+        return cls._canonical(ambient, bases)
+
+    @classmethod
+    def _canonical(cls, ambient: FuluModule, bases: Dict[int, BitMatrix]) -> "GradedSubspace":
+        """The subspace with ``bases``, every degree's canonical rref basis
+        of a span closed under u, as a construction knows them to be."""
         X = cls.__new__(cls)
         X.ambient, X.bases = ambient, bases
         return X
@@ -516,13 +538,102 @@ def generator_space(X: GradedSubspace) -> GeneratorSpace:
     return GeneratorSpace(w_bases, Verdict(witness is None, amb.D, witness))
 
 
+class SubspaceProjection(ModuleMap):
+    """The projection of a u-module onto its quotient by a graded
+    u-subspace X, as an operator.
+
+    A row maps by its remainder against the rref basis of X
+    (``RowReducer.remainders``), which has no pivot bit set, then by the
+    gather of the non-pivot columns ``rep_cols``, whose unit vectors
+    represent the quotient's basis.  A row inside X maps to zero with
+    nothing gathered.  A representative is its own remainder and gathers to
+    a unit vector, so the representatives map to the identity: the rank is
+    the width, which ``rank`` reads, and no degree is eliminated.
+    ``mat(n)`` is built only when read, for tests and witnesses.
+
+    The quotient, ``target``, is a graded u-module: X need not be stable
+    under the squares, so none are carried over, and its u (induced by the
+    ambient's ``times_u``) and labels are built on first read.
+    """
+
+    def __init__(self, X: GradedSubspace):
+        amb, D = X.ambient, X.ambient.D
+        self.space = X
+        self._reducers: Dict[int, RowReducer] = {}
+
+        def labels() -> List[Tuple[str, ...]]:
+            names = amb.labels
+            return [tuple(names[n][c] for c in cols) for n, cols in enumerate(self.rep_cols)]
+
+        def u() -> Dict[int, BitMatrix]:
+            return {n: self.apply(n + 1, amb.times_u(n, self._reps(n))) for n in range(D)}
+
+        dims = [amb.dims[n] - X.bases[n].nrows for n in range(D + 1)]
+        target = FuluModule(f"({amb.name})/X", D, dims, {}, labels, u=u)
+        super().__init__(amb, target, {}, D=D)
+
+    @cached_property
+    def rep_cols(self) -> List[List[int]]:
+        """The non-pivot columns of each degree, built on first read."""
+        cols = []
+        for n in range(self.D + 1):
+            pivots = 0
+            for r in self.space.bases[n].row_ints():
+                pivots |= r & -r
+            flags = bin(pivots | (1 << self.source.dims[n]))[:2:-1]  # column 0 first
+            cols.append([c for c, f in enumerate(flags) if f == "0"])
+        return cols
+
+    def _reps(self, n: int) -> BitMatrix:
+        """The representatives of degree n, unit rows at ``rep_cols[n]``."""
+        return BitMatrix(len(self.rep_cols[n]), self.source.dims[n],
+                         tuple(1 << c for c in self.rep_cols[n]))
+
+    def apply(self, n: int, rows: BitMatrix) -> BitMatrix:
+        red = self._reducers.get(n)
+        if red is None:
+            red = self._reducers[n] = RowReducer(self.space.bases[n])
+        rest = red.remainders(rows)
+        if rest.is_zero():
+            return BitMatrix.zeros(rows.nrows, self.target.dims[n])
+        return rest.take_cols(self.rep_cols[n])
+
+    def rank(self, n: int) -> int:
+        return self.target.dims[n]
+
+    def mat(self, n: int) -> BitMatrix:
+        if not 0 <= n <= self.D:
+            return super().mat(n)
+        got = self._mats.get(n)
+        if got is None:
+            got = self._mats[n] = self.apply(n, BitMatrix.identity(self.source.dims[n]))
+        return got
+
+
 def quotient_u_module(X: GradedSubspace) -> FuluModule:
     """The ambient modulo X, as a graded u-module."""
+    return SubspaceProjection(X).target
+
+
+def q_of_quotient(q_amb: Quotient, X: GradedSubspace) -> SubspaceProjection:
+    """The projection Q(N) -> Q(N/X) for a graded u-subspace X of a scalar
+    extension N, read off the pivots of X: ``q_amb`` is ``q_data(N)``.
+
+    Q is right exact, so Q(N/X) is Q(N) modulo the image of X.  Q(N) is
+    the lowest u-block, the lowest bits, so that image is spanned by the
+    rref rows of X whose pivot lies in the block, masked to it; the other
+    rows vanish there.  The masked rows keep their pivots and their reduced
+    form, and u is zero on Q(N), so they are a graded u-subspace as they
+    are, with no elimination, and the projection is an operator.
+    """
     amb = X.ambient
-    # X need not be stable under the squares, so none are carried over
-    space = FuluModule(amb.name, amb.D, amb.dims, {}, amb.labels, u=dict(amb.u_items()))
-    return quotient(space, [X.bases[n] for n in range(amb.D + 1)],
-                    f"({amb.name})/X").module
+    bases = {}
+    for n in range(amb.D + 1):
+        width = amb.block(n, amb.start)[1]
+        mask = (1 << width) - 1
+        rows = tuple(r & mask for r in X.bases[n].row_ints() if r & mask)
+        bases[n] = BitMatrix(len(rows), width, rows)
+    return SubspaceProjection(GradedSubspace._canonical(q_amb.module, bases))
 
 
 # -- relative tensor product -----------------------------------------------------

@@ -19,6 +19,7 @@ Conventions pinned here (guarded by degree-one unit tests):
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .f2core import BitMatrix, image_is_kernel, left_kernel, rref
 from .fulu import (
     ExtendedModule,
+    GradedSubspace,
     extend_scalars,
     extend_scalars_map,
     positive_u_part,
@@ -39,6 +41,7 @@ from .unstable import (
     Subquotient,
     TheoryViolation,
     TruncatedModule,
+    TruncationError,
     Verdict,
     _monomials,
     _monomial_pos,
@@ -112,7 +115,7 @@ class RealmObject:
             for m in self.monomials(j, n - self.summands[j].s)
         ]
 
-    def _realize(self) -> TruncatedModule:
+    def _realize(self) -> RealmModule:
         """Place shifted copies of one polynomial module per rank, block by block."""
         D = self.D
         dims = self.table.dims
@@ -144,10 +147,50 @@ class RealmObject:
                     out[(k, n)] = BitMatrix(dims[n], dims[n + k], tuple(rows))
             return out
 
-        return TruncatedModule(self.name, D, dims, action, labels)
+        return RealmModule(self, polys, action, labels)
 
     def __repr__(self):
         return f"RealmObject({self.name}, D={self.D})"
+
+
+class RealmModule(TruncatedModule):
+    """The module of a realm object: one shifted copy of a polynomial module
+    per summand block, so its action is block-diagonal.  Sq on rows
+    (``sq_rows``) reads each summand's matrices in place and builds no
+    action."""
+
+    __slots__ = ("realm", "polys")
+
+    def __init__(self, realm: RealmObject, polys: Sequence[TruncatedModule], action, labels):
+        self.realm = realm
+        self.polys = polys
+        super().__init__(realm.name, realm.D, realm.table.dims, action, labels)
+
+    def sq_rows(self, k: int, n: int, rows: BitMatrix) -> BitMatrix:
+        """``rows @ sq(k, n)``, one XOR per set bit as in a product: bit i
+        of the block of summand j brings in row i of Sq^k on that summand's
+        polynomial module, shifted to the summand's block of degree n + k."""
+        if not 0 <= n <= n + k <= self.D:
+            raise TruncationError(f"{self.name}: Sq^{k} on degree {n} outside 0..{self.D}")
+        if rows.ncols != self.dims[n]:
+            raise ValueError("row width mismatch")
+        table, summands = self.realm.table, self.realm.summands
+        starts, blocks = [], []
+        for j, off, _ in table.blocks(n):
+            starts.append(off)
+            sq = self.polys[j].sq(k, n - summands[j].s)
+            blocks.append((off, table.block(n + k, j)[0], sq.row_ints()))
+        out = []
+        for r in rows.row_ints():
+            acc = 0
+            while r:
+                low = r & -r
+                bit = low.bit_length() - 1
+                off, shift, sq = blocks[bisect_right(starts, bit) - 1]
+                acc ^= sq[bit - off] << shift
+                r ^= low
+            out.append(acc)
+        return BitMatrix(rows.nrows, self.dims[n + k], tuple(out))
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +285,8 @@ class RealmCalculus:
     """All comparison-map data for one realm object, computed on demand.
 
     It is the one entry point to what is read off the comparison map of X:
-    ``rtilde``, ``invariants()``, ``alpha()`` and ``fix_parts``.
+    ``rtilde``, ``taubar_image``, ``invariants()``, ``alpha()`` (on the
+    loop-functor data ``omega``) and ``fix_parts``.
     """
 
     def __init__(self, X: RealmObject):
@@ -342,6 +386,18 @@ class RealmCalculus:
         return subquotient(self.taubar)
 
     @cached_property
+    def taubar_image(self) -> GradedSubspace:
+        """The image of taubar, as the graded u-submodule of ``bar``
+        generated by its u^0 layer: a u-linear map carries u^a x to u^a
+        times the image of x.  Its bases are canonical rref bases, and each
+        degree eliminates only its seeds and u times the degree below.
+        T8's exactness check certifies that it is the image: every row of
+        taubar lies in it, and taubar's rank is its dimension."""
+        dims = self.X.table.dims
+        layer = {d: self.taubar.mat(d).row_ints()[:dims[d]] for d in range(self.D + 1)}
+        return GradedSubspace.from_vectors(self.bar, layer)
+
+    @cached_property
     def equalizer_verdict(self) -> Verdict:
         """``equalizer_matches_taubar_kernel()``, certified once per calculus."""
         return self.equalizer_matches_taubar_kernel()
@@ -397,6 +453,13 @@ class RealmCalculus:
                 bases[n] = BitMatrix.identity(E.dim(n))
         return submodule(E, bases, f"Inv(G,{X.name})")
 
+    @cached_property
+    def omega(self) -> FourTermOmega:
+        """The loop-functor data of the module of X, built once per
+        calculus: ``alpha()`` reads it, and so does T11 on the shared
+        calculus of H(V_r)."""
+        return omega_of(self.X.module)
+
     def alpha(self) -> AlphaResult:
         """The loop-to-reduced-expansion map, from the structure map read on
         the unit block of taubar."""
@@ -410,7 +473,7 @@ class RealmCalculus:
             mask = (1 << self.bar.block(n, 1)[1]) - 1
             rows = [row & mask for row in full.row_ints()]
             st_mats[n] = BitMatrix.from_row_ints(rows, tbar.dims[n - 1] if n >= 1 else 0)
-        return alpha_from_structure(self.X.module, tbar, st_mats)
+        return alpha_from_structure(self.omega, tbar, st_mats)
 
     # -- fixed points ------------------------------------------------------------
 
@@ -565,13 +628,14 @@ class AlphaResult:
     omega_data: FourTermOmega
 
 
-def alpha_from_structure(M: TruncatedModule, tbar: TruncatedModule,
+def alpha_from_structure(ft: FourTermOmega, tbar: TruncatedModule,
                          st: Dict[int, BitMatrix]) -> AlphaResult:
     """The map from the loop module of M to ``tbar`` induced by a structure
-    map that lowers degrees by one, given by its matrices: ``st[n]`` maps
-    degree n of M to degree n - 1 of ``tbar``, and a degree absent from
-    ``st`` maps by zero.  The structure map must kill the image of Sq0."""
-    ft = omega_of(M)
+    map that lowers degrees by one, given by its matrices: ``ft`` is
+    ``omega(M)``, ``st[n]`` maps degree n of M to degree n - 1 of ``tbar``,
+    and a degree absent from ``st`` maps by zero.  The structure map must
+    kill the image of Sq0."""
+    M = ft.sq0_map.target
     D = min(M.D, tbar.D + 1)
     mats = {}
     for n in range(D + 1):

@@ -201,6 +201,12 @@ class TruncatedModule:
             return got
         return BitMatrix.zeros(self.dims[n], self.dims[n + i])
 
+    def sq_rows(self, k: int, n: int, rows: BitMatrix) -> BitMatrix:
+        """``rows @ sq(k, n)``: rows of degree n under Sq^k.  A module whose
+        action has a closed form overrides it, so that no product needs
+        the whole action."""
+        return rows @ self.sq(k, n)
+
     def word_action(self, word: Sequence[int], n: int) -> BitMatrix:
         """Matrix of Sq^{i1}...Sq^{ik} on degree n (rightmost factor acts first)."""
         word = tuple(word)
@@ -409,6 +415,16 @@ class ModuleMap:
         if got is not None:
             return got
         return BitMatrix.zeros(self.source.dims[n], self.target.dims[n])
+
+    def apply(self, n: int, rows: BitMatrix) -> BitMatrix:
+        """``rows @ mat(n)``: rows of the source in degree n, mapped.  A map
+        with a closed form overrides it and ``rank``, so that no product
+        and no rank needs its matrix."""
+        return rows @ self.mat(n)
+
+    def rank(self, n: int) -> int:
+        """The rank of ``mat(n)``, eliminated at most once (``f2core.rank``)."""
+        return rank(self.mat(n))
 
     def then(self, other: "ModuleMap") -> "ModuleMap":
         if other.source is not self.target and other.source != self.target:
@@ -1145,31 +1161,31 @@ def exact_sequence(maps: Sequence[ModuleMap], names: Sequence[str]) -> Verdict:
     """Exactness of 0 -> A0 -> A1 -> ... -> Ak -> 0 in every certified degree.
 
     ``maps[i]`` goes from the object named ``names[i]`` to ``names[i + 1]``.
-    Each map's rank is computed once per degree: the head must be
-    injective, each consecutive pair must pass ``f2core.image_is_kernel``
-    and the tail must be surjective.  A labelled witness is built only for
-    a failing check.
+    Each map's rank is read once per degree (``ModuleMap.rank``): the head
+    must be injective, each consecutive pair must pass the test of
+    ``f2core.image_is_kernel``, with the product taken by ``g.apply``, and
+    the tail must be surjective.  So the last map's matrix is never read
+    unless a labelled witness is built, which happens only for a failing
+    check.
     """
     if len(names) != len(maps) + 1:
         raise ValueError("one name per object of the sequence")
     D = min(f.D for f in maps)
+    head, tail = maps[0], maps[-1]
     for n in range(D + 1):
-        mats = [f.mat(n) for f in maps]
-        ranks = [rank(m) for m in mats]
-        head, tail = mats[0], mats[-1]
-        if ranks[0] != head.nrows:
-            bad = _subspace_witness(left_kernel(head), Subspace.zero(head.nrows),
-                                    maps[0].source.labels[n])
+        ranks = [f.rank(n) for f in maps]
+        if ranks[0] != head.source.dims[n]:
+            bad = _subspace_witness(left_kernel(head.mat(n)), Subspace.zero(head.source.dims[n]),
+                                    head.source.labels[n])
             return Verdict(False, D, f"not injective on {names[0]} in degree {n}: {bad}")
-        for i, (f, g) in enumerate(zip(mats, mats[1:])):
-            # the test of image_is_kernel, on the ranks already known
-            if not ((f @ g).is_zero() and ranks[i] + ranks[i + 1] == f.ncols):
-                bad = _subspace_witness(Subspace.from_rows(f), left_kernel(g),
-                                        maps[i].target.labels[n])
+        for i, (f, g) in enumerate(zip(maps, maps[1:])):
+            if not (g.apply(n, f.mat(n)).is_zero() and ranks[i] + ranks[i + 1] == f.target.dims[n]):
+                bad = _subspace_witness(Subspace.from_rows(f.mat(n)), left_kernel(g.mat(n)),
+                                        f.target.labels[n])
                 return Verdict(False, D, f"exactness fails at {names[i + 1]} in degree {n}: {bad}")
-        if ranks[-1] != tail.ncols:
-            bad = _subspace_witness(Subspace.from_rows(tail), Subspace.full(tail.ncols),
-                                    maps[-1].target.labels[n])
+        if ranks[-1] != tail.target.dims[n]:
+            bad = _subspace_witness(Subspace.from_rows(tail.mat(n)),
+                                    Subspace.full(tail.target.dims[n]), tail.target.labels[n])
             return Verdict(False, D, f"not surjective onto {names[-1]} in degree {n}: {bad}")
     return Verdict(True, D)
 

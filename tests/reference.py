@@ -142,6 +142,15 @@ def q_data_by_elimination(N: FuluModule) -> Quotient:
     return quotient(N, images, f"Q({N.name})")
 
 
+def quotient_u_module_by_elimination(X) -> FuluModule:
+    """The ambient of a graded u-subspace X modulo X, by ``quotient``: a
+    dense projection per degree and u as ``reps @ u @ proj``; the oracle of
+    ``fulu.quotient_u_module``, which projects by an operator."""
+    amb = X.ambient
+    space = FuluModule(amb.name, amb.D, amb.dims, {}, amb.labels, u=dict(amb.u_items()))
+    return quotient(space, [X.bases[n] for n in range(amb.D + 1)], f"({amb.name})/X").module
+
+
 def graded_span_by_elimination(ambient: FuluModule,
                                seeds: Dict[int, Sequence[int]]) -> Dict[int, BitMatrix]:
     """Canonical bases of the u-submodule generated by seed vectors: in

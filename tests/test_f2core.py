@@ -439,9 +439,30 @@ def test_rank_is_eliminated_once_and_read_from_certificates(monkeypatch):
     assert rank(zeroed) == 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 63, 64, 65, 130]), st.data())
+def test_row_reducer_remainders_are_the_vectors_modulo_the_row_space(ncols, data):
+    """A remainder differs from its vector by an element of the row space,
+    has no pivot bit set, and is zero exactly for the vectors inside; on an
+    rref basis and on a basis that is not reduced."""
+    ints = st.integers(0, (1 << ncols) - 1)
+    rows = data.draw(st.lists(ints, min_size=0, max_size=8))
+    space = Subspace.from_rows(BitMatrix.from_row_ints(rows, ncols))
+    pivots = sum(r & -r for r in space.basis.row_ints())
+    vecs = BitMatrix.from_row_ints(data.draw(st.lists(ints, max_size=5)), ncols)
+    for basis in (space.basis, BitMatrix.from_row_ints(rows, ncols)):
+        rest = RowReducer(basis).remainders(vecs)
+        assert (rest.nrows, rest.ncols) == (vecs.nrows, ncols)
+        for v, w in zip(vecs.row_ints(), rest.row_ints()):
+            assert space.contains_vector(v ^ w) and not w & pivots
+            assert (w == 0) == space.contains_vector(v)
+
+
 def test_row_reducer_rejects_a_width_mismatch():
     with pytest.raises(ValueError):
         RowReducer(BitMatrix.identity(3)).express(BitMatrix.zeros(1, 4))
+    with pytest.raises(ValueError):
+        RowReducer(BitMatrix.identity(3)).remainders(BitMatrix.zeros(0, 4))
 
 
 def test_left_kernel():

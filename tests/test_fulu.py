@@ -21,7 +21,7 @@ from usteen.fulu import (
     tensor_over_fulu,
     torsion_free,
 )
-from usteen.lannes import RealmCalculus, hv, realm_sum, realm_suspend, t_apply
+from usteen.lannes import RealmCalculus, hv, hv_module, realm_sum, realm_suspend, t_apply
 from usteen.singer import r1
 from usteen.unstable import (
     FuluModule,
@@ -48,6 +48,7 @@ from reference import (
     graded_span_by_elimination,
     one_sided_u_by_pairs,
     q_data_by_elimination,
+    quotient_u_module_by_elimination,
     span_sum,
     tensor_by_pairs,
     tensor_row,
@@ -337,6 +338,27 @@ def test_equiv_cond_randomized_small():
         if sat.ok:
             assert torsion_free(quotient_u_module(X)).ok
     assert agree == 25
+
+
+def test_saturation_is_torsion_freeness_of_the_quotient():
+    """On T14's random subspaces of E(H(V1)) and E(F(2)), and on random
+    spans in bar: X is saturated exactly when u is injective on the ambient
+    modulo X, both verdicts occur, and the quotient, whose projection is an
+    operator, has the labels and u of the eliminated one."""
+    D = 10
+    cases = [(extend_scalars(hv_module(1, D)), 3), (extend_scalars(free_unstable(2, D)), 3),
+             (RealmCalculus(hv(1, D)).bar, 1)]  # bar has no u^0 block for styles 1 and 2
+    rng = random.Random(14)
+    for amb, styles in cases:
+        seen = {True: 0, False: 0}
+        for t in range(60):
+            X = harness._random_subspace(rng, amb, t % styles)
+            sat = saturation_check(X).ok
+            q, want = quotient_u_module(X), quotient_u_module_by_elimination(X)
+            assert (q.dims, q.labels, q.u_items()) == (want.dims, want.labels, want.u_items())
+            assert torsion_free(q).ok == torsion_free(want).ok == sat, (amb.name, t)
+            seen[sat] += 1
+        assert min(seen.values()) >= 5, (amb.name, seen)
 
 
 def saturation_check_by_preimage(X):

@@ -670,8 +670,8 @@ def test_a_saturation_check_that_passes_an_unsaturated_trial_fails_t15(monkeypat
 def test_t14_and_t15_read_no_cokernel_projection_and_no_augmentation_matrix(monkeypatch):
     """On scalar extensions saturation counts shifted pivot rows, the spans
     shift their unseeded degrees and the augmentation is a column selection.
-    T14 takes no cokernel projection; in T15 only the quotients of the
-    saturated trials take one, one per degree."""
+    Neither T14 nor T15 takes a dense cokernel projection: the quotients of
+    T15's saturated trials project by the operator ``SubspaceProjection``."""
     counts = Counter()
     real = unstable._coker_data
 
@@ -689,8 +689,8 @@ def test_t14_and_t15_read_no_cokernel_projection_and_no_augmentation_matrix(monk
     assert run_check(make_spec("T14", D=D)).passed
     assert counts["coker"] == 0
     res = run_check(make_spec("T15", D=D))
-    assert res.passed
-    assert counts["coker"] == (D + 1) * res.tables["saturated"][0]
+    assert res.passed and res.tables["saturated"][0] > 0
+    assert counts["coker"] == 0
 
 
 def test_t13_witnesses_the_first_violation_of_a_map_that_is_not_a_module_map(monkeypatch):

@@ -5,12 +5,16 @@ from itertools import product
 import pytest
 
 from usteen import fixtures, harness, lannes, unstable
-from usteen.f2core import BitMatrix, RowReducer, Subspace, image_is_kernel, left_kernel
+from usteen.f2core import BitMatrix, RowReducer, Subspace, image_is_kernel, left_kernel, rank
 from usteen.fulu import (
     GradedSubspace,
+    SubspaceProjection,
     extend_scalars,
     indecomposables,
     positive_u_part,
+    q_data,
+    q_of_map,
+    q_of_quotient,
     saturation_check,
     torsion_free,
     u_linear_map,
@@ -34,6 +38,7 @@ from usteen.unstable import (
     ModuleMap,
     TheoryViolation,
     TruncatedModule,
+    TruncationError,
     Verdict,
     _compositions_submask,
     _mono_label,
@@ -41,6 +46,7 @@ from usteen.unstable import (
     exact_sequence,
     free_unstable,
     is_reduced,
+    omega,
     phi,
     polynomial_module,
     subquotient,
@@ -369,7 +375,7 @@ def test_alpha_on_doubled_free_module_vanishes():
     # is the ground field, and the structure map is forced to vanish
     P = phi(free_unstable(1, 8))
     tbar = unit_module(P.D)
-    ar = alpha_from_structure(P, tbar, {})
+    ar = alpha_from_structure(omega(P), tbar, {})
     for n in range(ar.alpha.D + 1):
         assert ar.alpha.mat(n).is_zero()
     dv = division_u2(ar)
@@ -381,10 +387,10 @@ def test_alpha_on_doubled_free_module_vanishes():
 def test_alpha_from_structure_refuses_a_wrong_shape_and_a_map_that_keeps_sq0():
     H = polynomial_module(1, 6)
     with pytest.raises(ValueError, match="degree 2 has wrong shape"):
-        alpha_from_structure(H, H, {2: BitMatrix.zeros(1, 2)})
+        alpha_from_structure(omega(H), H, {2: BitMatrix.zeros(1, 2)})
     # t^2 -> t does not kill t^2 = Sq0(ph(t))
     with pytest.raises(TheoryViolation, match="doubled image at degree 2"):
-        alpha_from_structure(H, H, {2: BitMatrix.identity(1)})
+        alpha_from_structure(omega(H), H, {2: BitMatrix.identity(1)})
 
 
 def test_alpha_unit_is_zero():
@@ -1267,22 +1273,60 @@ def test_a_flipped_bit_of_the_cokernel_projection_fails_exactness(r):
     assert failed > 0
 
 
+def _realm_cases(D):
+    X = hv(2, D)
+    return [hv(0, D), X, realm_suspend(hv(1, D), 2), t_apply(X), RealmCalculus(X).tbar,
+            realm_sum(hv(1, D), realm_suspend(hv(0, D), 2))]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_realm_rows_under_sq_match_the_action_and_build_none(case):
+    """``RealmModule.sq_rows`` reads the summands' matrices in place: on the
+    unit rows and on random rows it equals the product with the action,
+    which stays unbuilt until ``sq`` reads it."""
+    D = 6
+    M = _realm_cases(D)[case].module
+    rng = random.Random(case)
+    got = {}
+    for n in range(D + 1):
+        unit = BitMatrix.identity(M.dim(n))
+        rows = BitMatrix.from_row_ints([rng.getrandbits(M.dim(n)) for _ in range(3)], M.dim(n))
+        for k in range(D - n + 1):
+            got[(k, n)] = (rows, M.sq_rows(k, n, unit), M.sq_rows(k, n, rows))
+        with pytest.raises(TruncationError):
+            M.sq_rows(D - n + 1, n, unit)
+    assert callable(M._act)
+    for (k, n), (rows, on_units, on_rows) in got.items():
+        assert on_units == M.sq(k, n) and on_rows == rows @ M.sq(k, n), (M.name, k, n)
+
+
 def test_t8_leaves_u_and_the_action_of_bar_unbuilt(monkeypatch):
-    """After T8, u of E, ETX and bar and the Sq action of bar are still
-    pending: u is the shift and Sq on bar's rows the row Cartan sum."""
-    built = []
+    """After T8, u of E, ETX and bar, the Sq actions of bar and of Tbar X
+    and the matrices of the cokernel projection are still pending: u is the
+    shift, Sq on bar's rows the row Cartan sum over Tbar X's summand blocks,
+    and the projection an operator."""
+    built, projections = [], []
 
     def calculus(r, D):
         built.append(RealmCalculus(hv(r, D)))
         return built[-1]
 
+    class Recorded(SubspaceProjection):
+        def __init__(self, X):
+            super().__init__(X)
+            projections.append(self)
+
     monkeypatch.setattr(harness, "_hv_calculus", calculus)
+    monkeypatch.setattr(harness, "SubspaceProjection", Recorded)
     assert harness.run_check(harness.make_spec("T8", D=8, max_rank=3)).passed
-    assert len(built) == 3
-    for calc in built:
-        assert callable(calc.bar._act)
-        for N in (calc.E, calc.ETX, calc.bar):
+    assert len(built) == len(projections) == 3
+    for calc, proj in zip(built, projections):
+        assert callable(calc.bar._act) and callable(calc.tbar.module._act)
+        for N in (calc.E, calc.ETX, calc.bar, proj.target):
             assert callable(N._u), N.name
+        assert proj.source is calc.bar and proj._mats == {}
+        # no Subquotient cokernel, and no elimination of taubar's matrices
+        assert not {"_coker", "_im_bases"} & set(calc.taubar_sub.__dict__)
 
 
 def test_u_linear_verdict_needs_a_map_out_of_a_whole_extension():
@@ -1293,8 +1337,8 @@ def test_u_linear_verdict_needs_a_map_out_of_a_whole_extension():
 
 
 def test_t8_builds_u_only_where_it_reads_it(monkeypatch):
-    """u on N/uN is zero and nothing reads it; u on the cokernel of taubar is
-    built for its torsion check, once per rank."""
+    """u on N/uN is zero and nothing reads it; the cokernel of taubar is read
+    off the image of taubar, so no u on a cokernel is built."""
     monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
     built = Counter()
     checked = FuluModule._checked_u
@@ -1306,7 +1350,163 @@ def test_t8_builds_u_only_where_it_reads_it(monkeypatch):
     monkeypatch.setattr(FuluModule, "_checked_u", counting)
     harness._check_t8({"D": 6, "max_rank": 2})
     assert [name for name in built if name.startswith("Q(")] == []
-    assert built["coker(taubar)"] == 2
+    assert [name for name in built if "coker" in name or name.endswith("/X")] == []
+
+
+def test_t8_builds_no_cokernel_module_and_eliminates_no_q_of_one(monkeypatch):
+    """T8 builds neither the cokernel of taubar nor, by elimination, its
+    indecomposables: q_data runs on scalar extensions and on the kernel
+    only, and Q of the cokernel is the quotient of Q(bar) by the u^1 pivots."""
+    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
+    built, _ = count_builds(monkeypatch)
+    q_inputs = []
+    real = harness.q_data
+
+    def recording(N):
+        q_inputs.append(N.name)
+        return real(N)
+
+    monkeypatch.setattr(harness, "q_data", recording)
+    D = 6
+    harness._check_t8({"D": D, "max_rank": 2})
+    assert [name for name in built if "coker(taubar)" in name] == []
+    assert sorted(set(q_inputs)) == ["Fu(x)H(V1)", "Fu(x)H(V2)", "bar(Fu(x)Tbar(H(V1)))",
+                                     "bar(Fu(x)Tbar(H(V2)))", "ker(taubar)"]
+    assert built["(Q(bar(Fu(x)Tbar(H(V2)))))/X"] == 1
+
+
+def test_t8_and_t11_share_one_loop_module_per_rank(monkeypatch):
+    """The loop-functor data of H(V_r) are built once per rank and degree,
+    on the shared calculus, and read by T8's alpha and by T11."""
+    harness._hv_calculus.cache_clear()
+    built, _ = count_builds(monkeypatch)
+    results = harness.run_all(D=6, max_rank=2, only=["T8", "T11"])
+    harness._hv_calculus.cache_clear()
+    assert all(r.passed for r in results)
+    loops = {name: count for name, count in built.items()
+             if name.startswith(("Ph(", "ker(Sq0_", "coker(Sq0_", "Om(", "Om1("))}
+    assert loops == {name.format(f"H(V{r})"): 1 for r in (1, 2) for name in
+                     ("Ph({})", "ker(Sq0_{})", "coker(Sq0_{})", "Om({})", "Om1({})")}
+
+
+T8_GRID = [(8, 1), (8, 2), (8, 3), (14, 1), (14, 2)]
+
+
+@pytest.mark.parametrize("D, r", T8_GRID)
+def test_the_image_of_taubar_from_its_u0_layer_matches_the_elimination(D, r):
+    calc = RealmCalculus(hv(r, D))
+    image = calc.taubar_image
+    for n in range(D + 1):
+        assert image.bases[n] == Subspace.from_rows(calc.taubar.mat(n)).basis, n
+
+
+@pytest.mark.parametrize("D, r", T8_GRID)
+def test_the_cokernel_projection_operator_matches_the_dense_projection(D, r):
+    """The operator against ``_coker_data`` on the eliminated image, and the
+    Subquotient's cokernel: matrices, products on taubar's rows and on
+    random rows, ranks, dims, labels and u."""
+    calc = RealmCalculus(hv(r, D))
+    sub = calc.taubar_sub
+    proj = SubspaceProjection(calc.taubar_image)
+    rng = random.Random(100 * D + r)
+    for n in range(D + 1):
+        width = calc.bar.dim(n)
+        dense, cols = unstable._coker_data(Subspace.from_rows(calc.taubar.mat(n)).basis, width)
+        assert proj.rep_cols[n] == cols == list(sub.coker_cols[n])
+        rows = BitMatrix.from_row_ints([rng.getrandbits(width) for _ in range(20)], width)
+        assert proj.apply(n, rows) == rows @ dense
+        assert proj.apply(n, calc.taubar.mat(n)) == calc.taubar.mat(n) @ dense
+        assert proj.apply(n, calc.taubar.mat(n)).is_zero()
+        assert proj.mat(n) == dense == sub.coker_proj.mat(n)
+        assert proj.rank(n) == rank(BitMatrix.from_row_ints(dense.row_ints(), dense.ncols))
+    assert proj.target.dims == sub.cokernel.dims
+    assert proj.target.labels == sub.cokernel.labels
+    assert proj.target.u_items() == sub.cokernel.u_items()
+
+
+@pytest.mark.parametrize("D, r", T8_GRID)
+def test_q_of_the_cokernel_from_the_u1_pivots_matches_the_elimination(D, r):
+    calc = RealmCalculus(hv(r, D))
+    sub = calc.taubar_sub
+    q_bar = q_data(calc.bar)
+    got = q_of_quotient(q_bar, calc.taubar_image)
+    want = q_data(sub.cokernel)
+    assert got.target.dims == want.module.dims
+    assert got.target.labels == want.module.labels
+    induced = q_of_map(sub.coker_proj, q_bar, want)
+    for n in range(D + 1):
+        assert got.mat(n) == induced.mat(n), n
+
+
+@pytest.mark.parametrize("D, r", T8_GRID)
+def test_saturation_of_the_image_matches_torsion_of_the_cokernel(D, r):
+    calc = RealmCalculus(hv(r, D))
+    assert saturation_check(calc.taubar_image) == torsion_free(calc.taubar_sub.cokernel)
+
+
+def _with_rows(X, n, rows):
+    """A copy of the graded subspace X with the rows of degree n replaced,
+    unchecked: the mutants below are not u-submodules."""
+    Y = GradedSubspace.__new__(GradedSubspace)
+    Y.ambient = X.ambient
+    Y.bases = {**X.bases, n: BitMatrix.from_row_ints(rows, X.ambient.dim(n))}
+    return Y
+
+
+def test_t8_fails_exactness_at_the_reduced_part_on_a_dropped_image_row(monkeypatch):
+    calc = RealmCalculus(hv(1, 4))
+    image = calc.taubar_image
+    calc.__dict__["taubar_image"] = _with_rows(image, 3, image.bases[3].row_ints()[1:])
+    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: calc)
+    res = harness.run_check(harness.make_spec("T8", D=4, max_rank=1))
+    assert not res.passed
+    assert res.witness == ("rank 1: u-module sequence: exactness fails at reduced part in "
+                           "degree 3: [u|<0:1>t^2]+[u^2|<0:1>t] (in the first side only)")
+
+
+def test_t8_fails_the_induced_sequence_on_a_wrong_u1_trace(monkeypatch):
+    """One bit flipped, at a column that is no pivot, in a row of the image
+    whose pivot lies in the u^1 block: Q of the cokernel keeps its dims but
+    no longer contains the image of Q(taubar)."""
+    real = harness.q_of_quotient
+
+    def wrong_trace(q_amb, X):
+        if X.ambient.block(1, 1)[1] < 3:  # rank 1 has no such column
+            return real(q_amb, X)
+        rows = X.bases[1].row_ints()
+        assert rows[0] & 1 and not any(r & 0b100 & -r for r in rows)
+        rows[0] ^= 0b100
+        return real(q_amb, _with_rows(X, 1, rows))
+
+    monkeypatch.setattr(harness, "q_of_quotient", wrong_trace)
+    res = harness.run_check(harness.make_spec("T8", D=4, max_rank=2))
+    assert not res.passed
+    assert res.witness.startswith(
+        "rank 2: induced sequence: exactness fails at suspended reduced part in degree 1: ")
+
+
+def test_t8_fails_the_cokernel_torsion_check_on_an_unsaturated_image(monkeypatch):
+    """Saturation read on the image without one of its rows of degree 3:
+    u times that row still lies in the image, so the row is the witness."""
+    real = harness.saturation_check
+    monkeypatch.setattr(
+        harness, "saturation_check",
+        lambda X: real(_with_rows(X, 3, X.bases[3].row_ints()[1:])))
+    res = harness.run_check(harness.make_spec("T8", D=4, max_rank=1))
+    assert not res.passed
+    assert res.witness == ("rank 1: cokernel torsion: degree 3: u*([u|<0:1>t^2]+[u^2|<0:1>t]) "
+                           "lies in X but [u|<0:1>t^2]+[u^2|<0:1>t] does not")
+
+
+def test_t8_fails_the_freeness_forecast_on_a_wrong_cokernel_dimension(monkeypatch):
+    """An image one dimension too large in the top degree, read only by the
+    cokernel's dims there, makes the cokernel one too small."""
+    real = GradedSubspace.dim
+    monkeypatch.setattr(GradedSubspace, "dim",
+                        lambda self, n: real(self, n) + (n == self.ambient.D))
+    res = harness.run_check(harness.make_spec("T8", D=5, max_rank=1))
+    assert not res.passed
+    assert res.witness == "rank 1: cokernel not free on the suspended division term at degree 5"
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
