@@ -114,23 +114,17 @@ class BitMatrix:
         return BitMatrix(len(rows), self.ncols, rows)
 
     def take_cols(self, indices: Sequence[int]) -> "BitMatrix":
-        """Columns ``indices[k]`` as columns k, in order, repeats allowed.
-
-        Consecutive indices form one run (start, mask, destination), which
-        a row moves with one shift and mask: a selection of whole blocks
-        costs one step per block, not one per set bit.
-        """
+        """Columns ``indices[k]`` as columns k, in order, repeats allowed,
+        moved by their ``column_runs``."""
         idx = list(indices)
         if idx and not 0 <= min(idx) <= max(idx) < self.ncols:
             raise IndexError("column index out of range")
-        runs = []
-        k = 0
-        while k < len(idx):
-            end = k + 1
-            while end < len(idx) and idx[end] == idx[end - 1] + 1:
-                end += 1
-            runs.append((idx[k], (1 << (end - k)) - 1, k))
-            k = end
+        return self.gather(column_runs(idx), len(idx))
+
+    def gather(self, runs: Sequence[tuple], width: int) -> "BitMatrix":
+        """The ``width`` columns that ``runs`` (from ``column_runs``, whose
+        indices the caller keeps in range) select, one shift and mask per
+        run and row."""
         rows = []
         for r in self._rows:
             v = 0
@@ -138,7 +132,7 @@ class BitMatrix:
                 for start, mask, dest in runs:
                     v |= ((r >> start) & mask) << dest
             rows.append(v)
-        return BitMatrix(self.nrows, len(idx), tuple(rows))
+        return BitMatrix(self.nrows, width, tuple(rows))
 
     def concat_cols(self, other: "BitMatrix") -> "BitMatrix":
         if self.nrows != other.nrows:
@@ -178,6 +172,22 @@ class BitMatrix:
             body = ";".join(_bits(r, self.ncols) for r in self._rows)
             return f"BitMatrix({self.nrows}x{self.ncols}:[{body}])"
         return f"BitMatrix({self.nrows}x{self.ncols})"
+
+
+def column_runs(indices: Sequence[int]) -> tuple:
+    """Column indices as runs (start, mask, destination): consecutive
+    indices form one run, which a row moves with one shift and mask, so a
+    selection of whole blocks costs one step per block, not one per bit."""
+    idx = list(indices)
+    runs = []
+    k = 0
+    while k < len(idx):
+        end = k + 1
+        while end < len(idx) and idx[end] == idx[end - 1] + 1:
+            end += 1
+        runs.append((idx[k], (1 << (end - k)) - 1, k))
+        k = end
+    return tuple(runs)
 
 
 @dataclass(frozen=True)

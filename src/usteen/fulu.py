@@ -12,8 +12,10 @@ On a scalar extension u is a shift: it moves every row of degree n by
 dims[n + 1] - dims[n] bits, so products with u (``times_u``) build no
 matrix, and u as a matrix is built only when something reads ``u_mat``.
 Sq on rows of a scalar extension is the row Cartan sum ``sq_rows``, which
-reads only the base's rows under Sq.  The shift also gives graded
-u-subspaces of a scalar extension their closed forms: an unseeded degree
+reads only the base's rows under Sq; ``unstable.submodule`` certifies a
+u-submodule of a scalar extension through it, on its u-generators, so
+ker(taubar) and the invariant ring build no action.  The shift also gives
+graded u-subspaces of a scalar extension their closed forms: an unseeded degree
 of ``GradedSubspace.from_vectors`` and the preimage of ``saturation_check``
 are shifted rref bases, with no elimination.  The quotient by a graded
 u-subspace is read off its rref bases as well: the projection is an
@@ -32,7 +34,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2core import BitMatrix, RowReducer, Subspace, complement_rows, left_kernel, rank
+from .f2core import (
+    BitMatrix,
+    RowReducer,
+    Subspace,
+    column_runs,
+    complement_rows,
+    left_kernel,
+    rank,
+)
 from .unstable import (
     FuluModule,
     ModuleMap,
@@ -70,6 +80,7 @@ class ExtendedModule(FuluModule):
     """
 
     __slots__ = ("base", "layout", "start")
+    cartan_by_construction = True
 
     def __init__(self, base: TruncatedModule, start: int, name: str):
         D = base.D
@@ -129,15 +140,17 @@ class ExtendedModule(FuluModule):
             raise TruncationError(f"{self.name}: Sq^{k} on degree {n} outside 0..{self.D}")
         if rows.ncols != self.dims[n]:
             raise ValueError("row width mismatch")
+        ints, base = rows.row_ints(), self.base
         out = [0] * rows.nrows
         for q, off, width, terms in self._cartan_terms(k, n):
             mask = (1 << width) - 1
-            part = BitMatrix(rows.nrows, width, tuple((r >> off) & mask for r in rows.row_ints()))
-            if part.is_zero():
+            parts = [(r >> off) & mask for r in ints]
+            if not any(parts):
                 continue
+            part = BitMatrix(rows.nrows, width, tuple(parts))
             for j, shift in terms:
-                image = part if j == 0 else self.base.sq_rows(j, q, part)
-                out = [x ^ (r << shift) for x, r in zip(out, image.row_ints())]
+                image = parts if j == 0 else base.sq_rows(j, q, part).row_ints()
+                out = [x ^ (r << shift) for x, r in zip(out, image)]
         return BitMatrix(rows.nrows, self.dims[n + k], tuple(out))
 
     def _cartan_terms(self, k: int, n: int):
@@ -211,25 +224,40 @@ def positive_u_part(M: TruncatedModule) -> ExtendedModule:
     return ExtendedModule(M, 1, f"bar(Fu(x){M.name})")
 
 
-def u_linear_map(src: ExtendedModule, tgt: ExtendedModule, layer: Sequence[Sequence[int]],
-                 name: str = "") -> ModuleMap:
-    """The u-linear map out of ``src`` = F[u] (x) M with u^0 layer ``layer``.
+class ULinearMap(ModuleMap):
+    """The u-linear map out of ``src`` = F[u] (x) M with u^0 layer ``layer``,
+    kept as that layer.
 
     ``layer[d]`` lists the images of M's degree-d basis, as rows of ``tgt``
     in degree d, for d = 0..D.  The target is a scalar extension or its
     positive-u part: u^a carries its degree-(n - a) basis, in order, onto
     the last ``tgt.dims[n - a]`` vectors of degree n.  So the u^a block of
-    ``src`` in degree n maps by ``layer[n - a]`` shifted by one offset.
+    ``src`` in degree n maps by ``layer[n - a]`` shifted by one offset;
+    ``mat(n)`` is placed so when it is first read.
     """
-    D = len(layer) - 1
-    mats = {}
-    for n in range(D + 1):
-        rows = []
-        for a, _, _ in src.layout.blocks(n):
-            shift = tgt.dims[n] - tgt.dims[n - a]
-            rows.extend(r << shift for r in layer[n - a])
-        mats[n] = BitMatrix.from_row_ints(rows, tgt.dim(n))
-    return ModuleMap(src, tgt, mats, D=D, name=name)
+
+    def __init__(self, src: ExtendedModule, tgt: ExtendedModule, layer: Sequence[Sequence[int]],
+                 name: str = ""):
+        super().__init__(src, tgt, {}, D=len(layer) - 1, name=name)
+        self.layer = layer
+
+    def mat(self, n: int) -> BitMatrix:
+        if not 0 <= n <= self.D:
+            return super().mat(n)
+        got = self._mats.get(n)
+        if got is None:
+            tgt, rows = self.target, []
+            for a, _, _ in self.source.layout.blocks(n):
+                shift = tgt.dims[n] - tgt.dims[n - a]
+                rows.extend(r << shift for r in self.layer[n - a])
+            got = self._mats[n] = BitMatrix.from_row_ints(rows, tgt.dims[n])
+        return got
+
+
+def u_linear_map(src: ExtendedModule, tgt: ExtendedModule, layer: Sequence[Sequence[int]],
+                 name: str = "") -> ULinearMap:
+    """The u-linear map out of ``src`` with u^0 layer ``layer`` (``ULinearMap``)."""
+    return ULinearMap(src, tgt, layer, name)
 
 
 def u_linear_verdict(f: ModuleMap) -> Verdict:
@@ -584,6 +612,11 @@ class SubspaceProjection(ModuleMap):
             cols.append([c for c, f in enumerate(flags) if f == "0"])
         return cols
 
+    @cached_property
+    def _rep_runs(self) -> List[tuple]:
+        """The ``column_runs`` of ``rep_cols``, which ``apply`` gathers."""
+        return [column_runs(cols) for cols in self.rep_cols]
+
     def _reps(self, n: int) -> BitMatrix:
         """The representatives of degree n, unit rows at ``rep_cols[n]``."""
         return BitMatrix(len(self.rep_cols[n]), self.source.dims[n],
@@ -596,7 +629,7 @@ class SubspaceProjection(ModuleMap):
         rest = red.remainders(rows)
         if rest.is_zero():
             return BitMatrix.zeros(rows.nrows, self.target.dims[n])
-        return rest.take_cols(self.rep_cols[n])
+        return rest.gather(self._rep_runs[n], self.target.dims[n])
 
     def rank(self, n: int) -> int:
         return self.target.dims[n]

@@ -338,9 +338,9 @@ def _check_t8(params):
             f"rank {r}: induced sequence",
         )
         ar = calc.alpha()
-        dv = division_u2(ar)
-        div_dims = [dv.div.dim(n) for n in range(dv.div.D + 1)]
-        for n in range(min(D, dv.div.D + 1) + 1):
+        div_dims = division_u2(ar).div_dims
+        top = len(div_dims) - 1
+        for n in range(min(D, top + 1) + 1):
             _need_true(
                 q_proj.target.dim(n) == (div_dims[n - 1] if n >= 1 else 0),
                 f"rank {r}: division term wrong in degree {n}",
@@ -365,7 +365,7 @@ def _check_t8(params):
         c2 = [calc.bar.dim(n) - image.dim(n) for n in range(D + 1)]
         for n in range(D + 1):
             forecast = sum(
-                div_dims[k - 1] for k in range(1, n + 1) if k - 1 <= dv.div.D
+                div_dims[k - 1] for k in range(1, n + 1) if k - 1 <= top
             )
             _need_true(
                 c2[n] == forecast,

@@ -19,12 +19,11 @@ Conventions pinned here (guarded by degree-one unit tests):
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2core import BitMatrix, image_is_kernel, left_kernel, rref
+from .f2core import BitMatrix, column_runs, image_is_kernel, left_kernel, rref
 from .fulu import (
     ExtendedModule,
     GradedSubspace,
@@ -46,6 +45,7 @@ from .unstable import (
     _monomials,
     _monomial_pos,
     _submasks,
+    _sum_label,
     omega as omega_of,
     polynomial_module,
     submodule,
@@ -133,6 +133,9 @@ class RealmObject:
             return out
 
         def action() -> Dict[Tuple[int, int], BitMatrix]:
+            if len(polys) == 1:  # one summand: its module's matrices, s degrees up
+                s = self.summands[0].s
+                return {(k, q + s): m for (k, q), m in polys[0].action_items() if q + s + k <= D}
             out = {}
             for n in range(D + 1):
                 blocks = self.table.blocks(n)
@@ -167,29 +170,25 @@ class RealmModule(TruncatedModule):
         super().__init__(realm.name, realm.D, realm.table.dims, action, labels)
 
     def sq_rows(self, k: int, n: int, rows: BitMatrix) -> BitMatrix:
-        """``rows @ sq(k, n)``, one XOR per set bit as in a product: bit i
-        of the block of summand j brings in row i of Sq^k on that summand's
-        polynomial module, shifted to the summand's block of degree n + k."""
+        """``rows @ sq(k, n)``, one product per summand block: the block's
+        bits of the rows, gathered, times Sq^k on that summand's polynomial
+        module, shifted to the summand's block of degree n + k."""
         if not 0 <= n <= n + k <= self.D:
             raise TruncationError(f"{self.name}: Sq^{k} on degree {n} outside 0..{self.D}")
         if rows.ncols != self.dims[n]:
             raise ValueError("row width mismatch")
         table, summands = self.realm.table, self.realm.summands
-        starts, blocks = [], []
-        for j, off, _ in table.blocks(n):
-            starts.append(off)
-            sq = self.polys[j].sq(k, n - summands[j].s)
-            blocks.append((off, table.block(n + k, j)[0], sq.row_ints()))
-        out = []
-        for r in rows.row_ints():
-            acc = 0
-            while r:
-                low = r & -r
-                bit = low.bit_length() - 1
-                off, shift, sq = blocks[bisect_right(starts, bit) - 1]
-                acc ^= sq[bit - off] << shift
-                r ^= low
-            out.append(acc)
+        ints = rows.row_ints()
+        out = [0] * rows.nrows
+        for j, off, width in table.blocks(n):
+            mask = (1 << width) - 1
+            parts = [(r >> off) & mask for r in ints]
+            if not any(parts):
+                continue
+            part = BitMatrix(rows.nrows, width, tuple(parts))
+            image = part @ self.polys[j].sq(k, n - summands[j].s)
+            shift = table.block(n + k, j)[0]
+            out = [x ^ (y << shift) for x, y in zip(out, image.row_ints())]
         return BitMatrix(rows.nrows, self.dims[n + k], tuple(out))
 
 
@@ -361,13 +360,13 @@ class RealmCalculus:
         return u_linear_map(self.E, self.ETX, layer, name="tau")
 
     @cached_property
-    def taubar(self) -> ModuleMap:
-        """pi o tau, with pi the projection of F[u] (x) TX onto the positive
-        u-powers of the reduced components.  sigma lands in u^0, so this is
-        pi o (sigma + tau); u-linear, so read on the u^0 rows of tau."""
+    def _bar_runs(self) -> List[tuple]:
+        """The columns of F[u] (x) TX that bar keeps (the positive u-powers
+        of the reduced components), in bar's order, as ``column_runs`` per
+        degree."""
         reduced = [self.TX.comp_pos[comp] for comp in self.tbar.components]
         table = self.TX.table
-        layer = []
+        runs = []
         for d in range(self.D + 1):
             cols = []  # bar's order: u-power, then reduced component, then monomial
             for a in range(1, d + 1):
@@ -375,8 +374,19 @@ class RealmCalculus:
                 for c in reduced:
                     off, width = table.block(d - a, c)
                     cols.extend(range(start + off, start + off + width))
-            u0 = self.tau.mat(d).take_rows(range(self.X.table.dims[d]))
-            layer.append(u0.take_cols(cols).row_ints())
+            runs.append(column_runs(cols))
+        return runs
+
+    @cached_property
+    def taubar(self) -> ModuleMap:
+        """pi o tau on the u^0 layer, with pi the projection of F[u] (x) TX
+        onto the positive u-powers of the reduced components, extended
+        u-linearly: a gather of the columns of tau's layer that bar keeps."""
+        layer = []
+        for d, runs in enumerate(self._bar_runs):
+            rows = self.tau.layer[d]
+            u0 = BitMatrix(len(rows), self.ETX.dims[d], tuple(rows))
+            layer.append(u0.gather(runs, self.bar.dims[d]).row_ints())
         return u_linear_map(self.E, self.bar, layer, name="taubar")
 
     # -- the equalizer kernel and its companions -----------------------------------
@@ -393,9 +403,7 @@ class RealmCalculus:
         degree eliminates only its seeds and u times the degree below.
         T8's exactness check certifies that it is the image: every row of
         taubar lies in it, and taubar's rank is its dimension."""
-        dims = self.X.table.dims
-        layer = {d: self.taubar.mat(d).row_ints()[:dims[d]] for d in range(self.D + 1)}
-        return GradedSubspace.from_vectors(self.bar, layer)
+        return GradedSubspace.from_vectors(self.bar, dict(enumerate(self.taubar.layer)))
 
     @cached_property
     def equalizer_verdict(self) -> Verdict:
@@ -404,18 +412,39 @@ class RealmCalculus:
 
     def equalizer_matches_taubar_kernel(self) -> Verdict:
         """The kernel of taubar is the equalizer of sigma and tau, the kernel
-        of sigma + tau, which is computed independently of taubar."""
-        for n in range(self.D + 1):
-            diff = self.sigma.mat(n) + self.tau.mat(n)
-            if not image_is_kernel(self.taubar_sub.kernel_incl.mat(n), diff):
-                return Verdict(False, self.D, f"equalizer differs from the kernel in degree {n}")
+        of sigma + tau, certified on the u^0 layer.
+
+        Let iota be the inclusion of bar into F[u] (x) TX.  On the u^0
+        layer sigma lands in u^0 and taubar is tau on bar's columns, so
+        there sigma + tau = iota o taubar exactly when sigma + tau has no
+        bit outside bar, that is, when sigma and tau agree on component 0
+        and modulo u.  All three maps are u-linear, so they then agree in
+        every degree, and iota is injective, so ker(sigma + tau) = ker
+        taubar.  Only the two layers are read: no matrix, rank or kernel
+        of sigma + tau.  A failure names the first basis vector whose
+        value has a bit outside bar; the two kernels may still agree.
+        """
+        sigma, tau, ETX = self.sigma, self.tau, self.ETX
+        for d, runs in enumerate(self._bar_runs):
+            outside = (1 << ETX.dims[d]) - 1
+            for start, mask, _ in runs:
+                outside ^= mask << start
+            for x, (s, t) in enumerate(zip(sigma.layer[d], tau.layer[d])):
+                bad = (s ^ t) & outside
+                if bad:
+                    return Verdict(False, self.D, (
+                        f"sigma + tau is not taubar in degree {d}: its value on "
+                        f"{self.X.module.labels[d][x]} has {_sum_label(ETX.labels[d], bad)} "
+                        "outside bar"))
         return Verdict(True, self.D)
 
     @property
     def rtilde(self) -> FuluModule:
         """The kernel of taubar, the functor's value on X.  The equalizer is
         certified once per calculus; a failing verdict raises
-        ``TheoryViolation`` on every read."""
+        ``TheoryViolation`` on every read.  The kernel is certified stable
+        under the squares on its u-generators when it is built
+        (``unstable.submodule``), and raises ``TheoryViolation`` if not."""
         v = self.equalizer_verdict
         if not v.ok:
             raise TheoryViolation(v.witness or "equalizer mismatch")
@@ -432,16 +461,19 @@ class RealmCalculus:
         if len(X.summands) != 1 or X.summands[0].s:
             raise ValueError(f"invariants need one unsuspended H(V_r), not {X.name}")
         r = X.summands[0].r
+        pos = [_monomial_pos(r, d) for d in range(D + 1)]
+        # the u^a block of E in degree d starts at dims[d] - dims[d - a]
+        offsets = [[E.dims[d] - E.dims[d - a] for a in range(d + 1)] for d in range(D + 1)]
         g_plus_id = []
         for gen in range(r):
             v = 1 << gen
             layer = []
             for d in range(D + 1):
                 rows = []
-                for pos, mono in enumerate(X.monomials(0, d)):
-                    acc = 1 << pos  # g_v^* + identity: mono's own u^0 copy sits at pos
+                for p, mono in enumerate(X.monomials(0, d)):
+                    acc = 1 << p  # g_v^* + identity: mono's own u^0 copy sits at p
                     for (extra, m2) in _twist_terms(mono, v):
-                        acc ^= 1 << E.index(d, extra, X.index(d - extra, 0, m2))
+                        acc ^= 1 << (offsets[d][extra] + pos[d - extra][m2])
                     rows.append(acc)
                 layer.append(rows)
             g_plus_id.append(u_linear_map(E, E, layer))
@@ -466,12 +498,9 @@ class RealmCalculus:
         tbar = self.tbar.module
         st_mats = {}
         for n in range(self.D + 1):
-            # the base sits in the extension as the u^0 block: a row range
-            off, width = self.E.block(n, 0)
-            full = self.taubar.mat(n).take_rows(range(off, off + width))
-            # select the u^1 layer, with which the bar coordinates start
+            # taubar's u^0 layer, on the u^1 block, with which the bar coordinates start
             mask = (1 << self.bar.block(n, 1)[1]) - 1
-            rows = [row & mask for row in full.row_ints()]
+            rows = [row & mask for row in self.taubar.layer[n]]
             st_mats[n] = BitMatrix.from_row_ints(rows, tbar.dims[n - 1] if n >= 1 else 0)
         return alpha_from_structure(self.omega, tbar, st_mats)
 
@@ -653,16 +682,39 @@ def alpha_from_structure(ft: FourTermOmega, tbar: TruncatedModule,
     return AlphaResult(ModuleMap(ft.omega, tbar, alpha_mats, D=top, name="alpha"), ft)
 
 
-@dataclass
 class DivisionResult:
-    """The division data measured by the loop-to-reduced-expansion map."""
+    """The division data measured by the loop-to-reduced-expansion map.
 
-    div: TruncatedModule       # cokernel of alpha
-    derived1: TruncatedModule  # kernel of alpha
-    derived2: TruncatedModule  # the first derived loop module
-    alpha: AlphaResult
+    ``div`` (the cokernel of alpha) and ``derived1`` (its kernel) come from
+    one subquotient of alpha, taken on first read; ``derived2`` is the
+    first derived loop module.  ``div_dims`` reads the cokernel's dims off
+    alpha's ranks, tbar.dims[n] - rank(alpha_n), and builds neither.
+    """
+
+    def __init__(self, alpha: AlphaResult):
+        self.alpha = alpha
+
+    @cached_property
+    def _sub(self) -> Subquotient:
+        return subquotient(self.alpha.alpha)
+
+    @property
+    def div(self) -> TruncatedModule:
+        return self._sub.cokernel
+
+    @property
+    def derived1(self) -> TruncatedModule:
+        return self._sub.kernel
+
+    @property
+    def derived2(self) -> TruncatedModule:
+        return self.alpha.omega_data.omega1
+
+    @cached_property
+    def div_dims(self) -> Tuple[int, ...]:
+        a = self.alpha.alpha
+        return tuple(a.target.dims[n] - a.rank(n) for n in range(a.D + 1))
 
 
 def division_u2(ar: AlphaResult) -> DivisionResult:
-    sub = subquotient(ar.alpha)
-    return DivisionResult(sub.cokernel, sub.kernel, ar.omega_data.omega1, ar)
+    return DivisionResult(ar)

@@ -21,6 +21,7 @@ from .f2core import (
     RowReducer,
     Subspace,
     certify_rank,
+    complement_rows,
     express_in_rowspace,
     left_kernel,
     rank,
@@ -224,11 +225,28 @@ class TruncatedModule:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check instability and Adem coherence for every stored degree."""
+        """Check instability and Adem coherence for every stored degree.
+
+        The matrix of each word on each degree is computed once per call:
+        word(w, n) = word(w[1:], n) @ sq(w[0], n + |w[1:]|), and the left
+        side Sq^a Sq^b of a relation is the word (a, b)."""
         report = ValidationReport()
         for (i, n), m in self.action_items():
             if i > n and not m.is_zero():
                 report.add(f"instability violated at (i={i}, n={n})")
+        words: Dict[Tuple[Tuple[int, ...], int], BitMatrix] = {}
+
+        def word(w: Tuple[int, ...], n: int) -> BitMatrix:
+            got = words.get((w, n))
+            if got is None:
+                rest = w[1:]
+                if rest:
+                    got = word(rest, n) @ self.sq(w[0], n + sum(rest))
+                else:
+                    got = self.sq(w[0], n)
+                words[(w, n)] = got
+            return got
+
         for b in range(1, self.D + 1):
             for a in range(1, 2 * b):
                 if a + b > self.D:
@@ -237,10 +255,10 @@ class TruncatedModule:
                 for n in range(0, self.D - a - b + 1):
                     if self.dims[n] == 0:
                         continue
-                    lhs = self.sq(b, n) @ self.sq(a, n + b)
+                    lhs = word((a, b), n)
                     rhs = BitMatrix.zeros(self.dims[n], self.dims[n + a + b])
                     for w in nf:
-                        rhs = rhs + self.word_action(w, n)
+                        rhs = rhs + word(w, n)
                     if lhs != rhs:
                         report.add(
                             f"Adem coherence fails for Sq^{a}Sq^{b} on degree {n}"
@@ -278,9 +296,15 @@ class FuluModule(TruncatedModule):
     Products with u go through ``times_u`` (rows times u) and ``u_then``
     (u, then a matrix), which a module whose u has a closed form overrides,
     so that no product needs u as a matrix.
+
+    ``cartan_by_construction`` is true on a module whose action is built
+    by the Cartan formula from an unstable module's (a scalar extension),
+    where the rule holds by construction; ``submodule`` then certifies
+    Sq-stability on u-generators.
     """
 
     __slots__ = ("_u",)
+    cartan_by_construction = False
 
     def __init__(
         self,
@@ -1019,6 +1043,12 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
     eliminated at most once.  Raises :class:`TheoryViolation` when the span
     is not stable under the action or u, which always indicates an
     internal inconsistency upstream.  Labels are built on first read.
+
+    u-stability is checked first.  On an ambient with
+    ``cartan_by_construction`` (a scalar extension, E or bar), Sq-stability
+    is then certified on the u-generators only (``_certify_on_u_generators``)
+    and the induced action is built on first read, with the full escape
+    check; any other ambient induces it at once.
     """
     D = ambient.D if D is None else D
     full = {n: bases.get(n, BitMatrix.zeros(0, ambient.dims[n])) for n in range(D + 1)}
@@ -1029,21 +1059,57 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
         return [tuple(_sum_label(names[n], r) for r in full[n].row_ints()) for n in range(D + 1)]
 
     reducers: Dict[int, RowReducer] = {}
-    action = _restricted_action(full, ambient, D, name, reducers)
-    if isinstance(ambient, FuluModule):
-        u = {}
-        for n in range(D):
-            if dims[n]:
-                # zero rows lie in every subspace and induce the zero u, not stored
-                image = ambient.times_u(n, full[n])
-                if not image.is_zero():
-                    u[n] = _express(full, reducers, n + 1, image,
-                                    f"{name}: u escapes the subspace at degree {n}")
-        mod: TruncatedModule = FuluModule(name, D, dims, action, labels, u=u)
+    if not isinstance(ambient, FuluModule):
+        mod = TruncatedModule(name, D, dims, _restricted_action(full, ambient, D, name, reducers),
+                              labels)
+        return mod, ModuleMap(mod, ambient, full, D=D)
+    u, u_images = {}, {}
+    for n in range(D):
+        if dims[n]:
+            # zero rows lie in every subspace and induce the zero u, not stored
+            image = u_images[n + 1] = ambient.times_u(n, full[n])
+            if not image.is_zero():
+                u[n] = _express(full, reducers, n + 1, image,
+                                f"{name}: u escapes the subspace at degree {n}")
+
+    def action() -> Dict[Tuple[int, int], BitMatrix]:
+        return _restricted_action(full, ambient, D, name, reducers)
+
+    if ambient.cartan_by_construction:
+        _certify_on_u_generators(full, u_images, ambient, D, name, reducers)
+        mod = FuluModule(name, D, dims, action, labels, u=u)
     else:
-        mod = TruncatedModule(name, D, dims, action, labels)
-    incl = ModuleMap(mod, ambient, {n: full[n] for n in range(D + 1)}, D=D)
-    return mod, incl
+        mod = FuluModule(name, D, dims, action(), labels, u=u)
+    return mod, ModuleMap(mod, ambient, full, D=D)
+
+
+def _certify_on_u_generators(full: Dict[int, BitMatrix], u_images: Dict[int, BitMatrix],
+                             ambient: FuluModule, D: int, what: str,
+                             reducers: Dict[int, RowReducer]) -> None:
+    """Sq-stability of a u-stable graded span K of a scalar extension, read
+    on its u-generators; raises :class:`TheoryViolation` on an escape.
+
+    The generators of degree n are the rows of K^n outside u K^{n-1}
+    (``f2core.complement_rows``, with ``u_images[n]`` = u K^{n-1}), and
+    each goes through Sq^{2^i} by the ambient's row Cartan sum
+    (``sq_rows``), so the ambient's action is not built.
+
+    Soundness: the ambient is an unstable module with
+    Sq^k(u x) = u Sq^k x + u^2 Sq^{k-1} x, and the Sq^{2^j} with j < i
+    generate every Sq^k with k < 2^i.  Suppose K is stable under them.
+    K^n is spanned by its generators and u K^{n-1}, and for y in K^{n-1},
+    Sq^{2^i}(u y) = u Sq^{2^i} y + u^2 Sq^{2^i - 1} y lies in K by
+    induction on the degree, on i and by u-stability.  So K is stable
+    under Sq^{2^i} once its generators are, and by induction on i, under
+    all of A.  ``fulu.u_linear_verdict`` makes the same argument.
+    """
+    for n in range(D + 1):
+        gens = complement_rows(u_images[n], full[n]) if n in u_images else full[n]
+        k = 1
+        while gens.nrows and n + k <= D:
+            _express(full, reducers, n + k, ambient.sq_rows(k, n, gens),
+                     f"{what}: Sq^{k} escapes the subspace at degree {n}")
+            k *= 2
 
 
 def _coker_data(image_rref: BitMatrix, dim: int) -> Tuple[BitMatrix, List[int]]:

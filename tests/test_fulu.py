@@ -44,6 +44,7 @@ from usteen.unstable import (
 )
 
 from reference import (
+    a_span,
     fulu_algebra,
     graded_span_by_elimination,
     one_sided_u_by_pairs,
@@ -679,3 +680,55 @@ def test_induced_u_matches_a_plain_solve():
         solve = u_on_span_by_solving if kind == "span" else u_on_quotient_by_solving
         want = solve(mats, ambient, M.D)
         assert [M.u_mat(n) for n in range(M.D)] == [want[n] for n in range(M.D)], name
+
+
+def generator_certificate_ambients():
+    """Scalar extensions (E of three bases, and bar of two realm objects)
+    on which ``submodule`` certifies Sq-stability on u-generators."""
+    return [extend_scalars(polynomial_module(1, 9)), extend_scalars(free_unstable(2, 9)),
+            extend_scalars(polynomial_module(2, 7)), RealmCalculus(hv(1, 8)).bar,
+            RealmCalculus(hv(2, 6)).bar]
+
+
+def random_u_submodule(rng: random.Random, N, style: int) -> GradedSubspace:
+    """A random graded u-submodule of N: the u-span of random seeds (style
+    0, mostly not Sq-stable), of the A-span of random seeds (style 1,
+    Sq-stable), or of that A-span and one more random seed (style 2)."""
+    def seed():
+        n = rng.choice([n for n in range(N.D + 1) if N.dims[n]])
+        return n, rng.randrange(1, 1 << N.dims[n])
+
+    seeds = {}
+    for _ in range(rng.randint(1, 3) if style == 0 else rng.randint(1, 2)):
+        n, v = seed()
+        seeds.setdefault(n, []).append(v)
+    if style:
+        seeds = {n: b.row_ints() for n, b in a_span(N, seeds).items()}
+    if style == 2:
+        n, v = seed()
+        seeds.setdefault(n, []).append(v)
+    return GradedSubspace.from_vectors(N, seeds)
+
+
+def test_the_generator_certificate_agrees_with_the_eager_restricted_action():
+    """On 600 random u-submodules of scalar extensions, ``submodule`` raises
+    exactly when restricting the ambient's whole action does, and the
+    action it builds on first read is that restriction."""
+    rng = random.Random(24)
+    seen = {True: 0, False: 0}
+    for trial in range(600):
+        N = generator_certificate_ambients()[trial % 5]
+        X = random_u_submodule(rng, N, trial % 3)
+        try:
+            want = unstable._restricted_action(X.bases, N, N.D, "sub")
+        except TheoryViolation:
+            want = None
+        seen[want is not None] += 1
+        if want is None:
+            with pytest.raises(TheoryViolation, match=r"^sub: Sq\^\d+ escapes the subspace at "):
+                submodule(N, X.bases, "sub")
+        else:
+            sub, _ = submodule(N, X.bases, "sub")
+            nonzero = sorted((key, m) for key, m in want.items() if not m.is_zero())
+            assert sub.action_items() == nonzero, (N.name, trial)
+    assert seen[True] >= 50 and seen[False] >= 50, seen

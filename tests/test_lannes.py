@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from usteen import fixtures, harness, lannes, unstable
+from usteen import cli, fixtures, harness, lannes, unstable
 from usteen.f2core import BitMatrix, RowReducer, Subspace, image_is_kernel, left_kernel, rank
 from usteen.fulu import (
     GradedSubspace,
@@ -17,6 +17,7 @@ from usteen.fulu import (
     q_of_quotient,
     saturation_check,
     torsion_free,
+    ULinearMap,
     u_linear_map,
     u_linear_verdict,
 )
@@ -186,14 +187,16 @@ def test_sigma_tau_agree_on_zero_component():
 @pytest.mark.parametrize("component", ["zero", "nonzero"])
 def test_equalizer_verdict_fails_on_a_tau_that_drops_a_copy_of_the_unit(X, component):
     """sigma and tau agree on component 0 and modulo u, which taubar = pi o tau
-    relies on; a tau that breaks either fails the verdict in degree 0."""
+    relies on; a tau that breaks either fails the verdict in degree 0, and
+    the witness names the bit of sigma + tau outside bar."""
     calc = RealmCalculus(X)
     assert mutant_tau(calc, []) == calc.tau
-    c = calc.TX.comp_pos[(0, 0 if component == "zero" else 1)]
-    calc.tau = mutant_tau(calc, [c])
+    v = 0 if component == "zero" else 1
+    calc.tau = mutant_tau(calc, [calc.TX.comp_pos[(0, v)]])
     assert "taubar" not in vars(calc)
     assert calc.equalizer_verdict == Verdict(
-        False, X.D, "equalizer differs from the kernel in degree 0")
+        False, X.D, f"sigma + tau is not taubar in degree 0: its value on 1 has [1|<0:{v}>1] "
+                    "outside bar")
 
 
 def test_rtilde_raises_on_every_read_when_the_equalizer_fails():
@@ -201,8 +204,38 @@ def test_rtilde_raises_on_every_read_when_the_equalizer_fails():
     calc.tau = mutant_tau(calc, [calc.TX.comp_pos[(0, 0)]])
     for _ in range(2):
         with pytest.raises(unstable.TheoryViolation,
-                           match="equalizer differs from the kernel in degree 0"):
+                           match=r"^sigma \+ tau is not taubar in degree 0: "):
             calc.rtilde
+
+
+@pytest.mark.parametrize("X", [hv(1, 6), hv(2, 4)], ids=lambda X: X.name)
+def test_rtilde_fails_at_construction_when_a_tau_bit_inside_bar_breaks_the_kernel(X):
+    """Flipping one bit of tau's u^0 layer inside bar leaves sigma + tau =
+    iota o taubar, so the equalizer passes; reading rtilde raises exactly
+    when the kernel of the new taubar is not stable under the whole action
+    of F[u] (x) X, and some flip makes it so."""
+    base = RealmCalculus(X)
+    E, ETX = base.E, base.ETX
+    escaped = 0
+    for d, runs in enumerate(base._bar_runs):
+        inside = [start + i for start, mask, _ in runs for i in range(mask.bit_length())]
+        for x, bit in product(range(X.table.dims[d]), inside):
+            layer = [list(rows) for rows in base.tau.layer]
+            layer[d][x] ^= 1 << bit
+            calc = RealmCalculus(X)
+            calc.tau = u_linear_map(E, ETX, layer, name="tau")
+            assert calc.equalizer_verdict.ok
+            kernel = {n: left_kernel(calc.taubar.mat(n)).basis for n in range(X.D + 1)}
+            try:
+                unstable._restricted_action(kernel, E, X.D, "ker(taubar)")
+            except TheoryViolation:
+                escaped += 1
+                with pytest.raises(TheoryViolation, match=r"^ker\(taubar\): Sq\^\d+ escapes "):
+                    calc.rtilde
+            else:
+                assert [calc.rtilde.dim(n) for n in range(X.D + 1)] == [
+                    kernel[n].nrows for n in range(X.D + 1)]
+    assert escaped
 
 
 def test_comparison_maps_are_fulu_maps():
@@ -1090,6 +1123,19 @@ UNREAD_BY_RTILDE = ("Fu(x)T[1](", "T[1](", "Tbar(", "Fu(x)Tbar(", "bar(", "im(ta
                     "coker(taubar)")
 
 
+def count_layer_reads(monkeypatch):
+    """Count, by map name, the reads of a u-linear map's full matrices."""
+    reads = Counter()
+    mat = ULinearMap.mat
+
+    def counting(self, n):
+        reads[self.name] += 1
+        return mat(self, n)
+
+    monkeypatch.setattr(ULinearMap, "mat", counting)
+    return reads
+
+
 def test_rtilde_and_fix_build_only_the_actions_they_read(monkeypatch):
     X = hv(2, 8)
     calc = RealmCalculus(X)
@@ -1098,9 +1144,30 @@ def test_rtilde_and_fix_build_only_the_actions_they_read(monkeypatch):
     F = calc.fix_parts["kernel"].module
     assert F.dims == X.table.dims
     assert [name for name in actions if name.startswith(UNREAD_BY_RTILDE)] == []
-    # taubar's source and its kernel, once each
-    assert (actions["Fu(x)H(V2)"], actions["ker(taubar)"]) == (1, 1)
+    # the kernel is certified on its u-generators, through the row Cartan
+    # sum: neither taubar's source nor the kernel builds an action
+    assert "Fu(x)H(V2)" not in actions and "ker(taubar)" not in actions
     assert "im(taubar)" not in built and "coker(taubar)" not in built
+    # the kernel's action, read, is built once, with the source's
+    K = calc.rtilde
+    assert K.sq(1, 1) is K.sq(1, 1)
+    assert (actions["Fu(x)H(V2)"], actions["ker(taubar)"]) == (1, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "rtilde", "--module", "HV2"],
+    ["compute", "fix", "--module", "S1HV1"],
+    ["compute", "invariants", "--rank", "2"],
+])
+def test_compute_builds_no_extension_action_and_no_matrix_of_tau(argv, monkeypatch, capsys):
+    built, actions = count_builds(monkeypatch)
+    reads = count_layer_reads(monkeypatch)
+    assert cli.main(argv + ["--max-degree", "8"]) == 0
+    # the kernel or the invariant ring is built, and certified, with no action
+    assert [name for name in built if name.startswith(("ker(", "Inv("))] != []
+    assert [name for name in actions if name.startswith(("Fu(x)", "ker(", "Inv("))] == []
+    # tau and sigma are read on their u^0 layers only
+    assert reads["tau"] == reads["sigma"] == 0
 
 
 def test_taubar_parts_are_built_once_on_first_read(monkeypatch):
@@ -1109,6 +1176,11 @@ def test_taubar_parts_are_built_once_on_first_read(monkeypatch):
     for _ in range(2):
         assert sub.cokernel is sub.cokernel and sub.image is sub.image
     assert built == {"coker(taubar)": 1, "im(taubar)": 1}
+    # the image is certified on its u-generators; its action, like the
+    # cokernel's, is built only when read, and then once
+    assert "im(taubar)" not in actions and "coker(taubar)" not in actions
+    for _ in range(2):
+        sub.image.sq(1, 1)
     assert actions["im(taubar)"] == 1 and "coker(taubar)" not in actions
 
 
@@ -1119,6 +1191,7 @@ def test_t8_reads_dims_from_the_layouts(monkeypatch):
     assert [name for name in built
             if name.startswith("T[1](Tbar(") or name.endswith("(Fix(taubar))")] == []
     assert "im(taubar)" not in built  # linearity is certified on the u^0 layer
+    assert "coker(alpha)" not in built  # the division term's dims are alpha's ranks
 
 
 def test_labels_are_built_on_first_read_and_match_the_eager_oracles(monkeypatch):

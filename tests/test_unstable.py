@@ -121,6 +121,52 @@ def test_validate_catches_adem_violation():
     assert any("Adem" in v for v in rep.violations)
 
 
+def validate_by_words(M):
+    """Reference for ``TruncatedModule.validate``: every word product taken
+    afresh by ``word_action``, the left side of each relation too."""
+    violations = []
+    for (i, n), m in M.action_items():
+        if i > n and not m.is_zero():
+            violations.append(f"instability violated at (i={i}, n={n})")
+    for b in range(1, M.D + 1):
+        for a in range(1, 2 * b):
+            if a + b > M.D:
+                break
+            for n in range(M.D - a - b + 1):
+                if M.dims[n] == 0:
+                    continue
+                rhs = BitMatrix.zeros(M.dims[n], M.dims[n + a + b])
+                for w in steenrod.adem_normal_form((a, b)):
+                    rhs = rhs + M.word_action(w, n)
+                if M.word_action((a, b), n) != rhs:
+                    violations.append(f"Adem coherence fails for Sq^{a}Sq^{b} on degree {n}")
+    return violations
+
+
+def test_validate_memoizes_words_and_reports_what_the_word_reference_does():
+    """Broken copies of three modules (random bits flipped in their Sq
+    matrices): the same violations, in the same order."""
+    rng = np.random.default_rng(24)
+    failing = 0
+    for M in (polynomial_module(2, 8), free_unstable(2, 9), tensor(free_unstable(1, 7),
+                                                                     free_unstable(1, 7))):
+        items = M.action_items()
+        for _ in range(12):
+            act = dict(items)
+            for _ in range(int(rng.integers(1, 4))):
+                key = items[int(rng.integers(len(items)))][0]
+                m = act[key]
+                rows = m.row_ints()
+                rows[int(rng.integers(m.nrows))] ^= 1 << int(rng.integers(m.ncols))
+                act[key] = BitMatrix(m.nrows, m.ncols, tuple(rows))
+            broken = TruncatedModule("broken", M.D, M.dims, act)
+            want = validate_by_words(broken)
+            assert broken.validate().violations == want
+            failing += bool(want)
+        assert M.validate().violations == validate_by_words(M) == []
+    assert failing >= 30
+
+
 def test_polynomial_module_rank1():
     H = polynomial_module(1, 10)
     assert dims_of(H) == [1] * 11
