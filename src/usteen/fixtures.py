@@ -21,10 +21,12 @@ def _rows_to_strings(m: BitMatrix) -> list:
 def _rows_from_strings(rows: list, ncols: int) -> BitMatrix:
     ints = []
     for s in rows:
-        if len(s) != ncols or any(c not in "01" for c in s):
+        # one string operation per row; int(s, 2) alone would also take
+        # underscores and surrounding whitespace
+        if not isinstance(s, str) or len(s) != ncols or s.strip("01"):
             raise ValueError(f"bad bit row {s!r} (expected {ncols} binary digits)")
         ints.append(int(s[::-1], 2) if s else 0)
-    return BitMatrix.from_row_ints(ints, ncols)
+    return BitMatrix(len(ints), ncols, tuple(ints))
 
 
 def module_to_dict(M: TruncatedModule) -> dict:

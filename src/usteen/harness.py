@@ -277,7 +277,7 @@ def _check_t7(params):
     qi = q_of_map(sub.kernel_incl, q_ker, q_e)
     qp = q_of_map(sub.factor, q_e, q_c1)
     M = X.module
-    ft = omega(M)
+    ft = calc.omega  # shared with T8 and T11
     phi_dims = [phi(M).dim(n) for n in range(D + 1)]
     _need_true(
         [q_ker.module.dim(n) for n in range(D + 1)] == phi_dims,

@@ -488,8 +488,8 @@ class RealmCalculus:
     @cached_property
     def omega(self) -> FourTermOmega:
         """The loop-functor data of the module of X, built once per
-        calculus: ``alpha()`` reads it, and so does T11 on the shared
-        calculus of H(V_r)."""
+        calculus: ``alpha()`` reads it, and so do T7 and T11 on the
+        shared calculus of H(V_r)."""
         return omega_of(self.X.module)
 
     def alpha(self) -> AlphaResult:

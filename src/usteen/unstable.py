@@ -13,9 +13,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import xor
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from . import steenrod
+from . import _gf2py, steenrod
 from .f2core import (
     BitMatrix,
     RowReducer,
@@ -96,6 +96,89 @@ def _sum_label(labels: Sequence[str], row: int, limit: int = 4) -> str:
     if count > limit:
         return "+".join(terms) + f"+...({count} terms)"
     return "+".join(terms)
+
+
+# -- identities on stored products ------------------------------------------------
+#
+# A matrix here is a list of row ints, or None for a zero matrix: modules
+# and maps store only their nonzero matrices, so an absent one is zero, a
+# word with an absent factor is zero, and no product is formed for it.
+
+
+def _stored_rows(mats: Dict[Hashable, BitMatrix]) -> Dict[Hashable, list]:
+    """The rows of stored matrices (nonzero by the constructors' checks), by key."""
+    return {key: m.row_ints() for key, m in mats.items()}
+
+
+def _nonzero_rows(m: BitMatrix) -> Optional[list]:
+    rows = m.row_ints()
+    return rows if any(rows) else None
+
+
+def _times(a: Optional[list], b: Optional[list]) -> Optional[list]:
+    """The product ``a @ b``, formed only when both factors are nonzero."""
+    if a is None or b is None:
+        return None
+    out = _gf2py.mat_mult(a, b)
+    return out if any(out) else None
+
+
+def _vanishes(terms: Iterable[Optional[list]]) -> bool:
+    """Whether the terms of one identity (all of one shape) sum to zero.
+    An identity with no nonzero term holds with nothing added."""
+    acc = None
+    for t in terms:
+        if t is not None:
+            acc = t if acc is None else list(map(xor, acc, t))
+    return acc is None or not any(acc)
+
+
+@lru_cache(maxsize=None)
+def _adem_relation(a: int, b: int) -> Tuple[Tuple[Tuple[int, ...], ...], FrozenSet[int]]:
+    """The words of the relation Sq^a Sq^b = (its admissible normal form),
+    the left side first, and the squares that act first in them."""
+    words = ((a, b),) + tuple(steenrod.adem_normal_form((a, b)))
+    return words, frozenset(w[-1] for w in words)
+
+
+def _axiom_report(M: "TruncatedModule", sq: Dict[Hashable, list]) -> ValidationReport:
+    """Instability and the Adem relations of ``M``, from the rows ``sq`` of
+    its stored nonzero matrices.
+
+    Each relation on degree n is the vanishing of the sum of its words
+    there.  A word is zero on n when the square acting first is not stored
+    there, so a relation none of whose first squares is stored on n holds
+    with no product.  Otherwise each (word, degree) product is formed once
+    per call, and only from nonzero factors: word(w, n) = word(w[1:], n) @
+    Sq^{w[0]} on degree n + |w[1:]|."""
+    report = ValidationReport()
+    stored: Dict[int, set] = {}  # degree -> the squares stored on it
+    for i, n in sorted(sq):
+        if i > n:
+            report.add(f"instability violated at (i={i}, n={n})")
+        stored.setdefault(n, set()).add(i)
+    words: Dict[Tuple[Tuple[int, ...], int], Optional[list]] = {}
+
+    def word(w: Tuple[int, ...], n: int) -> Optional[list]:
+        key = (w, n)
+        if key not in words:
+            rest = w[1:]
+            if rest:
+                words[key] = _times(word(rest, n), sq.get((w[0], n + sum(rest))))
+            else:
+                words[key] = sq.get((w[0], n))
+        return words[key]
+
+    D = M.D
+    for b in range(1, D + 1):
+        for a in range(1, min(2 * b, D - b + 1)):
+            relation, firsts = _adem_relation(a, b)
+            for n in range(0, D - a - b + 1):
+                live = stored.get(n)
+                if live and not firsts.isdisjoint(live) and not _vanishes(
+                        [word(w, n) for w in relation]):
+                    report.add(f"Adem coherence fails for Sq^{a}Sq^{b} on degree {n}")
+    return report
 
 
 class TruncatedModule:
@@ -225,45 +308,9 @@ class TruncatedModule:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check instability and Adem coherence for every stored degree.
-
-        The matrix of each word on each degree is computed once per call:
-        word(w, n) = word(w[1:], n) @ sq(w[0], n + |w[1:]|), and the left
-        side Sq^a Sq^b of a relation is the word (a, b)."""
-        report = ValidationReport()
-        for (i, n), m in self.action_items():
-            if i > n and not m.is_zero():
-                report.add(f"instability violated at (i={i}, n={n})")
-        words: Dict[Tuple[Tuple[int, ...], int], BitMatrix] = {}
-
-        def word(w: Tuple[int, ...], n: int) -> BitMatrix:
-            got = words.get((w, n))
-            if got is None:
-                rest = w[1:]
-                if rest:
-                    got = word(rest, n) @ self.sq(w[0], n + sum(rest))
-                else:
-                    got = self.sq(w[0], n)
-                words[(w, n)] = got
-            return got
-
-        for b in range(1, self.D + 1):
-            for a in range(1, 2 * b):
-                if a + b > self.D:
-                    break
-                nf = steenrod.adem_normal_form((a, b))
-                for n in range(0, self.D - a - b + 1):
-                    if self.dims[n] == 0:
-                        continue
-                    lhs = word((a, b), n)
-                    rhs = BitMatrix.zeros(self.dims[n], self.dims[n + a + b])
-                    for w in nf:
-                        rhs = rhs + word(w, n)
-                    if lhs != rhs:
-                        report.add(
-                            f"Adem coherence fails for Sq^{a}Sq^{b} on degree {n}"
-                        )
-        return report
+        """Check instability and Adem coherence for every stored degree, on
+        the stored nonzero matrices only (``_axiom_report``)."""
+        return _axiom_report(self, _stored_rows(self._action()))
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: truncation, dims and action (labels are metadata)."""
@@ -363,17 +410,31 @@ class FuluModule(TruncatedModule):
         return self.u_mat(n) @ m
 
     def validate(self) -> ValidationReport:
-        """The unstable-module axioms plus the Cartan-twisted u-compatibility."""
-        report = super().validate()
+        """The unstable-module axioms plus the Cartan-twisted u-compatibility.
+
+        On degree n the rule reads u Sq^i + Sq^i u + Sq^{i-1} u u = 0 as
+        matrices (Sq^0 the identity), and like the Adem relations it is
+        checked on the stored nonzero matrices only: u u on each degree is
+        formed once, and only when a nonzero word needs it."""
+        sq = _stored_rows(self._action())
+        report = _axiom_report(self, sq)
+        u = _stored_rows(self._u_action())
+        u2: Dict[int, Optional[list]] = {}
+
+        def u_squared(m: int) -> Optional[list]:
+            if m not in u2:
+                u2[m] = _times(u.get(m), u.get(m + 1))
+            return u2[m]
+
         for i in range(1, self.D):
             for n in range(0, self.D - i):
-                lhs = self.u_mat(n) @ self.sq(i, n + 1)
-                rhs = self.sq(i, n) @ self.u_mat(n + i)
-                if i >= 2:
-                    rhs = rhs + self.sq(i - 1, n) @ self.u_mat(n + i - 1) @ self.u_mat(n + i)
+                if i == 1:
+                    twist = u_squared(n)
                 else:
-                    rhs = rhs + self.u_mat(n) @ self.u_mat(n + 1)
-                if lhs != rhs:
+                    lower = sq.get((i - 1, n))
+                    twist = None if lower is None else _times(lower, u_squared(n + i - 1))
+                if not _vanishes((_times(u.get(n), sq.get((i, n + 1))),
+                                  _times(sq.get((i, n)), u.get(n + i)), twist)):
                     report.add(f"u-multiplication not Cartan-compatible at (i={i}, n={n})")
         return report
 
@@ -472,17 +533,23 @@ class ModuleMap:
 
     def validate_linear(self) -> ValidationReport:
         """A-linearity: f(Sq^i x) = Sq^i f(x) for every stored (i, n); between
-        two u-modules also u-equivariance, f(u x) = u f(x) in every degree."""
+        two u-modules also u-equivariance, f(u x) = u f(x) in every degree.
+        Both are checked on the stored nonzero matrices only, as in
+        ``TruncatedModule.validate``; each degree's matrix is read once."""
         report = ValidationReport()
+        if self.D == 0:  # no relation to check, and nothing is read
+            return report
+        f = [_nonzero_rows(self.mat(n)) for n in range(self.D + 1)]
+        src, tgt = _stored_rows(self.source._action()), _stored_rows(self.target._action())
         for i in range(1, self.D + 1):
             for n in range(0, self.D - i + 1):
-                lhs = self.source.sq(i, n) @ self.mat(n + i)
-                rhs = self.mat(n) @ self.target.sq(i, n)
-                if lhs != rhs:
+                if not _vanishes((_times(src.get((i, n)), f[n + i]),
+                                  _times(f[n], tgt.get((i, n))))):
                     report.add(f"not A-linear at (i={i}, n={n})")
         if isinstance(self.source, FuluModule) and isinstance(self.target, FuluModule):
+            su, tu = _stored_rows(self.source._u_action()), _stored_rows(self.target._u_action())
             for n in range(self.D):
-                if self.source.u_mat(n) @ self.mat(n + 1) != self.mat(n) @ self.target.u_mat(n):
+                if not _vanishes((_times(su.get(n), f[n + 1]), _times(f[n], tu.get(n)))):
                     report.add(f"not u-equivariant at degree {n}")
         return report
 

@@ -7,7 +7,7 @@ itself certifies with ``rank``, ``left_kernel``, ``image_is_kernel`` and
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from usteen import _gf2py
+from usteen import _gf2py, steenrod
 from usteen.f2core import BitMatrix, Subspace, rref
 from usteen.fulu import u_linear_map
 from usteen.unstable import (
@@ -119,6 +119,72 @@ def u_on_quotient_by_solving(proj: Dict[int, BitMatrix], ambient: FuluModule,
     """u on a quotient of a u-module with surjections ``proj[n]``: the X_n
     with proj[n] @ X_n = u @ proj[n + 1], one plain solve per degree."""
     return {n: solve_many(proj[n], ambient.u_mat(n) @ proj[n + 1]) for n in range(D)}
+
+
+def validate_dense(M: TruncatedModule) -> List[str]:
+    """The violations of ``TruncatedModule.validate``, from dense matrices:
+    every (a, b, n) of every relation takes its products, a zero factor or
+    not, with each (word, degree) product formed once."""
+    violations = []
+    for (i, n), m in M.action_items():
+        if i > n and not m.is_zero():
+            violations.append(f"instability violated at (i={i}, n={n})")
+    words: Dict[tuple, BitMatrix] = {}
+
+    def word(w: tuple, n: int) -> BitMatrix:
+        got = words.get((w, n))
+        if got is None:
+            rest = w[1:]
+            got = word(rest, n) @ M.sq(w[0], n + sum(rest)) if rest else M.sq(w[0], n)
+            words[(w, n)] = got
+        return got
+
+    for b in range(1, M.D + 1):
+        for a in range(1, 2 * b):
+            if a + b > M.D:
+                break
+            nf = steenrod.adem_normal_form((a, b))
+            for n in range(0, M.D - a - b + 1):
+                if M.dims[n] == 0:
+                    continue
+                rhs = BitMatrix.zeros(M.dims[n], M.dims[n + a + b])
+                for w in nf:
+                    rhs = rhs + word(w, n)
+                if word((a, b), n) != rhs:
+                    violations.append(f"Adem coherence fails for Sq^{a}Sq^{b} on degree {n}")
+    return violations
+
+
+def validate_fulu_dense(M: FuluModule) -> List[str]:
+    """The violations of ``FuluModule.validate``, from dense matrices:
+    Sq^i(u x) = u Sq^i x + u^2 Sq^{i-1} x as products on every (i, n)."""
+    violations = validate_dense(M)
+    for i in range(1, M.D):
+        for n in range(0, M.D - i):
+            lhs = M.u_mat(n) @ M.sq(i, n + 1)
+            rhs = M.sq(i, n) @ M.u_mat(n + i)
+            if i >= 2:
+                rhs = rhs + M.sq(i - 1, n) @ M.u_mat(n + i - 1) @ M.u_mat(n + i)
+            else:
+                rhs = rhs + M.u_mat(n) @ M.u_mat(n + 1)
+            if lhs != rhs:
+                violations.append(f"u-multiplication not Cartan-compatible at (i={i}, n={n})")
+    return violations
+
+
+def validate_linear_dense(f: ModuleMap) -> List[str]:
+    """The violations of ``ModuleMap.validate_linear``, from dense matrices:
+    both sides of f Sq^i = Sq^i f (and f u = u f) as products on every degree."""
+    violations = []
+    for i in range(1, f.D + 1):
+        for n in range(0, f.D - i + 1):
+            if f.source.sq(i, n) @ f.mat(n + i) != f.mat(n) @ f.target.sq(i, n):
+                violations.append(f"not A-linear at (i={i}, n={n})")
+    if isinstance(f.source, FuluModule) and isinstance(f.target, FuluModule):
+        for n in range(f.D):
+            if f.source.u_mat(n) @ f.mat(n + 1) != f.mat(n) @ f.target.u_mat(n):
+                violations.append(f"not u-equivariant at degree {n}")
+    return violations
 
 
 def with_u(M: TruncatedModule, u: Dict[int, BitMatrix]) -> FuluModule:
@@ -270,6 +336,28 @@ def one_sided_u_by_pairs(N1: FuluModule, N2: FuluModule, layout: TensorLayout,
 
 
 # -- mutants -----------------------------------------------------------------------
+
+
+def flip_bit(m: BitMatrix, row: int, col: int) -> BitMatrix:
+    rows = m.row_ints()
+    rows[row] ^= 1 << col
+    return BitMatrix(m.nrows, m.ncols, tuple(rows))
+
+
+def one_bit_flips(stored: Dict, shapes: Dict, rng, count: int):
+    """Copies of the matrix dict ``stored``, each with one bit flipped:
+    ``count`` in stored matrices, then ``count`` in absent (zero) ones, as
+    pairs (flipped in a stored matrix, copy).  ``shapes`` gives the shape of
+    every key a matrix may have; keys of an empty shape are skipped."""
+    keys = [k for k, (r, c) in shapes.items() if r and c]
+    for in_stored in (True, False):
+        pool = [k for k in keys if (k in stored) == in_stored]
+        for _ in range(count if pool else 0):
+            k = rng.choice(pool)
+            r, c = shapes[k]
+            mats = dict(stored)
+            mats[k] = flip_bit(stored.get(k, BitMatrix.zeros(r, c)), rng.randrange(r), rng.randrange(c))
+            yield in_stored, mats
 
 
 def mutant_tau(calc, drop) -> ModuleMap:

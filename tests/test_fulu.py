@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from usteen.fulu import (
     torsion_free,
 )
 from usteen.lannes import RealmCalculus, hv, hv_module, realm_sum, realm_suspend, t_apply
-from usteen.singer import r1
+from usteen.singer import r1, rho1
 from usteen.unstable import (
     FuluModule,
     ModuleMap,
@@ -45,6 +46,7 @@ from usteen.unstable import (
 
 from reference import (
     a_span,
+    one_bit_flips,
     fulu_algebra,
     graded_span_by_elimination,
     one_sided_u_by_pairs,
@@ -56,6 +58,8 @@ from reference import (
     u_on_quotient_by_solving,
     unit_rows,
     u_on_span_by_solving,
+    validate_fulu_dense,
+    validate_linear_dense,
     with_u,
 )
 
@@ -594,6 +598,49 @@ def test_fulu_validation_catches_broken_u():
     broken = {0: BitMatrix.identity(1)}
     rep = with_u(M, broken).validate()
     assert not rep.ok and any("Cartan" in v for v in rep.violations)
+
+
+def test_fulu_validate_reports_what_the_dense_oracle_does_on_flipped_u_bits():
+    """One bit of u flipped in a stored matrix of a scalar extension, or set
+    where u is absent (zero) on H(V2) given the zero u: the same
+    violations as dense products on every (i, n), in order."""
+    rng = random.Random(25)
+    failing = Counter()
+    for N in (extend_scalars(polynomial_module(1, 7)), extend_scalars(free_unstable(1, 7)),
+              extend_scalars(polynomial_module(2, 5)), with_u(polynomial_module(2, 6), {})):
+        shapes = {n: (N.dims[n], N.dims[n + 1]) for n in range(N.D)}
+        act = dict(N.action_items())
+        assert N.validate().violations == validate_fulu_dense(N) == []
+        for in_stored, u in one_bit_flips(dict(N.u_items()), shapes, rng, 20):
+            broken = FuluModule(N.name, N.D, N.dims, act, N.labels, u=u)
+            want = validate_fulu_dense(broken)
+            assert broken.validate().violations == want
+            failing[in_stored] += bool(want)
+    assert failing[True] >= 40 and failing[False] >= 10
+
+
+def test_validate_linear_reports_what_the_dense_oracle_does_on_flipped_map_bits():
+    """One bit flipped in a stored matrix of rho1's projection (T5, T17), of
+    R1's inclusion into its scalar extension (u-equivariance too) or of
+    T13's maps, or set in a zero map between the same modules, whose
+    matrices are all absent: the same violations as dense products, in
+    order."""
+    S = r1(free_unstable(1, 8))
+    sl = sym_lambda(8)
+    rng = random.Random(25)
+    failing = Counter()
+    for f in (rho1(S).rho, rho1(r1(polynomial_module(1, 8))).rho, S.incl,
+              sl.from_free, sl.diag, sl.lambda2_incl,
+              ModuleMap.zero(S.fulu, S.ambient), ModuleMap.zero(sl.invariants, sl.phi_f1)):
+        shapes = {n: (f.source.dims[n], f.target.dims[n]) for n in range(f.D + 1)}
+        stored = {n: f.mat(n) for n in range(f.D + 1) if not f.mat(n).is_zero()}
+        assert f.validate_linear().violations == validate_linear_dense(f) == []
+        for in_stored, mats in one_bit_flips(stored, shapes, rng, 15):
+            g = ModuleMap(f.source, f.target, mats, D=f.D)
+            want = validate_linear_dense(g)
+            assert g.validate_linear().violations == want
+            failing[in_stored] += bool(want)
+    assert failing[True] >= 45 and failing[False] >= 30
 
 
 # -- u on submodules, quotients and subquotients ------------------------------------

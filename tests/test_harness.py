@@ -21,7 +21,7 @@ from usteen.harness import (
 from usteen.lannes import RealmCalculus, hv
 from usteen.unstable import TruncatedModule, Verdict, free_unstable, polynomial_module
 
-from reference import mutant_tau
+from reference import flip_bit, mutant_tau
 
 
 def test_poincare_coeffs():
@@ -158,6 +158,22 @@ def test_fulu_fixture_round_trip(tmp_path):
     assert back.labels == N.labels and back.name == N.name
 
 
+@pytest.mark.parametrize("row", ["0a1", "1_0", " 10", "10\n", "01", "0101", ["1", "0", "1"]])
+def test_a_fixture_row_that_is_not_three_binary_digits_is_refused(row, tmp_path, capsys):
+    """Rows are 0/1 strings of the target's width: int(row, 2) alone would
+    take "1_0", " 10" and "10\\n".  The CLI refuses each with exit 2."""
+    doc = {"name": "x", "D": 2, "dims": [0, 1, 3], "action": [{"i": 1, "n": 1, "rows": ["101"]}]}
+    assert fixtures.module_from_dict(doc).sq(1, 1) == BitMatrix.from_rows([[1, 0, 1]])
+    doc["action"][0]["rows"] = [row]
+    with pytest.raises(ValueError, match=r"^bad bit row .* \(expected 3 binary digits\)$"):
+        fixtures.module_from_dict(doc)
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["compute", "module", "--module", str(path), "--max-degree", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot build module") and "bad bit row" in err
+
+
 def test_a_u_fixture_with_a_broken_u_fails_t9(tmp_path):
     """T9 validates a loaded u-module with its u."""
     path = tmp_path / "ext.json"
@@ -249,6 +265,37 @@ def test_realm_compute_outputs_match_the_committed_oracle(capsys):
     assert compute_realm_outputs(capsys) == committed
 
 
+NAMED_MODULES = ["F0", "F1", "F2", "F3", "HV1", "HV2", "PhiF1", "SigmaF", "F1xF1"]
+FLIPPED_FIXTURE = "hv2_sq1_flipped.json"  # H(V2) at D=6, one bit of Sq^1 on degree 2 flipped
+
+
+def test_module_compute_outputs_match_the_committed_oracle(capsys):
+    """``compute module`` and ``compute r1`` on the named modules at D=6 and
+    12, and ``compute module`` on a fixture with a flipped Adem bit, print
+    what ``tests/data/compute_module.json`` holds, byte for byte."""
+    committed = json.loads((DATA / "compute_module.json").read_text())
+    out = {}
+    for what in ("module", "r1"):
+        for D in (6, 12):
+            for name in NAMED_MODULES:
+                argv = ["compute", what, "--module", name, "--max-degree", str(D)]
+                assert cli_main(argv + ["--format", "json"]) == 0
+                out[" ".join(argv)] = capsys.readouterr().out
+    argv = ["compute", "module", "--module", str(DATA / FLIPPED_FIXTURE), "--max-degree", "6"]
+    assert cli_main(argv + ["--format", "json"]) == 0
+    out[f"compute module --module {FLIPPED_FIXTURE} --max-degree 6"] = capsys.readouterr().out
+    assert out == committed
+    flipped = json.loads(out[f"compute module --module {FLIPPED_FIXTURE} --max-degree 6"])
+    assert flipped["valid"] is False and flipped["violations"] == [
+        "Adem coherence fails for Sq^1Sq^1 on degree 1",
+        "Adem coherence fails for Sq^1Sq^1 on degree 2",
+        "Adem coherence fails for Sq^2Sq^2 on degree 2",
+    ]
+    # compute r1 refuses the fixture, naming its first violation
+    assert cli_main(["compute", "r1"] + argv[2:]) == 2
+    assert capsys.readouterr().err.endswith("Adem coherence fails for Sq^1Sq^1 on degree 1\n")
+
+
 def clear_caches():
     """Forget the shared calculi and the shared H(V_r) modules."""
     harness._hv_calculus.cache_clear()
@@ -325,6 +372,14 @@ def test_rank3_catalog_does_each_piece_of_realm_work_once(monkeypatch, fresh_cac
     # each H(V_r) once, shared by taubar, the invariants and the squaring
     # span; each expansion once, for sigma and tau
     assert extended == {name: 1 for r in ranks for name in (f"H(V{r})", f"T[1](H(V{r}))")}
+
+
+def test_t7_t8_and_t11_build_one_loop_module_per_rank(monkeypatch, fresh_caches):
+    """The loop-functor data of H(V_r) is the shared calculus's ``omega``."""
+    built = record_calls(monkeypatch, unstable.omega, lambda M: M.name)
+    monkeypatch.setattr(lannes, "omega_of", harness.omega)  # the calculus's binding
+    assert all(r.passed for r in run_all(D=8, max_rank=2, only=["T7", "T8", "T11"]))
+    assert built == {"H(V1)": 1, "H(V2)": 1}
 
 
 @pytest.mark.parametrize("order", [["T1", "T2", "T3"], ["T3", "T2", "T1"]])
@@ -691,6 +746,35 @@ def test_t14_and_t15_read_no_cokernel_projection_and_no_augmentation_matrix(monk
     res = run_check(make_spec("T15", D=D))
     assert res.passed and res.tables["saturated"][0] > 0
     assert counts["coker"] == 0
+
+
+def with_a_flipped_square(M):
+    """M with bit 0 of row 0 of its first stored Sq matrix flipped; M itself
+    when it stores none."""
+    act = dict(M.action_items())
+    if not act:
+        return M
+    key = min(act)
+    act[key] = flip_bit(act[key], 0, 0)
+    return TruncatedModule(M.name, M.D, M.dims, act, M.labels)
+
+
+@pytest.mark.parametrize("cid, where, witness", [
+    ("T5", singer, "F(1): projection linearity: not A-linear at (i=2, n=2)"),
+    ("T13", unstable, "diagonal extraction linearity: not A-linear at (i=2, n=2)"),
+    ("T17", singer, "F(1) projection linearity: not A-linear at (i=2, n=2)"),
+])
+def test_a_flipped_bit_in_the_doubled_module_fails_its_linearity_check(cid, where, witness,
+                                                                        monkeypatch):
+    """T5 and T17 map R1(M) onto Ph(M) (``rho1``), T13 maps the symmetric
+    invariants onto Ph(F(1)) (``sym_lambda``'s ``diag``).  With the first
+    stored Sq matrix of Ph(M) off by one bit, the map's ``validate_linear``
+    fails, and the check names its first violation."""
+    real = unstable.phi
+    monkeypatch.setattr(where, "phi", lambda M: with_a_flipped_square(real(M)))
+    res = run_check(make_spec(cid, D=8))
+    assert not res.passed
+    assert res.witness == witness
 
 
 def test_t13_witnesses_the_first_violation_of_a_map_that_is_not_a_module_map(monkeypatch):

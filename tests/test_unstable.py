@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from usteen.f2core import (
     rank,
     rref,
 )
-from usteen import steenrod, unstable
+from usteen import _gf2py, steenrod, unstable
 from usteen.unstable import (
     DesuspensionError,
     ModuleMap,
@@ -40,7 +43,7 @@ from usteen.unstable import (
     unit_module,
 )
 
-from reference import a_span, contains, tensor_by_pairs
+from reference import a_span, contains, one_bit_flips, tensor_by_pairs, validate_dense
 
 
 def dims_of(M):
@@ -165,6 +168,51 @@ def test_validate_memoizes_words_and_reports_what_the_word_reference_does():
             failing += bool(want)
         assert M.validate().violations == validate_by_words(M) == []
     assert failing >= 30
+
+
+def test_validate_reports_what_the_dense_oracle_does_on_one_bit_flips():
+    """One bit flipped in a stored Sq matrix of H(V2), F(2), F(1)(x)F(1) or
+    Ph(F(1)), or set in an absent (zero) one, which the stored-products
+    check must read as a new nonzero factor: the same violations as dense
+    products on every (a, b, n), in order."""
+    rng = random.Random(25)
+    failing = Counter()
+    for M in (polynomial_module(2, 8), free_unstable(2, 9),
+              tensor(free_unstable(1, 8), free_unstable(1, 8)), phi(free_unstable(1, 4))):
+        shapes = {(i, n): (M.dims[n], M.dims[n + i])
+                  for n in range(M.D + 1) for i in range(1, M.D - n + 1)}
+        assert M.validate().violations == validate_dense(M) == []
+        for in_stored, act in one_bit_flips(dict(M.action_items()), shapes, rng, 30):
+            broken = TruncatedModule("broken", M.D, M.dims, act)
+            want = validate_dense(broken)
+            assert broken.validate().violations == want
+            failing[in_stored] += bool(want)
+    # Ph(F(1)) stores only Sq^2 x^2 and Sq^4 x^4, and without either it is
+    # still unstable: its 30 stored flips pass both checks
+    assert failing[True] >= 60 and failing[False] >= 100
+
+
+def test_validate_forms_no_product_for_a_word_with_an_absent_factor(monkeypatch):
+    """Modules with no nonzero square are checked with no product at all;
+    on H(V2) the stored-products check forms fewer than the dense oracle."""
+    calls = Counter()
+    real = _gf2py.mat_mult
+
+    def counting(a, b):
+        calls["mat_mult"] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(_gf2py, "mat_mult", counting)
+    for M in (unit_module(12), suspend(unit_module(11))):
+        M.action_items()  # built before counting
+        assert M.validate().ok
+        assert calls["mat_mult"] == 0, M.name
+    H = polynomial_module(2, 12)
+    H.action_items()
+    assert H.validate().ok
+    stored_products = calls.pop("mat_mult")
+    assert validate_dense(H) == []
+    assert 0 < stored_products < calls["mat_mult"]
 
 
 def test_polynomial_module_rank1():
