@@ -65,7 +65,7 @@ def _build_module(name: str, D: int) -> TruncatedModule:
     if path.suffix == ".json" and path.exists():
         try:
             loaded = fixtures.load(path)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: int(Infinity)
             raise ValueError(f"fixture has a missing or mistyped field: {exc}") from exc
         return truncate(loaded, min(loaded.D, D))
     raise SystemExit2(
@@ -230,8 +230,16 @@ def _int_at_least(low: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, like every input error, exit 2
+    with one stderr line (argparse's own print the usage first)."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="usteen",
         description="Truncated unstable-module computations and verification checks.",
     )

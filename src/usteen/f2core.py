@@ -10,9 +10,7 @@ Products and full eliminations go through the kernel module
 
 A matrix's rank is eliminated at most once.  ``rank`` memoizes it on the
 matrix, and constructions that know it record it there: ``rref`` and
-``left_kernel`` on their input and on the basis they return, and
-``certify_rank`` on a matrix with an identity block in its rows, after
-checking that block.
+``left_kernel`` on their input and on the basis they return.
 """
 
 from __future__ import annotations
@@ -256,22 +254,6 @@ def rank(m: BitMatrix) -> int:
     if r is None:
         r = m._rank = m.ncols + 1 - _echelon(m._rows, m.ncols).count(0)
     return r
-
-
-def certify_rank(m: BitMatrix, units: Sequence[int]) -> BitMatrix:
-    """``m``, with its rank recorded as its width.
-
-    The certificate is an identity block: row ``units[k]`` of ``m`` must be
-    the unit vector e_k for every column k.  The check reads each such row's
-    bit length, which must be k + 1, and its set bits, one each.
-    """
-    rows = m._rows
-    block = [rows[c] for c in units]
-    if (list(map(int.bit_length, block)) != list(range(1, m.ncols + 1))
-            or sum(map(int.bit_count, block)) != m.ncols):
-        raise ValueError("the rows at units are not an identity block")
-    m._rank = m.ncols
-    return m
 
 
 def left_kernel(m: BitMatrix) -> "Subspace":

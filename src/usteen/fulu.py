@@ -17,11 +17,11 @@ u-submodule of a scalar extension through it, on its u-generators, so
 ker(taubar) and the invariant ring build no action.  The shift also gives
 graded u-subspaces of a scalar extension their closed forms: an unseeded degree
 of ``GradedSubspace.from_vectors`` and the preimage of ``saturation_check``
-are shifted rref bases, with no elimination.  The quotient by a graded
-u-subspace is read off its rref bases as well: the projection is an
-operator (``SubspaceProjection``), and Q of the quotient is Q of the
-ambient modulo the image's rows that pivot in the lowest u-block
-(``q_of_quotient``).
+are shifted rref bases, with no elimination.  Every quotient here is the
+one projection operator of ``unstable.quotient``, read off canonical rref
+bases: N/X for a graded u-subspace X, N/uN (``q_data``, a mask on a scalar
+extension) and Q of N/X, which is Q(N) modulo the rows of X that pivot in
+the lowest u-block (``q_of_quotient``).
 
 The polynomial-ring lemmas here (saturation, generator spaces, torsion) are
 pure graded u-module statements, so the checks also accept graded subspaces
@@ -31,14 +31,11 @@ that are not stable under the squaring operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .f2core import (
     BitMatrix,
-    RowReducer,
     Subspace,
-    column_runs,
     complement_rows,
     left_kernel,
     rank,
@@ -51,7 +48,6 @@ from .unstable import (
     TruncatedModule,
     TruncationError,
     Verdict,
-    _coker_data,
     _mono_label,
     _sum_label,
     quotient,
@@ -304,7 +300,7 @@ def extend_scalars_map(f: ModuleMap, src: ExtendedModule, tgt: ExtendedModule,
 
 
 def q_data(N: FuluModule) -> Quotient:
-    """The quotient by the image of u, with projection and representative data.
+    """The projection onto the quotient by the image of u.
 
     Its u, zero on N/uN, is left unbuilt unless something reads it.  A
     scalar extension takes the closed form of ``_extension_q_data``; any
@@ -324,7 +320,7 @@ def _extension_q_data(N: ExtendedModule, name: str) -> Quotient:
     u maps each u^a block onto the u^{a+1} block, so uN is every block
     above the lowest one, u^s with s = ``N.start``, which comes first in
     every degree.  The quotient is that block: the projection keeps its
-    coordinates, a mask (``_LowestBlock.project``), and the representatives
+    coordinates, a mask (``_LowestBlock.apply``), and the representatives
     are its unit vectors, as the elimination gives them.
     Sq^k(u^s (x) x) = u^s (x) Sq^k x modulo higher u-powers, so the action
     is M's, shifted by s, with the Sq^k on degree q < k that the extension
@@ -340,29 +336,17 @@ def _extension_q_data(N: ExtendedModule, name: str) -> Quotient:
         return [N.labels[n][:w] for n, w in enumerate(widths)]
 
     module = FuluModule(name, D, widths, action, labels, u=lambda: {})
-    return _LowestBlock(module, N.dims)
+    return _LowestBlock(N, module, None, [range(w) for w in widths])
 
 
 class _LowestBlock(Quotient):
     """Q of a scalar extension: the projection keeps the lowest u-block,
-    which comes first in every degree, so it is a mask, and its matrices,
-    an identity block over zero rows, are built only when read."""
+    which comes first in every degree, so ``apply`` is a mask, read off no
+    basis, and ``mat``, an identity block over zero rows, is built only
+    when read."""
 
-    def __init__(self, module: FuluModule, ambient_dims: Sequence[int]):
-        # proj_mats is the cached property below, so Quotient's __init__,
-        # which stores it, is not run
-        self.module = module
-        self.rep_cols = [range(w) for w in module.dims]
-        self._ambient_dims = ambient_dims
-
-    @cached_property
-    def proj_mats(self) -> Dict[int, BitMatrix]:
-        dims = self._ambient_dims
-        return {n: BitMatrix.from_row_ints([1 << j for j in range(w)] + [0] * (dims[n] - w), w)
-                for n, w in enumerate(self.module.dims)}
-
-    def project(self, n: int, rows: BitMatrix) -> BitMatrix:
-        w = self.module.dims[n]
+    def apply(self, n: int, rows: BitMatrix) -> BitMatrix:
+        w = self.target.dims[n]
         mask = (1 << w) - 1
         return BitMatrix(rows.nrows, w, tuple(r & mask for r in rows.row_ints()))
 
@@ -372,17 +356,15 @@ def indecomposables(N: FuluModule) -> FuluModule:
 
     Its labels are those of N off the pivots of the image of u, so for a
     free N they name a free basis."""
-    return q_data(N).module
+    return q_data(N).target
 
 
 def q_of_map(f: ModuleMap, qsrc: Quotient, qtgt: Quotient) -> ModuleMap:
     """The map induced on indecomposables: f on the representatives of
-    ``qsrc``, a row selection, then the projection of ``qtgt``."""
-    D = min(f.D, qsrc.module.D, qtgt.module.D)
-    mats = {
-        n: qtgt.project(n, f.mat(n).take_rows(qsrc.rep_cols[n])) for n in range(D + 1)
-    }
-    return ModuleMap(qsrc.module, qtgt.module, mats, D=D)
+    ``qsrc``, a row selection, then the projection ``qtgt``."""
+    D = min(f.D, qsrc.D, qtgt.D)
+    mats = {n: qtgt.apply(n, f.mat(n).take_rows(qsrc.rep_cols[n])) for n in range(D + 1)}
+    return ModuleMap(qsrc.target, qtgt.target, mats, D=D)
 
 
 # -- torsion -----------------------------------------------------------------------
@@ -456,13 +438,7 @@ class GradedSubspace:
             if n > 0:
                 mat = mat.stack(ambient.times_u(n - 1, bases[n - 1]))
             bases[n] = Subspace.from_rows(mat).basis
-        return cls._canonical(ambient, bases)
-
-    @classmethod
-    def _canonical(cls, ambient: FuluModule, bases: Dict[int, BitMatrix]) -> "GradedSubspace":
-        """The subspace with ``bases``, every degree's canonical rref basis
-        of a span closed under u, as a construction knows them to be."""
-        X = cls.__new__(cls)
+        X = cls.__new__(cls)  # the bases are canonical and closed under u as built
         X.ambient, X.bases = ambient, bases
         return X
 
@@ -498,8 +474,9 @@ def saturation_check(X: GradedSubspace) -> Verdict:
     u^-1 X^{n+1} that lies outside X^n.
     """
     amb = X.ambient
+    proj = None if isinstance(amb, ExtendedModule) else quotient(amb, X.bases, f"({amb.name})/X")
     for n in range(amb.D):
-        pre = _larger_preimage(X, n)
+        pre = _larger_preimage(X, n, proj)
         if pre is None:
             continue
         target = X.subspace(n)
@@ -509,9 +486,10 @@ def saturation_check(X: GradedSubspace) -> Verdict:
     return Verdict(True, amb.D)
 
 
-def _larger_preimage(X: GradedSubspace, n: int) -> Optional[BitMatrix]:
+def _larger_preimage(X: GradedSubspace, n: int, proj: Optional[Quotient]) -> Optional[BitMatrix]:
     """The canonical rref basis of u^-1 X^{n+1} in degree n, or None when
-    it is no larger than X^n.
+    it is no larger than X^n; ``proj`` is the projection onto the ambient
+    modulo X, or None on a scalar extension.
 
     On a scalar extension u shifts every row by s = dims[n + 1] - dims[n]
     and is injective, so its image is the span of the bits >= s.  A vector
@@ -520,16 +498,15 @@ def _larger_preimage(X: GradedSubspace, n: int) -> Optional[BitMatrix]:
     pivoting at s or above.  Shifted down by s, those rows keep their pivot
     order and reduced form: they are the canonical basis, and their count
     is its dimension.  On any other ambient the preimage is the kernel of
-    u followed by the projection onto the ambient modulo X^{n+1}; its
-    dimension comes from a rank, and the kernel is taken only when larger.
+    u followed by ``proj``; its dimension comes from a rank, and the kernel
+    is taken only when larger.
     """
     amb = X.ambient
-    if isinstance(amb, ExtendedModule):
+    if proj is None:
         s = amb.dims[n + 1] - amb.dims[n]
         rows = tuple(r >> s for r in X.bases[n + 1].row_ints() if not r & ((1 << s) - 1))
         return BitMatrix(len(rows), amb.dims[n], rows) if len(rows) != X.dim(n) else None
-    proj, _ = _coker_data(X.bases[n + 1], amb.dim(n + 1))
-    u_mod = amb.u_then(n, proj)
+    u_mod = proj.apply(n + 1, amb.u_mat(n))
     if amb.dim(n) - rank(u_mod) == X.dim(n):
         return None
     return left_kernel(u_mod).basis
@@ -566,89 +543,7 @@ def generator_space(X: GradedSubspace) -> GeneratorSpace:
     return GeneratorSpace(w_bases, Verdict(witness is None, amb.D, witness))
 
 
-class SubspaceProjection(ModuleMap):
-    """The projection of a u-module onto its quotient by a graded
-    u-subspace X, as an operator.
-
-    A row maps by its remainder against the rref basis of X
-    (``RowReducer.remainders``), which has no pivot bit set, then by the
-    gather of the non-pivot columns ``rep_cols``, whose unit vectors
-    represent the quotient's basis.  A row inside X maps to zero with
-    nothing gathered.  A representative is its own remainder and gathers to
-    a unit vector, so the representatives map to the identity: the rank is
-    the width, which ``rank`` reads, and no degree is eliminated.
-    ``mat(n)`` is built only when read, for tests and witnesses.
-
-    The quotient, ``target``, is a graded u-module: X need not be stable
-    under the squares, so none are carried over, and its u (induced by the
-    ambient's ``times_u``) and labels are built on first read.
-    """
-
-    def __init__(self, X: GradedSubspace):
-        amb, D = X.ambient, X.ambient.D
-        self.space = X
-        self._reducers: Dict[int, RowReducer] = {}
-
-        def labels() -> List[Tuple[str, ...]]:
-            names = amb.labels
-            return [tuple(names[n][c] for c in cols) for n, cols in enumerate(self.rep_cols)]
-
-        def u() -> Dict[int, BitMatrix]:
-            return {n: self.apply(n + 1, amb.times_u(n, self._reps(n))) for n in range(D)}
-
-        dims = [amb.dims[n] - X.bases[n].nrows for n in range(D + 1)]
-        target = FuluModule(f"({amb.name})/X", D, dims, {}, labels, u=u)
-        super().__init__(amb, target, {}, D=D)
-
-    @cached_property
-    def rep_cols(self) -> List[List[int]]:
-        """The non-pivot columns of each degree, built on first read."""
-        cols = []
-        for n in range(self.D + 1):
-            pivots = 0
-            for r in self.space.bases[n].row_ints():
-                pivots |= r & -r
-            flags = bin(pivots | (1 << self.source.dims[n]))[:2:-1]  # column 0 first
-            cols.append([c for c, f in enumerate(flags) if f == "0"])
-        return cols
-
-    @cached_property
-    def _rep_runs(self) -> List[tuple]:
-        """The ``column_runs`` of ``rep_cols``, which ``apply`` gathers."""
-        return [column_runs(cols) for cols in self.rep_cols]
-
-    def _reps(self, n: int) -> BitMatrix:
-        """The representatives of degree n, unit rows at ``rep_cols[n]``."""
-        return BitMatrix(len(self.rep_cols[n]), self.source.dims[n],
-                         tuple(1 << c for c in self.rep_cols[n]))
-
-    def apply(self, n: int, rows: BitMatrix) -> BitMatrix:
-        red = self._reducers.get(n)
-        if red is None:
-            red = self._reducers[n] = RowReducer(self.space.bases[n])
-        rest = red.remainders(rows)
-        if rest.is_zero():
-            return BitMatrix.zeros(rows.nrows, self.target.dims[n])
-        return rest.gather(self._rep_runs[n], self.target.dims[n])
-
-    def rank(self, n: int) -> int:
-        return self.target.dims[n]
-
-    def mat(self, n: int) -> BitMatrix:
-        if not 0 <= n <= self.D:
-            return super().mat(n)
-        got = self._mats.get(n)
-        if got is None:
-            got = self._mats[n] = self.apply(n, BitMatrix.identity(self.source.dims[n]))
-        return got
-
-
-def quotient_u_module(X: GradedSubspace) -> FuluModule:
-    """The ambient modulo X, as a graded u-module."""
-    return SubspaceProjection(X).target
-
-
-def q_of_quotient(q_amb: Quotient, X: GradedSubspace) -> SubspaceProjection:
+def q_of_quotient(q_amb: Quotient, X: GradedSubspace) -> Quotient:
     """The projection Q(N) -> Q(N/X) for a graded u-subspace X of a scalar
     extension N, read off the pivots of X: ``q_amb`` is ``q_data(N)``.
 
@@ -656,8 +551,8 @@ def q_of_quotient(q_amb: Quotient, X: GradedSubspace) -> SubspaceProjection:
     the lowest u-block, the lowest bits, so that image is spanned by the
     rref rows of X whose pivot lies in the block, masked to it; the other
     rows vanish there.  The masked rows keep their pivots and their reduced
-    form, and u is zero on Q(N), so they are a graded u-subspace as they
-    are, with no elimination, and the projection is an operator.
+    form, and u is zero on Q(N), so they are the canonical bases of a
+    graded u-subspace as they are, with no elimination.
     """
     amb = X.ambient
     bases = {}
@@ -666,7 +561,7 @@ def q_of_quotient(q_amb: Quotient, X: GradedSubspace) -> SubspaceProjection:
         mask = (1 << width) - 1
         rows = tuple(r & mask for r in X.bases[n].row_ints() if r & mask)
         bases[n] = BitMatrix(len(rows), width, rows)
-    return SubspaceProjection(GradedSubspace._canonical(q_amb.module, bases))
+    return quotient(q_amb.target, bases, f"({q_amb.target.name})/X")
 
 
 # -- relative tensor product -----------------------------------------------------
@@ -677,17 +572,16 @@ class OverFulu:
     """Tensor product over the polynomial algebra, with presentation data.
 
     ``module`` is the quotient of the tensor product, with u (x) 1 as its
-    u, by the two-sided-u relations; ``proj_mats`` and ``rep_cols`` present
-    it (basis vector k of degree n is represented by the unit vector at
-    ``rep_cols[n][k]``), and ``tensor_module``/``layout`` describe the
+    u, by the two-sided-u relations; ``proj`` projects onto it (basis
+    vector k of degree n is represented by the unit vector at
+    ``proj.rep_cols[n][k]``), and ``tensor_module``/``layout`` describe the
     ambient tensor product, whose action and labels are built on first read.
     """
 
     module: FuluModule
     tensor_module: FuluModule
     layout: TensorLayout
-    proj_mats: Dict[int, BitMatrix]
-    rep_cols: Sequence[Sequence[int]]
+    proj: Quotient
     relation_bases: Dict[int, BitMatrix]
 
 
@@ -726,5 +620,5 @@ def tensor_over_fulu(N1: FuluModule, N2: FuluModule) -> OverFulu:
     rel: Dict[int, BitMatrix] = {0: BitMatrix.zeros(0, T.dims[0])}
     for n in range(T.D):
         rel[n + 1] = Subspace.from_rows(u_left[n] + u_right[n]).basis
-    q = quotient(T, [rel[n] for n in range(T.D + 1)], f"{N1.name}(xFu){N2.name}")
-    return OverFulu(q.module, T, layout, q.proj_mats, q.rep_cols, rel)
+    q = quotient(T, rel, f"{N1.name}(xFu){N2.name}")
+    return OverFulu(q.target, T, layout, q, rel)

@@ -15,18 +15,16 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .f2core import BitMatrix, Subspace, rank
+from .f2core import BitMatrix, Subspace, express_in_rowspace, rank
 from .fixtures import load as load_fixture
 from .fulu import (
     GradedSubspace,
-    SubspaceProjection,
     extend_scalars,
     generator_space,
     indecomposables,
     q_data,
     q_of_map,
     q_of_quotient,
-    quotient_u_module,
     saturation_check,
     torsion_free,
     u_linear_verdict,
@@ -44,6 +42,7 @@ from .lannes import (
 from .singer import product_mu, r1, r1_dims_expected, rho1
 from .unstable import (
     FuluModule,
+    ModuleMap,
     TheoryViolation,
     TruncatedModule,
     ValidationReport,
@@ -53,6 +52,8 @@ from .unstable import (
     is_reduced,
     omega,
     phi,
+    quotient,
+    submodule,
     suspend,
     sym_lambda,
     tensor,
@@ -263,11 +264,20 @@ def _check_t7(params):
     calc = _hv_calculus(1, D)
     X = calc.X
     sub = calc.taubar_sub
+    # the image of taubar as a u-module on the canonical bases of
+    # taubar_image, and taubar expressed in them
+    image = calc.taubar_image
+    c1, _ = submodule(calc.bar, image.bases, "im(taubar)")
+    mats = {}
+    for n in range(D + 1):
+        coeffs = express_in_rowspace(image.bases[n], calc.taubar.mat(n))
+        _need_true(coeffs is not None, f"taubar escapes its image in degree {n}")
+        mats[n] = coeffs
+    factor = ModuleMap(calc.E, c1, mats)
     _need(
-        exact_sequence((sub.kernel_incl, sub.factor), ("kernel", "extension", "image")),
+        exact_sequence((sub.kernel_incl, factor), ("kernel", "extension", "image")),
         "u-module sequence",
     )
-    c1 = sub.image
     _need(torsion_free(c1), "image torsion")
     _need(is_reduced(c1), "image reducedness")
     # indecomposables: 0 -> doubled base -> base -> suspended loops -> 0
@@ -275,17 +285,17 @@ def _check_t7(params):
     q_e = q_data(calc.E)
     q_c1 = q_data(c1)
     qi = q_of_map(sub.kernel_incl, q_ker, q_e)
-    qp = q_of_map(sub.factor, q_e, q_c1)
+    qp = q_of_map(factor, q_e, q_c1)
     M = X.module
     ft = calc.omega  # shared with T8 and T11
     phi_dims = [phi(M).dim(n) for n in range(D + 1)]
     _need_true(
-        [q_ker.module.dim(n) for n in range(D + 1)] == phi_dims,
+        [q_ker.target.dim(n) for n in range(D + 1)] == phi_dims,
         "indecomposables of the kernel are not the doubled base",
     )
     som_dims = [ft.coker_proj.target.dim(n) for n in range(D + 1)]
     _need_true(
-        [q_c1.module.dim(n) for n in range(D + 1)] == som_dims,
+        [q_c1.target.dim(n) for n in range(D + 1)] == som_dims,
         "indecomposables of the image are not the suspended loop module",
     )
     _need(
@@ -311,11 +321,11 @@ def _check_t8(params):
         # before anything reads its kernel or cokernel
         _need(u_linear_verdict(calc.taubar), f"rank {r}: linearity of taubar")
         sub = calc.taubar_sub
-        # the cokernel is read off the image of taubar: its projection is an
-        # operator, exact at bar when every row of taubar lies in the image
-        # and the ranks add up
+        # the cokernel is read off the image of taubar: its projection is
+        # exact at bar when every row of taubar lies in the image and the
+        # ranks add up
         image = calc.taubar_image
-        proj = SubspaceProjection(image)
+        proj = quotient(calc.bar, image.bases, f"({calc.bar.name})/X")
         _need(
             exact_sequence(
                 (sub.kernel_incl, calc.taubar, proj),
@@ -380,6 +390,8 @@ def _check_t9(params):
     fixtures = _standard_fixtures(D)
     if params.get("fixture_file"):
         mod = load_fixture(params["fixture_file"])
+        if mod.D < 2:  # as make_spec refuses a D below T9's minimum
+            raise ValueError(f"{mod.name}: T9 needs a fixture through degree 2 at least, got {mod.D}")
         _need_valid(mod.validate(), mod.name)
         fixtures = fixtures + [mod]
     for M in fixtures:
@@ -555,7 +567,7 @@ def _check_t15(params):
         X = _random_subspace(rng, E, t % 3)
         if saturation_check(X).ok:
             saturated_seen += 1
-            q = quotient_u_module(X)
+            q = quotient(E, X.bases, f"({E.name})/X").target
             _need(torsion_free(q), f"trial {t}: saturated subspace with torsion quotient")
     _need_true(saturated_seen >= 5, "too few saturated samples to certify")
     return D, {"saturated": [saturated_seen]}

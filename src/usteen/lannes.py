@@ -678,7 +678,7 @@ def alpha_from_structure(ft: FourTermOmega, tbar: TruncatedModule,
             raise TheoryViolation(f"structure map does not kill the doubled image at degree {n}")
         mats[n] = m
     top = min(ft.omega.D, tbar.D - 1, D - 1)
-    alpha_mats = {k: mats[k + 1].take_rows(ft.coker_cols[k + 1]) for k in range(top + 1)}
+    alpha_mats = {k: mats[k + 1].take_rows(ft.coker_proj.rep_cols[k + 1]) for k in range(top + 1)}
     return AlphaResult(ModuleMap(ft.omega, tbar, alpha_mats, D=top, name="alpha"), ft)
 
 
@@ -700,7 +700,7 @@ class DivisionResult:
 
     @property
     def div(self) -> TruncatedModule:
-        return self._sub.cokernel
+        return self._sub.coker.target
 
     @property
     def derived1(self) -> TruncatedModule:

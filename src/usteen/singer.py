@@ -360,7 +360,7 @@ def product_mu(M: TruncatedModule, N: TruncatedModule) -> ProductCertificate:
             kills = Verdict(False, D, f"relations survive in degree {n}")
             break
 
-    mu_mats = {n: mult[n].take_rows(prod.rep_cols[n]) for n in range(D + 1)}
+    mu_mats = {n: mult[n].take_rows(prod.proj.rep_cols[n]) for n in range(D + 1)}
     injective = Verdict(True, D)
     for n in range(D + 1):
         if rank(mu_mats[n]) != prod.module.dim(n):

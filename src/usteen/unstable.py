@@ -20,7 +20,7 @@ from .f2core import (
     BitMatrix,
     RowReducer,
     Subspace,
-    certify_rank,
+    column_runs,
     complement_rows,
     express_in_rowspace,
     left_kernel,
@@ -191,10 +191,12 @@ class TruncatedModule:
     gets the same key and shape checks.  ``labels`` (one sequence of names
     per degree) may likewise be a zero-argument function, called once on
     the first read of ``labels`` and checked against the dims then.  Dims
-    are always known.
+    are always known.  ``cartan_by_construction`` is false on a plain
+    module (see :class:`FuluModule`).
     """
 
     __slots__ = ("name", "D", "dims", "_labels", "_act")
+    cartan_by_construction = False
 
     def __init__(
         self,
@@ -351,7 +353,6 @@ class FuluModule(TruncatedModule):
     """
 
     __slots__ = ("_u",)
-    cartan_by_construction = False
 
     def __init__(
         self,
@@ -1004,14 +1005,15 @@ def map_from_free(free: FreeModule, target: TruncatedModule, element_row: int,
 
 
 class Subquotient:
-    """Kernel, image and cokernel of an A-linear map, with structure maps.
+    """Kernel and cokernel of an A-linear map, with their structure maps.
 
     The kernel, its inclusion and its canonical subspace in each degree
-    (``kernel_spaces``) come with the object.  The image (with
-    ``image_incl`` and ``factor``) and the cokernel (with ``coker_proj`` and
-    ``coker_cols``) are built on first read, once each; the image checks
-    its Sq-closure when it is built.  Each part carries u when the module
-    it is cut from does (see ``submodule`` and ``quotient``).
+    (``kernel_spaces``) come with the object.  The cokernel is read through
+    its projection ``coker``, a :class:`Quotient` whose ``target`` is the
+    cokernel module, built on first read, once.  Both carry u when the
+    module they are cut from does (see ``submodule`` and ``quotient``).  A
+    caller that needs the image as a module takes ``submodule`` on its
+    canonical bases.
     """
 
     def __init__(self, f: ModuleMap, kernel: TruncatedModule, kernel_incl: ModuleMap,
@@ -1022,48 +1024,10 @@ class Subquotient:
         self.kernel_spaces = kernel_spaces
 
     @cached_property
-    def _im_bases(self) -> List[BitMatrix]:
-        return [Subspace.from_rows(self.f.mat(n)).basis for n in range(self.f.D + 1)]
-
-    @cached_property
-    def _image(self) -> Tuple[TruncatedModule, ModuleMap]:
+    def coker(self) -> Quotient:
         f = self.f
-        return submodule(f.target, dict(enumerate(self._im_bases)), f"im({f.name or 'f'})", f.D)
-
-    @property
-    def image(self) -> TruncatedModule:
-        return self._image[0]
-
-    @property
-    def image_incl(self) -> ModuleMap:
-        return self._image[1]
-
-    @cached_property
-    def factor(self) -> ModuleMap:
-        mats = {}
-        for n, basis in enumerate(self._im_bases):
-            coeffs = express_in_rowspace(basis, self.f.mat(n))
-            if coeffs is None:
-                raise TheoryViolation("image basis does not span the image")
-            mats[n] = coeffs
-        return ModuleMap(self.f.source, self.image, mats, D=self.f.D)
-
-    @cached_property
-    def _coker(self) -> Quotient:
-        return quotient(self.f.target, self._im_bases, f"coker({self.f.name or 'f'})")
-
-    @property
-    def cokernel(self) -> TruncatedModule:
-        return self._coker.module
-
-    @cached_property
-    def coker_proj(self) -> ModuleMap:
-        return ModuleMap(self.f.target, self.cokernel, self._coker.proj_mats, D=self.f.D)
-
-    @property
-    def coker_cols(self) -> Sequence[Sequence[int]]:
-        """The columns whose unit vectors represent the cokernel's basis."""
-        return self._coker.rep_cols
+        bases = [Subspace.from_rows(f.mat(n)).basis for n in range(f.D + 1)]
+        return quotient(f.target, bases, f"coker({f.name or 'f'})")
 
 
 def _express(bases: Dict[int, BitMatrix], reducers: Dict[int, RowReducer], n: int,
@@ -1111,11 +1075,16 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
     is not stable under the action or u, which always indicates an
     internal inconsistency upstream.  Labels are built on first read.
 
-    u-stability is checked first.  On an ambient with
-    ``cartan_by_construction`` (a scalar extension, E or bar), Sq-stability
-    is then certified on the u-generators only (``_certify_on_u_generators``)
-    and the induced action is built on first read, with the full escape
-    check; any other ambient induces it at once.
+    u, when the ambient carries it, is induced first and at once.  Sq then
+    takes one of two paths, by the ambient's ``cartan_by_construction``:
+
+    - set, on a scalar extension (E and bar, so ker(taubar), the invariant
+      ring and T7's image of taubar): Sq-stability is certified on the
+      u-generators only (``_certify_on_u_generators``), and the induced
+      action is built on first read, with the full escape check;
+    - not set (the kernels of Sq0 in Ph(M), of alpha in the loop module,
+      of the swap on F(1)(x)F(1) and of T13's diagonal on its invariants):
+      the action is induced at once.
     """
     D = ambient.D if D is None else D
     full = {n: bases.get(n, BitMatrix.zeros(0, ambient.dims[n])) for n in range(D + 1)}
@@ -1126,27 +1095,25 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
         return [tuple(_sum_label(names[n], r) for r in full[n].row_ints()) for n in range(D + 1)]
 
     reducers: Dict[int, RowReducer] = {}
-    if not isinstance(ambient, FuluModule):
-        mod = TruncatedModule(name, D, dims, _restricted_action(full, ambient, D, name, reducers),
-                              labels)
-        return mod, ModuleMap(mod, ambient, full, D=D)
-    u, u_images = {}, {}
-    for n in range(D):
-        if dims[n]:
-            # zero rows lie in every subspace and induce the zero u, not stored
-            image = u_images[n + 1] = ambient.times_u(n, full[n])
-            if not image.is_zero():
-                u[n] = _express(full, reducers, n + 1, image,
-                                f"{name}: u escapes the subspace at degree {n}")
+    u = u_images = None
+    if isinstance(ambient, FuluModule):
+        u, u_images = {}, {}
+        for n in range(D):
+            if dims[n]:
+                # zero rows lie in every subspace and induce the zero u, not stored
+                image = u_images[n + 1] = ambient.times_u(n, full[n])
+                if not image.is_zero():
+                    u[n] = _express(full, reducers, n + 1, image,
+                                    f"{name}: u escapes the subspace at degree {n}")
 
     def action() -> Dict[Tuple[int, int], BitMatrix]:
         return _restricted_action(full, ambient, D, name, reducers)
 
-    if ambient.cartan_by_construction:
+    lazy = ambient.cartan_by_construction
+    if lazy:
         _certify_on_u_generators(full, u_images, ambient, D, name, reducers)
-        mod = FuluModule(name, D, dims, action, labels, u=u)
-    else:
-        mod = FuluModule(name, D, dims, action(), labels, u=u)
+    args = (name, D, dims, action if lazy else action(), labels)
+    mod = TruncatedModule(*args) if u is None else FuluModule(*args, u=u)
     return mod, ModuleMap(mod, ambient, full, D=D)
 
 
@@ -1179,102 +1146,104 @@ def _certify_on_u_generators(full: Dict[int, BitMatrix], u_images: Dict[int, Bit
             k *= 2
 
 
-def _coker_data(image_rref: BitMatrix, dim: int) -> Tuple[BitMatrix, List[int]]:
-    """Projection and representatives for a quotient by a row space.
+class Quotient(ModuleMap):
+    """The projection of a module onto its quotient by a graded row space,
+    as an operator; ``quotient`` builds it.
 
-    ``image_rref`` must be in reduced row-echelon form without zero rows.
-    Returns (proj, rep_cols): proj maps ambient coords to quotient coords,
-    and the quotient representatives are the standard vectors at the
-    non-pivot columns ``rep_cols``.  In closed form, a non-pivot coordinate
-    projects to itself and a pivot coordinate to its rref row minus the
-    pivot bit, which has only non-pivot bits.  So proj has identity rows at
-    ``rep_cols``, a certificate of its rank (``f2core.certify_rank``).
-    """
-    rows = image_rref.row_ints()
-    pivot_bits = 0
-    for row in rows:
-        pivot_bits |= row & -row
-    flags = bin(pivot_bits | (1 << dim))[:2:-1]  # column 0 first
-    rep_cols = [c for c, f in enumerate(flags) if f == "0"]
-    colbit = {c: 1 << k for k, c in enumerate(rep_cols)}
-    proj_rows = [colbit.get(t, 0) for t in range(dim)]
-    for row in rows:
-        low = (row & -row).bit_length() - 1
-        bits = bin(row)[:1:-1]  # column 0 first
-        out = 0
-        j = bits.find("1", low + 1)
-        while j >= 0:
-            out |= colbit[j]
-            j = bits.find("1", j + 1)
-        proj_rows[low] = out
-    return BitMatrix(dim, len(rep_cols), tuple(proj_rows)), rep_cols
-
-
-class Quotient:
-    """A quotient module with its projection and the representatives of its basis.
-
-    The representative of basis vector k in degree n is the ambient unit
-    vector at ``rep_cols[n][k]``, so the product of the representatives
-    with a matrix m is the row selection ``m.take_rows(rep_cols[n])``.
+    ``bases[n]`` is the canonical rref basis of the subspace in degree n.
+    A row maps by its remainder against it (``RowReducer.remainders``),
+    which has no pivot bit set, then by the gather of the non-pivot columns
+    ``rep_cols[n]``, whose unit vectors represent the quotient's basis.  A
+    row inside the subspace maps to zero with nothing gathered.  A
+    representative is its own remainder and gathers to a unit vector, so
+    the representatives map to the identity: the rank is the width, which
+    ``rank`` reads, and no degree is eliminated.  ``mat(n)`` is built only
+    when read, for tests and witnesses.  The product of the representatives
+    with a matrix m is the row selection ``m.take_rows(rep_cols[n])``.  A
+    subclass whose ``apply`` reads no basis (Q of a scalar extension, a
+    mask) passes None for ``bases``.
     """
 
-    def __init__(self, module: TruncatedModule, proj_mats: Dict[int, BitMatrix],
-                 rep_cols: Sequence[Sequence[int]]):
-        self.module = module
-        self.proj_mats = proj_mats
+    def __init__(self, ambient: TruncatedModule, target: TruncatedModule,
+                 bases: Optional[Sequence[BitMatrix]], rep_cols: Sequence[Sequence[int]]):
+        super().__init__(ambient, target, {}, D=target.D)
+        self.bases = bases
         self.rep_cols = rep_cols
+        self._reducers: Dict[int, RowReducer] = {}
 
-    def project(self, n: int, rows: BitMatrix) -> BitMatrix:
-        """``rows @ proj_mats[n]``: ambient rows of degree n, projected."""
-        return rows @ self.proj_mats[n]
+    @cached_property
+    def _rep_runs(self) -> List[tuple]:
+        """The ``column_runs`` of ``rep_cols``, which ``apply`` gathers."""
+        return [column_runs(cols) for cols in self.rep_cols]
+
+    def apply(self, n: int, rows: BitMatrix) -> BitMatrix:
+        red = self._reducers.get(n)
+        if red is None:
+            red = self._reducers[n] = RowReducer(self.bases[n])
+        rest = red.remainders(rows)
+        if rest.is_zero():
+            return BitMatrix.zeros(rows.nrows, self.target.dims[n])
+        return rest.gather(self._rep_runs[n], self.target.dims[n])
+
+    def rank(self, n: int) -> int:
+        return self.target.dims[n]
+
+    def mat(self, n: int) -> BitMatrix:
+        if not 0 <= n <= self.D:
+            return super().mat(n)
+        got = self._mats.get(n)
+        if got is None:
+            got = self._mats[n] = self.apply(n, BitMatrix.identity(self.source.dims[n]))
+        return got
 
 
 def quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> Quotient:
-    """The quotient of M by a graded row space, with the induced action.
+    """The projection of M onto its quotient by a graded row space, whose
+    target carries the induced structure.
 
-    ``bases[n]`` is an rref basis without zero rows of the subspace in
-    degree n, for n = 0 .. D with D = len(bases) - 1 <= M.D.  The action
-    Sq^i is ``reps @ sq @ proj``, which is well defined when the subspace is
-    stable under the action.  When M carries u, so does the quotient, with
-    u = ``reps @ u @ proj``, well defined when the subspace is stable under
-    u.  Both, and the labels, are built on first read; ``reps @`` is a row
-    selection, and ``u @ proj`` is ``M.u_then``.  Each projection carries
-    its rank, certified by its identity rows.
+    ``bases[n]`` is the canonical rref basis of the subspace in degree n,
+    for n = 0 .. D with D = len(bases) - 1 <= M.D.  On the quotient, Sq^i
+    is the projection of the representatives under Sq^i, which is well
+    defined only when the subspace is stable under the squares: on a span
+    that is not (T15's random u-subspaces) only the dims, labels and u of
+    the quotient may be read.  When M carries u, so does the quotient, with
+    u the projection of u times the representatives (``M.times_u``), well
+    defined when the subspace is stable under u.  The action, u and the
+    labels are built on first read.
     """
     D = len(bases) - 1
-    proj_mats: Dict[int, BitMatrix] = {}
-    dims = []
     cols = []
-    for n, basis in enumerate(bases):
-        proj, rep_cols = _coker_data(basis, M.dims[n])
-        proj_mats[n] = certify_rank(proj, rep_cols)
-        dims.append(len(rep_cols))
-        cols.append(rep_cols)
+    for n in range(D + 1):
+        pivots = 0
+        for r in bases[n].row_ints():
+            pivots |= r & -r
+        flags = bin(pivots | (1 << M.dims[n]))[:2:-1]  # column 0 first
+        cols.append([c for c, f in enumerate(flags) if f == "0"])
+    dims = [len(c) for c in cols]
 
     def labels() -> List[Tuple[str, ...]]:
         names = M.labels
         return [tuple(names[n][c] for c in rep_cols) for n, rep_cols in enumerate(cols)]
 
     def action() -> Dict[Tuple[int, int], BitMatrix]:
-        return {
-            (i, n): m.take_rows(cols[n]) @ proj_mats[n + i]
-            for (i, n), m in M.action_items()
-            if n + i <= D and dims[n]
-        }
+        return {(i, n): proj.apply(n + i, m.take_rows(cols[n]))
+                for (i, n), m in M.action_items() if n + i <= D and dims[n]}
 
     if isinstance(M, FuluModule):
         def u() -> Dict[int, BitMatrix]:
-            return {n: M.u_then(n, proj_mats[n + 1]).take_rows(cols[n])
-                    for n in range(D) if dims[n]}
+            reps = [BitMatrix(dims[n], M.dims[n], tuple(1 << c for c in cols[n]))
+                    for n in range(D)]
+            return {n: proj.apply(n + 1, M.times_u(n, reps[n])) for n in range(D) if dims[n]}
 
-        module: TruncatedModule = FuluModule(name, D, dims, action, labels, u=u)
+        target: TruncatedModule = FuluModule(name, D, dims, action, labels, u=u)
     else:
-        module = TruncatedModule(name, D, dims, action, labels)
-    return Quotient(module, proj_mats, cols)
+        target = TruncatedModule(name, D, dims, action, labels)
+    proj = Quotient(M, target, bases, cols)  # action() and u() read it when called
+    return proj
 
 
 def subquotient(f: ModuleMap) -> Subquotient:
-    """Degreewise kernel, image and cokernel with induced actions.
+    """Degreewise kernel and cokernel with induced actions.
 
     The input must be A-linear, and commute with u where its ends carry
     it; ``f.validate_linear()`` checks that (constructions in this package
@@ -1333,16 +1302,15 @@ class FourTermOmega:
     ``ker_incl`` embeds the suspension of omega1 into the doubled module and
     ``coker_proj`` projects onto the suspension of omega, whose basis
     vector k of degree n is represented by the unit vector at
-    ``coker_cols[n][k]``; the four-term sequence they form with the Sq0 map
-    is exact in the certified range.
+    ``coker_proj.rep_cols[n][k]``; the four-term sequence they form with
+    the Sq0 map is exact in the certified range.
     """
 
     omega: TruncatedModule
     omega1: TruncatedModule
     ker_incl: ModuleMap
-    coker_proj: ModuleMap
+    coker_proj: Quotient
     sq0_map: ModuleMap
-    coker_cols: Sequence[Sequence[int]]
 
     def verify(self) -> Verdict:
         return exact_sequence(
@@ -1359,7 +1327,7 @@ def omega(M: TruncatedModule) -> FourTermOmega:
     f = sq0(M)
     sub = subquotient(f)
     try:
-        om = desuspend(sub.cokernel, name=f"Om({M.name})")
+        om = desuspend(sub.coker.target, name=f"Om({M.name})")
     except DesuspensionError as exc:
         raise TheoryViolation(
             f"cokernel of Sq0 on {M.name} is not a suspension: {exc}"
@@ -1370,7 +1338,7 @@ def omega(M: TruncatedModule) -> FourTermOmega:
         raise TheoryViolation(
             f"kernel of Sq0 on {M.name} is not a suspension: {exc}"
         ) from exc
-    return FourTermOmega(om, om1, sub.kernel_incl, sub.coker_proj, f, sub.coker_cols)
+    return FourTermOmega(om, om1, sub.kernel_incl, sub.coker, f)
 
 
 def is_reduced(M: TruncatedModule) -> Verdict:

@@ -5,19 +5,19 @@ itself certifies with ``rank``, ``left_kernel``, ``image_is_kernel`` and
 ``RowReducer`` and never needs these.
 """
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from usteen import _gf2py, steenrod
-from usteen.f2core import BitMatrix, Subspace, rref
+from usteen.f2core import BitMatrix, Subspace, express_in_rowspace, rref
 from usteen.fulu import u_linear_map
 from usteen.unstable import (
     FuluModule,
     ModuleMap,
-    Quotient,
     TensorLayout,
     TruncatedModule,
     polynomial_module,
-    quotient,
+    submodule,
 )
 
 # -- GF(2) linear algebra ------------------------------------------------------
@@ -198,23 +198,97 @@ def fulu_algebra(D: int) -> FuluModule:
                   {n: BitMatrix.identity(1) for n in range(D)})
 
 
-def q_data_by_elimination(N: FuluModule) -> Quotient:
+# -- quotients --------------------------------------------------------------------
+
+
+def coker_data(image_rref: BitMatrix, dim: int) -> Tuple[BitMatrix, List[int]]:
+    """Dense projection and representatives for a quotient by a row space;
+    the oracle of ``unstable.Quotient``'s ``mat`` and ``rep_cols``.
+
+    ``image_rref`` must be in reduced row-echelon form without zero rows.
+    Returns (proj, rep_cols): proj maps ambient coords to quotient coords,
+    and the quotient representatives are the standard vectors at the
+    non-pivot columns ``rep_cols``.  In closed form, a non-pivot coordinate
+    projects to itself and a pivot coordinate to its rref row minus the
+    pivot bit, which has only non-pivot bits.
+    """
+    rows = image_rref.row_ints()
+    pivot_bits = 0
+    for row in rows:
+        pivot_bits |= row & -row
+    flags = bin(pivot_bits | (1 << dim))[:2:-1]  # column 0 first
+    rep_cols = [c for c, f in enumerate(flags) if f == "0"]
+    colbit = {c: 1 << k for k, c in enumerate(rep_cols)}
+    proj_rows = [colbit.get(t, 0) for t in range(dim)]
+    for row in rows:
+        low = (row & -row).bit_length() - 1
+        bits = bin(row)[:1:-1]  # column 0 first
+        out = 0
+        j = bits.find("1", low + 1)
+        while j >= 0:
+            out |= colbit[j]
+            j = bits.find("1", j + 1)
+        proj_rows[low] = out
+    return BitMatrix(dim, len(rep_cols), tuple(proj_rows)), rep_cols
+
+
+@dataclass
+class DenseQuotient:
+    """A quotient module with one dense projection matrix per degree and the
+    non-pivot columns whose unit vectors represent its basis."""
+
+    module: TruncatedModule
+    proj_mats: Dict[int, BitMatrix]
+    rep_cols: List[List[int]]
+
+
+def dense_quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> DenseQuotient:
+    """M modulo the graded row space with rref ``bases``, densely: the
+    ``coker_data`` projection of every degree, Sq^i = reps @ sq @ proj and,
+    when M carries u, u = reps @ u @ proj; the oracle of
+    ``unstable.quotient``, whose projection is an operator."""
+    D = len(bases) - 1
+    proj, cols = {}, []
+    for n in range(D + 1):
+        proj[n], rep_cols = coker_data(bases[n], M.dims[n])
+        cols.append(rep_cols)
+    dims = [len(c) for c in cols]
+    labels = [tuple(M.labels[n][c] for c in cols[n]) for n in range(D + 1)]
+    action = {(i, n): m.take_rows(cols[n]) @ proj[n + i]
+              for (i, n), m in M.action_items() if n + i <= D}
+    if isinstance(M, FuluModule):
+        u = {n: (M.u_mat(n) @ proj[n + 1]).take_rows(cols[n]) for n in range(D)}
+        module: TruncatedModule = FuluModule(name, D, dims, action, labels, u=u)
+    else:
+        module = TruncatedModule(name, D, dims, action, labels)
+    return DenseQuotient(module, proj, cols)
+
+
+def image_submodule(f: ModuleMap):
+    """The image of f as the ``submodule`` of its target on the canonical
+    bases of f's row spaces, with its inclusion and f expressed in it (the
+    factor map f = factor then inclusion)."""
+    bases = {n: Subspace.from_rows(f.mat(n)).basis for n in range(f.D + 1)}
+    image, incl = submodule(f.target, bases, f"im({f.name or 'f'})", f.D)
+    factor = {n: express_in_rowspace(bases[n], f.mat(n)) for n in range(f.D + 1)}
+    return image, incl, ModuleMap(f.source, image, factor, D=f.D)
+
+
+def q_data_by_elimination(N: FuluModule) -> DenseQuotient:
     """N/uN by eliminating the image of u in every degree, for any u-module;
-    the oracle of the closed form that ``fulu.q_data`` takes on a scalar
-    extension."""
+    the oracle of ``fulu.q_data``."""
     images = [BitMatrix.zeros(0, N.dim(0))] + [
         Subspace.from_rows(N.u_mat(n - 1)).basis for n in range(1, N.D + 1)
     ]
-    return quotient(N, images, f"Q({N.name})")
+    return dense_quotient(N, images, f"Q({N.name})")
 
 
-def quotient_u_module_by_elimination(X) -> FuluModule:
-    """The ambient of a graded u-subspace X modulo X, by ``quotient``: a
-    dense projection per degree and u as ``reps @ u @ proj``; the oracle of
-    ``fulu.quotient_u_module``, which projects by an operator."""
+def u_quotient_by_elimination(X) -> FuluModule:
+    """The ambient of a graded u-subspace X modulo X as a graded u-module
+    (no Sq: X need not be stable under it), by ``dense_quotient``."""
     amb = X.ambient
     space = FuluModule(amb.name, amb.D, amb.dims, {}, amb.labels, u=dict(amb.u_items()))
-    return quotient(space, [X.bases[n] for n in range(amb.D + 1)], f"({amb.name})/X").module
+    return dense_quotient(space, [X.bases[n] for n in range(amb.D + 1)], f"({amb.name})/X").module
 
 
 def graded_span_by_elimination(ambient: FuluModule,

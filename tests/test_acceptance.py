@@ -14,7 +14,6 @@ from usteen.f2core import BitMatrix, Subspace, left_kernel, rank
 from usteen.fulu import (
     extend_scalars,
     generator_space,
-    quotient_u_module,
     saturation_check,
     torsion_free,
 )
@@ -26,6 +25,7 @@ from usteen.unstable import (
     free_unstable,
     phi,
     polynomial_module,
+    quotient,
     suspend,
     tensor,
     unit_module,
@@ -266,7 +266,7 @@ def test_criterion_9_randomized_polynomial_lemmas():
             discrepancies += 1
         if sat.ok:
             saturated += 1
-            if not torsion_free(quotient_u_module(X)).ok:
+            if not torsion_free(quotient(E, X.bases, "E/X").target).ok:
                 discrepancies += 1
     assert discrepancies == 0
     assert saturated >= 10

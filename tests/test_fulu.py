@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from usteen import _gf2py, fixtures, harness, unstable
+from usteen import _gf2py, fixtures, fulu, harness, unstable
 from usteen.f2core import BitMatrix, Subspace, left_kernel, rank, rref
 from usteen.fulu import (
     GradedSubspace,
@@ -17,24 +17,25 @@ from usteen.fulu import (
     q_data,
     positive_u_part,
     q_of_map,
-    quotient_u_module,
+    q_of_quotient,
     saturation_check,
     tensor_over_fulu,
     torsion_free,
 )
 from usteen.lannes import RealmCalculus, hv, hv_module, realm_sum, realm_suspend, t_apply
-from usteen.singer import r1, rho1
+from usteen.singer import product_mu, r1, rho1
 from usteen.unstable import (
     FuluModule,
     ModuleMap,
     TheoryViolation,
     TruncationError,
     Verdict,
-    _coker_data,
     _sum_label,
     free_unstable,
     map_from_free,
+    omega,
     polynomial_module,
+    quotient,
     suspend,
     submodule,
     subquotient,
@@ -46,16 +47,17 @@ from usteen.unstable import (
 
 from reference import (
     a_span,
+    coker_data,
     one_bit_flips,
     fulu_algebra,
     graded_span_by_elimination,
     one_sided_u_by_pairs,
     q_data_by_elimination,
-    quotient_u_module_by_elimination,
     span_sum,
     tensor_by_pairs,
     tensor_row,
     u_on_quotient_by_solving,
+    u_quotient_by_elimination,
     unit_rows,
     u_on_span_by_solving,
     validate_fulu_dense,
@@ -215,15 +217,16 @@ def test_q_data_of_a_scalar_extension_matches_the_elimination(tmp_path, monkeypa
         raise AssertionError("q_data of a scalar extension eliminated")
 
     monkeypatch.setattr(_gf2py, "rref_inplace", refuse)
-    monkeypatch.setattr(unstable, "_coker_data", refuse)
+    monkeypatch.setattr(fulu, "quotient", refuse)
+    monkeypatch.setattr(unstable, "RowReducer", refuse)
     for N, want in cases:
         got = q_data(N)
-        assert got.module.name == want.module.name, N.name
-        assert got.module.dims == want.module.dims, N.name
-        assert got.module.labels == want.module.labels, N.name
-        assert got.proj_mats == want.proj_mats, N.name
+        assert got.target.name == want.module.name, N.name
+        assert got.target.dims == want.module.dims, N.name
+        assert got.target.labels == want.module.labels, N.name
+        assert [got.mat(n) for n in range(N.D + 1)] == list(want.proj_mats.values()), N.name
         assert list(map(list, got.rep_cols)) == list(map(list, want.rep_cols)), N.name
-        assert got.module == want.module, N.name  # the Sq action and the zero u
+        assert got.target == want.module, N.name  # the Sq action and the zero u
 
 
 def test_q_naturality_on_random_maps():
@@ -247,15 +250,18 @@ def test_q_naturality_on_random_maps():
 def test_q_of_map_by_selections_matches_the_matrix_formula(r):
     """q_of_map reads representatives as row selections and the projection
     of Q of a scalar extension as a mask; the products reps @ f @ proj with
-    the matrices are the oracle, on the three maps of T8's sequence."""
+    the dense matrices of the eliminated quotients are the oracle, on the
+    three maps of T8's sequence."""
     calc = RealmCalculus(hv(r, 6))
     sub = calc.taubar_sub
-    qs = [q_data(sub.kernel), q_data(calc.E), q_data(calc.bar), q_data(sub.cokernel)]
-    for f, qsrc, qtgt in zip((sub.kernel_incl, calc.taubar, sub.coker_proj), qs, qs[1:]):
+    mods = [sub.kernel, calc.E, calc.bar, sub.coker.target]
+    qs, dense = [q_data(N) for N in mods], [q_data_by_elimination(N) for N in mods]
+    for f, qsrc, qtgt, dsrc, dtgt in zip((sub.kernel_incl, calc.taubar, sub.coker), qs, qs[1:],
+                                         dense, dense[1:]):
         got = q_of_map(f, qsrc, qtgt)
         for n in range(got.D + 1):
-            reps = unit_rows(qsrc.rep_cols[n], f.source.dims[n])
-            assert got.mat(n) == reps @ f.mat(n) @ qtgt.proj_mats[n], (f.name, n)
+            reps = unit_rows(dsrc.rep_cols[n], f.source.dims[n])
+            assert got.mat(n) == reps @ f.mat(n) @ dtgt.proj_mats[n], (f.name, n)
 
 
 def test_freeness_of_extension():
@@ -318,7 +324,7 @@ def test_saturated_implies_quotient_torsion_free():
         rows[n] = picked
     X = GradedSubspace.from_vectors(E, rows)
     assert saturation_check(X).ok
-    q = quotient_u_module(X)
+    q = quotient(E, X.bases, "E/X").target
     assert torsion_free(q).ok
 
 
@@ -341,7 +347,7 @@ def test_equiv_cond_randomized_small():
         assert sat.ok == gs.eps_image_injective.ok
         agree += 1
         if sat.ok:
-            assert torsion_free(quotient_u_module(X)).ok
+            assert torsion_free(quotient(E, X.bases, "E/X").target).ok
     assert agree == 25
 
 
@@ -359,7 +365,7 @@ def test_saturation_is_torsion_freeness_of_the_quotient():
         for t in range(60):
             X = harness._random_subspace(rng, amb, t % styles)
             sat = saturation_check(X).ok
-            q, want = quotient_u_module(X), quotient_u_module_by_elimination(X)
+            q, want = quotient(amb, X.bases, "amb/X").target, u_quotient_by_elimination(X)
             assert (q.dims, q.labels, q.u_items()) == (want.dims, want.labels, want.u_items())
             assert torsion_free(q).ok == torsion_free(want).ok == sat, (amb.name, t)
             seen[sat] += 1
@@ -371,7 +377,7 @@ def saturation_check_by_preimage(X):
     look for its first canonical basis vector outside X^n."""
     amb = X.ambient
     for n in range(amb.D):
-        proj, _ = _coker_data(X.bases[n + 1], amb.dim(n + 1))
+        proj, _ = coker_data(X.bases[n + 1], amb.dim(n + 1))
         pre = left_kernel(amb.u_mat(n) @ proj)
         target = X.subspace(n)
         for r in range(pre.dim):
@@ -430,7 +436,8 @@ def _saturation_ambients(D):
     and take the projection path: a plain copy of the first ambient, R1(H),
     and a quotient of the first ambient with u-torsion, whose u is no shift."""
     E = extend_scalars(polynomial_module(1, D))
-    torsion = quotient_u_module(GradedSubspace.from_vectors(E, {2: [1 << E.index(2, 1, 0)]}))
+    Y = GradedSubspace.from_vectors(E, {2: [1 << E.index(2, 1, 0)]})
+    torsion = quotient(E, Y.bases, "E/Y").target
     assert not torsion_free(torsion).ok
     return [E, extend_scalars(free_unstable(2, D)), positive_u_part(free_unstable(1, D)),
             with_u(E, dict(E.u_items())), r1(polynomial_module(1, D)).fulu, torsion]
@@ -509,7 +516,7 @@ def test_fulu_subquotient_of_unit_embedding():
     q = subquotient(incl)
     # cokernel is the indecomposables: isomorphic to M degreewise
     for n in range(9):
-        assert q.cokernel.dim(n) == M.dim(n)
+        assert q.coker.target.dim(n) == M.dim(n)
 
 
 def test_tensor_over_fulu_unit():
@@ -686,9 +693,10 @@ def test_a_span_not_closed_under_u_raises(top, degree):
 def taubar_parts(r, D):
     calc = RealmCalculus(hv(r, D))
     sub = calc.taubar_sub
+    image, image_incl = submodule(calc.bar, calc.taubar_image.bases, "im(taubar)")
     return [(f"ker taubar r={r}", sub.kernel, "span", sub.kernel_incl),
-            (f"im taubar r={r}", sub.image, "span", sub.image_incl),
-            (f"coker taubar r={r}", sub.cokernel, "quotient", sub.coker_proj)]
+            (f"im taubar r={r}", image, "span", image_incl),
+            (f"coker taubar r={r}", sub.coker.target, "quotient", sub.coker)]
 
 
 def induced_u_cases():
@@ -705,14 +713,73 @@ def induced_u_cases():
     E = extend_scalars(polynomial_module(1, 7))
     for t in range(6):
         X = harness._random_subspace(rng, E, t % 3)
-        Q = quotient_u_module(X)
-        mats = {n: _coker_data(X.bases[n], E.dim(n))[0] for n in range(E.D + 1)}
+        Q = quotient(E, X.bases, "E/X").target
+        mats = {n: coker_data(X.bases[n], E.dim(n))[0] for n in range(E.D + 1)}
         cases.append((f"E/X trial {t}", Q, "quotient", (E, mats)))
     for A, B in ((extend_scalars(unit_module(6)), extend_scalars(suspend(unit_module(5)))),
                  (extend_scalars(free_unstable(1, 6)), extend_scalars(polynomial_module(1, 6)))):
         prod = tensor_over_fulu(A, B)
-        cases.append((prod.module.name, prod.module, "quotient", (prod.tensor_module, prod.proj_mats)))
+        T = prod.tensor_module
+        mats = {n: coker_data(prod.relation_bases[n], T.dims[n])[0] for n in range(T.D + 1)}
+        cases.append((prod.module.name, prod.module, "quotient", (T, mats)))
     return cases
+
+
+def record_quotients(monkeypatch, run):
+    """Every projection that ``unstable.quotient`` builds while ``run`` runs."""
+    built = []
+    real = unstable.quotient
+
+    def recording(M, bases, name):
+        built.append(real(M, bases, name))
+        return built[-1]
+
+    for mod in (unstable, fulu, harness):
+        monkeypatch.setattr(mod, "quotient", recording)
+    run()
+    return built
+
+
+def catalog_quotients(case, monkeypatch):
+    """The projections of one family of the quotients the catalog builds."""
+    D = 8
+    if case == "omega":  # the cokernel of Sq0, T9-T11
+        return [omega(M).coker_proj for M in harness._standard_fixtures(D)]
+    if case == "q_data":  # Q of u-modules that are no scalar extension, T7 and T8
+        return [q_data(r1(hv_module(1, D)).fulu), q_data(RealmCalculus(hv(1, D)).taubar_sub.kernel)]
+    if case == "tensor_over_fulu":  # T6
+        H = hv_module(1, D)
+        return [product_mu(H, H).product.proj]
+    if case == "taubar":  # coker taubar and Q of it, T8
+        out = []
+        for r in (1, 2, 3):
+            calc = RealmCalculus(hv(r, 6))
+            image = calc.taubar_image
+            out += [quotient(calc.bar, image.bases, "bar/X"), calc.taubar_sub.coker,
+                    q_of_quotient(q_data(calc.bar), image)]
+        return out
+    if case == "T15":  # the saturated random quotients
+        return record_quotients(monkeypatch, lambda: harness.run_check(harness.make_spec("T15", D=10)))
+    harness._hv_calculus.cache_clear()
+    try:
+        return record_quotients(monkeypatch, lambda: harness.run_all(D=D, max_rank=3))
+    finally:
+        harness._hv_calculus.cache_clear()
+
+
+@pytest.mark.parametrize("case", ["omega", "q_data", "tensor_over_fulu", "taubar", "T15", "catalog"])
+def test_every_quotient_projection_matches_the_dense_oracle(case, monkeypatch):
+    """The projection operator against ``reference.coker_data`` on its own
+    rref bases, for every quotient the catalog builds: the matrices, the
+    representative columns and the rank, which is the width."""
+    quotients = catalog_quotients(case, monkeypatch)
+    assert quotients, case
+    for q in quotients:
+        for n in range(q.D + 1):
+            proj, cols = coker_data(q.bases[n], q.source.dims[n])
+            assert list(q.rep_cols[n]) == cols, (q.target.name, n)
+            assert q.mat(n) == proj, (q.target.name, n)
+            assert q.rank(n) == len(cols) == q.target.dims[n], (q.target.name, n)
 
 
 def test_induced_u_matches_a_plain_solve():

@@ -8,8 +8,8 @@ import pytest
 
 from usteen import cli, fixtures, fulu, harness, lannes, singer, unstable
 from usteen.cli import main as cli_main
-from usteen.f2core import BitMatrix
-from usteen.fulu import extend_scalars
+from usteen.f2core import BitMatrix, Subspace
+from usteen.fulu import GradedSubspace, extend_scalars
 from usteen.harness import (
     CATALOG,
     make_spec,
@@ -725,27 +725,33 @@ def test_a_saturation_check_that_passes_an_unsaturated_trial_fails_t15(monkeypat
 def test_t14_and_t15_read_no_cokernel_projection_and_no_augmentation_matrix(monkeypatch):
     """On scalar extensions saturation counts shifted pivot rows, the spans
     shift their unseeded degrees and the augmentation is a column selection.
-    Neither T14 nor T15 takes a dense cokernel projection: the quotients of
-    T15's saturated trials project by the operator ``SubspaceProjection``."""
+    Neither T14 nor T15 reads a cokernel projection as a matrix: T14 builds
+    no quotient, and the quotients of T15's saturated trials project by the
+    operator of ``unstable.quotient``."""
     counts = Counter()
-    real = unstable._coker_data
+    real_quotient, real_mat = unstable.quotient, unstable.Quotient.mat
 
-    def counting(*args):
-        counts["coker"] += 1
-        return real(*args)
+    def counting_quotient(*args):
+        counts["quotient"] += 1
+        return real_quotient(*args)
+
+    def counting_mat(self, n):
+        counts["mat"] += 1
+        return real_mat(self, n)
 
     def refuse(self, n):
         raise AssertionError("eps_mat read")
 
-    for mod in (unstable, fulu):
-        monkeypatch.setattr(mod, "_coker_data", counting)
+    for mod in (harness, fulu):
+        monkeypatch.setattr(mod, "quotient", counting_quotient)
+    monkeypatch.setattr(unstable.Quotient, "mat", counting_mat)
     monkeypatch.setattr(fulu.ExtendedModule, "eps_mat", refuse)
     D = 10
     assert run_check(make_spec("T14", D=D)).passed
-    assert counts["coker"] == 0
+    assert counts == {}
     res = run_check(make_spec("T15", D=D))
     assert res.passed and res.tables["saturated"][0] > 0
-    assert counts["coker"] == 0
+    assert counts == {"quotient": res.tables["saturated"][0]}
 
 
 def with_a_flipped_square(M):
@@ -809,3 +815,83 @@ def test_cli_r1_refuses_an_unstable_fixture(tmp_path, capsys):
     # compute module still reports the violation as data
     assert cli_main(["compute", "module"] + argv) == 0
     assert "instability violated at (i=2, n=1)" in capsys.readouterr().out
+
+
+# -- named mutations: each drives its check to FAIL through its own comparison ------
+
+
+def image_of_taubar_gains_a_top_vector(monkeypatch):
+    """T7: the image of taubar gains the first unit vector of bar outside it
+    in the top degree.  Nothing leaves the top degree, so the span is still
+    a u-submodule over A, but taubar no longer maps onto it."""
+    real = lannes.RealmCalculus.taubar_image.func
+
+    def gained(calc):
+        X, top = real(calc), calc.D
+        width = calc.bar.dim(top)
+        extra = next(1 << c for c in range(width) if not X.subspace(top).contains_vector(1 << c))
+        rows = BitMatrix.from_row_ints(X.bases[top].row_ints() + [extra], width)
+        Y = GradedSubspace.__new__(GradedSubspace)
+        Y.ambient, Y.bases = X.ambient, {**X.bases, top: Subspace.from_rows(rows).basis}
+        return Y
+
+    monkeypatch.setattr(lannes.RealmCalculus, "taubar_image", property(gained))
+
+
+def sq0_cokernel_of_the_square_loses_a_class(monkeypatch):
+    """T10: the cokernel of Sq0 on H(Z/2) (x) H(Z/2) is taken modulo its
+    image and the first unit vector of degree 5 outside it, so the loop
+    module of the square is one too small in degree 4.  The image of Sq0
+    lies in even degrees, and the desuspension reads only top squares, which
+    land there, so it still passes."""
+    real = unstable.quotient
+
+    def lost(M, bases, name):
+        if name == "coker(Sq0_H(Z/2)(x)H(Z/2))":
+            space = Subspace(M.dims[5], bases[5])
+            extra = next(1 << c for c in range(M.dims[5]) if not space.contains_vector(1 << c))
+            rows = BitMatrix.from_row_ints(bases[5].row_ints() + [extra], M.dims[5])
+            bases = [Subspace.from_rows(rows).basis if n == 5 else b for n, b in enumerate(bases)]
+        return real(M, bases, name)
+
+    monkeypatch.setattr(unstable, "quotient", lost)
+
+
+def loop_module_sq0_loses_a_bit(monkeypatch):
+    """T11: one bit of Sq0 on the loop module, the lowest set bit of the
+    first nonzero row of the lowest stored Sq^n on degree n, is cleared."""
+    real = lannes.omega_of
+
+    def flipped(M):
+        ft = real(M)
+        act = dict(ft.omega.action_items())
+        n = min(n for i, n in act if i == n)
+        rows = act[(n, n)].row_ints()
+        row = next(j for j, r in enumerate(rows) if r)
+        act[(n, n)] = flip_bit(act[(n, n)], row, (rows[row] & -rows[row]).bit_length() - 1)
+        om = ft.omega
+        return dataclasses.replace(ft, omega=TruncatedModule(om.name, om.D, om.dims, act, om.labels))
+
+    monkeypatch.setattr(lannes, "omega_of", flipped)
+
+
+MUTATIONS = {
+    "T7": (image_of_taubar_gains_a_top_vector, "u-module sequence: not surjective onto image "
+           "in degree 8: [u|<0:1>t^7] (in the second side only)"),
+    "T10": (sq0_cokernel_of_the_square_loses_a_class,
+            "loop alternating sum is -1 in degree 4"),
+    "T11": (loop_module_sq0_loses_a_bit,
+            "rank 1: loop module reducedness: Sq0 kills ds(t^3) in degree 2"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(MUTATIONS))
+def test_a_named_mutation_fails_its_check_with_its_witness(check, monkeypatch):
+    mutate, witness = MUTATIONS[check]
+    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
+    spec = make_spec(check, D=8, max_rank=2)
+    assert run_check(spec).passed
+    mutate(monkeypatch)
+    res = run_check(spec)
+    assert not res.passed
+    assert res.witness == witness

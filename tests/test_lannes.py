@@ -8,7 +8,6 @@ from usteen import cli, fixtures, harness, lannes, unstable
 from usteen.f2core import BitMatrix, RowReducer, Subspace, image_is_kernel, left_kernel, rank
 from usteen.fulu import (
     GradedSubspace,
-    SubspaceProjection,
     extend_scalars,
     indecomposables,
     positive_u_part,
@@ -50,13 +49,21 @@ from usteen.unstable import (
     omega,
     phi,
     polynomial_module,
+    quotient,
+    submodule,
     subquotient,
     tensor,
     tensor_with_layout,
     unit_module,
 )
 
-from reference import fulu_algebra, mutant_tau
+from reference import coker_data, dense_quotient, fulu_algebra, image_submodule, mutant_tau
+
+
+def taubar_image_module(calc):
+    """The image of taubar as T7 builds it: the submodule of bar on the
+    canonical bases of ``taubar_image``."""
+    return submodule(calc.bar, calc.taubar_image.bases, "im(taubar)")[0]
 
 
 def series_coeffs(r, D):
@@ -344,14 +351,14 @@ def test_fix_taubar_is_a_linear():
 
 
 def test_c1_dims_rank1():
-    c1 = RealmCalculus(hv(1, 10)).taubar_sub.image
+    c1 = taubar_image_module(RealmCalculus(hv(1, 10)))
     assert [c1.dim(n) for n in range(11)] == [(n + 1) // 2 for n in range(11)]
 
 
 def test_c2_torsion_free_and_fix():
     calc = RealmCalculus(hv(1, 10))
-    assert torsion_free(calc.taubar_sub.cokernel).ok
-    assert torsion_free(calc.taubar_sub.image).ok
+    assert torsion_free(calc.taubar_sub.coker.target).ok
+    assert torsion_free(taubar_image_module(calc)).ok
     # fixed points: image is the reduced expansion, cokernel its square
     for kind in ("image", "cokernel"):
         assert calc.fix_parts[kind].table.dims == (1,) * 11, kind
@@ -370,7 +377,7 @@ def test_fix_sequence_dims_rank1():
 
 
 def test_c1_reduced_rank1():
-    assert is_reduced(RealmCalculus(hv(1, 10)).taubar_sub.image).ok
+    assert is_reduced(taubar_image_module(RealmCalculus(hv(1, 10)))).ok
 
 
 def test_saturation_of_rtilde():
@@ -441,7 +448,7 @@ def test_q_sequence_terms_rank1():
     q_r = indecomposables(sub.kernel)
     q_e = indecomposables(calc.E)
     q_bar = indecomposables(positive_u_tail(extend_scalars(calc.tbar.module)))
-    q_c2 = indecomposables(sub.cokernel)
+    q_c2 = indecomposables(sub.coker.target)
     for n in range(11):
         assert q_r.dim(n) == (1 if n % 2 == 0 else 0)  # the doubled base
         assert q_e.dim(n) == 1                          # the base
@@ -450,9 +457,9 @@ def test_q_sequence_terms_rank1():
 
 
 def test_c_functors_of_unit_realm_vanish():
-    sub = RealmCalculus(hv(0, 8)).taubar_sub
-    assert sum(sub.image.dims) == 0
-    assert sum(sub.cokernel.dims) == 0
+    calc = RealmCalculus(hv(0, 8))
+    assert sum(taubar_image_module(calc).dims) == 0
+    assert sum(calc.taubar_sub.coker.target.dims) == 0
 
 
 def test_saturation_of_rtilde_all_realm_fixtures():
@@ -966,8 +973,10 @@ FIX_CASES = [
 @pytest.mark.parametrize("X", FIX_CASES, ids=lambda X: X.name)
 def test_fix_parts_match_the_full_matrix_subquotient(X):
     calc = RealmCalculus(X)
-    sub = subquotient(fix_taubar_of(calc, fix_taubar_by_monomials(calc)))
-    for kind, want in (("kernel", sub.kernel), ("image", sub.image), ("cokernel", sub.cokernel)):
+    f = fix_taubar_of(calc, fix_taubar_by_monomials(calc))
+    sub = subquotient(f)
+    for kind, want in (("kernel", sub.kernel), ("image", image_submodule(f)[0]),
+                       ("cokernel", sub.coker.target)):
         got = calc.fix_parts[kind].module
         assert got.D == want.D == X.D, kind
         assert [got.dim(n) for n in range(X.D + 1)] == [want.dim(n) for n in range(X.D + 1)], kind
@@ -1171,17 +1180,22 @@ def test_compute_builds_no_extension_action_and_no_matrix_of_tau(argv, monkeypat
 
 
 def test_taubar_parts_are_built_once_on_first_read(monkeypatch):
-    sub = RealmCalculus(hv(2, 8)).taubar_sub
+    calc = RealmCalculus(hv(2, 8))
+    sub = calc.taubar_sub
     built, actions = count_builds(monkeypatch)
     for _ in range(2):
-        assert sub.cokernel is sub.cokernel and sub.image is sub.image
+        assert sub.coker is sub.coker and sub.coker.target is sub.coker.target
+    image = taubar_image_module(calc)
     assert built == {"coker(taubar)": 1, "im(taubar)": 1}
     # the image is certified on its u-generators; its action, like the
     # cokernel's, is built only when read, and then once
     assert "im(taubar)" not in actions and "coker(taubar)" not in actions
     for _ in range(2):
-        sub.image.sq(1, 1)
+        image.sq(1, 1)
     assert actions["im(taubar)"] == 1 and "coker(taubar)" not in actions
+    for _ in range(2):
+        sub.coker.target.sq(1, 1)
+    assert actions["coker(taubar)"] == 1
 
 
 def test_t8_reads_dims_from_the_layouts(monkeypatch):
@@ -1258,7 +1272,7 @@ def test_bit_flips_of_the_taubar_layer_fail_the_u0_verdict(r):
                 f = u_linear_map(calc.E, calc.bar, flipped, name="taubar")
                 ok = u_linear_verdict(f).ok
                 try:
-                    subquotient(f).image
+                    image_submodule(f)
                     closed = True
                 except TheoryViolation:
                     closed = False
@@ -1317,28 +1331,29 @@ def test_a_taubar_whose_u1_layer_is_not_the_shift_fails_the_u_check(r):
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_a_flipped_bit_of_the_cokernel_projection_fails_exactness(r):
-    """The projection's rank is certified by its construction; a copy with
-    one bit flipped is a new matrix, whose rank is eliminated, and the
-    sequence 0 -> ker -> E -> bar -> coker -> 0 fails.  Each flip either
-    breaks taubar @ proj = 0 (a bit in a pivot row) or the rank sum (a bit
-    that empties an identity row whose column no other row has set)."""
+    """The projection's rank is its width by construction; a plain map with
+    its matrices and one bit flipped is a new matrix, whose rank is
+    eliminated, and the sequence 0 -> ker -> E -> bar -> coker -> 0 fails.
+    Each flip either breaks taubar @ proj = 0 (a bit in a pivot row) or the
+    rank sum (a bit that empties an identity row whose column no other row
+    has set)."""
     D = 5
     calc = RealmCalculus(hv(r, D))
     sub = calc.taubar_sub
     names = ("kernel", "extension", "reduced part", "cokernel")
-    assert exact_sequence((sub.kernel_incl, calc.taubar, sub.coker_proj), names).ok
+    assert exact_sequence((sub.kernel_incl, calc.taubar, sub.coker), names).ok
     failed = 0
     for n in range(1, D + 1):
-        proj = sub.coker_proj.mat(n)
+        proj = sub.coker.mat(n)
         rows = proj.row_ints()
         for i, row in enumerate(rows):
             if not row:
                 continue
             flipped = rows.copy()
             flipped[i] ^= row & -row
-            mats = {d: sub.coker_proj.mat(d) for d in range(D + 1)}
+            mats = {d: sub.coker.mat(d) for d in range(D + 1)}
             mats[n] = BitMatrix.from_row_ints(flipped, proj.ncols)
-            g = ModuleMap(calc.bar, sub.cokernel, mats)
+            g = ModuleMap(calc.bar, sub.coker.target, mats)
             got = exact_sequence((sub.kernel_incl, calc.taubar, g), names)
             assert not got.ok and got.witness.startswith(
                 f"exactness fails at reduced part in degree {n}: "), (n, i)
@@ -1375,31 +1390,33 @@ def test_realm_rows_under_sq_match_the_action_and_build_none(case):
 
 def test_t8_leaves_u_and_the_action_of_bar_unbuilt(monkeypatch):
     """After T8, u of E, ETX and bar, the Sq actions of bar and of Tbar X
-    and the matrices of the cokernel projection are still pending: u is the
-    shift, Sq on bar's rows the row Cartan sum over Tbar X's summand blocks,
-    and the projection an operator."""
+    and the matrices of the cokernel projection are still pending, and so
+    are the cokernel's action and u: u is the shift, Sq on bar's rows the
+    row Cartan sum over Tbar X's summand blocks, and the projection an
+    operator."""
     built, projections = [], []
 
     def calculus(r, D):
         built.append(RealmCalculus(hv(r, D)))
         return built[-1]
 
-    class Recorded(SubspaceProjection):
-        def __init__(self, X):
-            super().__init__(X)
-            projections.append(self)
+    real = harness.quotient
+
+    def recorded(M, bases, name):
+        projections.append(real(M, bases, name))
+        return projections[-1]
 
     monkeypatch.setattr(harness, "_hv_calculus", calculus)
-    monkeypatch.setattr(harness, "SubspaceProjection", Recorded)
+    monkeypatch.setattr(harness, "quotient", recorded)
     assert harness.run_check(harness.make_spec("T8", D=8, max_rank=3)).passed
     assert len(built) == len(projections) == 3
     for calc, proj in zip(built, projections):
         assert callable(calc.bar._act) and callable(calc.tbar.module._act)
         for N in (calc.E, calc.ETX, calc.bar, proj.target):
             assert callable(N._u), N.name
-        assert proj.source is calc.bar and proj._mats == {}
+        assert proj.source is calc.bar and proj._mats == {} and callable(proj.target._act)
         # no Subquotient cokernel, and no elimination of taubar's matrices
-        assert not {"_coker", "_im_bases"} & set(calc.taubar_sub.__dict__)
+        assert "coker" not in calc.taubar_sub.__dict__
 
 
 def test_u_linear_verdict_needs_a_map_out_of_a_whole_extension():
@@ -1475,26 +1492,49 @@ def test_the_image_of_taubar_from_its_u0_layer_matches_the_elimination(D, r):
 
 @pytest.mark.parametrize("D, r", T8_GRID)
 def test_the_cokernel_projection_operator_matches_the_dense_projection(D, r):
-    """The operator against ``_coker_data`` on the eliminated image, and the
-    Subquotient's cokernel: matrices, products on taubar's rows and on
-    random rows, ranks, dims, labels and u."""
+    """T8's projection, on the bases of ``taubar_image``, against the dense
+    ``coker_data`` projection of the eliminated image, and the Subquotient's
+    cokernel: matrices, products on taubar's rows and on random rows,
+    ranks, dims, labels and u."""
     calc = RealmCalculus(hv(r, D))
     sub = calc.taubar_sub
-    proj = SubspaceProjection(calc.taubar_image)
+    proj = quotient(calc.bar, calc.taubar_image.bases, "bar/X")
     rng = random.Random(100 * D + r)
+    bases = [Subspace.from_rows(calc.taubar.mat(n)).basis for n in range(D + 1)]
     for n in range(D + 1):
         width = calc.bar.dim(n)
-        dense, cols = unstable._coker_data(Subspace.from_rows(calc.taubar.mat(n)).basis, width)
-        assert proj.rep_cols[n] == cols == list(sub.coker_cols[n])
+        dense, cols = coker_data(bases[n], width)
+        assert proj.rep_cols[n] == cols == sub.coker.rep_cols[n]
         rows = BitMatrix.from_row_ints([rng.getrandbits(width) for _ in range(20)], width)
         assert proj.apply(n, rows) == rows @ dense
         assert proj.apply(n, calc.taubar.mat(n)) == calc.taubar.mat(n) @ dense
         assert proj.apply(n, calc.taubar.mat(n)).is_zero()
-        assert proj.mat(n) == dense == sub.coker_proj.mat(n)
+        assert proj.mat(n) == dense == sub.coker.mat(n)
         assert proj.rank(n) == rank(BitMatrix.from_row_ints(dense.row_ints(), dense.ncols))
-    assert proj.target.dims == sub.cokernel.dims
-    assert proj.target.labels == sub.cokernel.labels
-    assert proj.target.u_items() == sub.cokernel.u_items()
+    want = dense_quotient(calc.bar, bases, "coker(taubar)").module
+    for got in (proj.target, sub.coker.target):
+        assert got.dims == want.dims
+        assert got.labels == want.labels
+        assert got.u_items() == want.u_items()
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_the_cokernel_of_taubar_from_the_one_projection_is_a_valid_u_module(r):
+    """coker taubar, projected off ``taubar_image`` as T8 projects it, carries
+    the induced Sq and u: it validates, and its dims, labels, stored Sq
+    matrices and u are those of the dense oracle's cokernel of the
+    eliminated image.  A quotient that dropped the squares (claiming every
+    Sq is zero) fails the Cartan rule for u from rank 1 on."""
+    D = 6
+    calc = RealmCalculus(hv(r, D))
+    got = quotient(calc.bar, calc.taubar_image.bases, "coker(taubar)").target
+    bases = [Subspace.from_rows(calc.taubar.mat(n)).basis for n in range(D + 1)]
+    want = dense_quotient(calc.bar, bases, "coker(taubar)").module
+    assert got.validate().ok and want.validate().ok
+    assert (got.dims, got.labels) == (want.dims, want.labels)
+    assert got.action_items() == want.action_items()
+    assert got.u_items() == want.u_items()
+    assert len(got.action_items()) == (0, 7, 9)[r]
 
 
 @pytest.mark.parametrize("D, r", T8_GRID)
@@ -1503,10 +1543,10 @@ def test_q_of_the_cokernel_from_the_u1_pivots_matches_the_elimination(D, r):
     sub = calc.taubar_sub
     q_bar = q_data(calc.bar)
     got = q_of_quotient(q_bar, calc.taubar_image)
-    want = q_data(sub.cokernel)
-    assert got.target.dims == want.module.dims
-    assert got.target.labels == want.module.labels
-    induced = q_of_map(sub.coker_proj, q_bar, want)
+    want = q_data(sub.coker.target)
+    assert got.target.dims == want.target.dims
+    assert got.target.labels == want.target.labels
+    induced = q_of_map(sub.coker, q_bar, want)
     for n in range(D + 1):
         assert got.mat(n) == induced.mat(n), n
 
@@ -1514,7 +1554,7 @@ def test_q_of_the_cokernel_from_the_u1_pivots_matches_the_elimination(D, r):
 @pytest.mark.parametrize("D, r", T8_GRID)
 def test_saturation_of_the_image_matches_torsion_of_the_cokernel(D, r):
     calc = RealmCalculus(hv(r, D))
-    assert saturation_check(calc.taubar_image) == torsion_free(calc.taubar_sub.cokernel)
+    assert saturation_check(calc.taubar_image) == torsion_free(calc.taubar_sub.coker.target)
 
 
 def _with_rows(X, n, rows):
@@ -1605,14 +1645,18 @@ def test_taubar_kernel_and_invariants_eliminate_each_degree_once(r, monkeypatch)
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("first", ["image", "cokernel"])
 def test_taubar_parts_agree_in_either_order(r, first):
+    """The image of taubar (with its factor map) and the cokernel (its
+    projection's matrices and its target's action) agree whichever is read
+    first, and are a valid module, u-module and maps."""
     taubar = RealmCalculus(hv(r, 6)).taubar
     a, b = subquotient(taubar), subquotient(taubar)
-    names = ["image", "factor", "cokernel", "coker_proj"]
-    for name in names if first == "image" else names[::-1]:
-        getattr(a, name)
-    assert (a.image, a.cokernel) == (b.image, b.cokernel)
-    assert a.factor == b.factor and a.coker_proj == b.coker_proj
-    for part in (a.kernel, a.image, a.cokernel):
+    reads = [lambda: image_submodule(taubar), lambda: a.coker.target.action_items(),
+             lambda: [a.coker.mat(n) for n in range(taubar.D + 1)]]
+    for read in reads if first == "image" else reads[::-1]:
+        read()
+    assert a.coker.target == b.coker.target and a.coker == b.coker
+    image, _, factor = image_submodule(taubar)
+    for part in (a.kernel, image, a.coker.target):
         assert part.validate().ok, part.name
-    for g in (a.factor, a.coker_proj):
+    for g in (factor, a.coker):
         assert g.validate_linear().ok

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from usteen.f2core import (
     BitMatrix,
     Subspace,
-    certify_rank,
     express_in_rowspace,
     left_kernel,
     rank,
@@ -21,7 +20,6 @@ from usteen.unstable import (
     ModuleMap,
     TheoryViolation,
     TruncatedModule,
-    _coker_data,
     _restricted_action,
     _sum_label,
     desuspend,
@@ -33,6 +31,7 @@ from usteen.unstable import (
     omega,
     phi,
     polynomial_module,
+    quotient,
     sq0,
     subquotient,
     suspend,
@@ -43,7 +42,15 @@ from usteen.unstable import (
     unit_module,
 )
 
-from reference import a_span, contains, one_bit_flips, tensor_by_pairs, validate_dense
+from reference import (
+    a_span,
+    coker_data,
+    contains,
+    image_submodule,
+    one_bit_flips,
+    tensor_by_pairs,
+    validate_dense,
+)
 
 
 def dims_of(M):
@@ -379,21 +386,22 @@ def test_subquotient_of_identity_and_zero():
     M = free_unstable(2, 8)
     sub = subquotient(ModuleMap.identity(M))
     assert sum(sub.kernel.dims) == 0
-    assert sub.image == M
-    assert sum(sub.cokernel.dims) == 0
+    assert image_submodule(ModuleMap.identity(M))[0] == M
+    assert sum(sub.coker.target.dims) == 0
     zsub = subquotient(ModuleMap.zero(M, M))
-    assert sum(zsub.image.dims) == 0
+    assert sum(image_submodule(ModuleMap.zero(M, M))[0].dims) == 0
     assert zsub.kernel == M
+    assert zsub.coker.target == M
 
 
 def test_cokernel_of_sq0_on_f1():
     F1 = free_unstable(1, 12)
     sub = subquotient(sq0(F1))
     # one class in degree 1 survives; every doubled-degree class is hit
-    assert [sub.cokernel.dim(n) for n in range(13)] == [
+    assert [sub.coker.target.dim(n) for n in range(13)] == [
         1 if n == 1 else 0 for n in range(13)
     ]
-    assert desuspend(sub.cokernel) == unit_module(11)
+    assert desuspend(sub.coker.target) == unit_module(11)
 
 
 def test_map_from_free_refuses_a_source_that_free_unstable_did_not_build():
@@ -418,11 +426,10 @@ def test_functoriality_random_composites():
         gf = f.then(g)
         assert f.validate_linear().ok and g.validate_linear().ok
         sub_f = subquotient(f)
-        sub_g = subquotient(g)
         sub_gf = subquotient(gf)
         for n in range(11):
-            im_gf = Subspace.from_rows(sub_gf.image_incl.mat(n))
-            im_g = Subspace.from_rows(sub_g.image_incl.mat(n))
+            im_gf = Subspace.from_rows(gf.mat(n))
+            im_g = Subspace.from_rows(g.mat(n))
             assert contains(im_g, im_gf)
             ker_f = Subspace.from_rows(sub_f.kernel_incl.mat(n))
             ker_gf = Subspace.from_rows(sub_gf.kernel_incl.mat(n))
@@ -430,29 +437,36 @@ def test_functoriality_random_composites():
 
 
 def test_subquotient_builds_the_image_on_first_read():
-    # degree 1 of the source maps onto t, but nothing maps onto Sq^1 t = t^2
+    """A map that is not A-linear has a kernel, but its image is no
+    submodule: degree 1 of the source maps onto t, but nothing maps onto
+    Sq^1 t = t^2, so the span escapes when the image is built."""
     src = TruncatedModule("e1", 3, [0, 1, 0, 0], {})
     tgt = polynomial_module(1, 3)
     f = ModuleMap(src, tgt, {1: BitMatrix.from_rows([[1]])}, name="f")
     sub = subquotient(f)
     assert sum(sub.kernel.dims) == 0
     with pytest.raises(unstable.TheoryViolation, match="im\\(f\\): Sq\\^1 escapes"):
-        sub.image
+        image_submodule(f)
     assert not f.validate_linear().ok
 
 
 @pytest.mark.parametrize("first", ["image", "cokernel"])
 def test_subquotient_parts_agree_in_either_order(first):
+    """The cokernel projection's matrices and its target's action, each
+    built on first read, do not depend on which is read first, nor on
+    whether the image was built before."""
     f = sq0(free_unstable(2, 10))
     a, b = subquotient(f), subquotient(f)
-    names = ["image", "image_incl", "factor", "cokernel", "coker_proj", "coker_cols"]
-    for name in names if first == "image" else names[::-1]:
-        getattr(a, name)
-    assert (a.image, a.cokernel, a.coker_cols) == (b.image, b.cokernel, b.coker_cols)
-    assert (a.image_incl, a.factor, a.coker_proj) == (b.image_incl, b.factor, b.coker_proj)
-    for part in (a.kernel, a.image, a.cokernel):
+    reads = [lambda: image_submodule(f), lambda: a.coker.target.action_items(),
+             lambda: [a.coker.mat(n) for n in range(f.D + 1)]]
+    for read in reads if first == "image" else reads[::-1]:
+        read()
+    assert (a.coker.target, a.coker.rep_cols) == (b.coker.target, b.coker.rep_cols)
+    assert a.coker == b.coker
+    image, incl, factor = image_submodule(f)
+    for part in (a.kernel, image, a.coker.target):
         assert part.validate().ok, part.name
-    for g in (a.image_incl, a.factor, a.coker_proj):
+    for g in (incl, factor, a.coker):
         assert g.validate_linear().ok
 
 
@@ -525,13 +539,15 @@ def composed_modules(draw, depth=2):
         return M
     n = draw(st.sampled_from(degrees))
     element = draw(st.integers(1, (1 << M.dims[n]) - 1))
-    sub = subquotient(map_from_free(free_unstable(n, M.D), M, element))
-    parts = draw(st.permutations(["kernel", "image", "cokernel"]))
-    for name in parts:
-        part = getattr(sub, name)
-        assert part.validate().ok, (name, part)
-    assert sub.factor.validate_linear().ok and sub.coker_proj.validate_linear().ok
-    return getattr(sub, parts[0])
+    f = map_from_free(free_unstable(n, M.D), M, element)
+    sub = subquotient(f)
+    image, _, factor = image_submodule(f)
+    parts = {"kernel": sub.kernel, "image": image, "cokernel": sub.coker.target}
+    order = draw(st.permutations(list(parts)))
+    for name in order:
+        assert parts[name].validate().ok, (name, parts[name])
+    assert factor.validate_linear().ok and sub.coker.validate_linear().ok
+    return parts[order[0]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -822,7 +838,7 @@ def test_omega1_matches_projective_resolution_oracle():
     def loop_of_map(f, sub_src, sub_tgt):
         mats = {}
         for m in range(f.D + 1):
-            mats[m] = f.mat(m).take_rows(sub_src.coker_cols[m]) @ sub_tgt.coker_proj.mat(m)
+            mats[m] = sub_tgt.coker.apply(m, f.mat(m).take_rows(sub_src.coker.rep_cols[m]))
         return mats
 
     sub1, sub2, sub3 = (subquotient(sq0(M)) for M in (F1, F2, F3))
@@ -841,7 +857,7 @@ def test_omega1_matches_projective_resolution_oracle():
 
 
 def _coker_data_by_reduction(image_rref, dim):
-    """Reference for ``_coker_data``: reduce every coordinate vector by the rows."""
+    """Reference for ``coker_data``: reduce every coordinate vector by the rows."""
     pivots = []
     for r in range(image_rref.nrows):
         row = image_rref.row_int(r)
@@ -868,17 +884,21 @@ def _coker_data_by_reduction(image_rref, dim):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([0, 1, 2, 5, 63, 64, 65, 130]), st.data())
 def test_coker_data_closed_form_matches_reduction(ncols, data):
+    """The closed form of ``coker_data`` and the projection operator of
+    ``quotient`` against the reduction of every coordinate vector."""
     rows = data.draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=9))
     basis = Subspace.from_rows(BitMatrix.from_row_ints(rows, ncols)).basis
-    proj, cols = _coker_data(basis, ncols)
+    proj, cols = coker_data(basis, ncols)
     reps = BitMatrix.from_row_ints([1 << c for c in cols], ncols)
     assert (proj, reps, cols) == _coker_data_by_reduction(basis, ncols)
+    q = quotient(TruncatedModule("V", 0, [ncols], {}), [basis], "V/W")
+    assert (q.mat(0), q.rep_cols[0]) == (proj, cols)
     # the projection kills the row space and splits the representatives
-    assert (basis @ proj).is_zero()
-    assert reps @ proj == BitMatrix.identity(len(cols))
-    # so the identity rows certify its rank, the width an elimination finds
+    assert q.apply(0, basis).is_zero()
+    assert q.apply(0, reps) == BitMatrix.identity(len(cols))
+    # so its rank is its width, the rank an elimination finds
     fresh = BitMatrix.from_row_ints(proj.row_ints(), len(cols))
-    assert rank(certify_rank(proj, cols)) == len(cols) == rank(fresh)
+    assert q.rank(0) == len(cols) == rank(fresh)
 
 
 def sum_label_by_every_bit(labels, row, limit=4):
