@@ -65,7 +65,7 @@ def _build_module(name: str, D: int) -> TruncatedModule:
     if path.suffix == ".json" and path.exists():
         try:
             loaded = fixtures.load(path)
-        except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: int(Infinity)
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"fixture has a missing or mistyped field: {exc}") from exc
         return truncate(loaded, min(loaded.D, D))
     raise SystemExit2(

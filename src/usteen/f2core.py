@@ -132,13 +132,6 @@ class BitMatrix:
             rows.append(v)
         return BitMatrix(self.nrows, width, tuple(rows))
 
-    def concat_cols(self, other: "BitMatrix") -> "BitMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        n = self.ncols
-        return BitMatrix(self.nrows, n + other.ncols,
-                         tuple(a | (b << n) for a, b in zip(self._rows, other._rows)))
-
     def stack(self, other: "BitMatrix") -> "BitMatrix":
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch")
@@ -284,10 +277,14 @@ def image_is_kernel(f: BitMatrix, g: BitMatrix) -> bool:
 class RowReducer:
     """A basis made ready, once, to express vectors in its row space.
 
-    Each pivot row holds exactly one pivot bit, so a vector costs one XOR
-    per pivot bit it has set.  A basis in reduced echelon form (each row's
-    lowest bit set in no other row, as in a ``Subspace`` basis) is its own
-    pivot table: a vector's coefficients are its bits at the pivot columns.
+    A basis whose rows have distinct lowest bits (an echelon form, in any
+    row order) is its own pivot table, read with no elimination.  A vector
+    is reduced by the row of its lowest bit until nothing is left, or
+    until its lowest bit is no row's, and then it escapes: each row's
+    other bits lie above its lowest, so each step clears that bit and sets
+    only higher ones.  In reduced echelon form (each row's lowest bit set
+    in no other row, as in a ``Subspace`` basis) each row clears its pivot
+    bit and sets no other, so the pivot bits of a vector name its rows.
     Any other basis is reduced with an identity block that tracks which
     basis rows each reduced row combines.  A dependent basis needs no
     second path: the forward pass sets aside exactly the rows that depend
@@ -295,52 +292,52 @@ class RowReducer:
     rows and are the unique such combination.
     """
 
-    __slots__ = ("nrows", "ncols", "_pmask", "_piv")
+    __slots__ = ("nrows", "ncols", "_pmask", "_piv", "_reduced")
 
     def __init__(self, basis: BitMatrix):
         self.nrows = basis.nrows
         self.ncols = basis.ncols
-        # pivot bit -> (the reduced row, the basis rows it combines)
+        # pivot bit -> (its row, the basis rows it combines)
         self._piv = _reduced_pivots(basis._rows)
+        self._reduced = self._piv is not None
+        if self._piv is None:
+            self._piv = _echelon_pivots(basis._rows)
         if self._piv is None:
             self._piv = _eliminated_pivots(basis)
+            self._reduced = True
         self._pmask = sum(self._piv)
 
     def express(self, vecs: BitMatrix) -> Optional[BitMatrix]:
         """Coefficients C with C @ basis = vecs, or None if some row escapes."""
         if vecs.ncols != self.ncols:
             raise ValueError("ambient width mismatch")
-        piv, pmask = self._piv, self._pmask
+        piv = self._piv
         out = []
         for v in vecs._rows:
-            hits = v & pmask
-            acc = coeff = 0
-            while hits:
-                low = hits & -hits
-                r, c = piv[low]
-                acc ^= r
-                coeff ^= c
-                hits ^= low
-            if acc != v:
-                return None
+            coeff = 0
+            while v:
+                got = piv.get(v & -v)
+                if got is None:
+                    return None
+                v ^= got[0]
+                coeff ^= got[1]
             out.append(coeff)
         return BitMatrix(vecs.nrows, self.nrows, tuple(out))
 
     def remainders(self, vecs: BitMatrix) -> BitMatrix:
-        """Each row of ``vecs`` with the reduced row of each of its pivot
-        bits XORed in.  Each reduced row holds one pivot bit, so the
-        remainder has none set, and it is zero exactly for the rows in the
-        row space."""
+        """Each row of ``vecs`` with the row of its lowest pivot bit XORed
+        in until no pivot bit is left; the remainder is zero exactly for
+        the rows in the row space."""
         if vecs.ncols != self.ncols:
             raise ValueError("ambient width mismatch")
-        piv, pmask = self._piv, self._pmask
+        piv, pmask, reduced = self._piv, self._pmask, self._reduced
         out = []
         for v in vecs._rows:
             hits = v & pmask
             while hits:
                 low = hits & -hits
                 v ^= piv[low][0]
-                hits ^= low
+                hits = hits ^ low if reduced else v & pmask
             out.append(v)
         return BitMatrix(vecs.nrows, vecs.ncols, tuple(out))
 
@@ -356,6 +353,13 @@ def _reduced_pivots(rows: Sequence[int]) -> Optional[dict]:
     if pmask.bit_count() != len(rows) or any(r & pmask != r & -r for r in rows):
         return None
     return {r & -r: (r, 1 << i) for i, r in enumerate(rows)}
+
+
+def _echelon_pivots(rows: Sequence[int]) -> Optional[dict]:
+    """The pivot table of nonzero rows with distinct lowest bits, or None
+    for other rows: each row is its own pivot row at its lowest bit."""
+    table = {r & -r: (r, 1 << i) for i, r in enumerate(rows)}
+    return table if len(table) == len(rows) and 0 not in table else None
 
 
 def _eliminated_pivots(basis: BitMatrix) -> dict:

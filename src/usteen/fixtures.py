@@ -45,15 +45,24 @@ def module_to_dict(M: TruncatedModule) -> dict:
     return doc
 
 
+def _int(value, field: str) -> int:
+    """``value`` if it is a JSON integer; ``ValueError`` for anything else,
+    a bool, a float such as 4.5 or Infinity, or a string such as "4"."""
+    if type(value) is not int:
+        raise ValueError(f"fixture field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def module_from_dict(doc: dict) -> TruncatedModule:
-    """The module a document describes: a u-module when it has a u_action."""
-    D = int(doc["D"])
-    dims = [int(d) for d in doc["dims"]]
+    """The module a document describes: a u-module when it has a u_action.
+    ``D``, ``dims``, ``i`` and ``n`` must be integers (``_int``)."""
+    D = _int(doc["D"], "D")
+    dims = [_int(d, "dims") for d in doc["dims"]]
     if len(dims) != D + 1:
         raise ValueError(f"dims must list degrees 0..{D}, got {len(dims)} entries")
     action = {}
     for entry in doc.get("action", []):
-        i, n = int(entry["i"]), int(entry["n"])
+        i, n = _int(entry["i"], "i"), _int(entry["n"], "n")
         if i < 1 or n < 0 or n + i > D:
             raise ValueError(f"action key ({i}, {n}) outside range")
         action[(i, n)] = _rows_from_strings(entry["rows"], dims[n + i])
@@ -64,7 +73,7 @@ def module_from_dict(doc: dict) -> TruncatedModule:
         return TruncatedModule(name, D, dims, action, labels)
     u = {}
     for entry in doc["u_action"]:
-        n = int(entry["n"])
+        n = _int(entry["n"], "n")
         if n < 0 or n + 1 > D:
             raise ValueError(f"u-action key {n} outside range")
         u[n] = _rows_from_strings(entry["rows"], dims[n + 1])

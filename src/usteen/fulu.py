@@ -31,7 +31,7 @@ that are not stable under the squaring operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .f2core import (
     BitMatrix,
@@ -229,13 +229,38 @@ class ULinearMap(ModuleMap):
     positive-u part: u^a carries its degree-(n - a) basis, in order, onto
     the last ``tgt.dims[n - a]`` vectors of degree n.  So the u^a block of
     ``src`` in degree n maps by ``layer[n - a]`` shifted by one offset;
-    ``mat(n)`` is placed so when it is first read.
+    ``mat(n)`` is placed so when it is first read, and ``on_rows`` maps
+    sparse rows with no matrix.  ``ranks`` holds the ranks a certificate
+    has established (ker(taubar)'s records taubar's), which ``rank`` reads
+    instead of eliminating.
     """
 
     def __init__(self, src: ExtendedModule, tgt: ExtendedModule, layer: Sequence[Sequence[int]],
                  name: str = ""):
         super().__init__(src, tgt, {}, D=len(layer) - 1, name=name)
         self.layer = layer
+        self.ranks: Dict[int, int] = {}
+
+    def on_rows(self, n: int, rows: Iterable[int]) -> List[int]:
+        """The images of int-packed rows of degree n, one layer row per set
+        bit: u^a times basis vector x of M goes to the layer row of x,
+        shifted onto the target's u^a block.  For rows with few bits, such
+        as u-generators, this costs less than one row of ``mat(n)``."""
+        src, tgt, layer = self.source, self.target, self.layer
+        out = []
+        for r in rows:
+            acc = 0
+            while r:
+                low = r & -r
+                a, x = src.decode(n, low.bit_length() - 1)
+                acc ^= layer[n - a][x] << (tgt.dims[n] - tgt.dims[n - a])
+                r ^= low
+            out.append(acc)
+        return out
+
+    def rank(self, n: int) -> int:
+        got = self.ranks.get(n)
+        return super().rank(n) if got is None else got
 
     def mat(self, n: int) -> BitMatrix:
         if not 0 <= n <= self.D:

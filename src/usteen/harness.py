@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .f2core import BitMatrix, Subspace, express_in_rowspace, rank
+from .f2core import BitMatrix, express_in_rowspace, rank
 from .fixtures import load as load_fixture
 from .fulu import (
     GradedSubspace,
@@ -169,20 +169,17 @@ def _check_t1(params) -> Tuple[int, Dict[str, List[int]]]:
     tables = {}
     for r in range(1, params["max_rank"] + 1):
         calc = _hv_calculus(r, D)
+        # both sides are the closed basis, each certified on its own: as ker
+        # taubar on taubar's u^0 layer, as the invariants on the g_v + id;
+        # a failing leg raises TheoryViolation
         K = calc.rtilde
-        _, incl = calc.invariants()
+        calc.invariants()
         expected = poincare_coeffs(r, D)
         dims = [K.dim(n) for n in range(D + 1)]
         _need_true(
             dims == expected,
             f"rank {r}: kernel dims {dims} differ from series {expected}",
         )
-        kernel = calc.taubar_sub.kernel_spaces
-        for n in range(D + 1):
-            b = Subspace(calc.E.dim(n), incl.mat(n))
-            _need_true(
-                kernel[n] == b, f"rank {r}: kernel and invariants differ in degree {n}"
-            )
         tables[f"rank{r}"] = dims
     return D, tables
 
@@ -194,10 +191,14 @@ def _check_t2(params):
         calc = _hv_calculus(r, D)
         calc.rtilde  # certifies the equalizer
         S = r1(calc.X.module, calc.E)
-        kernel = calc.taubar_sub.kernel_spaces
+        kernel = calc.kernel_incl
         for n in range(min(D, S.D) + 1):
+            # both row sets are independent (leg (a) of the kernel's
+            # certificate, and the freeness r1 certifies), so equal counts
+            # and one span inside the other make the spans equal
+            rows, span = kernel.mat(n), S.gen_matrix(n)
             _need_true(
-                kernel[n] == S.span(n),
+                rows.nrows == span.nrows and express_in_rowspace(span, rows) is not None,
                 f"rank {r}: squaring span differs from the kernel in degree {n}",
             )
         tables[f"rank{r}"] = [S.fulu.dim(n) for n in range(S.D + 1)]
@@ -263,7 +264,7 @@ def _check_t7(params):
     D = params["D"]
     calc = _hv_calculus(1, D)
     X = calc.X
-    sub = calc.taubar_sub
+    kernel, kernel_incl = calc.rtilde, calc.kernel_incl
     # the image of taubar as a u-module on the canonical bases of
     # taubar_image, and taubar expressed in them
     image = calc.taubar_image
@@ -275,16 +276,16 @@ def _check_t7(params):
         mats[n] = coeffs
     factor = ModuleMap(calc.E, c1, mats)
     _need(
-        exact_sequence((sub.kernel_incl, factor), ("kernel", "extension", "image")),
+        exact_sequence((kernel_incl, factor), ("kernel", "extension", "image")),
         "u-module sequence",
     )
     _need(torsion_free(c1), "image torsion")
     _need(is_reduced(c1), "image reducedness")
     # indecomposables: 0 -> doubled base -> base -> suspended loops -> 0
-    q_ker = q_data(sub.kernel)
+    q_ker = q_data(kernel)
     q_e = q_data(calc.E)
     q_c1 = q_data(c1)
-    qi = q_of_map(sub.kernel_incl, q_ker, q_e)
+    qi = q_of_map(kernel_incl, q_ker, q_e)
     qp = q_of_map(factor, q_e, q_c1)
     M = X.module
     ft = calc.omega  # shared with T8 and T11
@@ -320,7 +321,7 @@ def _check_t8(params):
         # taubar is a map of u-modules over A, certified on its u^0 layer
         # before anything reads its kernel or cokernel
         _need(u_linear_verdict(calc.taubar), f"rank {r}: linearity of taubar")
-        sub = calc.taubar_sub
+        kernel, kernel_incl = calc.rtilde, calc.kernel_incl
         # the cokernel is read off the image of taubar: its projection is
         # exact at bar when every row of taubar lies in the image and the
         # ranks add up
@@ -328,18 +329,18 @@ def _check_t8(params):
         proj = quotient(calc.bar, image.bases, f"({calc.bar.name})/X")
         _need(
             exact_sequence(
-                (sub.kernel_incl, calc.taubar, proj),
+                (kernel_incl, calc.taubar, proj),
                 ("kernel", "extension", "reduced part", "cokernel"),
             ),
             f"rank {r}: u-module sequence",
         )
         # indecomposables sequence, with Q(coker) = coker Q(taubar)
-        q_ker = q_data(sub.kernel)
+        q_ker = q_data(kernel)
         q_e = q_data(calc.E)
         q_bar = q_data(calc.bar)
         q_proj = q_of_quotient(q_bar, image)
         qm = (
-            q_of_map(sub.kernel_incl, q_ker, q_e),
+            q_of_map(kernel_incl, q_ker, q_e),
             q_of_map(calc.taubar, q_e, q_bar),
             q_proj,
         )
@@ -579,8 +580,7 @@ def _check_t16(params):
     X = calc.X
     SX = realm_suspend(X)
     calc_s = RealmCalculus(SX)
-    calc_s.rtilde  # certifies the equalizer
-    shifted, kernel = calc_s.taubar_sub.kernel_spaces, calc.taubar_sub.kernel_spaces
+    shifted, kernel = calc_s.kernel_spaces, calc.kernel_spaces
     for n in range(1, D + 1):
         _need_true(
             shifted[n].basis == kernel[n - 1].basis,
@@ -592,7 +592,7 @@ def _check_t16(params):
     summed = RealmCalculus(S).rtilde
     expect = []
     for n in range(D + 1):
-        base = calc.taubar_sub.kernel.dim(n)
+        base = calc.rtilde.dim(n)
         lf = (n >= 0) + (n >= 2)  # the whole extension survives on trivial groups
         expect.append(base + lf)
     got = [summed.dim(n) for n in range(D + 1)]

@@ -20,13 +20,15 @@ Conventions pinned here (guarded by degree-one unit tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2core import BitMatrix, column_runs, image_is_kernel, left_kernel, rref
+from .f2core import BitMatrix, Subspace, column_runs, image_is_kernel, left_kernel, rref
 from .fulu import (
     ExtendedModule,
     GradedSubspace,
+    ULinearMap,
     extend_scalars,
     extend_scalars_map,
     positive_u_part,
@@ -160,7 +162,7 @@ class RealmModule(TruncatedModule):
     """The module of a realm object: one shifted copy of a polynomial module
     per summand block, so its action is block-diagonal.  Sq on rows
     (``sq_rows``) reads each summand's matrices in place and builds no
-    action."""
+    action; with one summand it is one product."""
 
     __slots__ = ("realm", "polys")
 
@@ -178,6 +180,8 @@ class RealmModule(TruncatedModule):
         if rows.ncols != self.dims[n]:
             raise ValueError("row width mismatch")
         table, summands = self.realm.table, self.realm.summands
+        if len(summands) == 1:  # one block, at offset 0 in every degree
+            return rows @ self.polys[0].sq(k, n - summands[0].s)
         ints = rows.row_ints()
         out = [0] * rows.nrows
         for j, off, width in table.blocks(n):
@@ -258,17 +262,85 @@ def _twist_terms(mono: Tuple[int, ...], v: int) -> List[Tuple[int, Tuple[int, ..
     return terms
 
 
-def _lucas_terms(mono: Tuple[int, ...]) -> List[Tuple[int, Tuple[int, ...], int]]:
+@lru_cache(maxsize=1 << 10)
+def _lucas_terms(mono: Tuple[int, ...]) -> Tuple[Tuple[int, Tuple[int, ...], int], ...]:
     """Expansion of prod (t_i + u)^{b_i}: triples (u-power, leftover monomial,
     support), the support having bit i when u takes a nonzero part of t_i^{b_i}.
 
     By Lucas, (t + u)^b is the sum of t^{b - e} u^e over the submasks e of b.
+    The expansions are shared by tau and the closed basis of ker(taubar),
+    and by the calculi of one process, which read the same monomials again
+    and again; the cache is bounded because a calculus of high rank reads
+    thousands of monomials once each, and would only keep them alive.
     """
     terms = [(0, (), 0)]
     for i, b in enumerate(mono):
         terms = [(extra + e, m + (b - e,), support | (1 << i if e else 0))
                  for e in _submasks(b) for extra, m, support in terms]
-    return terms
+    return tuple(terms)
+
+
+def _st1_generators(X: RealmObject, E: ExtendedModule, d: int) -> List[int]:
+    """The u-generators of ker(taubar) of degree d, as rows of E:
+    sigma^s prod St1(t_i)^{b_i} for each summand S^s H(V_r) and each b with
+    s + 2|b| = d.  By Lucas, St1(t)^b = t^b (t + u)^b is the sum of
+    u^e t^{2b - e} over the submasks e of b (``_lucas_terms``)."""
+    rows = []
+    for j, sm in enumerate(X.summands):
+        q = d - sm.s
+        if q < 0 or q % 2:
+            continue
+        for b in _monomials(sm.r, q // 2):
+            acc = 0
+            for extra, m, _ in _lucas_terms(b):
+                acc ^= 1 << E.index(d, extra, X.index(d - extra, j, tuple(map(add, b, m))))
+            rows.append(acc)
+    return rows
+
+
+def _certify_kernel_span(E: ExtendedModule, rows: Sequence[BitMatrix], gens: Sequence[int],
+                         maps: Sequence[ULinearMap], stack: str, what: str) -> None:
+    """Legs (b) and (c) of the certificate that ``rows`` (``st1_basis``,
+    with distinct lowest bits by leg (a)) span the common kernel of the
+    u-linear ``maps`` out of E in every degree, read on their u^0 layers
+    with no matrix and no elimination; raises ``TheoryViolation`` naming
+    the failing leg.
+
+    (b) Each map kills every u-generator (``ULinearMap.on_rows``); the maps
+    are u-linear, so they kill every row.  (c) Stack the maps, with the
+    columns ordered by the position in the target, then by the map.  The
+    basis vectors of E_d that are no row's lowest bit have stacked images
+    with nonzero, pairwise distinct lowest bits, so those images are
+    independent and the stack has rank at least dim E_d - #rows.  With
+    (a), the #rows independent rows then lie in a kernel of dimension at
+    most #rows, so they span it.  The image of u^a x is the layer row of
+    x shifted onto the target's u^a block, and so is its lowest bit.
+    """
+    n = len(maps)
+    lows = [[[(r & -r).bit_length() - 1 for r in layer] for layer in f.layer] for f in maps]
+    for d, m in enumerate(rows):
+        for f in maps:
+            for row, image in zip(m._rows, f.on_rows(d, m._rows[:gens[d]])):
+                if image:
+                    raise TheoryViolation(f"{what}: {f.name} does not kill the u-generator "
+                                          f"{_sum_label(E.labels[d], row)} in degree {d}")
+        pivots = {(row & -row).bit_length() - 1 for row in m._rows}
+        seen: Dict[int, int] = {}
+        for a, off, width in E.layout.blocks(d):
+            # column c of map i in the stack is c * n + i
+            starts = [(f.target.dims[d] - f.target.dims[d - a]) * n + i for i, f in enumerate(maps)]
+            layer_lows = [f_lows[d - a] for f_lows in lows]
+            for x in range(width):
+                p = off + x
+                if p in pivots:
+                    continue
+                keys = [low[x] * n + start for low, start in zip(layer_lows, starts) if low[x] >= 0]
+                q = seen.setdefault(min(keys), p) if keys else None
+                if q != p:
+                    why = ("is zero" if q is None
+                           else f"shares its lowest bit with its row at {E.labels[d][q]}")
+                    raise TheoryViolation(f"{what}: {stack} falls short of rank dim E - #rows "
+                                          f"in degree {d}: its row at {E.labels[d][p]} {why}")
 
 
 def _support_pattern(r: int, support: int, width: int) -> int:
@@ -284,8 +356,14 @@ class RealmCalculus:
     """All comparison-map data for one realm object, computed on demand.
 
     It is the one entry point to what is read off the comparison map of X:
-    ``rtilde``, ``taubar_image``, ``invariants()``, ``alpha()`` (on the
-    loop-functor data ``omega``) and ``fix_parts``.
+    ``rtilde`` (ker taubar, with ``kernel_incl`` and ``kernel_spaces``),
+    ``taubar_image``, ``invariants()``, ``alpha()`` (on the loop-functor
+    data ``omega``) and ``fix_parts``.  ker taubar is built in closed form
+    (``st1_basis``) and certified by pivots in three legs, with no
+    elimination: (a) the rows' lowest bits are distinct, (b) taubar kills
+    the u-generators, (c) taubar's rank is at least dim E - #rows
+    (``_taubar_certificate``).  ``invariants()`` certifies the same rows
+    as the invariant ring on its own, and shares their module.
     """
 
     def __init__(self, X: RealmObject):
@@ -342,19 +420,26 @@ class RealmCalculus:
         layer = []
         for d in range(self.D + 1):
             rows = []
+            # (j, q) -> where summand j's first copy of degree q starts in
+            # degree d of ETX, the positions of its monomials, and its width
+            places: Dict[Tuple[int, int], tuple] = {}
             for j, mono in X.entries(d):
                 sm = X.summands[j]
                 acc = 0
                 for extra, m2, support in _lucas_terms(mono):
                     q = d - extra  # the degree of the term in TX
-                    off, width = TX.table.block(q, first[j])
+                    place = places.get((j, q))
+                    if place is None:
+                        off, width = TX.table.block(q, first[j])
+                        # the u^extra block of ETX in degree d starts at dims[d] - dims[q]
+                        place = places[(j, q)] = (ETX.dims[d] - ETX.dims[q] + off,
+                                                  _monomial_pos(sm.r, q - sm.s), width)
+                    start, pos, width = place
                     key = (sm.r, support, width)
                     pattern = patterns.get(key)
                     if pattern is None:
                         pattern = patterns[key] = _support_pattern(*key)
-                    # the u^extra block of ETX in degree d starts at dims[d] - dims[q]
-                    shift = ETX.dims[d] - ETX.dims[q] + off + _monomial_pos(sm.r, q - sm.s)[m2]
-                    acc ^= pattern << shift
+                    acc ^= pattern << (start + pos[m2])
                 rows.append(acc)
             layer.append(rows)
         return u_linear_map(self.E, self.ETX, layer, name="tau")
@@ -390,10 +475,6 @@ class RealmCalculus:
         return u_linear_map(self.E, self.bar, layer, name="taubar")
 
     # -- the equalizer kernel and its companions -----------------------------------
-
-    @cached_property
-    def taubar_sub(self) -> Subquotient:
-        return subquotient(self.taubar)
 
     @cached_property
     def taubar_image(self) -> GradedSubspace:
@@ -438,28 +519,120 @@ class RealmCalculus:
                         "outside bar"))
         return Verdict(True, self.D)
 
+    @cached_property
+    def st1_basis(self) -> Tuple[List[BitMatrix], List[int]]:
+        """The closed basis of ker(taubar) in E, summand by summand, with
+        each degree's rows independent: ``(rows, gens)``.
+
+        R1 is the span of St1(x) = sum_i u^{|x| - i} Sq^i x.  St1 is
+        multiplicative, St1(t) = t^2 + u t, and a suspension shifts the
+        kernel by one degree, so on the summand S^s H(V_r) the kernel is
+        free over F[u] on the u-generators sigma^s prod St1(t_i)^{b_i}
+        (``_st1_generators``).  ``rows[d]`` lists the ``gens[d]``
+        generators of degree d, then u times ``rows[d - 1]`` in order, by
+        the shift.  Row u^a sigma^s St1^b has lowest bit u^a sigma^s t^{2b},
+        the u^0 term of its expansion; leg (a) of the certificate checks
+        that these are distinct in every degree, so the rows are
+        independent, and records their count as the rank of each degree's
+        rows.  Legs (b) and (c) (``_taubar_certificate``) make their span
+        ker(taubar); ``invariants()`` certifies it as the invariant ring.
+        """
+        E, rows, gens = self.E, [], []
+        for d in range(self.D + 1):
+            new = _st1_generators(self.X, E, d)
+            below = [r << (E.dims[d] - E.dims[d - 1]) for r in rows[-1]._rows] if d else []
+            m = BitMatrix(len(new) + len(below), E.dims[d], tuple(new + below))
+            lows: Dict[int, int] = {}
+            for i, r in enumerate(m._rows):
+                j = lows.setdefault(r & -r, i)
+                if j != i or not r:
+                    shared = (f"shares its lowest bit {E.labels[d][(r & -r).bit_length() - 1]} "
+                              f"with row {j}" if r else "is zero")
+                    raise TheoryViolation(f"ker(taubar): row {i} of degree {d} {shared}")
+            m._rank = m.nrows
+            rows.append(m)
+            gens.append(len(new))
+        return rows, gens
+
+    @cached_property
+    def _st1_submodule(self) -> Tuple[FuluModule, ModuleMap]:
+        """The submodule of E on ``st1_basis``, with its inclusion, built
+        once: u is the index map onto the shifted rows, and Sq-stability is
+        certified on the u-generators, by lowest-bit reduction against the
+        rows (``unstable.submodule`` with ``u_gens``).  ``rtilde`` and
+        ``invariants()`` return it, each after its own certificate."""
+        rows, gens = self.st1_basis
+        return submodule(self.E, dict(enumerate(rows)), "ker(taubar)", u_gens=gens)
+
+    @cached_property
+    def _taubar_certificate(self) -> None:
+        """Legs (b) and (c): the rows of ``st1_basis`` span ker(taubar) in
+        every degree (``_certify_kernel_span``), and rank taubar_d =
+        dim E_d - #rows is recorded on taubar.  (c) holds because bar is
+        ordered u-power, component, monomial: with i the first odd exponent
+        of m, taubar(u^a sigma^s m) has lowest bit u^{a+1} on component 2^i
+        at m - e_i.
+        """
+        rows, gens = self.st1_basis
+        _certify_kernel_span(self.E, rows, gens, [self.taubar], "taubar", "ker(taubar)")
+        for d, m in enumerate(rows):
+            self.taubar.ranks[d] = self.E.dims[d] - m.nrows
+
     @property
     def rtilde(self) -> FuluModule:
-        """The kernel of taubar, the functor's value on X.  The equalizer is
-        certified once per calculus; a failing verdict raises
-        ``TheoryViolation`` on every read.  The kernel is certified stable
-        under the squares on its u-generators when it is built
-        (``unstable.submodule``), and raises ``TheoryViolation`` if not."""
+        """The kernel of taubar, the functor's value on X: the submodule of
+        E on ``st1_basis``.  The equalizer verdict and the certificate that
+        the basis spans ker(taubar) are read once per calculus, and a
+        failing one raises ``TheoryViolation`` on every read; so does an
+        escape from the Sq-stability certificate on the u-generators
+        (``unstable.submodule``).  No elimination runs: no kernel, image
+        or reducer of taubar is formed."""
         v = self.equalizer_verdict
         if not v.ok:
             raise TheoryViolation(v.witness or "equalizer mismatch")
-        return self.taubar_sub.kernel
+        self._taubar_certificate
+        return self._st1_submodule[0]
+
+    @property
+    def kernel_incl(self) -> ModuleMap:
+        """The inclusion of ``rtilde`` into E, certified as ``rtilde`` is;
+        each degree's matrix carries its rank from leg (a)."""
+        self.rtilde
+        return self._st1_submodule[1]
+
+    @cached_property
+    def kernel_spaces(self) -> List[Subspace]:
+        """The canonical subspaces of ker(taubar), by degree, built once per
+        calculus: T16 compares a suspension's with these."""
+        incl = self.kernel_incl
+        return [Subspace.from_rows(incl.mat(n)) for n in range(self.D + 1)]
 
     def invariants(self) -> Tuple[FuluModule, ModuleMap]:
-        """The invariants of the maps u -> u, t_i -> t_i + t_i(v) u over the
-        generators v, as a submodule of ``E`` with its inclusion.
+        """The invariants of the maps g_v: u -> u, t_i -> t_i + t_i(v) u over
+        the generators v, as a submodule of ``E`` with its inclusion.
 
-        Defined when X is one unsuspended H(V_r); the invariant ring and the
-        kernel of taubar then share one extension and one Sq action.
+        Defined when X is one unsuspended H(V_r).  They are certified to be
+        the span of ``st1_basis`` independently of taubar
+        (``_invariant_certificate``), and share its module with ``rtilde``:
+        T1 holds when both certificates do.
         """
-        X, E, D = self.X, self.E, self.D
+        X = self.X
         if len(X.summands) != 1 or X.summands[0].s:
             raise ValueError(f"invariants need one unsuspended H(V_r), not {X.name}")
+        self._invariant_certificate
+        return self._st1_submodule
+
+    @cached_property
+    def _invariant_certificate(self) -> None:
+        """The rows of ``st1_basis`` span the invariants: the common kernel
+        of the g_v + id over the generators v = e_i, each u-linear with u^0
+        layer from ``_twist_terms`` (``_certify_kernel_span``).  Leg (c)
+        holds as it does for taubar: (g_{e_i} + id)(u^a t^m) reaches the
+        lowest u-power, u^{a+1}, exactly for the odd m_i, at t^{m - e_i};
+        so the lowest bit of the stack is (u^{a+1}, t^{m - e_i}, i) for one
+        such i, from which a and m are read back.
+        """
+        X, E, D = self.X, self.E, self.D
         r = X.summands[0].r
         pos = [_monomial_pos(r, d) for d in range(D + 1)]
         # the u^a block of E in degree d starts at dims[d] - dims[d - a]
@@ -476,14 +649,9 @@ class RealmCalculus:
                         acc ^= 1 << (offsets[d][extra] + pos[d - extra][m2])
                     rows.append(acc)
                 layer.append(rows)
-            g_plus_id.append(u_linear_map(E, E, layer))
-        bases: Dict[int, BitMatrix] = {}
-        for n in range(D + 1):
-            if g_plus_id:
-                bases[n] = left_kernel(reduce(BitMatrix.concat_cols, [m.mat(n) for m in g_plus_id])).basis
-            else:
-                bases[n] = BitMatrix.identity(E.dim(n))
-        return submodule(E, bases, f"Inv(G,{X.name})")
+            g_plus_id.append(u_linear_map(E, E, layer, name=f"g_{v} + id"))
+        rows, gens = self.st1_basis
+        _certify_kernel_span(E, rows, gens, g_plus_id, "the stacked g_v + id", f"Inv(G,{X.name})")
 
     @cached_property
     def omega(self) -> FourTermOmega:

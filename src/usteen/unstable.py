@@ -12,7 +12,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import xor
+from itertools import product
+from operator import add, xor
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import _gf2py, steenrod
@@ -676,7 +677,10 @@ def polynomial_module(r: int, D: int, varnames: Optional[Sequence[str]] = None,
 
     This is the mod-2 cohomology of an elementary abelian group of rank r:
     Sq^k acts on a monomial through the total square of each variable,
-    with binomials evaluated mod 2.
+    with binomials evaluated mod 2.  So Sq(t^a) is the sum of t^(a+c) over
+    the c with each c_i a bitwise submask of a_i (Lucas), and each monomial
+    walks the product of its per-variable submasks once, each c landing in
+    the row of Sq^|c|.
     """
     if r < 0:
         raise ValueError("rank must be non-negative")
@@ -691,32 +695,27 @@ def polynomial_module(r: int, D: int, varnames: Optional[Sequence[str]] = None,
     labels = [[_mono_label(m, varnames) for m in monos[d]] for d in range(D + 1)]
     action: Dict[Tuple[int, int], BitMatrix] = {}
     for d in range(D + 1):
-        if not monos[d]:
+        top = D - d
+        if not monos[d] or not top:
             continue
-        for k in range(1, D - d + 1):
-            rows = []
-            for a in monos[d]:
-                row = 0
-                # Sq^k(t^a) = sum over c <= a (bitwise, by Lucas), |c| = k, of t^(a+c)
-                for c in _compositions_submask(a, k):
-                    tgt = tuple(ai + ci for ai, ci in zip(a, c))
-                    row |= 1 << index[d + k][tgt]
-                rows.append(row)
-            action[(k, d)] = BitMatrix.from_row_ints(rows, dims[d + k])
+        rows = [[] for _ in range(top + 1)]  # rows[k]: the rows of Sq^k on degree d
+        for a in monos[d]:
+            acc = [0] * (top + 1)
+            for c in product(*map(_submask_tuple, a)):
+                k = sum(c)
+                if 0 < k <= top:
+                    acc[k] |= 1 << index[d + k][tuple(map(add, a, c))]
+            for k in range(1, top + 1):
+                rows[k].append(acc[k])
+        for k in range(1, top + 1):
+            action[(k, d)] = BitMatrix(dims[d], dims[d + k], tuple(rows[k]))
     return TruncatedModule(name, D, dims, action, labels)
 
 
-def _compositions_submask(a: Tuple[int, ...], k: int) -> List[Tuple[int, ...]]:
-    """Tuples c with sum k and each c_i a bitwise submask of a_i."""
-    if not a:
-        return [()] if k == 0 else []
-    out = []
-    for c0 in _submasks(a[0]):
-        if c0 > k:
-            continue
-        for rest in _compositions_submask(a[1:], k - c0):
-            out.append((c0,) + rest)
-    return out
+@lru_cache(maxsize=None)
+def _submask_tuple(m: int) -> Tuple[int, ...]:
+    """``_submasks(m)`` as a tuple, shared per m."""
+    return tuple(_submasks(m))
 
 
 def truncate(M: TruncatedModule, D: int, name: Optional[str] = None) -> TruncatedModule:
@@ -1007,21 +1006,18 @@ def map_from_free(free: FreeModule, target: TruncatedModule, element_row: int,
 class Subquotient:
     """Kernel and cokernel of an A-linear map, with their structure maps.
 
-    The kernel, its inclusion and its canonical subspace in each degree
-    (``kernel_spaces``) come with the object.  The cokernel is read through
-    its projection ``coker``, a :class:`Quotient` whose ``target`` is the
-    cokernel module, built on first read, once.  Both carry u when the
-    module they are cut from does (see ``submodule`` and ``quotient``).  A
-    caller that needs the image as a module takes ``submodule`` on its
-    canonical bases.
+    The kernel and its inclusion come with the object.  The cokernel is
+    read through its projection ``coker``, a :class:`Quotient` whose
+    ``target`` is the cokernel module, built on first read, once.  Both
+    carry u when the module they are cut from does (see ``submodule`` and
+    ``quotient``).  A caller that needs the image as a module takes
+    ``submodule`` on its canonical bases.
     """
 
-    def __init__(self, f: ModuleMap, kernel: TruncatedModule, kernel_incl: ModuleMap,
-                 kernel_spaces: List[Subspace]):
+    def __init__(self, f: ModuleMap, kernel: TruncatedModule, kernel_incl: ModuleMap):
         self.f = f
         self.kernel = kernel
         self.kernel_incl = kernel_incl
-        self.kernel_spaces = kernel_spaces
 
     @cached_property
     def coker(self) -> Quotient:
@@ -1066,17 +1062,24 @@ def _restricted_action(bases: Dict[int, BitMatrix], ambient: TruncatedModule,
 
 
 def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
-              D: Optional[int] = None) -> Tuple[TruncatedModule, ModuleMap]:
+              D: Optional[int] = None, u_gens: Optional[Sequence[int]] = None
+              ) -> Tuple[TruncatedModule, ModuleMap]:
     """Realize a graded row-span as a module with its inclusion.
 
     The module carries u when the ambient does.  Sq and u are induced
-    through one reducer per target degree, so each degree's basis is
-    eliminated at most once.  Raises :class:`TheoryViolation` when the span
-    is not stable under the action or u, which always indicates an
-    internal inconsistency upstream.  Labels are built on first read.
+    through one reducer per target degree (``f2core.RowReducer``), so each
+    degree's basis is read or eliminated at most once.  Raises
+    :class:`TheoryViolation` when the span is not stable under the action
+    or u, which always indicates an internal inconsistency upstream.
+    Labels are built on first read.
 
-    u, when the ambient carries it, is induced first and at once.  Sq then
-    takes one of two paths, by the ambient's ``cartan_by_construction``:
+    u, when the ambient carries it, is induced first and at once.
+    ``u_gens[n]``, when given, says that ``bases[n]`` is its first
+    ``u_gens[n]`` rows, the u-generators, then u times the rows of
+    ``bases[n - 1]`` in order (the closed basis of ker(taubar)): u is then
+    the index map onto those rows, checked row for row, and nothing is
+    expressed.  Sq then takes one of two paths, by the ambient's
+    ``cartan_by_construction``:
 
     - set, on a scalar extension (E and bar, so ker(taubar), the invariant
       ring and T7's image of taubar): Sq-stability is certified on the
@@ -1095,38 +1098,50 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
         return [tuple(_sum_label(names[n], r) for r in full[n].row_ints()) for n in range(D + 1)]
 
     reducers: Dict[int, RowReducer] = {}
-    u = u_images = None
+    lazy = ambient.cartan_by_construction
+    u, gens = None, dict(full)  # without u, every row generates
     if isinstance(ambient, FuluModule):
-        u, u_images = {}, {}
-        for n in range(D):
-            if dims[n]:
-                # zero rows lie in every subspace and induce the zero u, not stored
-                image = u_images[n + 1] = ambient.times_u(n, full[n])
-                if not image.is_zero():
-                    u[n] = _express(full, reducers, n + 1, image,
-                                    f"{name}: u escapes the subspace at degree {n}")
+        u = {}
+        for n in range(D + 1):
+            # zero rows lie in every subspace and induce the zero u, not stored
+            below = ambient.times_u(n - 1, full[n - 1]) if n and dims[n - 1] else None
+            if u_gens is not None:
+                g = u_gens[n]
+                if full[n]._rows[g:] != (() if below is None else below._rows):
+                    raise TheoryViolation(f"{name}: the rows of degree {n} after its "
+                                          f"u-generators are not u times degree {n - 1}")
+                gens[n] = full[n].take_rows(range(g))
+                if below is not None:
+                    u[n - 1] = BitMatrix(dims[n - 1], dims[n],
+                                         tuple(1 << (g + i) for i in range(dims[n - 1])))
+            elif below is not None:
+                if lazy:
+                    gens[n] = complement_rows(below, full[n])
+                if not below.is_zero():
+                    u[n - 1] = _express(full, reducers, n, below,
+                                        f"{name}: u escapes the subspace at degree {n - 1}")
 
     def action() -> Dict[Tuple[int, int], BitMatrix]:
         return _restricted_action(full, ambient, D, name, reducers)
 
-    lazy = ambient.cartan_by_construction
     if lazy:
-        _certify_on_u_generators(full, u_images, ambient, D, name, reducers)
+        _certify_on_u_generators(full, gens, ambient, D, name, reducers)
     args = (name, D, dims, action if lazy else action(), labels)
     mod = TruncatedModule(*args) if u is None else FuluModule(*args, u=u)
     return mod, ModuleMap(mod, ambient, full, D=D)
 
 
-def _certify_on_u_generators(full: Dict[int, BitMatrix], u_images: Dict[int, BitMatrix],
+def _certify_on_u_generators(full: Dict[int, BitMatrix], gens: Dict[int, BitMatrix],
                              ambient: FuluModule, D: int, what: str,
                              reducers: Dict[int, RowReducer]) -> None:
     """Sq-stability of a u-stable graded span K of a scalar extension, read
     on its u-generators; raises :class:`TheoryViolation` on an escape.
 
-    The generators of degree n are the rows of K^n outside u K^{n-1}
-    (``f2core.complement_rows``, with ``u_images[n]`` = u K^{n-1}), and
-    each goes through Sq^{2^i} by the ambient's row Cartan sum
-    (``sq_rows``), so the ambient's action is not built.
+    ``gens[n]`` are rows of K^n that span it together with u K^{n-1}
+    (``submodule`` reads them off the rows or picks them with
+    ``f2core.complement_rows``), and each goes through Sq^{2^i} by the
+    ambient's row Cartan sum (``sq_rows``), so the ambient's action is not
+    built.
 
     Soundness: the ambient is an unstable module with
     Sq^k(u x) = u Sq^k x + u^2 Sq^{k-1} x, and the Sq^{2^j} with j < i
@@ -1135,13 +1150,14 @@ def _certify_on_u_generators(full: Dict[int, BitMatrix], u_images: Dict[int, Bit
     Sq^{2^i}(u y) = u Sq^{2^i} y + u^2 Sq^{2^i - 1} y lies in K by
     induction on the degree, on i and by u-stability.  So K is stable
     under Sq^{2^i} once its generators are, and by induction on i, under
-    all of A.  ``fulu.u_linear_verdict`` makes the same argument.
+    all of A.  ``fulu.u_linear_verdict`` makes the same argument.  The
+    ambient is unstable, so Sq^k vanishes on degree n < k (the row Cartan
+    sum has no term there), and only k <= n is read.
     """
     for n in range(D + 1):
-        gens = complement_rows(u_images[n], full[n]) if n in u_images else full[n]
         k = 1
-        while gens.nrows and n + k <= D:
-            _express(full, reducers, n + k, ambient.sq_rows(k, n, gens),
+        while gens[n].nrows and k <= min(n, D - n):
+            _express(full, reducers, n + k, ambient.sq_rows(k, n, gens[n]),
                      f"{what}: Sq^{k} escapes the subspace at degree {n}")
             k *= 2
 
@@ -1250,10 +1266,9 @@ def subquotient(f: ModuleMap) -> Subquotient:
     validate at the fixture level).  Only the kernel is built here; see
     :class:`Subquotient`.
     """
-    spaces = [left_kernel(f.mat(n)) for n in range(f.D + 1)]
-    kernel, kernel_incl = submodule(f.source, {n: sp.basis for n, sp in enumerate(spaces)},
-                                    f"ker({f.name or 'f'})", f.D)
-    return Subquotient(f, kernel, kernel_incl, spaces)
+    bases = {n: left_kernel(f.mat(n)).basis for n in range(f.D + 1)}
+    kernel, kernel_incl = submodule(f.source, bases, f"ker({f.name or 'f'})", f.D)
+    return Subquotient(f, kernel, kernel_incl)
 
 
 # -- exact sequences ---------------------------------------------------------

@@ -9,15 +9,19 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from usteen import _gf2py, steenrod
-from usteen.f2core import BitMatrix, Subspace, express_in_rowspace, rref
+from usteen.f2core import BitMatrix, Subspace, express_in_rowspace, left_kernel, rref
 from usteen.fulu import u_linear_map
 from usteen.unstable import (
     FuluModule,
     ModuleMap,
     TensorLayout,
     TruncatedModule,
+    _monomial_pos,
+    _monomials,
+    _submasks,
     polynomial_module,
     submodule,
+    subquotient,
 )
 
 # -- GF(2) linear algebra ------------------------------------------------------
@@ -32,6 +36,14 @@ def transpose(m: BitMatrix) -> BitMatrix:
             out[low.bit_length() - 1] |= bit
             r ^= low
     return BitMatrix(m.ncols, m.nrows, tuple(out))
+
+
+def concat_cols(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """The columns of ``a``, then those of ``b``."""
+    if a.nrows != b.nrows:
+        raise ValueError("row count mismatch")
+    n = a.ncols
+    return BitMatrix(a.nrows, n + b.ncols, tuple(x | (y << n) for x, y in zip(a.row_ints(), b.row_ints())))
 
 
 def kernel_basis(m: BitMatrix) -> Subspace:
@@ -446,3 +458,51 @@ def mutant_tau(calc, drop) -> ModuleMap:
     for c in drop:
         layer[0][0] ^= 1 << calc.ETX.index(0, 0, calc.TX.index(0, c, unit))
     return u_linear_map(calc.E, calc.ETX, layer, name="tau")
+
+
+def compositions_submask(a: Tuple[int, ...], k: int) -> List[Tuple[int, ...]]:
+    """Tuples c with sum k and each c_i a bitwise submask of a_i, by
+    recursion over the variables: the terms of Sq^k(t^a)."""
+    if not a:
+        return [()] if k == 0 else []
+    out = []
+    for c0 in _submasks(a[0]):
+        if c0 > k:
+            continue
+        for rest in compositions_submask(a[1:], k - c0):
+            out.append((c0,) + rest)
+    return out
+
+
+def polynomial_action_by_compositions(r: int, D: int) -> Dict[Tuple[int, int], BitMatrix]:
+    """The stored action of ``polynomial_module(r, D)``, one composition
+    enumeration per (monomial, square)."""
+    action = {}
+    for d in range(D + 1):
+        for k in range(1, D - d + 1):
+            pos = _monomial_pos(r, d + k)
+            rows = []
+            for a in _monomials(r, d):
+                row = 0
+                for c in compositions_submask(a, k):
+                    row |= 1 << pos[tuple(x + y for x, y in zip(a, c))]
+                rows.append(row)
+            m = BitMatrix(len(rows), len(pos), tuple(rows))
+            if not m.is_zero():
+                action[(k, d)] = m
+    return action
+
+
+def taubar_subquotient(calc):
+    """Kernel and cokernel of taubar by elimination: ``left_kernel`` of
+    taubar's full matrix in every degree, the kernel realized by
+    ``submodule`` with a reducer per degree.  The package builds ker(taubar)
+    on its closed basis (``RealmCalculus.st1_basis``) instead; this is the
+    oracle of that basis and its module."""
+    return subquotient(calc.taubar)
+
+
+def taubar_kernel_spaces(calc) -> List[Subspace]:
+    """ker(taubar) in every degree by ``left_kernel`` of taubar's full
+    matrix: the oracle of ``RealmCalculus.kernel_spaces``."""
+    return [left_kernel(calc.taubar.mat(n)) for n in range(calc.D + 1)]

@@ -133,21 +133,25 @@ def fixture_docs(draw):
         doc["action"].append({"i": 1, "n": doc["D"], "rows": []})
     elif defect == "no_field":
         del doc[draw(st.sampled_from(["D", "dims"]))]
-    return doc
+    return defect, doc
 
 
 @settings(max_examples=60, deadline=None)
 @given(fixture_docs(), st.sampled_from(["module", "r1"]), st.sampled_from(["2", "4"]))
-def test_generated_fixtures_keep_the_exit_contract_and_t9_reads_them(tmp_path_factory, doc,
+def test_generated_fixtures_keep_the_exit_contract_and_t9_reads_them(tmp_path_factory, case,
                                                                       what, degree):
     """``compute module`` and ``compute r1`` on every fixture, and T9 (the
     loop functor of the loaded module, through the cokernel projection) on
-    each one that loads: it passes exactly when the module is valid."""
+    each one that loads: it passes exactly when the module is valid.  A
+    degree, dimension or key that is not a JSON integer is refused: exit 2."""
+    defect, doc = case
     path = tmp_path_factory.mktemp("fixture") / "m.json"
     path.write_text(json.dumps(doc))
     argv = ["compute", what, "--module", str(path), "--max-degree", degree]
     code, out, err = run_cli(argv)
     assert_contract(argv, code, out, err)
+    if defect in ("non_int_D", "non_int_key"):
+        assert code == 2, (doc, out)
     try:
         module = fixtures.load(path)
     except (ValueError, KeyError, TypeError, OverflowError):
@@ -181,13 +185,28 @@ def test_a_usage_error_is_one_stderr_line(argv):
 
 
 def test_a_fixture_with_an_infinite_degree_exits_2(tmp_path):
-    """JSON's Infinity loads as a float, and int() of it raises OverflowError."""
+    """JSON's Infinity loads as a float, which is refused as a degree."""
     path = tmp_path / "inf.json"
     path.write_text('{"name": "x", "D": Infinity, "dims": [1]}')
     argv = ["compute", "module", "--module", str(path)]
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: cannot build module") and "infinity" in err
+    assert err.startswith("error: cannot build module") and "'D' must be an integer, got inf" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("D", 4.5), ("D", "4"), ("D", True), ("dims", 1.0), ("i", "1"), ("n", True),
+])
+def test_a_fixture_field_that_is_not_an_integer_is_refused(field, value):
+    doc = fixtures.module_to_dict(free_unstable(1, 4))
+    if field in ("i", "n"):
+        doc["action"][0][field] = value
+    elif field == "dims":
+        doc["dims"][1] = value
+    else:
+        doc["D"] = value
+    with pytest.raises(ValueError, match=f"'{field}' must be an integer, got {value!r}"):
+        fixtures.module_from_dict(doc)
 
 
 def test_t9_refuses_a_fixture_below_degree_2(tmp_path):

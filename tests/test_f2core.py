@@ -452,6 +452,37 @@ def test_row_reducer_remainders_are_the_vectors_modulo_the_row_space(ncols, data
             assert (w == 0) == space.contains_vector(v)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 63, 64, 65, 130]), st.data())
+def test_row_reducer_reads_rows_with_distinct_lowest_bits_without_elimination(ncols, data):
+    """Rows whose lowest bits are distinct, in any order and not reduced,
+    are their own pivot table: no elimination runs, and express and
+    remainders agree with the transposed solve and with the rref basis."""
+    ints = st.integers(0, (1 << ncols) - 1)
+    rows = data.draw(st.lists(ints, min_size=1, max_size=8))
+    lows = {}
+    for r in rows:  # keep one row per lowest bit, with its higher bits as drawn
+        if r:
+            lows.setdefault(r & -r, r)
+    order = data.draw(st.permutations(sorted(lows)))
+    basis = BitMatrix.from_row_ints([lows[b] for b in order], ncols)
+    vecs = BitMatrix.from_row_ints(data.draw(st.lists(ints, max_size=5)), ncols)
+    inside = BitMatrix.from_row_ints(
+        data.draw(st.lists(st.integers(0, (1 << basis.nrows) - 1), max_size=3)), basis.nrows) @ basis
+    eliminated = []
+    real = f2core._eliminated_pivots
+    f2core._eliminated_pivots = lambda b: eliminated.append(b) or real(b)
+    try:
+        reducer = RowReducer(basis)
+    finally:
+        f2core._eliminated_pivots = real
+    assert eliminated == []
+    canonical = RowReducer(Subspace.from_rows(basis).basis)
+    for m in (vecs, inside):
+        assert reducer.express(m) == express_by_transposed_solve(basis, m)
+        assert reducer.remainders(m) == canonical.remainders(m)
+
+
 def test_row_reducer_rejects_a_width_mismatch():
     with pytest.raises(ValueError):
         RowReducer(BitMatrix.identity(3)).express(BitMatrix.zeros(1, 4))

@@ -54,6 +54,7 @@ from reference import (
     one_sided_u_by_pairs,
     q_data_by_elimination,
     span_sum,
+    taubar_subquotient,
     tensor_by_pairs,
     tensor_row,
     u_on_quotient_by_solving,
@@ -253,10 +254,10 @@ def test_q_of_map_by_selections_matches_the_matrix_formula(r):
     the dense matrices of the eliminated quotients are the oracle, on the
     three maps of T8's sequence."""
     calc = RealmCalculus(hv(r, 6))
-    sub = calc.taubar_sub
-    mods = [sub.kernel, calc.E, calc.bar, sub.coker.target]
+    sub = taubar_subquotient(calc)
+    mods = [calc.rtilde, calc.E, calc.bar, sub.coker.target]
     qs, dense = [q_data(N) for N in mods], [q_data_by_elimination(N) for N in mods]
-    for f, qsrc, qtgt, dsrc, dtgt in zip((sub.kernel_incl, calc.taubar, sub.coker), qs, qs[1:],
+    for f, qsrc, qtgt, dsrc, dtgt in zip((calc.kernel_incl, calc.taubar, sub.coker), qs, qs[1:],
                                          dense, dense[1:]):
         got = q_of_map(f, qsrc, qtgt)
         for n in range(got.D + 1):
@@ -690,11 +691,31 @@ def test_a_span_not_closed_under_u_raises(top, degree):
     assert submodule(plain, bases, "sub")[0].dims == tuple(int(n <= top) for n in range(4))
 
 
+def test_submodule_reads_u_off_u_generators_and_refuses_rows_that_are_not_u_shifts():
+    """With ``u_gens`` the rows after the generators must be u times the
+    degree below, in order; u is then the index map onto them.  A swap of
+    two shifted rows, or a generator count one short, is refused."""
+    calc = RealmCalculus(hv(2, 6))
+    rows, gens = calc.st1_basis
+    K, _ = submodule(calc.E, dict(enumerate(rows)), "K", u_gens=gens)
+    assert K.u_mat(3) == BitMatrix.identity(rows[4].nrows).take_rows(
+        range(gens[4], rows[4].nrows))
+    swapped = dict(enumerate(rows))
+    ints = rows[4].row_ints()
+    swapped[4] = BitMatrix.from_row_ints(ints[:-2] + ints[-1:] + ints[-2:-1], rows[4].ncols)
+    with pytest.raises(TheoryViolation, match=r"^K: the rows of degree 4 after its u-generators "
+                                              r"are not u times degree 3$"):
+        submodule(calc.E, swapped, "K", u_gens=gens)
+    with pytest.raises(TheoryViolation, match="rows of degree 2 after"):
+        submodule(calc.E, dict(enumerate(rows)), "K", u_gens=gens[:2] + [gens[2] - 1] + gens[3:])
+
+
 def taubar_parts(r, D):
     calc = RealmCalculus(hv(r, D))
-    sub = calc.taubar_sub
+    sub = taubar_subquotient(calc)
     image, image_incl = submodule(calc.bar, calc.taubar_image.bases, "im(taubar)")
-    return [(f"ker taubar r={r}", sub.kernel, "span", sub.kernel_incl),
+    return [(f"ker taubar r={r}", calc.rtilde, "span", calc.kernel_incl),
+            (f"ker taubar by elimination r={r}", sub.kernel, "span", sub.kernel_incl),
             (f"im taubar r={r}", image, "span", image_incl),
             (f"coker taubar r={r}", sub.coker.target, "quotient", sub.coker)]
 
@@ -746,7 +767,7 @@ def catalog_quotients(case, monkeypatch):
     if case == "omega":  # the cokernel of Sq0, T9-T11
         return [omega(M).coker_proj for M in harness._standard_fixtures(D)]
     if case == "q_data":  # Q of u-modules that are no scalar extension, T7 and T8
-        return [q_data(r1(hv_module(1, D)).fulu), q_data(RealmCalculus(hv(1, D)).taubar_sub.kernel)]
+        return [q_data(r1(hv_module(1, D)).fulu), q_data(RealmCalculus(hv(1, D)).rtilde)]
     if case == "tensor_over_fulu":  # T6
         H = hv_module(1, D)
         return [product_mu(H, H).product.proj]
@@ -755,7 +776,7 @@ def catalog_quotients(case, monkeypatch):
         for r in (1, 2, 3):
             calc = RealmCalculus(hv(r, 6))
             image = calc.taubar_image
-            out += [quotient(calc.bar, image.bases, "bar/X"), calc.taubar_sub.coker,
+            out += [quotient(calc.bar, image.bases, "bar/X"), taubar_subquotient(calc).coker,
                     q_of_quotient(q_data(calc.bar), image)]
         return out
     if case == "T15":  # the saturated random quotients

@@ -875,13 +875,142 @@ def loop_module_sq0_loses_a_bit(monkeypatch):
     monkeypatch.setattr(lannes, "omega_of", flipped)
 
 
+def _with_generators(monkeypatch, change):
+    """Patch ``lannes._st1_generators`` so that the generator rows of the
+    first degree with at least two of them go through ``change``."""
+    real = lannes._st1_generators
+
+    def changed(X, E, d):
+        rows = real(X, E, d)
+        if len(rows) >= 2 and not any(len(real(X, E, k)) >= 2 for k in range(d)):
+            rows = change(rows)
+        return rows
+
+    monkeypatch.setattr(lannes, "_st1_generators", changed)
+
+
+def kernel_rows_share_a_lowest_bit(monkeypatch):
+    """T1, leg (a): the second generator gains the lowest bit of the first,
+    which lies below its own, so two rows of the closed basis lead with one
+    bit."""
+    _with_generators(monkeypatch, lambda rows: [rows[0], rows[1] ^ (rows[0] & -rows[0])] + rows[2:])
+
+
+def kernel_generator_loses_a_bit(monkeypatch):
+    """T1, leg (b): the highest bit of the first St1 generator of rank 1,
+    [u|t] of St1(t) = t^2 + u t, is cleared, so taubar no longer kills it
+    though its lowest bit is unchanged."""
+    real = lannes._st1_generators
+
+    def flipped(X, E, d):
+        rows = real(X, E, d)
+        if d == 2 and rows:
+            rows[0] ^= 1 << (rows[0].bit_length() - 1)
+        return rows
+
+    monkeypatch.setattr(lannes, "_st1_generators", flipped)
+
+
+def taubar_layer_loses_a_row(monkeypatch):
+    """T1, leg (c): taubar's u^0 row of the last monomial of degree D - 1,
+    t^7 at rank 1, is zeroed.  No generator reads that row, so taubar still
+    kills the closed basis, but its rank in degree 7 falls short."""
+    real = lannes.RealmCalculus.taubar.func
+
+    def zeroed(calc):
+        f = real(calc)
+        layer = [list(rows) for rows in f.layer]
+        layer[calc.D - 1][-1] = 0
+        return fulu.u_linear_map(f.source, f.target, layer, name="taubar")
+
+    monkeypatch.setattr(lannes.RealmCalculus, "taubar", property(zeroed))
+
+
+def twist_gains_a_term(monkeypatch):
+    """T1, the invariants' leg (b): the twist of t^2 by v = 1 gains u t, as
+    if C(2, 1) were odd, so g_v + id no longer kills St1(t) = t^2 + u t.
+    t^2 is the lowest bit of a row in every degree, so the rank leg never
+    reads its row; taubar, read through the Lucas terms, still kills
+    St1(t)."""
+    real = lannes._twist_terms
+
+    def gained(mono, v):
+        terms = real(mono, v)
+        return terms + [(1, (1,))] if (mono, v) == ((2,), 1) else terms
+
+    monkeypatch.setattr(lannes, "_twist_terms", gained)
+
+
+def twist_loses_a_term(monkeypatch):
+    """T1, the invariants' rank leg: the twist of t by v = 1 loses its u
+    term, so g_v + id kills t, which is no row's lowest bit."""
+    real = lannes._twist_terms
+
+    def lost(mono, v):
+        return [(0, mono)] if (mono, v) == ((1,), 1) else real(mono, v)
+
+    monkeypatch.setattr(lannes, "_twist_terms", lost)
+
+
+def squaring_span_repeats_a_generator(monkeypatch):
+    """T4: st1 of the second basis vector of the first degree with two of
+    them is st1 of the first, so the distinguished generators of that
+    fixture's squaring span are dependent."""
+    real = singer.st1
+
+    def repeated(M, ambient=None):
+        smap = real(M, ambient)
+        mats = dict(smap.mats)
+        d = next((d for d in sorted(mats) if mats[d].nrows >= 2), None)
+        if d is not None:
+            rows = mats[d].row_ints()
+            mats[d] = BitMatrix.from_row_ints([rows[0], rows[0]] + rows[2:], mats[d].ncols)
+        return dataclasses.replace(smap, mats=mats)
+
+    monkeypatch.setattr(singer, "st1", repeated)
+
+
+def division_kernel_loses_its_class(monkeypatch):
+    """T12: the kernel of alpha, the first derived division term, is taken
+    as zero, so the suspended unit it should be is lost."""
+    real = lannes.subquotient
+
+    def emptied(f):
+        sub = real(f)
+        zero = {n: BitMatrix.zeros(0, f.source.dims[n]) for n in range(f.D + 1)}
+        kernel, incl = unstable.submodule(f.source, zero, sub.kernel.name, f.D)
+        return unstable.Subquotient(f, kernel, incl)
+
+    monkeypatch.setattr(lannes, "subquotient", emptied)
+
+
+# keyed by check id, then by the name of the mutation when a check has several
 MUTATIONS = {
+    "T1": (kernel_rows_share_a_lowest_bit, "structural violation: ker(taubar): row 1 of degree 2 "
+           "shares its lowest bit [1|t2^2] with row 0"),
+    "T1-generator-leaves-kernel": (kernel_generator_loses_a_bit,
+                                   "structural violation: ker(taubar): taubar does not kill the "
+                                   "u-generator [1|t^2] in degree 2"),
+    "T1-rank-falls-short": (taubar_layer_loses_a_row,
+                            "structural violation: ker(taubar): taubar falls short of rank "
+                            "dim E - #rows in degree 7: its row at [1|t^7] is zero"),
+    "T1-generator-not-invariant": (twist_gains_a_term,
+                                   "structural violation: Inv(G,H(V1)): g_1 + id does not kill "
+                                   "the u-generator [1|t^2]+[u|t] in degree 2"),
+    "T1-invariant-rank-falls-short": (twist_loses_a_term,
+                                      "structural violation: Inv(G,H(V1)): the stacked g_v + id "
+                                      "falls short of rank dim E - #rows in degree 1: its row at "
+                                      "[1|t] is zero"),
+    "T4": (squaring_span_repeats_a_generator, "structural violation: distinguished generators "
+           "dependent in degree 6"),
     "T7": (image_of_taubar_gains_a_top_vector, "u-module sequence: not surjective onto image "
            "in degree 8: [u|<0:1>t^7] (in the second side only)"),
     "T10": (sq0_cokernel_of_the_square_loses_a_class,
             "loop alternating sum is -1 in degree 4"),
     "T11": (loop_module_sq0_loses_a_bit,
             "rank 1: loop module reducedness: Sq0 kills ds(t^3) in degree 2"),
+    "T12": (division_kernel_loses_its_class, "first derived division term has dims "
+            "[0, 0, 0, 0, 0, 0, 0], expected the suspended unit"),
 }
 
 
@@ -889,7 +1018,7 @@ MUTATIONS = {
 def test_a_named_mutation_fails_its_check_with_its_witness(check, monkeypatch):
     mutate, witness = MUTATIONS[check]
     monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
-    spec = make_spec(check, D=8, max_rank=2)
+    spec = make_spec(check.split("-")[0], D=8, max_rank=2)
     assert run_check(spec).passed
     mutate(monkeypatch)
     res = run_check(spec)

@@ -1,10 +1,13 @@
 import random
+import re
 from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from usteen import cli, fixtures, harness, lannes, unstable
+from usteen import cli, f2core, fixtures, fulu, harness, lannes, singer, unstable
 from usteen.f2core import BitMatrix, RowReducer, Subspace, image_is_kernel, left_kernel, rank
 from usteen.fulu import (
     GradedSubspace,
@@ -40,7 +43,6 @@ from usteen.unstable import (
     TruncatedModule,
     TruncationError,
     Verdict,
-    _compositions_submask,
     _mono_label,
     _sum_label,
     exact_sequence,
@@ -57,7 +59,17 @@ from usteen.unstable import (
     unit_module,
 )
 
-from reference import coker_data, dense_quotient, fulu_algebra, image_submodule, mutant_tau
+from reference import (
+    coker_data,
+    concat_cols,
+    compositions_submask,
+    dense_quotient,
+    fulu_algebra,
+    image_submodule,
+    mutant_tau,
+    taubar_kernel_spaces,
+    taubar_subquotient,
+)
 
 
 def taubar_image_module(calc):
@@ -106,7 +118,7 @@ def realize_by_compositions(X):
             rows = []
             for j, a in entries:
                 row = 0
-                for c in _compositions_submask(a, k):
+                for c in compositions_submask(a, k):
                     row |= 1 << X.index(n + k, j, tuple(x + y for x, y in zip(a, c)))
                 rows.append(row)
             action[(k, n)] = BitMatrix.from_row_ints(rows, dims[n + k])
@@ -218,12 +230,16 @@ def test_rtilde_raises_on_every_read_when_the_equalizer_fails():
 @pytest.mark.parametrize("X", [hv(1, 6), hv(2, 4)], ids=lambda X: X.name)
 def test_rtilde_fails_at_construction_when_a_tau_bit_inside_bar_breaks_the_kernel(X):
     """Flipping one bit of tau's u^0 layer inside bar leaves sigma + tau =
-    iota o taubar, so the equalizer passes; reading rtilde raises exactly
-    when the kernel of the new taubar is not stable under the whole action
-    of F[u] (x) X, and some flip makes it so."""
+    iota o taubar, so the equalizer passes.  Reading rtilde raises, with the
+    witness of leg (b) or (c) of its certificate, whenever the kernel of
+    the new taubar, eliminated, is not the span of the closed basis, and
+    some flip makes it so; when it passes, the two agree.  The certificate
+    is sufficient, not necessary: a flip may keep the kernel and still
+    break the distinct lowest bits of leg (c), and then rtilde raises too,
+    with no elimination to fall back on."""
     base = RealmCalculus(X)
-    E, ETX = base.E, base.ETX
-    escaped = 0
+    E, ETX, closed = base.E, base.ETX, base.kernel_spaces
+    broken = 0
     for d, runs in enumerate(base._bar_runs):
         inside = [start + i for start, mask, _ in runs for i in range(mask.bit_length())]
         for x, bit in product(range(X.table.dims[d]), inside):
@@ -232,17 +248,16 @@ def test_rtilde_fails_at_construction_when_a_tau_bit_inside_bar_breaks_the_kerne
             calc = RealmCalculus(X)
             calc.tau = u_linear_map(E, ETX, layer, name="tau")
             assert calc.equalizer_verdict.ok
-            kernel = {n: left_kernel(calc.taubar.mat(n)).basis for n in range(X.D + 1)}
+            kernel = [left_kernel(calc.taubar.mat(n)) for n in range(X.D + 1)]
+            broken += kernel != closed
             try:
-                unstable._restricted_action(kernel, E, X.D, "ker(taubar)")
-            except TheoryViolation:
-                escaped += 1
-                with pytest.raises(TheoryViolation, match=r"^ker\(taubar\): Sq\^\d+ escapes "):
-                    calc.rtilde
+                spaces = calc.kernel_spaces
+            except TheoryViolation as exc:
+                assert re.match(r"ker\(taubar\): taubar (does not kill the u-generator|falls "
+                                r"short of rank dim E - #rows)", str(exc)), exc
             else:
-                assert [calc.rtilde.dim(n) for n in range(X.D + 1)] == [
-                    kernel[n].nrows for n in range(X.D + 1)]
-    assert escaped
+                assert spaces == kernel == closed
+    assert broken
 
 
 def test_comparison_maps_are_fulu_maps():
@@ -272,8 +287,8 @@ def test_rtilde_commutes_with_suspension():
     X = hv(1, 8)
     calc_x = RealmCalculus(X)
     calc_sx = RealmCalculus(realm_suspend(X))
-    kx = calc_x.taubar_sub.kernel_incl
-    ksx = calc_sx.taubar_sub.kernel_incl
+    kx = calc_x.kernel_incl
+    ksx = calc_sx.kernel_incl
     for n in range(1, 9):
         # the extension bases at matching degrees are identified flatwise
         assert Subspace.from_rows(ksx.mat(n)) == Subspace.from_rows(kx.mat(n - 1))
@@ -285,8 +300,8 @@ def test_rtilde_of_sum_is_sum():
     S = realm_sum(A, B)
     ca, cb, cs = RealmCalculus(A), RealmCalculus(B), RealmCalculus(S)
     for n in range(8):
-        got = cs.taubar_sub.kernel.dim(n)
-        assert got == ca.taubar_sub.kernel.dim(n) + cb.taubar_sub.kernel.dim(n)
+        got = cs.rtilde.dim(n)
+        assert got == ca.rtilde.dim(n) + cb.rtilde.dim(n)
 
 
 def test_gv_invariants_rank0():
@@ -315,11 +330,12 @@ def test_triple_agreement_rank1():
     calc = RealmCalculus(X)
     _, incl = calc.invariants()
     S = r1(X.module, calc.E)
+    oracle = taubar_kernel_spaces(calc)
     for n in range(11):
-        a = Subspace.from_rows(calc.taubar_sub.kernel_incl.mat(n))
-        b = Subspace(calc.E.dim(n), incl.mat(n))
+        a = calc.kernel_spaces[n]
+        b = Subspace.from_rows(incl.mat(n))
         c = S.span(n)
-        assert a == b == c
+        assert a == b == c == oracle[n]
 
 
 def test_fix_of_whole_extension():
@@ -357,7 +373,7 @@ def test_c1_dims_rank1():
 
 def test_c2_torsion_free_and_fix():
     calc = RealmCalculus(hv(1, 10))
-    assert torsion_free(calc.taubar_sub.coker.target).ok
+    assert torsion_free(taubar_subquotient(calc).coker.target).ok
     assert torsion_free(taubar_image_module(calc)).ok
     # fixed points: image is the reduced expansion, cokernel its square
     for kind in ("image", "cokernel"):
@@ -385,7 +401,7 @@ def test_saturation_of_rtilde():
     calc = RealmCalculus(X)
     calc.rtilde  # certifies the equalizer
     sub = GradedSubspace(
-        calc.E, {n: calc.taubar_sub.kernel_incl.mat(n) for n in range(9)}
+        calc.E, {n: calc.kernel_incl.mat(n) for n in range(9)}
     )
     assert saturation_check(sub).ok
 
@@ -444,8 +460,8 @@ def test_q_sequence_terms_rank1():
     # indecomposables of the four-term presentation have the expected dims
     X = hv(1, 10)
     calc = RealmCalculus(X)
-    sub = calc.taubar_sub
-    q_r = indecomposables(sub.kernel)
+    sub = taubar_subquotient(calc)
+    q_r = indecomposables(calc.rtilde)
     q_e = indecomposables(calc.E)
     q_bar = indecomposables(positive_u_tail(extend_scalars(calc.tbar.module)))
     q_c2 = indecomposables(sub.coker.target)
@@ -459,7 +475,7 @@ def test_q_sequence_terms_rank1():
 def test_c_functors_of_unit_realm_vanish():
     calc = RealmCalculus(hv(0, 8))
     assert sum(taubar_image_module(calc).dims) == 0
-    assert sum(calc.taubar_sub.coker.target.dims) == 0
+    assert sum(taubar_subquotient(calc).coker.target.dims) == 0
 
 
 def test_saturation_of_rtilde_all_realm_fixtures():
@@ -468,7 +484,7 @@ def test_saturation_of_rtilde_all_realm_fixtures():
         calc.rtilde  # certifies the equalizer
         sub = GradedSubspace(
             calc.E,
-            {n: calc.taubar_sub.kernel_incl.mat(n) for n in range(X.D + 1)},
+            {n: calc.kernel_incl.mat(n) for n in range(X.D + 1)},
         )
         assert saturation_check(sub).ok, X.name
 
@@ -797,7 +813,7 @@ def gv_stacked_by_monomials(r, D):
                     acc ^= 1 << E.index(n, a + extra, X.index(n - a - extra, 0, m2))
                 rows.append(acc ^ (1 << flat))
             m = BitMatrix.from_row_ints(rows, E.dim(n))
-            stacked = m if stacked is None else stacked.concat_cols(m)
+            stacked = m if stacked is None else concat_cols(stacked, m)
         out[n] = stacked
     return out
 
@@ -853,22 +869,32 @@ def test_rtilde_and_t8_build_no_extension_of_the_reduced_expansion(monkeypatch):
 
 @pytest.mark.parametrize("r", range(4))
 def test_gv_invariant_rows_match_the_monomial_loop(r, monkeypatch):
+    """The invariant certificate reads one u-linear g_v + id per generator
+    v, and side by side their matrices are the stacked g_v + id of the
+    monomial loop; rank 0 has no generator."""
     D = 7
     seen = []
 
-    def recording(m):
-        seen.append(m)
-        return left_kernel(m)
+    def recording(src, tgt, layer, name=""):
+        seen.append(u_linear_map(src, tgt, layer, name))
+        return seen[-1]
 
-    monkeypatch.setattr(lannes, "left_kernel", recording)
-    inv, incl = RealmCalculus(hv(r, D)).invariants()
+    monkeypatch.setattr(lannes, "u_linear_map", recording)
+    calc = RealmCalculus(hv(r, D))
+    calc.taubar
+    seen.clear()
+    inv, incl = calc.invariants()
     want = gv_stacked_by_monomials(r, D)
+    assert len(seen) == r
     if r == 0:
-        assert seen == []  # no generator: every vector is invariant
         assert [incl.mat(n) for n in range(D + 1)] == [
             BitMatrix.identity(inv.dim(n)) for n in range(D + 1)]
     else:
-        assert seen == [want[n] for n in range(D + 1)]
+        for n in range(D + 1):
+            stacked = seen[0].mat(n)
+            for g in seen[1:]:
+                stacked = concat_cols(stacked, g.mat(n))
+            assert stacked == want[n], n
 
 
 def dickson_basis(calc, n):
@@ -907,9 +933,10 @@ def test_gv_invariants_share_the_extension_of_the_calculus(r):
     (shared, incl), (alone, other_incl) = calc.invariants(), other.invariants()
     assert incl.target is calc.E and other_incl.target is other.E is not calc.E
     assert shared == alone and incl == other_incl
-    # not cached: each call builds a new submodule of the same extension
+    # built once per calculus, and the module of rtilde: T1 compares them
+    # after each side's certificate
     again, again_incl = calc.invariants()
-    assert again is not shared and again == shared and again_incl.target is calc.E
+    assert again is shared is calc.rtilde and again_incl is incl is calc.kernel_incl
 
 
 @pytest.mark.parametrize("X", [realm_suspend(hv(1, 6)), realm_sum(hv(1, 6), hv(0, 6)),
@@ -1181,7 +1208,7 @@ def test_compute_builds_no_extension_action_and_no_matrix_of_tau(argv, monkeypat
 
 def test_taubar_parts_are_built_once_on_first_read(monkeypatch):
     calc = RealmCalculus(hv(2, 8))
-    sub = calc.taubar_sub
+    sub = taubar_subquotient(calc)
     built, actions = count_builds(monkeypatch)
     for _ in range(2):
         assert sub.coker is sub.coker and sub.coker.target is sub.coker.target
@@ -1231,7 +1258,7 @@ def test_labels_are_built_on_first_read_and_match_the_eager_oracles(monkeypatch)
     fu = fulu_algebra(D)
     tbar = calc.tbar.module
     cut = tensor_with_layout(fu, tbar)[0].labels
-    kernel = calc.taubar_sub.kernel_incl
+    kernel = calc.kernel_incl
     want = {
         "H(V2)": realize_by_compositions(calc.X).labels,
         "Tbar(H(V2))": realize_by_compositions(calc.tbar).labels,
@@ -1339,7 +1366,7 @@ def test_a_flipped_bit_of_the_cokernel_projection_fails_exactness(r):
     has set)."""
     D = 5
     calc = RealmCalculus(hv(r, D))
-    sub = calc.taubar_sub
+    sub = taubar_subquotient(calc)
     names = ("kernel", "extension", "reduced part", "cokernel")
     assert exact_sequence((sub.kernel_incl, calc.taubar, sub.coker), names).ok
     failed = 0
@@ -1415,8 +1442,10 @@ def test_t8_leaves_u_and_the_action_of_bar_unbuilt(monkeypatch):
         for N in (calc.E, calc.ETX, calc.bar, proj.target):
             assert callable(N._u), N.name
         assert proj.source is calc.bar and proj._mats == {} and callable(proj.target._act)
-        # no Subquotient cokernel, and no elimination of taubar's matrices
-        assert "coker" not in calc.taubar_sub.__dict__
+        # no elimination of taubar's matrices: its ranks are read off the
+        # certificate of its kernel
+        assert calc.taubar._mats and all(m._rank is None for m in calc.taubar._mats.values())
+        assert calc.taubar.ranks == {n: calc.E.dim(n) - calc.rtilde.dim(n) for n in range(9)}
 
 
 def test_u_linear_verdict_needs_a_map_out_of_a_whole_extension():
@@ -1497,7 +1526,7 @@ def test_the_cokernel_projection_operator_matches_the_dense_projection(D, r):
     cokernel: matrices, products on taubar's rows and on random rows,
     ranks, dims, labels and u."""
     calc = RealmCalculus(hv(r, D))
-    sub = calc.taubar_sub
+    sub = taubar_subquotient(calc)
     proj = quotient(calc.bar, calc.taubar_image.bases, "bar/X")
     rng = random.Random(100 * D + r)
     bases = [Subspace.from_rows(calc.taubar.mat(n)).basis for n in range(D + 1)]
@@ -1540,7 +1569,7 @@ def test_the_cokernel_of_taubar_from_the_one_projection_is_a_valid_u_module(r):
 @pytest.mark.parametrize("D, r", T8_GRID)
 def test_q_of_the_cokernel_from_the_u1_pivots_matches_the_elimination(D, r):
     calc = RealmCalculus(hv(r, D))
-    sub = calc.taubar_sub
+    sub = taubar_subquotient(calc)
     q_bar = q_data(calc.bar)
     got = q_of_quotient(q_bar, calc.taubar_image)
     want = q_data(sub.coker.target)
@@ -1554,7 +1583,8 @@ def test_q_of_the_cokernel_from_the_u1_pivots_matches_the_elimination(D, r):
 @pytest.mark.parametrize("D, r", T8_GRID)
 def test_saturation_of_the_image_matches_torsion_of_the_cokernel(D, r):
     calc = RealmCalculus(hv(r, D))
-    assert saturation_check(calc.taubar_image) == torsion_free(calc.taubar_sub.coker.target)
+    coker = taubar_subquotient(calc).coker.target
+    assert saturation_check(calc.taubar_image) == torsion_free(coker)
 
 
 def _with_rows(X, n, rows):
@@ -1624,22 +1654,26 @@ def test_t8_fails_the_freeness_forecast_on_a_wrong_cokernel_dimension(monkeypatc
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_taubar_kernel_and_invariants_eliminate_each_degree_once(r, monkeypatch):
-    """Sq and u on a submodule share one reducer per degree of its basis."""
+    """Sq on the closed kernel reads one reducer per degree of its basis, and
+    none eliminates: each is read off the rows' distinct lowest bits.  The
+    invariants share the module, and build no reducer."""
     D = 6
     calc = RealmCalculus(hv(r, D))
     calc.taubar
-    eliminated = []
+    readers, eliminated = [], []
     init = RowReducer.__init__
 
     def recording(self, basis):
-        eliminated.append(basis)
+        readers.append(basis)
         init(self, basis)
 
     monkeypatch.setattr(RowReducer, "__init__", recording)
-    for build in (lambda: calc.taubar_sub.kernel, calc.invariants):
-        eliminated.clear()
-        build()
-        assert 0 < len({id(b) for b in eliminated}) == len(eliminated) <= D + 1
+    monkeypatch.setattr(f2core, "_eliminated_pivots", lambda basis: eliminated.append(basis))
+    calc.rtilde
+    assert 0 < len({id(b) for b in readers}) == len(readers) <= D + 1
+    readers.clear()
+    calc.invariants()
+    assert readers == [] and eliminated == []
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -1660,3 +1694,108 @@ def test_taubar_parts_agree_in_either_order(r, first):
         assert part.validate().ok, part.name
     for g in (factor, a.coker):
         assert g.validate_linear().ok
+
+
+# -- the closed basis of ker(taubar), against the elimination it replaced ----------
+
+
+def _elimination_calls(monkeypatch):
+    """Every call of ``left_kernel``, ``complement_rows`` and
+    ``GradedSubspace.from_vectors`` in the package, as (name, first matrix
+    argument), and the component matrices of Fix(taubar) built meanwhile."""
+    calls, components = [], []
+
+    def recording(name, real):
+        def call(m, *args):
+            calls.append((name, m))
+            return real(m, *args)
+        return call
+
+    for mod in (f2core, unstable, fulu, lannes, singer, harness):
+        for name in ("left_kernel", "complement_rows"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, recording(name, getattr(mod, name)))
+    from_vectors = GradedSubspace.from_vectors.__func__
+    monkeypatch.setattr(GradedSubspace, "from_vectors", classmethod(
+        lambda cls, ambient, seeds: (calls.append(("from_vectors", None)),
+                                     from_vectors(cls, ambient, seeds))[1]))
+    real_components = RealmCalculus.fix_components.func
+
+    def recorded_components(calc):
+        components.append(real_components(calc))
+        return components[-1]
+
+    monkeypatch.setattr(RealmCalculus, "fix_components", property(recorded_components))
+    return calls, components
+
+
+def test_rtilde_fix_invariants_and_t1_to_t3_run_no_elimination(monkeypatch, capsys):
+    """``compute rtilde``, ``fix`` and ``invariants`` and T1-T3 at D=8, r=3
+    read ker(taubar) and the invariants off the closed basis: no
+    ``left_kernel`` or ``complement_rows`` on taubar, E or the invariants,
+    and no ``from_vectors``.  The one kernel left is that of Fix(taubar)'s
+    component matrix P."""
+    calls, components = _elimination_calls(monkeypatch)
+    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
+    for argv in (["rtilde", "--module", "HV3"], ["fix", "--module", "HV3"],
+                 ["invariants", "--rank", "3"], ["rtilde", "--module", "S1HV2"]):
+        assert cli.main(["compute", *argv, "--max-degree", "8"]) == 0
+    capsys.readouterr()
+    results = harness.run_all(D=8, max_rank=3, only=["T1", "T2", "T3"])
+    assert all(res.passed for res in results)
+    assert components and calls
+    assert all(name == "left_kernel" and any(m is P for P in components) for name, m in calls)
+
+
+KERNEL_CASES = [hv(r, D) for r, D in ((0, 6), (1, 12), (2, 10), (3, 8), (4, 7))] + [
+    realm_suspend(hv(1, 9)), realm_suspend(hv(2, 7), 2), realm_suspend(hv(0, 6), 3),
+    realm_sum(hv(1, 8), realm_sum(hv(0, 8), realm_suspend(hv(0, 8), 2))),
+    realm_sum(hv(2, 7), realm_suspend(hv(1, 7))),
+]
+
+
+@pytest.mark.parametrize("X", KERNEL_CASES, ids=lambda X: X.name)
+def test_closed_kernel_matches_the_eliminated_kernel(X):
+    """The span of the closed basis is ``left_kernel`` of taubar's full
+    matrix in every degree, on H(V_r), suspensions and sums with H(V_0)
+    (T16's locally finite summands); its module carries the same u and
+    dims, and taubar's recorded ranks are the eliminated ones."""
+    calc = RealmCalculus(X)
+    oracle = taubar_subquotient(calc)
+    assert calc.kernel_spaces == taubar_kernel_spaces(calc)
+    assert calc.rtilde.dims == oracle.kernel.dims
+    for n in range(X.D):
+        # u on both, carried to E, is u of E on the inclusion
+        assert calc.rtilde.u_mat(n) @ calc.kernel_incl.mat(n + 1) == \
+            calc.E.times_u(n, calc.kernel_incl.mat(n))
+    assert calc.taubar.ranks == {n: rank(calc.taubar.mat(n)) for n in range(X.D + 1)}
+    assert calc.rtilde.validate().ok
+
+
+@pytest.mark.parametrize("r, D", [(0, 6), (1, 10), (2, 8), (3, 7), (4, 6)])
+def test_invariants_match_the_kernel_of_the_stacked_gv_plus_id(r, D):
+    """``invariants()`` against ``left_kernel`` of the stacked g_v + id of
+    the monomial loop, and against the Dickson basis, expanded apart."""
+    calc = RealmCalculus(hv(r, D))
+    inv, incl = calc.invariants()
+    stacked = gv_stacked_by_monomials(r, D)
+    for n in range(D + 1):
+        got = Subspace.from_rows(incl.mat(n))
+        if r:
+            assert got == left_kernel(stacked[n]), n
+        else:
+            assert got == Subspace.full(calc.E.dim(n))
+        assert got == Subspace.from_rows(dickson_basis(calc, n)), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=1, max_size=2),
+       st.integers(3, 7))
+def test_closed_kernel_matches_the_elimination_on_generated_realm_objects(summands, D):
+    """On sums of suspensions S^s H(V_r), r <= 3 and s <= 2, the certified
+    closed basis spans the eliminated kernel of taubar."""
+    X = RealmObject([lannes.Summand(s, r) for s, r in summands], D)
+    if sum(1 << r for _, r in summands) > 9:  # keep the expansion small
+        return
+    calc = RealmCalculus(X)
+    assert calc.kernel_spaces == taubar_kernel_spaces(calc)

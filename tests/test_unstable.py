@@ -48,6 +48,7 @@ from reference import (
     contains,
     image_submodule,
     one_bit_flips,
+    polynomial_action_by_compositions,
     tensor_by_pairs,
     validate_dense,
 )
@@ -242,6 +243,13 @@ def test_polynomial_module_rank2():
 def test_polynomial_module_rank0():
     H = polynomial_module(0, 5)
     assert dims_of(H) == [1, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("r, D", [(0, 4), (1, 9), (2, 12), (3, 10), (4, 7)])
+def test_polynomial_module_matches_one_composition_walk_per_square(r, D):
+    """The one-pass product of submasks stores the same matrices as one
+    composition enumeration per (monomial, square)."""
+    assert dict(polynomial_module(r, D).action_items()) == polynomial_action_by_compositions(r, D)
 
 
 # -- suspension, doubling -----------------------------------------------------
