@@ -3,7 +3,7 @@
 A u-module is an ``unstable.FuluModule``: a truncated unstable module with a
 degree-one multiplication ``u``, compatible with the squaring operations by
 the Cartan-twisted rule Sq^i(u x) = u Sq^i(x) + u^2 Sq^{i-1}(x).  Its
-submodules, quotients and subquotients, and the maps between u-modules, are
+submodules, kernels and quotients, and the maps between u-modules, are
 those of ``unstable``, which carry u along with Sq.  This module holds what
 is particular to F[u]: scalar extension, the indecomposables Q(N),
 torsion, graded u-subspaces and the tensor product over F[u].
@@ -275,12 +275,6 @@ class ULinearMap(ModuleMap):
         return got
 
 
-def u_linear_map(src: ExtendedModule, tgt: ExtendedModule, layer: Sequence[Sequence[int]],
-                 name: str = "") -> ULinearMap:
-    """The u-linear map out of ``src`` with u^0 layer ``layer`` (``ULinearMap``)."""
-    return ULinearMap(src, tgt, layer, name)
-
-
 def u_linear_verdict(f: ModuleMap) -> Verdict:
     """A- and u-linearity of a map from F[u] (x) M to a scalar extension,
     certified on the u^0 layer of its source.
@@ -318,7 +312,7 @@ def extend_scalars_map(f: ModuleMap, src: ExtendedModule, tgt: ExtendedModule,
                        name: str = "") -> ModuleMap:
     """The induced map on scalar extensions (block-diagonal over u-powers)."""
     D = min(src.D, tgt.D, f.D)
-    return u_linear_map(src, tgt, [f.mat(d).row_ints() for d in range(D + 1)], name=name)
+    return ULinearMap(src, tgt, [f.mat(d).row_ints() for d in range(D + 1)], name=name)
 
 
 # -- indecomposables -----------------------------------------------------------

@@ -30,10 +30,9 @@ from .fulu import (
     u_linear_verdict,
 )
 from .lannes import (
-    DivisionResult,
+    AlphaResult,
     RealmCalculus,
     alpha_from_structure,
-    division_u2,
     hv,
     hv_module,
     realm_sum,
@@ -348,8 +347,7 @@ def _check_t8(params):
             exact_sequence(qm, ("doubled base", "base", "suspended reduced part", "division term")),
             f"rank {r}: induced sequence",
         )
-        ar = calc.alpha()
-        div_dims = division_u2(ar).div_dims
+        div_dims = calc.alpha().div_dims
         top = len(div_dims) - 1
         for n in range(min(D, top + 1) + 1):
             _need_true(
@@ -433,24 +431,24 @@ def _check_t11(params):
     return (D - 1) // 2, {}
 
 
-def _doubled_free_division(D: int) -> DivisionResult:
+def _doubled_free_division(D: int) -> AlphaResult:
     """The division data of the doubled rank-one free module, whose reduced
     expansion is the ground field and whose structure map is zero."""
     P = phi(free_unstable(1, max(4, D // 2)))
-    return division_u2(alpha_from_structure(omega(P), unit_module(P.D), {}))
+    return alpha_from_structure(omega(P), unit_module(P.D), {})
 
 
 def _check_t12(params):
-    dv = _doubled_free_division(params["D"])
-    alpha = dv.alpha.alpha
+    ar = _doubled_free_division(params["D"])
+    alpha = ar.alpha
     for n in range(alpha.D + 1):
         _need_true(alpha.mat(n).is_zero(), f"alpha nonzero in degree {n}")
-    der1 = [dv.derived1.dim(n) for n in range(min(dv.derived1.D, 6) + 1)]
+    der1 = [ar.derived1.dim(n) for n in range(min(ar.derived1.D, 6) + 1)]
     _need_true(
         der1 == [0, 1, 0, 0, 0, 0, 0][: len(der1)],
         f"first derived division term has dims {der1}, expected the suspended unit",
     )
-    _need_true(sum(dv.derived2.dims) == 0, "second derived division term nonzero")
+    _need_true(sum(ar.omega_data.omega1.dims) == 0, "second derived division term nonzero")
     return alpha.D, {}
 
 
@@ -676,6 +674,8 @@ def make_spec(check_id: str, D: int = 10, max_rank: int = 2, seed: int = 2,
     anchor, statement, min_d, _ = _RUNNERS[check_id]
     if D < min_d:
         raise ValueError(f"{check_id} needs a truncation degree of at least {min_d}, got {D}")
+    if max_rank < 1:
+        raise ValueError(f"max_rank must be at least 1, got {max_rank}")
     params = {"D": D, "max_rank": max_rank, "seed": seed}
     params.update(extra)
     return CheckSpec(check_id, anchor, statement, params)

@@ -32,14 +32,12 @@ from .fulu import (
     extend_scalars,
     extend_scalars_map,
     positive_u_part,
-    u_linear_map,
 )
 from .unstable import (
     BlockLayout,
     FourTermOmega,
     FuluModule,
     ModuleMap,
-    Subquotient,
     TheoryViolation,
     TruncatedModule,
     TruncationError,
@@ -48,10 +46,11 @@ from .unstable import (
     _monomial_pos,
     _submasks,
     _sum_label,
+    kernel_of,
     omega as omega_of,
     polynomial_module,
+    quotient,
     submodule,
-    subquotient,
 )
 
 
@@ -245,21 +244,15 @@ def t_apply(X: RealmObject) -> TExpansion:
     return TExpansion(X, comps, f"T[1]({X.name})")
 
 
-def _twist_terms(mono: Tuple[int, ...], v: int) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Expansion of prod (t_i + v_i u)^{b_i}: pairs (u-power, leftover monomial)."""
-    terms = [(0, ())]
-    for i, b in enumerate(mono):
-        vi = (v >> i) & 1
-        new = []
-        if vi == 0:
-            for (e, m) in terms:
-                new.append((e, m + (b,)))
-        else:
-            for sub in _submasks(b):
-                for (e, m) in terms:
-                    new.append((e + sub, m + (b - sub,)))
-        terms = new
-    return terms
+def _twist_plus_id(mono: Tuple[int, ...], i: int) -> List[Tuple[int, Tuple[int, ...]]]:
+    """(g_{e_i} + id)(t^m) for t^m = ``mono``, g_{e_i} the algebra map
+    t_i -> t_i + u fixing the other variables: pairs (u-power, monomial).
+
+    By Lucas, (t_i + u)^{m_i} is the sum of u^e t_i^{m_i - e} over the
+    submasks e of m_i; the identity cancels the term e = 0.
+    """
+    b, head, tail = mono[i], mono[:i], mono[i + 1:]
+    return [(e, head + (b - e,) + tail) for e in _submasks(b) if e]
 
 
 @lru_cache(maxsize=1 << 10)
@@ -442,7 +435,7 @@ class RealmCalculus:
                     acc ^= pattern << (start + pos[m2])
                 rows.append(acc)
             layer.append(rows)
-        return u_linear_map(self.E, self.ETX, layer, name="tau")
+        return ULinearMap(self.E, self.ETX, layer, name="tau")
 
     @cached_property
     def _bar_runs(self) -> List[tuple]:
@@ -472,7 +465,7 @@ class RealmCalculus:
             rows = self.tau.layer[d]
             u0 = BitMatrix(len(rows), self.ETX.dims[d], tuple(rows))
             layer.append(u0.gather(runs, self.bar.dims[d]).row_ints())
-        return u_linear_map(self.E, self.bar, layer, name="taubar")
+        return ULinearMap(self.E, self.bar, layer, name="taubar")
 
     # -- the equalizer kernel and its companions -----------------------------------
 
@@ -488,12 +481,8 @@ class RealmCalculus:
 
     @cached_property
     def equalizer_verdict(self) -> Verdict:
-        """``equalizer_matches_taubar_kernel()``, certified once per calculus."""
-        return self.equalizer_matches_taubar_kernel()
-
-    def equalizer_matches_taubar_kernel(self) -> Verdict:
         """The kernel of taubar is the equalizer of sigma and tau, the kernel
-        of sigma + tau, certified on the u^0 layer.
+        of sigma + tau, certified on the u^0 layer once per calculus.
 
         Let iota be the inclusion of bar into F[u] (x) TX.  On the u^0
         layer sigma lands in u^0 and taubar is tau on bar's columns, so
@@ -626,7 +615,7 @@ class RealmCalculus:
     def _invariant_certificate(self) -> None:
         """The rows of ``st1_basis`` span the invariants: the common kernel
         of the g_v + id over the generators v = e_i, each u-linear with u^0
-        layer from ``_twist_terms`` (``_certify_kernel_span``).  Leg (c)
+        layer from ``_twist_plus_id`` (``_certify_kernel_span``).  Leg (c)
         holds as it does for taubar: (g_{e_i} + id)(u^a t^m) reaches the
         lowest u-power, u^{a+1}, exactly for the odd m_i, at t^{m - e_i};
         so the lowest bit of the stack is (u^{a+1}, t^{m - e_i}, i) for one
@@ -638,18 +627,17 @@ class RealmCalculus:
         # the u^a block of E in degree d starts at dims[d] - dims[d - a]
         offsets = [[E.dims[d] - E.dims[d - a] for a in range(d + 1)] for d in range(D + 1)]
         g_plus_id = []
-        for gen in range(r):
-            v = 1 << gen
+        for i in range(r):
             layer = []
             for d in range(D + 1):
                 rows = []
-                for p, mono in enumerate(X.monomials(0, d)):
-                    acc = 1 << p  # g_v^* + identity: mono's own u^0 copy sits at p
-                    for (extra, m2) in _twist_terms(mono, v):
-                        acc ^= 1 << (offsets[d][extra] + pos[d - extra][m2])
+                for mono in X.monomials(0, d):
+                    acc = 0
+                    for e, m2 in _twist_plus_id(mono, i):
+                        acc ^= 1 << (offsets[d][e] + pos[d - e][m2])
                     rows.append(acc)
                 layer.append(rows)
-            g_plus_id.append(u_linear_map(E, E, layer, name=f"g_{v} + id"))
+            g_plus_id.append(ULinearMap(E, E, layer, name=f"g_{1 << i} + id"))
         rows, gens = self.st1_basis
         _certify_kernel_span(E, rows, gens, g_plus_id, "the stacked g_v + id", f"Inv(G,{X.name})")
 
@@ -814,15 +802,34 @@ def _component_map(src: RealmObject, tgt: RealmObject, P: BitMatrix) -> Dict[int
 
 @dataclass
 class AlphaResult:
-    """The induced map from the loop module to the reduced expansion.
+    """The induced map from the loop module to the reduced expansion, and
+    the division data it measures.
 
     Built by composing the reduced comparison map with the projection of the
     positive-power coefficients onto the linear one, then factoring through
-    the cokernel of the Sq0 map.
+    the cokernel of the Sq0 map.  ``div`` (the cokernel of alpha) and
+    ``derived1`` (its kernel) are built on first read; ``div_dims`` reads
+    tbar.dims[n] - rank(alpha_n) and builds neither.  The second derived
+    division term is ``omega_data.omega1``.
     """
 
     alpha: ModuleMap
     omega_data: FourTermOmega
+
+    @cached_property
+    def derived1(self) -> TruncatedModule:
+        return kernel_of(self.alpha)[0]
+
+    @cached_property
+    def div(self) -> TruncatedModule:
+        a = self.alpha
+        bases = [Subspace.from_rows(a.mat(n)).basis for n in range(a.D + 1)]
+        return quotient(a.target, bases, "coker(alpha)").target
+
+    @cached_property
+    def div_dims(self) -> Tuple[int, ...]:
+        a = self.alpha
+        return tuple(a.target.dims[n] - a.rank(n) for n in range(a.D + 1))
 
 
 def alpha_from_structure(ft: FourTermOmega, tbar: TruncatedModule,
@@ -848,41 +855,3 @@ def alpha_from_structure(ft: FourTermOmega, tbar: TruncatedModule,
     top = min(ft.omega.D, tbar.D - 1, D - 1)
     alpha_mats = {k: mats[k + 1].take_rows(ft.coker_proj.rep_cols[k + 1]) for k in range(top + 1)}
     return AlphaResult(ModuleMap(ft.omega, tbar, alpha_mats, D=top, name="alpha"), ft)
-
-
-class DivisionResult:
-    """The division data measured by the loop-to-reduced-expansion map.
-
-    ``div`` (the cokernel of alpha) and ``derived1`` (its kernel) come from
-    one subquotient of alpha, taken on first read; ``derived2`` is the
-    first derived loop module.  ``div_dims`` reads the cokernel's dims off
-    alpha's ranks, tbar.dims[n] - rank(alpha_n), and builds neither.
-    """
-
-    def __init__(self, alpha: AlphaResult):
-        self.alpha = alpha
-
-    @cached_property
-    def _sub(self) -> Subquotient:
-        return subquotient(self.alpha.alpha)
-
-    @property
-    def div(self) -> TruncatedModule:
-        return self._sub.coker.target
-
-    @property
-    def derived1(self) -> TruncatedModule:
-        return self._sub.kernel
-
-    @property
-    def derived2(self) -> TruncatedModule:
-        return self.alpha.omega_data.omega1
-
-    @cached_property
-    def div_dims(self) -> Tuple[int, ...]:
-        a = self.alpha.alpha
-        return tuple(a.target.dims[n] - a.rank(n) for n in range(a.D + 1))
-
-
-def division_u2(ar: AlphaResult) -> DivisionResult:
-    return DivisionResult(ar)

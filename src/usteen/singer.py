@@ -40,24 +40,13 @@ from .unstable import (
 )
 
 
-@dataclass
-class St1Map:
-    """The degree-doubling squaring map into the scalar extension."""
-
-    source: TruncatedModule
-    ambient: ExtendedModule
-    mats: Dict[int, BitMatrix]
-    D: int  # largest admitted source degree
-
-    def mat(self, d: int) -> BitMatrix:
-        return self.mats[d]
-
-
-def st1(M: TruncatedModule, ambient: Optional[ExtendedModule] = None) -> St1Map:
+def st1(M: TruncatedModule, ambient: Optional[ExtendedModule] = None) -> Dict[int, BitMatrix]:
+    """The degree-doubling squaring map into the scalar extension, by its
+    matrices: ``st1(M)[d]`` sends M's degree-d basis into degree 2d of the
+    ambient, for d <= M.D // 2."""
     ambient = ambient if ambient is not None else extend_scalars(M)
-    half = M.D // 2
     mats: Dict[int, BitMatrix] = {}
-    for d in range(half + 1):
+    for d in range(M.D // 2 + 1):
         sq_rows = [M.sq(i, d).row_ints() for i in range(d + 1)]
         rows = []
         for j in range(M.dims[d]):
@@ -72,7 +61,7 @@ def st1(M: TruncatedModule, ambient: Optional[ExtendedModule] = None) -> St1Map:
                     sqrow ^= low
             rows.append(acc)
         mats[d] = BitMatrix.from_row_ints(rows, ambient.dim(2 * d))
-    return St1Map(M, ambient, mats, half)
+    return mats
 
 
 class SingerModule:
@@ -86,19 +75,13 @@ class SingerModule:
         self.base = base
         self.ambient = ambient
         self.D = 2 * (base.D // 2)
-        smap = st1(base, ambient)
-        self.st1_map = smap
+        smap = self.st1_map = st1(base, ambient)
         gens: Dict[int, List[Tuple[int, int, int]]] = {}
         gen_rows: Dict[int, List[int]] = {}
         for n in range(self.D + 1):
-            gens[n] = []
-            gen_rows[n] = []
-            for d in range(min(n // 2, base.D // 2) + 1):
-                k = n - 2 * d
-                srow_mat = smap.mat(d)
-                for j in range(base.dims[d]):
-                    gens[n].append((k, d, j))
-                    gen_rows[n].append(self._shift_row(srow_mat.row_int(j), 2 * d, k))
+            gens[n] = [(n - 2 * d, d, j) for d in range(min(n // 2, base.D // 2) + 1)
+                       for j in range(base.dims[d])]
+            gen_rows[n] = [self._shift_row(smap[d].row_int(j), 2 * d, k) for k, d, j in gens[n]]
         self.gens = gens
         self._gen_pos = {
             n: {g: idx for idx, g in enumerate(gens[n])} for n in range(self.D + 1)
@@ -117,7 +100,7 @@ class SingerModule:
 
         The u^a block of degree n starts at dim(n) - dim(n - a), so every
         block moves to the u^(a+k) block of degree n + k by one shift, the
-        identity ``fulu.u_linear_map`` relies on.
+        identity ``fulu.ULinearMap`` relies on.
         """
         return row << (self.ambient.dim(n + k) - self.ambient.dim(n))
 
@@ -385,10 +368,10 @@ def product_mu(M: TruncatedModule, N: TruncatedModule) -> ProductCertificate:
                 for jn in range(N.dims[dn]):
                     got = _multiply_ambient_rows(
                         SM.ambient, SN.ambient, EMN, mn_layout, 2 * dm, 2 * dn,
-                        smap_m.mat(dm).row_int(jm), smap_n.mat(dn).row_int(jn),
+                        smap_m[dm].row_int(jm), smap_n[dn].row_int(jn),
                     )
                     pair = mn_layout.index(dm + dn, dm, jm, jn)
-                    expect = smap_mn.mat(dm + dn).row_int(pair)
+                    expect = smap_mn[dm + dn].row_int(pair)
                     if got != expect:
                         st_mult = Verdict(
                             False, D,

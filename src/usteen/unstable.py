@@ -1000,30 +1000,7 @@ def map_from_free(free: FreeModule, target: TruncatedModule, element_row: int,
     return ModuleMap(free, target, mats, D=D, name=name)
 
 
-# -- subquotients ---------------------------------------------------------------
-
-
-class Subquotient:
-    """Kernel and cokernel of an A-linear map, with their structure maps.
-
-    The kernel and its inclusion come with the object.  The cokernel is
-    read through its projection ``coker``, a :class:`Quotient` whose
-    ``target`` is the cokernel module, built on first read, once.  Both
-    carry u when the module they are cut from does (see ``submodule`` and
-    ``quotient``).  A caller that needs the image as a module takes
-    ``submodule`` on its canonical bases.
-    """
-
-    def __init__(self, f: ModuleMap, kernel: TruncatedModule, kernel_incl: ModuleMap):
-        self.f = f
-        self.kernel = kernel
-        self.kernel_incl = kernel_incl
-
-    @cached_property
-    def coker(self) -> Quotient:
-        f = self.f
-        bases = [Subspace.from_rows(f.mat(n)).basis for n in range(f.D + 1)]
-        return quotient(f.target, bases, f"coker({f.name or 'f'})")
+# -- submodules, kernels and quotients -------------------------------------------
 
 
 def _express(bases: Dict[int, BitMatrix], reducers: Dict[int, RowReducer], n: int,
@@ -1258,17 +1235,13 @@ def quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> Quoti
     return proj
 
 
-def subquotient(f: ModuleMap) -> Subquotient:
-    """Degreewise kernel and cokernel with induced actions.
-
-    The input must be A-linear, and commute with u where its ends carry
-    it; ``f.validate_linear()`` checks that (constructions in this package
-    validate at the fixture level).  Only the kernel is built here; see
-    :class:`Subquotient`.
-    """
+def kernel_of(f: ModuleMap) -> Tuple[TruncatedModule, ModuleMap]:
+    """The kernel of f with its inclusion: ``submodule`` on the
+    ``left_kernel`` bases of f in every degree.  f must be A-linear, and
+    commute with u where its ends carry it (``f.validate_linear()``).  A
+    cokernel is ``quotient`` on the canonical bases of f's image."""
     bases = {n: left_kernel(f.mat(n)).basis for n in range(f.D + 1)}
-    kernel, kernel_incl = submodule(f.source, bases, f"ker({f.name or 'f'})", f.D)
-    return Subquotient(f, kernel, kernel_incl)
+    return submodule(f.source, bases, f"ker({f.name or 'f'})", f.D)
 
 
 # -- exact sequences ---------------------------------------------------------
@@ -1340,20 +1313,22 @@ def omega(M: TruncatedModule) -> FourTermOmega:
     if M.D < 2:
         raise TruncationError("need truncation degree at least 2")
     f = sq0(M)
-    sub = subquotient(f)
+    kernel, kernel_incl = kernel_of(f)
+    coker = quotient(f.target, [Subspace.from_rows(f.mat(n)).basis for n in range(f.D + 1)],
+                     f"coker({f.name})")
     try:
-        om = desuspend(sub.coker.target, name=f"Om({M.name})")
+        om = desuspend(coker.target, name=f"Om({M.name})")
     except DesuspensionError as exc:
         raise TheoryViolation(
             f"cokernel of Sq0 on {M.name} is not a suspension: {exc}"
         ) from exc
     try:
-        om1 = desuspend(sub.kernel, name=f"Om1({M.name})")
+        om1 = desuspend(kernel, name=f"Om1({M.name})")
     except DesuspensionError as exc:
         raise TheoryViolation(
             f"kernel of Sq0 on {M.name} is not a suspension: {exc}"
         ) from exc
-    return FourTermOmega(om, om1, sub.kernel_incl, sub.coker, f)
+    return FourTermOmega(om, om1, kernel_incl, coker, f)
 
 
 def is_reduced(M: TruncatedModule) -> Verdict:
@@ -1407,8 +1382,7 @@ def sym_lambda(D: int) -> SymLambda:
                     rows[src] = 1 << layout.index(n, q, j, i)
         swap_mats[n] = BitMatrix.from_row_ints(rows, t2.dims[n])
     swap = ModuleMap(t2, t2, swap_mats, name="swap")
-    sub = subquotient(swap + ModuleMap.identity(t2))
-    invariants, invariants_incl = sub.kernel, sub.kernel_incl
+    invariants, invariants_incl = kernel_of(swap + ModuleMap.identity(t2))
 
     phi_f1 = phi(f1)
     diag_mats = {}
@@ -1433,8 +1407,7 @@ def sym_lambda(D: int) -> SymLambda:
         raise TheoryViolation("the squared fundamental class is not invariant")
     from_free = map_from_free(f2, invariants, coeff.row_int(0), name="free->inv")
 
-    lam_sub = subquotient(diag)
+    lambda2, lambda2_incl = kernel_of(diag)
     return SymLambda(
-        invariants, invariants_incl, from_free, diag, lam_sub.kernel,
-        lam_sub.kernel_incl, f2, phi_f1,
+        invariants, invariants_incl, from_free, diag, lambda2, lambda2_incl, f2, phi_f1,
     )

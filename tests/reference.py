@@ -6,11 +6,12 @@ itself certifies with ``rank``, ``left_kernel``, ``image_is_kernel`` and
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from usteen import _gf2py, steenrod
 from usteen.f2core import BitMatrix, Subspace, express_in_rowspace, left_kernel, rref
-from usteen.fulu import u_linear_map
+from usteen.fulu import ULinearMap
 from usteen.unstable import (
     FuluModule,
     ModuleMap,
@@ -19,9 +20,10 @@ from usteen.unstable import (
     _monomial_pos,
     _monomials,
     _submasks,
+    kernel_of,
     polynomial_module,
+    quotient,
     submodule,
-    subquotient,
 )
 
 # -- GF(2) linear algebra ------------------------------------------------------
@@ -457,7 +459,7 @@ def mutant_tau(calc, drop) -> ModuleMap:
     unit = (0,) * calc.X.summands[0].r
     for c in drop:
         layer[0][0] ^= 1 << calc.ETX.index(0, 0, calc.TX.index(0, c, unit))
-    return u_linear_map(calc.E, calc.ETX, layer, name="tau")
+    return ULinearMap(calc.E, calc.ETX, layer, name="tau")
 
 
 def compositions_submask(a: Tuple[int, ...], k: int) -> List[Tuple[int, ...]]:
@@ -493,16 +495,45 @@ def polynomial_action_by_compositions(r: int, D: int) -> Dict[Tuple[int, int], B
     return action
 
 
-def taubar_subquotient(calc):
+class Subquotient:
+    """Kernel and cokernel of an A-linear map f: the kernel and its
+    inclusion by ``kernel_of``, the cokernel projection ``coker`` by
+    ``quotient`` on the canonical bases of f's image, built on first read."""
+
+    def __init__(self, f: ModuleMap):
+        self.f = f
+        self.kernel, self.kernel_incl = kernel_of(f)
+
+    @cached_property
+    def coker(self):
+        f = self.f
+        bases = [Subspace.from_rows(f.mat(n)).basis for n in range(f.D + 1)]
+        return quotient(f.target, bases, f"coker({f.name or 'f'})")
+
+
+def taubar_subquotient(calc) -> Subquotient:
     """Kernel and cokernel of taubar by elimination: ``left_kernel`` of
     taubar's full matrix in every degree, the kernel realized by
     ``submodule`` with a reducer per degree.  The package builds ker(taubar)
     on its closed basis (``RealmCalculus.st1_basis``) instead; this is the
     oracle of that basis and its module."""
-    return subquotient(calc.taubar)
+    return Subquotient(calc.taubar)
 
 
 def taubar_kernel_spaces(calc) -> List[Subspace]:
     """ker(taubar) in every degree by ``left_kernel`` of taubar's full
     matrix: the oracle of ``RealmCalculus.kernel_spaces``."""
     return [left_kernel(calc.taubar.mat(n)) for n in range(calc.D + 1)]
+
+
+def twist_terms(mono: Tuple[int, ...], v: int) -> List[Tuple[int, Tuple[int, ...]]]:
+    """The twist of t^m = ``mono`` by the group element v, the algebra map
+    t_i -> t_i + v_i u, as pairs (u-power, leftover monomial): the expansion
+    of prod (t_i + v_i u)^{m_i}, one variable at a time."""
+    terms = [(0, ())]
+    for i, b in enumerate(mono):
+        if (v >> i) & 1:
+            terms = [(e + sub, m + (b - sub,)) for sub in _submasks(b) for e, m in terms]
+        else:
+            terms = [(e, m + (b,)) for e, m in terms]
+    return terms

@@ -174,6 +174,7 @@ def test_generated_fixtures_keep_the_exit_contract_and_t9_reads_them(tmp_path_fa
 @pytest.mark.parametrize("argv", [
     ["compute", "basis", "--max-degree", "-1"],
     ["verify", "--all", "--max-rank", "x"],
+    ["verify", "--max-rank", "0"],
     ["verify", "--all", "a\nb"],
     [],
 ])

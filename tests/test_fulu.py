@@ -38,7 +38,6 @@ from usteen.unstable import (
     quotient,
     suspend,
     submodule,
-    subquotient,
     sym_lambda,
     tensor,
     tensor_with_layout,
@@ -54,6 +53,7 @@ from reference import (
     one_sided_u_by_pairs,
     q_data_by_elimination,
     span_sum,
+    Subquotient,
     taubar_subquotient,
     tensor_by_pairs,
     tensor_row,
@@ -514,7 +514,7 @@ def test_fulu_subquotient_of_unit_embedding():
     bases = {n: (E.u_mat(n - 1) if n >= 1 else BitMatrix.zeros(0, E.dim(0))) for n in range(9)}
     bases = {n: Subspace.from_rows(b).basis for n, b in bases.items()}
     sub, incl = submodule(E, bases, "uE")
-    q = subquotient(incl)
+    q = Subquotient(incl)
     # cokernel is the indecomposables: isomorphic to M degreewise
     for n in range(9):
         assert q.coker.target.dim(n) == M.dim(n)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -83,14 +84,13 @@ def test_one_calculus_per_rank_and_degree(monkeypatch):
 def test_t8_compares_the_division_term_through_degree_D(D, monkeypatch):
     """A division term one dimension too large in its top degree makes the
     cokernel's indecomposables disagree with it only in degree D."""
-    real = harness.division_u2
+    real = lannes.AlphaResult.div_dims.func
 
     def grown(ar):
-        dv = real(ar)
-        dv.div_dims = dv.div_dims[:-1] + (dv.div_dims[-1] + 1,)
-        return dv
+        dims = real(ar)
+        return dims[:-1] + (dims[-1] + 1,)
 
-    monkeypatch.setattr(harness, "division_u2", grown)
+    monkeypatch.setattr(lannes.AlphaResult, "div_dims", property(grown))
     result = run_check(make_spec("T8", D=D, max_rank=1))
     assert not result.passed
     assert result.witness == f"rank 1: division term wrong in degree {D}"
@@ -109,6 +109,22 @@ def test_every_check_passes_at_its_minimum_degree_and_refuses_below():
             message = f"{cid} needs a truncation degree of at least {min_d}"
             with pytest.raises(ValueError, match=message):
                 make_spec(cid, D=min_d - 1)
+
+
+RANK_LOOPING = ["T1", "T2", "T3", "T8", "T11"]
+
+
+@pytest.mark.parametrize("cid", RANK_LOOPING)
+def test_a_rank_looping_check_refuses_a_maximal_rank_below_one(cid):
+    """At max_rank 0 the check's loop over ranks 1..max_rank runs no rank,
+    and it would pass with empty tables: make_spec refuses it, and so does
+    run_all, as the CLI's parser refuses --max-rank 0."""
+    for max_rank in (0, -1):
+        with pytest.raises(ValueError, match=f"max_rank must be at least 1, got {max_rank}"):
+            make_spec(cid, D=6, max_rank=max_rank)
+        with pytest.raises(ValueError, match="max_rank must be at least 1"):
+            run_all(D=6, max_rank=max_rank, only=[cid])
+    assert run_check(make_spec(cid, D=6, max_rank=1)).passed
 
 
 def test_reports_are_deterministic():
@@ -354,15 +370,23 @@ def record_calls(monkeypatch, fn, key):
     return calls
 
 
+def equalizer_verdict_by(fn):
+    """``fn`` as ``RealmCalculus.equalizer_verdict``, cached per calculus
+    like the property it replaces."""
+    prop = cached_property(fn)
+    prop.__set_name__(RealmCalculus, "equalizer_verdict")
+    return prop
+
+
 def test_rank3_catalog_does_each_piece_of_realm_work_once(monkeypatch, fresh_caches):
     equalizers = Counter()
-    check = RealmCalculus.equalizer_matches_taubar_kernel
+    check = RealmCalculus.equalizer_verdict.func
 
     def counting(self):
         equalizers[self.X.name] += 1
         return check(self)
 
-    monkeypatch.setattr(RealmCalculus, "equalizer_matches_taubar_kernel", counting)
+    monkeypatch.setattr(RealmCalculus, "equalizer_verdict", equalizer_verdict_by(counting))
     polys = record_calls(monkeypatch, unstable.polynomial_module, lambda r, D, *a, **k: (r, D))
     extended = record_calls(monkeypatch, fulu.extend_scalars, lambda M: M.name)
     assert all(r.passed for r in run_all(D=8, max_rank=3, only=RANK3_CHECKS))
@@ -372,6 +396,19 @@ def test_rank3_catalog_does_each_piece_of_realm_work_once(monkeypatch, fresh_cac
     # each H(V_r) once, shared by taubar, the invariants and the squaring
     # span; each expansion once, for sigma and tau
     assert extended == {name: 1 for r in ranks for name in (f"H(V{r})", f"T[1](H(V{r}))")}
+
+
+def test_t8_builds_no_kernel_of_alpha_and_no_div_and_t12_one_kernel(monkeypatch, fresh_caches):
+    """T8 reads the division term's dims off alpha's ranks (``div_dims``);
+    the kernel of alpha and its cokernel module ``div`` are built only when
+    read, and T12 reads the kernel once."""
+    kernels = record_calls(monkeypatch, unstable.kernel_of, lambda f: f.name)
+    quotients = record_calls(monkeypatch, unstable.quotient, lambda M, bases, name: name)
+    assert all(r.passed for r in run_all(D=8, max_rank=2, only=["T8"]))
+    assert kernels["alpha"] == 0 and quotients["coker(alpha)"] == 0
+    assert kernels  # the loop modules' kernels of Sq0 were counted
+    assert run_check(make_spec("T12", D=8)).passed
+    assert kernels["alpha"] == 1 and quotients["coker(alpha)"] == 0
 
 
 def test_t7_t8_and_t11_build_one_loop_module_per_rank(monkeypatch, fresh_caches):
@@ -393,7 +430,7 @@ def test_a_failing_equalizer_verdict_fails_every_check_that_reads_it(order, monk
         calls.append(self.X.name)
         return Verdict(False, self.D, "forced mismatch")
 
-    monkeypatch.setattr(RealmCalculus, "equalizer_matches_taubar_kernel", failing)
+    monkeypatch.setattr(RealmCalculus, "equalizer_verdict", equalizer_verdict_by(failing))
     results = [run_check(make_spec(cid, D=6, max_rank=1)) for cid in order]
     assert [(r.id, r.passed, r.witness) for r in results] == [
         (cid, False, "structural violation: forced mismatch") for cid in order]
@@ -921,35 +958,34 @@ def taubar_layer_loses_a_row(monkeypatch):
         f = real(calc)
         layer = [list(rows) for rows in f.layer]
         layer[calc.D - 1][-1] = 0
-        return fulu.u_linear_map(f.source, f.target, layer, name="taubar")
+        return fulu.ULinearMap(f.source, f.target, layer, name="taubar")
 
     monkeypatch.setattr(lannes.RealmCalculus, "taubar", property(zeroed))
 
 
 def twist_gains_a_term(monkeypatch):
-    """T1, the invariants' leg (b): the twist of t^2 by v = 1 gains u t, as
-    if C(2, 1) were odd, so g_v + id no longer kills St1(t) = t^2 + u t.
-    t^2 is the lowest bit of a row in every degree, so the rank leg never
-    reads its row; taubar, read through the Lucas terms, still kills
-    St1(t)."""
-    real = lannes._twist_terms
+    """T1, the invariants' leg (b): g_1 + id on t^2 gains u t, as if C(2, 1)
+    were odd, so it no longer kills St1(t) = t^2 + u t.  t^2 is the lowest
+    bit of a row in every degree, so the rank leg never reads its row;
+    taubar, read through the Lucas terms, still kills St1(t)."""
+    real = lannes._twist_plus_id
 
-    def gained(mono, v):
-        terms = real(mono, v)
-        return terms + [(1, (1,))] if (mono, v) == ((2,), 1) else terms
+    def gained(mono, i):
+        terms = real(mono, i)
+        return terms + [(1, (1,))] if (mono, i) == ((2,), 0) else terms
 
-    monkeypatch.setattr(lannes, "_twist_terms", gained)
+    monkeypatch.setattr(lannes, "_twist_plus_id", gained)
 
 
 def twist_loses_a_term(monkeypatch):
-    """T1, the invariants' rank leg: the twist of t by v = 1 loses its u
-    term, so g_v + id kills t, which is no row's lowest bit."""
-    real = lannes._twist_terms
+    """T1, the invariants' rank leg: g_1 + id on t loses its u term, so it
+    kills t, which is no row's lowest bit."""
+    real = lannes._twist_plus_id
 
-    def lost(mono, v):
-        return [(0, mono)] if (mono, v) == ((1,), 1) else real(mono, v)
+    def lost(mono, i):
+        return [] if (mono, i) == ((1,), 0) else real(mono, i)
 
-    monkeypatch.setattr(lannes, "_twist_terms", lost)
+    monkeypatch.setattr(lannes, "_twist_plus_id", lost)
 
 
 def squaring_span_repeats_a_generator(monkeypatch):
@@ -959,13 +995,12 @@ def squaring_span_repeats_a_generator(monkeypatch):
     real = singer.st1
 
     def repeated(M, ambient=None):
-        smap = real(M, ambient)
-        mats = dict(smap.mats)
+        mats = real(M, ambient)
         d = next((d for d in sorted(mats) if mats[d].nrows >= 2), None)
         if d is not None:
             rows = mats[d].row_ints()
             mats[d] = BitMatrix.from_row_ints([rows[0], rows[0]] + rows[2:], mats[d].ncols)
-        return dataclasses.replace(smap, mats=mats)
+        return mats
 
     monkeypatch.setattr(singer, "st1", repeated)
 
@@ -975,10 +1010,9 @@ def division_kernel_loses_its_class(monkeypatch):
     as zero, so the suspended unit it should be is lost."""
     def emptied(f):
         zero = {n: BitMatrix.zeros(0, f.source.dims[n]) for n in range(f.D + 1)}
-        kernel, incl = unstable.submodule(f.source, zero, "ker(alpha)", f.D)
-        return unstable.Subquotient(f, kernel, incl)
+        return unstable.submodule(f.source, zero, "ker(alpha)", f.D)
 
-    monkeypatch.setattr(lannes, "subquotient", emptied)
+    monkeypatch.setattr(lannes, "kernel_of", emptied)
 
 
 # keyed by check id, then by the name of the mutation when a check has several

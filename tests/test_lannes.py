@@ -20,16 +20,14 @@ from usteen.fulu import (
     saturation_check,
     torsion_free,
     ULinearMap,
-    u_linear_map,
     u_linear_verdict,
 )
 from usteen.lannes import (
     RealmCalculus,
     RealmObject,
     _component_map,
-    _twist_terms,
+    _twist_plus_id,
     alpha_from_structure,
-    division_u2,
     hv,
     realm_sum,
     realm_suspend,
@@ -44,6 +42,7 @@ from usteen.unstable import (
     TruncationError,
     Verdict,
     _mono_label,
+    _monomials,
     _sum_label,
     exact_sequence,
     free_unstable,
@@ -53,7 +52,6 @@ from usteen.unstable import (
     polynomial_module,
     quotient,
     submodule,
-    subquotient,
     tensor,
     tensor_with_layout,
     unit_module,
@@ -67,8 +65,10 @@ from reference import (
     fulu_algebra,
     image_submodule,
     mutant_tau,
+    Subquotient,
     taubar_kernel_spaces,
     taubar_subquotient,
+    twist_terms,
 )
 
 
@@ -246,7 +246,7 @@ def test_rtilde_fails_at_construction_when_a_tau_bit_inside_bar_breaks_the_kerne
             layer = [list(rows) for rows in base.tau.layer]
             layer[d][x] ^= 1 << bit
             calc = RealmCalculus(X)
-            calc.tau = u_linear_map(E, ETX, layer, name="tau")
+            calc.tau = ULinearMap(E, ETX, layer, name="tau")
             assert calc.equalizer_verdict.ok
             kernel = [left_kernel(calc.taubar.mat(n)) for n in range(X.D + 1)]
             broken += kernel != closed
@@ -270,7 +270,7 @@ def test_comparison_maps_are_fulu_maps():
 def test_equalizer_equals_taubar_kernel():
     for X in (hv(0, 6), hv(1, 8), hv(2, 6), realm_suspend(hv(1, 7), 1)):
         calc = RealmCalculus(X)
-        assert calc.equalizer_matches_taubar_kernel().ok
+        assert calc.equalizer_verdict.ok
 
 
 def test_rtilde_of_unit():
@@ -411,19 +411,17 @@ def test_alpha_rank1_injective():
     assert ar.alpha.validate_linear().ok
     for n in range(ar.alpha.D + 1):
         assert left_kernel(ar.alpha.mat(n)).dim == 0
-    dv = division_u2(ar)
     # cokernel lives in odd degrees only, dimension one each
-    for n in range(dv.div.D + 1):
-        assert dv.div.dim(n) == (1 if n % 2 == 1 else 0)
-    assert sum(dv.derived1.dims) == 0
+    for n in range(ar.div.D + 1):
+        assert ar.div.dim(n) == (1 if n % 2 == 1 else 0)
+    assert sum(ar.derived1.dims) == 0
 
 
 def test_alpha_rank2_injective():
     ar = RealmCalculus(hv(2, 8)).alpha()
     for n in range(ar.alpha.D + 1):
         assert left_kernel(ar.alpha.mat(n)).dim == 0
-    dv = division_u2(ar)
-    assert sum(dv.derived1.dims) == 0
+    assert sum(ar.derived1.dims) == 0
 
 
 def test_alpha_on_doubled_free_module_vanishes():
@@ -434,10 +432,9 @@ def test_alpha_on_doubled_free_module_vanishes():
     ar = alpha_from_structure(omega(P), tbar, {})
     for n in range(ar.alpha.D + 1):
         assert ar.alpha.mat(n).is_zero()
-    dv = division_u2(ar)
     # the kernel is the suspension of the ground field
-    assert [dv.derived1.dim(n) for n in range(min(6, dv.derived1.D) + 1)] == [0, 1, 0, 0, 0, 0, 0]
-    assert sum(dv.derived2.dims) == 0
+    assert [ar.derived1.dim(n) for n in range(min(6, ar.derived1.D) + 1)] == [0, 1, 0, 0, 0, 0, 0]
+    assert sum(ar.omega_data.omega1.dims) == 0
 
 
 def test_alpha_from_structure_refuses_a_wrong_shape_and_a_map_that_keeps_sq0():
@@ -739,7 +736,7 @@ def tau_by_monomials(calc):
             acc = 0
             for v in range(1 << calc.X.summands[j].r):
                 c = calc.TX.comp_pos[(j, v)]
-                for (extra, m2) in _twist_terms(mono, v):
+                for (extra, m2) in twist_terms(mono, v):
                     tgt = calc.TX.index(n - a - extra, c, m2)
                     acc ^= 1 << calc.ETX.index(n, a + extra, tgt)
             rows.append(acc)
@@ -757,7 +754,7 @@ def taubar_by_monomials(calc):
             acc = 0
             for v in range(1, 1 << calc.X.summands[j].r):
                 c = calc.tbar.comp_pos[(j, v)]
-                for (extra, m2) in _twist_terms(mono, v):
+                for (extra, m2) in twist_terms(mono, v):
                     if extra == 0:
                         continue
                     tgt = calc.tbar.index(n - a - extra, c, m2)
@@ -809,7 +806,7 @@ def gv_stacked_by_monomials(r, D):
             rows = []
             for flat, (a, _, mono) in enumerate(_extended_entries(E, X, n)):
                 acc = 0
-                for (extra, m2) in _twist_terms(mono, 1 << gen):
+                for (extra, m2) in twist_terms(mono, 1 << gen):
                     acc ^= 1 << E.index(n, a + extra, X.index(n - a - extra, 0, m2))
                 rows.append(acc ^ (1 << flat))
             m = BitMatrix.from_row_ints(rows, E.dim(n))
@@ -876,10 +873,10 @@ def test_gv_invariant_rows_match_the_monomial_loop(r, monkeypatch):
     seen = []
 
     def recording(src, tgt, layer, name=""):
-        seen.append(u_linear_map(src, tgt, layer, name))
+        seen.append(ULinearMap(src, tgt, layer, name))
         return seen[-1]
 
-    monkeypatch.setattr(lannes, "u_linear_map", recording)
+    monkeypatch.setattr(lannes, "ULinearMap", recording)
     calc = RealmCalculus(hv(r, D))
     calc.taubar
     seen.clear()
@@ -895,6 +892,45 @@ def test_gv_invariant_rows_match_the_monomial_loop(r, monkeypatch):
             for g in seen[1:]:
                 stacked = concat_cols(stacked, g.mat(n))
             assert stacked == want[n], n
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_one_variable_twist_matches_the_general_twist(r, monkeypatch):
+    """(g_{e_i} + id)(t^m) by ``_twist_plus_id`` is the twist of t^m by e_i
+    (``reference.twist_terms``, over all variables) plus t^m, term for term
+    mod 2, and so are the u^0 layers the invariant certificate reads, for
+    every generator e_i through D = 10."""
+    D = 10
+    for d in range(D + 1):
+        for mono in _monomials(r, d):
+            for i in range(r):
+                want = Counter(twist_terms(mono, 1 << i) + [(0, mono)])
+                assert sorted(_twist_plus_id(mono, i)) == sorted(t for t, c in want.items() if c % 2)
+    layers = []
+    real = lannes.ULinearMap
+
+    def recording(src, tgt, layer, name=""):
+        layers.append(layer)
+        return real(src, tgt, layer, name)
+
+    monkeypatch.setattr(lannes, "ULinearMap", recording)
+    calc = RealmCalculus(hv(r, D))
+    calc.taubar
+    layers.clear()
+    calc.invariants()
+    E, X, want = calc.E, calc.X, []
+    for i in range(r):
+        layer = []
+        for d in range(D + 1):
+            rows = []
+            for p, mono in enumerate(X.monomials(0, d)):
+                acc = 1 << p
+                for e, m2 in twist_terms(mono, 1 << i):
+                    acc ^= 1 << E.index(d, e, X.index(d - e, 0, m2))
+                rows.append(acc)
+            layer.append(rows)
+        want.append(layer)
+    assert layers == want
 
 
 def dickson_basis(calc, n):
@@ -978,7 +1014,7 @@ def test_tau_expands_each_monomial_once_and_taubar_none(X, monkeypatch):
         return lucas_terms(mono)
 
     monkeypatch.setattr(lannes, "_lucas_terms", counting)
-    monkeypatch.setattr(lannes, "_twist_terms", lambda mono, v: twists.append(mono))
+    monkeypatch.setattr(lannes, "_twist_plus_id", lambda mono, i: twists.append(mono))
     calc.tau
     assert sorted(lucas) == sorted(mono for d in range(calc.D + 1) for _, mono in X.entries(d))
     assert twists == []
@@ -1001,7 +1037,7 @@ FIX_CASES = [
 def test_fix_parts_match_the_full_matrix_subquotient(X):
     calc = RealmCalculus(X)
     f = fix_taubar_of(calc, fix_taubar_by_monomials(calc))
-    sub = subquotient(f)
+    sub = Subquotient(f)
     for kind, want in (("kernel", sub.kernel), ("image", image_submodule(f)[0]),
                        ("cokernel", sub.coker.target)):
         got = calc.fix_parts[kind].module
@@ -1025,7 +1061,8 @@ def test_fix_parts_are_realized_once_without_a_subquotient(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a full-matrix subquotient ran")
 
-    monkeypatch.setattr(lannes, "subquotient", refuse)
+    monkeypatch.setattr(lannes, "kernel_of", refuse)
+    monkeypatch.setattr(lannes, "quotient", refuse)
     monkeypatch.setattr(unstable, "quotient", refuse)
     realized = []
     realize = RealmObject._realize
@@ -1296,7 +1333,7 @@ def test_bit_flips_of_the_taubar_layer_fail_the_u0_verdict(r):
             for c in range(calc.bar.dim(d)):
                 flipped = [list(rows) for rows in layer]
                 flipped[d][i] ^= 1 << c
-                f = u_linear_map(calc.E, calc.bar, flipped, name="taubar")
+                f = ULinearMap(calc.E, calc.bar, flipped, name="taubar")
                 ok = u_linear_verdict(f).ok
                 try:
                     image_submodule(f)
@@ -1314,7 +1351,7 @@ def _flip_u0_layer(calc):
     """taubar with one bit of its degree-1 u^0 layer flipped, u-linear still."""
     layer = taubar_layer(calc)
     layer[1][0] ^= 1
-    return u_linear_map(calc.E, calc.bar, layer, name="taubar")
+    return ULinearMap(calc.E, calc.bar, layer, name="taubar")
 
 
 def _flip_u1_block(calc):
@@ -1683,7 +1720,7 @@ def test_taubar_parts_agree_in_either_order(r, first):
     projection's matrices and its target's action) agree whichever is read
     first, and are a valid module, u-module and maps."""
     taubar = RealmCalculus(hv(r, 6)).taubar
-    a, b = subquotient(taubar), subquotient(taubar)
+    a, b = Subquotient(taubar), Subquotient(taubar)
     reads = [lambda: image_submodule(taubar), lambda: a.coker.target.action_items(),
              lambda: [a.coker.mat(n) for n in range(taubar.D + 1)]]
     for read in reads if first == "image" else reads[::-1]:

@@ -24,30 +24,61 @@ def read_status(sources: dict) -> dict:
     """For each public top-level function or class and each public method in
     ``sources`` (module name -> source text), keyed ``module.name`` or
     ``module.Class.method``: whether code in ``sources`` reads it outside its
-    own body."""
+    own body.
+
+    ``self.m`` or ``cls.m`` inside class C, where C defines the method m,
+    reads only C.m and its overrides in subclasses of C; any other
+    attribute read matches every method of its name."""
     defs, reads = [], defaultdict(list)  # name -> (read as an attribute, enclosing defs)
+    own_reads = defaultdict(list)  # (class, method) -> enclosing defs of its self. reads
+    methods, bases = {}, {}  # class name -> the names of its methods, of its bases
 
     def visit(node, module, owner, enclosing):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 if not child.name.startswith("_") and (node is owner or not enclosing):
                     prefix = f"{module}.{owner.name}." if node is owner else f"{module}."
-                    defs.append((prefix + child.name, child.name, owner is not None, child))
+                    defs.append((prefix + child.name, child.name,
+                                 owner.name if node is owner else None, child))
                 is_class = isinstance(child, ast.ClassDef) and not enclosing
+                if isinstance(child, ast.ClassDef):
+                    methods[child.name] = {f.name for f in child.body
+                                           if isinstance(f, ast.FunctionDef)}
+                    bases[child.name] = [getattr(b, "id", getattr(b, "attr", None))
+                                         for b in child.bases]
                 visit(child, module, child if is_class else None, enclosing + (child,))
                 continue
             if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
                 reads[child.id].append((False, enclosing))
             elif isinstance(child, ast.Attribute):
-                reads[child.attr].append((True, enclosing))
+                cls = next((n.name for n in reversed(enclosing) if isinstance(n, ast.ClassDef)),
+                           None)
+                if (cls and isinstance(child.value, ast.Name) and child.value.id in ("self", "cls")
+                        and child.attr in methods[cls]):
+                    own_reads[(cls, child.attr)].append(enclosing)
+                else:
+                    reads[child.attr].append((True, enclosing))
             visit(child, module, owner, enclosing)
 
     for module, source in sources.items():
         visit(ast.parse(source), module, None, ())
+
+    def lineage(cls):
+        """cls and every class it derives from, by name."""
+        out, todo = set(), [cls]
+        while todo:
+            c = todo.pop()
+            if c not in out:
+                out.add(c)
+                todo.extend(b for b in bases.get(c, ()) if b)
+        return out
+
     return {
-        qualname: any((attr or not is_method) and node not in enclosing
+        qualname: any((attr or owner is None) and node not in enclosing
                       for attr, enclosing in reads[name])
-        for qualname, name, is_method, node in defs
+        or (owner is not None and any(node not in enclosing for c in lineage(owner)
+                                      for enclosing in own_reads[(c, name)]))
+        for qualname, name, owner, node in defs
     }
 
 
@@ -114,6 +145,24 @@ def test_the_scan_sees_unread_definitions():
     # f reads only itself; m is read as a name, not as an attribute
     assert read_status(sources) == {
         "a.f": False, "a.g": True, "a.C": False, "a.C.m": False, "a.C.n": True}
+
+
+def test_the_scan_resolves_self_reads_to_the_class():
+    sources = {
+        "a": "class A:\n    def m(self):\n        pass\n\n    def k(self):\n        pass\n\n"
+             "class B:\n    def m(self):\n        pass\n\n    def run(self):\n"
+             "        return self.m(), self.k()\n\n"
+             "class C(A):\n    def m(self):\n        pass\n\n"
+             "class D(A):\n    def go(self):\n        return self.m()\n",
+        "b": "x = A, B().run, C, D().go\n",
+    }
+    # B defines no k, so its self.k reads every k; D's self.m reads the m it
+    # inherits from A and A's overrides, C.m among them
+    assert all(read_status(sources).values())
+    # without D, B's self.m reads B.m only, so A.m and C.m are unread
+    sources["a"] = sources["a"].split("class D")[0]
+    sources["b"] = "x = A, B().run, C\n"
+    assert [q for q, read in read_status(sources).items() if not read] == ["a.A.m", "a.C.m"]
 
 
 def test_every_public_definition_is_read_or_named_in_the_readme():

@@ -43,7 +43,7 @@ def series_coeffs(r, D):
 def test_st1_on_unit():
     F = unit_module(6)
     smap = st1(F)
-    assert smap.mat(0).to_lists() == [[1]]
+    assert smap[0].to_lists() == [[1]]
 
 
 def test_st1_on_polynomial_generator():
@@ -51,7 +51,7 @@ def test_st1_on_polynomial_generator():
     E = extend_scalars(H)
     smap = st1(H, E)
     # st1(t) = u (x) t + 1 (x) t^2
-    row = smap.mat(1).row_int(0)
+    row = smap[1].row_int(0)
     expect = (1 << E.index(2, 1, 0)) | (1 << E.index(2, 0, 0))
     assert row == expect
 
@@ -70,7 +70,7 @@ def test_st1_polynomial_binomial_expansion():
         for i in range(d + 1):
             if comb(d, i) % 2:
                 expect |= 1 << E.index(2 * d, d - i, 0)
-        assert smap.mat(d).row_int(0) == expect
+        assert smap[d].row_int(0) == expect
 
 
 def test_st1_reads_each_square_once(monkeypatch):
@@ -349,7 +349,7 @@ def test_eps_of_st1_is_sq0():
     smap = st1(M, E)
     top = sq0(M)
     for d in range(M.D // 2 + 1):
-        assert smap.mat(d) @ E.eps_mat(2 * d) == top.mat(2 * d)
+        assert smap[d] @ E.eps_mat(2 * d) == top.mat(2 * d)
 
 
 def test_r1_submodule_compatibility():
