@@ -31,6 +31,7 @@ that are not stable under the squaring operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .f2core import (
@@ -48,8 +49,8 @@ from .unstable import (
     TruncatedModule,
     TruncationError,
     Verdict,
-    _mono_label,
     _sum_label,
+    polynomial_module,
     quotient,
     tensor_with_layout,
 )
@@ -58,33 +59,32 @@ from .unstable import (
 class ExtendedModule(FuluModule):
     """Scalar extension of an unstable module, with index bookkeeping.
 
-    Basis vectors are pairs (u-power a, basis element of the base in degree
-    n - a), blocks keyed by a and ordered by increasing a.  The u-powers
-    start at ``start``: 0 for F[u] (x) M, 1 for its positive-u part.  The
-    u^a block of degree n starts at dims[n] - dims[n - a + start], so u,
-    which carries each u^a block onto the u^{a+1} block, moves every row of
-    degree n by dims[n + 1] - dims[n].
+    It is the tensor product U (x) M of ``unstable.tensor_with_layout``,
+    with U the powers u^a with a >= ``start`` (``_u_powers``): F[u] at 0,
+    its positive-u part at 1.  E takes that product's action, labels and
+    ``TensorLayout`` as its own, each built on first read.  Basis vectors
+    are pairs (u-power a, basis element of the base in degree n - a),
+    blocks keyed by a and ordered by increasing a.  The u^a block of degree
+    n starts at dims[n] - dims[n - a + start], so u, which carries each u^a
+    block onto the u^{a+1} block, moves every row of degree n by
+    dims[n + 1] - dims[n] (``times_u``), and u as a matrix is read off that
+    shift on unit rows.
 
-    The action is the Cartan formula in closed form:
+    The action is the Cartan formula:
     Sq^k(u^a (x) x) = sum_b C(a, b) u^{a+b} (x) Sq^{k-b} x, where C(a, b) is
-    odd exactly when b is a bitwise submask of a (Lucas), and b runs over the
-    range of ``tensor_with_layout``, which never needs Sq^s on M^q with
-    s > q.  So each row of the u^a block is an XOR of rows of ``M``, each
-    shifted to the offset of one u^{a+b} block.  The action, u and the
-    labels are built on first read; ``sq_rows`` needs none of them, and
-    reads M only through M's own ``sq_rows``.
+    odd exactly when b is a bitwise submask of a (Lucas).  ``sq_rows``
+    applies it to rows with no matrix of E, reading M only through M's own
+    ``sq_rows``.
     """
 
     __slots__ = ("base", "layout", "start")
-    cartan_by_construction = True
 
     def __init__(self, base: TruncatedModule, start: int, name: str):
         D = base.D
+        plain, self.layout = tensor_with_layout(_u_powers(D, start), base)
         self.base = base
-        self.layout = TensorLayout((1 - start,) + (1,) * D, base.dims, D)
         self.start = start
-        super().__init__(name, D, self.layout.table.dims, self._cartan_action, self._labels_of,
-                         u=self._block_u)
+        super().__init__(name, D, plain.dims, plain._act, plain._labels, u=self._shift_u)
 
     def index(self, n: int, a: int, j: int) -> int:
         """Flat index of u^a times the j-th base vector of degree n - a."""
@@ -161,49 +161,21 @@ class ExtendedModule(FuluModule):
                      for b in range(max(0, k - q), min(k, a) + 1) if b & a == b]
             yield q, off, width, terms
 
-    def _cartan_action(self) -> Dict[Tuple[int, int], BitMatrix]:
-        D, dims = self.D, self.dims
-        stored = self.base._action()
-        out = {}
-        for n in range(D + 1):
-            for k in range(1, D - n + 1):
-                rows = []
-                for q, _, width, terms in self._cartan_terms(k, n):
-                    block = [0] * width
-                    for j, shift in terms:
-                        if j == 0:
-                            src = [1 << i for i in range(width)]
-                        elif (j, q) in stored:
-                            src = stored[(j, q)].row_ints()
-                        else:
-                            continue
-                        block = [x ^ (r << shift) for x, r in zip(block, src)]
-                    rows.extend(block)
-                out[(k, n)] = BitMatrix(dims[n], dims[n + k], tuple(rows))
-        return out
+    def _shift_u(self) -> Dict[int, BitMatrix]:
+        """u as matrices: the shift on unit rows."""
+        return {n: self.times_u(n, BitMatrix.identity(self.dims[n])) for n in range(self.D)}
 
-    def _labels_of(self) -> List[Tuple[str, ...]]:
-        M, D = self.base, self.D
-        u_labels = [_mono_label((a,), ("u",)) for a in range(D + 1)]
-        return [
-            tuple(f"[{u_labels[a]}|{x}]"
-                  for a, _, _ in self.layout.blocks(n) for x in M.labels[n - a])
-            for n in range(D + 1)
-        ]
 
-    def _block_u(self) -> Dict[int, BitMatrix]:
-        """u as matrices, block by block: the u^a block of degree n onto the
-        u^{a+1} block of degree n + 1, which ``times_u`` does in one shift."""
-        layout, dims = self.layout, self.dims
-        u_mats = {}
-        for n in range(self.D):
-            rows = [0] * dims[n]
-            for a, off, width in layout.blocks(n):
-                toff = layout.offset(n + 1, a + 1)
-                for j in range(width):
-                    rows[off + j] = 1 << (toff + j)
-            u_mats[n] = BitMatrix.from_row_ints(rows, dims[n + 1])
-        return u_mats
+@lru_cache(maxsize=None)
+def _u_powers(D: int, start: int) -> TruncatedModule:
+    """The powers u^a with a >= ``start`` through degree D: F[u] at start 0,
+    its positive-u part at start 1, built once per (D, start) and shared by
+    every scalar extension as its left factor."""
+    if not start:
+        return polynomial_module(1, D, varnames=("u",), name="F[u]")
+    U = _u_powers(D, 0)
+    return TruncatedModule("uF[u]", D, (0,) + U.dims[1:], dict(U.action_items()),
+                           ((),) + U.labels[1:])
 
 
 def extend_scalars(M: TruncatedModule) -> ExtendedModule:

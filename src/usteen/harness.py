@@ -27,7 +27,6 @@ from .fulu import (
     q_of_quotient,
     saturation_check,
     torsion_free,
-    u_linear_verdict,
 )
 from .lannes import (
     AlphaResult,
@@ -317,9 +316,7 @@ def _check_t8(params):
     for r in range(1, params["max_rank"] + 1):
         calc = _hv_calculus(r, D)
         X = calc.X
-        # taubar is a map of u-modules over A, certified on its u^0 layer
-        # before anything reads its kernel or cokernel
-        _need(u_linear_verdict(calc.taubar), f"rank {r}: linearity of taubar")
+        _need(calc.taubar_linear_verdict, f"rank {r}: linearity of taubar")
         kernel, kernel_incl = calc.rtilde, calc.kernel_incl
         # the cokernel is read off the image of taubar: its projection is
         # exact at bar when every row of taubar lies in the image and the
@@ -431,9 +428,11 @@ def _check_t11(params):
     return (D - 1) // 2, {}
 
 
+@lru_cache(maxsize=None)
 def _doubled_free_division(D: int) -> AlphaResult:
     """The division data of the doubled rank-one free module, whose reduced
-    expansion is the ground field and whose structure map is zero."""
+    expansion is the ground field and whose structure map is zero, built
+    once per degree and shared by T12 and T13."""
     P = phi(free_unstable(1, max(4, D // 2)))
     return alpha_from_structure(omega(P), unit_module(P.D), {})
 

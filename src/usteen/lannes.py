@@ -32,6 +32,7 @@ from .fulu import (
     extend_scalars,
     extend_scalars_map,
     positive_u_part,
+    u_linear_verdict,
 )
 from .unstable import (
     BlockLayout,
@@ -117,7 +118,11 @@ class RealmObject:
         ]
 
     def _realize(self) -> RealmModule:
-        """Place shifted copies of one polynomial module per rank, block by block."""
+        """The module on shifted copies of one polynomial module per summand.
+
+        With one summand the action is that module's matrices, s degrees
+        up; with several it is ``RealmModule.sq_rows`` on unit rows, which
+        places each summand's matrices in its block."""
         D = self.D
         dims = self.table.dims
         polys = [hv_module(sm.r, D) for sm in self.summands]
@@ -134,24 +139,14 @@ class RealmObject:
             return out
 
         def action() -> Dict[Tuple[int, int], BitMatrix]:
-            if len(polys) == 1:  # one summand: its module's matrices, s degrees up
+            if len(polys) == 1:
                 s = self.summands[0].s
                 return {(k, q + s): m for (k, q), m in polys[0].action_items() if q + s + k <= D}
-            out = {}
-            for n in range(D + 1):
-                blocks = self.table.blocks(n)
-                if not blocks:
-                    continue
-                for k in range(1, D - n + 1):
-                    rows = []
-                    for j, _, _ in blocks:
-                        shift = self.table.block(n + k, j)[0]
-                        sq = polys[j].sq(k, n - self.summands[j].s)
-                        rows.extend(r << shift for r in sq.row_ints())
-                    out[(k, n)] = BitMatrix(dims[n], dims[n + k], tuple(rows))
-            return out
+            return {(k, n): module.sq_rows(k, n, BitMatrix.identity(dims[n]))
+                    for n in range(D + 1) if dims[n] for k in range(1, D - n + 1)}
 
-        return RealmModule(self, polys, action, labels)
+        module = RealmModule(self, polys, action, labels)
+        return module
 
     def __repr__(self):
         return f"RealmObject({self.name}, D={self.D})"
@@ -466,6 +461,13 @@ class RealmCalculus:
             u0 = BitMatrix(len(rows), self.ETX.dims[d], tuple(rows))
             layer.append(u0.gather(runs, self.bar.dims[d]).row_ints())
         return ULinearMap(self.E, self.bar, layer, name="taubar")
+
+    @cached_property
+    def taubar_linear_verdict(self) -> Verdict:
+        """taubar is a map of u-modules over A (``fulu.u_linear_verdict``),
+        certified on its u^0 layer once per calculus: T8 reads it before
+        anything reads taubar's kernel or cokernel."""
+        return u_linear_verdict(self.taubar)
 
     # -- the equalizer kernel and its companions -----------------------------------
 

@@ -43,24 +43,16 @@ from .unstable import (
 def st1(M: TruncatedModule, ambient: Optional[ExtendedModule] = None) -> Dict[int, BitMatrix]:
     """The degree-doubling squaring map into the scalar extension, by its
     matrices: ``st1(M)[d]`` sends M's degree-d basis into degree 2d of the
-    ambient, for d <= M.D // 2."""
+    ambient, for d <= M.D // 2.  Each row of Sq^i on degree d is one shift
+    onto the u^{d-i} block of degree 2d, whose base degree is d + i."""
     ambient = ambient if ambient is not None else extend_scalars(M)
     mats: Dict[int, BitMatrix] = {}
     for d in range(M.D // 2 + 1):
-        sq_rows = [M.sq(i, d).row_ints() for i in range(d + 1)]
-        rows = []
-        for j in range(M.dims[d]):
-            acc = 0
-            for i, sq in enumerate(sq_rows):
-                sqrow = sq[j]
-                a = d - i
-                while sqrow:
-                    low = sqrow & -sqrow
-                    jp = low.bit_length() - 1
-                    acc ^= 1 << ambient.index(2 * d, a, jp)
-                    sqrow ^= low
-            rows.append(acc)
-        mats[d] = BitMatrix.from_row_ints(rows, ambient.dim(2 * d))
+        rows = [0] * M.dims[d]
+        for i in range(d + 1):
+            shift = ambient.block(2 * d, d - i)[0]
+            rows = [acc ^ (r << shift) for acc, r in zip(rows, M.sq(i, d).row_ints())]
+        mats[d] = BitMatrix(M.dims[d], ambient.dim(2 * d), tuple(rows))
     return mats
 
 

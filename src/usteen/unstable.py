@@ -192,12 +192,10 @@ class TruncatedModule:
     gets the same key and shape checks.  ``labels`` (one sequence of names
     per degree) may likewise be a zero-argument function, called once on
     the first read of ``labels`` and checked against the dims then.  Dims
-    are always known.  ``cartan_by_construction`` is false on a plain
-    module (see :class:`FuluModule`).
+    are always known.
     """
 
     __slots__ = ("name", "D", "dims", "_labels", "_act")
-    cartan_by_construction = False
 
     def __init__(
         self,
@@ -345,12 +343,9 @@ class FuluModule(TruncatedModule):
 
     Products with u go through ``times_u`` (rows times u) and ``u_then``
     (u, then a matrix), which a module whose u has a closed form overrides,
-    so that no product needs u as a matrix.
-
-    ``cartan_by_construction`` is true on a module whose action is built
-    by the Cartan formula from an unstable module's (a scalar extension),
-    where the rule holds by construction; ``submodule`` then certifies
-    Sq-stability on u-generators.
+    so that no product needs u as a matrix.  ``submodule`` certifies a
+    u-submodule's Sq-stability on its u-generators, which the rule makes
+    sound.
     """
 
     __slots__ = ("_u",)
@@ -1048,23 +1043,17 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
     degree's basis is read or eliminated at most once.  Raises
     :class:`TheoryViolation` when the span is not stable under the action
     or u, which always indicates an internal inconsistency upstream.
-    Labels are built on first read.
 
     u, when the ambient carries it, is induced first and at once.
     ``u_gens[n]``, when given, says that ``bases[n]`` is its first
     ``u_gens[n]`` rows, the u-generators, then u times the rows of
     ``bases[n - 1]`` in order (the closed basis of ker(taubar)): u is then
     the index map onto those rows, checked row for row, and nothing is
-    expressed.  Sq then takes one of two paths, by the ambient's
-    ``cartan_by_construction``:
-
-    - set, on a scalar extension (E and bar, so ker(taubar), the invariant
-      ring and T7's image of taubar): Sq-stability is certified on the
-      u-generators only (``_certify_on_u_generators``), and the induced
-      action is built on first read, with the full escape check;
-    - not set (the kernels of Sq0 in Ph(M), of alpha in the loop module,
-      of the swap on F(1)(x)F(1) and of T13's diagonal on its invariants):
-      the action is induced at once.
+    expressed.  Without ``u_gens`` the u-generators of degree n are picked
+    with ``f2core.complement_rows``; without u every row generates.
+    Sq-stability is then certified at once on the generators
+    (``_certify_on_generators``), and the induced action and the labels
+    are built on first read, the action with the full escape check.
     """
     D = ambient.D if D is None else D
     full = {n: bases.get(n, BitMatrix.zeros(0, ambient.dims[n])) for n in range(D + 1)}
@@ -1075,7 +1064,6 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
         return [tuple(_sum_label(names[n], r) for r in full[n].row_ints()) for n in range(D + 1)]
 
     reducers: Dict[int, RowReducer] = {}
-    lazy = ambient.cartan_by_construction
     u, gens = None, dict(full)  # without u, every row generates
     if isinstance(ambient, FuluModule):
         u = {}
@@ -1092,8 +1080,7 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
                     u[n - 1] = BitMatrix(dims[n - 1], dims[n],
                                          tuple(1 << (g + i) for i in range(dims[n - 1])))
             elif below is not None:
-                if lazy:
-                    gens[n] = complement_rows(below, full[n])
+                gens[n] = complement_rows(below, full[n])
                 if not below.is_zero():
                     u[n - 1] = _express(full, reducers, n, below,
                                         f"{name}: u escapes the subspace at degree {n - 1}")
@@ -1101,35 +1088,36 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
     def action() -> Dict[Tuple[int, int], BitMatrix]:
         return _restricted_action(full, ambient, D, name, reducers)
 
-    if lazy:
-        _certify_on_u_generators(full, gens, ambient, D, name, reducers)
-    args = (name, D, dims, action if lazy else action(), labels)
+    _certify_on_generators(full, gens, ambient, D, name, reducers)
+    args = (name, D, dims, action, labels)
     mod = TruncatedModule(*args) if u is None else FuluModule(*args, u=u)
     return mod, ModuleMap(mod, ambient, full, D=D)
 
 
-def _certify_on_u_generators(full: Dict[int, BitMatrix], gens: Dict[int, BitMatrix],
-                             ambient: FuluModule, D: int, what: str,
-                             reducers: Dict[int, RowReducer]) -> None:
-    """Sq-stability of a u-stable graded span K of a scalar extension, read
-    on its u-generators; raises :class:`TheoryViolation` on an escape.
+def _certify_on_generators(full: Dict[int, BitMatrix], gens: Dict[int, BitMatrix],
+                           ambient: TruncatedModule, D: int, what: str,
+                           reducers: Dict[int, RowReducer]) -> None:
+    """Sq-stability of a graded span K of ``ambient``, u-stable when the
+    ambient carries u, read on its generators; raises
+    :class:`TheoryViolation` on an escape.
 
     ``gens[n]`` are rows of K^n that span it together with u K^{n-1}
-    (``submodule`` reads them off the rows or picks them with
-    ``f2core.complement_rows``), and each goes through Sq^{2^i} by the
-    ambient's row Cartan sum (``sq_rows``), so the ambient's action is not
-    built.
+    (every row of K^n when the ambient has no u), and each goes through
+    Sq^{2^i} by the ambient's ``sq_rows``, which on a scalar extension is
+    the row Cartan sum, so that ambient's action is not built.
 
-    Soundness: the ambient is an unstable module with
-    Sq^k(u x) = u Sq^k x + u^2 Sq^{k-1} x, and the Sq^{2^j} with j < i
-    generate every Sq^k with k < 2^i.  Suppose K is stable under them.
-    K^n is spanned by its generators and u K^{n-1}, and for y in K^{n-1},
+    Soundness, on a valid ambient: the Sq^{2^j} with j < i generate every
+    Sq^k with k < 2^i (Adem).  With no u, K is stable under Sq^{2^i} once
+    its rows are, and so under all of A.  With u, the ambient satisfies
+    Sq^k(u x) = u Sq^k x + u^2 Sq^{k-1} x, which ``FuluModule.validate``
+    checks.  Suppose K is stable under the Sq^{2^j} with j < i.  K^n is
+    spanned by its generators and u K^{n-1}, and for y in K^{n-1},
     Sq^{2^i}(u y) = u Sq^{2^i} y + u^2 Sq^{2^i - 1} y lies in K by
     induction on the degree, on i and by u-stability.  So K is stable
     under Sq^{2^i} once its generators are, and by induction on i, under
     all of A.  ``fulu.u_linear_verdict`` makes the same argument.  The
-    ambient is unstable, so Sq^k vanishes on degree n < k (the row Cartan
-    sum has no term there), and only k <= n is read.
+    ambient is unstable, so Sq^k vanishes on degree n < k, and only
+    k <= n is read.
     """
     for n in range(D + 1):
         k = 1

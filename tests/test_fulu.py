@@ -40,7 +40,6 @@ from usteen.unstable import (
     submodule,
     sym_lambda,
     tensor,
-    tensor_with_layout,
     unit_module,
 )
 
@@ -56,7 +55,6 @@ from reference import (
     Subquotient,
     taubar_subquotient,
     tensor_by_pairs,
-    tensor_row,
     u_on_quotient_by_solving,
     u_quotient_by_elimination,
     unit_rows,
@@ -98,6 +96,7 @@ def _extension_cases(D, tmp_path):
         mods += [suspend(polynomial_module(1, D - 1)), suspend(free_unstable(2, D - 1))]
     mods.append(tensor(free_unstable(1, D), free_unstable(1, D)))
     mods.append(t_apply(hv(2, D)).module)
+    mods.append(RealmCalculus(hv(2, D)).tbar.module)
     mods.append(RealmCalculus(realm_sum(hv(1, D), realm_suspend(hv(2, D), 1))).tbar.module)
     path = tmp_path / f"fixture_{D}.json"
     fixtures.save(tensor(free_unstable(1, D), polynomial_module(1, D)), path)
@@ -105,24 +104,37 @@ def _extension_cases(D, tmp_path):
     return mods
 
 
+def _without_unit_blocks(M, m, n, t):
+    """A matrix from degree n to degree t of F[u] (x) M restricted to the
+    blocks u^a with a >= 1, the last dims - M.dims vectors of each degree:
+    its rows after the u^0 block of degree n, shifted past the u^0 block of
+    degree t.  Sq and u never lower the u-power, so no bit is lost."""
+    rows = tuple(r >> M.dims[t] for r in m.row_ints()[M.dims[n]:])
+    return BitMatrix(len(rows), m.ncols - M.dims[t], rows)
+
+
 @pytest.mark.parametrize("D", range(13))
 def test_extend_scalars_matches_the_generic_tensor_product(D, tmp_path):
-    """The closed-form extension against the Cartan loop of ``tensor_with_layout``
-    on F[u] (x) M, with u acting on the left factor."""
+    """E = F[u] (x) M and bar, its positive-u part, against the per-pair
+    Cartan formula (``reference.tensor_by_pairs``) on F[u] (x) M, with u
+    acting on the left factor one basis pair at a time
+    (``reference.one_sided_u_by_pairs``): action, labels and u."""
     fu = fulu_algebra(D)
     for M in _extension_cases(D, tmp_path):
-        E = extend_scalars(M)
-        ref, layout = tensor_with_layout(fu, M)
-        assert (E.D, E.dims, E.action_items()) == (ref.D, ref.dims, ref.action_items()), M.name
-        assert E.labels == ref.labels and E.name == f"Fu(x){M.name}"
-        assert E.base is M
+        E, bar = extend_scalars(M), positive_u_part(M)
+        layout, action, labels = tensor_by_pairs(fu, M)
+        u = one_sided_u_by_pairs(fu, M, layout, left=True)
+        assert (E.D, E.dims, dict(E.action_items())) == (D, layout.table.dims, action), M.name
+        assert E.labels == labels and E.name == f"Fu(x){M.name}"
+        assert dict(E.u_items()) == {n: m for n, m in u.items() if not m.is_zero()}, M.name
+        assert E.base is M and bar.base is M
         assert [E.layout.blocks(n) for n in range(D + 1)] == [layout.blocks(n) for n in range(D + 1)]
-        for n in range(D):
-            want = [
-                tensor_row(layout, n + 1, a + 1, fu.u_mat(a).row_int(0), 1 << j)
-                for a, _, width in layout.blocks(n) for j in range(width)
-            ]
-            assert E.u_mat(n) == BitMatrix.from_row_ints(want, ref.dims[n + 1]), (M.name, n)
+        assert bar.dims == tuple(d - m for d, m in zip(E.dims, M.dims)), M.name
+        bar_sq = {(k, n): _without_unit_blocks(M, m, n, n + k) for (k, n), m in action.items()}
+        bar_u = {n: _without_unit_blocks(M, m, n, n + 1) for n, m in u.items()}
+        assert dict(bar.action_items()) == {key: m for key, m in bar_sq.items() if not m.is_zero()}
+        assert dict(bar.u_items()) == {n: m for n, m in bar_u.items() if not m.is_zero()}
+        assert bar.labels == tuple(ls[m:] for ls, m in zip(labels, M.dims))
 
 
 def _calculus_extensions(r, D):

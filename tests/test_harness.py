@@ -313,9 +313,12 @@ def test_module_compute_outputs_match_the_committed_oracle(capsys):
 
 
 def clear_caches():
-    """Forget the shared calculi and the shared H(V_r) modules."""
+    """Forget the shared calculi, the shared H(V_r) and F[u] modules and
+    the shared division data of T12 and T13."""
     harness._hv_calculus.cache_clear()
     lannes.hv_module.cache_clear()
+    fulu._u_powers.cache_clear()
+    harness._doubled_free_division.cache_clear()
 
 
 @pytest.fixture
@@ -387,12 +390,14 @@ def test_rank3_catalog_does_each_piece_of_realm_work_once(monkeypatch, fresh_cac
         return check(self)
 
     monkeypatch.setattr(RealmCalculus, "equalizer_verdict", equalizer_verdict_by(counting))
-    polys = record_calls(monkeypatch, unstable.polynomial_module, lambda r, D, *a, **k: (r, D))
+    polys = record_calls(monkeypatch, unstable.polynomial_module,
+                         lambda r, D, *a, name=None, **k: name or (r, D))
     extended = record_calls(monkeypatch, fulu.extend_scalars, lambda M: M.name)
     assert all(r.passed for r in run_all(D=8, max_rank=3, only=RANK3_CHECKS))
     ranks = range(1, 4)
     assert equalizers == {f"H(V{r})": 1 for r in ranks}
-    assert polys == {(r, 8): 1 for r in ranks}
+    # F[u], the left factor of every scalar extension, once
+    assert polys == {**{(r, 8): 1 for r in ranks}, "F[u]": 1}
     # each H(V_r) once, shared by taubar, the invariants and the squaring
     # span; each expansion once, for sigma and tau
     assert extended == {name: 1 for r in ranks for name in (f"H(V{r})", f"T[1](H(V{r}))")}
@@ -401,7 +406,8 @@ def test_rank3_catalog_does_each_piece_of_realm_work_once(monkeypatch, fresh_cac
 def test_t8_builds_no_kernel_of_alpha_and_no_div_and_t12_one_kernel(monkeypatch, fresh_caches):
     """T8 reads the division term's dims off alpha's ranks (``div_dims``);
     the kernel of alpha and its cokernel module ``div`` are built only when
-    read, and T12 reads the kernel once."""
+    read, and T12 reads the kernel once.  A whole catalog, where T13 reads
+    it too, takes it once: T12 and T13 share the division data."""
     kernels = record_calls(monkeypatch, unstable.kernel_of, lambda f: f.name)
     quotients = record_calls(monkeypatch, unstable.quotient, lambda M, bases, name: name)
     assert all(r.passed for r in run_all(D=8, max_rank=2, only=["T8"]))
@@ -409,6 +415,18 @@ def test_t8_builds_no_kernel_of_alpha_and_no_div_and_t12_one_kernel(monkeypatch,
     assert kernels  # the loop modules' kernels of Sq0 were counted
     assert run_check(make_spec("T12", D=8)).passed
     assert kernels["alpha"] == 1 and quotients["coker(alpha)"] == 0
+    kernels.clear()
+    assert all(r.passed for r in run_all(D=14, max_rank=2))
+    assert kernels["alpha"] == 1
+
+
+def test_t8_certifies_the_linearity_of_taubar_once_per_calculus(monkeypatch, fresh_caches):
+    """The linearity verdict of taubar is a property of the shared calculus:
+    two runs of T8 read one verdict per rank."""
+    verdicts = record_calls(monkeypatch, fulu.u_linear_verdict, lambda f: f.name)
+    for _ in range(2):
+        assert run_check(make_spec("T8", D=6, max_rank=2)).passed
+    assert verdicts == {"taubar": 2}
 
 
 def test_t7_t8_and_t11_build_one_loop_module_per_rank(monkeypatch, fresh_caches):
@@ -1049,6 +1067,8 @@ MUTATIONS = {
 def test_a_named_mutation_fails_its_check_with_its_witness(check, monkeypatch):
     mutate, witness = MUTATIONS[check]
     monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
+    monkeypatch.setattr(harness, "_doubled_free_division",
+                        harness._doubled_free_division.__wrapped__)
     spec = make_spec(check.split("-")[0], D=8, max_rank=2)
     assert run_check(spec).passed
     mutate(monkeypatch)

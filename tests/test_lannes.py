@@ -133,6 +133,7 @@ def test_realize_matches_the_composition_loop():
         t_apply(hv(2, 9)),
         t_apply(sum_x),
         t_apply(t_apply(hv(1, 8))),
+        realm_sum(realm_suspend(hv(1, 9), 2), realm_sum(hv(2, 9), realm_suspend(hv(0, 9), 3))),
         RealmCalculus(hv(3, 7)).tbar,
         RealmCalculus(sum_x).tbar,
     ]
@@ -1279,7 +1280,10 @@ def test_labels_are_built_on_first_read_and_match_the_eager_oracles(monkeypatch)
     checked = TruncatedModule._checked_labels
 
     def counting(self, labels):
-        built[self.name] += 1
+        # F[u] and uF[u], the left factors of the scalar extensions, are
+        # polynomial modules, built with their labels
+        if self.name not in ("F[u]", "uF[u]"):
+            built[self.name] += 1
         return checked(self, labels)
 
     monkeypatch.setattr(TruncatedModule, "_checked_labels", counting)

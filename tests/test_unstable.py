@@ -34,6 +34,7 @@ from usteen.unstable import (
     polynomial_module,
     quotient,
     sq0,
+    submodule,
     suspend,
     sym_lambda,
     tensor,
@@ -613,6 +614,22 @@ def test_restricted_action_names_the_lowest_escaping_degree():
     for restrict in (_restricted_action, restricted_action_by_degrees):
         with pytest.raises(TheoryViolation, match=r"^sub: Sq\^2 escapes the subspace at degree 2$"):
             restrict(bases, H, 6, "sub")
+
+
+def test_a_submodule_of_a_plain_module_is_certified_when_it_is_built():
+    """With no u every row generates, so a span that Sq^2 carries out of
+    itself, span{t^2, t^3} of H(Z/2), raises when the submodule is built,
+    not when its action is first read.  A closed span, the t^n with
+    n >= 2, builds its action only when read, and it is the restriction."""
+    H = polynomial_module(1, 6)
+    escaping = {n: BitMatrix.from_row_ints([1] if n in (2, 3) else [], 1) for n in range(7)}
+    with pytest.raises(TheoryViolation, match=r"^sub: Sq\^2 escapes the subspace at degree 2$"):
+        submodule(H, escaping, "sub")
+    closed = {n: BitMatrix.from_row_ints([1] if n >= 2 else [], 1) for n in range(7)}
+    sub, _ = submodule(H, closed, "sub")
+    assert callable(sub._act)
+    want = _restricted_action(closed, H, 6, "sub")
+    assert sub.action_items() == sorted((key, m) for key, m in want.items() if not m.is_zero())
 
 
 # -- loop functors ---------------------------------------------------------------
