@@ -8,7 +8,10 @@ those of ``unstable``, which carry u along with Sq.  This module holds what
 is particular to F[u]: scalar extension, the indecomposables Q(N),
 torsion, graded u-subspaces and the tensor product over F[u].
 
-On a scalar extension u is a shift: it moves every row of degree n by
+A scalar extension keeps its index bookkeeping in closed form: its dims
+are prefix sums of the base's, its u-blocks are placed by them, and
+constructing it builds no layout table and no second module.  On it u is
+a shift: it moves every row of degree n by
 dims[n + 1] - dims[n] bits, so products with u (``times_u``) build no
 matrix, and u as a matrix is built only when something reads ``u_mat``.
 Sq on rows of a scalar extension is the row Cartan sum ``sq_rows``, which
@@ -30,8 +33,10 @@ that are not stable under the squaring operations.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .f2core import (
@@ -52,20 +57,24 @@ from .unstable import (
     _sum_label,
     polynomial_module,
     quotient,
+    tensor_action,
+    tensor_labels,
     tensor_with_layout,
 )
 
 
 class ExtendedModule(FuluModule):
-    """Scalar extension of an unstable module, with index bookkeeping.
+    """Scalar extension of an unstable module, with closed-form bookkeeping.
 
-    It is the tensor product U (x) M of ``unstable.tensor_with_layout``,
-    with U the powers u^a with a >= ``start`` (``_u_powers``): F[u] at 0,
-    its positive-u part at 1.  E takes that product's action, labels and
-    ``TensorLayout`` as its own, each built on first read.  Basis vectors
-    are pairs (u-power a, basis element of the base in degree n - a),
-    blocks keyed by a and ordered by increasing a.  The u^a block of degree
-    n starts at dims[n] - dims[n - a + start], so u, which carries each u^a
+    It is the tensor product U (x) M, with U the powers u^a with
+    a >= ``start`` (``_u_powers``): F[u] at 0, its positive-u part at 1.
+    Basis vectors are pairs (u-power a, basis element of the base in degree
+    n - a), blocks keyed by a and ordered by increasing a.  So dims[n] is
+    the sum of the base's dims through degree n - start, and the u^a block
+    of degree n starts at dims[n] - dims[n - a + start] with width
+    base.dims[n - a]: ``blocks``, ``block``, ``index`` and ``decode`` (a
+    bisection on dims) are arithmetic on the dims, and constructing E
+    builds no layout and no second module.  u, which carries each u^a
     block onto the u^{a+1} block, moves every row of degree n by
     dims[n + 1] - dims[n] (``times_u``), and u as a matrix is read off that
     shift on unit rows.
@@ -74,29 +83,74 @@ class ExtendedModule(FuluModule):
     Sq^k(u^a (x) x) = sum_b C(a, b) u^{a+b} (x) Sq^{k-b} x, where C(a, b) is
     odd exactly when b is a bitwise submask of a (Lucas).  ``sq_rows``
     applies it to rows with no matrix of E, reading M only through M's own
-    ``sq_rows``.
+    ``sq_rows``.  The whole action and the labels are those of
+    ``unstable.tensor_with_layout(U, M)`` (``tensor_action`` and
+    ``tensor_labels``), built with its ``TensorLayout`` (``layout``) on
+    their first read.
     """
 
-    __slots__ = ("base", "layout", "start")
+    __slots__ = ("base", "start", "_layout")
 
     def __init__(self, base: TruncatedModule, start: int, name: str):
         D = base.D
-        plain, self.layout = tensor_with_layout(_u_powers(D, start), base)
         self.base = base
         self.start = start
-        super().__init__(name, D, plain.dims, plain._act, plain._labels, u=self._shift_u)
+        self._layout: Optional[TensorLayout] = None
+        dims = (0,) * start + tuple(accumulate(base.dims[: D + 1 - start]))
+        super().__init__(name, D, dims, self._tensor_action, self._tensor_labels,
+                         u=self._shift_u)
+
+    @property
+    def layout(self) -> TensorLayout:
+        """The ``TensorLayout`` of U (x) M, the basis order of the tensor
+        action, built on first read; its dims are E's."""
+        if self._layout is None:
+            D, s = self.D, self.start
+            self._layout = TensorLayout((0,) * s + (1,) * (D + 1 - s), self.base.dims, D)
+        return self._layout
+
+    def _tensor_action(self) -> Dict[Tuple[int, int], BitMatrix]:
+        return tensor_action(_u_powers(self.D, self.start), self.base, self.layout)
+
+    def _tensor_labels(self) -> List[Tuple[str, ...]]:
+        return tensor_labels(_u_powers(self.D, self.start), self.base, self.layout)
+
+    def blocks(self, n: int) -> Tuple[Tuple[int, int, int], ...]:
+        """Triples (a, offset, width) for the nonempty u^a blocks of degree
+        n, by increasing a."""
+        dims, widths, s = self.dims, self.base.dims, self.start
+        top = dims[n]
+        return tuple((a, top - dims[n - a + s], widths[n - a])
+                     for a in range(s, n + 1) if widths[n - a])
 
     def index(self, n: int, a: int, j: int) -> int:
-        """Flat index of u^a times the j-th base vector of degree n - a."""
-        return self.layout.table.offset(n, a) + j
+        """Flat index of u^a times the j-th base vector of degree n - a;
+        KeyError if the u^a block of degree n is empty."""
+        off, width = self.block(n, a)
+        if not width:
+            raise KeyError(f"{self.name}: no u^{a} block in degree {n}")
+        return off + j
 
     def block(self, n: int, a: int) -> Tuple[int, int]:
         """(offset, width) of the u^a block in degree n; (0, 0) if empty."""
-        return self.layout.table.block(n, a)
+        if self.start <= a <= n:
+            width = self.base.dims[n - a]
+            if width:
+                return self.dims[n] - self.dims[n - a + self.start], width
+        return 0, 0
 
     def decode(self, n: int, flat: int) -> Tuple[int, int]:
-        """Inverse of ``index``: flat position -> (u-power, base index)."""
-        return self.layout.table.decode(n, flat)
+        """Inverse of ``index``: flat position -> (u-power, base index).
+
+        The u^a block of degree n holds the positions whose distance g from
+        the end of the degree, dims[n] - flat, has
+        dims[m - 1] < g <= dims[m] for m = n - a + start; m is a bisection."""
+        dims = self.dims
+        if not 0 <= flat < dims[n]:
+            raise IndexError(f"flat index {flat} not in degree {n}")
+        g = dims[n] - flat
+        m = bisect_left(dims, g, 0, n)
+        return n - m + self.start, dims[m] - g
 
     def eps_mat(self, n: int) -> BitMatrix:
         """Augmentation: kill positive u-powers, keep the u^0 coefficients."""
@@ -155,7 +209,7 @@ class ExtendedModule(FuluModule):
         u^{a+b} block of degree n + k) over the b with C(a, b) odd, where
         j = k - b <= q is the square on M^q; j = 0 is the identity."""
         dims, start = self.dims, self.start
-        for a, off, width in self.layout.blocks(n):
+        for a, off, width in self.blocks(n):
             q = n - a
             terms = [(k - b, dims[n + k] - dims[q + k - b + start])
                      for b in range(max(0, k - q), min(k, a) + 1) if b & a == b]
@@ -169,8 +223,9 @@ class ExtendedModule(FuluModule):
 @lru_cache(maxsize=None)
 def _u_powers(D: int, start: int) -> TruncatedModule:
     """The powers u^a with a >= ``start`` through degree D: F[u] at start 0,
-    its positive-u part at start 1, built once per (D, start) and shared by
-    every scalar extension as its left factor."""
+    its positive-u part at start 1, built once per (D, start), on the first
+    read of a scalar extension's action or labels, and shared by every
+    scalar extension as its left factor."""
     if not start:
         return polynomial_module(1, D, varnames=("u",), name="F[u]")
     U = _u_powers(D, 0)
@@ -240,7 +295,7 @@ class ULinearMap(ModuleMap):
         got = self._mats.get(n)
         if got is None:
             tgt, rows = self.target, []
-            for a, _, _ in self.source.layout.blocks(n):
+            for a, _, _ in self.source.blocks(n):
                 shift = tgt.dims[n] - tgt.dims[n - a]
                 rows.extend(r << shift for r in self.layer[n - a])
             got = self._mats[n] = BitMatrix.from_row_ints(rows, tgt.dims[n])

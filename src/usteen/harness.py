@@ -287,7 +287,7 @@ def _check_t7(params):
     qp = q_of_map(factor, q_e, q_c1)
     M = X.module
     ft = calc.omega  # shared with T8 and T11
-    phi_dims = [phi(M).dim(n) for n in range(D + 1)]
+    phi_dims = list(phi(M).dims[: D + 1])  # the doubled base, built once
     _need_true(
         [q_ker.target.dim(n) for n in range(D + 1)] == phi_dims,
         "indecomposables of the kernel are not the doubled base",

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2core import BitMatrix, Subspace, column_runs, image_is_kernel, left_kernel, rref
+from .f2core import BitMatrix, Subspace, image_is_kernel, left_kernel, rref
 from .fulu import (
     ExtendedModule,
     GradedSubspace,
@@ -314,7 +314,7 @@ def _certify_kernel_span(E: ExtendedModule, rows: Sequence[BitMatrix], gens: Seq
                                           f"{_sum_label(E.labels[d], row)} in degree {d}")
         pivots = {(row & -row).bit_length() - 1 for row in m._rows}
         seen: Dict[int, int] = {}
-        for a, off, width in E.layout.blocks(d):
+        for a, off, width in E.blocks(d):
             # column c of map i in the stack is c * n + i
             starts = [(f.target.dims[d] - f.target.dims[d - a]) * n + i for i, f in enumerate(maps)]
             layer_lows = [f_lows[d - a] for f_lows in lows]
@@ -435,19 +435,33 @@ class RealmCalculus:
     @cached_property
     def _bar_runs(self) -> List[tuple]:
         """The columns of F[u] (x) TX that bar keeps (the positive u-powers
-        of the reduced components), in bar's order, as ``column_runs`` per
-        degree."""
+        of the reduced components), in bar's order, as runs (start, mask,
+        destination) per degree, the form of ``f2core.column_runs``.
+
+        Bar's order is u-power, then reduced component, then monomial, so
+        each nonempty (u^a, component) block is one run: its monomials are
+        consecutive columns of the u^a block of F[u] (x) TX, which starts
+        at ETX.dims[d] - ETX.dims[d - a].  A block that starts where the
+        previous one ends extends that run, so the runs are maximal."""
         reduced = [self.TX.comp_pos[comp] for comp in self.tbar.components]
-        table = self.TX.table
+        table, dims = self.TX.table, self.ETX.dims
         runs = []
         for d in range(self.D + 1):
-            cols = []  # bar's order: u-power, then reduced component, then monomial
+            out: List[list] = []  # [start, width, destination], widened in place
+            dest = 0
             for a in range(1, d + 1):
-                start = self.ETX.block(d, a)[0]
+                u_block = dims[d] - dims[d - a]
                 for c in reduced:
                     off, width = table.block(d - a, c)
-                    cols.extend(range(start + off, start + off + width))
-            runs.append(column_runs(cols))
+                    if not width:
+                        continue
+                    start = u_block + off
+                    if out and out[-1][0] + out[-1][1] == start:
+                        out[-1][1] += width
+                    else:
+                        out.append([start, width, dest])
+                    dest += width
+            runs.append(tuple((start, (1 << width) - 1, at) for start, width, at in out))
         return runs
 
     @cached_property

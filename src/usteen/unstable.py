@@ -904,39 +904,46 @@ def tensor_with_layout(M: TruncatedModule, N: TruncatedModule) -> Tuple[Truncate
     degree p vanishes for a > p (instability), so only the nonzero Sq^a of
     M^p (Sq^0 included) are paired with the nonzero Sq^b of N^q, each pair
     one block of Kronecker rows (``TensorLayout.kron_rows``).  The action
-    and the labels are built on first read.
+    (``tensor_action``) and the labels (``tensor_labels``) are built on
+    first read.
     """
     D = min(M.D, N.D)
     layout = TensorLayout(M.dims[: D + 1], N.dims[: D + 1], D)
-    dims = layout.table.dims
-
-    def labels() -> List[Tuple[str, ...]]:
-        ml, nl = M.labels, N.labels
-        return [
-            tuple(f"[{x}|{y}]" for p, _, _ in layout.blocks(n) for x in ml[p] for y in nl[n - p])
-            for n in range(D + 1)
-        ]
-
-    def action() -> Dict[Tuple[int, int], BitMatrix]:
-        left, right = _squares_by_degree(M, D), _squares_by_degree(N, D)
-        acc: Dict[Tuple[int, int], List[int]] = {}
-        for n in range(D + 1):
-            for p, off, width in layout.blocks(n):
-                for a, ma in left[p]:
-                    for b, nb in right[n - p]:
-                        k = a + b
-                        if k == 0 or n + k > D:
-                            continue
-                        rows = acc.get((k, n))
-                        if rows is None:
-                            rows = acc[(k, n)] = [0] * dims[n]
-                        block = layout.kron_rows(n + k, p + a, ma, nb)
-                        rows[off:off + width] = map(xor, rows[off:off + width], block)
-        return {(k, n): BitMatrix(dims[n], dims[n + k], tuple(rows))
-                for (k, n), rows in acc.items()}
-
-    mod = TruncatedModule(f"{M.name}(x){N.name}", D, dims, action, labels)
+    mod = TruncatedModule(f"{M.name}(x){N.name}", D, layout.table.dims,
+                          lambda: tensor_action(M, N, layout), lambda: tensor_labels(M, N, layout))
     return mod, layout
+
+
+def tensor_labels(M: TruncatedModule, N: TruncatedModule,
+                  layout: TensorLayout) -> List[Tuple[str, ...]]:
+    """The labels [x|y] of M (x) N, by degree, in the order of ``layout``."""
+    ml, nl = M.labels, N.labels
+    return [
+        tuple(f"[{x}|{y}]" for p, _, _ in layout.blocks(n) for x in ml[p] for y in nl[n - p])
+        for n in range(layout.D + 1)
+    ]
+
+
+def tensor_action(M: TruncatedModule, N: TruncatedModule,
+                  layout: TensorLayout) -> Dict[Tuple[int, int], BitMatrix]:
+    """The Cartan-formula action of M (x) N on the basis of ``layout``."""
+    D, dims = layout.D, layout.table.dims
+    left, right = _squares_by_degree(M, D), _squares_by_degree(N, D)
+    acc: Dict[Tuple[int, int], List[int]] = {}
+    for n in range(D + 1):
+        for p, off, width in layout.blocks(n):
+            for a, ma in left[p]:
+                for b, nb in right[n - p]:
+                    k = a + b
+                    if k == 0 or n + k > D:
+                        continue
+                    rows = acc.get((k, n))
+                    if rows is None:
+                        rows = acc[(k, n)] = [0] * dims[n]
+                    block = layout.kron_rows(n + k, p + a, ma, nb)
+                    rows[off:off + width] = map(xor, rows[off:off + width], block)
+    return {(k, n): BitMatrix(dims[n], dims[n + k], tuple(rows))
+            for (k, n), rows in acc.items()}
 
 
 def tensor(M: TruncatedModule, N: TruncatedModule) -> TruncatedModule:
@@ -1013,7 +1020,8 @@ def _express(bases: Dict[int, BitMatrix], reducers: Dict[int, RowReducer], n: in
 
 def _restricted_action(bases: Dict[int, BitMatrix], ambient: TruncatedModule,
                        D: int, what: str,
-                       reducers: Optional[Dict[int, RowReducer]] = None
+                       reducers: Optional[Dict[int, RowReducer]] = None,
+                       known: Optional[Dict[Tuple[int, int], BitMatrix]] = None
                        ) -> Dict[Tuple[int, int], BitMatrix]:
     """Action induced on a graded collection of row-subspaces of ``ambient``.
 
@@ -1021,15 +1029,21 @@ def _restricted_action(bases: Dict[int, BitMatrix], ambient: TruncatedModule,
     zero matrix lie in every subspace and induce the zero matrix, which is
     not stored.  They are read by degree, so an escape names the lowest
     degree.  Each target degree's basis is eliminated once, on first use,
-    into ``reducers``, which a caller may share.
+    into ``reducers``, which a caller may share.  ``known`` holds matrices
+    of the induced action already expressed (a certificate's, on every
+    row), which are taken as they are.
     """
     reducers = {} if reducers is None else reducers
+    known = {} if known is None else known
     action: Dict[Tuple[int, int], BitMatrix] = {}
     for (i, n), sq in sorted(ambient.action_items(), key=lambda item: item[0][1]):
         if n + i > D or bases[n].nrows == 0:
             continue
-        action[(i, n)] = _express(bases, reducers, n + i, bases[n] @ sq,
-                                  f"{what}: Sq^{i} escapes the subspace at degree {n}")
+        got = known.get((i, n))
+        if got is None:
+            got = _express(bases, reducers, n + i, bases[n] @ sq,
+                           f"{what}: Sq^{i} escapes the subspace at degree {n}")
+        action[(i, n)] = got
     return action
 
 
@@ -1054,6 +1068,9 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
     Sq-stability is then certified at once on the generators
     (``_certify_on_generators``), and the induced action and the labels
     are built on first read, the action with the full escape check.
+    Without u the generators are every row, so the certificate's
+    coefficients are matrices of the action, which takes them as they
+    are: each Sq^k on each degree is formed once.
     """
     D = ambient.D if D is None else D
     full = {n: bases.get(n, BitMatrix.zeros(0, ambient.dims[n])) for n in range(D + 1)}
@@ -1085,10 +1102,12 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
                     u[n - 1] = _express(full, reducers, n, below,
                                         f"{name}: u escapes the subspace at degree {n - 1}")
 
-    def action() -> Dict[Tuple[int, int], BitMatrix]:
-        return _restricted_action(full, ambient, D, name, reducers)
+    expressed = _certify_on_generators(full, gens, ambient, D, name, reducers)
+    known = expressed if u is None else None  # every row generates: the action's matrices
 
-    _certify_on_generators(full, gens, ambient, D, name, reducers)
+    def action() -> Dict[Tuple[int, int], BitMatrix]:
+        return _restricted_action(full, ambient, D, name, reducers, known)
+
     args = (name, D, dims, action, labels)
     mod = TruncatedModule(*args) if u is None else FuluModule(*args, u=u)
     return mod, ModuleMap(mod, ambient, full, D=D)
@@ -1096,10 +1115,12 @@ def submodule(ambient: TruncatedModule, bases: Dict[int, BitMatrix], name: str,
 
 def _certify_on_generators(full: Dict[int, BitMatrix], gens: Dict[int, BitMatrix],
                            ambient: TruncatedModule, D: int, what: str,
-                           reducers: Dict[int, RowReducer]) -> None:
+                           reducers: Dict[int, RowReducer]
+                           ) -> Dict[Tuple[int, int], BitMatrix]:
     """Sq-stability of a graded span K of ``ambient``, u-stable when the
     ambient carries u, read on its generators; raises
-    :class:`TheoryViolation` on an escape.
+    :class:`TheoryViolation` on an escape, and returns the coefficients of
+    Sq^k of the generators of degree n in the rows of K, keyed (k, n).
 
     ``gens[n]`` are rows of K^n that span it together with u K^{n-1}
     (every row of K^n when the ambient has no u), and each goes through
@@ -1119,12 +1140,14 @@ def _certify_on_generators(full: Dict[int, BitMatrix], gens: Dict[int, BitMatrix
     ambient is unstable, so Sq^k vanishes on degree n < k, and only
     k <= n is read.
     """
+    expressed: Dict[Tuple[int, int], BitMatrix] = {}
     for n in range(D + 1):
         k = 1
         while gens[n].nrows and k <= min(n, D - n):
-            _express(full, reducers, n + k, ambient.sq_rows(k, n, gens[n]),
-                     f"{what}: Sq^{k} escapes the subspace at degree {n}")
+            expressed[(k, n)] = _express(full, reducers, n + k, ambient.sq_rows(k, n, gens[n]),
+                                         f"{what}: Sq^{k} escapes the subspace at degree {n}")
             k *= 2
+    return expressed
 
 
 class Quotient(ModuleMap):

@@ -10,7 +10,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from usteen import _gf2py, steenrod
-from usteen.f2core import BitMatrix, Subspace, express_in_rowspace, left_kernel, rref
+from usteen.f2core import BitMatrix, Subspace, column_runs, express_in_rowspace, left_kernel, rref
 from usteen.fulu import ULinearMap
 from usteen.unstable import (
     FuluModule,
@@ -460,6 +460,25 @@ def mutant_tau(calc, drop) -> ModuleMap:
     for c in drop:
         layer[0][0] ^= 1 << calc.ETX.index(0, 0, calc.TX.index(0, c, unit))
     return ULinearMap(calc.E, calc.ETX, layer, name="tau")
+
+
+def bar_runs_by_columns(calc) -> List[tuple]:
+    """The columns of F[u] (x) TX that bar keeps, listed one by one in
+    bar's order (u-power, then reduced component, then monomial) and
+    grouped by ``column_runs``; the oracle of ``RealmCalculus._bar_runs``.
+    The u^a blocks are placed by the ``TensorLayout`` of F[u] (x) TX."""
+    reduced = [calc.TX.comp_pos[comp] for comp in calc.tbar.components]
+    table, layout = calc.TX.table, calc.ETX.layout.table
+    runs = []
+    for d in range(calc.D + 1):
+        cols = []
+        for a in range(1, d + 1):
+            start = layout.block(d, a)[0]
+            for c in reduced:
+                off, width = table.block(d - a, c)
+                cols.extend(range(start + off, start + off + width))
+        runs.append(column_runs(cols))
+    return runs
 
 
 def compositions_submask(a: Tuple[int, ...], k: int) -> List[Tuple[int, ...]]:

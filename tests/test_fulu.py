@@ -27,6 +27,7 @@ from usteen.singer import product_mu, r1, rho1
 from usteen.unstable import (
     FuluModule,
     ModuleMap,
+    TensorLayout,
     TheoryViolation,
     TruncationError,
     Verdict,
@@ -34,12 +35,14 @@ from usteen.unstable import (
     free_unstable,
     map_from_free,
     omega,
+    phi,
     polynomial_module,
     quotient,
     suspend,
     submodule,
     sym_lambda,
     tensor,
+    truncate,
     unit_module,
 )
 
@@ -128,13 +131,60 @@ def test_extend_scalars_matches_the_generic_tensor_product(D, tmp_path):
         assert E.labels == labels and E.name == f"Fu(x){M.name}"
         assert dict(E.u_items()) == {n: m for n, m in u.items() if not m.is_zero()}, M.name
         assert E.base is M and bar.base is M
-        assert [E.layout.blocks(n) for n in range(D + 1)] == [layout.blocks(n) for n in range(D + 1)]
+        assert [E.blocks(n) for n in range(D + 1)] == [layout.blocks(n) for n in range(D + 1)]
+        assert E.layout.table.dims == E.dims
         assert bar.dims == tuple(d - m for d, m in zip(E.dims, M.dims)), M.name
         bar_sq = {(k, n): _without_unit_blocks(M, m, n, n + k) for (k, n), m in action.items()}
         bar_u = {n: _without_unit_blocks(M, m, n, n + 1) for n, m in u.items()}
         assert dict(bar.action_items()) == {key: m for key, m in bar_sq.items() if not m.is_zero()}
         assert dict(bar.u_items()) == {n: m for n, m in bar_u.items() if not m.is_zero()}
         assert bar.labels == tuple(ls[m:] for ls, m in zip(labels, M.dims))
+
+
+def _bookkeeping_bases(D):
+    """Bases with empty degrees: the unit module, suspensions, Ph(F(1)) and
+    the reduced expansion of H(V2), all truncated at D."""
+    mods = [unit_module(D), polynomial_module(1, D), truncate(phi(free_unstable(1, D)), D)]
+    if D >= 1:
+        mods.append(suspend(polynomial_module(1, D - 1)))
+    if D >= 3:
+        mods.append(suspend(suspend(suspend(unit_module(D - 3)))))
+    mods.append(RealmCalculus(hv(2, D)).tbar.module)
+    return mods
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("D", [0, 1, 2, 5, 9, 14])
+def test_closed_form_bookkeeping_matches_a_tensor_layout(D, start):
+    """E's dims, ``blocks``, ``block``, ``index`` and ``decode``, arithmetic on
+    the dims, against the ``TensorLayout`` of U (x) M, U the powers u^a with
+    a >= start of F[u]; ``index`` refuses an empty block, as the layout's
+    ``offset`` does, and reading them builds no layout."""
+    U = fulu_algebra(D)
+    left = (0,) * start + U.dims[start:]
+    for M in _bookkeeping_bases(D):
+        E = (extend_scalars, positive_u_part)[start](M)
+        assert E.start == start
+        layout = TensorLayout(left, M.dims, D)
+        table = layout.table
+        assert E.dims == table.dims, M.name
+        for n in range(D + 1):
+            assert E.blocks(n) == layout.blocks(n), (M.name, n)
+            for a in range(-1, n + 2):
+                assert E.block(n, a) == table.block(n, a), (M.name, n, a)
+                if not table.block(n, a)[1]:
+                    with pytest.raises(KeyError):
+                        E.index(n, a, 0)
+            for a, _, width in layout.blocks(n):
+                assert [E.index(n, a, j) for j in range(width)] == [
+                    layout.index(n, a, 0, j) for j in range(width)], (M.name, n, a)
+            assert [E.decode(n, f) for f in range(E.dims[n])] == [
+                table.decode(n, f) for f in range(table.dims[n])], (M.name, n)
+            for flat in (-1, E.dims[n]):
+                with pytest.raises(IndexError):
+                    E.decode(n, flat)
+        assert E._layout is None, M.name
+        assert E.layout.blocks(D) == layout.blocks(D) and E.layout.table.dims == E.dims
 
 
 def _calculus_extensions(r, D):
@@ -303,7 +353,7 @@ def test_saturation_of_extension_of_submodule():
     rows = {}
     for n in range(9):
         picked = []
-        for a, off, _ in E.layout.blocks(n):
+        for a, off, _ in E.blocks(n):
             if n - a >= 1:
                 picked.extend(1 << (off + j) for j in range(H.dim(n - a)))
         rows[n] = picked
@@ -331,7 +381,7 @@ def test_saturated_implies_quotient_torsion_free():
     rows = {}
     for n in range(9):
         picked = []
-        for a, off, _ in E.layout.blocks(n):
+        for a, off, _ in E.blocks(n):
             if n - a >= 2:
                 picked.extend(1 << (off + j) for j in range(H.dim(n - a)))
         rows[n] = picked

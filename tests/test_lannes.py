@@ -58,6 +58,7 @@ from usteen.unstable import (
 )
 
 from reference import (
+    bar_runs_by_columns,
     coker_data,
     concat_cols,
     compositions_submask,
@@ -529,12 +530,12 @@ def test_block_layouts_round_trip():
         assert flats == list(range(T.dims[n]))
 
     E = extend_scalars(H2)
-    _assert_tiles(E.layout.table, E.dims)
+    _assert_tiles(E, E.dims)
     for n in range(D + 1):
-        flats = [E.index(n, a, j) for a, _, w in E.layout.blocks(n) for j in range(w)]
+        flats = [E.index(n, a, j) for a, _, w in E.blocks(n) for j in range(w)]
         assert flats == list(range(E.dim(n)))
         assert [E.decode(n, f) for f in flats] == [
-            (a, j) for a, _, w in E.layout.blocks(n) for j in range(w)
+            (a, j) for a, _, w in E.blocks(n) for j in range(w)
         ]
         assert E.block(n, n + 1) == (0, 0)
 
@@ -552,13 +553,27 @@ def test_block_layouts_round_trip():
     assert calc.tbar.components == [c for c in calc.TX.components if c[1] != 0]
 
 
+@pytest.mark.parametrize("X", [hv(1, 0), hv(1, 12), hv(2, 9), hv(3, 6),
+                               realm_suspend(hv(1, 10), 2),
+                               realm_sum(hv(1, 8), realm_suspend(hv(2, 8), 1))],
+                         ids=lambda X: f"{X.name}-D{X.D}")
+def test_bar_runs_match_the_per_column_oracle(X):
+    """The runs of bar's columns, one per (u-power, reduced component)
+    block with adjacent blocks merged, are the ``column_runs`` of bar's
+    columns listed one by one (``reference.bar_runs_by_columns``)."""
+    calc = RealmCalculus(X)
+    assert calc._bar_runs == bar_runs_by_columns(calc)
+    widths = [sum(mask.bit_length() for _, mask, _ in runs) for runs in calc._bar_runs]
+    assert widths == list(calc.bar.dims)
+
+
 # -- per-monomial references for the maps built from component matrices ------
 
 
 def _extended_entries(E, X, n):
     """The degree-n basis of E, the scalar extension of X's module, as
     (u-power, summand, monomial) triples in flat order."""
-    return [(a, j, mono) for a, _, _ in E.layout.blocks(n) for j, mono in X.entries(n - a)]
+    return [(a, j, mono) for a, _, _ in E.blocks(n) for j, mono in X.entries(n - a)]
 
 
 def diag_by_monomials(calc):
@@ -1242,6 +1257,49 @@ def test_compute_builds_no_extension_action_and_no_matrix_of_tau(argv, monkeypat
     assert [name for name in actions if name.startswith(("Fu(x)", "ker(", "Inv("))] == []
     # tau and sigma are read on their u^0 layers only
     assert reads["tau"] == reads["sigma"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "rtilde", "--module", "HV2"],
+    ["compute", "fix", "--module", "S1HV1"],
+    ["compute", "invariants", "--rank", "2"],
+    ["compute", "r1", "--module", "HV2"],
+])
+def test_a_compute_request_builds_one_module_and_no_layout_per_extension(argv, monkeypatch,
+                                                                         capsys):
+    """Constructing F[u] (x) M builds one module, itself, and no
+    ``TensorLayout``, so no ``BlockLayout``: its bookkeeping is arithmetic
+    on its dims.  F[u] and an extension's layout are built only when its
+    action or labels are read, which no compute request does; F[u] is then
+    built once and shared."""
+    fulu._u_powers.cache_clear()
+    built, actions = count_builds(monkeypatch)
+    layouts, extensions = Counter(), []
+    make_layout, extend = unstable.TensorLayout.__init__, fulu.ExtendedModule.__init__
+
+    def counting_layout(self, *args):
+        layouts["TensorLayout"] += 1
+        make_layout(self, *args)
+
+    def recording(self, *args):
+        extend(self, *args)
+        extensions.append(self)
+
+    monkeypatch.setattr(unstable.TensorLayout, "__init__", counting_layout)
+    monkeypatch.setattr(fulu.ExtendedModule, "__init__", recording)
+    assert cli.main(argv + ["--max-degree", "8", "--format", "json"]) == 0
+    capsys.readouterr()
+    names = [E.name for E in extensions]
+    assert names and all(built[name] == 1 for name in names), built
+    assert [name for name in built if "F[u]" in name] == []
+    assert not layouts and all(E._layout is None for E in extensions)
+    assert all(callable(E._act) and callable(E._labels) for E in extensions)
+    extensions[0].sq(1, 1)
+    assert built["F[u]"] == 1 and layouts["TensorLayout"] == 1
+    for E in extensions:
+        E.labels
+    assert built["F[u]"] == 1 and layouts["TensorLayout"] == len(extensions)
+    fulu._u_powers.cache_clear()
 
 
 def test_taubar_parts_are_built_once_on_first_read(monkeypatch):

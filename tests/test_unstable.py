@@ -632,6 +632,33 @@ def test_a_submodule_of_a_plain_module_is_certified_when_it_is_built():
     assert sub.action_items() == sorted((key, m) for key, m in want.items() if not m.is_zero())
 
 
+def test_a_plain_submodule_expresses_each_square_once(monkeypatch):
+    """With no u every row generates, so the certificate expresses Sq^{2^i}
+    of every row, and the action, read at once (``desuspend`` reads
+    omega's kernel of Sq0; ``map_from_free`` reads the symmetric
+    invariants), takes those coefficients: each (k, n) of each submodule
+    is formed and expressed once.  The reduced modules have a zero kernel
+    of Sq0; the suspensions do not."""
+    calls, reducers = Counter(), []
+    express = unstable._express
+
+    def counting(bases, reds, n, vecs, escape):
+        if not any(r is reds for r in reducers):
+            reducers.append(reds)  # one per submodule, kept alive so ids stay distinct
+        calls[(id(reds), escape)] += 1
+        return express(bases, reds, n, vecs, escape)
+
+    monkeypatch.setattr(unstable, "_express", counting)
+    for M in (polynomial_module(2, 14), polynomial_module(3, 10), phi(free_unstable(1, 7)),
+              suspend(polynomial_module(1, 13)), suspend(polynomial_module(2, 11))):
+        assert omega(M).verify().ok
+    sym_lambda(14).lambda2.action_items()
+    assert {key: n for key, n in calls.items() if n > 1} == {}
+    assert len(reducers) == 4
+    assert {escape.split(": ")[0] for _, escape in calls if "Sq^" in escape} == {
+        "ker(Sq0_S(H(Z/2)))", "ker(Sq0_S(H(V2)))", "ker(f)", "ker(diag)"}
+
+
 # -- loop functors ---------------------------------------------------------------
 
 
