@@ -132,11 +132,6 @@ class BitMatrix:
             rows.append(v)
         return BitMatrix(self.nrows, width, tuple(rows))
 
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
-        return BitMatrix(self.nrows + other.nrows, self.ncols, self._rows + other._rows)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "BitMatrix") -> "BitMatrix":
@@ -195,6 +190,16 @@ def rref(m: BitMatrix) -> RrefResult:
     pivots = _kernel.rref_inplace(work, m.nrows, m.ncols, m.ncols)
     m._rank = len(pivots)
     return RrefResult(BitMatrix(m.nrows, m.ncols, tuple(work)), len(pivots), tuple(pivots))
+
+
+def rref_basis(rows: Sequence[int], width: int) -> BitMatrix:
+    """The canonical rref basis of the span of int rows below ``2 ** width``,
+    by one ``rref_inplace``, with its rank recorded."""
+    work = list(rows)
+    pivots = _kernel.rref_inplace(work, len(work), width, width)
+    basis = BitMatrix(len(pivots), width, tuple(work[:len(pivots)]))
+    basis._rank = len(pivots)
+    return basis
 
 
 def _echelon(rows: Iterable[int], width: int) -> list:
@@ -402,11 +407,10 @@ class Subspace:
     def from_rows(cls, rows: BitMatrix) -> "Subspace":
         """The row space of ``rows``; its rref is canonical, so ``__init__``'s
         check of a basis from outside is not run again."""
-        res = rref(rows)
         sp = cls.__new__(cls)
         sp.ambient_dim = rows.ncols
-        sp.basis = BitMatrix(res.rank, rows.ncols, res.matrix._rows[:res.rank])
-        sp.basis._rank = res.rank
+        sp.basis = rref_basis(rows._rows, rows.ncols)
+        rows._rank = sp.basis.nrows
         return sp
 
     @classmethod

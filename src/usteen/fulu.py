@@ -18,11 +18,16 @@ Sq on rows of a scalar extension is the row Cartan sum ``sq_rows``, which
 reads only the base's rows under Sq; ``unstable.submodule`` certifies a
 u-submodule of a scalar extension through it, on its u-generators, so
 ker(taubar) and the invariant ring build no action.  The shift also gives
-graded u-subspaces of a scalar extension their closed forms: an unseeded degree
-of ``GradedSubspace.from_vectors`` and the preimage of ``saturation_check``
-are shifted rref bases, with no elimination.  Every quotient here is the
-one projection operator of ``unstable.quotient``, read off canonical rref
-bases: N/X for a graded u-subspace X, N/uN (``q_data``, a mask on a scalar
+graded u-subspaces of a scalar extension their closed forms on int rows:
+an unseeded degree of ``GradedSubspace.from_vectors`` and the preimage of
+``saturation_check`` are shifted rref bases, with no elimination, a seeded
+degree is one elimination of the shifted basis and then the seeds, and
+``generator_space`` files the shifted basis and X^n in one lead table.
+The u-module generated by some seeds is spanned by the u^j times them, so
+u^k times it is spanned by the u^j times the u^k-shifted seeds: a u-power
+shift of a seeded span is one ``from_vectors`` on the shifted seeds.
+Every quotient here is the one projection operator of
+``unstable.quotient``, read off canonical rref bases: N/X for a graded u-subspace X, N/uN (``q_data``, a mask on a scalar
 extension) and Q of N/X, which is Q(N) modulo the rows of X that pivot in
 the lowest u-block (``q_of_quotient``).
 
@@ -39,13 +44,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .f2core import (
-    BitMatrix,
-    Subspace,
-    complement_rows,
-    left_kernel,
-    rank,
-)
+from .f2core import BitMatrix, Subspace, _file_rows, left_kernel, rank, rref_basis
 from .unstable import (
     FuluModule,
     ModuleMap,
@@ -466,24 +465,33 @@ class GradedSubspace:
     def from_vectors(cls, ambient: FuluModule, seeds: Dict[int, Sequence[int]]) -> "GradedSubspace":
         """The u-submodule generated by int-packed seed vectors.
 
-        Degree by degree the seeds and u times the previous degree are
-        eliminated once; the results are canonical and closed under u.  On
-        a scalar extension u is an injective shift, which carries a
-        canonical basis to a canonical basis, so a degree without seeds
-        takes u times the previous basis as it is.
+        Degree by degree u times the previous basis and the seeds are
+        eliminated once (``rref_basis``); the results are canonical and
+        closed under u.  On a scalar extension u is an injective shift,
+        which carries a canonical basis to a canonical basis: a degree
+        without seeds takes the shifted rows as they are, and in a seeded
+        degree they go first, so the one elimination files them with no
+        reduction and reduces only the seeds against them.
         """
         _check_degrees(ambient, seeds, "seed")
         shifts = isinstance(ambient, ExtendedModule)
         bases: Dict[int, BitMatrix] = {}
+        image: Sequence[int] = ()
         for n in range(ambient.D + 1):
-            seed = seeds.get(n)
-            if n > 0 and shifts and not seed:
-                bases[n] = ambient.times_u(n - 1, bases[n - 1])
-                continue
-            mat = BitMatrix.from_row_ints(seed or (), ambient.dim(n))
-            if n > 0:
-                mat = mat.stack(ambient.times_u(n - 1, bases[n - 1]))
-            bases[n] = Subspace.from_rows(mat).basis
+            width = ambient.dim(n)
+            if n and shifts:
+                s = width - ambient.dim(n - 1)
+                image = [r << s for r in bases[n - 1].row_ints()]
+            elif n:
+                image = ambient.times_u(n - 1, bases[n - 1]).row_ints()
+            seed = seeds.get(n, ())
+            if any(v < 0 or v >> width for v in seed):
+                raise ValueError(f"seed out of range for {width} columns in degree {n}")
+            if seed or not shifts:
+                bases[n] = rref_basis([*image, *seed], width)
+            else:
+                bases[n] = BitMatrix(len(image), width, tuple(image))
+                bases[n]._rank = len(image)
         X = cls.__new__(cls)  # the bases are canonical and closed under u as built
         X.ambient, X.bases = ambient, bases
         return X
@@ -568,11 +576,16 @@ def generator_space(X: GradedSubspace) -> GeneratorSpace:
     """A deterministic graded generator space (a lift of the u-indecomposables).
 
     In each degree, the rows of X^n are walked in order and a row is picked
-    when it lies outside u X^{n-1} plus the rows picked before it.  The
-    injectivity verdict tests the composite with the augmentation; the
-    ambient must be a scalar extension so the augmentation is available.
-    The augmentation keeps the u^0 block, which comes first, so it is a
-    selection of the first columns.
+    when it lies outside u X^{n-1} plus the rows picked before it: one lead
+    table is filled with u X^{n-1}, the shifted rows of X^{n-1}, and then
+    with the rows of X^n (``_file_rows``).  The injectivity verdict tests
+    the composite with the augmentation; the ambient must be a scalar
+    extension so the augmentation is available.  It keeps the u^0 block,
+    which comes first, so it is a mask of the low bits, and its rank is one
+    forward pass.  Both stay a complement and a rank of the picked rows, as
+    on any basis of X: read off the pivots of X, as saturation is, the
+    criterion would restate saturation, and T14 would compare it with
+    itself.
     """
     amb = X.ambient
     if not isinstance(amb, ExtendedModule):
@@ -580,11 +593,17 @@ def generator_space(X: GradedSubspace) -> GeneratorSpace:
     w_bases: Dict[int, BitMatrix] = {}
     witness = None
     for n in range(amb.D + 1):
-        u_image = amb.times_u(n - 1, X.bases[n - 1]) if n >= 1 else BitMatrix.zeros(0, amb.dim(n))
-        w_bases[n] = complement_rows(u_image, X.bases[n])
+        width = amb.dim(n)
+        lead, picked = [0] * (width + 1), []
+        if n:
+            s = width - amb.dim(n - 1)
+            _file_rows(lead, [r << s for r in X.bases[n - 1].row_ints()])
+        _file_rows(lead, X.bases[n].row_ints(), picked)
+        w_bases[n] = BitMatrix(len(picked), width, tuple(picked))
         if witness is None:
-            augmented = w_bases[n].take_cols(range(amb.block(n, 0)[1]))
-            if rank(augmented) != augmented.nrows:
+            low = amb.block(n, 0)[1]
+            eps = BitMatrix(len(picked), low, tuple(r & ((1 << low) - 1) for r in picked))
+            if rank(eps) != len(picked):
                 witness = f"augmentation image drops rank in degree {n}"
     return GeneratorSpace(w_bases, Verdict(witness is None, amb.D, witness))
 

@@ -486,27 +486,21 @@ def _random_subspace(rng: random.Random, E, style: int) -> GradedSubspace:
                 continue
             seeds.setdefault(n, []).append(rng.randrange(1, 1 << E.dim(n)))
         return GradedSubspace.from_vectors(E, seeds)
-    if style == 1:
-        # the extension of a random graded subspace of the base
-        seeds = {}
-        for n in range(D + 1):
-            base_dim = E.base.dims[n]
-            if base_dim == 0:
-                continue
-            for _ in range(rng.randint(0, 2)):
-                v = rng.randrange(1, 1 << base_dim)
-                seeds.setdefault(n, []).append(v << E.block(n, 0)[0])
-        return GradedSubspace.from_vectors(E, seeds)
-    # a u-power shift of a style-1 subspace
-    inner = _random_subspace(rng, E, 1)
-    k = rng.randint(1, 2)
-    shifted = {}
-    for n in range(D + 1 - k):
-        mat = inner.bases[n]
-        for step in range(k):
-            mat = E.times_u(n + step, mat)
-        shifted[n + k] = mat
-    return GradedSubspace.from_vectors(E, {n: m.row_ints() for n, m in shifted.items()})
+    # the extension of a random graded subspace of the base, by its seeds
+    seeds = {}
+    for n in range(D + 1):
+        base_dim = E.base.dims[n]
+        if base_dim == 0:
+            continue
+        for _ in range(rng.randint(0, 2)):
+            v = rng.randrange(1, 1 << base_dim)
+            seeds.setdefault(n, []).append(v << E.block(n, 0)[0])
+    if style == 2:
+        # a u-power shift of it: u^k X is generated by u^k times X's seeds
+        k = rng.randint(1, 2)
+        seeds = {n + k: [v << (E.dims[n + k] - E.dims[n]) for v in vs]
+                 for n, vs in seeds.items() if n + k <= D}
+    return GradedSubspace.from_vectors(E, seeds)
 
 
 T14_MIN_EACH = 5  # saturated and unsaturated trials each, of 100

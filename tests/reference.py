@@ -48,6 +48,13 @@ def concat_cols(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(a.nrows, n + b.ncols, tuple(x | (y << n) for x, y in zip(a.row_ints(), b.row_ints())))
 
 
+def stack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """The rows of ``a``, then those of ``b``."""
+    if a.ncols != b.ncols:
+        raise ValueError("column count mismatch")
+    return BitMatrix(a.nrows + b.nrows, a.ncols, tuple(a.row_ints() + b.row_ints()))
+
+
 def kernel_basis(m: BitMatrix) -> Subspace:
     """The subspace {v : m @ v = 0}, of dimension cols - rank."""
     res = rref(m)
@@ -106,13 +113,13 @@ def contains(a: Subspace, b: Subspace) -> bool:
 
 def span_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_ambient(a, b)
-    return Subspace.from_rows(a.basis.stack(b.basis))
+    return Subspace.from_rows(stack(a.basis, b.basis))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the kernel of the stacked annihilator system."""
     _check_ambient(a, b)
-    return kernel_basis(kernel_basis(a.basis).basis.stack(kernel_basis(b.basis).basis))
+    return kernel_basis(stack(kernel_basis(a.basis).basis, kernel_basis(b.basis).basis))
 
 
 # -- modules ---------------------------------------------------------------------
@@ -313,9 +320,32 @@ def graded_span_by_elimination(ambient: FuluModule,
     for n in range(ambient.D + 1):
         mat = BitMatrix.from_row_ints(seeds.get(n, ()), ambient.dim(n))
         if n > 0:
-            mat = mat.stack(bases[n - 1] @ ambient.u_mat(n - 1))
+            mat = stack(mat, bases[n - 1] @ ambient.u_mat(n - 1))
         bases[n] = Subspace.from_rows(mat).basis
     return bases
+
+
+def shifted_subspace_by_elimination(rng, E) -> Dict[int, BitMatrix]:
+    """The bases of a style-2 random subspace of T14 as it was first built,
+    the oracle of ``harness._random_subspace``: the span X of the style-1
+    seeds (up to two random vectors of the base's degree n in E's u^0
+    block, for each n), then k in {1, 2} products with u of each X^n,
+    placed in degree n + k, then the span of those, all by elimination.
+    The draws from ``rng`` are those of ``_random_subspace``, in order."""
+    seeds: Dict[int, List[int]] = {}
+    for n in range(E.D + 1):
+        if E.base.dims[n]:
+            for _ in range(rng.randint(0, 2)):
+                seeds.setdefault(n, []).append(rng.randrange(1, 1 << E.base.dims[n]) << E.block(n, 0)[0])
+    inner = graded_span_by_elimination(E, seeds)
+    k = rng.randint(1, 2)
+    shifted = {}
+    for n in range(E.D + 1 - k):
+        mat = inner[n]
+        for step in range(k):
+            mat = mat @ E.u_mat(n + step)
+        shifted[n + k] = mat.row_ints()
+    return graded_span_by_elimination(E, shifted)
 
 
 def unit_rows(cols: Sequence[int], width: int) -> BitMatrix:

@@ -54,6 +54,7 @@ from reference import (
     graded_span_by_elimination,
     one_sided_u_by_pairs,
     q_data_by_elimination,
+    shifted_subspace_by_elimination,
     span_sum,
     Subquotient,
     taubar_subquotient,
@@ -493,6 +494,29 @@ def test_saturation_and_generators_match_their_oracles(D):
     assert min(seen.values()) >= 5, seen
 
 
+@pytest.mark.parametrize("D", [6, 10, 14])
+def test_shifted_subspaces_match_the_old_construction(D):
+    """T14's style-2 subspaces are one ``from_vectors`` on the style-1
+    seeds shifted by u^k.  Against the construction they replaced (the
+    span, k products with u per degree, the span again, all eliminated):
+    the same bases from the same draws, for 100 draws on both T14
+    ambients.  ``generator_space`` matches its oracle on each, and every
+    tenth span, generated by its own bases on a copy of the ambient that
+    is no scalar extension, comes out the same on the generic path."""
+    for E in (extend_scalars(hv_module(1, D)), extend_scalars(free_unstable(2, D))):
+        plain = with_u(E, dict(E.u_items()))
+        for draw in range(100):
+            got_rng, want_rng = random.Random(draw), random.Random(draw)
+            X = harness._random_subspace(got_rng, E, 2)
+            assert X.bases == shifted_subspace_by_elimination(want_rng, E), (E.name, draw)
+            assert got_rng.getstate() == want_rng.getstate()
+            gs, (w_bases, verdict) = generator_space(X), generator_space_by_resum(X)
+            assert (gs.w_bases, gs.eps_image_injective) == (w_bases, verdict)
+            if draw % 10 == 0:
+                seeds = {n: b.row_ints() for n, b in X.bases.items()}
+                assert GradedSubspace.from_vectors(plain, seeds).bases == X.bases
+
+
 def _saturation_ambients(D):
     """Both T14 ambients and a positive-u part, which take the closed forms
     of scalar extensions, and three u-modules that are not ``ExtendedModule``s
@@ -551,6 +575,11 @@ def test_graded_subspace_refuses_degrees_outside_the_truncation():
             GradedSubspace.from_vectors(E, {n: [1]})
     # the keys inside 0..D still build
     assert GradedSubspace.from_vectors(E, {4: [1]}).dim(4) == 1
+    # a seed must lie in its degree, on a scalar extension and on any other ambient
+    for amb in (E, with_u(E, dict(E.u_items()))):
+        for v in (2, -1):
+            with pytest.raises(ValueError, match="seed out of range for 1 columns in degree 3"):
+                GradedSubspace.from_vectors(amb, {1: [1], 3: [v]})
 
 
 def test_graded_subspace_checks_u_closure():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from usteen import cli, fixtures, fulu, harness, lannes, singer, unstable
+from usteen import _gf2py, cli, fixtures, fulu, harness, lannes, singer, unstable
 from usteen.cli import main as cli_main
 from usteen.f2core import BitMatrix, Subspace
 from usteen.fulu import GradedSubspace, extend_scalars
@@ -722,19 +722,6 @@ def test_cli_failing_equalizer_exits_1_with_one_line(what, monkeypatch, capsys):
     assert err == f"check failed: structural violation: {failed.witness}\n"
 
 
-def test_t14_fails_when_every_trial_is_saturated(monkeypatch):
-    """Agreement on one verdict only shows nothing: T14 needs both."""
-    def saturated(X):
-        return Verdict(True, X.ambient.D)
-
-    monkeypatch.setattr(harness, "saturation_check", saturated)
-    monkeypatch.setattr(harness, "generator_space",
-                        lambda X: fulu.GeneratorSpace({}, saturated(X)))
-    res = run_check(make_spec("T14", D=6))
-    assert not res.passed
-    assert res.witness == "only 100 of 100 trials saturated; need at least 5 of each"
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_a_flipped_bit_in_sq1_of_hxh_fails_t6(n, monkeypatch):
     """T6 compares the image of the product map with the span R1(H (x) H),
@@ -756,31 +743,9 @@ def test_a_flipped_bit_in_sq1_of_hxh_fails_t6(n, monkeypatch):
     assert res.witness == f"image: image differs from the span in degree {2 * n}"
 
 
-def test_a_saturation_check_that_passes_an_unsaturated_trial_fails_t15(monkeypatch):
-    """An unsaturated X has some y outside X with u y in X, so u kills the
-    class of y in the quotient: T15 sees the torsion of the one trial that
-    the check reports saturated although it is not."""
-    real = harness.saturation_check
-    calls, lied = [], []
-
-    def lenient(X):
-        calls.append(X)
-        verdict = real(X)
-        if verdict.ok or lied:
-            return verdict
-        lied.append(len(calls) - 1)
-        return Verdict(True, verdict.certified_degree)
-
-    monkeypatch.setattr(harness, "saturation_check", lenient)
-    res = run_check(make_spec("T15", D=8))
-    assert not res.passed and lied
-    assert res.witness.startswith(
-        f"trial {lied[0]}: saturated subspace with torsion quotient: u kills ")
-
-
 def test_t14_and_t15_read_no_cokernel_projection_and_no_augmentation_matrix(monkeypatch):
     """On scalar extensions saturation counts shifted pivot rows, the spans
-    shift their unseeded degrees and the augmentation is a column selection.
+    shift their unseeded degrees and the augmentation is a mask.
     Neither T14 nor T15 reads a cokernel projection as a matrix: T14 builds
     no quotient, and the quotients of T15's saturated trials project by the
     operator of ``unstable.quotient``."""
@@ -808,6 +773,40 @@ def test_t14_and_t15_read_no_cokernel_projection_and_no_augmentation_matrix(monk
     res = run_check(make_spec("T15", D=D))
     assert res.passed and res.tables["saturated"][0] > 0
     assert counts == {"quotient": res.tables["saturated"][0]}
+
+
+def test_t14_eliminates_once_per_seeded_degree_and_generator_space_never(monkeypatch):
+    """Every elimination goes through the kernel's ``rref_inplace``.  T14's
+    subspaces, style 2 included, are one ``from_vectors`` each, which
+    eliminates each seeded degree once and shifts the others; saturation
+    counts shifted pivots and ``generator_space`` files rows in a lead
+    table, so neither eliminates."""
+    counts = Counter()
+    real_rref, real_from_vectors = _gf2py.rref_inplace, GradedSubspace.from_vectors.__func__
+    real_generators = harness.generator_space
+
+    def counting_rref(*args):
+        counts["rref"] += 1
+        return real_rref(*args)
+
+    def counting_from_vectors(cls, ambient, seeds):
+        counts["trials"] += 1
+        counts["seeded"] += sum(1 for rows in seeds.values() if rows)
+        return real_from_vectors(cls, ambient, seeds)
+
+    def counting_generators(X):
+        before = counts["rref"]
+        gs = real_generators(X)
+        counts["rref in generator_space"] += counts["rref"] - before
+        return gs
+
+    monkeypatch.setattr(_gf2py, "rref_inplace", counting_rref)
+    monkeypatch.setattr(GradedSubspace, "from_vectors", classmethod(counting_from_vectors))
+    monkeypatch.setattr(harness, "generator_space", counting_generators)
+    assert run_check(make_spec("T14", D=10)).passed
+    assert counts["trials"] == 100 and counts["seeded"] > 100
+    assert counts["rref"] == counts["seeded"]
+    assert counts["rref in generator_space"] == 0
 
 
 def with_a_flipped_square(M):
@@ -1034,6 +1033,50 @@ def division_kernel_loses_its_class(monkeypatch):
     monkeypatch.setattr(lannes, "kernel_of", emptied)
 
 
+def every_trial_reads_saturated(monkeypatch):
+    """T14: saturation and the generator criterion both call every trial
+    saturated.  They agree, but agreement on one verdict only shows
+    nothing: T14 needs both verdicts."""
+    def saturated(X):
+        return Verdict(True, X.ambient.D)
+
+    monkeypatch.setattr(harness, "saturation_check", saturated)
+    monkeypatch.setattr(harness, "generator_space",
+                        lambda X: fulu.GeneratorSpace({}, saturated(X)))
+
+
+def augmentation_mask_loses_a_column(monkeypatch):
+    """T14, the generator criterion: the u^0 block of a scalar extension
+    reads one column narrower, so the augmentation mask of
+    ``generator_space`` drops the top column of M in every degree.  The
+    generator rows of a saturated trial that differ only there fall to a
+    lower rank, while saturation, which reads no block, still holds."""
+    real = fulu.ExtendedModule.block
+
+    def narrowed(E, n, a):
+        off, width = real(E, n, a)
+        return (off, width - 1) if a == 0 and width else (off, width)
+
+    monkeypatch.setattr(fulu.ExtendedModule, "block", narrowed)
+
+
+def saturation_passes_an_unsaturated_trial(monkeypatch):
+    """T15: the first unsaturated trial is reported saturated.  It has some
+    y outside X with u y in X, so u kills the class of y in the quotient,
+    and T15 sees the torsion."""
+    real = harness.saturation_check
+    lied = []
+
+    def lenient(X):
+        verdict = real(X)
+        if verdict.ok or lied:
+            return verdict
+        lied.append(X)
+        return Verdict(True, verdict.certified_degree)
+
+    monkeypatch.setattr(harness, "saturation_check", lenient)
+
+
 # keyed by check id, then by the name of the mutation when a check has several
 MUTATIONS = {
     "T1": (kernel_rows_share_a_lowest_bit, "structural violation: ker(taubar): row 1 of degree 2 "
@@ -1061,6 +1104,13 @@ MUTATIONS = {
             "rank 1: loop module reducedness: Sq0 kills ds(t^3) in degree 2"),
     "T12": (division_kernel_loses_its_class, "first derived division term has dims "
             "[0, 0, 0, 0, 0, 0, 0], expected the suspended unit"),
+    "T14": (every_trial_reads_saturated,
+            "only 100 of 100 trials saturated; need at least 5 of each"),
+    "T14-generator-criterion": (augmentation_mask_loses_a_column,
+                                "trial 0: saturation=True but generator criterion=False "
+                                "(augmentation image drops rank in degree 1)"),
+    "T15": (saturation_passes_an_unsaturated_trial,
+            "trial 2: saturated subspace with torsion quotient: u kills [1|t] in degree 1"),
 }
 
 
