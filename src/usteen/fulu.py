@@ -8,28 +8,29 @@ those of ``unstable``, which carry u along with Sq.  This module holds what
 is particular to F[u]: scalar extension, the indecomposables Q(N),
 torsion, graded u-subspaces and the tensor product over F[u].
 
-A scalar extension keeps its index bookkeeping in closed form: its dims
-are prefix sums of the base's, its u-blocks are placed by them, and
-constructing it builds no layout table and no second module.  On it u is
-a shift: it moves every row of degree n by
-dims[n + 1] - dims[n] bits, so products with u (``times_u``) build no
-matrix, and u as a matrix is built only when something reads ``u_mat``.
-Sq on rows of a scalar extension is the row Cartan sum ``sq_rows``, which
-reads only the base's rows under Sq; ``unstable.submodule`` certifies a
-u-submodule of a scalar extension through it, on its u-generators, so
-ker(taubar) and the invariant ring build no action.  The shift also gives
-graded u-subspaces of a scalar extension their closed forms on int rows:
-an unseeded degree of ``GradedSubspace.from_vectors`` and the preimage of
-``saturation_check`` are shifted rref bases, with no elimination, a seeded
-degree is one elimination of the shifted basis and then the seeds, and
-``generator_space`` files the shifted basis and X^n in one lead table.
-The u-module generated by some seeds is spanned by the u^j times them, so
-u^k times it is spanned by the u^j times the u^k-shifted seeds: a u-power
-shift of a seeded span is one ``from_vectors`` on the shifted seeds.
-Every quotient here is the one projection operator of
-``unstable.quotient``, read off canonical rref bases: N/X for a graded u-subspace X, N/uN (``q_data``, a mask on a scalar
-extension) and Q of N/X, which is Q(N) modulo the rows of X that pivot in
-the lowest u-block (``q_of_quotient``).
+A scalar extension keeps its index bookkeeping in closed form: its dims are
+prefix sums of the base's, its u-blocks are placed by them, and
+constructing it builds no layout table and no second module.  On it u is an
+injective shift: it moves every row of degree n by dims[n + 1] - dims[n]
+bits, so products with u (``times_u``) build no matrix, a ``ULinearMap`` is
+u-linear by construction, and u as a matrix is built only when something
+reads ``u_mat``.  Sq on rows of a scalar extension is the row Cartan sum
+``sq_rows``, which reads only the base's rows under Sq;
+``unstable.submodule`` certifies a u-submodule of a scalar extension
+through it, on its u-generators, so ker(taubar) and the invariant ring
+build no action.  Graded u-subspaces live on scalar extensions, where the
+shift gives them closed forms on int rows: an unseeded degree of
+``GradedSubspace.from_vectors`` and the preimage of ``saturation_check``
+are shifted rref bases, with no elimination, a seeded degree is one
+elimination of the shifted basis and then the seeds, and
+``generator_space`` files the shifted basis and X^n in one lead table.  The
+u-module generated by some seeds is spanned by the u^j times them, so u^k
+times it is spanned by the u^j times the u^k-shifted seeds: a u-power shift
+of a seeded span is one ``from_vectors`` on the shifted seeds.  Every
+quotient here is the one projection operator of ``unstable.quotient``, read
+off canonical rref bases: N/X for a graded u-subspace X, N/uN (``q_data``,
+a mask on a scalar extension) and Q of N/X, which is Q(N) modulo the rows
+of X that pivot in the lowest u-block (``q_of_quotient``).
 
 The polynomial-ring lemmas here (saturation, generator spaces, torsion) are
 pure graded u-module statements, so the checks also accept graded subspaces
@@ -160,25 +161,13 @@ class ExtendedModule(FuluModule):
         return BitMatrix.from_row_ints(rows, self.base.dim(n))
 
     def times_u(self, n: int, rows: BitMatrix) -> BitMatrix:
-        """``rows @ u_mat(n)``, by the shift."""
-        shift = self._u_shift(n)
-        if rows.ncols != self.dims[n]:
-            raise ValueError("row width mismatch")
-        return BitMatrix(rows.nrows, self.dims[n + 1], tuple([r << shift for r in rows.row_ints()]))
-
-    def u_then(self, n: int, m: BitMatrix) -> BitMatrix:
-        """``u_mat(n) @ m``, by the shift: u carries basis vector j of degree
-        n to basis vector j + shift, so this is a row range of ``m``."""
-        shift = self._u_shift(n)
-        if m.nrows != self.dims[n + 1]:
-            raise ValueError("row count mismatch")
-        return m.take_rows(range(shift, self.dims[n + 1]))
-
-    def _u_shift(self, n: int) -> int:
-        """dims[n + 1] - dims[n], the bits u moves a row of degree n by."""
+        """``rows @ u_mat(n)``, by the shift of dims[n + 1] - dims[n] bits."""
         if not 0 <= n < self.D:
             raise TruncationError(f"{self.name}: u on degree {n} outside 0..{self.D - 1}")
-        return self.dims[n + 1] - self.dims[n]
+        if rows.ncols != self.dims[n]:
+            raise ValueError("row width mismatch")
+        shift = self.dims[n + 1] - self.dims[n]
+        return BitMatrix(rows.nrows, self.dims[n + 1], tuple([r << shift for r in rows.row_ints()]))
 
     def sq_rows(self, k: int, n: int, rows: BitMatrix) -> BitMatrix:
         """``rows @ sq(k, n)``, by the row Cartan sum, which reads only the
@@ -250,19 +239,24 @@ class ULinearMap(ModuleMap):
     """The u-linear map out of ``src`` = F[u] (x) M with u^0 layer ``layer``,
     kept as that layer.
 
-    ``layer[d]`` lists the images of M's degree-d basis, as rows of ``tgt``
-    in degree d, for d = 0..D.  The target is a scalar extension or its
-    positive-u part: u^a carries its degree-(n - a) basis, in order, onto
-    the last ``tgt.dims[n - a]`` vectors of degree n.  So the u^a block of
-    ``src`` in degree n maps by ``layer[n - a]`` shifted by one offset;
-    ``mat(n)`` is placed so when it is first read, and ``on_rows`` maps
-    sparse rows with no matrix.  ``ranks`` holds the ranks a certificate
-    has established (ker(taubar)'s records taubar's), which ``rank`` reads
-    instead of eliminating.
+    ``layer[d]`` lists the images of M's degree-d basis, one row of ``tgt``
+    in degree d per basis vector (checked), for d = 0..D.  The target is a
+    scalar extension or its positive-u part: u^a carries its degree-(n - a)
+    basis, in order, onto the last ``tgt.dims[n - a]`` vectors of degree n.
+    So the u^a block of ``src`` in degree n maps by ``layer[n - a]`` shifted
+    by the offset u applies on both ends: the map is u-linear whatever the
+    layer.  ``mat(n)`` is placed so when it is first read, and ``on_rows``
+    maps sparse rows with no matrix.  ``ranks`` holds the ranks a
+    certificate has established (ker(taubar)'s records taubar's), which
+    ``rank`` reads instead of eliminating.
     """
 
     def __init__(self, src: ExtendedModule, tgt: ExtendedModule, layer: Sequence[Sequence[int]],
                  name: str = ""):
+        for d, rows in enumerate(layer):
+            if len(rows) != src.base.dim(d) or any(r < 0 or r >> tgt.dim(d) for r in rows):
+                raise ValueError(f"the layer of degree {d} needs {src.base.dim(d)} rows "
+                                 f"below 2^{tgt.dim(d)}")
         super().__init__(src, tgt, {}, D=len(layer) - 1, name=name)
         self.layer = layer
         self.ranks: Dict[int, int] = {}
@@ -301,30 +295,26 @@ class ULinearMap(ModuleMap):
         return got
 
 
-def u_linear_verdict(f: ModuleMap) -> Verdict:
-    """A- and u-linearity of a map from F[u] (x) M to a scalar extension,
-    certified on the u^0 layer of its source.
+def u_linear_verdict(f: ULinearMap) -> Verdict:
+    """A-linearity of a u-linear map from F[u] (x) M to a scalar extension,
+    certified on its u^0 layer.
 
-    Both ends satisfy Sq^k(u^a y) = sum_b C(a, b) u^{a+b} Sq^{k-b} y for
-    every y.  So once f commutes with u in every degree, f(Sq^k(u^a x)) and
-    Sq^k f(u^a x) expand to the same sum over b as soon as f commutes with
-    every Sq^j on the u^0 layer, a copy of M.  That layer is an A-submodule
-    of the source and the Sq^{2^i} generate A, so k = 2^i suffice there:
+    A ``ULinearMap`` commutes with u by construction, and both ends satisfy
+    Sq^k(u^a y) = sum_b C(a, b) u^{a+b} Sq^{k-b} y for every y.  So
+    f(Sq^k(u^a x)) and Sq^k f(u^a x) expand to the same sum over b as soon
+    as f commutes with every Sq^j on the u^0 layer, a copy of M.  That
+    layer is an A-submodule of the source and the Sq^{2^i} generate A, so
+    k = 2^i suffice there:
     ``M.sq(k, d) @ layer[d + k] == tgt.sq_rows(k, d, layer[d])``.
     A-linearity implies that the image of f is closed under Sq and u.
 
-    u on both ends is the shift (``u_then`` and ``times_u``), and Sq on the
-    target is the row Cartan sum, so neither u nor the target's action is
-    built.
+    The layer is read as it is stored, and Sq on the target is the row
+    Cartan sum, so no matrix of f, of u or of the target's action is built.
     """
-    src, tgt, D = f.source, f.target, f.D
-    if not (isinstance(src, ExtendedModule) and src.start == 0 and isinstance(tgt, ExtendedModule)):
-        raise ValueError("u_linear_verdict needs a map from F[u] (x) M to a scalar extension")
-    for n in range(D):
-        if src.u_then(n, f.mat(n + 1)) != tgt.times_u(n, f.mat(n)):
-            return Verdict(False, D, f"not u-equivariant at degree {n}")
-    M = src.base
-    layer = [f.mat(d).take_rows(range(M.dims[d])) for d in range(D + 1)]
+    if not (isinstance(f, ULinearMap) and f.source.start == 0):
+        raise ValueError("u_linear_verdict needs a ULinearMap out of F[u] (x) M")
+    M, tgt, D = f.source.base, f.target, f.D
+    layer = [BitMatrix(len(rows), tgt.dim(d), tuple(rows)) for d, rows in enumerate(f.layer)]
     for d in range(D + 1):
         k = 1
         while d + k <= D:
@@ -432,18 +422,19 @@ def torsion_free(N: FuluModule) -> Verdict:
     return Verdict(True, N.D)
 
 
-# -- graded u-submodules of an ambient module -----------------------------------
+# -- graded u-submodules of a scalar extension ---------------------------------
 
 
 class GradedSubspace:
-    """A graded subspace of a u-module, closed under multiplication by u.
-
-    ``bases[n]`` is the canonical rref basis of degree n, for n = 0..D.
+    """A graded subspace of a scalar extension, closed under multiplication
+    by u, an injective shift there; both constructors refuse any other
+    ambient.  ``bases[n]`` is the canonical rref basis of degree n, for
+    n = 0..D.
     """
 
     __slots__ = ("ambient", "bases")
 
-    def __init__(self, ambient: FuluModule, bases: Dict[int, BitMatrix]):
+    def __init__(self, ambient: ExtendedModule, bases: Dict[int, BitMatrix]):
         _check_degrees(ambient, bases, "basis")
         full = {}
         for n in range(ambient.D + 1):
@@ -462,32 +453,29 @@ class GradedSubspace:
         self.bases = full
 
     @classmethod
-    def from_vectors(cls, ambient: FuluModule, seeds: Dict[int, Sequence[int]]) -> "GradedSubspace":
+    def from_vectors(cls, ambient: ExtendedModule,
+                     seeds: Dict[int, Sequence[int]]) -> "GradedSubspace":
         """The u-submodule generated by int-packed seed vectors.
 
-        Degree by degree u times the previous basis and the seeds are
-        eliminated once (``rref_basis``); the results are canonical and
-        closed under u.  On a scalar extension u is an injective shift,
-        which carries a canonical basis to a canonical basis: a degree
-        without seeds takes the shifted rows as they are, and in a seeded
-        degree they go first, so the one elimination files them with no
-        reduction and reduces only the seeds against them.
+        u is an injective shift, which carries a canonical basis to a
+        canonical basis: a degree without seeds takes the shifted rows of
+        the degree below as they are, and in a seeded degree they go first,
+        so one elimination (``rref_basis``) files them with no reduction and
+        reduces only the seeds against them.  The results are canonical and
+        closed under u.
         """
         _check_degrees(ambient, seeds, "seed")
-        shifts = isinstance(ambient, ExtendedModule)
         bases: Dict[int, BitMatrix] = {}
         image: Sequence[int] = ()
         for n in range(ambient.D + 1):
             width = ambient.dim(n)
-            if n and shifts:
+            if n:
                 s = width - ambient.dim(n - 1)
                 image = [r << s for r in bases[n - 1].row_ints()]
-            elif n:
-                image = ambient.times_u(n - 1, bases[n - 1]).row_ints()
             seed = seeds.get(n, ())
             if any(v < 0 or v >> width for v in seed):
                 raise ValueError(f"seed out of range for {width} columns in degree {n}")
-            if seed or not shifts:
+            if seed:
                 bases[n] = rref_basis([*image, *seed], width)
             else:
                 bases[n] = BitMatrix(len(image), width, tuple(image))
@@ -512,6 +500,9 @@ class GradedSubspace:
 
 
 def _check_degrees(ambient: FuluModule, keyed: Dict[int, object], what: str) -> None:
+    """Refuse an ambient that is no scalar extension, and keys outside 0..D."""
+    if not isinstance(ambient, ExtendedModule):
+        raise ValueError(f"graded u-subspaces need a scalar-extension ambient, not {ambient.name}")
     for n in keyed:
         if not 0 <= n <= ambient.D:
             raise ValueError(f"{what} degree {n} outside 0..{ambient.D}")
@@ -528,9 +519,9 @@ def saturation_check(X: GradedSubspace) -> Verdict:
     u^-1 X^{n+1} that lies outside X^n.
     """
     amb = X.ambient
-    proj = None if isinstance(amb, ExtendedModule) else quotient(amb, X.bases, f"({amb.name})/X")
+    _check_degrees(amb, X.bases, "basis")
     for n in range(amb.D):
-        pre = _larger_preimage(X, n, proj)
+        pre = _larger_preimage(X, n)
         if pre is None:
             continue
         target = X.subspace(n)
@@ -540,30 +531,21 @@ def saturation_check(X: GradedSubspace) -> Verdict:
     return Verdict(True, amb.D)
 
 
-def _larger_preimage(X: GradedSubspace, n: int, proj: Optional[Quotient]) -> Optional[BitMatrix]:
+def _larger_preimage(X: GradedSubspace, n: int) -> Optional[BitMatrix]:
     """The canonical rref basis of u^-1 X^{n+1} in degree n, or None when
-    it is no larger than X^n; ``proj`` is the projection onto the ambient
-    modulo X, or None on a scalar extension.
+    it is no larger than X^n.
 
-    On a scalar extension u shifts every row by s = dims[n + 1] - dims[n]
-    and is injective, so its image is the span of the bits >= s.  A vector
-    of X^{n+1} has its bit at each pivot as its coefficient on that pivot's
-    row, so those with no bit below s are the combinations of the rows
-    pivoting at s or above.  Shifted down by s, those rows keep their pivot
-    order and reduced form: they are the canonical basis, and their count
-    is its dimension.  On any other ambient the preimage is the kernel of
-    u followed by ``proj``; its dimension comes from a rank, and the kernel
-    is taken only when larger.
+    u shifts every row by s = dims[n + 1] - dims[n] and is injective, so
+    its image is the span of the bits >= s.  A vector of X^{n+1} has its
+    bit at each pivot as its coefficient on that pivot's row, so those with
+    no bit below s are the combinations of the rows pivoting at s or above.
+    Shifted down by s, those rows keep their pivot order and reduced form:
+    they are the canonical basis, and their count is its dimension.
     """
     amb = X.ambient
-    if proj is None:
-        s = amb.dims[n + 1] - amb.dims[n]
-        rows = tuple(r >> s for r in X.bases[n + 1].row_ints() if not r & ((1 << s) - 1))
-        return BitMatrix(len(rows), amb.dims[n], rows) if len(rows) != X.dim(n) else None
-    u_mod = proj.apply(n + 1, amb.u_mat(n))
-    if amb.dim(n) - rank(u_mod) == X.dim(n):
-        return None
-    return left_kernel(u_mod).basis
+    s = amb.dims[n + 1] - amb.dims[n]
+    rows = tuple(r >> s for r in X.bases[n + 1].row_ints() if not r & ((1 << s) - 1))
+    return BitMatrix(len(rows), amb.dims[n], rows) if len(rows) != X.dim(n) else None
 
 
 @dataclass
@@ -579,17 +561,15 @@ def generator_space(X: GradedSubspace) -> GeneratorSpace:
     when it lies outside u X^{n-1} plus the rows picked before it: one lead
     table is filled with u X^{n-1}, the shifted rows of X^{n-1}, and then
     with the rows of X^n (``_file_rows``).  The injectivity verdict tests
-    the composite with the augmentation; the ambient must be a scalar
-    extension so the augmentation is available.  It keeps the u^0 block,
-    which comes first, so it is a mask of the low bits, and its rank is one
+    the composite with the augmentation, which keeps the u^0 block, which
+    comes first, so it is a mask of the low bits, and its rank is one
     forward pass.  Both stay a complement and a rank of the picked rows, as
     on any basis of X: read off the pivots of X, as saturation is, the
     criterion would restate saturation, and T14 would compare it with
     itself.
     """
     amb = X.ambient
-    if not isinstance(amb, ExtendedModule):
-        raise ValueError("generator spaces need a scalar-extension ambient")
+    _check_degrees(amb, X.bases, "basis")
     w_bases: Dict[int, BitMatrix] = {}
     witness = None
     for n in range(amb.D + 1):

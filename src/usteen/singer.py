@@ -73,7 +73,9 @@ class SingerModule:
         for n in range(self.D + 1):
             gens[n] = [(n - 2 * d, d, j) for d in range(min(n // 2, base.D // 2) + 1)
                        for j in range(base.dims[d])]
-            gen_rows[n] = [self._shift_row(smap[d].row_int(j), 2 * d, k) for k, d, j in gens[n]]
+            # u^k st1(b) is st1(b) shifted onto the u^k-higher blocks
+            gen_rows[n] = [smap[d].row_int(j) << (ambient.dim(n) - ambient.dim(2 * d))
+                           for _, d, j in gens[n]]
         self.gens = gens
         self._gen_pos = {
             n: {g: idx for idx, g in enumerate(gens[n])} for n in range(self.D + 1)
@@ -85,16 +87,6 @@ class SingerModule:
         self.free_gens = self._freeness()
         self.fulu = self._realize()
         self.incl = ModuleMap(self.fulu, ambient, self._G, D=self.D)
-        self._check_u_consistency()
-
-    def _shift_row(self, row: int, n: int, k: int) -> int:
-        """Multiply an ambient row of degree n by u^k.
-
-        The u^a block of degree n starts at dim(n) - dim(n - a), so every
-        block moves to the u^(a+k) block of degree n + k by one shift, the
-        identity ``fulu.ULinearMap`` relies on.
-        """
-        return row << (self.ambient.dim(n + k) - self.ambient.dim(n))
 
     def _freeness(self) -> Verdict:
         for n in range(self.D + 1):
@@ -107,13 +99,12 @@ class SingerModule:
         if not self.free_gens.ok:
             raise TheoryViolation(self.free_gens.witness or "generators not free")
         name = f"R1({self.base.name})"
-        bases, gens, pos = self._G, self.gens, self._gen_pos
-        # u shifts u^k st1(b) to u^(k+1) st1(b), checked against the ambient u
-        u_mats = {
-            n: BitMatrix.from_row_ints([1 << pos[n + 1][(k + 1, d, j)] for (k, d, j) in gens[n]],
-                                       len(gens[n + 1]))
-            for n in range(self.D)
-        }
+        bases, gens = self._G, self.gens
+        # u carries u^k st1(b) to u^(k+1) st1(b): gens[n + 1] lists the
+        # (d, j) of gens[n] first, in the same order, so u is onto its first rows
+        u_mats = {n: BitMatrix(len(gens[n]), len(gens[n + 1]),
+                               tuple(1 << i for i in range(len(gens[n]))))
+                  for n in range(self.D)}
 
         def labels() -> List[Tuple[str, ...]]:
             names = self.base.labels
@@ -135,13 +126,6 @@ class SingerModule:
             labels,
             u=u_mats,
         )
-
-    def _check_u_consistency(self):
-        for n in range(self.D):
-            shifted = self.ambient.times_u(n, self._G[n])
-            expect = self.fulu.u_mat(n) @ self._G[n + 1]
-            if shifted != expect:
-                raise TheoryViolation(f"u-shift disagrees with ambient u in degree {n}")
 
     def gen_matrix(self, n: int) -> BitMatrix:
         return self._G[n]

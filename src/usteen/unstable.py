@@ -341,11 +341,10 @@ class FuluModule(TruncatedModule):
     ``validate`` checks.  A u-module never equals a plain module, even one
     with the same action: equal modules carry the same structure.
 
-    Products with u go through ``times_u`` (rows times u) and ``u_then``
-    (u, then a matrix), which a module whose u has a closed form overrides,
-    so that no product needs u as a matrix.  ``submodule`` certifies a
-    u-submodule's Sq-stability on its u-generators, which the rule makes
-    sound.
+    Products with u go through ``times_u`` (rows times u), which a module
+    whose u has a closed form overrides, so that no product needs u as a
+    matrix.  ``submodule`` certifies a u-submodule's Sq-stability on its
+    u-generators, which the rule makes sound.
     """
 
     __slots__ = ("_u",)
@@ -400,11 +399,6 @@ class FuluModule(TruncatedModule):
     def times_u(self, n: int, rows: BitMatrix) -> BitMatrix:
         """``rows @ u_mat(n)``: rows of degree n multiplied by u."""
         return rows @ self.u_mat(n)
-
-    def u_then(self, n: int, m: BitMatrix) -> BitMatrix:
-        """``u_mat(n) @ m``: row j is the image under ``m`` of u times basis
-        vector j of degree n."""
-        return self.u_mat(n) @ m
 
     def validate(self) -> ValidationReport:
         """The unstable-module axioms plus the Cartan-twisted u-compatibility.
@@ -1136,9 +1130,9 @@ def _certify_on_generators(full: Dict[int, BitMatrix], gens: Dict[int, BitMatrix
     Sq^{2^i}(u y) = u Sq^{2^i} y + u^2 Sq^{2^i - 1} y lies in K by
     induction on the degree, on i and by u-stability.  So K is stable
     under Sq^{2^i} once its generators are, and by induction on i, under
-    all of A.  ``fulu.u_linear_verdict`` makes the same argument.  The
-    ambient is unstable, so Sq^k vanishes on degree n < k, and only
-    k <= n is read.
+    all of A.  ``fulu.u_linear_verdict`` argues the same way for a map
+    that commutes with u by construction.  The ambient is unstable, so
+    Sq^k vanishes on degree n < k, and only k <= n is read.
     """
     expressed: Dict[Tuple[int, int], BitMatrix] = {}
     for n in range(D + 1):

@@ -1023,6 +1023,36 @@ def squaring_span_repeats_a_generator(monkeypatch):
     monkeypatch.setattr(singer, "st1", repeated)
 
 
+def r1_u_drops_a_bit(monkeypatch):
+    """T4: R1's closed-form u, the index map of u^k st1(b) onto
+    u^(k+1) st1(b), drops the bit of its first row in its first nonzero
+    degree, so u kills that generator.  Nothing compares this u with the
+    ambient's shift; T4's torsion check sees it."""
+    real = singer.FuluModule
+
+    def dropped(*args, u):
+        n = min(n for n, m in u.items() if m.nrows)
+        rows = u[n].row_ints()
+        return real(*args, u={**u, n: BitMatrix.from_row_ints([0] + rows[1:], u[n].ncols)})
+
+    monkeypatch.setattr(singer, "FuluModule", dropped)
+
+
+def taubar_u0_layer_gains_a_bit(monkeypatch):
+    """T8: one bit of taubar's degree-1 u^0 layer is flipped.  The map is
+    still u-linear, as every ``ULinearMap`` is, but no longer commutes with
+    Sq^1 on the u^0 layer."""
+    real = lannes.RealmCalculus.taubar.func
+
+    def flipped(calc):
+        f = real(calc)
+        layer = [list(rows) for rows in f.layer]
+        layer[1][0] ^= 1
+        return fulu.ULinearMap(f.source, f.target, layer, name="taubar")
+
+    monkeypatch.setattr(lannes.RealmCalculus, "taubar", property(flipped))
+
+
 def division_kernel_loses_its_class(monkeypatch):
     """T12: the kernel of alpha, the first derived division term, is taken
     as zero, so the suspended unit it should be is lost."""
@@ -1096,8 +1126,11 @@ MUTATIONS = {
                                       "[1|t] is zero"),
     "T4": (squaring_span_repeats_a_generator, "structural violation: distinguished generators "
            "dependent in degree 6"),
+    "T4-u-not-the-shift": (r1_u_drops_a_bit, "F(1): torsion: u kills st1(i1) in degree 2"),
     "T7": (image_of_taubar_gains_a_top_vector, "u-module sequence: not surjective onto image "
            "in degree 8: [u|<0:1>t^7] (in the second side only)"),
+    "T8": (taubar_u0_layer_gains_a_bit,
+           "rank 1: linearity of taubar: not A-linear at (i=1, n=1) on the u^0 layer"),
     "T10": (sq0_cokernel_of_the_square_loses_a_class,
             "loop alternating sum is -1 in degree 4"),
     "T11": (loop_module_sq0_loses_a_bit,

@@ -1409,52 +1409,6 @@ def test_bit_flips_of_the_taubar_layer_fail_the_u0_verdict(r):
     assert missed_by_closure > 0
 
 
-def _flip_u0_layer(calc):
-    """taubar with one bit of its degree-1 u^0 layer flipped, u-linear still."""
-    layer = taubar_layer(calc)
-    layer[1][0] ^= 1
-    return ULinearMap(calc.E, calc.bar, layer, name="taubar")
-
-
-def _flip_u1_block(calc):
-    """taubar with one bit flipped on u times the degree-1 generator only."""
-    mats = {n: calc.taubar.mat(n) for n in range(calc.D + 1)}
-    rows = mats[2].row_ints()
-    rows[calc.X.table.dims[2]] ^= 1  # the first row of the u^1 block
-    mats[2] = BitMatrix.from_row_ints(rows, mats[2].ncols)
-    return ModuleMap(calc.E, calc.bar, mats, name="taubar")
-
-
-@pytest.mark.parametrize("mutant, witness", [
-    (_flip_u0_layer, "not A-linear at (i=1, n=1) on the u^0 layer"),
-    (_flip_u1_block, "not u-equivariant at degree 1"),
-])
-def test_t8_fails_on_a_taubar_that_is_not_a_module_map(mutant, witness, monkeypatch):
-    calc = RealmCalculus(hv(1, 4))
-    calc.__dict__["taubar"] = mutant(calc)
-    assert u_linear_verdict(calc.taubar) == Verdict(False, 4, witness)
-    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: calc)
-    res = harness.run_check(harness.make_spec("T8", D=4, max_rank=1))
-    assert not res.passed
-    assert res.witness == f"rank 1: linearity of taubar: {witness}"
-
-
-@pytest.mark.parametrize("r", [1, 2])
-def test_a_taubar_whose_u1_layer_is_not_the_shift_fails_the_u_check(r):
-    """One bit flipped in the u^1 block of degree n + 1, which u carries the
-    u^0 layer of degree n onto, is caught at degree n."""
-    D = 5
-    calc = RealmCalculus(hv(r, D))
-    for n in range(D):
-        mats = {d: calc.taubar.mat(d) for d in range(D + 1)}
-        rows = mats[n + 1].row_ints()
-        first = calc.E.block(n + 1, 1)[0]  # the u^1 block: u times degree n's u^0 layer
-        rows[first] ^= 1 << (calc.bar.dim(n + 1) - 1)
-        mats[n + 1] = BitMatrix.from_row_ints(rows, calc.bar.dim(n + 1))
-        f = ModuleMap(calc.E, calc.bar, mats, name="taubar")
-        assert u_linear_verdict(f) == Verdict(False, D, f"not u-equivariant at degree {n}")
-
-
 @pytest.mark.parametrize("r", [1, 2])
 def test_a_flipped_bit_of_the_cokernel_projection_fails_exactness(r):
     """The projection's rank is its width by construction; a plain map with
@@ -1548,10 +1502,33 @@ def test_t8_leaves_u_and_the_action_of_bar_unbuilt(monkeypatch):
 
 
 def test_u_linear_verdict_needs_a_map_out_of_a_whole_extension():
+    """Only a ``ULinearMap`` out of F[u] (x) M is u-linear by construction:
+    a plain map is refused, even one that carries taubar's matrices, and so
+    is a ``ULinearMap`` out of bar."""
     calc = RealmCalculus(hv(1, 4))
-    for f in (calc.diag, ModuleMap.zero(calc.bar, calc.bar)):
-        with pytest.raises(ValueError):
+    plain = ModuleMap(calc.E, calc.bar, {n: calc.taubar.mat(n) for n in range(5)})
+    for f in (calc.diag, ModuleMap.zero(calc.bar, calc.bar), plain):
+        with pytest.raises(ValueError, match="needs a ULinearMap"):
             u_linear_verdict(f)
+    bar_to_bar = ULinearMap(calc.bar, calc.bar, [[0] * calc.bar.base.dim(d) for d in range(5)])
+    with pytest.raises(ValueError, match="needs a ULinearMap out of F"):
+        u_linear_verdict(bar_to_bar)
+
+
+def test_a_u_linear_map_refuses_a_bad_layer():
+    """A layer needs one row per basis vector of the base, each a row of
+    the target in its degree: a missing or extra row, a row with a bit at
+    the target's width and a negative row are refused, naming the degree."""
+    calc = RealmCalculus(hv(1, 4))
+    layer = [list(rows) for rows in calc.taubar.layer]
+    assert ULinearMap(calc.E, calc.bar, layer).mat(3) == calc.taubar.mat(3)
+    d = 2
+    for rows in (layer[d][:-1], layer[d] + [0], [1 << calc.bar.dim(d)] + layer[d][1:],
+                 [-1] + layer[d][1:]):
+        bad = layer[:d] + [rows] + layer[d + 1:]
+        with pytest.raises(ValueError, match=f"the layer of degree {d} needs "
+                                             f"{calc.X.table.dims[d]} rows below 2\\^"):
+            ULinearMap(calc.E, calc.bar, bad)
 
 
 def test_t8_builds_u_only_where_it_reads_it(monkeypatch):

@@ -1,11 +1,11 @@
-import random
 from collections import Counter
 
 import numpy as np
 
-from usteen import singer
+from usteen import harness, singer
 from usteen.f2core import BitMatrix, Subspace, rref
 from usteen.fulu import extend_scalars, indecomposables, saturation_check, GradedSubspace, generator_space, torsion_free
+from usteen.lannes import hv_module
 from usteen.singer import (
     product_mu,
     r1,
@@ -21,6 +21,7 @@ from usteen.unstable import (
     map_from_free,
     polynomial_module,
     tensor,
+    tensor_with_layout,
     unit_module,
 )
 
@@ -113,18 +114,24 @@ def test_r1_builds_its_labels_on_first_read(monkeypatch):
 
 
 def test_shift_row_is_multiplication_by_a_power_of_u():
-    rng = random.Random(3)
-    for M in (polynomial_module(2, 8), tensor(free_unstable(1, 8), free_unstable(1, 8))):
+    """R1's u is the closed-form index map u^k st1(b) -> u^(k+1) st1(b), and
+    its generator rows are st1 rows shifted by the ambient's u-offsets.
+    Against the ambient's u, on T4's fixtures and on T6's M (x) N: u on the
+    generators is the ambient shift of their rows, and each u^k st1(b) row
+    is k products with u of the st1(b) row."""
+    D = 8
+    H = hv_module(1, D)
+    for M in [*harness._singer_fixtures(D), tensor_with_layout(H, H)[0]]:
         S = r1(M)
-        E = S.ambient
-        for n in range(E.D + 1):
-            rows = [1 << j for j in range(E.dim(n))] + [rng.getrandbits(E.dim(n)) for _ in range(4)]
-            u_power = BitMatrix.identity(E.dim(n))
-            for k in range(E.D - n + 1):
-                want = BitMatrix.from_row_ints(rows, E.dim(n)) @ u_power
-                assert [S._shift_row(row, n, k) for row in rows] == want.row_ints(), (n, k)
-                if n + k < E.D:
-                    u_power = u_power @ E.u_mat(n + k)
+        E, G = S.ambient, S.gen_matrix
+        for n in range(S.D):
+            assert E.times_u(n, G(n)) == S.fulu.u_mat(n) @ G(n + 1), (M.name, n)
+        for n in range(S.D + 1):
+            for i, (k, d, j) in enumerate(S.gens[n]):
+                row = BitMatrix.from_row_ints([S.st1_map[d].row_int(j)], E.dim(2 * d))
+                for m in range(2 * d, n):
+                    row = E.times_u(m, row)
+                assert row.row_int(0) == G(n).row_int(i), (M.name, n, k, d, j)
 
 
 def test_r1_of_unit_is_polynomial_algebra():
