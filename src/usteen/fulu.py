@@ -41,8 +41,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
+from operator import or_
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .f2core import BitMatrix, Subspace, _file_rows, left_kernel, rank, rref_basis
@@ -172,36 +173,30 @@ class ExtendedModule(FuluModule):
     def sq_rows(self, k: int, n: int, rows: BitMatrix) -> BitMatrix:
         """``rows @ sq(k, n)``, by the row Cartan sum, which reads only the
         base's rows: the u^a block of the rows, as rows of M^{n-a}, goes
-        through the base's ``sq_rows`` for Sq^{k-b} to the u^{a+b} block,
-        for each b in ``_cartan_terms``."""
+        through the base's ``sq_rows`` for Sq^{k-b} to the u^{a+b} block of
+        degree n + k, for each b with C(a, b) odd and k - b <= n - a
+        (Sq^0 is the identity).  Only the blocks where the OR of the rows
+        has a bit are visited."""
         if not 0 <= n <= n + k <= self.D:
             raise TruncationError(f"{self.name}: Sq^{k} on degree {n} outside 0..{self.D}")
         if rows.ncols != self.dims[n]:
             raise ValueError("row width mismatch")
-        ints, base = rows.row_ints(), self.base
+        ints, base, dims, start = rows.row_ints(), self.base, self.dims, self.start
+        touched = reduce(or_, ints, 0)
         out = [0] * rows.nrows
-        for q, off, width, terms in self._cartan_terms(k, n):
-            mask = (1 << width) - 1
-            parts = [(r >> off) & mask for r in ints]
-            if not any(parts):
-                continue
-            part = BitMatrix(rows.nrows, width, tuple(parts))
-            for j, shift in terms:
-                image = parts if j == 0 else base.sq_rows(j, q, part).row_ints()
-                out = [x ^ (r << shift) for x, r in zip(out, image)]
-        return BitMatrix(rows.nrows, self.dims[n + k], tuple(out))
-
-    def _cartan_terms(self, k: int, n: int):
-        """For each u^a block of degree n: (q, offset, width, terms), with
-        q = n - a its base degree and terms the pairs (j, shift to the
-        u^{a+b} block of degree n + k) over the b with C(a, b) odd, where
-        j = k - b <= q is the square on M^q; j = 0 is the identity."""
-        dims, start = self.dims, self.start
         for a, off, width in self.blocks(n):
+            mask = (1 << width) - 1
+            if not touched >> off & mask:
+                continue
             q = n - a
-            terms = [(k - b, dims[n + k] - dims[q + k - b + start])
-                     for b in range(max(0, k - q), min(k, a) + 1) if b & a == b]
-            yield q, off, width, terms
+            parts = [(r >> off) & mask for r in ints]
+            part = BitMatrix(rows.nrows, width, tuple(parts))
+            for b in range(max(0, k - q), min(k, a) + 1):
+                if b & a == b:
+                    image = parts if b == k else base.sq_rows(k - b, q, part).row_ints()
+                    shift = dims[n + k] - dims[q + k - b + start]
+                    out = [x ^ (y << shift) for x, y in zip(out, image)]
+        return BitMatrix(rows.nrows, self.dims[n + k], tuple(out))
 
     def _shift_u(self) -> Dict[int, BitMatrix]:
         """u as matrices: the shift on unit rows."""
@@ -427,30 +422,12 @@ def torsion_free(N: FuluModule) -> Verdict:
 
 class GradedSubspace:
     """A graded subspace of a scalar extension, closed under multiplication
-    by u, an injective shift there; both constructors refuse any other
-    ambient.  ``bases[n]`` is the canonical rref basis of degree n, for
-    n = 0..D.
+    by u, an injective shift there; ``from_vectors`` builds it, and refuses
+    any other ambient.  ``bases[n]`` is the canonical rref basis of degree
+    n, for n = 0..D.
     """
 
     __slots__ = ("ambient", "bases")
-
-    def __init__(self, ambient: ExtendedModule, bases: Dict[int, BitMatrix]):
-        _check_degrees(ambient, bases, "basis")
-        full = {}
-        for n in range(ambient.D + 1):
-            b = bases.get(n)
-            if b is None:
-                full[n] = BitMatrix.zeros(0, ambient.dim(n))
-            else:
-                if b.ncols != ambient.dim(n):
-                    raise ValueError(f"basis width mismatch at degree {n}")
-                full[n] = Subspace.from_rows(b).basis
-        for n in range(ambient.D):
-            target = Subspace(ambient.dim(n + 1), full[n + 1])
-            if not all(map(target.contains_vector, ambient.times_u(n, full[n]).row_ints())):
-                raise ValueError(f"not closed under u at degree {n}")
-        self.ambient = ambient
-        self.bases = full
 
     @classmethod
     def from_vectors(cls, ambient: ExtendedModule,
@@ -480,7 +457,7 @@ class GradedSubspace:
             else:
                 bases[n] = BitMatrix(len(image), width, tuple(image))
                 bases[n]._rank = len(image)
-        X = cls.__new__(cls)  # the bases are canonical and closed under u as built
+        X = cls()  # the bases are canonical and closed under u as built
         X.ambient, X.bases = ambient, bases
         return X
 

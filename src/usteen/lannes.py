@@ -30,7 +30,6 @@ from .fulu import (
     GradedSubspace,
     ULinearMap,
     extend_scalars,
-    extend_scalars_map,
     positive_u_part,
     u_linear_verdict,
 )
@@ -256,7 +255,7 @@ def _lucas_terms(mono: Tuple[int, ...]) -> Tuple[Tuple[int, Tuple[int, ...], int
     support), the support having bit i when u takes a nonzero part of t_i^{b_i}.
 
     By Lucas, (t + u)^b is the sum of t^{b - e} u^e over the submasks e of b.
-    The expansions are shared by tau and the closed basis of ker(taubar),
+    The expansions are shared by taubar and the closed basis of ker(taubar),
     and by the calculi of one process, which read the same monomials again
     and again; the cache is bounded because a calculus of high rank reads
     thousands of monomials once each, and would only keep them alive.
@@ -331,27 +330,22 @@ def _certify_kernel_span(E: ExtendedModule, rows: Sequence[BitMatrix], gens: Seq
                                           f"in degree {d}: its row at {E.labels[d][p]} {why}")
 
 
-def _support_pattern(r: int, support: int, width: int) -> int:
-    """The bits v * width over the v < 2^r that contain ``support``."""
-    out = 0
-    for v in range(1 << r):
-        if v & support == support:
-            out |= 1 << (v * width)
-    return out
-
-
 class RealmCalculus:
     """All comparison-map data for one realm object, computed on demand.
 
     It is the one entry point to what is read off the comparison map of X:
     ``rtilde`` (ker taubar, with ``kernel_incl`` and ``kernel_spaces``),
     ``taubar_image``, ``invariants()``, ``alpha()`` (on the loop-functor
-    data ``omega``) and ``fix_parts``.  ker taubar is built in closed form
-    (``st1_basis``) and certified by pivots in three legs, with no
-    elimination: (a) the rows' lowest bits are distinct, (b) taubar kills
-    the u-generators, (c) taubar's rank is at least dim E - #rows
-    (``_taubar_certificate``).  ``invariants()`` certifies the same rows
-    as the invariant ring on its own, and shares their module.
+    data ``omega``) and ``fix_parts``.  taubar's u^0 layer is formed
+    straight from the Lucas terms of each monomial, and the equalizer of
+    sigma and tau is checked on each row as it is formed
+    (``_taubar_pass``): neither sigma nor tau is built, nor F[u] (x) TX.
+    ker taubar is built in closed form (``st1_basis``) and certified by
+    pivots in three legs, with no elimination: (a) the rows' lowest bits
+    are distinct, (b) taubar kills the u-generators, (c) taubar's rank is
+    at least dim E - #rows (``_taubar_certificate``).  ``invariants()``
+    certifies the same rows as the invariant ring on its own, and shares
+    their module.
     """
 
     def __init__(self, X: RealmObject):
@@ -370,6 +364,8 @@ class RealmCalculus:
 
     @cached_property
     def ETX(self) -> ExtendedModule:
+        """F[u] (x) TX, the target of sigma and tau, built only to name a
+        failure of the equalizer verdict."""
         return extend_scalars(self.TX.module)
 
     @cached_property
@@ -385,96 +381,99 @@ class RealmCalculus:
 
     # -- comparison maps --------------------------------------------------------
 
-    @cached_property
-    def sigma(self) -> ModuleMap:
-        """The identity into every component: the scalar extension of ``diag``."""
-        return extend_scalars_map(self.diag, self.E, self.ETX, name="sigma")
+    @staticmethod
+    def _support_pattern(r: int, support: int, width: int) -> int:
+        """The bits v * width over the v < 2^r that contain ``support``."""
+        out = 0
+        for v in range(1 << r):
+            if v & support == support:
+                out |= 1 << (v * width)
+        return out
 
     @cached_property
-    def tau(self) -> ModuleMap:
-        """u-linear, so built from its u^0 layer: component v of a monomial
-        is its twist by v.
+    def _taubar_pass(self) -> Tuple[ULinearMap, Verdict]:
+        """taubar's u^0 layer and the equalizer verdict, formed in one pass
+        over the monomials; tau itself and F[u] (x) TX are never built.
 
-        Each monomial is expanded once, over all variables
-        (``_lucas_terms``).  A term whose u-exponents are nonzero on the
-        variables S is a term of the twist by v exactly when v contains S.
-        The copies of summand j sit side by side in TX, one block of width
-        N per v, so the term lands at one position plus v * N for every
-        v containing S: one pattern per (S, N), shifted to that position.
+        Component v of tau on a monomial is its twist by v.  Each monomial
+        is expanded once, over all variables (``_lucas_terms``): a term
+        whose u-exponents are nonzero on the variables S is a term of the
+        twist by v exactly when v contains S.  The copies of summand j sit
+        side by side, one block of width N per v, in TX and, with v = 0
+        left out, in every u-block of bar, whose order is u-power, then
+        reduced component, then monomial.  So a term is placed on every
+        component at once by one pattern per (S, N), bit v * N for each v
+        containing S (``_support_pattern``), shifted to its position: the
+        positive-u terms into bar, less the bit of v = 0, and the u^0 term
+        into TX.  The bits of tau outside bar are that u^0 term and any
+        positive-u term on component 0; ``equalizer_verdict`` says what
+        they must be, and is checked on each row as it is formed.
         """
-        X, TX, ETX = self.X, self.TX, self.ETX
-        first = [TX.comp_pos[(j, 0)] for j in range(len(X.summands))]
+        X, TX, tbar, bar = self.X, self.TX, self.tbar, self.bar
         patterns: Dict[Tuple[int, int, int], int] = {}
-        layer = []
+        layer, verdict = [], Verdict(True, self.D)
         for d in range(self.D + 1):
+            sigma = self.diag.mat(d).row_ints()
             rows = []
-            # (j, q) -> where summand j's first copy of degree q starts in
-            # degree d of ETX, the positions of its monomials, and its width
+            # (j, q) -> where summand j's first copy of degree q starts (in
+            # TX for the u^0 term, q = d; in bar's u^{d-q} block for q < d),
+            # the positions of its monomials, and its width
             places: Dict[Tuple[int, int], tuple] = {}
-            for j, mono in X.entries(d):
+            for x, (j, mono) in enumerate(X.entries(d)):
                 sm = X.summands[j]
-                acc = 0
+                acc = outside = 0
                 for extra, m2, support in _lucas_terms(mono):
-                    q = d - extra  # the degree of the term in TX
+                    q = d - extra
                     place = places.get((j, q))
                     if place is None:
-                        off, width = TX.table.block(q, first[j])
-                        # the u^extra block of ETX in degree d starts at dims[d] - dims[q]
-                        place = places[(j, q)] = (ETX.dims[d] - ETX.dims[q] + off,
-                                                  _monomial_pos(sm.r, q - sm.s), width)
+                        pos = _monomial_pos(sm.r, q - sm.s)
+                        if extra:
+                            off, width = tbar.table.block(q, tbar.comp_pos[(j, 1)])
+                            off += bar.dims[d] - bar.dims[q + 1]
+                        else:
+                            off, width = TX.table.block(d, TX.comp_pos[(j, 0)])
+                        place = places[(j, q)] = (off, pos, width)
                     start, pos, width = place
                     key = (sm.r, support, width)
                     pattern = patterns.get(key)
                     if pattern is None:
-                        pattern = patterns[key] = _support_pattern(*key)
-                    acc ^= pattern << (start + pos[m2])
+                        pattern = patterns[key] = self._support_pattern(*key)
+                    if extra:
+                        outside |= pattern & 1
+                        acc ^= pattern >> width << (start + pos[m2])
+                    else:
+                        outside |= sigma[x] ^ pattern << (start + pos[m2])
+                if outside and verdict.ok:
+                    bad = self._outside_bar(d, j, mono, sigma[x])
+                    verdict = Verdict(False, self.D, (
+                        f"sigma + tau is not taubar in degree {d}: its value on "
+                        f"{X.module.labels[d][x]} has {_sum_label(self.ETX.labels[d], bad)} "
+                        "outside bar"))
                 rows.append(acc)
             layer.append(rows)
-        return ULinearMap(self.E, self.ETX, layer, name="tau")
+        return ULinearMap(self.E, bar, layer, name="taubar"), verdict
+
+    def _outside_bar(self, d: int, j: int, mono: Tuple[int, ...], sigma_row: int) -> int:
+        """The bits of (sigma + tau)(mono) outside bar, for ``mono`` of
+        summand j in degree d, as a row of F[u] (x) TX: the whole u^0 block,
+        then component 0 of each positive u-power.  Read only to name a
+        failure of the equalizer verdict."""
+        sm, TX, dims = self.X.summands[j], self.TX, self.ETX.dims
+        bad = sigma_row  # sigma lands in the u^0 block, which comes first
+        for extra, m2, support in _lucas_terms(mono):
+            q = d - extra
+            off, width = TX.table.block(q, TX.comp_pos[(j, 0)])
+            pattern = self._support_pattern(sm.r, support, width)
+            at = dims[d] - dims[q] + off + _monomial_pos(sm.r, q - sm.s)[m2]
+            bad ^= (pattern & 1 if extra else pattern) << at
+        return bad
 
     @cached_property
-    def _bar_runs(self) -> List[tuple]:
-        """The columns of F[u] (x) TX that bar keeps (the positive u-powers
-        of the reduced components), in bar's order, as runs (start, mask,
-        destination) per degree, the form of ``f2core.column_runs``.
-
-        Bar's order is u-power, then reduced component, then monomial, so
-        each nonempty (u^a, component) block is one run: its monomials are
-        consecutive columns of the u^a block of F[u] (x) TX, which starts
-        at ETX.dims[d] - ETX.dims[d - a].  A block that starts where the
-        previous one ends extends that run, so the runs are maximal."""
-        reduced = [self.TX.comp_pos[comp] for comp in self.tbar.components]
-        table, dims = self.TX.table, self.ETX.dims
-        runs = []
-        for d in range(self.D + 1):
-            out: List[list] = []  # [start, width, destination], widened in place
-            dest = 0
-            for a in range(1, d + 1):
-                u_block = dims[d] - dims[d - a]
-                for c in reduced:
-                    off, width = table.block(d - a, c)
-                    if not width:
-                        continue
-                    start = u_block + off
-                    if out and out[-1][0] + out[-1][1] == start:
-                        out[-1][1] += width
-                    else:
-                        out.append([start, width, dest])
-                    dest += width
-            runs.append(tuple((start, (1 << width) - 1, at) for start, width, at in out))
-        return runs
-
-    @cached_property
-    def taubar(self) -> ModuleMap:
-        """pi o tau on the u^0 layer, with pi the projection of F[u] (x) TX
-        onto the positive u-powers of the reduced components, extended
-        u-linearly: a gather of the columns of tau's layer that bar keeps."""
-        layer = []
-        for d, runs in enumerate(self._bar_runs):
-            rows = self.tau.layer[d]
-            u0 = BitMatrix(len(rows), self.ETX.dims[d], tuple(rows))
-            layer.append(u0.gather(runs, self.bar.dims[d]).row_ints())
-        return ULinearMap(self.E, self.bar, layer, name="taubar")
+    def taubar(self) -> ULinearMap:
+        """pi o tau, with pi the projection of F[u] (x) TX onto the positive
+        u-powers of the reduced components, kept as its u^0 layer: formed
+        straight from the Lucas terms (``_taubar_pass``)."""
+        return self._taubar_pass[0]
 
     @cached_property
     def taubar_linear_verdict(self) -> Verdict:
@@ -498,31 +497,22 @@ class RealmCalculus:
     @cached_property
     def equalizer_verdict(self) -> Verdict:
         """The kernel of taubar is the equalizer of sigma and tau, the kernel
-        of sigma + tau, certified on the u^0 layer once per calculus.
+        of sigma + tau, certified on the u^0 layer once per calculus, as
+        ``_taubar_pass`` forms each row of taubar.
 
         Let iota be the inclusion of bar into F[u] (x) TX.  On the u^0
-        layer sigma lands in u^0 and taubar is tau on bar's columns, so
-        there sigma + tau = iota o taubar exactly when sigma + tau has no
-        bit outside bar, that is, when sigma and tau agree on component 0
-        and modulo u.  All three maps are u-linear, so they then agree in
-        every degree, and iota is injective, so ker(sigma + tau) = ker
-        taubar.  Only the two layers are read: no matrix, rank or kernel
-        of sigma + tau.  A failure names the first basis vector whose
-        value has a bit outside bar; the two kernels may still agree.
+        layer taubar is tau on bar's columns, so there sigma + tau =
+        iota o taubar exactly when sigma + tau has no bit outside bar.
+        sigma lands in the u^0 block, all of it outside bar, so that says
+        two things of each row: its u^0 term, placed on every component,
+        equals sigma's row, the row of ``diag``; and no positive-u term
+        reaches component 0.  All three maps are u-linear, so they then
+        agree in every degree, and iota is injective, so ker(sigma + tau) =
+        ker taubar.  No row of F[u] (x) TX, and no matrix, rank or kernel of
+        sigma + tau, is formed.  A failure names the first basis vector
+        whose value has a bit outside bar; the two kernels may still agree.
         """
-        sigma, tau, ETX = self.sigma, self.tau, self.ETX
-        for d, runs in enumerate(self._bar_runs):
-            outside = (1 << ETX.dims[d]) - 1
-            for start, mask, _ in runs:
-                outside ^= mask << start
-            for x, (s, t) in enumerate(zip(sigma.layer[d], tau.layer[d])):
-                bad = (s ^ t) & outside
-                if bad:
-                    return Verdict(False, self.D, (
-                        f"sigma + tau is not taubar in degree {d}: its value on "
-                        f"{self.X.module.labels[d][x]} has {_sum_label(ETX.labels[d], bad)} "
-                        "outside bar"))
-        return Verdict(True, self.D)
+        return self._taubar_pass[1]
 
     @cached_property
     def st1_basis(self) -> Tuple[List[BitMatrix], List[int]]:

@@ -11,7 +11,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from usteen import _gf2py, steenrod
 from usteen.f2core import BitMatrix, Subspace, column_runs, express_in_rowspace, left_kernel, rref
-from usteen.fulu import ULinearMap
+from usteen.fulu import GradedSubspace
 from usteen.unstable import (
     FuluModule,
     ModuleMap,
@@ -325,6 +325,26 @@ def graded_span_by_elimination(ambient: FuluModule,
     return bases
 
 
+def checked_graded_subspace(ambient, bases: Dict[int, BitMatrix]) -> GradedSubspace:
+    """A graded u-subspace of a scalar extension on given bases: each is
+    re-eliminated to its canonical rref basis, a missing degree is zero,
+    and u-closure is tested vector by vector.  The checked constructor that
+    ``GradedSubspace.from_vectors`` made unnecessary, kept as its oracle."""
+    full = {}
+    for n in range(ambient.D + 1):
+        b = bases.get(n, BitMatrix.zeros(0, ambient.dim(n)))
+        if b.ncols != ambient.dim(n):
+            raise ValueError(f"basis width mismatch at degree {n}")
+        full[n] = Subspace.from_rows(b).basis
+    for n in range(ambient.D):
+        target = Subspace(ambient.dim(n + 1), full[n + 1])
+        if not all(map(target.contains_vector, ambient.times_u(n, full[n]).row_ints())):
+            raise ValueError(f"not closed under u at degree {n}")
+    X = GradedSubspace.__new__(GradedSubspace)
+    X.ambient, X.bases = ambient, full
+    return X
+
+
 def shifted_subspace_by_elimination(rng, E) -> Dict[int, BitMatrix]:
     """The bases of a style-2 random subspace of T14 as it was first built,
     the oracle of ``harness._random_subspace``: the span X of the style-1
@@ -478,25 +498,32 @@ def one_bit_flips(stored: Dict, shapes: Dict, rng, count: int):
             yield in_stored, mats
 
 
-def mutant_tau(calc, drop) -> ModuleMap:
-    """The tau of a realm calculus with the u^0 copy of the unit in the
-    components ``drop`` removed from its degree-0 row, extended u-linearly.
+def drop_u0_copies(calc, drop) -> None:
+    """Make the tau of ``calc`` miss the components v in ``drop`` in every
+    u^0 term: the pattern that places a term of support 0 on every copy of
+    its summand (``RealmCalculus._support_pattern``, read through the
+    calculus) loses the copies at those v.
 
-    Dropping the copy in component 0 leaves taubar = pi o tau unchanged,
-    so only the equalizer verdict can see it."""
-    layer = [calc.tau.mat(d).take_rows(range(calc.X.table.dims[d])).row_ints()
-             for d in range(calc.D + 1)]
-    unit = (0,) * calc.X.summands[0].r
-    for c in drop:
-        layer[0][0] ^= 1 << calc.ETX.index(0, 0, calc.TX.index(0, c, unit))
-    return ULinearMap(calc.E, calc.ETX, layer, name="tau")
+    The u^0 terms lie outside bar, so taubar is unchanged and only the
+    equalizer verdict can see it; its first failing row is the unit."""
+    real = calc._support_pattern
+
+    def pattern(r, support, width):
+        out = real(r, support, width)
+        if not support:
+            for v in drop:
+                out &= ~(1 << (v * width))
+        return out
+
+    calc._support_pattern = pattern
 
 
 def bar_runs_by_columns(calc) -> List[tuple]:
     """The columns of F[u] (x) TX that bar keeps, listed one by one in
     bar's order (u-power, then reduced component, then monomial) and
-    grouped by ``column_runs``; the oracle of ``RealmCalculus._bar_runs``.
-    The u^a blocks are placed by the ``TensorLayout`` of F[u] (x) TX."""
+    grouped by ``column_runs``: the oracle of where taubar's u^0 layer
+    keeps the columns of tau's.  The u^a blocks are placed by the
+    ``TensorLayout`` of F[u] (x) TX."""
     reduced = [calc.TX.comp_pos[comp] for comp in calc.tbar.components]
     table, layout = calc.TX.table, calc.ETX.layout.table
     runs = []

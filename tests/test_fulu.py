@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usteen import _gf2py, fixtures, fulu, harness, unstable
 from usteen.f2core import BitMatrix, Subspace, left_kernel, rank, rref
@@ -48,6 +50,7 @@ from usteen.unstable import (
 
 from reference import (
     a_span,
+    checked_graded_subspace,
     coker_data,
     one_bit_flips,
     fulu_algebra,
@@ -215,6 +218,30 @@ def test_row_cartan_sum_matches_the_action(r):
                 assert N.sq_rows(k, n, rows) == rows @ N.sq(k, n), (N.name, k, n)
             with pytest.raises(TruncationError):
                 N.sq_rows(D - n + 1, n, unit)
+
+
+SQ_ROWS_D = 7
+SQ_ROWS_CASES = [
+    extend_scalars(free_unstable(1, SQ_ROWS_D)),
+    extend_scalars(hv_module(2, SQ_ROWS_D)),
+    extend_scalars(realm_sum(hv(1, SQ_ROWS_D), realm_suspend(hv(2, SQ_ROWS_D), 1)).module),
+    RealmCalculus(hv(2, SQ_ROWS_D)).bar,  # the positive-u part of F[u] (x) Tbar H(V2)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(SQ_ROWS_CASES), n=st.integers(0, SQ_ROWS_D), data=st.data())
+def test_row_cartan_sum_on_few_bit_and_dense_rows(case, n, data):
+    """``sq_rows`` visits only the u-blocks some row touches; it equals
+    ``rows @ sq(k, n)`` on rows of one to three set bits, which leave most
+    blocks empty, and on dense rows, which touch every block."""
+    N, width = case, case.dim(n)
+    k = data.draw(st.integers(0, SQ_ROWS_D - n), label="k")
+    bits = st.lists(st.integers(0, width - 1), min_size=1, max_size=3)
+    few = st.builds(lambda b: sum(1 << i for i in set(b)), bits) if width else st.just(0)
+    row = data.draw(st.sampled_from([few, st.integers(0, (1 << width) - 1)]), label="style")
+    rows = BitMatrix.from_row_ints(data.draw(st.lists(row, min_size=1, max_size=4)), width)
+    assert N.sq_rows(k, n, rows) == rows @ N.sq(k, n), (N.name, k, n)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -481,7 +508,7 @@ def test_saturation_and_generators_match_their_oracles(D):
     for t in range(60):
         E = ambients[t % 2]
         X = harness._random_subspace(rng, E, t % 3)
-        assert GradedSubspace(E, X.bases).bases == X.bases
+        assert checked_graded_subspace(E, X.bases).bases == X.bases
         sat = saturation_check(X)
         assert sat == saturation_check_by_preimage(X)
         gs = generator_space(X)
@@ -566,8 +593,6 @@ def test_closed_forms_on_extensions_match_the_elimination_oracles(D):
 def test_graded_subspace_refuses_degrees_outside_the_truncation():
     E = extend_scalars(unit_module(4))
     for n in (-1, 5):
-        with pytest.raises(ValueError, match=f"basis degree {n} outside 0..4"):
-            GradedSubspace(E, {n: BitMatrix.identity(1)})
         with pytest.raises(ValueError, match=f"seed degree {n} outside 0..4"):
             GradedSubspace.from_vectors(E, {n: [1]})
     # the keys inside 0..D still build
@@ -579,15 +604,13 @@ def test_graded_subspace_refuses_degrees_outside_the_truncation():
 
 
 def test_graded_subspaces_refuse_an_ambient_that_is_no_scalar_extension():
-    """u is a shift only on a scalar extension: both constructors, and the
+    """u is a shift only on a scalar extension: ``from_vectors``, and the
     saturation check and generator space of a subspace assembled by hand,
     refuse any other u-module, even one with the very u of a scalar
     extension."""
     refusal = "graded u-subspaces need a scalar-extension ambient"
     for amb in _plain_u_modules(6):
         bases = {n: BitMatrix.zeros(0, amb.dim(n)) for n in range(amb.D + 1)}
-        with pytest.raises(ValueError, match=refusal):
-            GradedSubspace(amb, bases)
         with pytest.raises(ValueError, match=refusal):
             GradedSubspace.from_vectors(amb, {})
         X = GradedSubspace.__new__(GradedSubspace)
@@ -598,8 +621,15 @@ def test_graded_subspaces_refuse_an_ambient_that_is_no_scalar_extension():
 
 
 def test_graded_subspace_checks_u_closure():
+    """The checked oracle refuses bases that u leaves; ``from_vectors``
+    closes them, and there is no unchecked way in."""
     E = extend_scalars(unit_module(4))
     with pytest.raises(ValueError, match="not closed under u at degree 1"):
+        checked_graded_subspace(E, {1: BitMatrix.identity(1)})
+    X = GradedSubspace.from_vectors(E, {1: [1]})
+    assert [X.dim(n) for n in range(5)] == [0, 1, 1, 1, 1]
+    assert checked_graded_subspace(E, X.bases) == X
+    with pytest.raises(TypeError):
         GradedSubspace(E, {1: BitMatrix.identity(1)})
 
 

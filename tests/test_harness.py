@@ -22,7 +22,7 @@ from usteen.harness import (
 from usteen.lannes import RealmCalculus, hv
 from usteen.unstable import TruncatedModule, Verdict, free_unstable, polynomial_module
 
-from reference import flip_bit, mutant_tau
+from reference import drop_u0_copies, flip_bit
 
 
 def test_poincare_coeffs():
@@ -400,8 +400,9 @@ def test_rank3_catalog_does_each_piece_of_realm_work_once(monkeypatch, fresh_cac
     # extension's action or labels are read, and none of these checks reads them
     assert polys == {(r, 8): 1 for r in ranks}
     # each H(V_r) once, shared by taubar, the invariants and the squaring
-    # span; each expansion once, for sigma and tau
-    assert extended == {name: 1 for r in ranks for name in (f"H(V{r})", f"T[1](H(V{r}))")}
+    # span; no expansion: taubar and the equalizer are read off the Lucas
+    # terms, with no sigma or tau into F[u] (x) TX
+    assert extended == {f"H(V{r})": 1 for r in ranks}
 
 
 def test_t8_builds_no_kernel_of_alpha_and_no_div_and_t12_one_kernel(monkeypatch, fresh_caches):
@@ -457,15 +458,15 @@ def test_a_failing_equalizer_verdict_fails_every_check_that_reads_it(order, monk
 
 
 def test_t16_certifies_the_equalizer_of_the_sum_it_reads(monkeypatch):
-    """A tau that drops the u^0 copy of the unit in component 0 leaves taubar,
-    and so the kernel dims T16 compares, unchanged; only the equalizer
-    verdict of the sum's calculus sees it."""
+    """A tau whose u^0 terms miss component 0 leaves taubar, and so the
+    kernel dims T16 compares, unchanged; only the equalizer verdict of the
+    sum's calculus sees it."""
     real = harness.RealmCalculus
 
     def broken_on_sums(X):
         calc = real(X)
         if len(X.summands) > 1:
-            calc.tau = mutant_tau(calc, [calc.TX.comp_pos[(0, 0)]])
+            drop_u0_copies(calc, [0])
         return calc
 
     monkeypatch.setattr(harness, "RealmCalculus", broken_on_sums)
@@ -1006,6 +1007,32 @@ def twist_loses_a_term(monkeypatch):
     monkeypatch.setattr(lannes, "_twist_plus_id", lost)
 
 
+def _with_patterns(monkeypatch, change):
+    """Patch ``RealmCalculus._support_pattern``, which places each Lucas
+    term of tau on every component it reaches, so that its patterns go
+    through ``change(pattern, support, width)``."""
+    real = lannes.RealmCalculus._support_pattern
+
+    def changed(r, support, width):
+        return change(real(r, support, width), support, width)
+
+    monkeypatch.setattr(lannes.RealmCalculus, "_support_pattern", staticmethod(changed))
+
+
+def tau_u0_term_misses_a_component(monkeypatch):
+    """T2, the equalizer's first leg: every u^0 term of tau misses its copy
+    in component 1, so it no longer equals sigma's row there.  The u^0
+    block lies outside bar, so taubar and its kernel are unchanged."""
+    _with_patterns(monkeypatch, lambda p, support, width: p if support else p & ~(1 << width))
+
+
+def tau_term_reaches_component_0(monkeypatch):
+    """T2, the equalizer's second leg: every positive-u term of tau lands
+    on component 0 too, which no twist by a v containing its support is.
+    Component 0 lies outside bar, so taubar and its kernel are unchanged."""
+    _with_patterns(monkeypatch, lambda p, support, width: p | 1 if support else p)
+
+
 def squaring_span_repeats_a_generator(monkeypatch):
     """T4: st1 of the second basis vector of the first degree with two of
     them is st1 of the first, so the distinguished generators of that
@@ -1124,6 +1151,12 @@ MUTATIONS = {
                                       "structural violation: Inv(G,H(V1)): the stacked g_v + id "
                                       "falls short of rank dim E - #rows in degree 1: its row at "
                                       "[1|t] is zero"),
+    "T2-equalizer-u0-term-misses-a-component": (
+        tau_u0_term_misses_a_component, "structural violation: sigma + tau is not taubar in "
+        "degree 0: its value on 1 has [1|<0:1>1] outside bar"),
+    "T2-equalizer-term-reaches-component-0": (
+        tau_term_reaches_component_0, "structural violation: sigma + tau is not taubar in "
+        "degree 1: its value on t has [u|<0:0>1] outside bar"),
     "T4": (squaring_span_repeats_a_generator, "structural violation: distinguished generators "
            "dependent in degree 6"),
     "T4-u-not-the-shift": (r1_u_drops_a_bit, "F(1): torsion: u kills st1(i1) in degree 2"),

@@ -12,6 +12,7 @@ from usteen.f2core import BitMatrix, RowReducer, Subspace, image_is_kernel, left
 from usteen.fulu import (
     GradedSubspace,
     extend_scalars,
+    extend_scalars_map,
     indecomposables,
     positive_u_part,
     q_data,
@@ -59,13 +60,14 @@ from usteen.unstable import (
 
 from reference import (
     bar_runs_by_columns,
+    checked_graded_subspace,
     coker_data,
     concat_cols,
     compositions_submask,
     dense_quotient,
     fulu_algebra,
     image_submodule,
-    mutant_tau,
+    drop_u0_copies,
     Subquotient,
     taubar_kernel_spaces,
     taubar_subquotient,
@@ -169,12 +171,19 @@ def test_t_of_rank1_dims():
     assert [exp.module.dim(n) for n in range(9)] == [2] * 9
 
 
+def sigma_of(calc):
+    """sigma, the identity into every component: the scalar extension of
+    ``diag``, which the equalizer verdict reads in place of sigma's rows."""
+    return extend_scalars_map(calc.diag, calc.E, calc.ETX, name="sigma")
+
+
 def test_tau_degree_one_pins_the_convention():
     # on the rank-one extension: tau_v(t) = t + u for v != 0, tau_v(u) = u,
-    # and sigma_v = identity; derived from the dual basis by hand
+    # and sigma_v = identity; derived from the dual basis by hand.  tau is
+    # the per-monomial oracle; taubar keeps its positive-u bits off component 0
     X = hv(1, 6)
     calc = RealmCalculus(X)
-    sigma, tau = calc.sigma, calc.tau
+    sigma, tau = sigma_of(calc), ModuleMap(calc.E, calc.ETX, tau_by_monomials(calc))
     E, ETX, TX = calc.E, calc.ETX, calc.TX
     c0 = calc.TX.comp_pos[(0, 0)]
     c1 = calc.TX.comp_pos[(0, 1)]
@@ -193,6 +202,11 @@ def test_tau_degree_one_pins_the_convention():
     assert tau.mat(1).row_int(i_t) == t_c0 | t_c1 | u_c1
     # sigma is the identity into every component
     assert sigma.mat(1).row_int(i_t) == t_c0 | t_c1
+    # taubar keeps the u of component 1, the one basis vector of bar in
+    # degree 1; it is pi o tau on the u^0 layer, extended u-linearly, so it
+    # kills u = u * 1, as the unit's row of degree 0 is empty
+    u_bar = 1 << calc.bar.index(1, 1, calc.tbar.index(0, calc.tbar.comp_pos[(0, 1)], (0,)))
+    assert (calc.taubar.mat(1).row_int(i_t), calc.taubar.mat(1).row_int(i_u)) == (u_bar, 0)
 
 
 def test_sigma_tau_agree_on_zero_component():
@@ -200,29 +214,31 @@ def test_sigma_tau_agree_on_zero_component():
     retract = retract_by_monomials(calc)
     for n in range(calc.D + 1):
         ident = BitMatrix.identity(calc.E.dim(n))
-        assert calc.sigma.mat(n) @ retract[n] == ident
-        assert calc.tau.mat(n) @ retract[n] == ident
+        assert sigma_of(calc).mat(n) @ retract[n] == ident
+        assert tau_by_monomials(calc)[n] @ retract[n] == ident
 
 
 @pytest.mark.parametrize("X", [hv(1, 6), hv(2, 5)], ids=lambda X: X.name)
 @pytest.mark.parametrize("component", ["zero", "nonzero"])
 def test_equalizer_verdict_fails_on_a_tau_that_drops_a_copy_of_the_unit(X, component):
     """sigma and tau agree on component 0 and modulo u, which taubar = pi o tau
-    relies on; a tau that breaks either fails the verdict in degree 0, and
-    the witness names the bit of sigma + tau outside bar."""
-    calc = RealmCalculus(X)
-    assert mutant_tau(calc, []) == calc.tau
+    relies on; a tau whose u^0 terms miss a component breaks either, fails
+    the verdict in degree 0, and the witness names the bit of sigma + tau
+    outside bar.  taubar is unchanged."""
     v = 0 if component == "zero" else 1
-    calc.tau = mutant_tau(calc, [calc.TX.comp_pos[(0, v)]])
-    assert "taubar" not in vars(calc)
+    calc, intact = RealmCalculus(X), RealmCalculus(X)
+    drop_u0_copies(intact, [])
+    assert intact.equalizer_verdict.ok
+    drop_u0_copies(calc, [v])
     assert calc.equalizer_verdict == Verdict(
         False, X.D, f"sigma + tau is not taubar in degree 0: its value on 1 has [1|<0:{v}>1] "
                     "outside bar")
+    assert calc.taubar.layer == intact.taubar.layer
 
 
 def test_rtilde_raises_on_every_read_when_the_equalizer_fails():
     calc = RealmCalculus(hv(1, 6))
-    calc.tau = mutant_tau(calc, [calc.TX.comp_pos[(0, 0)]])
+    drop_u0_copies(calc, [0])
     for _ in range(2):
         with pytest.raises(unstable.TheoryViolation,
                            match=r"^sigma \+ tau is not taubar in degree 0: "):
@@ -231,8 +247,9 @@ def test_rtilde_raises_on_every_read_when_the_equalizer_fails():
 
 @pytest.mark.parametrize("X", [hv(1, 6), hv(2, 4)], ids=lambda X: X.name)
 def test_rtilde_fails_at_construction_when_a_tau_bit_inside_bar_breaks_the_kernel(X):
-    """Flipping one bit of tau's u^0 layer inside bar leaves sigma + tau =
-    iota o taubar, so the equalizer passes.  Reading rtilde raises, with the
+    """Flipping one bit of tau's u^0 layer inside bar, one bit of taubar's
+    layer, leaves sigma + tau = iota o taubar, so the equalizer passes.
+    Reading rtilde raises, with the
     witness of leg (b) or (c) of its certificate, whenever the kernel of
     the new taubar, eliminated, is not the span of the closed basis, and
     some flip makes it so; when it passes, the two agree.  The certificate
@@ -240,15 +257,14 @@ def test_rtilde_fails_at_construction_when_a_tau_bit_inside_bar_breaks_the_kerne
     break the distinct lowest bits of leg (c), and then rtilde raises too,
     with no elimination to fall back on."""
     base = RealmCalculus(X)
-    E, ETX, closed = base.E, base.ETX, base.kernel_spaces
+    E, bar, closed = base.E, base.bar, base.kernel_spaces
     broken = 0
-    for d, runs in enumerate(base._bar_runs):
-        inside = [start + i for start, mask, _ in runs for i in range(mask.bit_length())]
-        for x, bit in product(range(X.table.dims[d]), inside):
-            layer = [list(rows) for rows in base.tau.layer]
+    for d in range(X.D + 1):
+        for x, bit in product(range(X.table.dims[d]), range(bar.dims[d])):
+            layer = [list(rows) for rows in base.taubar.layer]
             layer[d][x] ^= 1 << bit
             calc = RealmCalculus(X)
-            calc.tau = ULinearMap(E, ETX, layer, name="tau")
+            calc.taubar = ULinearMap(E, bar, layer, name="taubar")
             assert calc.equalizer_verdict.ok
             kernel = [left_kernel(calc.taubar.mat(n)) for n in range(X.D + 1)]
             broken += kernel != closed
@@ -264,8 +280,8 @@ def test_rtilde_fails_at_construction_when_a_tau_bit_inside_bar_breaks_the_kerne
 
 def test_comparison_maps_are_fulu_maps():
     calc = RealmCalculus(hv(1, 6))
-    assert calc.sigma.validate_linear().ok
-    assert calc.tau.validate_linear().ok
+    assert sigma_of(calc).validate_linear().ok
+    assert ModuleMap(calc.E, calc.ETX, tau_by_monomials(calc)).validate_linear().ok
     assert calc.taubar.validate_linear().ok
 
 
@@ -402,7 +418,7 @@ def test_saturation_of_rtilde():
     X = hv(1, 8)
     calc = RealmCalculus(X)
     calc.rtilde  # certifies the equalizer
-    sub = GradedSubspace(
+    sub = checked_graded_subspace(
         calc.E, {n: calc.kernel_incl.mat(n) for n in range(9)}
     )
     assert saturation_check(sub).ok
@@ -481,7 +497,7 @@ def test_saturation_of_rtilde_all_realm_fixtures():
     for X in (hv(0, 6), hv(1, 6), hv(2, 6), realm_suspend(hv(1, 6), 1)):
         calc = RealmCalculus(X)
         calc.rtilde  # certifies the equalizer
-        sub = GradedSubspace(
+        sub = checked_graded_subspace(
             calc.E,
             {n: calc.kernel_incl.mat(n) for n in range(X.D + 1)},
         )
@@ -490,15 +506,15 @@ def test_saturation_of_rtilde_all_realm_fixtures():
 
 def test_tau_sigma_returns_validated_maps():
     calc = RealmCalculus(hv(1, 6))
-    assert calc.sigma.validate_linear().ok
-    assert calc.tau.validate_linear().ok
+    assert sigma_of(calc).validate_linear().ok
+    assert ModuleMap(calc.E, calc.ETX, tau_by_monomials(calc)).validate_linear().ok
     assert calc.taubar.validate_linear().ok
 
 
 def test_comparison_maps_validate_at_rank2():
     calc = RealmCalculus(hv(2, 5))
-    assert calc.sigma.validate_linear().ok
-    assert calc.tau.validate_linear().ok
+    assert sigma_of(calc).validate_linear().ok
+    assert ModuleMap(calc.E, calc.ETX, tau_by_monomials(calc)).validate_linear().ok
     assert calc.taubar.validate_linear().ok
     assert fix_taubar_of(calc, fix_taubar_by_monomials(calc)).validate_linear().ok
 
@@ -555,16 +571,22 @@ def test_block_layouts_round_trip():
 
 @pytest.mark.parametrize("X", [hv(1, 0), hv(1, 12), hv(2, 9), hv(3, 6),
                                realm_suspend(hv(1, 10), 2),
-                               realm_sum(hv(1, 8), realm_suspend(hv(2, 8), 1))],
+                               realm_sum(hv(1, 8), realm_suspend(hv(2, 8), 1)),
+                               # T16's sum: two rank-0 summands, with no reduced component
+                               realm_sum(hv(1, 8), realm_sum(hv(0, 8), realm_suspend(hv(0, 8), 2)))],
                          ids=lambda X: f"{X.name}-D{X.D}")
 def test_bar_runs_match_the_per_column_oracle(X):
-    """The runs of bar's columns, one per (u-power, reduced component)
-    block with adjacent blocks merged, are the ``column_runs`` of bar's
-    columns listed one by one (``reference.bar_runs_by_columns``)."""
+    """taubar's u^0 layer, placed straight into bar's columns, is the
+    oracle tau's u^0 layer gathered along the ``column_runs`` of bar's
+    columns listed one by one in F[u] (x) TX
+    (``reference.bar_runs_by_columns``), and the equalizer passes."""
     calc = RealmCalculus(X)
-    assert calc._bar_runs == bar_runs_by_columns(calc)
-    widths = [sum(mask.bit_length() for _, mask, _ in runs) for runs in calc._bar_runs]
-    assert widths == list(calc.bar.dims)
+    runs, tau = bar_runs_by_columns(calc), tau_by_monomials(calc)
+    for d in range(X.D + 1):
+        assert sum(mask.bit_length() for _, mask, _ in runs[d]) == calc.bar.dims[d]
+        u0 = tau[d].take_rows(range(X.table.dims[d]))
+        assert u0.gather(runs[d], calc.bar.dims[d]).row_ints() == list(calc.taubar.layer[d])
+    assert calc.equalizer_verdict.ok
 
 
 # -- per-monomial references for the maps built from component matrices ------
@@ -673,7 +695,7 @@ def test_component_maps_match_the_monomial_loops(X, monkeypatch):
         (calc.diag, diag_by_monomials(calc)),
         (fix_taubar_of(calc, _component_map(calc.TX, calc.TTbar, calc.fix_components)),
          fix_taubar_by_monomials(calc)),
-        (calc.sigma, sigma_by_monomials(calc)),
+        (sigma_of(calc), sigma_by_monomials(calc)),
     ):
         assert [got.mat(n) for n in degrees] == [want[n] for n in degrees], got.name
     # the split equalizer hands its component matrix P to the P-level check
@@ -837,6 +859,8 @@ U_LINEAR_CASES = [
     *(realm_suspend(hv(1, 7), k) for k in (1, 3)),
     # no reduced component in degrees 0 and 1: E_tbar has empty u-blocks there
     realm_sum(hv(0, 7), realm_suspend(hv(1, 7), 2)),
+    # T16's sum: rank-0 summands, which have no reduced component at all
+    realm_sum(hv(1, 7), realm_sum(hv(0, 7), realm_suspend(hv(0, 7), 2))),
     # summands of different ranks side by side, each shifted
     realm_suspend(realm_sum(hv(2, 7), hv(1, 7)), 1),
 ]
@@ -844,10 +868,12 @@ U_LINEAR_CASES = [
 
 @pytest.mark.parametrize("X", U_LINEAR_CASES, ids=lambda X: X.name)
 def test_u_linear_maps_match_the_monomial_loops(X):
+    """taubar, formed straight from the Lucas terms, is the per-monomial
+    oracle's, and the equalizer checked in the same pass holds."""
     calc = RealmCalculus(X)
-    degrees = range(calc.D + 1)
-    for got, want in ((calc.tau, tau_by_monomials(calc)), (calc.taubar, taubar_by_monomials(calc))):
-        assert [got.mat(n) for n in degrees] == [want[n] for n in degrees], got.name
+    want = taubar_by_monomials(calc)
+    assert [calc.taubar.mat(n) for n in range(calc.D + 1)] == [want[n] for n in range(calc.D + 1)]
+    assert calc.equalizer_verdict == Verdict(True, calc.D)
 
 
 @pytest.mark.parametrize("X", U_LINEAR_CASES, ids=lambda X: X.name)
@@ -1018,9 +1044,10 @@ def test_t3_reads_no_layout_of_an_expansion_of_an_expansion(monkeypatch):
 
 @pytest.mark.parametrize("X", [hv(2, 10), realm_sum(hv(1, 8), realm_suspend(hv(2, 8), 1))],
                          ids=lambda X: X.name)
-def test_tau_expands_each_monomial_once_and_taubar_none(X, monkeypatch):
-    """tau expands each monomial once over all variables, not once per
-    group element; taubar is read off tau and expands nothing."""
+def test_taubar_expands_each_monomial_once_and_the_equalizer_none(X, monkeypatch):
+    """taubar expands each monomial once over all variables, not once per
+    group element; the equalizer verdict is checked in the same pass and
+    expands nothing more."""
     calc = RealmCalculus(X)
     lucas, twists = [], []
     lucas_terms = lannes._lucas_terms
@@ -1031,11 +1058,11 @@ def test_tau_expands_each_monomial_once_and_taubar_none(X, monkeypatch):
 
     monkeypatch.setattr(lannes, "_lucas_terms", counting)
     monkeypatch.setattr(lannes, "_twist_plus_id", lambda mono, i: twists.append(mono))
-    calc.tau
+    calc.taubar
     assert sorted(lucas) == sorted(mono for d in range(calc.D + 1) for _, mono in X.entries(d))
     assert twists == []
     del lucas[:]
-    calc.taubar
+    assert calc.equalizer_verdict.ok
     assert lucas == twists == []
 
 
@@ -1255,9 +1282,27 @@ def test_compute_builds_no_extension_action_and_no_matrix_of_tau(argv, monkeypat
     # the kernel or the invariant ring is built, and certified, with no action
     assert [name for name in built if name.startswith(("ker(", "Inv("))] != []
     assert [name for name in actions if name.startswith(("Fu(x)", "ker(", "Inv("))] == []
-    # tau and sigma are read on their u^0 layers only
+    # neither tau, nor sigma, nor F[u] (x) TX, their target, is built
     assert reads["tau"] == reads["sigma"] == 0
+    assert [name for name in built if name.startswith("Fu(x)T[1](")] == []
 
+
+@pytest.mark.parametrize("X", [hv(1, 8), hv(2, 8), realm_suspend(hv(1, 8), 2),
+                               realm_sum(hv(1, 8), realm_sum(hv(0, 8), realm_suspend(hv(0, 8), 2)))],
+                         ids=lambda X: X.name)
+def test_rtilde_invariants_and_fix_parts_build_no_tau_and_no_extension_of_tx(X):
+    """ker taubar and the equalizer are certified on taubar's layer,
+    formed straight from the Lucas terms: after ``rtilde``,
+    ``invariants()`` and ``fix_parts``, the calculus holds no tau, no
+    sigma and no F[u] (x) TX."""
+    calc = RealmCalculus(X)
+    calc.rtilde
+    if len(X.summands) == 1 and not X.summands[0].s:
+        calc.invariants()
+    calc.fix_parts
+    assert not hasattr(calc, "tau") and not hasattr(calc, "sigma")
+    assert {"taubar", "equalizer_verdict"} <= set(vars(calc))
+    assert "ETX" not in vars(calc)
 
 @pytest.mark.parametrize("argv", [
     ["compute", "rtilde", "--module", "HV2"],

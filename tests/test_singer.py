@@ -4,7 +4,7 @@ import numpy as np
 
 from usteen import harness, singer
 from usteen.f2core import BitMatrix, Subspace, rref
-from usteen.fulu import extend_scalars, indecomposables, saturation_check, GradedSubspace, generator_space, torsion_free
+from usteen.fulu import extend_scalars, indecomposables, saturation_check, generator_space, torsion_free
 from usteen.lannes import hv_module
 from usteen.singer import (
     product_mu,
@@ -25,7 +25,7 @@ from usteen.unstable import (
     unit_module,
 )
 
-from reference import intersect
+from reference import checked_graded_subspace, intersect
 
 
 def series_coeffs(r, D):
@@ -182,7 +182,7 @@ def test_r1_reduced_preserved():
 
 def test_r1_saturated_in_ambient():
     S = r1(polynomial_module(1, 10))
-    X = GradedSubspace(S.ambient, {n: S.gen_matrix(n) for n in range(S.D + 1)})
+    X = checked_graded_subspace(S.ambient, {n: S.gen_matrix(n) for n in range(S.D + 1)})
     assert saturation_check(X).ok
     gs = generator_space(X)
     assert gs.eps_image_injective.ok
@@ -381,11 +381,11 @@ def test_r1_submodule_compatibility():
 
 
 def test_generator_space_of_r1_is_squares():
-    from usteen.fulu import GradedSubspace, generator_space
+    from usteen.fulu import generator_space
 
     M = polynomial_module(1, 10)
     S = r1(M)
-    X = GradedSubspace(S.ambient, {n: S.gen_matrix(n) for n in range(S.D + 1)})
+    X = checked_graded_subspace(S.ambient, {n: S.gen_matrix(n) for n in range(S.D + 1)})
     gs = generator_space(X)
     assert gs.eps_image_injective.ok
     for n in range(S.D + 1):
