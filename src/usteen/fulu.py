@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import or_
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .f2core import BitMatrix, Subspace, _file_rows, left_kernel, rank, rref_basis
 from .unstable import (
@@ -240,10 +240,10 @@ class ULinearMap(ModuleMap):
     basis, in order, onto the last ``tgt.dims[n - a]`` vectors of degree n.
     So the u^a block of ``src`` in degree n maps by ``layer[n - a]`` shifted
     by the offset u applies on both ends: the map is u-linear whatever the
-    layer.  ``mat(n)`` is placed so when it is first read, and ``on_rows``
-    maps sparse rows with no matrix.  ``ranks`` holds the ranks a
-    certificate has established (ker(taubar)'s records taubar's), which
-    ``rank`` reads instead of eliminating.
+    layer.  ``apply`` is the layer product, and ``mat(n)`` is placed so
+    only when it is read.  ``ranks`` holds the ranks a certificate has
+    established (ker(taubar)'s records taubar's), which ``rank`` reads
+    instead of eliminating.
     """
 
     def __init__(self, src: ExtendedModule, tgt: ExtendedModule, layer: Sequence[Sequence[int]],
@@ -256,14 +256,13 @@ class ULinearMap(ModuleMap):
         self.layer = layer
         self.ranks: Dict[int, int] = {}
 
-    def on_rows(self, n: int, rows: Iterable[int]) -> List[int]:
-        """The images of int-packed rows of degree n, one layer row per set
-        bit: u^a times basis vector x of M goes to the layer row of x,
-        shifted onto the target's u^a block.  For rows with few bits, such
-        as u-generators, this costs less than one row of ``mat(n)``."""
+    def apply(self, n: int, rows: BitMatrix) -> BitMatrix:
+        """``rows @ mat(n)`` with no matrix, one layer row per set bit: u^a
+        times basis vector x of M goes to the layer row of x, shifted onto
+        the target's u^a block.  Sparse rows cost less than one matrix row."""
         src, tgt, layer = self.source, self.target, self.layer
         out = []
-        for r in rows:
+        for r in rows.row_ints():
             acc = 0
             while r:
                 low = r & -r
@@ -271,7 +270,7 @@ class ULinearMap(ModuleMap):
                 acc ^= layer[n - a][x] << (tgt.dims[n] - tgt.dims[n - a])
                 r ^= low
             out.append(acc)
-        return out
+        return BitMatrix(rows.nrows, tgt.dims[n], tuple(out))
 
     def rank(self, n: int) -> int:
         got = self.ranks.get(n)
@@ -391,9 +390,12 @@ def indecomposables(N: FuluModule) -> FuluModule:
 
 def q_of_map(f: ModuleMap, qsrc: Quotient, qtgt: Quotient) -> ModuleMap:
     """The map induced on indecomposables: f on the representatives of
-    ``qsrc``, a row selection, then the projection ``qtgt``."""
+    ``qsrc`` (``f.apply``, so a ``ULinearMap`` reads its u^0 layer there
+    and builds no matrix), then the projection ``qtgt``."""
     D = min(f.D, qsrc.D, qtgt.D)
-    mats = {n: qtgt.apply(n, f.mat(n).take_rows(qsrc.rep_cols[n])) for n in range(D + 1)}
+    mats = {n: qtgt.apply(n, f.apply(n, BitMatrix(len(cols), f.source.dims[n],
+                                                  tuple(1 << c for c in cols))))
+            for n, cols in enumerate(qsrc.rep_cols[:D + 1])}
     return ModuleMap(qsrc.target, qtgt.target, mats, D=D)
 
 

@@ -4,7 +4,10 @@ The "realm" class consists of finite direct sums of suspensions of the
 cohomology of elementary abelian 2-groups.  On this class the T-functor is a
 finite direct sum again (one component per group element), so the comparison
 maps, their equalizer kernel, the fixed-point functor, and the invariant-ring
-description all reduce to explicit GF(2) matrices.
+description all reduce to explicit GF(2) data: a map that only moves
+components is its component matrix, and a u-linear map out of F[u] (x) X is
+its u^0 layer, on which taubar's exact sequence is certified
+(``RealmCalculus.taubar_image_verdict``).
 
 Conventions pinned here (guarded by degree-one unit tests):
   * the component of the comparison map tau indexed by a group element v is
@@ -24,7 +27,7 @@ from functools import cached_property, lru_cache
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2core import BitMatrix, Subspace, image_is_kernel, left_kernel, rref
+from .f2core import BitMatrix, RowReducer, Subspace, image_is_kernel, left_kernel, rref
 from .fulu import (
     ExtendedModule,
     GradedSubspace,
@@ -293,7 +296,7 @@ def _certify_kernel_span(E: ExtendedModule, rows: Sequence[BitMatrix], gens: Seq
     with no matrix and no elimination; raises ``TheoryViolation`` naming
     the failing leg.
 
-    (b) Each map kills every u-generator (``ULinearMap.on_rows``); the maps
+    (b) Each map kills every u-generator (``ULinearMap.apply``); the maps
     are u-linear, so they kill every row.  (c) Stack the maps, with the
     columns ordered by the position in the target, then by the map.  The
     basis vectors of E_d that are no row's lowest bit have stacked images
@@ -307,7 +310,7 @@ def _certify_kernel_span(E: ExtendedModule, rows: Sequence[BitMatrix], gens: Seq
     lows = [[[(r & -r).bit_length() - 1 for r in layer] for layer in f.layer] for f in maps]
     for d, m in enumerate(rows):
         for f in maps:
-            for row, image in zip(m._rows, f.on_rows(d, m._rows[:gens[d]])):
+            for row, image in zip(m._rows, f.apply(d, m.take_rows(range(gens[d])))._rows):
                 if image:
                     raise TheoryViolation(f"{what}: {f.name} does not kill the u-generator "
                                           f"{_sum_label(E.labels[d], row)} in degree {d}")
@@ -335,17 +338,18 @@ class RealmCalculus:
 
     It is the one entry point to what is read off the comparison map of X:
     ``rtilde`` (ker taubar, with ``kernel_incl`` and ``kernel_spaces``),
-    ``taubar_image``, ``invariants()``, ``alpha()`` (on the loop-functor
-    data ``omega``) and ``fix_parts``.  taubar's u^0 layer is formed
-    straight from the Lucas terms of each monomial, and the equalizer of
-    sigma and tau is checked on each row as it is formed
+    ``taubar_image`` with ``taubar_image_verdict``, ``invariants()``,
+    ``alpha()`` (on the loop-functor data ``omega``) and ``fix_parts``.
+    taubar's u^0 layer is formed straight from the Lucas terms of each
+    monomial, and the equalizer of sigma and tau is checked on each row as
+    it is formed, sigma's rows placed from its component matrix
     (``_taubar_pass``): neither sigma nor tau is built, nor F[u] (x) TX.
     ker taubar is built in closed form (``st1_basis``) and certified by
     pivots in three legs, with no elimination: (a) the rows' lowest bits
     are distinct, (b) taubar kills the u-generators, (c) taubar's rank is
-    at least dim E - #rows (``_taubar_certificate``).  ``invariants()``
-    certifies the same rows as the invariant ring on its own, and shares
-    their module.
+    at least dim E - #rows (``_taubar_certificate``); two more legs make
+    taubar's sequence exact.  ``invariants()`` certifies the same rows as
+    the invariant ring on its own, and shares their module.
     """
 
     def __init__(self, X: RealmObject):
@@ -413,7 +417,7 @@ class RealmCalculus:
         patterns: Dict[Tuple[int, int, int], int] = {}
         layer, verdict = [], Verdict(True, self.D)
         for d in range(self.D + 1):
-            sigma = self.diag.mat(d).row_ints()
+            sigma = self._sigma_rows(d)
             rows = []
             # (j, q) -> where summand j's first copy of degree q starts (in
             # TX for the u^0 term, q = d; in bar's u^{d-q} block for q < d),
@@ -453,6 +457,18 @@ class RealmCalculus:
             layer.append(rows)
         return ULinearMap(self.E, bar, layer, name="taubar"), verdict
 
+    def _sigma_rows(self, d: int) -> List[int]:
+        """sigma's rows in degree d: summand j's bits of ``diag_components``,
+        each at its component's block of TX, placed once and shifted to each
+        monomial of the block, for the equalizer to compare with tau's."""
+        X, offset = self.X, self.TX.table.offset
+        targets = _component_targets(X.summands, self.TX.summands, self.diag_components)
+        rows: List[int] = []
+        for j, _, width in X.table.blocks(d):
+            placed = sum(1 << offset(d, c) for c in targets[j])
+            rows.extend(placed << k for k in range(width))
+        return rows
+
     def _outside_bar(self, d: int, j: int, mono: Tuple[int, ...], sigma_row: int) -> int:
         """The bits of (sigma + tau)(mono) outside bar, for ``mono`` of
         summand j in degree d, as a row of F[u] (x) TX: the whole u^0 block,
@@ -490,9 +506,35 @@ class RealmCalculus:
         generated by its u^0 layer: a u-linear map carries u^a x to u^a
         times the image of x.  Its bases are canonical rref bases, and each
         degree eliminates only its seeds and u times the degree below.
-        T8's exactness check certifies that it is the image: every row of
-        taubar lies in it, and taubar's rank is its dimension."""
+        ``taubar_image_verdict`` certifies that it is the image."""
         return GradedSubspace.from_vectors(self.bar, dict(enumerate(self.taubar.layer)))
+
+    @cached_property
+    def taubar_image_verdict(self) -> Verdict:
+        """0 -> ker taubar -> E -> bar -> bar / ``taubar_image`` -> 0 is
+        exact, certified on taubar's u^0 layer once per calculus.
+
+        Reading ``rtilde`` runs legs (a)-(c): the inclusion is injective,
+        taubar kills it, and rank taubar_d = dim E_d - #rows, so the
+        sequence is exact at E.  In each degree d, (iv) every row of
+        ``taubar.layer[d]`` reduces to zero against ``taubar_image.bases[d]``,
+        so, taubar being u-linear and the image u-closed, im taubar lies in
+        the image; (v) the image's dimension is taubar's rank, so they are
+        equal.  No matrix of taubar and no projection is built."""
+        self.rtilde
+        image, f, D = self.taubar_image, self.taubar, self.D
+        for d in range(D + 1):
+            basis = image.bases[d]
+            rows = BitMatrix(len(f.layer[d]), basis.ncols, tuple(f.layer[d]))
+            rest = RowReducer(basis).remainders(rows)._rows
+            x = next((x for x, r in enumerate(rest) if r), None)
+            if x is not None:
+                return Verdict(False, D, f"taubar's value on {self.X.module.labels[d][x]} lies "
+                                         f"outside its image in degree {d}")
+            if basis.nrows != f.ranks[d]:
+                return Verdict(False, D, f"its image has dimension {basis.nrows}, not taubar's "
+                                         f"rank {f.ranks[d]}, in degree {d}")
+        return Verdict(True, D)
 
     @cached_property
     def equalizer_verdict(self) -> Verdict:
@@ -505,7 +547,7 @@ class RealmCalculus:
         iota o taubar exactly when sigma + tau has no bit outside bar.
         sigma lands in the u^0 block, all of it outside bar, so that says
         two things of each row: its u^0 term, placed on every component,
-        equals sigma's row, the row of ``diag``; and no positive-u term
+        equals sigma's row (``_sigma_rows``); and no positive-u term
         reaches component 0.  All three maps are u-linear, so they then
         agree in every degree, and iota is injective, so ker(sigma + tau) =
         ker taubar.  No row of F[u] (x) TX, and no matrix, rank or kernel of
@@ -713,17 +755,12 @@ class RealmCalculus:
 
     @cached_property
     def diag_components(self) -> BitMatrix:
-        """The component matrix Dg of ``diag``: each summand into all its copies."""
+        """The component matrix Dg of the splitting embedding sigma of the
+        base into its expansion: each summand into all its copies."""
         rows = [0] * len(self.X.summands)
         for c, (j, _) in enumerate(self.TX.components):
             rows[j] |= 1 << c
         return BitMatrix(len(rows), len(self.TX.components), tuple(rows))
-
-    @cached_property
-    def diag(self) -> ModuleMap:
-        """The splitting embedding of the base into its expansion."""
-        mats = _component_map(self.X, self.TX, self.diag_components)
-        return ModuleMap(self.X.module, self.TX.module, mats, name="diag")
 
     def split_equalizer_verdict(self) -> Verdict:
         """Kernel of the two expanded structure maps equals the diagonal base.
@@ -779,28 +816,6 @@ def _component_targets(src: Sequence[Summand], tgt: Sequence[Summand],
             row ^= low
         targets.append(cols)
     return targets
-
-
-def _component_map(src: RealmObject, tgt: RealmObject, P: BitMatrix) -> Dict[int, BitMatrix]:
-    """The degreewise matrices of a map that only moves components: P (x) I.
-
-    Bit ``c2`` of row ``c`` of ``P`` sends each monomial of component ``c``
-    of ``src`` to the same monomial of component ``c2`` of ``tgt``.  Both
-    components must be copies of one summand, so their blocks list the
-    same monomials in the same order; a source block then maps by one
-    pattern of target offsets, shifted by the position inside the block.
-    """
-    targets = _component_targets(src.summands, tgt.summands, P)
-    mats = {}
-    for n in range(src.D + 1):
-        rows = []
-        for c, _, width in src.table.blocks(n):
-            pattern = 0
-            for c2 in targets[c]:
-                pattern ^= 1 << tgt.table.offset(n, c2)
-            rows.extend(pattern << k for k in range(width))
-        mats[n] = BitMatrix(len(rows), tgt.table.dims[n], tuple(rows))
-    return mats
 
 
 # -- the loop-to-reduced-expansion comparison ------------------------------------

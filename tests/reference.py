@@ -12,6 +12,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from usteen import _gf2py, steenrod
 from usteen.f2core import BitMatrix, Subspace, column_runs, express_in_rowspace, left_kernel, rref
 from usteen.fulu import GradedSubspace
+from usteen.lannes import _component_targets
 from usteen.unstable import (
     FuluModule,
     ModuleMap,
@@ -613,3 +614,37 @@ def twist_terms(mono: Tuple[int, ...], v: int) -> List[Tuple[int, Tuple[int, ...
         else:
             terms = [(e, m + (b,)) for e, m in terms]
     return terms
+
+
+# -- maps that only move components ---------------------------------------------
+
+
+def component_map(src, tgt, P: BitMatrix) -> Dict[int, BitMatrix]:
+    """The degreewise matrices of a map of realm objects that only moves
+    components: P (x) I, the oracle of the verdicts the package reads on P.
+
+    Bit ``c2`` of row ``c`` of ``P`` sends each monomial of component ``c``
+    of ``src`` to the same monomial of component ``c2`` of ``tgt``.  Both
+    components must be copies of one summand (``lannes._component_targets``
+    refuses any other pair), so their blocks list the same monomials in the
+    same order; a source block then maps by one pattern of target offsets,
+    shifted by the position inside the block.
+    """
+    targets = _component_targets(src.summands, tgt.summands, P)
+    mats = {}
+    for n in range(src.D + 1):
+        rows = []
+        for c, _, width in src.table.blocks(n):
+            pattern = 0
+            for c2 in targets[c]:
+                pattern ^= 1 << tgt.table.offset(n, c2)
+            rows.extend(pattern << k for k in range(width))
+        mats[n] = BitMatrix(len(rows), tgt.table.dims[n], tuple(rows))
+    return mats
+
+
+def diag_map(calc) -> ModuleMap:
+    """The splitting embedding of the base into its expansion, as a map of
+    modules on its component matrix ``diag_components``."""
+    mats = component_map(calc.X, calc.TX, calc.diag_components)
+    return ModuleMap(calc.X.module, calc.TX.module, mats, name="diag")

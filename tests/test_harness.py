@@ -431,6 +431,31 @@ def test_t8_certifies_the_linearity_of_taubar_once_per_calculus(monkeypatch, fre
     assert verdicts == {"taubar": 2}
 
 
+def test_t7_and_t8_read_taubar_on_its_layer_and_take_exactness_only_of_q(monkeypatch,
+                                                                         fresh_caches):
+    """T7 and T8 read the exactness of taubar's sequence off one verdict on
+    its u^0 layer: no matrix of taubar is placed, T8 takes no quotient of
+    bar, and ``exact_sequence`` runs only on the sequences of
+    indecomposables."""
+    placed = Counter()
+    mat = fulu.ULinearMap.mat
+
+    def counting(self, n):
+        placed[self.name] += 1
+        return mat(self, n)
+
+    monkeypatch.setattr(fulu.ULinearMap, "mat", counting)
+    quotients = record_calls(monkeypatch, unstable.quotient, lambda M, bases, name: M.name)
+    sequences = record_calls(monkeypatch, unstable.exact_sequence, lambda maps, names: names)
+    assert all(r.passed for r in run_all(D=8, max_rank=2, only=["T7", "T8"]))
+    assert placed["taubar"] == 0
+    assert quotients and not [name for name in quotients if name.startswith("bar(")]
+    assert sequences == {
+        ("doubled base", "base", "suspended loop module"): 1,
+        ("doubled base", "base", "suspended reduced part", "division term"): 2,
+    }
+
+
 def test_t7_t8_and_t11_build_one_loop_module_per_rank(monkeypatch, fresh_caches):
     """The loop-functor data of H(V_r) is the shared calculus's ``omega``."""
     built = record_calls(monkeypatch, unstable.omega, lambda M: M.name)
@@ -877,9 +902,10 @@ def test_cli_r1_refuses_an_unstable_fixture(tmp_path, capsys):
 
 
 def image_of_taubar_gains_a_top_vector(monkeypatch):
-    """T7: the image of taubar gains the first unit vector of bar outside it
-    in the top degree.  Nothing leaves the top degree, so the span is still
-    a u-submodule over A, but taubar no longer maps onto it."""
+    """T7, the rank leg of the image verdict: the image of taubar gains the
+    first unit vector of bar outside it in the top degree.  Nothing leaves
+    the top degree, so the span is still a u-submodule over A, and taubar
+    still lies in it, but its dimension exceeds taubar's rank."""
     real = lannes.RealmCalculus.taubar_image.func
 
     def gained(calc):
@@ -892,6 +918,69 @@ def image_of_taubar_gains_a_top_vector(monkeypatch):
         return Y
 
     monkeypatch.setattr(lannes.RealmCalculus, "taubar_image", property(gained))
+
+
+def image_of_taubar_swaps_two_components(monkeypatch):
+    """T8, the image leg of the image verdict: the image of taubar is moved
+    by the u-linear automorphism of bar that swaps the copies of H(V_r) at
+    the first two nonzero v, for r >= 2.  It is a u-submodule of bar of the
+    same dimension in every degree, so the rank leg passes, but taubar's
+    value on t1*t2 lies outside it."""
+    real = lannes.RealmCalculus.taubar_image.func
+
+    def swapped(calc):
+        X = real(calc)
+        if len(calc.tbar.components) < 2:
+            return X
+        bases = {}
+        for n, basis in X.bases.items():
+            moves = []
+            for a, off, _ in calc.bar.blocks(n):
+                (p, w), (q, _) = calc.tbar.table.block(n - a, 0), calc.tbar.table.block(n - a, 1)
+                moves.append((off + p, off + q, (1 << w) - 1))
+            rows = []
+            for r in basis.row_ints():
+                for p, q, mask in moves:
+                    x = (r >> p ^ r >> q) & mask
+                    r ^= x << p | x << q
+                rows.append(r)
+            bases[n] = Subspace.from_rows(BitMatrix.from_row_ints(rows, basis.ncols)).basis
+        Y = GradedSubspace.__new__(GradedSubspace)
+        Y.ambient, Y.bases = X.ambient, bases
+        return Y
+
+    monkeypatch.setattr(lannes.RealmCalculus, "taubar_image", property(swapped))
+
+
+def squaring_span_doubles_a_row(monkeypatch):
+    """T2: in the first degree where the squaring span has two rows, its
+    second row is a copy of its first.  The row count still equals the
+    kernel's, but the span is smaller."""
+    real = singer.SingerModule.gen_matrix
+
+    def doubled(S, n):
+        m = real(S, n)
+        if m.nrows >= 2 and all(real(S, k).nrows < 2 for k in range(n)):
+            rows = m.row_ints()
+            return BitMatrix.from_row_ints([rows[0], rows[0]] + rows[2:], m.ncols)
+        return m
+
+    monkeypatch.setattr(singer.SingerModule, "gen_matrix", doubled)
+
+
+def fixed_kernel_loses_a_summand(monkeypatch):
+    """T3: the kernel part of Fix(taubar) loses its last summand, so its
+    block layout no longer has the module's dims; the fixed-point verdicts,
+    read on the component matrices, still pass."""
+    real = lannes.RealmCalculus.fix_parts.func
+
+    def lost(calc):
+        parts = dict(real(calc))
+        k = parts["kernel"]
+        parts["kernel"] = lannes.RealmObject(k.summands[:-1], k.D, name=k.name)
+        return parts
+
+    monkeypatch.setattr(lannes.RealmCalculus, "fix_parts", property(lost))
 
 
 def sq0_cokernel_of_the_square_loses_a_class(monkeypatch):
@@ -1157,13 +1246,19 @@ MUTATIONS = {
     "T2-equalizer-term-reaches-component-0": (
         tau_term_reaches_component_0, "structural violation: sigma + tau is not taubar in "
         "degree 1: its value on t has [u|<0:0>1] outside bar"),
+    "T2-squaring-span-row-doubled": (squaring_span_doubles_a_row, "rank 1: squaring span "
+                                     "differs from the kernel in degree 2"),
+    "T3": (fixed_kernel_loses_a_summand, "rank 1: fixed points of the kernel have wrong dims"),
     "T4": (squaring_span_repeats_a_generator, "structural violation: distinguished generators "
            "dependent in degree 6"),
     "T4-u-not-the-shift": (r1_u_drops_a_bit, "F(1): torsion: u kills st1(i1) in degree 2"),
-    "T7": (image_of_taubar_gains_a_top_vector, "u-module sequence: not surjective onto image "
-           "in degree 8: [u|<0:1>t^7] (in the second side only)"),
+    "T7": (image_of_taubar_gains_a_top_vector, "u-module sequence: its image has dimension 5, "
+           "not taubar's rank 4, in degree 8"),
     "T8": (taubar_u0_layer_gains_a_bit,
            "rank 1: linearity of taubar: not A-linear at (i=1, n=1) on the u^0 layer"),
+    "T8-image-span-differs": (image_of_taubar_swaps_two_components,
+                              "rank 2: u-module sequence: taubar's value on t1*t2 lies outside "
+                              "its image in degree 2"),
     "T10": (sq0_cokernel_of_the_square_loses_a_class,
             "loop alternating sum is -1 in degree 4"),
     "T11": (loop_module_sq0_loses_a_bit,

@@ -26,7 +26,6 @@ from usteen.fulu import (
 from usteen.lannes import (
     RealmCalculus,
     RealmObject,
-    _component_map,
     _twist_plus_id,
     alpha_from_structure,
     hv,
@@ -62,9 +61,11 @@ from reference import (
     bar_runs_by_columns,
     checked_graded_subspace,
     coker_data,
+    component_map,
     concat_cols,
     compositions_submask,
     dense_quotient,
+    diag_map,
     fulu_algebra,
     image_submodule,
     drop_u0_copies,
@@ -173,8 +174,8 @@ def test_t_of_rank1_dims():
 
 def sigma_of(calc):
     """sigma, the identity into every component: the scalar extension of
-    ``diag``, which the equalizer verdict reads in place of sigma's rows."""
-    return extend_scalars_map(calc.diag, calc.E, calc.ETX, name="sigma")
+    the splitting embedding ``diag_map``."""
+    return extend_scalars_map(diag_map(calc), calc.E, calc.ETX, name="sigma")
 
 
 def test_tau_degree_one_pins_the_convention():
@@ -369,8 +370,9 @@ def test_fix_of_rtilde_recovers_base():
         F = calc.fix_parts["kernel"].module
         assert [F.dim(n) for n in range(X.D + 1)] == list(X.module.dims)
         # the diagonal embedding realizes the isomorphism onto the kernel
+        diag = diag_map(calc)
         for n in range(X.D + 1):
-            diag_im = Subspace.from_rows(calc.diag.mat(n))
+            diag_im = Subspace.from_rows(diag.mat(n))
             assert diag_im == left_kernel(fix_taubar_by_monomials(calc)[n])
 
 
@@ -692,8 +694,8 @@ def test_component_maps_match_the_monomial_loops(X, monkeypatch):
     calc = RealmCalculus(X)
     degrees = range(calc.D + 1)
     for got, want in (
-        (calc.diag, diag_by_monomials(calc)),
-        (fix_taubar_of(calc, _component_map(calc.TX, calc.TTbar, calc.fix_components)),
+        (diag_map(calc), diag_by_monomials(calc)),
+        (fix_taubar_of(calc, component_map(calc.TX, calc.TTbar, calc.fix_components)),
          fix_taubar_by_monomials(calc)),
         (sigma_of(calc), sigma_by_monomials(calc)),
     ):
@@ -703,7 +705,7 @@ def test_component_maps_match_the_monomial_loops(X, monkeypatch):
     check = RealmCalculus._diagonal_is_kernel
 
     def recording(self, P, tgt, failure):
-        mats = _component_map(self.TX, tgt, P)
+        mats = component_map(self.TX, tgt, P)
         seen.extend(mats[n] for n in degrees)
         return check(self, P, tgt, failure)
 
@@ -713,14 +715,32 @@ def test_component_maps_match_the_monomial_loops(X, monkeypatch):
     assert seen == [want[n] for n in degrees]
 
 
+@pytest.mark.parametrize("X", COMPONENT_MAP_CASES, ids=lambda X: X.name)
+def test_the_sigma_rows_of_the_taubar_pass_match_the_monomial_loop(X, monkeypatch):
+    """The rows of sigma that ``_taubar_pass`` compares with the u^0 Lucas
+    terms, placed from ``diag_components``, are those of the splitting
+    embedding formed one monomial and one v at a time."""
+    calc = RealmCalculus(X)
+    seen = {}
+    real = RealmCalculus._sigma_rows
+
+    def recording(self, d):
+        seen[d] = BitMatrix.from_row_ints(real(self, d), self.TX.table.dims[d])
+        return seen[d].row_ints()
+
+    monkeypatch.setattr(RealmCalculus, "_sigma_rows", recording)
+    assert calc.equalizer_verdict.ok
+    assert seen == diag_by_monomials(calc)
+
+
 def test_component_map_refuses_to_pair_different_summands(monkeypatch):
     for Y in (hv(2, 4), realm_suspend(hv(1, 4))):
         X = realm_sum(hv(1, 4), Y)
         # summand 0 to itself is fine; summand 0 to summand 1 is not
-        assert _component_map(X, X, BitMatrix(2, 2, (0b01, 0b10)))[4] == BitMatrix.identity(
+        assert component_map(X, X, BitMatrix(2, 2, (0b01, 0b10)))[4] == BitMatrix.identity(
             X.table.dims[4])
         with pytest.raises(ValueError, match="cannot map"):
-            _component_map(X, X, BitMatrix(2, 2, (0b11, 0b10)))
+            component_map(X, X, BitMatrix(2, 2, (0b11, 0b10)))
         # the P-level checks refuse it too: a copy of summand 0 into one of summand 1
         calc = RealmCalculus(X)
         P = calc.fix_components
@@ -737,12 +757,12 @@ def test_component_map_refuses_to_pair_different_summands(monkeypatch):
 
 def test_verdicts_build_no_degree_n_matrix_and_realize_nothing(monkeypatch):
     calc = RealmCalculus(hv(3, 6))
-    calc.diag  # realizes the base and its expansion
+    calc.X.module, calc.TX.module  # realizes the base and its expansion
 
     def refuse(*args, **kwargs):
         raise AssertionError("a degree-n matrix or a module was built")
 
-    monkeypatch.setattr(lannes, "_component_map", refuse)
+    monkeypatch.setattr(ModuleMap, "__init__", refuse)
     monkeypatch.setattr(RealmObject, "_realize", refuse)
     assert calc.fixed_point_verdict() == Verdict(True, 6)
     assert calc.split_equalizer_verdict() == Verdict(True, 6)
@@ -750,7 +770,7 @@ def test_verdicts_build_no_degree_n_matrix_and_realize_nothing(monkeypatch):
 
 def test_split_equalizer_realizes_no_further_module(monkeypatch):
     calc = RealmCalculus(hv(2, 6))
-    calc.diag  # realizes the base and its expansion
+    calc.X.module, calc.TX.module  # realizes the base and its expansion
     realized = []
     realize = RealmObject._realize
 
@@ -1514,35 +1534,25 @@ def test_realm_rows_under_sq_match_the_action_and_build_none(case):
 
 
 def test_t8_leaves_u_and_the_action_of_bar_unbuilt(monkeypatch):
-    """After T8, u of E, ETX and bar, the Sq actions of bar and of Tbar X
-    and the matrices of the cokernel projection are still pending, and so
-    are the cokernel's action and u: u is the shift, Sq on bar's rows the
-    row Cartan sum over Tbar X's summand blocks, and the projection an
-    operator."""
-    built, projections = [], []
+    """After T8, u of E, ETX and bar and the Sq actions of bar and of Tbar X
+    are still pending: u is the shift, and Sq on bar's rows the row Cartan
+    sum over Tbar X's summand blocks.  No matrix of taubar is built either:
+    its exactness is read on its u^0 layer, and its ranks off the
+    certificate of its kernel."""
+    built = []
 
     def calculus(r, D):
         built.append(RealmCalculus(hv(r, D)))
         return built[-1]
 
-    real = harness.quotient
-
-    def recorded(M, bases, name):
-        projections.append(real(M, bases, name))
-        return projections[-1]
-
     monkeypatch.setattr(harness, "_hv_calculus", calculus)
-    monkeypatch.setattr(harness, "quotient", recorded)
     assert harness.run_check(harness.make_spec("T8", D=8, max_rank=3)).passed
-    assert len(built) == len(projections) == 3
-    for calc, proj in zip(built, projections):
+    assert len(built) == 3
+    for calc in built:
         assert callable(calc.bar._act) and callable(calc.tbar.module._act)
-        for N in (calc.E, calc.ETX, calc.bar, proj.target):
+        for N in (calc.E, calc.ETX, calc.bar):
             assert callable(N._u), N.name
-        assert proj.source is calc.bar and proj._mats == {} and callable(proj.target._act)
-        # no elimination of taubar's matrices: its ranks are read off the
-        # certificate of its kernel
-        assert calc.taubar._mats and all(m._rank is None for m in calc.taubar._mats.values())
+        assert calc.taubar._mats == {}
         assert calc.taubar.ranks == {n: calc.E.dim(n) - calc.rtilde.dim(n) for n in range(9)}
 
 
@@ -1552,7 +1562,7 @@ def test_u_linear_verdict_needs_a_map_out_of_a_whole_extension():
     is a ``ULinearMap`` out of bar."""
     calc = RealmCalculus(hv(1, 4))
     plain = ModuleMap(calc.E, calc.bar, {n: calc.taubar.mat(n) for n in range(5)})
-    for f in (calc.diag, ModuleMap.zero(calc.bar, calc.bar), plain):
+    for f in (diag_map(calc), ModuleMap.zero(calc.bar, calc.bar), plain):
         with pytest.raises(ValueError, match="needs a ULinearMap"):
             u_linear_verdict(f)
     bar_to_bar = ULinearMap(calc.bar, calc.bar, [[0] * calc.bar.base.dim(d) for d in range(5)])
@@ -1724,8 +1734,8 @@ def test_t8_fails_exactness_at_the_reduced_part_on_a_dropped_image_row(monkeypat
     monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: calc)
     res = harness.run_check(harness.make_spec("T8", D=4, max_rank=1))
     assert not res.passed
-    assert res.witness == ("rank 1: u-module sequence: exactness fails at reduced part in "
-                           "degree 3: [u|<0:1>t^2]+[u^2|<0:1>t] (in the first side only)")
+    assert res.witness == ("rank 1: u-module sequence: taubar's value on t^3 lies outside its "
+                           "image in degree 3")
 
 
 def test_t8_fails_the_induced_sequence_on_a_wrong_u1_trace(monkeypatch):
