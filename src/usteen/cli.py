@@ -4,6 +4,13 @@ Exit codes: 0 when all checks pass, 1 when a verification check or a
 certification inside ``compute`` fails, 2 for usage or input errors and
 when memory runs out.  Reports go to stdout, diagnostics to stderr.
 Output is deterministic unless timings are requested.
+
+Requests in one process share what they build.  ``compute`` and
+``verify`` read one calculus per realm object (``lannes.calculus``),
+certified once, and a failing certificate fails every request that reads
+it.  A built-in module is built once per name and degree.  A fixture file
+is loaded and checked on every request, since it can change between
+requests, and ``compute module`` validates its module on every request.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from pathlib import Path
 
 from . import fixtures
 from .harness import CATALOG, make_spec, poincare_coeffs, report, run_check
-from .lannes import RealmCalculus, hv, realm_suspend
+from .lannes import calculus, hv, hv_module, realm_suspend
 from .singer import r1
 from .steenrod import admissible_basis
 from .unstable import (
@@ -26,7 +33,6 @@ from .unstable import (
     TruncationError,
     free_unstable,
     phi,
-    polynomial_module,
     suspend,
     tensor,
     truncate,
@@ -46,21 +52,6 @@ def _named_module(name: str, D: int) -> TruncatedModule:
 
 
 def _build_module(name: str, D: int) -> TruncatedModule:
-    if name in ("F", "F0", "HV0"):
-        return unit_module(D)
-    if name in ("F1", "F2", "F3"):
-        return free_unstable(int(name[1]), D)
-    if name in ("HZ2", "HV1"):
-        return polynomial_module(1, D)
-    if name.startswith("HV") and name[2:].isdigit():
-        return polynomial_module(int(name[2:]), D)
-    if name == "PhiF1":
-        return truncate(phi(free_unstable(1, (D + 1) // 2)), D, name="Ph(F(1))")
-    if name == "SigmaF":
-        return suspend(unit_module(D - 1))
-    if name == "F1xF1":
-        f1 = free_unstable(1, D)
-        return tensor(f1, f1)
     path = Path(name)
     if path.suffix == ".json" and path.exists():
         try:
@@ -68,6 +59,29 @@ def _build_module(name: str, D: int) -> TruncatedModule:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"fixture has a missing or mistyped field: {exc}") from exc
         return truncate(loaded, min(loaded.D, D))
+    return _builtin_module(name, D)
+
+
+@lru_cache(maxsize=None)
+def _builtin_module(name: str, D: int) -> TruncatedModule:
+    """The built-in module ``name`` through degree ``D``, built once per
+    process: it is fixed by its name and degree, unlike a fixture file,
+    which can change between requests and is loaded on each."""
+    if name in ("F", "F0", "HV0"):
+        return unit_module(D)
+    if name in ("F1", "F2", "F3"):
+        return free_unstable(int(name[1]), D)
+    if name == "HZ2":
+        return hv_module(1, D)
+    if name.startswith("HV") and name[2:].isdigit():
+        return hv_module(int(name[2:]), D)
+    if name == "PhiF1":
+        return truncate(phi(free_unstable(1, (D + 1) // 2)), D, name="Ph(F(1))")
+    if name == "SigmaF":
+        return suspend(unit_module(D - 1))
+    if name == "F1xF1":
+        f1 = free_unstable(1, D)
+        return tensor(f1, f1)
     raise SystemExit2(
         f"unknown module {name!r}; use F0..F3, HZ2, HV<r>, PhiF1, SigmaF, F1xF1 "
         "or a fixture file path"
@@ -154,7 +168,7 @@ def _cmd_compute(args) -> int:
         return 0
     if what == "rtilde":
         X = _named_realm(args.module, D)
-        K = RealmCalculus(X).rtilde
+        K = calculus(X).rtilde
         dims = [K.dim(n) for n in range(D + 1)]
         doc = {"name": f"Rtilde({X.name})", "certified_degree": D, "dims": dims}
         lines = [f"Rtilde({X.name}) through degree {D}", "dims: " + _dims_csv(dims)]
@@ -163,7 +177,7 @@ def _cmd_compute(args) -> int:
     if what == "invariants":
         if args.rank is None:
             raise SystemExit2("compute invariants requires --rank")
-        inv, _ = RealmCalculus(hv(args.rank, D)).invariants()
+        inv, _ = calculus(hv(args.rank, D)).invariants()
         dims = [inv.dim(n) for n in range(D + 1)]
         series = poincare_coeffs(args.rank, D)
         doc = {
@@ -181,7 +195,7 @@ def _cmd_compute(args) -> int:
         return 0
     if what == "fix":
         X = _named_realm(args.module, D)
-        calc = RealmCalculus(X)
+        calc = calculus(X)
         calc.rtilde  # certifies the equalizer
         dims = list(calc.fix_parts["kernel"].table.dims)
         base = list(X.table.dims)

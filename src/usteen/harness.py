@@ -30,8 +30,8 @@ from .fulu import (
 )
 from .lannes import (
     AlphaResult,
-    RealmCalculus,
     alpha_from_structure,
+    calculus,
     hv,
     hv_module,
     realm_sum,
@@ -152,21 +152,11 @@ def _singer_fixtures(D: int) -> List[TruncatedModule]:
 # -- runners -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _hv_calculus(r: int, D: int) -> RealmCalculus:
-    """The calculus of ``hv(r, D)``, built once per process and shared by the checks.
-
-    Its data are computed on demand and never change, so a check reads the
-    same values whether or not an earlier check filled them in.
-    """
-    return RealmCalculus(hv(r, D))
-
-
 def _check_t1(params) -> Tuple[int, Dict[str, List[int]]]:
     D = params["D"]
     tables = {}
     for r in range(1, params["max_rank"] + 1):
-        calc = _hv_calculus(r, D)
+        calc = calculus(hv(r, D))
         # both sides are the closed basis, each certified on its own: as ker
         # taubar on taubar's u^0 layer, as the invariants on the g_v + id;
         # a failing leg raises TheoryViolation
@@ -186,7 +176,7 @@ def _check_t2(params):
     D = params["D"]
     tables = {}
     for r in range(1, params["max_rank"] + 1):
-        calc = _hv_calculus(r, D)
+        calc = calculus(hv(r, D))
         calc.rtilde  # certifies the equalizer
         S = r1(calc.X.module, calc.E)
         kernel = calc.kernel_incl
@@ -206,7 +196,7 @@ def _check_t2(params):
 def _check_t3(params):
     D = params["D"]
     for r in range(1, params["max_rank"] + 1):
-        calc = _hv_calculus(r, D)
+        calc = calculus(hv(r, D))
         calc.rtilde  # certifies the equalizer
         _need_true(
             calc.fix_parts["kernel"].table.dims == calc.X.table.dims,
@@ -260,7 +250,7 @@ def _check_t6(params):
 
 def _check_t7(params):
     D = params["D"]
-    calc = _hv_calculus(1, D)
+    calc = calculus(hv(1, D))
     kernel, kernel_incl = calc.rtilde, calc.kernel_incl
     _need(calc.taubar_image_verdict, "u-module sequence")
     # the image of taubar as a u-module on the canonical bases of taubar_image
@@ -307,7 +297,7 @@ def _check_t8(params):
     D = params["D"]
     tables = {}
     for r in range(1, params["max_rank"] + 1):
-        calc = _hv_calculus(r, D)
+        calc = calculus(hv(r, D))
         _need(calc.taubar_linear_verdict, f"rank {r}: linearity of taubar")
         # the cokernel is bar modulo the image of taubar, which the verdict certifies
         _need(calc.taubar_image_verdict, f"rank {r}: u-module sequence")
@@ -405,7 +395,7 @@ def _check_t10(params):
 def _check_t11(params):
     D = params["D"]
     for r in range(1, params["max_rank"] + 1):
-        v = is_reduced(_hv_calculus(r, D).omega.omega)
+        v = is_reduced(calculus(hv(r, D)).omega.omega)
         _need(v, f"rank {r}: loop module reducedness")
     return (D - 1) // 2, {}
 
@@ -549,10 +539,10 @@ def _check_t15(params):
 
 def _check_t16(params):
     D = params["D"]
-    calc = _hv_calculus(1, D)
+    calc = calculus(hv(1, D))
     X = calc.X
     SX = realm_suspend(X)
-    calc_s = RealmCalculus(SX)
+    calc_s = calculus(SX)
     shifted, kernel = calc_s.kernel_spaces, calc.kernel_spaces
     for n in range(1, D + 1):
         _need_true(
@@ -562,7 +552,7 @@ def _check_t16(params):
     # sums with a locally finite factor split off
     LF = realm_sum(hv(0, D), realm_suspend(hv(0, D), 2))
     S = realm_sum(X, LF)
-    summed = RealmCalculus(S).rtilde
+    summed = calculus(S).rtilde
     expect = []
     for n in range(D + 1):
         base = calc.rtilde.dim(n)

@@ -800,6 +800,28 @@ class RealmCalculus:
         return Verdict(True, self.D)
 
 
+def calculus(X: RealmObject) -> RealmCalculus:
+    """The process's one calculus of the plain realm object X, shared by
+    ``verify`` and ``compute``.
+
+    It is keyed by all of X that reaches an output or a witness: its
+    summands, its truncation degree and its name, so ``H(V1)`` and a
+    zero-fold suspension of it stay apart.  Its data are computed on
+    demand and never change, so a reader gets the same values whether or
+    not an earlier one filled them in; a certificate is checked once, and
+    a failing one fails every reader.  Like ``hv_module`` it is never
+    evicted.
+    """
+    if type(X) is not RealmObject:
+        raise TypeError(f"calculus needs a plain realm object, not a {type(X).__name__}")
+    return _calculus(X.summands, X.D, X.name)
+
+
+@lru_cache(maxsize=None)
+def _calculus(summands: Tuple[Summand, ...], D: int, name: str) -> RealmCalculus:
+    return RealmCalculus(RealmObject(summands, D, name))
+
+
 def _component_targets(src: Sequence[Summand], tgt: Sequence[Summand],
                        P: BitMatrix) -> List[List[int]]:
     """The set bits of each row of P; ``ValueError`` if one pairs two different summands."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from usteen import _gf2py, steenrod
+from usteen import _gf2py, cli, fulu, harness, lannes, steenrod
 from usteen.f2core import BitMatrix, Subspace, column_runs, express_in_rowspace, left_kernel, rref
 from usteen.fulu import GradedSubspace
 from usteen.lannes import _component_targets
@@ -26,6 +26,21 @@ from usteen.unstable import (
     quotient,
     submodule,
 )
+
+# -- process memos ---------------------------------------------------------------
+
+
+def clear_memos() -> None:
+    """Forget every object the package shares within a process: the realm
+    calculi, the built-in modules of the command line, the H(V_r), the
+    powers of u and the division data of T12 and T13.  The next reader
+    builds and certifies them again."""
+    lannes._calculus.cache_clear()
+    cli._builtin_module.cache_clear()
+    lannes.hv_module.cache_clear()
+    fulu._u_powers.cache_clear()
+    harness._doubled_free_division.cache_clear()
+
 
 # -- GF(2) linear algebra ------------------------------------------------------
 

@@ -917,11 +917,7 @@ def catalog_quotients(case, monkeypatch):
         return out
     if case == "T15":  # the saturated random quotients
         return record_quotients(monkeypatch, lambda: harness.run_check(harness.make_spec("T15", D=10)))
-    harness._hv_calculus.cache_clear()
-    try:
-        return record_quotients(monkeypatch, lambda: harness.run_all(D=D, max_rank=3))
-    finally:
-        harness._hv_calculus.cache_clear()
+    return record_quotients(monkeypatch, lambda: harness.run_all(D=D, max_rank=3))
 
 
 @pytest.mark.parametrize("case", ["omega", "q_data", "tensor_over_fulu", "taubar", "T15", "catalog"])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import sys
 from collections import Counter
 from functools import cached_property
@@ -19,10 +20,10 @@ from usteen.harness import (
     run_all,
     run_check,
 )
-from usteen.lannes import RealmCalculus, hv
+from usteen.lannes import RealmCalculus
 from usteen.unstable import TruncatedModule, Verdict, free_unstable, polynomial_module
 
-from reference import drop_u0_copies, flip_bit
+from reference import clear_memos, drop_u0_copies, flip_bit
 
 
 def test_poincare_coeffs():
@@ -54,9 +55,9 @@ SHARED_CALCULUS = ["T1", "T2", "T3", "T8"]
 def test_shared_calculus_reports_match_a_fresh_one():
     alone = {}
     for cid in SHARED_CALCULUS:
-        harness._hv_calculus.cache_clear()
+        clear_memos()
         alone[cid] = run_check(make_spec(cid, D=6, max_rank=2)).to_dict()
-    harness._hv_calculus.cache_clear()
+    clear_memos()
     run_all(D=6, max_rank=2, only=SHARED_CALCULUS)
     # every check again, now after all the others have filled the calculi
     after = run_all(D=6, max_rank=2, only=SHARED_CALCULUS)
@@ -73,11 +74,10 @@ def test_one_calculus_per_rank_and_degree(monkeypatch):
         init(self, X)
 
     monkeypatch.setattr(RealmCalculus, "__init__", counting_init)
-    harness._hv_calculus.cache_clear()
     results = run_all(D=6, max_rank=3, only=SHARED_CALCULUS)
     assert all(r.passed for r in results)
     assert len(built) == len(set(built)) == 3
-    assert harness._hv_calculus.cache_info().misses == 3
+    assert lannes._calculus.cache_info().misses == 3
 
 
 @pytest.mark.parametrize("D", [6, 7])
@@ -312,21 +312,34 @@ def test_module_compute_outputs_match_the_committed_oracle(capsys):
     assert capsys.readouterr().err.endswith("Adem coherence fails for Sq^1Sq^1 on degree 1\n")
 
 
-def clear_caches():
-    """Forget the shared calculi, the shared H(V_r) and F[u] modules and
-    the shared division data of T12 and T13."""
-    harness._hv_calculus.cache_clear()
-    lannes.hv_module.cache_clear()
-    fulu._u_powers.cache_clear()
-    harness._doubled_free_division.cache_clear()
+def oracle_requests():
+    """(argv, committed output) of every request of ``compute_realm.json``
+    and ``compute_module.json``, in the files' order."""
+    out = []
+    for name in ("compute_realm.json", "compute_module.json"):
+        for line, text in json.loads((DATA / name).read_text()).items():
+            argv = line.split()
+            if argv[3] == FLIPPED_FIXTURE:
+                argv[3] = str(DATA / FLIPPED_FIXTURE)
+            out.append((argv + ["--format", "json"], text))
+    return out
 
 
-@pytest.fixture
-def fresh_caches():
-    """Nothing cached before the test, and nothing it cached left after it."""
-    clear_caches()
-    yield
-    clear_caches()
+@pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+def test_compute_outputs_match_the_oracles_in_any_order_in_one_process(order, capsys):
+    """Each request prints its committed output byte for byte whichever
+    requests filled the shared calculi and modules before it, and so does
+    ``verify --all`` after the whole grid."""
+    requests = oracle_requests()
+    if order == "reversed":
+        requests.reverse()
+    elif order == "shuffled":
+        random.Random(3).shuffle(requests)
+    for argv, text in requests:
+        assert cli_main(argv) == 0, argv
+        assert capsys.readouterr().out == text, argv
+    assert cli_main(["verify", "--all", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_all.json").read_text()
 
 
 def check_docs(results):
@@ -336,7 +349,7 @@ def check_docs(results):
 @pytest.fixture(scope="module")
 def catalogs():
     """(params, the committed report, run_all's report) for each oracle file."""
-    clear_caches()
+    clear_memos()
     out = []
     for D, max_rank, only, name in [(10, 2, None, "verify_all.json"),
                                     (8, 3, RANK3_CHECKS, "catalog_d8_r3.json"),
@@ -354,7 +367,7 @@ def test_each_check_alone_matches_its_entry_in_run_all_and_the_oracle(cid, catal
     for (D, max_rank), committed, together in catalogs:
         if cid not in committed:
             continue
-        clear_caches()
+        clear_memos()
         alone = check_docs([run_check(make_spec(cid, D=D, max_rank=max_rank))])[cid]
         assert alone == together[cid] == committed[cid]
 
@@ -381,7 +394,7 @@ def equalizer_verdict_by(fn):
     return prop
 
 
-def test_rank3_catalog_does_each_piece_of_realm_work_once(monkeypatch, fresh_caches):
+def test_rank3_catalog_does_each_piece_of_realm_work_once(monkeypatch):
     equalizers = Counter()
     check = RealmCalculus.equalizer_verdict.func
 
@@ -405,7 +418,7 @@ def test_rank3_catalog_does_each_piece_of_realm_work_once(monkeypatch, fresh_cac
     assert extended == {f"H(V{r})": 1 for r in ranks}
 
 
-def test_t8_builds_no_kernel_of_alpha_and_no_div_and_t12_one_kernel(monkeypatch, fresh_caches):
+def test_t8_builds_no_kernel_of_alpha_and_no_div_and_t12_one_kernel(monkeypatch):
     """T8 reads the division term's dims off alpha's ranks (``div_dims``);
     the kernel of alpha and its cokernel module ``div`` are built only when
     read, and T12 reads the kernel once.  A whole catalog, where T13 reads
@@ -422,7 +435,7 @@ def test_t8_builds_no_kernel_of_alpha_and_no_div_and_t12_one_kernel(monkeypatch,
     assert kernels["alpha"] == 1
 
 
-def test_t8_certifies_the_linearity_of_taubar_once_per_calculus(monkeypatch, fresh_caches):
+def test_t8_certifies_the_linearity_of_taubar_once_per_calculus(monkeypatch):
     """The linearity verdict of taubar is a property of the shared calculus:
     two runs of T8 read one verdict per rank."""
     verdicts = record_calls(monkeypatch, fulu.u_linear_verdict, lambda f: f.name)
@@ -431,8 +444,7 @@ def test_t8_certifies_the_linearity_of_taubar_once_per_calculus(monkeypatch, fre
     assert verdicts == {"taubar": 2}
 
 
-def test_t7_and_t8_read_taubar_on_its_layer_and_take_exactness_only_of_q(monkeypatch,
-                                                                         fresh_caches):
+def test_t7_and_t8_read_taubar_on_its_layer_and_take_exactness_only_of_q(monkeypatch):
     """T7 and T8 read the exactness of taubar's sequence off one verdict on
     its u^0 layer: no matrix of taubar is placed, T8 takes no quotient of
     bar, and ``exact_sequence`` runs only on the sequences of
@@ -456,7 +468,7 @@ def test_t7_and_t8_read_taubar_on_its_layer_and_take_exactness_only_of_q(monkeyp
     }
 
 
-def test_t7_t8_and_t11_build_one_loop_module_per_rank(monkeypatch, fresh_caches):
+def test_t7_t8_and_t11_build_one_loop_module_per_rank(monkeypatch):
     """The loop-functor data of H(V_r) is the shared calculus's ``omega``."""
     built = record_calls(monkeypatch, unstable.omega, lambda M: M.name)
     monkeypatch.setattr(lannes, "omega_of", harness.omega)  # the calculus's binding
@@ -465,8 +477,7 @@ def test_t7_t8_and_t11_build_one_loop_module_per_rank(monkeypatch, fresh_caches)
 
 
 @pytest.mark.parametrize("order", [["T1", "T2", "T3"], ["T3", "T2", "T1"]])
-def test_a_failing_equalizer_verdict_fails_every_check_that_reads_it(order, monkeypatch,
-                                                                     fresh_caches):
+def test_a_failing_equalizer_verdict_fails_every_check_that_reads_it(order, monkeypatch):
     """The verdict is certified once per shared calculus; a failing one is
     read, not recomputed, by the later checks, and fails each of them."""
     calls = []
@@ -482,23 +493,112 @@ def test_a_failing_equalizer_verdict_fails_every_check_that_reads_it(order, monk
     assert calls == ["H(V1)"]
 
 
-def test_t16_certifies_the_equalizer_of_the_sum_it_reads(monkeypatch):
-    """A tau whose u^0 terms miss component 0 leaves taubar, and so the
-    kernel dims T16 compares, unchanged; only the equalizer verdict of the
-    sum's calculus sees it."""
-    real = harness.RealmCalculus
+def test_a_failing_certificate_fails_every_compute_request_that_reads_it(monkeypatch, capsys):
+    """``compute`` reads the process's one calculus: its equalizer verdict
+    is certified once, and a failing one fails each request after it with
+    the same stderr line, whichever target reads it."""
+    calls = []
 
-    def broken_on_sums(X):
-        calc = real(X)
-        if len(X.summands) > 1:
-            drop_u0_copies(calc, [0])
-        return calc
+    def failing(self):
+        calls.append(self.X.name)
+        return Verdict(False, self.D, "forced mismatch")
 
-    monkeypatch.setattr(harness, "RealmCalculus", broken_on_sums)
-    res = run_check(make_spec("T16", D=6, max_rank=1))
-    assert (res.passed, res.witness) == (
-        False, "structural violation: sigma + tau is not taubar in degree 0: its value on "
-               "[0]1 has [1|<0:0>1] outside bar")
+    monkeypatch.setattr(RealmCalculus, "equalizer_verdict", equalizer_verdict_by(failing))
+    outcomes = []
+    for what in ("rtilde", "rtilde", "fix"):
+        code = cli_main(["compute", what, "--module", "HV2", "--max-degree", "6"])
+        out, err = capsys.readouterr()
+        outcomes.append((code, out, err))
+    assert outcomes == [(1, "", "check failed: structural violation: forced mismatch\n")] * 3
+    assert calls == ["H(V2)"]
+
+
+def test_compute_module_validates_a_shared_module_on_every_request(monkeypatch, capsys):
+    """A built-in module is built once per process, and ``compute module``
+    checks its axioms on every request: a failing report is printed by each."""
+    reports = []
+
+    def failing(M, sq):
+        reports.append(M.name)
+        return unstable.ValidationReport(["forced violation"])
+
+    monkeypatch.setattr(unstable, "_axiom_report", failing)
+    argv = ["compute", "module", "--module", "HV2", "--max-degree", "6", "--format", "json"]
+    docs = []
+    for _ in range(2):
+        assert cli_main(argv) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert [(doc["valid"], doc["violations"]) for doc in docs] == [(False, ["forced violation"])] * 2
+    assert reports == ["H(V2)", "H(V2)"]
+    assert cli._builtin_module.cache_info().misses == 1
+
+
+REALM_GRID = [["compute", what, "--module", realm, "--max-degree", str(D)]
+              for D in (6, 8, 10) for realm in ("HV1", "HV2", "S1HV1", "S2HV1")
+              for what in ("rtilde", "fix")]
+REALM_GRID += [["compute", "invariants", "--rank", str(r), "--max-degree", str(D)]
+               for D in (6, 8, 10) for r in (1, 2)]
+
+
+def test_a_compute_grid_builds_one_calculus_per_realm_and_degree(capsys):
+    """rtilde, fix and invariants over four realms at three degrees read
+    one calculus per (realm, degree); the invariants of rank r share the
+    calculus of HV<r>."""
+    for argv in REALM_GRID:
+        assert cli_main(argv) == 0
+    capsys.readouterr()
+    info = lannes._calculus.cache_info()
+    assert (info.misses, info.hits) == (12, len(REALM_GRID) - 12)
+
+
+def test_compute_and_verify_share_one_calculus(capsys):
+    """T16 reads H(V1), its suspension and a sum with a locally finite
+    module; ``compute`` reads the first two from the same memo."""
+    assert cli_main(["compute", "fix", "--module", "S1HV1", "--max-degree", "6"]) == 0
+    assert cli_main(["verify", "--check", "T16", "--max-degree", "6"]) == 0
+    assert cli_main(["compute", "rtilde", "--module", "HV1", "--max-degree", "6"]) == 0
+    capsys.readouterr()
+    info = lannes._calculus.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
+
+
+def test_a_realm_and_its_zero_fold_suspension_keep_their_own_calculi(capsys):
+    """The memo's key holds the realm's name, which reaches the output:
+    ``HV1`` and ``S0HV1`` have one summand each, the same, and two calculi."""
+    names = []
+    for realm in ("HV1", "S0HV1", "HV1"):
+        argv = ["compute", "rtilde", "--module", realm, "--max-degree", "4", "--format", "json"]
+        assert cli_main(argv) == 0
+        names.append(json.loads(capsys.readouterr().out)["name"])
+    assert names == ["Rtilde(H(V1))", "Rtilde(S^0(H(V1)))", "Rtilde(H(V1))"]
+    info = lannes._calculus.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    with pytest.raises(TypeError, match="plain realm object, not a TExpansion"):
+        lannes.calculus(lannes.t_apply(lannes.hv(1, 4)))
+
+
+def test_a_named_module_is_built_once_and_a_fixture_loaded_on_every_request(monkeypatch,
+                                                                           tmp_path, capsys):
+    """``compute module`` and ``compute r1`` on a built-in name build its
+    module once; a fixture file is read on every request, so a file
+    rewritten between two requests gives the second its new module."""
+    for what in ("module", "r1"):
+        assert cli_main(["compute", what, "--module", "F1xF1", "--max-degree", "8"]) == 0
+    info = cli._builtin_module.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    loads = record_calls(monkeypatch, fixtures.load, lambda path: Path(path).name)
+    path = tmp_path / "m.json"
+    dims = []
+    for degree in (1, 2):
+        fixtures.save(free_unstable(degree, 4), path)
+        for what in ("module", "r1"):
+            capsys.readouterr()
+            assert cli_main(["compute", what, "--module", str(path), "--max-degree", "4",
+                             "--format", "json"]) == 0
+            dims.append(json.loads(capsys.readouterr().out)["dims"])
+    assert dims[0::2] == [[0, 1, 1, 0, 1], [0, 0, 1, 1, 1]]
+    assert loads == {"m.json": 4}
+    assert cli._builtin_module.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("run", ["T3", "T7", "compute fix"])
@@ -512,8 +612,7 @@ def test_fix_part_dims_are_read_on_their_layouts(run, monkeypatch, capsys):
             super().__init__(X)
             calcs.append(self)
 
-    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: Recording(hv(r, D)))
-    monkeypatch.setattr(cli, "RealmCalculus", Recording)
+    monkeypatch.setattr(lannes, "RealmCalculus", Recording)
     if run == "compute fix":
         assert cli_main(["compute", "fix", "--module", "S1HV2", "--max-degree", "6"]) == 0
         assert "matches the module: True" in capsys.readouterr().out
@@ -1223,6 +1322,21 @@ def saturation_passes_an_unsaturated_trial(monkeypatch):
     monkeypatch.setattr(harness, "saturation_check", lenient)
 
 
+def sum_calculus_misses_a_u0_copy(monkeypatch):
+    """T16: a tau whose u^0 terms miss component 0, on the calculus of a sum
+    only, leaves taubar, and so the kernel dims T16 compares, unchanged;
+    only the equalizer verdict of the sum's calculus sees it."""
+    real = lannes.RealmCalculus
+
+    def broken_on_sums(X):
+        calc = real(X)
+        if len(X.summands) > 1:
+            drop_u0_copies(calc, [0])
+        return calc
+
+    monkeypatch.setattr(lannes, "RealmCalculus", broken_on_sums)
+
+
 # keyed by check id, then by the name of the mutation when a check has several
 MUTATIONS = {
     "T1": (kernel_rows_share_a_lowest_bit, "structural violation: ker(taubar): row 1 of degree 2 "
@@ -1272,17 +1386,18 @@ MUTATIONS = {
                                 "(augmentation image drops rank in degree 1)"),
     "T15": (saturation_passes_an_unsaturated_trial,
             "trial 2: saturated subspace with torsion quotient: u kills [1|t] in degree 1"),
+    "T16": (sum_calculus_misses_a_u0_copy,
+            "structural violation: sigma + tau is not taubar in degree 0: its value on [0]1 has "
+            "[1|<0:0>1] outside bar"),
 }
 
 
 @pytest.mark.parametrize("check", sorted(MUTATIONS))
 def test_a_named_mutation_fails_its_check_with_its_witness(check, monkeypatch):
     mutate, witness = MUTATIONS[check]
-    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
-    monkeypatch.setattr(harness, "_doubled_free_division",
-                        harness._doubled_free_division.__wrapped__)
     spec = make_spec(check.split("-")[0], D=8, max_rank=2)
     assert run_check(spec).passed
+    clear_memos()  # the mutated run builds and certifies everything again
     mutate(monkeypatch)
     res = run_check(spec)
     assert not res.passed

@@ -60,6 +60,7 @@ from usteen.unstable import (
 from reference import (
     bar_runs_by_columns,
     checked_graded_subspace,
+    clear_memos,
     coker_data,
     component_map,
     concat_cols,
@@ -918,8 +919,7 @@ def test_rtilde_and_t8_build_no_extension_of_the_reduced_expansion(monkeypatch):
         init(self, name, *args, **kwargs)
 
     monkeypatch.setattr(TruncatedModule, "__init__", recording)
-    harness._hv_calculus.cache_clear()
-    calc = harness._hv_calculus(2, 8)
+    calc = lannes.calculus(hv(2, 8))
     calc.rtilde
     assert harness.run_check(harness.make_spec("T8", D=8, max_rank=2)).passed
     assert "bar(Fu(x)Tbar(H(V2)))" in names
@@ -1055,7 +1055,6 @@ def test_t3_reads_no_layout_of_an_expansion_of_an_expansion(monkeypatch):
         return expansions[-1]
 
     monkeypatch.setattr(lannes, "t_apply", recording)
-    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
     assert harness.run_check(harness.make_spec("T3", D=6, max_rank=2)).passed
     twice = [T for T in expansions if T.name.startswith("T[1](T")]
     assert len(twice) == 4  # T(Tbar X) and T(T X), per rank
@@ -1337,7 +1336,6 @@ def test_a_compute_request_builds_one_module_and_no_layout_per_extension(argv, m
     on its dims.  F[u] and an extension's layout are built only when its
     action or labels are read, which no compute request does; F[u] is then
     built once and shared."""
-    fulu._u_powers.cache_clear()
     built, actions = count_builds(monkeypatch)
     layouts, extensions = Counter(), []
     make_layout, extend = unstable.TensorLayout.__init__, fulu.ExtendedModule.__init__
@@ -1364,7 +1362,6 @@ def test_a_compute_request_builds_one_module_and_no_layout_per_extension(argv, m
     for E in extensions:
         E.labels
     assert built["F[u]"] == 1 and layouts["TensorLayout"] == len(extensions)
-    fulu._u_powers.cache_clear()
 
 
 def test_taubar_parts_are_built_once_on_first_read(monkeypatch):
@@ -1387,7 +1384,6 @@ def test_taubar_parts_are_built_once_on_first_read(monkeypatch):
 
 
 def test_t8_reads_dims_from_the_layouts(monkeypatch):
-    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
     built, _ = count_builds(monkeypatch)
     harness._check_t8({"D": 6, "max_rank": 2})
     assert [name for name in built
@@ -1541,11 +1537,11 @@ def test_t8_leaves_u_and_the_action_of_bar_unbuilt(monkeypatch):
     certificate of its kernel."""
     built = []
 
-    def calculus(r, D):
-        built.append(RealmCalculus(hv(r, D)))
+    def recording(X):
+        built.append(RealmCalculus(X))
         return built[-1]
 
-    monkeypatch.setattr(harness, "_hv_calculus", calculus)
+    monkeypatch.setattr(lannes, "RealmCalculus", recording)
     assert harness.run_check(harness.make_spec("T8", D=8, max_rank=3)).passed
     assert len(built) == 3
     for calc in built:
@@ -1589,7 +1585,6 @@ def test_a_u_linear_map_refuses_a_bad_layer():
 def test_t8_builds_u_only_where_it_reads_it(monkeypatch):
     """u on N/uN is zero and nothing reads it; the cokernel of taubar is read
     off the image of taubar, so no u on a cokernel is built."""
-    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
     built = Counter()
     checked = FuluModule._checked_u
 
@@ -1607,7 +1602,6 @@ def test_t8_builds_no_cokernel_module_and_eliminates_no_q_of_one(monkeypatch):
     """T8 builds neither the cokernel of taubar nor, by elimination, its
     indecomposables: q_data runs on scalar extensions and on the kernel
     only, and Q of the cokernel is the quotient of Q(bar) by the u^1 pivots."""
-    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
     built, _ = count_builds(monkeypatch)
     q_inputs = []
     real = harness.q_data
@@ -1628,10 +1622,8 @@ def test_t8_builds_no_cokernel_module_and_eliminates_no_q_of_one(monkeypatch):
 def test_t8_and_t11_share_one_loop_module_per_rank(monkeypatch):
     """The loop-functor data of H(V_r) are built once per rank and degree,
     on the shared calculus, and read by T8's alpha and by T11."""
-    harness._hv_calculus.cache_clear()
     built, _ = count_builds(monkeypatch)
     results = harness.run_all(D=6, max_rank=2, only=["T8", "T11"])
-    harness._hv_calculus.cache_clear()
     assert all(r.passed for r in results)
     loops = {name: count for name, count in built.items()
              if name.startswith(("Ph(", "ker(Sq0_", "coker(Sq0_", "Om(", "Om1("))}
@@ -1727,11 +1719,10 @@ def _with_rows(X, n, rows):
     return Y
 
 
-def test_t8_fails_exactness_at_the_reduced_part_on_a_dropped_image_row(monkeypatch):
-    calc = RealmCalculus(hv(1, 4))
+def test_t8_fails_exactness_at_the_reduced_part_on_a_dropped_image_row():
+    calc = lannes.calculus(hv(1, 4))  # the calculus T8 reads
     image = calc.taubar_image
     calc.__dict__["taubar_image"] = _with_rows(image, 3, image.bases[3].row_ints()[1:])
-    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: calc)
     res = harness.run_check(harness.make_spec("T8", D=4, max_rank=1))
     assert not res.passed
     assert res.witness == ("rank 1: u-module sequence: taubar's value on t^3 lies outside its "
@@ -1867,11 +1858,11 @@ def test_rtilde_fix_invariants_and_t1_to_t3_run_no_elimination(monkeypatch, caps
     and no ``from_vectors``.  The one kernel left is that of Fix(taubar)'s
     component matrix P."""
     calls, components = _elimination_calls(monkeypatch)
-    monkeypatch.setattr(harness, "_hv_calculus", lambda r, D: RealmCalculus(hv(r, D)))
     for argv in (["rtilde", "--module", "HV3"], ["fix", "--module", "HV3"],
                  ["invariants", "--rank", "3"], ["rtilde", "--module", "S1HV2"]):
         assert cli.main(["compute", *argv, "--max-degree", "8"]) == 0
     capsys.readouterr()
+    clear_memos()  # the checks build and certify their calculi again
     results = harness.run_all(D=8, max_rank=3, only=["T1", "T2", "T3"])
     assert all(res.passed for res in results)
     assert components and calls
