@@ -28,9 +28,10 @@ u-module generated by some seeds is spanned by the u^j times them, so u^k
 times it is spanned by the u^j times the u^k-shifted seeds: a u-power shift
 of a seeded span is one ``from_vectors`` on the shifted seeds.  Every
 quotient here is the one projection operator of ``unstable.quotient``, read
-off canonical rref bases: N/X for a graded u-subspace X, N/uN (``q_data``,
-a mask on a scalar extension) and Q of N/X, which is Q(N) modulo the rows
-of X that pivot in the lowest u-block (``q_of_quotient``).
+off canonical rref bases: N/X for a graded u-subspace X, and N/uN
+(``q_data``, a mask on a scalar extension).  Q of N/X is Q(N) modulo the
+image of X in the lowest u-block; for the image of taubar the calculus
+reads that image off its certified basis (``lannes``).
 
 The polynomial-ring lemmas here (saturation, generator spaces, torsion) are
 pure graded u-module statements, so the checks also accept graded subspaces
@@ -565,27 +566,6 @@ def generator_space(X: GradedSubspace) -> GeneratorSpace:
             if rank(eps) != len(picked):
                 witness = f"augmentation image drops rank in degree {n}"
     return GeneratorSpace(w_bases, Verdict(witness is None, amb.D, witness))
-
-
-def q_of_quotient(q_amb: Quotient, X: GradedSubspace) -> Quotient:
-    """The projection Q(N) -> Q(N/X) for a graded u-subspace X of a scalar
-    extension N, read off the pivots of X: ``q_amb`` is ``q_data(N)``.
-
-    Q is right exact, so Q(N/X) is Q(N) modulo the image of X.  Q(N) is
-    the lowest u-block, the lowest bits, so that image is spanned by the
-    rref rows of X whose pivot lies in the block, masked to it; the other
-    rows vanish there.  The masked rows keep their pivots and their reduced
-    form, and u is zero on Q(N), so they are the canonical bases of a
-    graded u-subspace as they are, with no elimination.
-    """
-    amb = X.ambient
-    bases = {}
-    for n in range(amb.D + 1):
-        width = amb.block(n, amb.start)[1]
-        mask = (1 << width) - 1
-        rows = tuple(r & mask for r in X.bases[n].row_ints() if r & mask)
-        bases[n] = BitMatrix(len(rows), width, rows)
-    return quotient(q_amb.target, bases, f"({q_amb.target.name})/X")
 
 
 # -- relative tensor product -----------------------------------------------------

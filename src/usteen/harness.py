@@ -24,7 +24,6 @@ from .fulu import (
     indecomposables,
     q_data,
     q_of_map,
-    q_of_quotient,
     saturation_check,
     torsion_free,
 )
@@ -45,6 +44,7 @@ from .unstable import (
     TruncatedModule,
     ValidationReport,
     Verdict,
+    _express,
     exact_sequence,
     free_unstable,
     is_reduced,
@@ -252,10 +252,9 @@ def _check_t7(params):
     D = params["D"]
     calc = calculus(hv(1, D))
     kernel, kernel_incl = calc.rtilde, calc.kernel_incl
-    _need(calc.taubar_image_verdict, "u-module sequence")
-    # the image of taubar as a u-module on the canonical bases of taubar_image
-    image, layer = calc.taubar_image, calc.taubar.layer
-    c1, _ = submodule(calc.bar, image.bases, "im(taubar)")
+    # the image of taubar as a u-module on the basis that leg (c) certifies
+    bases, layer = {n: calc.image_basis(n) for n in range(D + 1)}, calc.taubar.layer
+    c1, _ = submodule(calc.bar, bases, "im(taubar)")
     _need(torsion_free(c1), "image torsion")
     _need(is_reduced(c1), "image reducedness")
     # indecomposables: 0 -> doubled base -> base -> suspended loops -> 0, with
@@ -265,8 +264,9 @@ def _check_t7(params):
     q_c1 = q_data(c1)
     qi = q_of_map(kernel_incl, q_ker, q_e)
     qp = ModuleMap(q_e.target, q_c1.target, {
-        n: q_c1.apply(n, express_in_rowspace(
-            image.bases[n], BitMatrix(len(layer[n]), calc.bar.dim(n), tuple(layer[n]))))
+        n: q_c1.apply(n, _express(
+            bases, {}, n, BitMatrix(len(layer[n]), calc.bar.dim(n), tuple(layer[n])),
+            f"im(taubar): taubar's layer escapes it at degree {n}"))
         for n in range(D + 1)})
     M = calc.X.module
     ft = calc.omega  # shared with T8 and T11
@@ -299,14 +299,13 @@ def _check_t8(params):
     for r in range(1, params["max_rank"] + 1):
         calc = calculus(hv(r, D))
         _need(calc.taubar_linear_verdict, f"rank {r}: linearity of taubar")
-        # the cokernel is bar modulo the image of taubar, which the verdict certifies
-        _need(calc.taubar_image_verdict, f"rank {r}: u-module sequence")
-        kernel, kernel_incl, image = calc.rtilde, calc.kernel_incl, calc.taubar_image
-        # indecomposables sequence, with Q(coker) = coker Q(taubar)
+        # the certificate of the kernel makes taubar's sequence exact
+        kernel, kernel_incl = calc.rtilde, calc.kernel_incl
+        # indecomposables sequence, with Q(coker) = Q(bar) modulo the image there
         q_ker = q_data(kernel)
         q_e = q_data(calc.E)
         q_bar = q_data(calc.bar)
-        q_proj = q_of_quotient(q_bar, image)
+        q_proj = quotient(q_bar.target, calc.q_image_bases, f"({q_bar.target.name})/X")
         qm = (
             q_of_map(kernel_incl, q_ker, q_e),
             q_of_map(calc.taubar, q_e, q_bar),
@@ -337,10 +336,15 @@ def _check_t8(params):
                 f"rank {r}: twice-reduced expansion dims wrong in degree {n}",
             )
         _need(calc.fixed_point_verdict(), f"rank {r}: fixed-point sequence")
-        # free cokernel on the suspended division term: u is injective on
-        # the cokernel exactly when the image is saturated
-        _need(saturation_check(image), f"rank {r}: cokernel torsion")
-        c2 = [calc.bar.dim(n) - image.dim(n) for n in range(D + 1)]
+        # free cokernel on the suspended division term, counted on the image's basis
+        positions = calc.image_positions
+        for n, above in enumerate(calc.u_preimage_dims):
+            _need_true(
+                above == len(positions[n]),
+                f"rank {r}: cokernel torsion: u^-1 of the image has dimension {above}, "
+                f"not {len(positions[n])}, in degree {n}",
+            )
+        c2 = [calc.bar.dim(n) - calc.taubar.rank(n) for n in range(D + 1)]
         for n in range(D + 1):
             forecast = sum(
                 div_dims[k - 1] for k in range(1, n + 1) if k - 1 <= top

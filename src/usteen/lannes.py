@@ -6,8 +6,10 @@ finite direct sum again (one component per group element), so the comparison
 maps, their equalizer kernel, the fixed-point functor, and the invariant-ring
 description all reduce to explicit GF(2) data: a map that only moves
 components is its component matrix, and a u-linear map out of F[u] (x) X is
-its u^0 layer, on which taubar's exact sequence is certified
-(``RealmCalculus.taubar_image_verdict``).
+its u^0 layer.  The certificate of ker taubar on that layer also certifies
+a basis of im taubar (``RealmCalculus.image_basis``), so taubar's exact
+sequence needs no elimination, and Q(coker taubar) is read off that basis
+on bar's u^1 block (``RealmCalculus.q_image_bases``).
 
 Conventions pinned here (guarded by degree-one unit tests):
   * the component of the comparison map tau indexed by a group element v is
@@ -27,10 +29,9 @@ from functools import cached_property, lru_cache
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2core import BitMatrix, RowReducer, Subspace, image_is_kernel, left_kernel, rref
+from .f2core import BitMatrix, Subspace, image_is_kernel, left_kernel, rref
 from .fulu import (
     ExtendedModule,
-    GradedSubspace,
     ULinearMap,
     extend_scalars,
     positive_u_part,
@@ -289,7 +290,8 @@ def _st1_generators(X: RealmObject, E: ExtendedModule, d: int) -> List[int]:
 
 
 def _certify_kernel_span(E: ExtendedModule, rows: Sequence[BitMatrix], gens: Sequence[int],
-                         maps: Sequence[ULinearMap], stack: str, what: str) -> None:
+                         maps: Sequence[ULinearMap], stack: str,
+                         what: str) -> List[List[Tuple[int, int]]]:
     """Legs (b) and (c) of the certificate that ``rows`` (``st1_basis``,
     with distinct lowest bits by leg (a)) span the common kernel of the
     u-linear ``maps`` out of E in every degree, read on their u^0 layers
@@ -305,8 +307,10 @@ def _certify_kernel_span(E: ExtendedModule, rows: Sequence[BitMatrix], gens: Seq
     (a), the #rows independent rows then lie in a kernel of dimension at
     most #rows, so they span it.  The image of u^a x is the layer row of
     x shifted onto the target's u^a block, and so is its lowest bit.
+    Returns the positions (a, x) that (c) walked, by degree, in its order.
     """
     n = len(maps)
+    walked: List[List[Tuple[int, int]]] = []
     lows = [[[(r & -r).bit_length() - 1 for r in layer] for layer in f.layer] for f in maps]
     for d, m in enumerate(rows):
         for f in maps:
@@ -316,6 +320,7 @@ def _certify_kernel_span(E: ExtendedModule, rows: Sequence[BitMatrix], gens: Seq
                                           f"{_sum_label(E.labels[d], row)} in degree {d}")
         pivots = {(row & -row).bit_length() - 1 for row in m._rows}
         seen: Dict[int, int] = {}
+        walked.append([])
         for a, off, width in E.blocks(d):
             # column c of map i in the stack is c * n + i
             starts = [(f.target.dims[d] - f.target.dims[d - a]) * n + i for i, f in enumerate(maps)]
@@ -331,6 +336,8 @@ def _certify_kernel_span(E: ExtendedModule, rows: Sequence[BitMatrix], gens: Seq
                            else f"shares its lowest bit with its row at {E.labels[d][q]}")
                     raise TheoryViolation(f"{what}: {stack} falls short of rank dim E - #rows "
                                           f"in degree {d}: its row at {E.labels[d][p]} {why}")
+                walked[d].append((a, x))
+    return walked
 
 
 class RealmCalculus:
@@ -338,8 +345,9 @@ class RealmCalculus:
 
     It is the one entry point to what is read off the comparison map of X:
     ``rtilde`` (ker taubar, with ``kernel_incl`` and ``kernel_spaces``),
-    ``taubar_image`` with ``taubar_image_verdict``, ``invariants()``,
-    ``alpha()`` (on the loop-functor data ``omega``) and ``fix_parts``.
+    im taubar (``image_basis``, and its image ``q_image_bases`` in Q(bar)),
+    ``invariants()``, ``alpha()`` (on the loop-functor data ``omega``) and
+    ``fix_parts``.
     taubar's u^0 layer is formed straight from the Lucas terms of each
     monomial, and the equalizer of sigma and tau is checked on each row as
     it is formed, sigma's rows placed from its component matrix
@@ -347,9 +355,10 @@ class RealmCalculus:
     ker taubar is built in closed form (``st1_basis``) and certified by
     pivots in three legs, with no elimination: (a) the rows' lowest bits
     are distinct, (b) taubar kills the u-generators, (c) taubar's rank is
-    at least dim E - #rows (``_taubar_certificate``); two more legs make
-    taubar's sequence exact.  ``invariants()`` certifies the same rows as
-    the invariant ring on its own, and shares their module.
+    at least dim E - #rows (``_taubar_certificate``).  The images that (c)
+    reads are a basis of im taubar, so the same three legs make taubar's
+    sequence exact.  ``invariants()`` certifies the same rows as the
+    invariant ring on its own, and shares their module.
     """
 
     def __init__(self, X: RealmObject):
@@ -501,42 +510,6 @@ class RealmCalculus:
     # -- the equalizer kernel and its companions -----------------------------------
 
     @cached_property
-    def taubar_image(self) -> GradedSubspace:
-        """The image of taubar, as the graded u-submodule of ``bar``
-        generated by its u^0 layer: a u-linear map carries u^a x to u^a
-        times the image of x.  Its bases are canonical rref bases, and each
-        degree eliminates only its seeds and u times the degree below.
-        ``taubar_image_verdict`` certifies that it is the image."""
-        return GradedSubspace.from_vectors(self.bar, dict(enumerate(self.taubar.layer)))
-
-    @cached_property
-    def taubar_image_verdict(self) -> Verdict:
-        """0 -> ker taubar -> E -> bar -> bar / ``taubar_image`` -> 0 is
-        exact, certified on taubar's u^0 layer once per calculus.
-
-        Reading ``rtilde`` runs legs (a)-(c): the inclusion is injective,
-        taubar kills it, and rank taubar_d = dim E_d - #rows, so the
-        sequence is exact at E.  In each degree d, (iv) every row of
-        ``taubar.layer[d]`` reduces to zero against ``taubar_image.bases[d]``,
-        so, taubar being u-linear and the image u-closed, im taubar lies in
-        the image; (v) the image's dimension is taubar's rank, so they are
-        equal.  No matrix of taubar and no projection is built."""
-        self.rtilde
-        image, f, D = self.taubar_image, self.taubar, self.D
-        for d in range(D + 1):
-            basis = image.bases[d]
-            rows = BitMatrix(len(f.layer[d]), basis.ncols, tuple(f.layer[d]))
-            rest = RowReducer(basis).remainders(rows)._rows
-            x = next((x for x, r in enumerate(rest) if r), None)
-            if x is not None:
-                return Verdict(False, D, f"taubar's value on {self.X.module.labels[d][x]} lies "
-                                         f"outside its image in degree {d}")
-            if basis.nrows != f.ranks[d]:
-                return Verdict(False, D, f"its image has dimension {basis.nrows}, not taubar's "
-                                         f"rank {f.ranks[d]}, in degree {d}")
-        return Verdict(True, D)
-
-    @cached_property
     def equalizer_verdict(self) -> Verdict:
         """The kernel of taubar is the equalizer of sigma and tau, the kernel
         of sigma + tau, certified on the u^0 layer once per calculus, as
@@ -602,18 +575,76 @@ class RealmCalculus:
         return submodule(self.E, dict(enumerate(rows)), "ker(taubar)", u_gens=gens)
 
     @cached_property
-    def _taubar_certificate(self) -> None:
+    def _taubar_certificate(self) -> List[List[Tuple[int, int]]]:
         """Legs (b) and (c): the rows of ``st1_basis`` span ker(taubar) in
         every degree (``_certify_kernel_span``), and rank taubar_d =
         dim E_d - #rows is recorded on taubar.  (c) holds because bar is
         ordered u-power, component, monomial: with i the first odd exponent
         of m, taubar(u^a sigma^s m) has lowest bit u^{a+1} on component 2^i
-        at m - e_i.
+        at m - e_i.  Returns the positions (a, x) of E_d that (c) walked,
+        the basis vectors that are no row's lowest bit: their images are a
+        basis of im taubar_d (``image_basis``).
         """
         rows, gens = self.st1_basis
-        _certify_kernel_span(self.E, rows, gens, [self.taubar], "taubar", "ker(taubar)")
+        walked = _certify_kernel_span(self.E, rows, gens, [self.taubar], "taubar", "ker(taubar)")
         for d, m in enumerate(rows):
             self.taubar.ranks[d] = self.E.dims[d] - m.nrows
+        return walked
+
+    @property
+    def image_positions(self) -> List[List[Tuple[int, int]]]:
+        """The positions (a, x) of E_d, by degree, whose images taubar(u^a x)
+        are the basis of im taubar_d that leg (c) certifies, read once
+        ``rtilde`` is certified."""
+        self.rtilde
+        return self._taubar_certificate
+
+    def image_basis(self, d: int) -> BitMatrix:
+        """A basis of im taubar_d: taubar(u^a x), the layer row of x shifted
+        onto bar's u^a block, for each of the ``image_positions`` (a, x).
+
+        Leg (c) found these images nonzero, with pairwise distinct lowest
+        bits, so they are independent, and rank taubar_d of them: they span
+        the image.  So 0 -> ker taubar -> E -> bar -> bar / im -> 0 is exact
+        with no further check, and the rows are their own pivot table
+        (``f2core.RowReducer``), with no elimination."""
+        f, dims = self.taubar, self.bar.dims
+        rows = tuple(f.layer[d - a][x] << (dims[d] - dims[d - a])
+                     for a, x in self.image_positions[d])
+        m = BitMatrix(len(rows), dims[d], rows)
+        m._rank = m.nrows
+        return m
+
+    @cached_property
+    def q_image_bases(self) -> List[BitMatrix]:
+        """The image of im taubar in Q(bar) = bar / u bar, bar's u^1 block,
+        by degree, with no image row above that block.
+
+        taubar(u^a x) lies in u^{a+1} bar, so only the rows with a = 0 of
+        ``image_basis`` reach the block: these are taubar's layer rows,
+        masked to it.  The block comes first, so a nonzero mask keeps its
+        row's lowest bit, and the nonzero masks have distinct lowest bits: a
+        basis, whose lowest bits are the pivots of its rref, the columns
+        ``unstable.quotient`` leaves out of Q(coker taubar)."""
+        out = []
+        for d, positions in enumerate(self.image_positions):
+            width = self.bar.block(d, 1)[1]
+            layer, mask = self.taubar.layer[d], (1 << width) - 1
+            rows = tuple(row for row in (layer[x] & mask for a, x in positions if not a) if row)
+            out.append(BitMatrix(len(rows), width, rows))
+        return out
+
+    @cached_property
+    def u_preimage_dims(self) -> List[int]:
+        """dim u^-1(im taubar_{n+1}), the y in bar_n with u y in the image,
+        for n < D: it equals dim im taubar_n exactly when u is injective on
+        coker taubar in degree n.  u shifts bar_n onto the bits of bar_{n+1}
+        above the u^1 block, and on a basis with distinct lowest bits the
+        image's vectors there are spanned by the rows whose lowest bit lies
+        there: those with a >= 1, and those with a = 0 whose u^1 mask is
+        zero.  So the count is the rank less the rows of ``q_image_bases``."""
+        positions, q = self.image_positions, self.q_image_bases
+        return [len(positions[n + 1]) - q[n + 1].nrows for n in range(self.D)]
 
     @property
     def rtilde(self) -> FuluModule:

@@ -89,10 +89,19 @@ class SingerModule:
         self.incl = ModuleMap(self.fulu, ambient, self._G, D=self.D)
 
     def _freeness(self) -> Verdict:
+        """The generators of each degree are independent, read off their top
+        bits: u^k st1(b_j) has top u-block u^(k+d), where Sq^0 leaves b_j
+        itself, and E orders its blocks by u-power, so its highest bit is
+        b_j's in that block.  These are distinct over (d, j), so the rows
+        are independent with no elimination, and their count is recorded
+        as their rank.  Only rows whose top bits collide are eliminated, so
+        a failure names a dependence."""
         for n in range(self.D + 1):
             g = self._G[n]
-            if rank(g) != g.nrows:
+            tops = {r.bit_length() for r in g.row_ints()} - {0}
+            if len(tops) != g.nrows and rank(g) != g.nrows:
                 return Verdict(False, self.D, f"distinguished generators dependent in degree {n}")
+            g._rank = g.nrows
         return Verdict(True, self.D)
 
     def _realize(self) -> FuluModule:

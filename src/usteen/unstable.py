@@ -944,36 +944,6 @@ def tensor(M: TruncatedModule, N: TruncatedModule) -> TruncatedModule:
     return tensor_with_layout(M, N)[0]
 
 
-def direct_sum(mods: Sequence[TruncatedModule], name: Optional[str] = None,
-               tags: Optional[Sequence[str]] = None) -> Tuple[TruncatedModule, List[Dict[int, int]]]:
-    """Block direct sum; returns the module plus per-summand degree offsets.
-
-    An offset is that of the summand's block, 0 where the block is empty.
-    """
-    if not mods:
-        raise ValueError("need at least one summand")
-    D = min(m.D for m in mods)
-    if tags is None:
-        tags = [""] * len(mods) if len(mods) == 1 else [f"[{k}]" for k in range(len(mods))]
-    name = name or "(+)".join(m.name for m in mods)
-    table = BlockLayout([(k, m.dims[n]) for k, m in enumerate(mods)] for n in range(D + 1))
-    labels = [
-        [tags[k] + x for k, _, _ in table.blocks(n) for x in mods[k].labels[n]]
-        for n in range(D + 1)
-    ]
-    action: Dict[Tuple[int, int], BitMatrix] = {}
-    for n in range(D + 1):
-        for i in range(1, D - n + 1):
-            rows = []
-            for k, m in enumerate(mods):
-                shift = table.block(n + i, k)[0]
-                sub = m.sq(i, n)
-                rows.extend((sub.row_int(r) << shift) for r in range(m.dims[n]))
-            action[(i, n)] = BitMatrix.from_row_ints(rows, table.dims[n + i])
-    offsets = [{n: table.block(n, k)[0] for n in range(D + 1)} for k in range(len(mods))]
-    return TruncatedModule(name, D, table.dims, action, labels), offsets
-
-
 def map_from_free(free: FreeModule, target: TruncatedModule, element_row: int,
                   name: str = "") -> ModuleMap:
     """The unique A-map from a free module sending the generator to an element.
@@ -1148,9 +1118,11 @@ class Quotient(ModuleMap):
     """The projection of a module onto its quotient by a graded row space,
     as an operator; ``quotient`` builds it.
 
-    ``bases[n]`` is the canonical rref basis of the subspace in degree n.
-    A row maps by its remainder against it (``RowReducer.remainders``),
-    which has no pivot bit set, then by the gather of the non-pivot columns
+    ``bases[n]`` is a basis of the subspace in degree n whose rows have
+    distinct lowest bits, the pivots of its rref: a canonical rref basis,
+    or an echelon one.  A row maps by its remainder against it
+    (``RowReducer.remainders``), which has no pivot bit set and so is the
+    same on either, then by the gather of the non-pivot columns
     ``rep_cols[n]``, whose unit vectors represent the quotient's basis.  A
     row inside the subspace maps to zero with nothing gathered.  A
     representative is its own remainder and gathers to a unit vector, so
@@ -1199,8 +1171,9 @@ def quotient(M: TruncatedModule, bases: Sequence[BitMatrix], name: str) -> Quoti
     """The projection of M onto its quotient by a graded row space, whose
     target carries the induced structure.
 
-    ``bases[n]`` is the canonical rref basis of the subspace in degree n,
-    for n = 0 .. D with D = len(bases) - 1 <= M.D.  On the quotient, Sq^i
+    ``bases[n]`` is a basis of the subspace in degree n with distinct lowest
+    bits (``Quotient``), for n = 0 .. D with D = len(bases) - 1 <= M.D;
+    only its lowest bits place the quotient's basis.  On the quotient, Sq^i
     is the projection of the representatives under Sq^i, which is well
     defined only when the subspace is stable under the squares: on a span
     that is not (T15's random u-subspaces) only the dims, labels and u of

@@ -14,6 +14,7 @@ from usteen.f2core import BitMatrix, Subspace, column_runs, express_in_rowspace,
 from usteen.fulu import GradedSubspace
 from usteen.lannes import _component_targets
 from usteen.unstable import (
+    BlockLayout,
     FuluModule,
     ModuleMap,
     TensorLayout,
@@ -425,6 +426,38 @@ def a_span(M: TruncatedModule, seeds: Dict[int, Iterable[int]]) -> Dict[int, Bit
     }
 
 
+def direct_sum(mods: Sequence[TruncatedModule], name: Optional[str] = None,
+               tags: Optional[Sequence[str]] = None) -> Tuple[TruncatedModule, List[Dict[int, int]]]:
+    """Block direct sum; returns the module plus per-summand degree offsets.
+
+    An offset is that of the summand's block, 0 where the block is empty.
+    No code in the package reads a sum of modules; realm objects place
+    their summands in one ``BlockLayout`` of their own.
+    """
+    if not mods:
+        raise ValueError("need at least one summand")
+    D = min(m.D for m in mods)
+    if tags is None:
+        tags = [""] * len(mods) if len(mods) == 1 else [f"[{k}]" for k in range(len(mods))]
+    name = name or "(+)".join(m.name for m in mods)
+    table = BlockLayout([(k, m.dims[n]) for k, m in enumerate(mods)] for n in range(D + 1))
+    labels = [
+        [tags[k] + x for k, _, _ in table.blocks(n) for x in mods[k].labels[n]]
+        for n in range(D + 1)
+    ]
+    action: Dict[Tuple[int, int], BitMatrix] = {}
+    for n in range(D + 1):
+        for i in range(1, D - n + 1):
+            rows = []
+            for k, m in enumerate(mods):
+                shift = table.block(n + i, k)[0]
+                sub = m.sq(i, n)
+                rows.extend((sub.row_int(r) << shift) for r in range(m.dims[n]))
+            action[(i, n)] = BitMatrix.from_row_ints(rows, table.dims[n + i])
+    offsets = [{n: table.block(n, k)[0] for n in range(D + 1)} for k in range(len(mods))]
+    return TruncatedModule(name, D, table.dims, action, labels), offsets
+
+
 def tensor_row(layout: TensorLayout, n: int, p: int, left_row: int, right_row: int) -> int:
     """The flat row of degree n of left_row (x) right_row, for int-packed
     vectors of the left basis in degree p and the right one in n - p: one
@@ -610,6 +643,36 @@ def taubar_subquotient(calc) -> Subquotient:
     on its closed basis (``RealmCalculus.st1_basis``) instead; this is the
     oracle of that basis and its module."""
     return Subquotient(calc.taubar)
+
+
+def taubar_image_rref(calc) -> GradedSubspace:
+    """im(taubar) as the graded u-submodule of bar generated by taubar's
+    u^0 layer, on canonical rref bases (``GradedSubspace.from_vectors``):
+    the route the package took before it read the image off leg (c) of
+    the certificate of ker(taubar) (``RealmCalculus.image_basis``), kept as
+    its oracle."""
+    return GradedSubspace.from_vectors(calc.bar, dict(enumerate(calc.taubar.layer)))
+
+
+def q_of_quotient(q_amb, X: GradedSubspace):
+    """The projection Q(N) -> Q(N/X) for a graded u-subspace X of a scalar
+    extension N, read off the pivots of X: ``q_amb`` is ``q_data(N)``.
+
+    Q is right exact, so Q(N/X) is Q(N) modulo the image of X.  Q(N) is
+    the lowest u-block, the lowest bits, so that image is spanned by the
+    rref rows of X whose pivot lies in the block, masked to it; the other
+    rows vanish there.  The masked rows keep their pivots and their reduced
+    form, so they are canonical bases as they are.  The oracle of T8's
+    quotient by ``RealmCalculus.q_image_bases``.
+    """
+    amb = X.ambient
+    bases = {}
+    for n in range(amb.D + 1):
+        width = amb.block(n, amb.start)[1]
+        mask = (1 << width) - 1
+        rows = tuple(r & mask for r in X.bases[n].row_ints() if r & mask)
+        bases[n] = BitMatrix(len(rows), width, rows)
+    return quotient(q_amb.target, bases, f"({q_amb.target.name})/X")
 
 
 def taubar_kernel_spaces(calc) -> List[Subspace]:

@@ -19,7 +19,6 @@ from usteen.fulu import (
     q_data,
     positive_u_part,
     q_of_map,
-    q_of_quotient,
     saturation_check,
     tensor_over_fulu,
     torsion_free,
@@ -57,9 +56,11 @@ from reference import (
     graded_span_by_elimination,
     one_sided_u_by_pairs,
     q_data_by_elimination,
+    q_of_quotient,
     shifted_subspace_by_elimination,
     span_sum,
     Subquotient,
+    taubar_image_rref,
     taubar_subquotient,
     tensor_by_pairs,
     u_on_quotient_by_solving,
@@ -849,7 +850,8 @@ def test_submodule_reads_u_off_u_generators_and_refuses_rows_that_are_not_u_shif
 def taubar_parts(r, D):
     calc = RealmCalculus(hv(r, D))
     sub = taubar_subquotient(calc)
-    image, image_incl = submodule(calc.bar, calc.taubar_image.bases, "im(taubar)")
+    bases = {n: calc.image_basis(n) for n in range(D + 1)}  # as T7 builds it
+    image, image_incl = submodule(calc.bar, bases, "im(taubar)")
     return [(f"ker taubar r={r}", calc.rtilde, "span", calc.kernel_incl),
             (f"ker taubar by elimination r={r}", sub.kernel, "span", sub.kernel_incl),
             (f"im taubar r={r}", image, "span", image_incl),
@@ -907,13 +909,13 @@ def catalog_quotients(case, monkeypatch):
     if case == "tensor_over_fulu":  # T6
         H = hv_module(1, D)
         return [product_mu(H, H).product.proj]
-    if case == "taubar":  # coker taubar and Q of it, T8
+    if case == "taubar":  # coker taubar and Q of it, T8's and the oracles'
         out = []
         for r in (1, 2, 3):
             calc = RealmCalculus(hv(r, 6))
-            image = calc.taubar_image
+            image, q_bar = taubar_image_rref(calc), q_data(calc.bar)
             out += [quotient(calc.bar, image.bases, "bar/X"), taubar_subquotient(calc).coker,
-                    q_of_quotient(q_data(calc.bar), image)]
+                    q_of_quotient(q_bar, image), quotient(q_bar.target, calc.q_image_bases, "Q/X")]
         return out
     if case == "T15":  # the saturated random quotients
         return record_quotients(monkeypatch, lambda: harness.run_check(harness.make_spec("T15", D=10)))
@@ -922,14 +924,16 @@ def catalog_quotients(case, monkeypatch):
 
 @pytest.mark.parametrize("case", ["omega", "q_data", "tensor_over_fulu", "taubar", "T15", "catalog"])
 def test_every_quotient_projection_matches_the_dense_oracle(case, monkeypatch):
-    """The projection operator against ``reference.coker_data`` on its own
-    rref bases, for every quotient the catalog builds: the matrices, the
-    representative columns and the rank, which is the width."""
+    """The projection operator against ``reference.coker_data`` on the rref
+    of its bases, for every quotient the catalog builds: the matrices, the
+    representative columns and the rank, which is the width.  T8's bases
+    of the image of taubar in Q(bar) have distinct lowest bits but are not
+    reduced; every other basis is its own rref."""
     quotients = catalog_quotients(case, monkeypatch)
     assert quotients, case
     for q in quotients:
         for n in range(q.D + 1):
-            proj, cols = coker_data(q.bases[n], q.source.dims[n])
+            proj, cols = coker_data(Subspace.from_rows(q.bases[n]).basis, q.source.dims[n])
             assert list(q.rep_cols[n]) == cols, (q.target.name, n)
             assert q.mat(n) == proj, (q.target.name, n)
             assert q.rank(n) == len(cols) == q.target.dims[n], (q.target.name, n)

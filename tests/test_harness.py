@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from usteen import _gf2py, cli, fixtures, fulu, harness, lannes, singer, unstable
+from usteen import _gf2py, cli, f2core, fixtures, fulu, harness, lannes, singer, unstable
 from usteen.cli import main as cli_main
 from usteen.f2core import BitMatrix, Subspace
 from usteen.fulu import GradedSubspace, extend_scalars
@@ -188,33 +188,6 @@ def test_a_fixture_row_that_is_not_three_binary_digits_is_refused(row, tmp_path,
     assert cli_main(["compute", "module", "--module", str(path), "--max-degree", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: cannot build module") and "bad bit row" in err
-
-
-def test_a_u_fixture_with_a_broken_u_fails_t9(tmp_path):
-    """T9 validates a loaded u-module with its u."""
-    path = tmp_path / "ext.json"
-    fixtures.save(extend_scalars(polynomial_module(1, 6)), path)
-    assert run_check(make_spec("T9", D=6, fixture_file=str(path))).passed
-    doc = json.loads(path.read_text())
-    doc["u_action"] = [entry for entry in doc["u_action"] if entry["n"] != 1]  # u = 0 on degree 1
-    path.write_text(json.dumps(doc))
-    res = run_check(make_spec("T9", D=6, fixture_file=str(path)))
-    assert not res.passed
-    assert res.witness.endswith("u-multiplication not Cartan-compatible at (i=1, n=0)")
-
-
-def test_corrupted_fixture_fails_t9(tmp_path):
-    H = polynomial_module(1, 6)
-    path = tmp_path / "h.json"
-    fixtures.save(H, path)
-    doc = json.loads(path.read_text())
-    # flip the squaring row on the degree-2 class: Sq^1(t^2) becomes t^3
-    doc["action"].append({"i": 1, "n": 2, "rows": ["1"]})
-    path.write_text(json.dumps(doc))
-    spec = make_spec("T9", D=6, fixture_file=str(path))
-    res = run_check(spec)
-    assert not res.passed
-    assert res.witness and "Adem" in res.witness
 
 
 def test_cli_verify_single(capsys):
@@ -445,10 +418,13 @@ def test_t8_certifies_the_linearity_of_taubar_once_per_calculus(monkeypatch):
 
 
 def test_t7_and_t8_read_taubar_on_its_layer_and_take_exactness_only_of_q(monkeypatch):
-    """T7 and T8 read the exactness of taubar's sequence off one verdict on
-    its u^0 layer: no matrix of taubar is placed, T8 takes no quotient of
-    bar, and ``exact_sequence`` runs only on the sequences of
-    indecomposables."""
+    """T7 and T8 read the exactness of taubar's sequence off the
+    certificate of its kernel on its u^0 layer: no matrix of taubar is
+    placed, T8 takes no quotient of bar, and ``exact_sequence`` runs only
+    on the sequences of indecomposables.  T8 at D=8, r <= 3 then runs no
+    ``from_vectors``, holds no row of the image above bar's u^1 block (it
+    never reads ``image_basis``), and no ``RowReducer`` eliminates: each
+    reads its table off its basis's distinct lowest bits."""
     placed = Counter()
     mat = fulu.ULinearMap.mat
 
@@ -466,6 +442,17 @@ def test_t7_and_t8_read_taubar_on_its_layer_and_take_exactness_only_of_q(monkeyp
         ("doubled base", "base", "suspended loop module"): 1,
         ("doubled base", "base", "suspended reduced part", "division term"): 2,
     }
+    clear_memos()
+    reads = Counter()
+    from_vectors, image_basis = GradedSubspace.from_vectors.__func__, RealmCalculus.image_basis
+    monkeypatch.setattr(GradedSubspace, "from_vectors", classmethod(
+        lambda cls, ambient, seeds: (reads.update(["from_vectors"]),
+                                     from_vectors(cls, ambient, seeds))[1]))
+    monkeypatch.setattr(RealmCalculus, "image_basis",
+                        lambda calc, n: (reads.update(["image_basis"]), image_basis(calc, n))[1])
+    monkeypatch.setattr(f2core, "_eliminated_pivots", lambda basis: reads.update(["eliminated"]))
+    assert run_check(make_spec("T8", D=8, max_rank=3)).passed
+    assert reads == {}
 
 
 def test_t7_t8_and_t11_build_one_loop_module_per_rank(monkeypatch):
@@ -847,27 +834,6 @@ def test_cli_failing_equalizer_exits_1_with_one_line(what, monkeypatch, capsys):
     assert err == f"check failed: structural violation: {failed.witness}\n"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_a_flipped_bit_in_sq1_of_hxh_fails_t6(n, monkeypatch):
-    """T6 compares the image of the product map with the span R1(H (x) H),
-    which reads Sq^1 of H (x) H on degree n for 2n <= D.  A copy with the
-    first bit of Sq^1 on degree n flipped gives another span there."""
-    real = singer.tensor_with_layout
-
-    def flipped(M, N):
-        T, layout = real(M, N)
-        act = dict(T.action_items())
-        rows = act[(1, n)].row_ints()
-        rows[0] ^= 1
-        act[(1, n)] = BitMatrix.from_row_ints(rows, T.dims[n + 1])
-        return TruncatedModule(T.name, T.D, T.dims, act, T.labels), layout
-
-    monkeypatch.setattr(singer, "tensor_with_layout", flipped)
-    res = run_check(make_spec("T6", D=8))
-    assert not res.passed
-    assert res.witness == f"image: image differs from the span in degree {2 * n}"
-
-
 def test_t14_and_t15_read_no_cokernel_projection_and_no_augmentation_matrix(monkeypatch):
     """On scalar extensions saturation counts shifted pivot rows, the spans
     shift their unseeded degrees and the augmentation is a mask.
@@ -945,24 +911,6 @@ def with_a_flipped_square(M):
     return TruncatedModule(M.name, M.D, M.dims, act, M.labels)
 
 
-@pytest.mark.parametrize("cid, where, witness", [
-    ("T5", singer, "F(1): projection linearity: not A-linear at (i=2, n=2)"),
-    ("T13", unstable, "diagonal extraction linearity: not A-linear at (i=2, n=2)"),
-    ("T17", singer, "F(1) projection linearity: not A-linear at (i=2, n=2)"),
-])
-def test_a_flipped_bit_in_the_doubled_module_fails_its_linearity_check(cid, where, witness,
-                                                                        monkeypatch):
-    """T5 and T17 map R1(M) onto Ph(M) (``rho1``), T13 maps the symmetric
-    invariants onto Ph(F(1)) (``sym_lambda``'s ``diag``).  With the first
-    stored Sq matrix of Ph(M) off by one bit, the map's ``validate_linear``
-    fails, and the check names its first violation."""
-    real = unstable.phi
-    monkeypatch.setattr(where, "phi", lambda M: with_a_flipped_square(real(M)))
-    res = run_check(make_spec(cid, D=8))
-    assert not res.passed
-    assert res.witness == witness
-
-
 def test_t13_witnesses_the_first_violation_of_a_map_that_is_not_a_module_map(monkeypatch):
     """A comparison from the free module that kills its generator fails T13,
     and the witness is the first violation, not a list of them."""
@@ -1000,55 +948,49 @@ def test_cli_r1_refuses_an_unstable_fixture(tmp_path, capsys):
 # -- named mutations: each drives its check to FAIL through its own comparison ------
 
 
-def image_of_taubar_gains_a_top_vector(monkeypatch):
-    """T7, the rank leg of the image verdict: the image of taubar gains the
-    first unit vector of bar outside it in the top degree.  Nothing leaves
-    the top degree, so the span is still a u-submodule over A, and taubar
-    still lies in it, but its dimension exceeds taubar's rank."""
-    real = lannes.RealmCalculus.taubar_image.func
+def image_basis_gains_a_top_vector(monkeypatch):
+    """T7: the basis of im taubar that leg (c) certifies gains, in the top
+    degree, the first unit vector of bar outside its span.  Nothing leaves
+    the top degree, so the span is still a u-submodule over A, torsion-free
+    and reduced, and taubar still lies in it, but it has one more
+    indecomposable than the suspended loop module."""
+    real = lannes.RealmCalculus.image_basis
 
-    def gained(calc):
-        X, top = real(calc), calc.D
-        width = calc.bar.dim(top)
-        extra = next(1 << c for c in range(width) if not X.subspace(top).contains_vector(1 << c))
-        rows = BitMatrix.from_row_ints(X.bases[top].row_ints() + [extra], width)
-        Y = GradedSubspace.__new__(GradedSubspace)
-        Y.ambient, Y.bases = X.ambient, {**X.bases, top: Subspace.from_rows(rows).basis}
-        return Y
+    def gained(calc, n):
+        basis = real(calc, n)
+        if n < calc.D:
+            return basis
+        space = Subspace.from_rows(basis)
+        extra = next(1 << c for c in range(basis.ncols) if not space.contains_vector(1 << c))
+        return BitMatrix.from_row_ints(basis.row_ints() + [extra], basis.ncols)
 
-    monkeypatch.setattr(lannes.RealmCalculus, "taubar_image", property(gained))
+    monkeypatch.setattr(lannes.RealmCalculus, "image_basis", gained)
 
 
-def image_of_taubar_swaps_two_components(monkeypatch):
-    """T8, the image leg of the image verdict: the image of taubar is moved
-    by the u-linear automorphism of bar that swaps the copies of H(V_r) at
-    the first two nonzero v, for r >= 2.  It is a u-submodule of bar of the
-    same dimension in every degree, so the rank leg passes, but taubar's
-    value on t1*t2 lies outside it."""
-    real = lannes.RealmCalculus.taubar_image.func
+def q_image_swaps_two_components(monkeypatch):
+    """T8, the image of taubar in Q(bar): its rows are moved by the
+    automorphism of bar's u^1 block that swaps the copies of H(V_r) at the
+    first two nonzero v, for r >= 2.  Q of the cokernel keeps its dims, so
+    the division term does too, but it no longer kills the image of
+    Q(taubar) in degree 2."""
+    real = lannes.RealmCalculus.q_image_bases.func
 
     def swapped(calc):
-        X = real(calc)
+        bases = real(calc)
         if len(calc.tbar.components) < 2:
-            return X
-        bases = {}
-        for n, basis in X.bases.items():
-            moves = []
-            for a, off, _ in calc.bar.blocks(n):
-                (p, w), (q, _) = calc.tbar.table.block(n - a, 0), calc.tbar.table.block(n - a, 1)
-                moves.append((off + p, off + q, (1 << w) - 1))
+            return bases
+        out = bases[:1]
+        for n, basis in enumerate(bases[1:], 1):
+            # bar's u^1 block of degree n is tbar's degree n - 1, and comes first
+            (p, w), (q, _) = calc.tbar.table.block(n - 1, 0), calc.tbar.table.block(n - 1, 1)
             rows = []
             for r in basis.row_ints():
-                for p, q, mask in moves:
-                    x = (r >> p ^ r >> q) & mask
-                    r ^= x << p | x << q
-                rows.append(r)
-            bases[n] = Subspace.from_rows(BitMatrix.from_row_ints(rows, basis.ncols)).basis
-        Y = GradedSubspace.__new__(GradedSubspace)
-        Y.ambient, Y.bases = X.ambient, bases
-        return Y
+                x = (r >> p ^ r >> q) & ((1 << w) - 1)
+                rows.append(r ^ (x << p | x << q))
+            out.append(Subspace.from_rows(BitMatrix.from_row_ints(rows, basis.ncols)).basis)
+        return out
 
-    monkeypatch.setattr(lannes.RealmCalculus, "taubar_image", property(swapped))
+    monkeypatch.setattr(lannes.RealmCalculus, "q_image_bases", property(swapped))
 
 
 def squaring_span_doubles_a_row(monkeypatch):
@@ -1337,6 +1279,58 @@ def sum_calculus_misses_a_u0_copy(monkeypatch):
     monkeypatch.setattr(lannes, "RealmCalculus", broken_on_sums)
 
 
+def _with_a_flipped_doubled_square(where):
+    """A mutation that flips bit 0 of row 0 of the first stored Sq matrix of
+    the doubled module Ph(M) as ``where`` builds it: T5 and T17 map R1(M)
+    onto Ph(M) (``rho1``), T13 maps the symmetric invariants onto Ph(F(1))
+    (``sym_lambda``'s ``diag``), and the map's ``validate_linear`` fails
+    with its first violation."""
+    def mutate(monkeypatch):
+        real = unstable.phi
+        monkeypatch.setattr(where, "phi", lambda M: with_a_flipped_square(real(M)))
+
+    return mutate
+
+
+def _with_a_flipped_hxh_sq1(n):
+    """T6: the product map's image is compared with the span R1(H (x) H),
+    which reads Sq^1 of H (x) H on degree n for 2n <= D.  A copy with the
+    first bit of Sq^1 on degree n flipped gives another span in degree 2n."""
+    def mutate(monkeypatch):
+        real = singer.tensor_with_layout
+
+        def flipped(M, N):
+            T, layout = real(M, N)
+            act = dict(T.action_items())
+            act[(1, n)] = flip_bit(act[(1, n)], 0, 0)
+            return TruncatedModule(T.name, T.D, T.dims, act, T.labels), layout
+
+        monkeypatch.setattr(singer, "tensor_with_layout", flipped)
+
+    return mutate
+
+
+def _with_fixture_document(monkeypatch, change):
+    """Patch T9's loader so that the fixture file's document goes through
+    ``change`` before the module is read from it."""
+    monkeypatch.setattr(harness, "load_fixture", lambda path: fixtures.module_from_dict(
+        change(json.loads(Path(path).read_text()))))
+
+
+def fixture_gains_a_square(monkeypatch):
+    """T9 validates a loaded fixture: H(Z/2) with Sq^1(t^2) = t^3 breaks an
+    Adem relation."""
+    _with_fixture_document(monkeypatch, lambda doc: {
+        **doc, "action": doc["action"] + [{"i": 1, "n": 2, "rows": ["1"]}]})
+
+
+def fixture_u_loses_degree_1(monkeypatch):
+    """T9 validates a loaded u-module with its u: F[u] (x) H(Z/2) with u
+    zero on degree 1 breaks the Cartan rule for u."""
+    _with_fixture_document(monkeypatch, lambda doc: {
+        **doc, "u_action": [entry for entry in doc["u_action"] if entry["n"] != 1]})
+
+
 # keyed by check id, then by the name of the mutation when a check has several
 MUTATIONS = {
     "T1": (kernel_rows_share_a_lowest_bit, "structural violation: ker(taubar): row 1 of degree 2 "
@@ -1366,19 +1360,36 @@ MUTATIONS = {
     "T4": (squaring_span_repeats_a_generator, "structural violation: distinguished generators "
            "dependent in degree 6"),
     "T4-u-not-the-shift": (r1_u_drops_a_bit, "F(1): torsion: u kills st1(i1) in degree 2"),
-    "T7": (image_of_taubar_gains_a_top_vector, "u-module sequence: its image has dimension 5, "
-           "not taubar's rank 4, in degree 8"),
+    "T5": (_with_a_flipped_doubled_square(singer),
+           "F(1): projection linearity: not A-linear at (i=2, n=2)"),
+    "T6": (_with_a_flipped_hxh_sq1(1), "image: image differs from the span in degree 2"),
+    "T6-sq1-on-degree-2": (_with_a_flipped_hxh_sq1(2),
+                           "image: image differs from the span in degree 4"),
+    "T6-sq1-on-degree-3": (_with_a_flipped_hxh_sq1(3),
+                           "image: image differs from the span in degree 6"),
+    "T6-sq1-on-degree-4": (_with_a_flipped_hxh_sq1(4),
+                           "image: image differs from the span in degree 8"),
+    "T7": (image_basis_gains_a_top_vector,
+           "indecomposables of the image are not the suspended loop module"),
     "T8": (taubar_u0_layer_gains_a_bit,
            "rank 1: linearity of taubar: not A-linear at (i=1, n=1) on the u^0 layer"),
-    "T8-image-span-differs": (image_of_taubar_swaps_two_components,
-                              "rank 2: u-module sequence: taubar's value on t1*t2 lies outside "
-                              "its image in degree 2"),
+    "T8-image-span-differs": (q_image_swaps_two_components,
+                              "rank 2: induced sequence: exactness fails at suspended reduced "
+                              "part in degree 2: [u|<0:1>t2]+[u|<0:2>t1]+[u|<0:3>t2]+[u|<0:3>t1] "
+                              "(in the first side only)"),
+    "T9": (fixture_gains_a_square, "H(Z/2): Adem coherence fails for Sq^1Sq^1 on degree 1",
+           polynomial_module(1, 6)),
+    "T9-u-not-cartan": (fixture_u_loses_degree_1,
+                        "Fu(x)H(Z/2): u-multiplication not Cartan-compatible at (i=1, n=0)",
+                        extend_scalars(polynomial_module(1, 6))),
     "T10": (sq0_cokernel_of_the_square_loses_a_class,
             "loop alternating sum is -1 in degree 4"),
     "T11": (loop_module_sq0_loses_a_bit,
             "rank 1: loop module reducedness: Sq0 kills ds(t^3) in degree 2"),
     "T12": (division_kernel_loses_its_class, "first derived division term has dims "
             "[0, 0, 0, 0, 0, 0, 0], expected the suspended unit"),
+    "T13": (_with_a_flipped_doubled_square(unstable),
+            "diagonal extraction linearity: not A-linear at (i=2, n=2)"),
     "T14": (every_trial_reads_saturated,
             "only 100 of 100 trials saturated; need at least 5 of each"),
     "T14-generator-criterion": (augmentation_mask_loses_a_column,
@@ -1389,13 +1400,23 @@ MUTATIONS = {
     "T16": (sum_calculus_misses_a_u0_copy,
             "structural violation: sigma + tau is not taubar in degree 0: its value on [0]1 has "
             "[1|<0:0>1] outside bar"),
+    "T17": (_with_a_flipped_doubled_square(singer),
+            "F(1) projection linearity: not A-linear at (i=2, n=2)"),
 }
 
 
+def test_every_check_of_the_catalog_has_a_named_mutation():
+    assert sorted({row.split("-")[0] for row in MUTATIONS}) == sorted(cid for cid, *_ in CATALOG)
+
+
 @pytest.mark.parametrize("check", sorted(MUTATIONS))
-def test_a_named_mutation_fails_its_check_with_its_witness(check, monkeypatch):
-    mutate, witness = MUTATIONS[check]
-    spec = make_spec(check.split("-")[0], D=8, max_rank=2)
+def test_a_named_mutation_fails_its_check_with_its_witness(check, monkeypatch, tmp_path):
+    mutate, witness, *fixture = MUTATIONS[check]
+    params = {}
+    if fixture:  # the check loads this module from a file, before and after the mutation
+        params["fixture_file"] = str(tmp_path / "fixture.json")
+        fixtures.save(fixture[0], params["fixture_file"])
+    spec = make_spec(check.split("-")[0], D=8, max_rank=2, **params)
     assert run_check(spec).passed
     clear_memos()  # the mutated run builds and certifies everything again
     mutate(monkeypatch)

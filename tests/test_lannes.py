@@ -17,7 +17,6 @@ from usteen.fulu import (
     positive_u_part,
     q_data,
     q_of_map,
-    q_of_quotient,
     saturation_check,
     torsion_free,
     ULinearMap,
@@ -70,7 +69,9 @@ from reference import (
     fulu_algebra,
     image_submodule,
     drop_u0_copies,
+    q_of_quotient,
     Subquotient,
+    taubar_image_rref,
     taubar_kernel_spaces,
     taubar_subquotient,
     twist_terms,
@@ -79,8 +80,9 @@ from reference import (
 
 def taubar_image_module(calc):
     """The image of taubar as T7 builds it: the submodule of bar on the
-    canonical bases of ``taubar_image``."""
-    return submodule(calc.bar, calc.taubar_image.bases, "im(taubar)")[0]
+    basis that leg (c) certifies (``RealmCalculus.image_basis``)."""
+    bases = {n: calc.image_basis(n) for n in range(calc.D + 1)}
+    return submodule(calc.bar, bases, "im(taubar)")[0]
 
 
 def series_coeffs(r, D):
@@ -1367,6 +1369,7 @@ def test_a_compute_request_builds_one_module_and_no_layout_per_extension(argv, m
 def test_taubar_parts_are_built_once_on_first_read(monkeypatch):
     calc = RealmCalculus(hv(2, 8))
     sub = taubar_subquotient(calc)
+    calc.rtilde  # the image's basis is read off the kernel's certificate
     built, actions = count_builds(monkeypatch)
     for _ in range(2):
         assert sub.coker is sub.coker and sub.coker.target is sub.coker.target
@@ -1636,21 +1639,56 @@ T8_GRID = [(8, 1), (8, 2), (8, 3), (14, 1), (14, 2)]
 
 @pytest.mark.parametrize("D, r", T8_GRID)
 def test_the_image_of_taubar_from_its_u0_layer_matches_the_elimination(D, r):
+    """The oracle's u-span of taubar's layer, and the rref of the basis
+    that leg (c) certifies, are the eliminated image in every degree."""
     calc = RealmCalculus(hv(r, D))
-    image = calc.taubar_image
+    image = taubar_image_rref(calc)
     for n in range(D + 1):
-        assert image.bases[n] == Subspace.from_rows(calc.taubar.mat(n)).basis, n
+        want = Subspace.from_rows(calc.taubar.mat(n)).basis
+        assert image.bases[n] == want == Subspace.from_rows(calc.image_basis(n)).basis, n
+
+
+LEG_C_GRID = [(D, r) for r in (1, 2, 3) for D in (4, 7, 10) if r < 3 or D < 10]
+
+
+@pytest.mark.parametrize("D, r", LEG_C_GRID)
+def test_the_leg_c_image_matches_the_from_vectors_oracle(D, r):
+    """Against ``reference.taubar_image_rref``, the image as the u-span of
+    taubar's layer on rref bases: (1) the basis of leg (c) has distinct
+    lowest bits, rank taubar_d rows and the oracle's rref; (2) T8's Q of
+    the cokernel, on ``q_image_bases``, has the dims and representatives
+    of the oracle's ``q_of_quotient``; (3) T8's torsion count is the
+    oracle's dimension of u^-1 of the image, degree by degree, and agrees
+    with ``saturation_check`` on the oracle."""
+    calc = RealmCalculus(hv(r, D))
+    oracle = taubar_image_rref(calc)
+    for n in range(D + 1):
+        basis = calc.image_basis(n)
+        lows = {row & -row for row in basis.row_ints()}
+        assert len(lows) == basis.nrows == calc.taubar.ranks[n] and 0 not in lows, n
+        assert Subspace.from_rows(basis).basis == oracle.bases[n], n
+    q_bar = q_data(calc.bar)
+    got = quotient(q_bar.target, calc.q_image_bases, "Q/X")
+    want = q_of_quotient(q_bar, oracle)
+    assert got.target.dims == want.target.dims and got.rep_cols == want.rep_cols
+    for n in range(D):
+        s = calc.bar.dim(n + 1) - calc.bar.dim(n)
+        pre = sum(1 for row in oracle.bases[n + 1].row_ints() if not row & ((1 << s) - 1))
+        assert calc.u_preimage_dims[n] == pre, n
+    saturated = all(pre == len(calc.image_positions[n])
+                    for n, pre in enumerate(calc.u_preimage_dims))
+    assert saturation_check(oracle).ok == saturated
 
 
 @pytest.mark.parametrize("D, r", T8_GRID)
 def test_the_cokernel_projection_operator_matches_the_dense_projection(D, r):
-    """T8's projection, on the bases of ``taubar_image``, against the dense
-    ``coker_data`` projection of the eliminated image, and the Subquotient's
-    cokernel: matrices, products on taubar's rows and on random rows,
-    ranks, dims, labels and u."""
+    """The projection off the oracle's image bases against the dense
+    ``coker_data`` projection of the eliminated image, and the
+    Subquotient's cokernel: matrices, products on taubar's rows and on
+    random rows, ranks, dims, labels and u."""
     calc = RealmCalculus(hv(r, D))
     sub = taubar_subquotient(calc)
-    proj = quotient(calc.bar, calc.taubar_image.bases, "bar/X")
+    proj = quotient(calc.bar, taubar_image_rref(calc).bases, "bar/X")
     rng = random.Random(100 * D + r)
     bases = [Subspace.from_rows(calc.taubar.mat(n)).basis for n in range(D + 1)]
     for n in range(D + 1):
@@ -1672,14 +1710,14 @@ def test_the_cokernel_projection_operator_matches_the_dense_projection(D, r):
 
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_the_cokernel_of_taubar_from_the_one_projection_is_a_valid_u_module(r):
-    """coker taubar, projected off ``taubar_image`` as T8 projects it, carries
-    the induced Sq and u: it validates, and its dims, labels, stored Sq
+    """coker taubar, projected off the oracle's image bases, carries the
+    induced Sq and u: it validates, and its dims, labels, stored Sq
     matrices and u are those of the dense oracle's cokernel of the
     eliminated image.  A quotient that dropped the squares (claiming every
     Sq is zero) fails the Cartan rule for u from rank 1 on."""
     D = 6
     calc = RealmCalculus(hv(r, D))
-    got = quotient(calc.bar, calc.taubar_image.bases, "coker(taubar)").target
+    got = quotient(calc.bar, taubar_image_rref(calc).bases, "coker(taubar)").target
     bases = [Subspace.from_rows(calc.taubar.mat(n)).basis for n in range(D + 1)]
     want = dense_quotient(calc.bar, bases, "coker(taubar)").module
     assert got.validate().ok and want.validate().ok
@@ -1691,10 +1729,12 @@ def test_the_cokernel_of_taubar_from_the_one_projection_is_a_valid_u_module(r):
 
 @pytest.mark.parametrize("D, r", T8_GRID)
 def test_q_of_the_cokernel_from_the_u1_pivots_matches_the_elimination(D, r):
+    """T8's Q of the cokernel, Q(bar) modulo ``q_image_bases``, against Q
+    of the eliminated cokernel and the map Q(bar) -> Q(coker) it induces."""
     calc = RealmCalculus(hv(r, D))
     sub = taubar_subquotient(calc)
     q_bar = q_data(calc.bar)
-    got = q_of_quotient(q_bar, calc.taubar_image)
+    got = quotient(q_bar.target, calc.q_image_bases, "Q/X")
     want = q_data(sub.coker.target)
     assert got.target.dims == want.target.dims
     assert got.target.labels == want.target.labels
@@ -1707,68 +1747,86 @@ def test_q_of_the_cokernel_from_the_u1_pivots_matches_the_elimination(D, r):
 def test_saturation_of_the_image_matches_torsion_of_the_cokernel(D, r):
     calc = RealmCalculus(hv(r, D))
     coker = taubar_subquotient(calc).coker.target
-    assert saturation_check(calc.taubar_image) == torsion_free(coker)
+    assert saturation_check(taubar_image_rref(calc)) == torsion_free(coker)
 
 
-def _with_rows(X, n, rows):
-    """A copy of the graded subspace X with the rows of degree n replaced,
-    unchecked: the mutants below are not u-submodules."""
-    Y = GradedSubspace.__new__(GradedSubspace)
-    Y.ambient = X.ambient
-    Y.bases = {**X.bases, n: BitMatrix.from_row_ints(rows, X.ambient.dim(n))}
-    return Y
+def _with_q_rows(calc, n, change):
+    """Put ``change`` of the rows of degree n of ``q_image_bases`` into
+    the calculus, unchecked: the mutants below span no image of taubar."""
+    q = list(calc.q_image_bases)
+    q[n] = BitMatrix.from_row_ints(change(q[n].row_ints()), q[n].ncols)
+    calc.__dict__["q_image_bases"] = q
 
 
 def test_t8_fails_exactness_at_the_reduced_part_on_a_dropped_image_row():
+    """The image of taubar in Q(bar) loses its row of degree 3, so Q of the
+    cokernel no longer kills the image of Q(taubar) there."""
     calc = lannes.calculus(hv(1, 4))  # the calculus T8 reads
-    image = calc.taubar_image
-    calc.__dict__["taubar_image"] = _with_rows(image, 3, image.bases[3].row_ints()[1:])
+    _with_q_rows(calc, 3, lambda rows: rows[1:])
     res = harness.run_check(harness.make_spec("T8", D=4, max_rank=1))
     assert not res.passed
-    assert res.witness == ("rank 1: u-module sequence: taubar's value on t^3 lies outside its "
-                           "image in degree 3")
+    assert res.witness == ("rank 1: induced sequence: exactness fails at suspended reduced part "
+                           "in degree 3: [u|<0:1>t^2] (in the first side only)")
 
 
-def test_t8_fails_the_induced_sequence_on_a_wrong_u1_trace(monkeypatch):
+def test_t8_fails_the_induced_sequence_on_a_wrong_u1_trace():
     """One bit flipped, at a column that is no pivot, in a row of the image
-    whose pivot lies in the u^1 block: Q of the cokernel keeps its dims but
-    no longer contains the image of Q(taubar)."""
-    real = harness.q_of_quotient
+    of taubar in Q(bar): Q of the cokernel keeps its dims but no longer
+    contains the image of Q(taubar)."""
+    calc = lannes.calculus(hv(2, 4))
+    calc.rtilde
 
-    def wrong_trace(q_amb, X):
-        if X.ambient.block(1, 1)[1] < 3:  # rank 1 has no such column
-            return real(q_amb, X)
-        rows = X.bases[1].row_ints()
-        assert rows[0] & 1 and not any(r & 0b100 & -r for r in rows)
-        rows[0] ^= 0b100
-        return real(q_amb, _with_rows(X, 1, rows))
+    def flipped(rows):
+        assert sorted(r & -r for r in rows) == [0b1, 0b10]  # column 2 is no pivot
+        return [r ^ 0b100 if r & 1 else r for r in rows]
 
-    monkeypatch.setattr(harness, "q_of_quotient", wrong_trace)
+    _with_q_rows(calc, 1, flipped)
     res = harness.run_check(harness.make_spec("T8", D=4, max_rank=2))
     assert not res.passed
     assert res.witness.startswith(
         "rank 2: induced sequence: exactness fails at suspended reduced part in degree 1: ")
 
 
-def test_t8_fails_the_cokernel_torsion_check_on_an_unsaturated_image(monkeypatch):
-    """Saturation read on the image without one of its rows of degree 3:
-    u times that row still lies in the image, so the row is the witness."""
-    real = harness.saturation_check
-    monkeypatch.setattr(
-        harness, "saturation_check",
-        lambda X: real(_with_rows(X, 3, X.bases[3].row_ints()[1:])))
+def test_t8_fails_the_cokernel_torsion_check_on_an_unsaturated_image():
+    """Leg (c)'s positions of degree 3 gain u^3 (x) 1, a row's lowest bit,
+    as if its image were in the basis: it lies above the u^1 block, so
+    u^-1 of the image of degree 3 is counted one larger than the image of
+    degree 2, as for an unsaturated image.  Nothing else in T8 reads the
+    positions above the u^1 block."""
+    calc = lannes.calculus(hv(1, 4))
+    calc.image_positions[3].append((3, 0))
     res = harness.run_check(harness.make_spec("T8", D=4, max_rank=1))
     assert not res.passed
-    assert res.witness == ("rank 1: cokernel torsion: degree 3: u*([u|<0:1>t^2]+[u^2|<0:1>t]) "
-                           "lies in X but [u|<0:1>t^2]+[u^2|<0:1>t] does not")
+    assert res.witness == ("rank 1: cokernel torsion: u^-1 of the image has dimension 2, not 1, "
+                           "in degree 2")
+
+
+def test_t7_fails_when_taubar_leaves_the_basis_of_its_image(monkeypatch):
+    """T7 expresses taubar's layer in the basis of its image; a basis that
+    lost its rows with a = 0 in degree 7 still spans a u-submodule over A,
+    but taubar(t^7) escapes it, and T7 fails with a witness."""
+    real = RealmCalculus.image_basis
+
+    def dropped(calc, n):
+        basis = real(calc, n)
+        if n != 7:
+            return basis
+        rows = [r for (a, _), r in zip(calc.image_positions[n], basis.row_ints()) if a]
+        return BitMatrix.from_row_ints(rows, basis.ncols)
+
+    monkeypatch.setattr(RealmCalculus, "image_basis", dropped)
+    res = harness.run_check(harness.make_spec("T7", D=8))
+    assert not res.passed
+    assert res.witness == ("structural violation: im(taubar): taubar's layer escapes it at "
+                           "degree 7")
 
 
 def test_t8_fails_the_freeness_forecast_on_a_wrong_cokernel_dimension(monkeypatch):
-    """An image one dimension too large in the top degree, read only by the
+    """taubar's rank one too large in the top degree, read only by the
     cokernel's dims there, makes the cokernel one too small."""
-    real = GradedSubspace.dim
-    monkeypatch.setattr(GradedSubspace, "dim",
-                        lambda self, n: real(self, n) + (n == self.ambient.D))
+    real = ULinearMap.rank
+    monkeypatch.setattr(ULinearMap, "rank",
+                        lambda self, n: real(self, n) + (self.name == "taubar" and n == self.D))
     res = harness.run_check(harness.make_spec("T8", D=5, max_rank=1))
     assert not res.passed
     assert res.witness == "rank 1: cokernel not free on the suspended division term at degree 5"

@@ -160,6 +160,20 @@ def test_r1_freeness_and_dims_forecast():
         assert S.free_gens.ok
 
 
+def test_r1_freeness_is_read_off_top_bits_with_no_rank(monkeypatch):
+    """On the catalog's fixtures the generators of every degree have
+    distinct top bits, so freeness runs no rank and records each degree's
+    rank as its row count."""
+    def refuse(m):
+        raise AssertionError("rank eliminated")
+
+    monkeypatch.setattr(singer, "rank", refuse)
+    for M in harness._singer_fixtures(12):
+        S = r1(M)
+        assert S.free_gens.ok, M.name
+        assert all(S.gen_matrix(n)._rank == S.gen_matrix(n).nrows for n in range(S.D + 1))
+
+
 def test_r1_validates_as_fulu_module():
     S = r1(free_unstable(2, 10))
     assert S.fulu.validate().ok

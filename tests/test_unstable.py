@@ -23,7 +23,6 @@ from usteen.unstable import (
     _restricted_action,
     _sum_label,
     desuspend,
-    direct_sum,
     exact_sequence,
     free_unstable,
     is_reduced,
@@ -48,6 +47,7 @@ from reference import (
     a_span,
     coker_data,
     contains,
+    direct_sum,
     image_submodule,
     one_bit_flips,
     polynomial_action_by_compositions,
