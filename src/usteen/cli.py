@@ -2,15 +2,20 @@
 
 Exit codes: 0 when all checks pass, 1 when a verification check or a
 certification inside ``compute`` fails, 2 for usage or input errors and
-when memory runs out.  Reports go to stdout, diagnostics to stderr.
-Output is deterministic unless timings are requested.
+when memory runs out, a T-functor expansion too large to list in the
+memory the process can hold included.  Reports go to stdout, diagnostics
+to stderr.  Output is deterministic unless timings are requested.
 
-Requests in one process share what they build.  ``compute`` and
-``verify`` read one calculus per realm object (``lannes.calculus``),
-certified once, and a failing certificate fails every request that reads
-it.  A built-in module is built once per name and degree.  A fixture file
-is loaded and checked on every request, since it can change between
-requests, and ``compute module`` validates its module on every request.
+Requests in one process share what they build.  ``verify`` reads one
+calculus per realm object and degree (``lannes.calculus``), certified
+once.  ``compute rtilde``, ``fix`` and ``invariants`` read the widest
+calculus of their realm object built so far, if it reaches their degree,
+and print only through their degree (``lannes.calculus_through``).  A
+failing certificate fails every request that reads its calculus, also one
+whose degree is below the degree where it fails.  A built-in module is
+built once per name and degree.  A fixture file is loaded and checked on every
+request, since it can change between requests, and ``compute module``
+validates its module on every request.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from pathlib import Path
 
 from . import fixtures
 from .harness import CATALOG, make_spec, poincare_coeffs, report, run_check
-from .lannes import calculus, hv, hv_module, realm_suspend
+from .lannes import calculus_through, hv, hv_module, realm_suspend
 from .singer import r1
 from .steenrod import admissible_basis
 from .unstable import (
@@ -168,7 +173,7 @@ def _cmd_compute(args) -> int:
         return 0
     if what == "rtilde":
         X = _named_realm(args.module, D)
-        K = calculus(X).rtilde
+        K = calculus_through(X).rtilde
         dims = [K.dim(n) for n in range(D + 1)]
         doc = {"name": f"Rtilde({X.name})", "certified_degree": D, "dims": dims}
         lines = [f"Rtilde({X.name}) through degree {D}", "dims: " + _dims_csv(dims)]
@@ -177,7 +182,7 @@ def _cmd_compute(args) -> int:
     if what == "invariants":
         if args.rank is None:
             raise SystemExit2("compute invariants requires --rank")
-        inv, _ = calculus(hv(args.rank, D)).invariants()
+        inv, _ = calculus_through(hv(args.rank, D)).invariants()
         dims = [inv.dim(n) for n in range(D + 1)]
         series = poincare_coeffs(args.rank, D)
         doc = {
@@ -195,9 +200,9 @@ def _cmd_compute(args) -> int:
         return 0
     if what == "fix":
         X = _named_realm(args.module, D)
-        calc = calculus(X)
+        calc = calculus_through(X)
         calc.rtilde  # certifies the equalizer
-        dims = list(calc.fix_parts["kernel"].table.dims)
+        dims = list(calc.fix_parts["kernel"].table.dims[: D + 1])
         base = list(X.table.dims)
         doc = {
             "name": f"Fix(Rtilde({X.name}))",
@@ -293,8 +298,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
-    except MemoryError:
-        print("error: out of memory; lower --max-degree or the rank", file=sys.stderr)
+    except MemoryError as exc:  # t_apply names the size of an expansion it refuses
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}; lower --max-degree or the rank", file=sys.stderr)
     except TheoryViolation as exc:  # a certification inside compute failed
         print(f"check failed: structural violation: {exc}", file=sys.stderr)
         return 1

@@ -24,6 +24,10 @@ Conventions pinned here (guarded by degree-one unit tests):
 
 from __future__ import annotations
 
+import os
+import resource
+import struct
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add
@@ -237,9 +241,41 @@ class TExpansion(RealmObject):
 
 def t_apply(X: RealmObject) -> TExpansion:
     """Apply the T-functor of the rank-one group to a realm object: one copy
-    of the summand H(V_r) per element v of V_r, and iterated for T^2."""
+    of the summand H(V_r) per element v of V_r, and iterated for T^2.
+
+    The 2^r copies are counted before any is listed: an expansion that
+    the memory this process can hold could not list is refused with a
+    ``MemoryError`` that names its size (``_memory_left``).  Each copy
+    takes at least a pair (j, v) and five slots: one in ``components``,
+    one in the summands and three in ``comp_pos``'s table."""
+    n = sum(1 << sm.r for sm in X.summands)
+    need, left = n * (sys.getsizeof((0, 0)) + 5 * struct.calcsize("P")), _memory_left()
+    if left is not None and need > left:
+        raise MemoryError(f"T[1]({X.name}) has {n} components, at least {need} bytes "
+                          f"to list, and this process can hold {left}")
     comps = [(j, v) for j, sm in enumerate(X.summands) for v in range(1 << sm.r)]
     return TExpansion(X, comps, f"T[1]({X.name})")
+
+
+def _memory_left() -> Optional[int]:
+    """The bytes this process can still take, as far as it can read them:
+    the least of its address-space limit, less what it maps now, and the
+    machine's physical memory; None when it can read neither."""
+    bounds = []
+    page = os.sysconf("SC_PAGE_SIZE")
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY:
+        try:
+            with open("/proc/self/statm") as f:
+                mapped = int(f.read().split()[0]) * page
+        except OSError:  # no procfs: the whole limit bounds what is left
+            mapped = 0
+        bounds.append(limit - mapped)
+    try:
+        bounds.append(os.sysconf("SC_PHYS_PAGES") * page)
+    except (ValueError, OSError):  # the platform does not report it
+        pass
+    return min(bounds, default=None)
 
 
 def _twist_plus_id(mono: Tuple[int, ...], i: int) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -466,12 +502,17 @@ class RealmCalculus:
             layer.append(rows)
         return ULinearMap(self.E, bar, layer, name="taubar"), verdict
 
+    @cached_property
+    def _sigma_targets(self) -> List[List[int]]:
+        """The components of TX that sigma sends each summand of X to, read
+        off ``diag_components`` once per calculus."""
+        return _component_targets(self.X.summands, self.TX.summands, self.diag_components)
+
     def _sigma_rows(self, d: int) -> List[int]:
         """sigma's rows in degree d: summand j's bits of ``diag_components``,
         each at its component's block of TX, placed once and shifted to each
         monomial of the block, for the equalizer to compare with tau's."""
-        X, offset = self.X, self.TX.table.offset
-        targets = _component_targets(X.summands, self.TX.summands, self.diag_components)
+        X, offset, targets = self.X, self.TX.table.offset, self._sigma_targets
         rows: List[int] = []
         for j, _, width in X.table.blocks(d):
             placed = sum(1 << offset(d, c) for c in targets[j])
@@ -833,7 +874,7 @@ class RealmCalculus:
 
 def calculus(X: RealmObject) -> RealmCalculus:
     """The process's one calculus of the plain realm object X, shared by
-    ``verify`` and ``compute``.
+    ``verify`` and, through ``calculus_through``, ``compute``.
 
     It is keyed by all of X that reaches an output or a witness: its
     summands, its truncation degree and its name, so ``H(V1)`` and a
@@ -848,9 +889,36 @@ def calculus(X: RealmObject) -> RealmCalculus:
     return _calculus(X.summands, X.D, X.name)
 
 
+def calculus_through(X: RealmObject) -> RealmCalculus:
+    """The widest calculus of X's summands and name read here so far, if
+    it runs through at least ``X.D``; else ``calculus(X)``, which becomes
+    the widest.  ``compute`` reads it.
+
+    Everything a calculus holds is laid out and certified degree by
+    degree, so the calculus through D' >= X.D holds, row for row, every
+    dimension that ``calculus(X)`` would give through X.D; a reader
+    prints only through its own degree.  A certificate is checked on the
+    whole calculus, so one that fails in a degree above X.D fails this
+    reader too.  ``verify`` reads ``calculus(X)``, since its reports state
+    tables through the calculus's own degree.
+    """
+    key = (X.summands, X.name)
+    D = _widest_degree.get(key, -1)
+    if D >= X.D:
+        return _calculus(X.summands, D, X.name)
+    calc = calculus(X)
+    _widest_degree[key] = X.D
+    return calc
+
+
 @lru_cache(maxsize=None)
 def _calculus(summands: Tuple[Summand, ...], D: int, name: str) -> RealmCalculus:
     return RealmCalculus(RealmObject(summands, D, name))
+
+
+# (summands, name) -> the degree of the widest calculus ``calculus_through``
+# has read; the calculus itself is ``_calculus``'s
+_widest_degree: Dict[Tuple[Tuple[Summand, ...], str], int] = {}
 
 
 def _component_targets(src: Sequence[Summand], tgt: Sequence[Summand],

@@ -33,10 +33,12 @@ from usteen.unstable import (
 
 def clear_memos() -> None:
     """Forget every object the package shares within a process: the realm
-    calculi, the built-in modules of the command line, the H(V_r), the
-    powers of u and the division data of T12 and T13.  The next reader
-    builds and certifies them again."""
+    calculi and the index of the widest one per realm object, the built-in
+    modules of the command line, the H(V_r), the powers of u and the
+    division data of T12 and T13.  The next reader builds and certifies
+    them again."""
     lannes._calculus.cache_clear()
+    lannes._widest_degree.clear()
     cli._builtin_module.cache_clear()
     lannes.hv_module.cache_clear()
     fulu._u_powers.cache_clear()

@@ -11,6 +11,11 @@ small valid modules with one defect mixed in.
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -217,3 +222,28 @@ def test_t9_refuses_a_fixture_below_degree_2(tmp_path):
     fixtures.save(truncate(free_unstable(1, 4), 1), path)
     with pytest.raises(ValueError, match="T9 needs a fixture through degree 2 at least, got 1"):
         harness.run_check(harness.make_spec("T9", D=4, fixture_file=str(path)))
+
+
+# an address-space cap for a child interpreter: far above what it maps to
+# start, far below what either expansion below takes to list
+CAP = 1 << 30
+
+
+@pytest.mark.parametrize("r", [99, 24])
+def test_an_expansion_beyond_the_memory_the_process_can_hold_exits_2_at_once(r):
+    """T[1](H(V_r)) has 2^r components.  ``t_apply`` sizes them before it
+    lists one, against the least of the process's RLIMIT_AS and the
+    machine's physical memory, and the request exits 2 with one stderr line
+    naming the count.  At r = 24 the listing takes at least 1.6 GB, which
+    the cap refuses however large the machine.  The requests run only under
+    the cap: without the sizing, r = 99 exhausts the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CAP, CAP))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["compute", "rtilde", "--module", f"HV{r}", "--max-degree", "2"]
+    proc = subprocess.run([sys.executable, "-m", "usteen.cli", *argv], preexec_fn=cap,
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (2, "", 1)
+    assert proc.stderr.startswith(f"error: out of memory: T[1](H(V{r})) has {1 << r} components")

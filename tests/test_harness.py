@@ -298,19 +298,46 @@ def oracle_requests():
     return out
 
 
+# wider than every oracle request on its realm object, so those read its calculus
+WIDER_REQUESTS = [["compute", "rtilde", "--module", "HV1", "--max-degree", "12"],
+                  ["compute", "fix", "--module", "S2HV1", "--max-degree", "12"]]
+
+
 @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
-def test_compute_outputs_match_the_oracles_in_any_order_in_one_process(order, capsys):
+def test_compute_outputs_match_the_oracles_in_any_order_in_one_process(order, monkeypatch,
+                                                                        capsys):
     """Each request prints its committed output byte for byte whichever
     requests filled the shared calculi and modules before it, and so does
-    ``verify --all`` after the whole grid."""
+    ``verify --all`` after the whole grid.  The requests on H(V1) (rtilde,
+    fix and the invariants of rank 1) and on S^2(H(V1)) read the calculus
+    through degree 12 that a wider request built first, and print only
+    through their own degree."""
     requests = oracle_requests()
     if order == "reversed":
         requests.reverse()
     elif order == "shuffled":
         random.Random(3).shuffle(requests)
+    real, read = lannes.calculus_through, []
+
+    def recording(X):
+        calc = real(X)
+        read.append((X.name, X.D, calc.D))
+        return calc
+
+    monkeypatch.setattr(cli, "calculus_through", recording)
+    for argv in WIDER_REQUESTS:
+        assert cli_main(argv) == 0, argv
+    capsys.readouterr()
     for argv, text in requests:
         assert cli_main(argv) == 0, argv
         assert capsys.readouterr().out == text, argv
+    # per object: its wider request, rtilde and fix at degrees 6 and 10, the invariants at 10
+    wide = sorted((D, width) for name, D, width in read if name in ("H(V1)", "S^2(H(V1))"))
+    assert wide == [(6, 12)] * 4 + [(10, 12)] * 5 + [(12, 12)] * 2
+    widest = {}
+    for name, D, width in read:  # every request reads the widest calculus read so far
+        widest[name] = max(widest.get(name, D), D)
+        assert width == widest[name], (name, D)
     assert cli_main(["verify", "--all", "--format", "json"]) == 0
     assert capsys.readouterr().out == (DATA / "verify_all.json").read_text()
 
@@ -528,14 +555,24 @@ REALM_GRID += [["compute", "invariants", "--rank", str(r), "--max-degree", str(D
 
 
 def test_a_compute_grid_builds_one_calculus_per_realm_and_degree(capsys):
-    """rtilde, fix and invariants over four realms at three degrees read
-    one calculus per (realm, degree); the invariants of rank r share the
-    calculus of HV<r>."""
+    """rtilde, fix and invariants over four realms at three rising degrees
+    build one calculus per (realm, degree), each wider than those before
+    it; the invariants of rank r share the calculus of HV<r>."""
     for argv in REALM_GRID:
         assert cli_main(argv) == 0
     capsys.readouterr()
     info = lannes._calculus.cache_info()
     assert (info.misses, info.hits) == (12, len(REALM_GRID) - 12)
+
+
+def test_a_compute_grid_from_the_top_degree_down_builds_one_calculus_per_realm(capsys):
+    """The same grid with its degrees falling builds only the calculi
+    through degree 10, and the requests below read them."""
+    for argv in sorted(REALM_GRID, key=lambda argv: -int(argv[-1])):
+        assert cli_main(argv) == 0
+    capsys.readouterr()
+    info = lannes._calculus.cache_info()
+    assert (info.misses, info.hits) == (4, len(REALM_GRID) - 4)
 
 
 def test_compute_and_verify_share_one_calculus(capsys):
@@ -1423,3 +1460,25 @@ def test_a_named_mutation_fails_its_check_with_its_witness(check, monkeypatch, t
     res = run_check(spec)
     assert not res.passed
     assert res.witness == witness
+
+
+def test_a_certificate_failing_on_the_wider_calculus_fails_a_lower_degree_request(monkeypatch,
+                                                                                  capsys):
+    """``compute`` reads the widest calculus of its realm object, and its
+    certificate covers every degree of that calculus: with taubar's row of
+    t^(D-1) zeroed (T1's rank leg), a request through degree 4 after one
+    through degree 8 fails in degree 7, above what it prints; in a fresh
+    process it reads its own calculus and fails in degree 3."""
+    mutate, witness = MUTATIONS["T1-rank-falls-short"]
+    mutate(monkeypatch)
+
+    def failure(D):
+        assert cli_main(["compute", "rtilde", "--module", "HV1", "--max-degree", str(D)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        return err
+
+    assert failure(8) == failure(4) == f"check failed: {witness}\n"
+    clear_memos()
+    own = witness.replace("degree 7: its row at [1|t^7]", "degree 3: its row at [1|t^3]")
+    assert own != witness and failure(4) == f"check failed: {own}\n"

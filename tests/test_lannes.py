@@ -722,18 +722,25 @@ def test_component_maps_match_the_monomial_loops(X, monkeypatch):
 def test_the_sigma_rows_of_the_taubar_pass_match_the_monomial_loop(X, monkeypatch):
     """The rows of sigma that ``_taubar_pass`` compares with the u^0 Lucas
     terms, placed from ``diag_components``, are those of the splitting
-    embedding formed one monomial and one v at a time."""
+    embedding formed one monomial and one v at a time; the components each
+    summand goes to are read off ``diag_components`` once, not per degree."""
     calc = RealmCalculus(X)
-    seen = {}
-    real = RealmCalculus._sigma_rows
+    seen, targets = {}, Counter()
+    real, real_targets = RealmCalculus._sigma_rows, lannes._component_targets
 
     def recording(self, d):
         seen[d] = BitMatrix.from_row_ints(real(self, d), self.TX.table.dims[d])
         return seen[d].row_ints()
 
+    def counting(src, tgt, P):
+        targets[P] += 1
+        return real_targets(src, tgt, P)
+
     monkeypatch.setattr(RealmCalculus, "_sigma_rows", recording)
+    monkeypatch.setattr(lannes, "_component_targets", counting)
     assert calc.equalizer_verdict.ok
     assert seen == diag_by_monomials(calc)
+    assert targets == {calc.diag_components: 1}
 
 
 def test_component_map_refuses_to_pair_different_summands(monkeypatch):
